@@ -5,9 +5,11 @@ plain ``pytest -s tests/test_acceptance.py`` reads as a checklist.
 """
 
 import functools
+import hashlib
 import math
 import statistics
 import time
+from pathlib import Path
 
 from graftsim.contract import leaves, path_to, subtree_height
 from graftsim.harness import (
@@ -196,6 +198,22 @@ def test_criterion_05_no_rollback_under_attack(bo3_tree):
     elapsed = time.monotonic() - started
     assert cases >= 144
     assert elapsed <= 60.0, f"matrix took {elapsed:.1f}s"
+
+
+SWEEP_GOLDEN = Path(__file__).parent / "golden" / "acceptance5_sweep.sha256"
+
+
+def test_acceptance5_sweep_traces_are_pinned(bo3_tree):
+    """Every ACCEPTANCE 5 trace is byte-identical to the pinned digest, so a
+    behaviour change in any adversary run fails here, not only in the
+    benchmark."""
+    cases = list(_bo3_attack_matrix(bo3_tree)) + list(_random_attack_cases(100))
+    lines = [f"{s.label} {hashlib.sha256(run(s).serialize().encode()).hexdigest()}"
+             for s in cases]
+    expected = SWEEP_GOLDEN.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(expected) == 144
+    for got, want in zip(lines, expected):
+        assert got == want
 
 
 @criterion(6, "the rollback checker flags the undefended control run")
