@@ -49,7 +49,6 @@ from .offchain import (
     finalize,
     offchain_step,
     start_offchain,
-    stipulate_offchain,
 )
 from .onchain import (
     OnchainSession,
@@ -75,7 +74,7 @@ __all__ = [
     "scenario_from_dict",
     "AppendError", "AppendWitness", "ChainState", "TxInstance",
     "OffchainSession", "compile_offchain", "finalize", "offchain_step",
-    "start_offchain", "stipulate_offchain",
+    "start_offchain",
     "OnchainSession", "ProtocolError", "compile_onchain", "run_onchain_baseline",
     "STRATEGIES", "Action", "Observation", "register",
     "Trace", "replay_appends", "summarize_run",

@@ -12,7 +12,7 @@ so the same tree can be instantiated with different fee totals.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -110,19 +110,6 @@ class ContractTree:
 
 
 @dataclass(frozen=True)
-class TreeFragment:
-    """A deep copy of a subtree with fresh ids.
-
-    ``provenance`` maps each fresh id back to the id it was copied from.
-    The copied root's edge requirements are cleared: when the fragment is
-    grafted elsewhere they are replaced by the graft's own conditions.
-    """
-    root: NodeId
-    nodes: Dict[NodeId, NodeTemplate]
-    provenance: Dict[NodeId, NodeId]
-
-
-@dataclass(frozen=True)
 class StructuralError:
     kind: str
     where: str
@@ -208,23 +195,6 @@ def balance_at(tree: ContractTree, node_id: NodeId) -> int:
     the deposits minus one fee per transaction from the root down to and
     including this node."""
     return tree.deposit_total() - tree.fee * len(path_to(tree, node_id))
-
-
-def extract_subtree(tree: ContractTree, node_id: NodeId) -> TreeFragment:
-    """Deep-copy the subtree rooted at ``node_id`` with fresh dense ids."""
-    order = list(iter_preorder(tree, node_id))
-    fresh = {old: new for new, old in enumerate(order)}
-    nodes: Dict[NodeId, NodeTemplate] = {}
-    for old in order:
-        template = tree.node(old)
-        nodes[fresh[old]] = NodeTemplate(
-            id=fresh[old],
-            name=template.name,
-            edge=() if old == node_id else template.edge,
-            outputs=template.outputs,
-            children=tuple(fresh[c] for c in template.children),
-        )
-    return TreeFragment(root=0, nodes=nodes, provenance={fresh[o]: o for o in order})
 
 
 def resolve_payout(shares: Tuple[PayoutShare, ...], balance: int) -> Tuple[OutputSpec, ...]:

@@ -43,17 +43,12 @@ from .onchain import (
     FINALIZED,
     OnchainSession,
     ProtocolError,
-    RUNNING,
     STIPULATING,
+    Session,
     edge_parts,
     run_onchain_baseline,
 )
-from .offchain import (
-    OffchainSession,
-    offchain_step,
-    start_offchain,
-    stipulate_offchain,
-)
+from .offchain import OffchainSession, offchain_step, start_offchain
 from .strategies import (
     AGREE,
     APPEND,
@@ -80,7 +75,6 @@ from .trace import (
     OUTCOME_ABORTED,
     OUTCOME_HEIGHT_CAP,
     OUTCOME_LEAF,
-    SECRET_PUBLISHED,
     SIGNATURE_SENT,
     STEP_AGREED,
     STEP_PROPOSED,
@@ -211,14 +205,14 @@ class _Proposal:
 
 class _Engine:
     def __init__(self, scenario: Scenario, commitments: CommitmentSet,
-                 session: Union[OnchainSession, OffchainSession], trace: Trace) -> None:
+                 session: Session, trace: Trace) -> None:
         self.scn = scenario
         self.tree = scenario.tree
         self.commitments = commitments
         self.session = session
         self.chain = session.chain
         self.trace = trace
-        self.offchain = isinstance(session, OffchainSession)
+        self.offchain = scenario.mode == MODE_OFFCHAIN
         self.order: List[str] = list(scenario.order or sorted(self.tree.participants))
         self.players = {p: (STRATEGIES[name], dict(params))
                         for p, (name, params) in scenario.strategies.items()}
@@ -242,7 +236,7 @@ class _Engine:
                     return self._outcome()
             if self.session.phase == STIPULATING and \
                     self.chain.height - self.last_progress > self.scn.patience:
-                blocker = self._stipulation_exchange().first_blocker() or "unknown"
+                blocker = self.session.stipulation.first_blocker() or "unknown"
                 self.session.abort(blocker)
                 return OUTCOME_ABORTED
             if self.chain.height >= self.cap:
@@ -277,9 +271,6 @@ class _Engine:
             self.trace.add(Event(self.chain.height, "oracle", ORACLE_REVEAL,
                                  {"label": label}))
 
-    def _stipulation_exchange(self):
-        return self.session.stipulation if self.offchain else self.session.exchange
-
     # -- observation ---------------------------------------------------------
 
     def _next_on_path(self, at: Optional[NodeId]) -> Optional[NodeId]:
@@ -289,11 +280,7 @@ class _Engine:
         return self.path[index + 1] if index + 1 < len(self.path) else None
 
     def _others_owe(self, participant: str) -> bool:
-        if self.offchain:
-            if self.session.pending_from_others(participant):
-                return True
-        elif self.session.phase == STIPULATING and \
-                self.session.exchange.pending_from_others(participant):
+        if self.session.pending_from_others(participant):
             return True
         proposal = self.proposal
         return proposal is not None and participant in proposal.agreed \
@@ -307,37 +294,46 @@ class _Engine:
         return (self.proposal.proposer, self.proposal.child), agreed
 
     def _observe(self, participant: str) -> Observation:
-        if self.offchain:
-            return self._observe_offchain(participant)
-        return self._observe_onchain(participant)
-
-    def _observe_onchain(self, participant: str) -> Observation:
         session = self.session
         proposal, i_agreed = self._proposal_view(participant)
-        nxt = self._next_on_path(session.current)
+        # The node the on-chain walk would append next, if any.
+        walk = self._next_on_path(session.cursor[1]) if session.cursor else None
+        walk_ready = walk is not None and session.child_ready(participant, walk)
+        if not self.offchain:
+            return Observation(
+                actor=participant, height=self.chain.height, mode=MODE_ONCHAIN,
+                phase=session.phase,
+                owes_message=session.next_owed(participant) is not None,
+                others_owe_me=self._others_owe(participant),
+                waiting_rounds=self.chain.height - self.last_progress,
+                root_appendable=session.anchor_appendable(participant),
+                proposal=proposal, i_agreed=i_agreed, step_refused=self.step_refused,
+                next_child=walk, next_child_ready=walk_ready,
+                next_child_proposable=walk is not None and self._onchain_proposable(walk),
+            )
+        head = session.offchain_head
+        nxt = self._next_on_path(head)
+        latest = session.latest_sealed
         return Observation(
-            actor=participant, height=self.chain.height, mode=MODE_ONCHAIN,
+            actor=participant, height=self.chain.height, mode=MODE_OFFCHAIN,
             phase=session.phase,
             owes_message=session.next_owed(participant) is not None,
             others_owe_me=self._others_owe(participant),
             waiting_rounds=self.chain.height - self.last_progress,
-            root_appendable=session.root_appendable(participant),
+            head_appendable=session.anchor_appendable(participant),
+            init_on_chain=session.init_on_chain,
+            steps_sealed=session.steps_sealed,
+            pending_graft=session.pending_graft is not None,
             proposal=proposal, i_agreed=i_agreed, step_refused=self.step_refused,
             next_child=nxt,
-            next_child_ready=nxt is not None and self._onchain_ready(participant, nxt),
-            next_child_proposable=nxt is not None and self._onchain_proposable(nxt),
+            next_child_proposable=nxt is not None and session.edge_satisfiable(nxt),
+            at_leaf=not self.tree.node(head).children,
+            latest_root_ready=latest is not None
+            and session.graft_root_ready(participant, latest),
+            continuation_child=walk,
+            continuation_ready=walk_ready,
+            rollback_target=self._rollback_target(),
         )
-
-    def _onchain_ready(self, participant: str, child: NodeId) -> bool:
-        tx = self.session.instances[child]
-        enabled = self.chain.enabled_at(tx)
-        if not isinstance(enabled, int) or enabled > self.chain.height:
-            return False
-        granted = self.session.edge_pool.get(tx.digest, set())
-        if any(s != participant and s not in granted for s in tx.edge_signers):
-            return False
-        return all(c.label in self.session.reveal_pool or c.owner == participant
-                   for c in tx.required_reveals)
 
     def _onchain_needed(self, child: NodeId) -> Set[str]:
         _, auth, labels = edge_parts(self.tree.node(child).edge)
@@ -359,41 +355,6 @@ class _Engine:
             if commitment.owner not in self.tree.participants:
                 return False
         return True
-
-    def _observe_offchain(self, participant: str) -> Observation:
-        session = self.session
-        proposal, i_agreed = self._proposal_view(participant)
-        head = session.offchain_head
-        nxt = self._next_on_path(head)
-        latest = session.latest_sealed
-        continuation_child: Optional[NodeId] = None
-        continuation_ready = False
-        if session.cursor is not None:
-            graft, at = session.cursor
-            candidate = self._next_on_path(at)
-            if candidate is not None and candidate in graft.instances:
-                continuation_child = candidate
-                continuation_ready = session.continuation_ready(participant, candidate)
-        return Observation(
-            actor=participant, height=self.chain.height, mode=MODE_OFFCHAIN,
-            phase=session.phase,
-            owes_message=session.next_owed(participant) is not None,
-            others_owe_me=self._others_owe(participant),
-            waiting_rounds=self.chain.height - self.last_progress,
-            head_appendable=session.head_appendable(participant),
-            init_on_chain=session.init_on_chain,
-            steps_sealed=session.steps_sealed,
-            pending_graft=session.pending_graft is not None,
-            proposal=proposal, i_agreed=i_agreed, step_refused=self.step_refused,
-            next_child=nxt,
-            next_child_proposable=nxt is not None and session.edge_satisfiable(nxt),
-            at_leaf=not self.tree.node(head).children,
-            latest_root_ready=latest is not None
-            and session.graft_root_ready(participant, latest),
-            continuation_child=continuation_child,
-            continuation_ready=continuation_ready,
-            rollback_target=self._rollback_target(),
-        )
 
     def _rollback_target(self) -> Optional[int]:
         session = self.session
@@ -462,39 +423,25 @@ class _Engine:
         return True
 
     def _complete_agreement(self) -> None:
-        child = self.proposal.child
+        child, needed = self.proposal.child, self.proposal.needed
         self.proposal = None
+        for agreer in sorted(needed):
+            self.session.publish_step_material(child, agreer)
         if self.offchain:
-            for agreer in sorted(self.tree.participants):
-                self.session.publish_step_material(child, agreer)
             self.session.create_graft(child)
-            return
-        tx = self.session.instances[child]
-        _, auth, labels = edge_parts(self.tree.node(child).edge)
-        for agreer in sorted(self._onchain_needed(child)):
-            if agreer in auth:
-                self.session.publish_edge_auth(tx.digest, agreer)
-            for label in labels:
-                if label in self.commitments \
-                        and self.commitments.owner(label) == agreer \
-                        and label not in self.session.reveal_pool:
-                    self.session.publish_reveal(self.commitments.reveal(label))
-                    self.trace.add(Event(self.chain.height, agreer,
-                                         SECRET_PUBLISHED, {"label": label}))
-        self.agreed_steps.add(child)
+        else:
+            self.agreed_steps.add(child)
 
     def _execute_append(self, participant: str, action: Action) -> bool:
         target = action.target
         session = self.session
         error: Optional[AppendError]
-        if target == TARGET_ROOT:
-            error = session.append_root(participant)
-        elif target == TARGET_STEP:
+        if target in (TARGET_ROOT, TARGET_HEAD):
+            error = session.append_anchor(participant)
+        elif target in (TARGET_STEP, TARGET_CONTINUE):
             if action.child is None:
                 return False
-            error = session.step(action.child, participant)
-        elif target == TARGET_HEAD:
-            error = session.append_head(participant)
+            error = session.append_child(participant, action.child)
         elif target == TARGET_INIT:
             error = session.append_init(participant)
         elif target == TARGET_FAILSAFE:
@@ -509,10 +456,6 @@ class _Engine:
             if index is None:
                 return False
             error = session.append_graft_root(participant, session.grafts[index])
-        elif target == TARGET_CONTINUE:
-            if action.child is None:
-                return False
-            error = session.append_continuation(participant, action.child)
         else:
             raise ProtocolError(f"unknown append target {target!r} from {participant}")
         return error is None
@@ -543,7 +486,7 @@ def run(scenario: Scenario) -> Trace:
     }
     trace = Trace(header)
     if scenario.mode == MODE_OFFCHAIN:
-        session: Union[OnchainSession, OffchainSession] = OffchainSession(
+        session: Session = OffchainSession(
             tree, commitments, salt, trace, scenario.t)
     else:
         session = OnchainSession(tree, commitments, salt, trace)
@@ -646,7 +589,7 @@ def message_census(tree: ContractTree, path_names: Optional[Sequence[str]] = Non
                                      seed=seed, label="census")
         return trace.count(SIGNATURE_SENT)
     session = start_offchain(tree, seed=seed, t=t, label="census")
-    stipulate_offchain(session)
+    session.stipulate()
     for child in ids[1:]:
         _, _, labels = edge_parts(tree.node(child).edge)
         for label in labels:

@@ -9,8 +9,8 @@ violates, so outcomes are stable across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from .contract import CONTINUATION, OutputSpec
 from .witness import (
@@ -145,10 +145,6 @@ class ChainState:
     def tick(self, blocks: int = 1) -> int:
         self.height += blocks
         return self.height
-
-    def tx_height(self, digest: str) -> Optional[int]:
-        entry = self.appended.get(digest)
-        return None if entry is None else entry[1]
 
     def is_appended(self, digest: str) -> bool:
         return digest in self.appended

@@ -23,7 +23,7 @@ timelocks guarantee the newest agreed state can always land first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .contract import (
     CONTINUATION,
@@ -35,44 +35,28 @@ from .contract import (
     subtree_height,
     validate_tree,
 )
-from .ledger import (
-    EMPTY_WITNESS,
-    AppendError,
-    AppendWitness,
-    ChainState,
-    TxInstance,
-    make_tx,
-)
+from .ledger import AppendError, ChainState, TxInstance, make_tx
 from .trace import (
-    DEPOSIT,
     FAILSAFE_TRIGGERED,
     GRAFT_APPENDED,
     GRAFT_PROPOSED,
     GRAFT_SEALED,
     INIT_APPENDED,
-    SECRET_PUBLISHED,
-    SIGNATURE_SENT,
-    STIPULATION_ABORTED,
-    STIPULATION_COMPLETE,
-    TXSET_SENT,
     OUTCOME_LEAF,
     Event,
     Trace,
     summarize_run,
 )
 from .onchain import (
-    ABORTED,
     FAILSAFE,
     FINALIZED,
     ROLE_GRAFT_ROOT,
     ROLE_HEAD,
     ROLE_INIT,
-    ROLE_NODE,
     RUNNING,
-    STIPULATING,
     Exchange,
-    Message,
     ProtocolError,
+    Session,
     build_witness,
     edge_parts,
     exchange_plan,
@@ -80,7 +64,7 @@ from .onchain import (
     make_deposits,
     record_append,
 )
-from .witness import IMPLICIT, CommitmentSet, Reveal, SignatureStore, scenario_salt, sign
+from .witness import IMPLICIT, CommitmentSet, scenario_salt
 
 _DRIVER_GUARD = 100_000
 
@@ -145,61 +129,36 @@ def compile_offchain(tree: ContractTree, commitments: CommitmentSet, salt: bytes
     return OffchainCompilation(head, init, shadow, deposits, t)
 
 
-class OffchainSession:
+class OffchainSession(Session):
     """State of one off-chain execution.
 
-    Holds the compiled anchors, the ordered graft list, per-participant
-    signature stores, and the public pools of published reveals and edge
-    authorizations.  Message delivery, graft creation, and appends are
+    The anchor is Head; stipulation also signs Init and the shadow copy.
+    On top of the shared core this holds the ordered graft list and the
+    Init step.  Message delivery, graft creation, and appends are
     individual methods so drivers and strategy engines can interleave
     them freely; the session only enforces protocol structure.
     """
 
+    MODE = "offchain"
+    ANCHOR_ROLE = ROLE_HEAD
+
     def __init__(self, tree: ContractTree, commitments: CommitmentSet, salt: bytes,
                  trace: Trace, t: int, chain: Optional[ChainState] = None) -> None:
-        self.tree = tree
-        self.commitments = commitments
-        self.salt = salt
-        self.trace = trace
-        self.t = t
-        self.chain = chain if chain is not None else ChainState(tree.fee)
         comp = compile_offchain(tree, commitments, salt, t)
+        body = [comp.init] + [comp.shadow[n] for n in iter_preorder(tree)]
+        super().__init__(tree, commitments, salt, trace, chain, comp.deposits,
+                         comp.head, body)
+        self.t = t
         self.head = comp.head
         self.init = comp.init
-        self.deposits = comp.deposits
         self.grafts: List[Graft] = [Graft(
             0, tree.root, comp.shadow,
             subtree_height(tree, tree.root) * t, exchange=None)]
-        self.stores: Dict[str, SignatureStore] = {p: SignatureStore() for p in tree.participants}
-        self.reveal_pool: Dict[str, Reveal] = {}
-        self.edge_pool: Dict[str, Set[str]] = {}
-        self.phase = STIPULATING
         self.init_on_chain = False
-        # On-chain continuation cursor after a graft root lands: (graft, node).
-        self.cursor: Optional[Tuple[Graft, NodeId]] = None
-        self.by_digest: Dict[str, TxInstance] = {comp.head.digest: comp.head,
-                                                 comp.init.digest: comp.init}
-        self.by_digest.update({d.digest: d for d in comp.deposits.values()})
-        self.by_digest.update({i.digest: i for i in comp.shadow.values()})
-        body = [(INIT_NAME, self.init.digest)]
-        body += [(tree.node(n).name, comp.shadow[n].digest) for n in iter_preorder(tree)]
-        self.stipulation = Exchange(exchange_plan(
-            tree.participants, body, (HEAD_NAME, comp.head.digest), include_txset=True))
-        self._inject_deposits()
 
     @property
     def shadow(self) -> Graft:
         return self.grafts[0]
-
-    def _inject_deposits(self) -> None:
-        for p in self.tree.participants:
-            dep = self.deposits[p]
-            error = self.chain.try_append(dep)
-            if error is not None:
-                raise ProtocolError(f"deposit rejected: {error.code}")
-            self.trace.add(Event(self.chain.height, p, DEPOSIT, {
-                "digest": dep.digest, "name": dep.name, "value": dep.output_total()}))
-            self.trace.appends.append((dep, EMPTY_WITNESS, self.chain.height))
 
     # -- graft bookkeeping ---------------------------------------------------
 
@@ -235,30 +194,8 @@ class OffchainSession:
 
     # -- published material --------------------------------------------------
 
-    def publish_reveal(self, reveal: Reveal) -> None:
-        self.reveal_pool[reveal.commitment.label] = reveal
-
-    def publish_edge_auth(self, digest: str, signer: str) -> None:
-        self.edge_pool.setdefault(digest, set()).add(signer)
-
-    def publish_step_material(self, child: NodeId, actor: str) -> List[Event]:
-        """What ``actor`` contributes when agreeing to step to ``child``:
-        authorization signatures on every existing copy of the child's
-        instance, and openings of its own secrets on that edge."""
-        events: List[Event] = []
-        _, auth, labels = edge_parts(self.tree.node(child).edge)
-        if actor in auth:
-            for graft in self.grafts:
-                inst = graft.instances.get(child)
-                if inst is not None and actor in inst.edge_signers:
-                    self.publish_edge_auth(inst.digest, actor)
-        for label in labels:
-            if label in self.commitments and self.commitments.owner(label) == actor \
-                    and label not in self.reveal_pool:
-                self.publish_reveal(self.commitments.reveal(label))
-                events.append(self.trace.add(Event(
-                    self.chain.height, actor, SECRET_PUBLISHED, {"label": label})))
-        return events
+    def copies(self, child: NodeId) -> List[TxInstance]:
+        return [g.instances[child] for g in self.grafts if child in g.instances]
 
     def edge_satisfiable(self, child: NodeId) -> bool:
         """Can a step to ``child`` be agreed right now?  Reveals must be
@@ -277,76 +214,28 @@ class OffchainSession:
             return False
         return True
 
-    # -- stipulation ---------------------------------------------------------
+    # -- signature exchanges -------------------------------------------------
 
     def _active_exchange(self) -> Optional[Exchange]:
-        if self.phase == STIPULATING:
-            return self.stipulation
         if self.phase == RUNNING and self.pending_graft is not None:
             return self.pending_graft.exchange
-        return None
+        return super()._active_exchange()
 
-    def next_owed(self, sender: str) -> Optional[Message]:
-        exchange = self._active_exchange()
-        return exchange.peek(sender) if exchange else None
-
-    def pending_from_others(self, me: str) -> bool:
-        exchange = self._active_exchange()
-        return exchange.pending_from_others(me) if exchange else False
-
-    def deliver_next(self, sender: str) -> Optional[Event]:
-        exchange = self._active_exchange()
-        if exchange is None:
-            return None
-        index = exchange.next_for(sender)
-        if index is None:
-            return None
-        msg = exchange.deliver(index)
-        if msg.kind == "sig":
-            self.stores[msg.recipient].add(sign(msg.sender, msg.digest, IMPLICIT))
-            event = Event(self.chain.height, sender, SIGNATURE_SENT,
-                          {"digest": msg.digest, "to": msg.recipient, "tx": msg.subject})
+    def _exchange_complete(self, exchange: Exchange, sender: str) -> None:
+        if exchange is self.stipulation:
+            super()._exchange_complete(exchange, sender)
+            graft = self.shadow
         else:
-            event = Event(self.chain.height, sender, TXSET_SENT,
-                          {"count": len(self.by_digest) - len(self.deposits),
-                           "to": msg.recipient})
-        self.trace.add(event)
-        if exchange.complete:
-            if exchange is self.stipulation:
-                self.shadow.sealed = True
-                self.trace.add(Event(self.chain.height, sender, STIPULATION_COMPLETE,
-                                     {"mode": "offchain"}))
-                self.trace.add(Event(self.chain.height, sender, GRAFT_SEALED, {
-                    "digest": self.shadow.root_instance.digest, "index": 0,
-                    "origin": self.tree.node(self.tree.root).name}))
-            else:
-                graft = self.pending_graft
-                graft.sealed = True
-                graft.seal_height = self.chain.height
-                self.trace.add(Event(self.chain.height, sender, GRAFT_SEALED, {
-                    "digest": graft.root_instance.digest, "index": graft.index,
-                    "origin": self.tree.node(graft.origin).name}))
-        return event
+            graft = self.pending_graft
+            graft.seal_height = self.chain.height
+        graft.sealed = True
+        self.trace.add(Event(self.chain.height, sender, GRAFT_SEALED, {
+            "digest": graft.root_instance.digest, "index": graft.index,
+            "origin": self.tree.node(graft.origin).name}))
 
-    def abort(self, withholder: str) -> None:
-        self.phase = ABORTED
-        self.trace.add(Event(self.chain.height, withholder, STIPULATION_ABORTED,
-                             {"withholder": withholder}))
-
-    def head_appendable(self, actor: str) -> bool:
-        if self.phase != STIPULATING or not self.stipulation.complete:
-            return False
-        held = self.stores[actor].signers(self.head.digest, IMPLICIT) | {actor}
-        return not self.chain.is_appended(self.head.digest) and \
-            held >= set(self.tree.participants)
-
-    def append_head(self, actor: str) -> Optional[AppendError]:
-        witness = build_witness(self.head, actor, self.stores[actor])
-        error = record_append(self.trace, self.chain, actor, self.head, witness, ROLE_HEAD)
-        if error is None:
-            self.phase = RUNNING
-            self.shadow.seal_height = self.chain.height
-        return error
+    def _anchored(self) -> None:
+        self.phase = RUNNING
+        self.shadow.seal_height = self.chain.height
 
     # -- stepping (off-chain) ------------------------------------------------
 
@@ -372,7 +261,6 @@ class OffchainSession:
                       Exchange(exchange_plan(self.tree.participants, body,
                                              root_item, include_txset=False)))
         self.grafts.append(graft)
-        self.by_digest.update({i.digest: i for i in instances.values()})
         self.trace.add(Event(self.chain.height, "session", GRAFT_PROPOSED, {
             "digest": instances[child].digest, "index": graft.index,
             "origin": self.tree.node(child).name, "rel_timelock": timelock,
@@ -404,23 +292,16 @@ class OffchainSession:
                              {"steps_sealed": self.steps_sealed}))
         return self.append_init(actor)
 
-    def graft_root_witness(self, actor: str, graft: Graft) -> AppendWitness:
-        return build_witness(graft.root_instance, actor, self.stores[actor],
-                             self.commitments, self.reveal_pool, self.edge_pool)
-
     def append_graft_root(self, actor: str, graft: Graft) -> Optional[AppendError]:
         tx = graft.root_instance
-        witness = self.graft_root_witness(actor, graft)
+        witness = build_witness(tx, actor, self.stores[actor], self.commitments,
+                                self.reveal_pool, self.edge_pool)
         error = record_append(self.trace, self.chain, actor, tx, witness, ROLE_GRAFT_ROOT)
         if error is None:
             self.trace.add(Event(self.chain.height, actor, GRAFT_APPENDED, {
                 "digest": tx.digest, "index": graft.index,
                 "origin": self.tree.node(graft.origin).name}))
-            if self.tree.node(graft.origin).children:
-                self.cursor = (graft, graft.origin)
-            else:
-                self.cursor = None
-                self.phase = FINALIZED
+            self._land(graft.instances, graft.origin)
         return error
 
     def graft_root_ready(self, actor: str, graft: Graft) -> bool:
@@ -433,46 +314,11 @@ class OffchainSession:
         held = self.stores[actor].signers(graft.root_instance.digest, IMPLICIT) | {actor}
         return held >= set(self.tree.participants)
 
-    def append_continuation(self, actor: str, child: NodeId) -> Optional[AppendError]:
-        """Continue on-chain through the appended graft's body."""
-        if self.cursor is None:
-            raise ProtocolError("no graft root on-chain to continue from")
-        graft, at = self.cursor
-        if child not in self.tree.node(at).children:
-            raise ProtocolError(f"{child} is not a child of the current node")
-        tx = graft.instances[child]
-        witness = build_witness(tx, actor, self.stores[actor], self.commitments,
-                                self.reveal_pool, self.edge_pool)
-        error = record_append(self.trace, self.chain, actor, tx, witness, ROLE_NODE)
-        if error is None:
-            if self.tree.node(child).children:
-                self.cursor = (graft, child)
-            else:
-                self.cursor = None
-                self.phase = FINALIZED
-        return error
-
-    def continuation_ready(self, actor: str, child: NodeId) -> bool:
-        if self.cursor is None:
-            return False
-        graft, at = self.cursor
-        if child not in self.tree.node(at).children:
-            return False
-        tx = graft.instances[child]
-        enabled = self.chain.enabled_at(tx)
-        if not isinstance(enabled, int) or enabled > self.chain.height:
-            return False
-        held = self.stores[actor].signers(tx.digest, IMPLICIT) | {actor}
-        if not held >= set(tx.required_signers):
-            return False
-        for signer in tx.edge_signers:
-            if signer not in self.edge_pool.get(tx.digest, ()):
-                return False
-        for commitment in tx.required_reveals:
-            if commitment.label not in self.reveal_pool and \
-                    commitment.owner != actor:
-                return False
-        return True
+    def _edge_granted(self, actor: str, tx: TxInstance) -> bool:
+        # Stricter than on-chain: the actor's own authorization must already
+        # be published, although build_witness would supply it.
+        granted = self.edge_pool.get(tx.digest, ())
+        return all(s in granted for s in tx.edge_signers)
 
 
 # ---------------------------------------------------------------------------
@@ -484,23 +330,6 @@ def start_offchain(tree: ContractTree, seed: int = 0, t: int = 2,
     salt = scenario_salt(seed, "offchain")
     trace = Trace(header={"label": label, "mode": "offchain", "seed": seed, "t": t})
     return OffchainSession(tree, commitments, salt, trace, t)
-
-
-def stipulate_offchain(session: OffchainSession,
-                       withhold_at: Optional[int] = None) -> bool:
-    """Deliver the stipulation plan in order and append Head; with
-    ``withhold_at`` stop right before that message and abort instead."""
-    plan = session.stipulation.messages
-    for index in range(len(plan)):
-        if withhold_at is not None and index == withhold_at:
-            session.abort(plan[index].sender)
-            return False
-        if session.deliver_next(plan[index].sender) is None:
-            raise ProtocolError("stipulation plan is not deliverable in order")
-    error = session.append_head(session.tree.participants[0])
-    if error is not None:
-        raise ProtocolError(f"Head rejected after stipulation: {error.code}")
-    return True
 
 
 def offchain_step(session: OffchainSession, child: NodeId,
@@ -562,12 +391,12 @@ def finalize(session: OffchainSession, path_names: Optional[Sequence[str]] = Non
                 if commitment.label not in session.reveal_pool:
                     session.publish_reveal(session.commitments.reveal(commitment.label))
             for _ in range(_DRIVER_GUARD):
-                if session.continuation_ready(actor, child):
+                if session.child_ready(actor, child):
                     break
                 session.chain.tick()
             else:
                 raise ProtocolError("continuation never became enabled")
-            error = session.append_continuation(actor, child)
+            error = session.append_child(actor, child)
             if error is not None:
                 raise ProtocolError(
                     f"continuation to {tx.name} rejected: {error.code}")

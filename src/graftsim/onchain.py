@@ -14,12 +14,15 @@ make the whole tree spendable:
 A message may only be sent once every lower-phase message has been
 delivered, so withholding any single message freezes the exchange before
 any deposit can be spent.
+
+``Session`` is the machinery both execution modes share; the off-chain
+session in ``offchain`` builds on it with Head as its anchor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .contract import (
     CONTINUATION,
@@ -46,6 +49,7 @@ from .trace import (
     APPEND,
     DEPOSIT,
     ORACLE_REVEAL,
+    SECRET_PUBLISHED,
     SIGNATURE_SENT,
     STIPULATION_ABORTED,
     STIPULATION_COMPLETE,
@@ -74,7 +78,6 @@ FINALIZED = "finalized"
 ABORTED = "aborted"
 
 # Append roles used in trace events
-ROLE_DEPOSIT = "deposit"
 ROLE_NODE = "node"
 ROLE_HEAD = "head"
 ROLE_INIT = "init"
@@ -228,9 +231,6 @@ class Exchange:
     def complete(self) -> bool:
         return all(self.delivered)
 
-    def undelivered_count(self) -> int:
-        return self.delivered.count(False)
-
     def pending_from_others(self, me: str) -> bool:
         return any(not done and msg.sender != me
                    for msg, done in zip(self.messages, self.delivered))
@@ -330,43 +330,47 @@ def record_append(trace: Trace, chain: ChainState, actor: str, tx: TxInstance,
 
 
 # ---------------------------------------------------------------------------
-# Session
+# Sessions
 
-class OnchainSession:
-    """State of one on-chain execution: compiled instances, per-participant
-    signature stores, the stipulation exchange, and the execution cursor."""
+class Session:
+    """The protocol core both execution modes share: deposits on the chain,
+    a pairwise stipulation exchange whose last messages sign the
+    deposit-spending ``anchor``, public pools of published material, and
+    a cursor that walks one map of instances on-chain.
+
+    ``cursor`` is ``(instances, node)``: the last appended node and the
+    instance map its children are taken from.  A subclass builds the
+    anchor and the stipulation body and says what landing the anchor
+    means in ``_anchored``.
+    """
+
+    MODE = ""
+    ANCHOR_ROLE = ROLE_NODE
 
     def __init__(self, tree: ContractTree, commitments: CommitmentSet, salt: bytes,
-                 trace: Trace, chain: Optional[ChainState] = None) -> None:
-        errors = validate_tree(tree)
-        if errors:
-            raise ProtocolError(f"invalid contract: {errors[0]}")
+                 trace: Trace, chain: Optional[ChainState],
+                 deposits: Dict[str, TxInstance], anchor: TxInstance,
+                 body: Sequence[TxInstance]) -> None:
         self.tree = tree
         self.commitments = commitments
         self.salt = salt
         self.trace = trace
         self.chain = chain if chain is not None else ChainState(tree.fee)
-        self.deposits = make_deposits(tree, salt)
-        self.instances = compile_onchain(tree, commitments, salt, self.deposits)
-        self.by_digest: Dict[str, TxInstance] = {i.digest: i for i in self.instances.values()}
-        self.by_digest.update({d.digest: d for d in self.deposits.values()})
+        self.deposits = deposits
+        self.anchor = anchor
+        # The announced transaction set: the stipulation body plus the anchor.
+        self.txset_size = len(body) + 1
         self.stores: Dict[str, SignatureStore] = {p: SignatureStore() for p in tree.participants}
         # Public bulletin: reveals and execution-time edge authorizations,
         # visible to everyone once published.
         self.reveal_pool: Dict[str, Reveal] = {}
         self.edge_pool: Dict[str, Set[str]] = {}
-        self.current: Optional[NodeId] = None
+        self.cursor: Optional[Tuple[Dict[NodeId, TxInstance], NodeId]] = None
         self.phase = STIPULATING
-        preorder = list(iter_preorder(tree))
-        body = [(tree.node(i).name, self.instances[i].digest)
-                for i in preorder if i != tree.root]
-        root_item = (tree.node(tree.root).name, self.instances[tree.root].digest)
-        self.exchange = Exchange(exchange_plan(tree.participants, body, root_item, True))
+        self.stipulation = Exchange(exchange_plan(
+            tree.participants, [(tx.name, tx.digest) for tx in body],
+            (anchor.name, anchor.digest), include_txset=True))
         self._inject_deposits()
-
-    @property
-    def root_instance(self) -> TxInstance:
-        return self.instances[self.tree.root]
 
     def _inject_deposits(self) -> None:
         for p in self.tree.participants:
@@ -378,69 +382,6 @@ class OnchainSession:
                 "digest": dep.digest, "name": dep.name, "value": dep.output_total()}))
             self.trace.appends.append((dep, EMPTY_WITNESS, self.chain.height))
 
-    # -- stipulation --------------------------------------------------------
-
-    def next_owed(self, sender: str) -> Optional[Message]:
-        if self.phase != STIPULATING or self.exchange.complete:
-            return None
-        return self.exchange.peek(sender)
-
-    def deliver_next(self, sender: str) -> Optional[Event]:
-        index = self.exchange.next_for(sender)
-        if index is None:
-            return None
-        msg = self.exchange.deliver(index)
-        if msg.kind == "sig":
-            self.stores[msg.recipient].add(sign(msg.sender, msg.digest, IMPLICIT))
-            event = Event(self.chain.height, sender, SIGNATURE_SENT,
-                          {"digest": msg.digest, "to": msg.recipient, "tx": msg.subject})
-        else:
-            event = Event(self.chain.height, sender, TXSET_SENT,
-                          {"count": len(self.instances), "to": msg.recipient})
-        self.trace.add(event)
-        if self.exchange.complete:
-            self.trace.add(Event(self.chain.height, sender, STIPULATION_COMPLETE,
-                                 {"mode": "onchain"}))
-        return event
-
-    def root_appendable(self, actor: str) -> bool:
-        if self.phase != STIPULATING or not self.exchange.complete:
-            return False
-        root = self.root_instance
-        held = self.stores[actor].signers(root.digest, IMPLICIT) | {actor}
-        return not self.chain.is_appended(root.digest) and held >= set(self.tree.participants)
-
-    def append_root(self, actor: str) -> Optional[AppendError]:
-        root = self.root_instance
-        witness = build_witness(root, actor, self.stores[actor])
-        error = record_append(self.trace, self.chain, actor, root, witness, ROLE_NODE)
-        if error is None:
-            self.current = self.tree.root
-            self.phase = RUNNING if self.tree.node(self.tree.root).children else FINALIZED
-        return error
-
-    def abort(self, withholder: str) -> None:
-        self.phase = ABORTED
-        self.trace.add(Event(self.chain.height, withholder, STIPULATION_ABORTED,
-                             {"withholder": withholder}))
-
-    def stipulate(self, withhold_at: Optional[int] = None) -> bool:
-        """Reference driver: deliver the whole plan in order and append the
-        root.  ``withhold_at`` stops right before that message index and
-        aborts instead, leaving every deposit untouched."""
-        for index in range(len(self.exchange.messages)):
-            if withhold_at is not None and index == withhold_at:
-                self.abort(self.exchange.messages[index].sender)
-                return False
-            sender = self.exchange.messages[index].sender
-            delivered = self.deliver_next(sender)
-            if delivered is None:
-                raise ProtocolError("stipulation plan is not deliverable in order")
-        error = self.append_root(self.tree.participants[0])
-        if error is not None:
-            raise ProtocolError(f"root rejected after stipulation: {error.code}")
-        return True
-
     # -- published material --------------------------------------------------
 
     def publish_reveal(self, reveal: Reveal) -> None:
@@ -449,33 +390,181 @@ class OnchainSession:
     def publish_edge_auth(self, digest: str, signer: str) -> None:
         self.edge_pool.setdefault(digest, set()).add(signer)
 
-    # -- stepping -----------------------------------------------------------
+    def copies(self, child: NodeId) -> List[TxInstance]:
+        """Every instance of ``child`` that an agreement must authorize."""
+        raise NotImplementedError
 
-    def step(self, child: NodeId, actor: Optional[str] = None,
-             witness: AppendWitness = EMPTY_WITNESS) -> Optional[AppendError]:
-        """Append the child's instance, advancing the cursor on success.
+    def publish_step_material(self, child: NodeId, actor: str) -> List[Event]:
+        """What ``actor`` contributes when agreeing to step to ``child``:
+        authorization signatures on every copy of the child's instance,
+        and openings of its own secrets on that edge."""
+        events: List[Event] = []
+        _, auth, labels = edge_parts(self.tree.node(child).edge)
+        if actor in auth:
+            for inst in self.copies(child):
+                if actor in inst.edge_signers:
+                    self.publish_edge_auth(inst.digest, actor)
+        for label in labels:
+            if label in self.commitments and self.commitments.owner(label) == actor \
+                    and label not in self.reveal_pool:
+                self.publish_reveal(self.commitments.reveal(label))
+                events.append(self.trace.add(Event(
+                    self.chain.height, actor, SECRET_PUBLISHED, {"label": label})))
+        return events
+
+    # -- signature exchanges -------------------------------------------------
+
+    def _active_exchange(self) -> Optional[Exchange]:
+        return self.stipulation if self.phase == STIPULATING else None
+
+    def _exchange_complete(self, exchange: Exchange, sender: str) -> None:
+        self.trace.add(Event(self.chain.height, sender, STIPULATION_COMPLETE,
+                             {"mode": self.MODE}))
+
+    def next_owed(self, sender: str) -> Optional[Message]:
+        exchange = self._active_exchange()
+        return exchange.peek(sender) if exchange else None
+
+    def pending_from_others(self, me: str) -> bool:
+        exchange = self._active_exchange()
+        return exchange.pending_from_others(me) if exchange else False
+
+    def deliver_next(self, sender: str) -> Optional[Event]:
+        exchange = self._active_exchange()
+        if exchange is None:
+            return None
+        index = exchange.next_for(sender)
+        if index is None:
+            return None
+        msg = exchange.deliver(index)
+        if msg.kind == "sig":
+            self.stores[msg.recipient].add(sign(msg.sender, msg.digest, IMPLICIT))
+            event = Event(self.chain.height, sender, SIGNATURE_SENT,
+                          {"digest": msg.digest, "to": msg.recipient, "tx": msg.subject})
+        else:
+            event = Event(self.chain.height, sender, TXSET_SENT,
+                          {"count": self.txset_size, "to": msg.recipient})
+        self.trace.add(event)
+        if exchange.complete:
+            self._exchange_complete(exchange, sender)
+        return event
+
+    def abort(self, withholder: str) -> None:
+        self.phase = ABORTED
+        self.trace.add(Event(self.chain.height, withholder, STIPULATION_ABORTED,
+                             {"withholder": withholder}))
+
+    # -- the anchor ----------------------------------------------------------
+
+    def anchor_appendable(self, actor: str) -> bool:
+        if self.phase != STIPULATING or not self.stipulation.complete:
+            return False
+        held = self.stores[actor].signers(self.anchor.digest, IMPLICIT) | {actor}
+        return not self.chain.is_appended(self.anchor.digest) and \
+            held >= set(self.tree.participants)
+
+    def _anchored(self) -> None:
+        raise NotImplementedError
+
+    def append_anchor(self, actor: str) -> Optional[AppendError]:
+        witness = build_witness(self.anchor, actor, self.stores[actor])
+        error = record_append(self.trace, self.chain, actor, self.anchor, witness,
+                              self.ANCHOR_ROLE)
+        if error is None:
+            self._anchored()
+        return error
+
+    def stipulate(self, withhold_at: Optional[int] = None) -> bool:
+        """Reference driver: deliver the whole plan in order and append the
+        anchor.  ``withhold_at`` stops right before that message index and
+        aborts instead, leaving every deposit untouched."""
+        for index, msg in enumerate(self.stipulation.messages):
+            if index == withhold_at:
+                self.abort(msg.sender)
+                return False
+            if self.deliver_next(msg.sender) is None:
+                raise ProtocolError("stipulation plan is not deliverable in order")
+        error = self.append_anchor(self.tree.participants[0])
+        if error is not None:
+            raise ProtocolError(
+                f"{self.anchor.name} rejected after stipulation: {error.code}")
+        return True
+
+    # -- the on-chain walk ---------------------------------------------------
+
+    def _land(self, instances: Dict[NodeId, TxInstance], node: NodeId) -> None:
+        """``node`` of ``instances`` is on-chain: continue below it, or
+        finish if it is a leaf."""
+        if self.tree.node(node).children:
+            self.cursor = (instances, node)
+        else:
+            self.cursor = None
+            self.phase = FINALIZED
+
+    def _edge_granted(self, actor: str, tx: TxInstance) -> bool:
+        granted = self.edge_pool.get(tx.digest, ())
+        return all(s == actor or s in granted for s in tx.edge_signers)
+
+    def child_ready(self, actor: str, child: NodeId) -> bool:
+        """Could ``actor`` append ``child`` below the cursor right now?"""
+        if self.cursor is None:
+            return False
+        instances, at = self.cursor
+        if child not in self.tree.node(at).children:
+            return False
+        tx = instances[child]
+        enabled = self.chain.enabled_at(tx)
+        if not isinstance(enabled, int) or enabled > self.chain.height:
+            return False
+        held = self.stores[actor].signers(tx.digest, IMPLICIT) | {actor}
+        if not held >= tx.required_signers or not self._edge_granted(actor, tx):
+            return False
+        return all(c.label in self.reveal_pool or c.owner == actor
+                   for c in tx.required_reveals)
+
+    def append_child(self, actor: str, child: NodeId,
+                     witness: AppendWitness = EMPTY_WITNESS) -> Optional[AppendError]:
+        """Spend the cursor node's continuation output into ``child``.
         Implicit signatures come from the actor's store, edge material from
         the public pools; ``witness`` may carry extras on top."""
-        if self.current is None:
-            raise ProtocolError("stipulation has not completed")
-        if child not in self.tree.node(self.current).children:
+        if self.cursor is None:
+            raise ProtocolError("no node on-chain to continue from")
+        instances, at = self.cursor
+        if child not in self.tree.node(at).children:
             raise ProtocolError(f"{child} is not a child of the current node")
-        actor = actor or self.tree.participants[0]
-        tx = self.instances[child]
+        tx = instances[child]
         full = build_witness(tx, actor, self.stores[actor], self.commitments,
                              self.reveal_pool, self.edge_pool, extra=witness)
         error = record_append(self.trace, self.chain, actor, tx, full, ROLE_NODE)
         if error is None:
-            self.current = child
-            if not self.tree.node(child).children:
-                self.phase = FINALIZED
+            self._land(instances, child)
         return error
 
 
-def step_onchain(session: OnchainSession, child: NodeId,
-                 witness: AppendWitness = EMPTY_WITNESS,
-                 actor: Optional[str] = None) -> Optional[AppendError]:
-    return session.step(child, actor=actor, witness=witness)
+class OnchainSession(Session):
+    """Direct on-chain execution: the anchor is the contract root itself,
+    spending the deposits; once it lands the cursor walks the compiled
+    instances."""
+
+    MODE = "onchain"
+
+    def __init__(self, tree: ContractTree, commitments: CommitmentSet, salt: bytes,
+                 trace: Trace, chain: Optional[ChainState] = None) -> None:
+        errors = validate_tree(tree)
+        if errors:
+            raise ProtocolError(f"invalid contract: {errors[0]}")
+        deposits = make_deposits(tree, salt)
+        self.instances = compile_onchain(tree, commitments, salt, deposits)
+        body = [self.instances[i] for i in iter_preorder(tree) if i != tree.root]
+        super().__init__(tree, commitments, salt, trace, chain, deposits,
+                         self.instances[tree.root], body)
+
+    def copies(self, child: NodeId) -> List[TxInstance]:
+        return [self.instances[child]]
+
+    def _anchored(self) -> None:
+        self.phase = RUNNING
+        self._land(self.instances, self.tree.root)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +614,8 @@ def run_onchain_baseline(
                 owner_reveals = frozenset(
                     commitments.reveal(c.label) for c in tx.required_reveals
                     if c.label not in session.reveal_pool)
-                error = session.step(child, witness=AppendWitness(reveals=owner_reveals))
+                error = session.append_child(tree.participants[0], child,
+                                             AppendWitness(reveals=owner_reveals))
                 if error is not None:
                     raise ProtocolError(f"baseline step to {tx.name} failed: {error.code}")
                 break

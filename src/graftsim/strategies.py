@@ -16,6 +16,7 @@ under on-chain execution every bundled strategy simply cooperates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -115,19 +116,26 @@ def _onchain_progress(obs: Observation) -> Action:
     return _IDLE
 
 
-def _cooperative_offchain(obs: Observation) -> Optional[Action]:
-    """The protocol-following moves shared by every strategy before its
-    misbehavior kicks in: deliver stipulation messages and append Head."""
-    if obs.phase == STIPULATING:
-        if obs.owes_message:
-            return Action(SEND)
-        if obs.head_appendable:
-            return Action(APPEND, TARGET_HEAD)
-        return _IDLE
-    return None
+def _cooperates_until_running(fn: Strategy) -> Strategy:
+    """Give ``fn`` only its off-chain play after stipulation: on-chain runs
+    go to ``_onchain_progress``, and off-chain stipulation is played by the
+    protocol (deliver messages, append Head) before any misbehavior."""
+    @functools.wraps(fn)
+    def strategy(obs: Observation, params: Params) -> Action:
+        if obs.mode == "onchain":
+            return _onchain_progress(obs)
+        if obs.phase == STIPULATING:
+            if obs.owes_message:
+                return Action(SEND)
+            if obs.head_appendable:
+                return Action(APPEND, TARGET_HEAD)
+            return _IDLE
+        return fn(obs, params)
+    return strategy
 
 
 @register("honest")
+@_cooperates_until_running
 def honest(obs: Observation, params: Params) -> Action:
     """Follow the protocol; on any sign of non-cooperation, move on-chain
     and land the newest agreed state the moment its timelock allows.
@@ -136,11 +144,6 @@ def honest(obs: Observation, params: Params) -> Action:
     messages (default 2); ``failsafe_after_steps`` — optionally abandon
     the off-chain phase deliberately once that many steps have sealed.
     """
-    if obs.mode == "onchain":
-        return _onchain_progress(obs)
-    setup = _cooperative_offchain(obs)
-    if setup is not None:
-        return setup
     patience = int(params.get("patience", 2))
     deliberate = params.get("failsafe_after_steps")
     if obs.init_on_chain or obs.phase == FAILSAFE:
@@ -172,14 +175,10 @@ def honest(obs: Observation, params: Params) -> Action:
 
 
 @register("staller")
+@_cooperates_until_running
 def staller(obs: Observation, params: Params) -> Action:
     """Cooperate for ``stall_after_steps`` steps, then agree to further
     proposals but withhold every signature for them, forever."""
-    if obs.mode == "onchain":
-        return _onchain_progress(obs)
-    setup = _cooperative_offchain(obs)
-    if setup is not None:
-        return setup
     if obs.phase != RUNNING:
         return _IDLE
     limit = int(params.get("stall_after_steps", 0))
@@ -191,14 +190,10 @@ def staller(obs: Observation, params: Params) -> Action:
 
 
 @register("premature_init")
+@_cooperates_until_running
 def premature_init(obs: Observation, params: Params) -> Action:
     """Cooperate — even propose steps — until step ``trigger_step`` is
     under negotiation, then append Init while it is still half signed."""
-    if obs.mode == "onchain":
-        return _onchain_progress(obs)
-    setup = _cooperative_offchain(obs)
-    if setup is not None:
-        return setup
     if obs.init_on_chain or obs.phase != RUNNING:
         return _IDLE
     trigger = int(params.get("trigger_step", 1))
@@ -215,14 +210,10 @@ def premature_init(obs: Observation, params: Params) -> Action:
 
 
 @register("rollback_attacker")
+@_cooperates_until_running
 def rollback_attacker(obs: Observation, params: Params) -> Action:
     """Cooperate passively; once Init is on-chain, try every round to
     redeem it with the OLDEST settled state instead of the newest."""
-    if obs.mode == "onchain":
-        return _onchain_progress(obs)
-    setup = _cooperative_offchain(obs)
-    if setup is not None:
-        return setup
     if obs.init_on_chain or obs.phase == FAILSAFE:
         if obs.rollback_target is not None:
             return Action(APPEND, TARGET_OLDEST_GRAFT)
@@ -237,14 +228,10 @@ def rollback_attacker(obs: Observation, params: Params) -> Action:
 
 
 @register("silent_aborter")
+@_cooperates_until_running
 def silent_aborter(obs: Observation, params: Params) -> Action:
     """Cooperate for ``refuse_at_step`` steps, then refuse every further
     proposal and never sign another graft."""
-    if obs.mode == "onchain":
-        return _onchain_progress(obs)
-    setup = _cooperative_offchain(obs)
-    if setup is not None:
-        return setup
     if obs.phase != RUNNING:
         return _IDLE
     limit = int(params.get("refuse_at_step", 0))

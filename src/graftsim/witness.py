@@ -12,8 +12,8 @@ are reproducible bit for bit.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Set, Tuple
 
 # Signature roles.  IMPLICIT signatures are the all-participant signatures
 # exchanged up front for every transaction of a compiled tree; EDGE
@@ -24,13 +24,10 @@ IMPLICIT = "implicit"
 EDGE = "edge"
 
 NONCE_SIZE = 16
-_HashFn = Callable[[bytes], "hashlib._Hash"]
-
-DEFAULT_HASH: _HashFn = hashlib.sha256
 
 
-def hash_bytes(data: bytes, hash_fn: _HashFn = DEFAULT_HASH) -> bytes:
-    return hash_fn(data).digest()
+def hash_bytes(data: bytes) -> bytes:
+    return hashlib.sha256(data).digest()
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +61,6 @@ def tx_digest(
     inputs: Tuple[Tuple[str, int], ...],
     rel_timelock: int,
     outputs: Tuple[Tuple[int, str], ...],
-    hash_fn: _HashFn = DEFAULT_HASH,
 ) -> str:
     """Canonical digest of a transaction template, as a hex string.
 
@@ -82,7 +78,7 @@ def tx_digest(
     for value, beneficiary in outputs:
         parts.append(_u64(value))
         parts.append(_text(beneficiary))
-    return hash_bytes(b"".join(parts), hash_fn).hex()
+    return hash_bytes(b"".join(parts)).hex()
 
 
 def scenario_salt(seed: int, scope: str = "") -> bytes:
@@ -134,14 +130,6 @@ class SignatureStore:
     def signers(self, digest: str, role: str = IMPLICIT) -> Set[str]:
         return {s for s, r in self._by_digest.get(digest, ()) if r == role}
 
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._by_digest.values())
-
-
-def record_signature(store: SignatureStore, sig: Signature) -> SignatureStore:
-    """Add ``sig`` to ``store``; idempotent, never removes anything."""
-    return store.add(sig)
-
 
 # ---------------------------------------------------------------------------
 # Secret commitments
@@ -159,13 +147,13 @@ class Reveal:
     preimage: bytes
 
 
-def commit(label: str, nonce: bytes, owner: str, hash_fn: _HashFn = DEFAULT_HASH) -> SecretCommitment:
+def commit(label: str, nonce: bytes, owner: str) -> SecretCommitment:
     preimage = label.encode("utf-8") + nonce
-    return SecretCommitment(label, hash_bytes(preimage, hash_fn).hex(), owner)
+    return SecretCommitment(label, hash_bytes(preimage).hex(), owner)
 
 
-def check_reveal(reveal: Reveal, hash_fn: _HashFn = DEFAULT_HASH) -> bool:
-    return hash_bytes(reveal.preimage, hash_fn).hex() == reveal.commitment.hash_hex
+def check_reveal(reveal: Reveal) -> bool:
+    return hash_bytes(reveal.preimage).hex() == reveal.commitment.hash_hex
 
 
 class CommitmentSet:
@@ -176,17 +164,15 @@ class CommitmentSet:
     distinct labels are rejected outright.
     """
 
-    def __init__(self, declarations: Iterable[Tuple[str, str]], seed: int,
-                 hash_fn: _HashFn = DEFAULT_HASH) -> None:
-        self._hash_fn = hash_fn
+    def __init__(self, declarations: Iterable[Tuple[str, str]], seed: int) -> None:
         self._commitments: Dict[str, SecretCommitment] = {}
         self._preimages: Dict[str, bytes] = {}
         base = scenario_salt(seed)
         for label, owner in declarations:
             if label in self._commitments:
                 raise ValueError(f"duplicate secret label {label!r}")
-            nonce = hash_bytes(b"nonce/" + base + label.encode("utf-8"), hash_fn)[:NONCE_SIZE]
-            self._commitments[label] = commit(label, nonce, owner, hash_fn)
+            nonce = hash_bytes(b"nonce/" + base + label.encode("utf-8"))[:NONCE_SIZE]
+            self._commitments[label] = commit(label, nonce, owner)
             self._preimages[label] = label.encode("utf-8") + nonce
         hashes = {c.hash_hex for c in self._commitments.values()}
         if len(hashes) != len(self._commitments):

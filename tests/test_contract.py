@@ -18,7 +18,6 @@ from graftsim.contract import (
     contract_from_dict,
     contract_to_dict,
     deepest_leaf_path,
-    extract_subtree,
     iter_preorder,
     leaves,
     parent_map,
@@ -95,16 +94,6 @@ class TestQueries:
         path = deepest_leaf_path(bo3_tree)
         assert len(path) == 4  # a depth-3 leaf, not a depth-2 one
         assert names(bo3_tree, path)[1] == "W??"  # first subtree wins ties
-
-    def test_extract_subtree_fresh_ids_and_cleared_root_edge(self, bo3_tree):
-        by_name = {bo3_tree.node(i).name: i for i in iter_preorder(bo3_tree)}
-        fragment = extract_subtree(bo3_tree, by_name["L??"])
-        assert len(fragment.nodes) == 7
-        assert fragment.nodes[fragment.root].edge == ()
-        assert fragment.provenance[fragment.root] == by_name["L??"]
-        # non-root edges are preserved
-        kept = [fragment.nodes[i] for i in fragment.nodes if i != fragment.root]
-        assert any(n.edge for n in kept)
 
 
 class TestValidation:

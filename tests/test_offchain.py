@@ -10,7 +10,6 @@ from graftsim.offchain import (
     finalize,
     offchain_step,
     start_offchain,
-    stipulate_offchain,
 )
 from graftsim.onchain import FAILSAFE, FINALIZED, ProtocolError, RUNNING
 from graftsim.trace import (
@@ -71,7 +70,7 @@ class TestStipulation:
 
     def test_completion_seals_the_shadow(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        assert stipulate_offchain(session) is True
+        assert session.stipulate() is True
         assert session.phase == RUNNING
         assert session.chain.is_appended(session.head.digest)
         assert not session.chain.is_appended(session.init.digest)
@@ -84,7 +83,7 @@ class TestStipulation:
 
     def test_withholding_keeps_deposits_unspent(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        assert stipulate_offchain(session, withhold_at=20) is False
+        assert session.stipulate(withhold_at=20) is False
         assert session.chain.non_deposit_count() == 0
         for dep in session.deposits.values():
             assert session.chain.is_unspent((dep.digest, 0))
@@ -99,7 +98,7 @@ class TestGrafts:
     def test_timelock_ladder_strictly_decreases(self, bo3_tree):
         for t in (1, 2, 5):
             session = start_offchain(bo3_tree, seed=0, t=t)
-            stipulate_offchain(session)
+            session.stipulate()
             ids = ids_by_name(bo3_tree)
             expected = [3 * t, 2 * t, 1 * t, 0]
             locks = [session.shadow.root_timelock]
@@ -113,7 +112,7 @@ class TestGrafts:
 
     def test_graft_copies_keyed_by_original_node_ids(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        stipulate_offchain(session)
+        session.stipulate()
         ids = ids_by_name(bo3_tree)
         reveal_oracle(session, "L1")
         graft = offchain_step(session, ids["L??"])
@@ -128,7 +127,7 @@ class TestGrafts:
 
     def test_exchange_size_per_step(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        stipulate_offchain(session)
+        session.stipulate()
         ids = ids_by_name(bo3_tree)
         before = session.trace.count(SIGNATURE_SENT)
         reveal_oracle(session, "L1")
@@ -147,7 +146,7 @@ class TestGrafts:
         session = start_offchain(bo3_tree, seed=0, t=2)
         with pytest.raises(ProtocolError):
             session.create_graft(1)  # still stipulating
-        stipulate_offchain(session)
+        session.stipulate()
         ids = ids_by_name(bo3_tree)
         with pytest.raises(ProtocolError):
             session.create_graft(ids["LW?"])  # not a child of the head
@@ -157,7 +156,7 @@ class TestGrafts:
 
     def test_unsatisfiable_edge_blocks_the_step(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        stipulate_offchain(session)
+        session.stipulate()
         ids = ids_by_name(bo3_tree)
         assert not session.edge_satisfiable(ids["L??"])  # oracle has not spoken
         with pytest.raises(ProtocolError):
@@ -167,7 +166,7 @@ class TestGrafts:
 
     def test_wait_edges_anchor_on_last_settled_step(self, three_party):
         session = start_offchain(three_party, seed=1, t=1)
-        stipulate_offchain(session)  # Head lands at height 0
+        session.stipulate()  # Head lands at height 0
         t1, t2, t5 = 1, 2, 5
         assert not session.edge_satisfiable(t1)  # needs 5 blocks after Head
         session.chain.tick(5)
@@ -184,7 +183,7 @@ class TestGrafts:
 class TestHalfSignedGrafts:
     def test_withheld_body_signature_blocks_everyone(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        stipulate_offchain(session)
+        session.stipulate()
         ids = ids_by_name(bo3_tree)
         reveal_oracle(session, "L1")
         result = offchain_step(session, ids["L??"], withhold_at=5)
@@ -202,7 +201,7 @@ class TestHalfSignedGrafts:
 
     def test_failsafe_falls_back_to_last_sealed_state(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        stipulate_offchain(session)
+        session.stipulate()
         ids = ids_by_name(bo3_tree)
         reveal_oracle(session, "L1")
         offchain_step(session, ids["L??"])
@@ -220,7 +219,7 @@ class TestHalfSignedGrafts:
 class TestFailsafe:
     def test_trigger_is_idempotent(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        stipulate_offchain(session)
+        session.stipulate()
         assert session.trigger_failsafe("B") is None
         assert session.phase == FAILSAFE and session.init_on_chain
         assert session.trigger_failsafe("B") is None
@@ -229,7 +228,7 @@ class TestFailsafe:
 
     def test_init_discards_pending_graft(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        stipulate_offchain(session)
+        session.stipulate()
         ids = ids_by_name(bo3_tree)
         reveal_oracle(session, "L1")
         graft = session.create_graft(ids["L??"])
@@ -239,7 +238,7 @@ class TestFailsafe:
 
     def test_failsafe_after_two_steps_costs_four_transactions(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        stipulate_offchain(session)
+        session.stipulate()
         ids = ids_by_name(bo3_tree)
         reveal_oracle(session, "L1")
         offchain_step(session, ids["L??"])
@@ -258,7 +257,7 @@ class TestFailsafe:
 class TestFullDescent:
     def test_leaf_graft_settles_in_three_transactions(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        stipulate_offchain(session)
+        session.stipulate()
         ids = ids_by_name(bo3_tree)
         for name, label in (("L??", "L1"), ("LW?", "W2"), ("LWL", "L3")):
             reveal_oracle(session, label)
@@ -273,7 +272,7 @@ class TestFullDescent:
     def test_single_node_contract(self):
         tree = chain_tree(1)
         session = start_offchain(tree, seed=0, t=3)
-        stipulate_offchain(session)
+        session.stipulate()
         assert session.trace.count(SIGNATURE_SENT) == 6
         trace = finalize(session)
         assert trace.summary["onchain_tx_count"] == 3
@@ -282,7 +281,7 @@ class TestFullDescent:
 
     def test_early_authorized_exit(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        stipulate_offchain(session)
+        session.stipulate()
         ids = ids_by_name(bo3_tree)
         reveal_oracle(session, "L1")
         offchain_step(session, ids["L??"])

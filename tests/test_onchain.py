@@ -97,7 +97,7 @@ class TestCompilation:
 class TestExchangePlan:
     def test_three_party_message_counts(self, three_party):
         session = session_for(three_party)
-        messages = session.exchange.messages
+        messages = session.stipulation.messages
         assert len(messages) == 42
         assert sum(1 for m in messages if m.kind == "txset") == 6
         assert sum(1 for m in messages if m.kind == "sig" and m.phase == 1) == 30
@@ -105,11 +105,11 @@ class TestExchangePlan:
 
     def test_bet_contract_message_count(self, bo3_tree):
         session = session_for(bo3_tree)
-        assert len(session.exchange.messages) == 32  # 2 txsets + 28 body + 2 root
+        assert len(session.stipulation.messages) == 32  # 2 txsets + 28 body + 2 root
 
     def test_phase_gating_blocks_final_signatures(self, three_party):
         session = session_for(three_party)
-        exchange = session.exchange
+        exchange = session.stipulation
         # deliver everything except one body signature
         sig_indices = [i for i, m in enumerate(exchange.messages) if m.phase == 1]
         held_back = sig_indices[-1]
@@ -127,13 +127,13 @@ class TestExchangePlan:
         assert all(exchange.peek(p).phase == 2 for p in three_party.participants)
 
     def test_redelivery_raises(self, three_party):
-        exchange = session_for(three_party).exchange
+        exchange = session_for(three_party).stipulation
         exchange.deliver(0)
         with pytest.raises(ProtocolError):
             exchange.deliver(0)
 
     def test_first_blocker_names_lowest_phase_holdout(self, three_party):
-        exchange = session_for(three_party).exchange
+        exchange = session_for(three_party).stipulation
         for i, m in enumerate(exchange.messages):
             if m.phase == 0:
                 exchange.deliver(i)
@@ -146,7 +146,7 @@ class TestStipulation:
         session = session_for(three_party)
         assert session.stipulate() is True
         assert session.phase == RUNNING
-        assert session.chain.is_appended(session.root_instance.digest)
+        assert session.chain.is_appended(session.anchor.digest)
         assert session.trace.count(STIPULATION_COMPLETE) == 1
         # deposits are spent into the root
         for dep in session.deposits.values():
@@ -163,9 +163,9 @@ class TestStipulation:
 
     def test_root_not_appendable_midway(self, three_party):
         session = session_for(three_party)
-        session.exchange.deliver(0)
-        assert not session.root_appendable("A")
-        error = session.append_root("A")
+        session.stipulation.deliver(0)
+        assert not session.anchor_appendable("A")
+        error = session.append_anchor("A")
         assert isinstance(error, MissingSignature)
         assert error.role == "implicit"
 
@@ -182,11 +182,11 @@ class TestStepping:
         session.stipulate()
         ids = by_name(three_party)
         tx = session.instances[ids["T3"]]
-        error = session.step(ids["T3"], actor="A")
+        error = session.append_child("A", ids["T3"])
         assert isinstance(error, MissingSignature)
         assert (error.signer, error.role) == ("C", "edge")
         session.publish_edge_auth(tx.digest, "C")
-        assert session.step(ids["T3"], actor="A") is None
+        assert session.append_child("A", ids["T3"]) is None
         assert session.phase == FINALIZED
 
     def test_step_rejects_non_child(self, three_party):
@@ -194,7 +194,7 @@ class TestStepping:
         session.stipulate()
         ids = by_name(three_party)
         with pytest.raises(ProtocolError):
-            session.step(ids["T4"])  # grandchild of the current node
+            session.append_child("A", ids["T4"])  # grandchild of the current node
 
     def test_owner_supplies_own_reveal(self, three_party):
         session = session_for(three_party)
@@ -202,16 +202,16 @@ class TestStepping:
         ids = by_name(three_party)
         session.publish_edge_auth(session.instances[ids["T2"]].digest, "B")
         # actor A owns SA, so no published reveal is needed
-        assert session.step(ids["T2"], actor="A") is None
+        assert session.append_child("A", ids["T2"]) is None
 
     def test_timelocked_leaf_waits(self, three_party):
         session = session_for(three_party)
         session.stipulate()
         ids = by_name(three_party)
-        error = session.step(ids["T1"], actor="A")
+        error = session.append_child("A", ids["T1"])
         assert error is not None and error.code == "TimelockNotExpired"
         session.chain.tick(5)
-        assert session.step(ids["T1"], actor="A") is None
+        assert session.append_child("A", ids["T1"]) is None
 
 
 class TestBaselineDriver:
