@@ -136,7 +136,11 @@ def leaves(tree: ContractTree) -> List[NodeId]:
 
 def deepest_leaf_path(tree: ContractTree) -> List[NodeId]:
     """Root-to-leaf path to the deepest leaf (ties broken by smallest id)."""
-    best = min(leaves(tree), key=lambda n: (-len(path_to(tree, n)), n))
+    depth = {tree.root: 0}
+    for node_id in iter_preorder(tree):
+        for child in tree.node(node_id).children:
+            depth[child] = depth[node_id] + 1
+    best = min(leaves(tree), key=lambda n: (-depth[n], n))
     return path_to(tree, best)
 
 
@@ -180,10 +184,12 @@ def resolve_path(tree: ContractTree, names: Sequence[str]) -> List[NodeId]:
 
 def subtree_height(tree: ContractTree, node_id: NodeId) -> int:
     """Number of edges on the longest path from ``node_id`` to a leaf."""
-    node = tree.node(node_id)
-    if not node.children:
-        return 0
-    return 1 + max(subtree_height(tree, c) for c in node.children)
+    height: Dict[NodeId, int] = {}
+    # Reversed preorder visits every child before its parent.
+    for n in reversed(list(iter_preorder(tree, node_id))):
+        children = tree.node(n).children
+        height[n] = 1 + max(height[c] for c in children) if children else 0
+    return height[node_id]
 
 
 def subtree_size(tree: ContractTree, node_id: NodeId) -> int:
@@ -277,9 +283,14 @@ def validate_tree(tree: ContractTree) -> List[StructuralError]:
         err("RootEdge", tree.nodes[tree.root].name, "the root has no parent edge to satisfy")
 
     names_ok = not errors
+    # Edges from the root to each node, filled in as preorder reaches it.
+    depth = {tree.root: 0}
+    pot = tree.deposit_total()
     for node_id in (iter_preorder(tree) if names_ok else []):
         template = tree.node(node_id)
         where = template.name
+        for child in template.children:
+            depth[child] = depth[node_id] + 1
         for req in template.edge:
             if isinstance(req, AuthBy):
                 for signer in req.signers:
@@ -303,7 +314,8 @@ def validate_tree(tree: ContractTree) -> List[StructuralError]:
                     err("UnknownParticipant", where, f"payout to {s.to!r}")
                 if s.share < 0:
                     err("NegativeValue", where, f"negative share for {s.to}")
-        if balance_at(tree, node_id) < 0:
+        # balance_at, with the path length taken from the depth
+        if pot - tree.fee * (depth[node_id] + 1) < 0:
             err("NegativeBalance", where, "fees exceed the deposits on this path")
 
     return errors

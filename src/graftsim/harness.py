@@ -40,6 +40,7 @@ from .contract import (
 from .ledger import AppendError
 from .onchain import (
     ABORTED,
+    Exchange,
     FINALIZED,
     OnchainSession,
     ProtocolError,
@@ -216,7 +217,11 @@ class _Engine:
         self.order: List[str] = list(scenario.order or sorted(self.tree.participants))
         self.players = {p: (STRATEGIES[name], dict(params))
                         for p, (name, params) in scenario.strategies.items()}
-        self.path: List[NodeId] = resolve_path(self.tree, list(scenario.path))
+        path = resolve_path(self.tree, list(scenario.path))
+        # The node after each path node; a repeated node keeps its first successor.
+        self.next_on_path: Dict[NodeId, NodeId] = {}
+        for at, nxt in zip(path, path[1:]):
+            self.next_on_path.setdefault(at, nxt)
         self.oracle = list(scenario.oracle)
         self.oracle_cursor = 0
         self.proposal: Optional[_Proposal] = None
@@ -273,14 +278,8 @@ class _Engine:
 
     # -- observation ---------------------------------------------------------
 
-    def _next_on_path(self, at: Optional[NodeId]) -> Optional[NodeId]:
-        if at is None or at not in self.path:
-            return None
-        index = self.path.index(at)
-        return self.path[index + 1] if index + 1 < len(self.path) else None
-
-    def _others_owe(self, participant: str) -> bool:
-        if self.session.pending_from_others(participant):
+    def _others_owe(self, participant: str, exchange: Optional[Exchange]) -> bool:
+        if exchange is not None and exchange.pending_from_others(participant):
             return True
         proposal = self.proposal
         return proposal is not None and participant in proposal.agreed \
@@ -296,15 +295,18 @@ class _Engine:
     def _observe(self, participant: str) -> Observation:
         session = self.session
         proposal, i_agreed = self._proposal_view(participant)
+        exchange = session.active_exchange()
+        owes_message = exchange is not None and exchange.next_for(participant) is not None
+        others_owe_me = self._others_owe(participant, exchange)
         # The node the on-chain walk would append next, if any.
-        walk = self._next_on_path(session.cursor[1]) if session.cursor else None
+        walk = self.next_on_path.get(session.cursor[1]) if session.cursor else None
         walk_ready = walk is not None and session.child_ready(participant, walk)
         if not self.offchain:
             return Observation(
                 actor=participant, height=self.chain.height, mode=MODE_ONCHAIN,
                 phase=session.phase,
-                owes_message=session.next_owed(participant) is not None,
-                others_owe_me=self._others_owe(participant),
+                owes_message=owes_message,
+                others_owe_me=others_owe_me,
                 waiting_rounds=self.chain.height - self.last_progress,
                 root_appendable=session.anchor_appendable(participant),
                 proposal=proposal, i_agreed=i_agreed, step_refused=self.step_refused,
@@ -312,13 +314,13 @@ class _Engine:
                 next_child_proposable=walk is not None and self._onchain_proposable(walk),
             )
         head = session.offchain_head
-        nxt = self._next_on_path(head)
+        nxt = self.next_on_path.get(head)
         latest = session.latest_sealed
         return Observation(
             actor=participant, height=self.chain.height, mode=MODE_OFFCHAIN,
             phase=session.phase,
-            owes_message=session.next_owed(participant) is not None,
-            others_owe_me=self._others_owe(participant),
+            owes_message=owes_message,
+            others_owe_me=others_owe_me,
             waiting_rounds=self.chain.height - self.last_progress,
             head_appendable=session.anchor_appendable(participant),
             init_on_chain=session.init_on_chain,

@@ -155,6 +155,13 @@ class OffchainSession(Session):
             0, tree.root, comp.shadow,
             subtree_height(tree, tree.root) * t, exchange=None)]
         self.init_on_chain = False
+        # Kept up to date where grafts are created, sealed and discarded:
+        # the graft whose exchange is under way, the newest fully signed
+        # graft (the shadow once stipulation completes), and how many
+        # grafts other than the shadow are sealed.
+        self.pending_graft: Optional[Graft] = None
+        self.latest_sealed: Optional[Graft] = None
+        self.steps_sealed = 0
 
     @property
     def shadow(self) -> Graft:
@@ -162,22 +169,8 @@ class OffchainSession(Session):
 
     # -- graft bookkeeping ---------------------------------------------------
 
-    @property
-    def pending_graft(self) -> Optional[Graft]:
-        last = self.grafts[-1]
-        return last if not last.sealed and not last.discarded and last.index > 0 else None
-
     def sealed_grafts(self) -> List[Graft]:
         return [g for g in self.grafts if g.sealed]
-
-    @property
-    def latest_sealed(self) -> Optional[Graft]:
-        sealed = self.sealed_grafts()
-        return sealed[-1] if sealed else None
-
-    @property
-    def steps_sealed(self) -> int:
-        return sum(1 for g in self.grafts[1:] if g.sealed)
 
     @property
     def offchain_head(self) -> NodeId:
@@ -216,10 +209,11 @@ class OffchainSession(Session):
 
     # -- signature exchanges -------------------------------------------------
 
-    def _active_exchange(self) -> Optional[Exchange]:
-        if self.phase == RUNNING and self.pending_graft is not None:
-            return self.pending_graft.exchange
-        return super()._active_exchange()
+    def active_exchange(self) -> Optional[Exchange]:
+        if self.phase == RUNNING:
+            pending = self.pending_graft
+            return pending.exchange if pending is not None else None
+        return super().active_exchange()
 
     def _exchange_complete(self, exchange: Exchange, sender: str) -> None:
         if exchange is self.stipulation:
@@ -228,7 +222,10 @@ class OffchainSession(Session):
         else:
             graft = self.pending_graft
             graft.seal_height = self.chain.height
+            self.pending_graft = None
+            self.steps_sealed += 1
         graft.sealed = True
+        self.latest_sealed = graft
         self.trace.add(Event(self.chain.height, sender, GRAFT_SEALED, {
             "digest": graft.root_instance.digest, "index": graft.index,
             "origin": self.tree.node(graft.origin).name}))
@@ -261,6 +258,7 @@ class OffchainSession(Session):
                       Exchange(exchange_plan(self.tree.participants, body,
                                              root_item, include_txset=False)))
         self.grafts.append(graft)
+        self.pending_graft = graft
         self.trace.add(Event(self.chain.height, "session", GRAFT_PROPOSED, {
             "digest": instances[child].digest, "index": graft.index,
             "origin": self.tree.node(child).name, "rel_timelock": timelock,
@@ -277,9 +275,9 @@ class OffchainSession(Session):
         if error is None:
             self.init_on_chain = True
             self.phase = FAILSAFE
-            pending = self.pending_graft
-            if pending is not None:
-                pending.discarded = True
+            if self.pending_graft is not None:
+                self.pending_graft.discarded = True
+                self.pending_graft = None
             self.trace.add(Event(self.chain.height, actor, INIT_APPENDED,
                                  {"digest": self.init.digest}))
         return error

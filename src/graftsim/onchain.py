@@ -133,9 +133,11 @@ def instantiate_subtree(
     """
     everyone = frozenset(tree.participants)
     instances: Dict[NodeId, TxInstance] = {}
-
-    def build(node_id: NodeId, inputs: Tuple[Tuple[str, int], ...],
-              input_value: int, rel: int, cleared: bool) -> None:
+    # Preorder with an explicit stack: a node is built before its children,
+    # which spend its digest, and children are popped in declaration order.
+    stack = [(sub_root, root_inputs, root_input_value, root_rel_timelock, clear_root_edge)]
+    while stack:
+        node_id, inputs, input_value, rel, cleared = stack.pop()
         node = tree.node(node_id)
         _, auth, labels = edge_parts(node.edge)
         if cleared:
@@ -148,11 +150,9 @@ def instantiate_subtree(
         inst = make_tx(node.name, salt, inputs, rel, everyone, auth,
                        frozenset(commitments[l] for l in labels), outputs)
         instances[node_id] = inst
-        for child in node.children:
+        for child in reversed(node.children):
             child_delay, _, _ = edge_parts(tree.node(child).edge)
-            build(child, ((inst.digest, 0),), balance, child_delay, False)
-
-    build(sub_root, root_inputs, root_input_value, root_rel_timelock, clear_root_edge)
+            stack.append((child, ((inst.digest, 0),), balance, child_delay, False))
     return instances
 
 
@@ -186,21 +186,35 @@ class Message:
 
 class Exchange:
     """An ordered plan of messages where phase k opens only once every
-    phase < k message has been delivered."""
+    phase < k message has been delivered.
+
+    The queries made on every observation answer in constant (amortized)
+    time, from counters that ``deliver`` keeps up to date: ``left``
+    undelivered messages in all, ``left_by_sender`` of them per sender,
+    and ``lowest_phase``, the lowest phase with a message still
+    undelivered (``None`` once the exchange is complete).  Per sender, a
+    cursor into its own messages skips the delivered ones.  Only
+    ``first_blocker``, asked once when a stalled exchange is aborted,
+    walks the plan.
+    """
 
     def __init__(self, messages: Sequence[Message]) -> None:
         self.messages: List[Message] = list(messages)
         self.delivered: List[bool] = [False] * len(self.messages)
+        self.left = len(self.messages)
+        self.left_by_sender: Dict[str, int] = {}
         self._left_in_phase: Dict[int, int] = {}
-        for msg in self.messages:
-            self._left_in_phase[msg.phase] = self._left_in_phase.get(msg.phase, 0) + 1
         self._by_sender: Dict[str, List[int]] = {}
         for index, msg in enumerate(self.messages):
+            self.left_by_sender[msg.sender] = self.left_by_sender.get(msg.sender, 0) + 1
+            self._left_in_phase[msg.phase] = self._left_in_phase.get(msg.phase, 0) + 1
             self._by_sender.setdefault(msg.sender, []).append(index)
         self._sender_pos: Dict[str, int] = {s: 0 for s in self._by_sender}
+        self._later_phases = iter(sorted(self._left_in_phase))
+        self.lowest_phase: Optional[int] = next(self._later_phases, None)
 
     def _phase_open(self, phase: int) -> bool:
-        return all(left == 0 for ph, left in self._left_in_phase.items() if ph < phase)
+        return self.lowest_phase is None or phase <= self.lowest_phase
 
     def next_for(self, sender: str) -> Optional[int]:
         queue = self._by_sender.get(sender, [])
@@ -224,26 +238,26 @@ class Exchange:
         if not self._phase_open(msg.phase):
             raise ProtocolError("message phase not open yet")
         self.delivered[index] = True
+        self.left -= 1
+        self.left_by_sender[msg.sender] -= 1
         self._left_in_phase[msg.phase] -= 1
+        # An open phase is the lowest incomplete one, so only it can empty.
+        while self.lowest_phase is not None and self._left_in_phase[self.lowest_phase] == 0:
+            self.lowest_phase = next(self._later_phases, None)
         return msg
 
     @property
     def complete(self) -> bool:
-        return all(self.delivered)
+        return self.left == 0
 
     def pending_from_others(self, me: str) -> bool:
-        return any(not done and msg.sender != me
-                   for msg, done in zip(self.messages, self.delivered))
+        return self.left - self.left_by_sender.get(me, 0) > 0
 
     def first_blocker(self) -> Optional[str]:
         """Sender of the first undelivered message in the lowest incomplete
         phase — with phase gating, the participant holding everyone up."""
-        lowest = min((msg.phase for msg, done in zip(self.messages, self.delivered) if not done),
-                     default=None)
-        if lowest is None:
-            return None
         for msg, done in zip(self.messages, self.delivered):
-            if not done and msg.phase == lowest:
+            if not done and msg.phase == self.lowest_phase:
                 return msg.sender
         return None
 
@@ -414,23 +428,16 @@ class Session:
 
     # -- signature exchanges -------------------------------------------------
 
-    def _active_exchange(self) -> Optional[Exchange]:
+    def active_exchange(self) -> Optional[Exchange]:
+        """The exchange whose messages are owed now, if any."""
         return self.stipulation if self.phase == STIPULATING else None
 
     def _exchange_complete(self, exchange: Exchange, sender: str) -> None:
         self.trace.add(Event(self.chain.height, sender, STIPULATION_COMPLETE,
                              {"mode": self.MODE}))
 
-    def next_owed(self, sender: str) -> Optional[Message]:
-        exchange = self._active_exchange()
-        return exchange.peek(sender) if exchange else None
-
-    def pending_from_others(self, me: str) -> bool:
-        exchange = self._active_exchange()
-        return exchange.pending_from_others(me) if exchange else False
-
     def deliver_next(self, sender: str) -> Optional[Event]:
-        exchange = self._active_exchange()
+        exchange = self.active_exchange()
         if exchange is None:
             return None
         index = exchange.next_for(sender)

@@ -148,6 +148,12 @@ class TestValidation:
         nodes[3] = replace(nodes[3], outputs=(PayoutShare("C", Fraction(1, 2)),))
         assert "BalanceMismatch" in self._kinds(replace(three_party, nodes=nodes))
 
+    def test_fees_beyond_the_deposits_rejected_at_each_node(self, bo3_tree):
+        tree = bo3_tree.with_fee(30)
+        short = [tree.node(n).name for n in iter_preorder(tree) if balance_at(tree, n) < 0]
+        assert short
+        assert [e.where for e in validate_tree(tree) if e.kind == "NegativeBalance"] == short
+
     def test_internal_node_with_payouts_rejected(self, three_party):
         nodes = dict(three_party.nodes)
         nodes[2] = replace(nodes[2], outputs=(PayoutShare("A", Fraction(1)),))

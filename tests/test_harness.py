@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from graftsim.contract import subtree_height
 from graftsim.harness import (
     MODE_OFFCHAIN,
     MODE_ONCHAIN,
@@ -20,6 +21,7 @@ from graftsim.harness import (
     scenario_from_dict,
 )
 from graftsim.strategies import IDLE, Action, STRATEGIES, register
+from graftsim.treegen import chain_tree
 from graftsim.trace import (
     APPEND,
     FAILSAFE_TRIGGERED,
@@ -256,6 +258,12 @@ class TestCensusAndCaps:
     def test_census_matches_engine_message_counts(self, bo3_tree):
         assert message_census(bo3_tree, BO3_PATH, mode=MODE_OFFCHAIN, t=2) == 58
         assert message_census(bo3_tree, BO3_PATH, mode=MODE_ONCHAIN) == 30
+
+    def test_deep_contracts_compile_without_recursion(self):
+        # Deeper than the interpreter's default recursion limit of 1000.
+        assert message_census(chain_tree(1500), mode=MODE_ONCHAIN) == 3000
+        deep = chain_tree(5000)
+        assert subtree_height(deep, deep.root) == 4999
 
     def test_default_height_cap_scales_with_the_contract(self, bo3_tree):
         scn = scenario_from_dict(scn_dict(t=2, oracle=[[6, "L3"]]), bundled_data_dir())

@@ -5,9 +5,17 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from graftsim.contract import PayoutShare, resolve_payout, subtree_height, validate_tree
+from graftsim.contract import (
+    PayoutShare,
+    resolve_path,
+    resolve_payout,
+    subtree_height,
+    subtree_size,
+    validate_tree,
+)
 from graftsim.harness import MODE_OFFCHAIN, MODE_ONCHAIN, Scenario, run
-from graftsim.onchain import Exchange, exchange_plan
+from graftsim.offchain import offchain_step, start_offchain
+from graftsim.onchain import Exchange, edge_parts, exchange_plan
 from graftsim.trace import GRAFT_PROPOSED, GRAFT_SEALED, replay_appends
 from graftsim.treegen import random_tree
 from graftsim.witness import tx_digest
@@ -82,6 +90,100 @@ def test_any_legal_delivery_order_is_phase_monotone(seed, parties, body_size):
         phases.append(exchange.deliver(index).phase)
     assert phases == sorted(phases)
     assert len(phases) == len(exchange.messages)
+
+
+def _exchange_by_scan(exchange, parties):
+    """Every Exchange query, recomputed by walking the whole plan."""
+    pending = [(i, m) for i, m in enumerate(exchange.messages) if not exchange.delivered[i]]
+    phases = range(max(m.phase for m in exchange.messages) + 2)
+    open_phases = [all(m.phase >= ph for _, m in pending) for ph in phases]
+    lowest = min((m.phase for _, m in pending), default=None)
+    heads = {}
+    for i, m in pending:
+        heads.setdefault(m.sender, (i, m))
+    return {
+        "pending_from_others": [any(m.sender != p for _, m in pending)
+                                for p in parties + ("Z",)],
+        "complete": not pending,
+        "phase_open": open_phases,
+        "first_blocker": next((m.sender for _, m in pending if m.phase == lowest), None),
+        "next_for": [heads[p][0] if p in heads and open_phases[heads[p][1].phase] else None
+                     for p in parties + ("Z",)],
+    }
+
+
+def _exchange_by_counters(exchange, parties):
+    phases = range(max(m.phase for m in exchange.messages) + 2)
+    return {
+        "pending_from_others": [exchange.pending_from_others(p) for p in parties + ("Z",)],
+        "complete": exchange.complete,
+        "phase_open": [exchange._phase_open(ph) for ph in phases],
+        "first_blocker": exchange.first_blocker(),
+        "next_for": [exchange.next_for(p) for p in parties + ("Z",)],
+    }
+
+
+@NO_DEADLINE
+@given(seed=st.integers(0, 10**6),
+       parties=st.sampled_from((("A", "B"), ("A", "B", "C"))),
+       body_size=st.integers(0, 5))
+def test_exchange_counters_match_a_scan_of_the_plan(seed, parties, body_size):
+    body = [(f"T{i}", f"d{i}") for i in range(body_size)]
+    exchange = Exchange(exchange_plan(parties, body, ("R", "dr"), True))
+    rng = random.Random(seed)
+    while True:
+        expected = _exchange_by_scan(exchange, parties)
+        assert _exchange_by_counters(exchange, parties) == expected
+        if expected["complete"]:
+            break
+        open_now = [i for i, done in enumerate(exchange.delivered)
+                    if not done and expected["phase_open"][exchange.messages[i].phase]]
+        exchange.deliver(rng.choice(open_now))
+
+
+# -- graft bookkeeping ------------------------------------------------------
+
+def _grafts_by_scan(session):
+    sealed = [g for g in session.grafts if g.sealed]
+    last = session.grafts[-1]
+    pending = last if not last.sealed and not last.discarded and last.index > 0 else None
+    return sealed[-1] if sealed else None, len([g for g in sealed if g.index > 0]), pending
+
+
+def _grafts_kept(session):
+    return session.latest_sealed, session.steps_sealed, session.pending_graft
+
+
+@NO_DEADLINE
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_graft_bookkeeping_matches_a_recount(seed, data):
+    tree, path_names, _ = random_tree(seed)
+    session = start_offchain(tree, seed=seed, t=1)
+    assert _grafts_kept(session) == _grafts_by_scan(session)
+    session.stipulate()
+    assert _grafts_kept(session) == _grafts_by_scan(session)
+    ids = resolve_path(tree, path_names)
+    # The step whose graft is left half signed; len(ids) means none is.
+    cut = data.draw(st.integers(1, len(ids)), label="cut")
+    for step, child in enumerate(ids[1:], start=1):
+        for label in edge_parts(tree.node(child).edge)[2]:
+            if label not in session.reveal_pool:
+                session.publish_reveal(session.commitments.reveal(label))
+        while not session.edge_satisfiable(child):
+            session.chain.tick()
+        if step == cut:
+            pairs = len(tree.participants) * (len(tree.participants) - 1)
+            withhold = data.draw(st.integers(0, pairs * subtree_size(tree, child) - 1),
+                                 label="withhold_at")
+            assert offchain_step(session, child, withhold_at=withhold) is None
+            assert session.pending_graft is not None
+            assert _grafts_kept(session) == _grafts_by_scan(session)
+            assert session.append_init(tree.participants[0]) is None
+            assert session.pending_graft is None
+            assert _grafts_kept(session) == _grafts_by_scan(session)
+            return
+        offchain_step(session, child)
+        assert _grafts_kept(session) == _grafts_by_scan(session)
 
 
 # -- end-to-end honest runs -------------------------------------------------
