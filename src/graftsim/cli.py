@@ -19,6 +19,7 @@ from typing import Dict, List, Optional
 from .contract import ContractParseError, load_contract_file, validate_tree
 from .harness import (
     Comparison,
+    Scenario,
     ScenarioError,
     bundled_data_dir,
     compare,
@@ -56,12 +57,22 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _invalid_contract(scenario: Scenario) -> bool:
+    """Report the first structural error of the scenario's contract, if any."""
+    errors = validate_tree(scenario.tree)
+    if errors:
+        print(f"error: invalid contract: {errors[0]}", file=sys.stderr)
+    return bool(errors)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
     except (OSError, ContractParseError, ScenarioError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    if _invalid_contract(scenario):
+        return EXIT_INVALID
     trace = run(scenario)
     if args.trace:
         trace.write(args.trace)
@@ -99,6 +110,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     try:
         off_scenario = load_scenario(args.offchain_scenario)
         on_scenario = load_scenario(args.onchain_scenario)
+        if _invalid_contract(off_scenario) or _invalid_contract(on_scenario):
+            return EXIT_INVALID
         comparison = compare(off_scenario, on_scenario)
     except (OSError, ContractParseError, ScenarioError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -21,6 +21,14 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 # whichever child transaction is appended next.
 CONTINUATION = "contract"
 
+# What the canonical transaction encoding (``witness.tx_digest``) can hold:
+# amounts in 64 bits, relative timelocks in 32 bits, names in a 16-bit
+# length prefix.  A participant's name also names its deposit transaction,
+# "Dep_<name>", hence the four bytes of headroom.
+MAX_AMOUNT = 2 ** 64 - 1
+MAX_TIMELOCK = 2 ** 32 - 1
+MAX_NAME_BYTES = 2 ** 16 - 1 - len("Dep_")
+
 NodeId = int
 
 
@@ -302,6 +310,8 @@ def validate_tree(tree: ContractTree) -> List[StructuralError]:
             elif isinstance(req, After):
                 if req.blocks < 0:
                     err("NegativeValue", where, f"negative wait {req.blocks}")
+                elif req.blocks > MAX_TIMELOCK:
+                    err("TooLarge", where, f"wait {req.blocks} is over {MAX_TIMELOCK}")
         if template.children:
             if template.outputs:
                 err("BalanceMismatch", where, "internal node declares leaf payouts")
@@ -317,6 +327,12 @@ def validate_tree(tree: ContractTree) -> List[StructuralError]:
         # balance_at, with the path length taken from the depth
         if pot - tree.fee * (depth[node_id] + 1) < 0:
             err("NegativeBalance", where, "fees exceed the deposits on this path")
+
+    if tree.deposit_total() > MAX_AMOUNT:
+        err("TooLarge", "deposits", f"the deposits total more than {MAX_AMOUNT}")
+    names = list(tree.participants) + [t.name for t in tree.nodes.values()]
+    if any(len(name.encode("utf-8")) > MAX_NAME_BYTES for name in names):
+        err("TooLarge", "names", f"a name is longer than {MAX_NAME_BYTES} bytes")
 
     return errors
 
@@ -365,43 +381,62 @@ def contract_from_dict(data: Dict) -> ContractTree:
     nodes: Dict[NodeId, NodeTemplate] = {}
     counter = iter(range(10 ** 9))
 
-    def build(obj: Dict) -> NodeId:
-        node_id = next(counter)
+    def open_node(obj) -> Tuple[NodeId, str, Tuple, Tuple, Iterator, List[NodeId]]:
         try:
             name = str(obj["name"])
         except (KeyError, TypeError) as exc:
             raise ContractParseError(f"node without a name: {exc}") from exc
-        edge = tuple(_requirement_from_dict(e, name) for e in obj.get("edge", []))
+        edge_list = obj.get("edge", [])
+        output_list = obj.get("outputs", [])
+        children = obj.get("children", [])
+        if not (isinstance(edge_list, list) and isinstance(output_list, list)
+                and isinstance(children, list)):
+            raise ContractParseError(f"{name}: edge, outputs and children must be lists")
+        edge = tuple(_requirement_from_dict(e, name) for e in edge_list)
         outputs = []
-        for entry in obj.get("outputs", []):
+        for entry in output_list:
             try:
                 outputs.append(PayoutShare(str(entry["to"]), Fraction(str(entry["share"]))))
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ContractParseError(f"{name}: bad payout entry: {exc}") from exc
-        children = tuple(build(c) for c in obj.get("children", []))
-        nodes[node_id] = NodeTemplate(node_id, name, edge, tuple(outputs), children)
-        return node_id
+        return next(counter), name, edge, tuple(outputs), iter(children), []
 
-    root = build(root_obj)
-    return ContractTree(participants, deposits, fee, root, nodes, secrets)
+    # A nested walk on an explicit stack, so depth costs no interpreter
+    # frames: ids follow preorder, and a node is built once its children are.
+    stack = [open_node(root_obj)]
+    while stack:
+        node_id, name, edge, outputs, pending, kids = stack[-1]
+        for child in pending:
+            stack.append(open_node(child))
+            break
+        else:
+            stack.pop()
+            nodes[node_id] = NodeTemplate(node_id, name, edge, outputs, tuple(kids))
+            if stack:
+                stack[-1][5].append(node_id)
+    return ContractTree(participants, deposits, fee, 0, nodes, secrets)
 
 
 def contract_to_dict(tree: ContractTree) -> Dict:
-    def dump(node_id: NodeId) -> Dict:
+    # Flat, then linked: every node's dict in preorder, then each one's
+    # children, so depth costs no recursion.
+    dumped: Dict[NodeId, Dict] = {}
+    for node_id in iter_preorder(tree):
         template = tree.node(node_id)
-        return {
+        dumped[node_id] = {
             "name": template.name,
             "edge": [_requirement_to_dict(r) for r in template.edge],
             "outputs": [{"to": s.to, "share": str(s.share)} for s in template.outputs],
-            "children": [dump(c) for c in template.children],
+            "children": [],
         }
-
+    for node_id, entry in dumped.items():
+        entry["children"] = [dumped[c] for c in tree.node(node_id).children]
     return {
         "participants": list(tree.participants),
         "deposits": dict(sorted(tree.deposits.items())),
         "fee": tree.fee,
         "secrets": [{"label": s.label, "owner": s.owner} for s in tree.secrets],
-        "nodes": dump(tree.root),
+        "nodes": dumped[tree.root],
     }
 
 
@@ -411,6 +446,8 @@ def load_contract_file(path: Union[str, Path]) -> ContractTree:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ContractParseError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise ContractParseError(f"{path}: JSON nested too deeply to parse") from None
     if not isinstance(data, dict):
         raise ContractParseError(f"{path}: expected a single JSON object")
     return contract_from_dict(data)

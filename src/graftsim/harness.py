@@ -15,9 +15,8 @@ participants intend to follow.  ``run`` replays it round by round:
 All randomness is confined to seeds, so a scenario always produces a
 byte-identical trace.  Strategies communicate only through the session
 (message delivery, published material, the chain) and through the
-engine's step-agreement bookkeeping; a step proposal needs every
-participant's agreement off-chain, and the edge's authorizers and
-secret owners on-chain.
+engine's proposal bookkeeping; the session says who must agree to a
+step, whether it is agreeable, and what an agreed step becomes.
 """
 
 from __future__ import annotations
@@ -29,8 +28,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .contract import (
+    MAX_AMOUNT,
+    MAX_TIMELOCK,
     ContractTree,
     NodeId,
+    UnknownNodeError,
+    contract_from_dict,
     contract_to_dict,
     deepest_leaf_path,
     load_contract_file,
@@ -41,6 +44,7 @@ from .ledger import AppendError
 from .onchain import (
     ABORTED,
     Exchange,
+    FAILSAFE,
     FINALIZED,
     OnchainSession,
     ProtocolError,
@@ -60,14 +64,12 @@ from .strategies import (
     REFUSE,
     SEND,
     STRATEGIES,
+    TARGET_ANCHOR,
     TARGET_CONTINUE,
     TARGET_FAILSAFE,
-    TARGET_HEAD,
     TARGET_INIT,
     TARGET_LATEST_GRAFT,
     TARGET_OLDEST_GRAFT,
-    TARGET_ROOT,
-    TARGET_STEP,
     WITHHOLD,
 )
 from .trace import (
@@ -109,7 +111,6 @@ class Scenario:
     seed: int = 0
     order: Optional[Tuple[str, ...]] = None
     height_cap: Optional[int] = None
-    source: Optional[str] = None
 
 
 def default_height_cap(scenario: Scenario) -> int:
@@ -119,8 +120,20 @@ def default_height_cap(scenario: Scenario) -> int:
     return 10 * (last_reveal + span + scenario.patience + 5)
 
 
-def scenario_from_dict(data: Dict, base_dir: Union[str, Path, None] = None,
-                       source: Optional[str] = None) -> Scenario:
+def _integer(data: Dict, key: str, default: int, low: int,
+             high: Optional[int] = None) -> int:
+    """``data[key]``, or ``default`` when absent, as an int in [low, high]."""
+    value = data.get(key, default)
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{key} must be an integer, got {value!r}") from None
+    if number < low or (high is not None and number > high):
+        raise ScenarioError(f"{key} must be in [{low}, {high or 'inf'}], got {number}")
+    return number
+
+
+def scenario_from_dict(data: Dict, base_dir: Union[str, Path, None] = None) -> Scenario:
     """Build a Scenario from parsed JSON; ``contract`` paths are resolved
     relative to ``base_dir`` (the scenario file's directory)."""
     try:
@@ -128,29 +141,44 @@ def scenario_from_dict(data: Dict, base_dir: Union[str, Path, None] = None,
         contract_ref = data["contract"]
         mode = data["mode"]
         raw_strategies = data["strategies"]
-        path_names = tuple(data["path"])
+        path_names = data["path"]
     except KeyError as missing:
         raise ScenarioError(f"scenario is missing required key {missing}") from None
     if mode not in (MODE_ONCHAIN, MODE_OFFCHAIN):
         raise ScenarioError(f"unknown mode {mode!r}")
+    if not isinstance(contract_ref, str):
+        raise ScenarioError("contract must be a file name")
+    if not isinstance(path_names, list) or not all(isinstance(n, str) for n in path_names):
+        raise ScenarioError("path must be a list of node names")
+    if not isinstance(raw_strategies, dict):
+        raise ScenarioError("strategies must be an object keyed by participant")
     contract_path = Path(base_dir or ".") / contract_ref
     tree = load_contract_file(contract_path)
     if "fee" in data:
-        tree = tree.with_fee(int(data["fee"]))
+        tree = tree.with_fee(_integer(data, "fee", 0, 0))
     strategies: Dict[str, Tuple[str, Dict]] = {}
     for participant, entry in raw_strategies.items():
         if participant not in tree.participants:
             raise ScenarioError(f"strategy given for unknown participant {participant!r}")
+        if not isinstance(entry, dict) or not isinstance(entry.get("params", {}), dict):
+            raise ScenarioError(f"strategy for {participant} must be an object "
+                                f"with a name and optional params")
         name = entry.get("name")
-        if name not in STRATEGIES:
+        if not isinstance(name, str) or name not in STRATEGIES:
             raise ScenarioError(f"unknown strategy {name!r} for {participant}")
         strategies[participant] = (name, dict(entry.get("params", {})))
     for participant in tree.participants:
         strategies.setdefault(participant, ("honest", {}))
-    path_ids = resolve_path(tree, list(path_names))
+    try:
+        path_ids = resolve_path(tree, path_names)
+    except UnknownNodeError as err:
+        raise ScenarioError(f"the scenario path names unknown node {err}") from None
     if not path_ids or tree.node(path_ids[-1]).children:
         raise ScenarioError("the scenario path must end at a leaf")
-    oracle = tuple(sorted((int(h), str(lbl)) for h, lbl in data.get("oracle", [])))
+    try:
+        oracle = tuple(sorted((int(h), str(lbl)) for h, lbl in data.get("oracle", [])))
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError("oracle must be a list of [height, label] pairs") from None
     known = {s.label for s in tree.secrets}
     for height, lbl in oracle:
         if lbl not in known:
@@ -159,16 +187,19 @@ def scenario_from_dict(data: Dict, base_dir: Union[str, Path, None] = None,
             raise ScenarioError("oracle heights must be non-negative")
     order = data.get("order")
     if order is not None:
-        if sorted(order) != sorted(tree.participants):
+        if not isinstance(order, list) or not all(isinstance(p, str) for p in order) \
+                or sorted(order) != sorted(tree.participants):
             raise ScenarioError("order must be a permutation of the participants")
         order = tuple(order)
+    t = _integer(data, "t", 1, 1, MAX_TIMELOCK)
+    if mode == MODE_OFFCHAIN and t * subtree_height(tree, tree.root) > MAX_TIMELOCK:
+        raise ScenarioError(f"t = {t} puts the shadow root's timelock over {MAX_TIMELOCK}")
     return Scenario(
         label=label, tree=tree, mode=mode, strategies=strategies,
-        path=path_names, oracle=oracle,
-        t=int(data.get("t", 1)), patience=int(data.get("patience", 2)),
-        seed=int(data.get("seed", 0)), order=order,
-        height_cap=int(data["height_cap"]) if "height_cap" in data else None,
-        source=source,
+        path=tuple(path_names), oracle=oracle, t=t,
+        patience=_integer(data, "patience", 2, 0),
+        seed=_integer(data, "seed", 0, 0, MAX_AMOUNT), order=order,
+        height_cap=_integer(data, "height_cap", 0, 0) if "height_cap" in data else None,
     )
 
 
@@ -185,11 +216,11 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise ScenarioError(f"{path}: invalid JSON ({err})") from err
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: scenario must be a JSON object")
-    return scenario_from_dict(data, base_dir=path.parent, source=str(path))
+    return scenario_from_dict(data, base_dir=path.parent)
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +236,9 @@ class _Proposal:
 
 
 class _Engine:
-    def __init__(self, scenario: Scenario, commitments: CommitmentSet,
-                 session: Session, trace: Trace) -> None:
+    def __init__(self, scenario: Scenario, session: Session, trace: Trace) -> None:
         self.scn = scenario
         self.tree = scenario.tree
-        self.commitments = commitments
         self.session = session
         self.chain = session.chain
         self.trace = trace
@@ -226,7 +255,6 @@ class _Engine:
         self.oracle_cursor = 0
         self.proposal: Optional[_Proposal] = None
         self.step_refused = False
-        self.agreed_steps: Set[NodeId] = set()
         self.last_progress = self.chain.height
         self.cap = scenario.height_cap or default_height_cap(scenario)
 
@@ -272,7 +300,7 @@ class _Engine:
             self.oracle_cursor += 1
             if label in self.session.reveal_pool:
                 continue
-            self.session.publish_reveal(self.commitments.reveal(label))
+            self.session.publish_reveal(self.session.commitments.reveal(label))
             self.trace.add(Event(self.chain.height, "oracle", ORACLE_REVEAL,
                                  {"label": label}))
 
@@ -294,79 +322,36 @@ class _Engine:
 
     def _observe(self, participant: str) -> Observation:
         session = self.session
+        offchain = self.offchain
         proposal, i_agreed = self._proposal_view(participant)
         exchange = session.active_exchange()
-        owes_message = exchange is not None and exchange.next_for(participant) is not None
-        others_owe_me = self._others_owe(participant, exchange)
         # The node the on-chain walk would append next, if any.
         walk = self.next_on_path.get(session.cursor[1]) if session.cursor else None
-        walk_ready = walk is not None and session.child_ready(participant, walk)
-        if not self.offchain:
-            return Observation(
-                actor=participant, height=self.chain.height, mode=MODE_ONCHAIN,
-                phase=session.phase,
-                owes_message=owes_message,
-                others_owe_me=others_owe_me,
-                waiting_rounds=self.chain.height - self.last_progress,
-                root_appendable=session.anchor_appendable(participant),
-                proposal=proposal, i_agreed=i_agreed, step_refused=self.step_refused,
-                next_child=walk, next_child_ready=walk_ready,
-                next_child_proposable=walk is not None and self._onchain_proposable(walk),
-            )
-        head = session.offchain_head
-        nxt = self.next_on_path.get(head)
-        latest = session.latest_sealed
+        # Off-chain, steps are agreed from the newest sealed graft's origin;
+        # on-chain, a step is agreed where the walk stands.
+        head = session.offchain_head if offchain else None
+        step = self.next_on_path.get(head) if offchain else walk
+        latest = session.latest_sealed if offchain else None
         return Observation(
-            actor=participant, height=self.chain.height, mode=MODE_OFFCHAIN,
+            actor=participant, height=self.chain.height, mode=self.scn.mode,
             phase=session.phase,
-            owes_message=owes_message,
-            others_owe_me=others_owe_me,
+            owes_message=exchange is not None and exchange.next_for(participant) is not None,
+            others_owe_me=self._others_owe(participant, exchange),
             waiting_rounds=self.chain.height - self.last_progress,
-            head_appendable=session.anchor_appendable(participant),
-            init_on_chain=session.init_on_chain,
-            steps_sealed=session.steps_sealed,
-            pending_graft=session.pending_graft is not None,
+            anchor_appendable=session.anchor_appendable(participant),
+            init_on_chain=session.phase == FAILSAFE,
+            steps_sealed=session.steps_sealed if offchain else 0,
+            pending_graft=offchain and session.pending_graft is not None,
             proposal=proposal, i_agreed=i_agreed, step_refused=self.step_refused,
-            next_child=nxt,
-            next_child_proposable=nxt is not None and session.edge_satisfiable(nxt),
-            at_leaf=not self.tree.node(head).children,
+            next_child=step,
+            next_child_proposable=step is not None and session.edge_satisfiable(step),
+            at_leaf=offchain and not self.tree.node(head).children,
             latest_root_ready=latest is not None
             and session.graft_root_ready(participant, latest),
             continuation_child=walk,
-            continuation_ready=walk_ready,
-            rollback_target=self._rollback_target(),
+            continuation_ready=walk is not None and session.child_ready(participant, walk),
+            rollback_target=session.rollback_target() if offchain else None,
         )
-
-    def _onchain_needed(self, child: NodeId) -> Set[str]:
-        _, auth, labels = edge_parts(self.tree.node(child).edge)
-        owners = {self.commitments.owner(lbl) for lbl in labels
-                  if lbl in self.commitments}
-        return (set(auth) | owners) & set(self.tree.participants)
-
-    def _onchain_proposable(self, child: NodeId) -> bool:
-        if child in self.agreed_steps or not self._onchain_needed(child):
-            return False
-        tx = self.session.instances[child]
-        enabled = self.chain.enabled_at(tx)
-        if not isinstance(enabled, int) or enabled > self.chain.height:
-            return False
-        for commitment in tx.required_reveals:
-            label = commitment.label
-            if label in self.session.reveal_pool:
-                continue
-            if commitment.owner not in self.tree.participants:
-                return False
-        return True
-
-    def _rollback_target(self) -> Optional[int]:
-        session = self.session
-        if not session.init_on_chain or \
-                not self.chain.is_unspent((session.init.digest, 0)):
-            return None
-        for graft in session.sealed_grafts():
-            if not self.chain.is_appended(graft.root_instance.digest):
-                return graft.index
-        return None
 
     # -- execution -----------------------------------------------------------
 
@@ -387,15 +372,10 @@ class _Engine:
         raise ProtocolError(f"unknown action kind {kind!r} from {participant}")
 
     def _execute_propose(self, participant: str, child: Optional[NodeId]) -> bool:
-        if child is None or self.proposal is not None:
+        if child is None or self.proposal is not None or not self.session.step_open():
             return False
-        if self.offchain:
-            if self.session.pending_graft is not None:
-                return False
-            needed = set(self.tree.participants)
-        else:
-            needed = self._onchain_needed(child)
-        self.proposal = _Proposal(participant, child, needed, {participant})
+        self.proposal = _Proposal(participant, child, self.session.step_signers(child),
+                                  {participant})
         self.trace.add(Event(self.chain.height, participant, STEP_PROPOSED,
                              {"child": self.tree.node(child).name}))
         if self.proposal.needed <= self.proposal.agreed:
@@ -427,20 +407,15 @@ class _Engine:
     def _complete_agreement(self) -> None:
         child, needed = self.proposal.child, self.proposal.needed
         self.proposal = None
-        for agreer in sorted(needed):
-            self.session.publish_step_material(child, agreer)
-        if self.offchain:
-            self.session.create_graft(child)
-        else:
-            self.agreed_steps.add(child)
+        self.session.agree_step(child, needed)
 
     def _execute_append(self, participant: str, action: Action) -> bool:
         target = action.target
         session = self.session
         error: Optional[AppendError]
-        if target in (TARGET_ROOT, TARGET_HEAD):
+        if target == TARGET_ANCHOR:
             error = session.append_anchor(participant)
-        elif target in (TARGET_STEP, TARGET_CONTINUE):
+        elif target == TARGET_CONTINUE:
             if action.child is None:
                 return False
             error = session.append_child(participant, action.child)
@@ -454,7 +429,7 @@ class _Engine:
                 return False
             error = session.append_graft_root(participant, graft)
         elif target == TARGET_OLDEST_GRAFT:
-            index = self._rollback_target()
+            index = session.rollback_target()
             if index is None:
                 return False
             error = session.append_graft_root(participant, session.grafts[index])
@@ -492,7 +467,7 @@ def run(scenario: Scenario) -> Trace:
             tree, commitments, salt, trace, scenario.t)
     else:
         session = OnchainSession(tree, commitments, salt, trace)
-    engine = _Engine(scenario, commitments, session, trace)
+    engine = _Engine(scenario, session, trace)
     outcome = engine.run_rounds()
     summarize_run(trace, session.chain, tree.fee, outcome,
                   completion_height=session.chain.height
@@ -548,7 +523,11 @@ def compare(offchain_scenario: Scenario, onchain_scenario: Scenario) -> Comparis
     """
     if offchain_scenario.mode != MODE_OFFCHAIN or onchain_scenario.mode != MODE_ONCHAIN:
         raise ValueError("compare wants one offchain and one onchain scenario")
-    if contract_to_dict(offchain_scenario.tree) != contract_to_dict(onchain_scenario.tree):
+    # Re-parsed, both trees number their nodes in preorder, and comparing
+    # the flat trees costs no recursion per level as nested dicts would.
+    off_tree, on_tree = (contract_from_dict(contract_to_dict(s.tree))
+                         for s in (offchain_scenario, onchain_scenario))
+    if off_tree != on_tree:
         raise ValueError("scenarios use different contracts")
     if offchain_scenario.path != onchain_scenario.path:
         raise ValueError("scenarios follow different branches")

@@ -23,7 +23,7 @@ timelocks guarantee the newest agreed state can always land first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from .contract import (
     CONTINUATION,
@@ -35,7 +35,7 @@ from .contract import (
     subtree_height,
     validate_tree,
 )
-from .ledger import AppendError, ChainState, TxInstance, make_tx
+from .ledger import AppendError, TxInstance, make_tx
 from .trace import (
     FAILSAFE_TRIGGERED,
     GRAFT_APPENDED,
@@ -101,20 +101,17 @@ class OffchainCompilation:
     init: TxInstance
     shadow: Dict[NodeId, TxInstance]
     deposits: Dict[str, TxInstance]
-    t: int
 
 
 def compile_offchain(tree: ContractTree, commitments: CommitmentSet, salt: bytes,
-                     t: int, deposits: Optional[Dict[str, TxInstance]] = None
-                     ) -> OffchainCompilation:
+                     t: int) -> OffchainCompilation:
     """Build Head, Init, and the shadow copy of the whole contract."""
     errors = validate_tree(tree)
     if errors:
         raise ProtocolError(f"invalid contract: {errors[0]}")
     if t < 1:
         raise ProtocolError(f"timelock unit must be at least 1 block, got {t}")
-    if deposits is None:
-        deposits = make_deposits(tree, salt)
+    deposits = make_deposits(tree, salt)
     everyone = frozenset(tree.participants)
     pot = tree.deposit_total()
     head = make_tx(HEAD_NAME, salt,
@@ -126,7 +123,7 @@ def compile_offchain(tree: ContractTree, commitments: CommitmentSet, salt: bytes
         tree, commitments, salt, tree.root, ((init.digest, 0),),
         pot - 2 * tree.fee, subtree_height(tree, tree.root) * t,
         clear_root_edge=True)
-    return OffchainCompilation(head, init, shadow, deposits, t)
+    return OffchainCompilation(head, init, shadow, deposits)
 
 
 class OffchainSession(Session):
@@ -143,11 +140,10 @@ class OffchainSession(Session):
     ANCHOR_ROLE = ROLE_HEAD
 
     def __init__(self, tree: ContractTree, commitments: CommitmentSet, salt: bytes,
-                 trace: Trace, t: int, chain: Optional[ChainState] = None) -> None:
+                 trace: Trace, t: int) -> None:
         comp = compile_offchain(tree, commitments, salt, t)
         body = [comp.init] + [comp.shadow[n] for n in iter_preorder(tree)]
-        super().__init__(tree, commitments, salt, trace, chain, comp.deposits,
-                         comp.head, body)
+        super().__init__(tree, commitments, salt, trace, comp.deposits, comp.head, body)
         self.t = t
         self.head = comp.head
         self.init = comp.init
@@ -169,9 +165,6 @@ class OffchainSession(Session):
 
     # -- graft bookkeeping ---------------------------------------------------
 
-    def sealed_grafts(self) -> List[Graft]:
-        return [g for g in self.grafts if g.sealed]
-
     @property
     def offchain_head(self) -> NodeId:
         """The node the off-chain execution currently stands at."""
@@ -185,10 +178,27 @@ class OffchainSession(Session):
         latest = self.latest_sealed
         return latest.seal_height if latest else None
 
+    def rollback_target(self) -> Optional[int]:
+        """Index of the oldest sealed graft whose root could still redeem
+        Init, if Init is on-chain and unspent: the state a rollback would
+        settle."""
+        if not self.init_on_chain or not self.chain.is_unspent((self.init.digest, 0)):
+            return None
+        for graft in self.grafts:
+            if graft.sealed and not self.chain.is_appended(graft.root_instance.digest):
+                return graft.index
+        return None
+
     # -- published material --------------------------------------------------
 
     def copies(self, child: NodeId) -> List[TxInstance]:
         return [g.instances[child] for g in self.grafts if child in g.instances]
+
+    # -- agreeing on a step --------------------------------------------------
+
+    def step_signers(self, child: NodeId) -> Set[str]:
+        """Every participant signs every graft, so everyone agrees."""
+        return set(self.tree.participants)
 
     def edge_satisfiable(self, child: NodeId) -> bool:
         """Can a step to ``child`` be agreed right now?  Reveals must be
@@ -206,6 +216,10 @@ class OffchainSession(Session):
         if delay and (anchor is None or self.chain.height < anchor + delay):
             return False
         return True
+
+    def agree_step(self, child: NodeId, signers: Iterable[str]) -> None:
+        super().agree_step(child, signers)
+        self.create_graft(child)
 
     # -- signature exchanges -------------------------------------------------
 
@@ -338,9 +352,8 @@ def offchain_step(session: OffchainSession, child: NodeId,
     if not session.edge_satisfiable(child):
         raise ProtocolError(
             f"edge into {session.tree.node(child).name} is not satisfiable")
-    for p in session.tree.participants:
-        session.publish_step_material(child, p)
-    graft = session.create_graft(child)
+    session.agree_step(child, session.tree.participants)
+    graft = session.pending_graft
     plan = graft.exchange.messages
     for index in range(len(plan)):
         if withhold_at is not None and index == withhold_at:
@@ -350,13 +363,13 @@ def offchain_step(session: OffchainSession, child: NodeId,
     return graft
 
 
-def finalize(session: OffchainSession, path_names: Optional[Sequence[str]] = None,
-             actor: Optional[str] = None) -> Trace:
+def finalize(session: OffchainSession,
+             path_names: Optional[Sequence[str]] = None) -> Trace:
     """Append Init (if needed) and the latest sealed graft root at its
     enablement, then continue on-chain along ``path_names`` — cooperative:
-    edge signers authorize and the oracle's remaining secrets are treated
-    as revealed at need."""
-    actor = actor or session.tree.participants[0]
+    the first participant acts, edge signers authorize and the oracle's
+    remaining secrets are treated as revealed at need."""
+    actor = session.tree.participants[0]
     if not session.init_on_chain:
         error = session.append_init(actor)
         if error is not None:

@@ -22,7 +22,7 @@ session in ``offchain`` builds on it with Head as its anchor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .contract import (
     CONTINUATION,
@@ -350,26 +350,27 @@ class Session:
     """The protocol core both execution modes share: deposits on the chain,
     a pairwise stipulation exchange whose last messages sign the
     deposit-spending ``anchor``, public pools of published material, and
-    a cursor that walks one map of instances on-chain.
+    a cursor that walks one map of instances on-chain, and the rules for
+    agreeing on a contract step.
 
     ``cursor`` is ``(instances, node)``: the last appended node and the
     instance map its children are taken from.  A subclass builds the
-    anchor and the stipulation body and says what landing the anchor
-    means in ``_anchored``.
+    anchor and the stipulation body, says what landing the anchor means
+    in ``_anchored``, and says who must agree to a step, when a step is
+    agreeable, and what an agreed step becomes.
     """
 
     MODE = ""
     ANCHOR_ROLE = ROLE_NODE
 
     def __init__(self, tree: ContractTree, commitments: CommitmentSet, salt: bytes,
-                 trace: Trace, chain: Optional[ChainState],
-                 deposits: Dict[str, TxInstance], anchor: TxInstance,
+                 trace: Trace, deposits: Dict[str, TxInstance], anchor: TxInstance,
                  body: Sequence[TxInstance]) -> None:
         self.tree = tree
         self.commitments = commitments
         self.salt = salt
         self.trace = trace
-        self.chain = chain if chain is not None else ChainState(tree.fee)
+        self.chain = ChainState(tree.fee)
         self.deposits = deposits
         self.anchor = anchor
         # The announced transaction set: the stipulation body plus the anchor.
@@ -408,23 +409,38 @@ class Session:
         """Every instance of ``child`` that an agreement must authorize."""
         raise NotImplementedError
 
-    def publish_step_material(self, child: NodeId, actor: str) -> List[Event]:
-        """What ``actor`` contributes when agreeing to step to ``child``:
-        authorization signatures on every copy of the child's instance,
-        and openings of its own secrets on that edge."""
-        events: List[Event] = []
+    # -- agreeing on a step --------------------------------------------------
+
+    def step_signers(self, child: NodeId) -> Set[str]:
+        """The participants who must agree to a step to ``child``."""
+        raise NotImplementedError
+
+    def edge_satisfiable(self, child: NodeId) -> bool:
+        """Could a step to ``child`` be agreed right now?"""
+        raise NotImplementedError
+
+    def step_open(self) -> bool:
+        """May a step be proposed now?  Only while running, and never while
+        the signatures of an earlier agreed step are still being exchanged."""
+        return self.phase == RUNNING and self.active_exchange() is None
+
+    def agree_step(self, child: NodeId, signers: Iterable[str]) -> None:
+        """Everyone in ``signers`` has agreed to step to ``child``.  Each, in
+        name order, publishes its authorization on every copy of the
+        child's instance and opens its own secrets on that edge; a subclass
+        then makes the step enforceable."""
         _, auth, labels = edge_parts(self.tree.node(child).edge)
-        if actor in auth:
-            for inst in self.copies(child):
-                if actor in inst.edge_signers:
-                    self.publish_edge_auth(inst.digest, actor)
-        for label in labels:
-            if label in self.commitments and self.commitments.owner(label) == actor \
-                    and label not in self.reveal_pool:
-                self.publish_reveal(self.commitments.reveal(label))
-                events.append(self.trace.add(Event(
-                    self.chain.height, actor, SECRET_PUBLISHED, {"label": label})))
-        return events
+        for signer in sorted(signers):
+            if signer in auth:
+                for inst in self.copies(child):
+                    if signer in inst.edge_signers:
+                        self.publish_edge_auth(inst.digest, signer)
+            for label in labels:
+                if label in self.commitments and self.commitments.owner(label) == signer \
+                        and label not in self.reveal_pool:
+                    self.publish_reveal(self.commitments.reveal(label))
+                    self.trace.add(Event(self.chain.height, signer, SECRET_PUBLISHED,
+                                         {"label": label}))
 
     # -- signature exchanges -------------------------------------------------
 
@@ -556,18 +572,45 @@ class OnchainSession(Session):
     MODE = "onchain"
 
     def __init__(self, tree: ContractTree, commitments: CommitmentSet, salt: bytes,
-                 trace: Trace, chain: Optional[ChainState] = None) -> None:
+                 trace: Trace) -> None:
         errors = validate_tree(tree)
         if errors:
             raise ProtocolError(f"invalid contract: {errors[0]}")
         deposits = make_deposits(tree, salt)
         self.instances = compile_onchain(tree, commitments, salt, deposits)
         body = [self.instances[i] for i in iter_preorder(tree) if i != tree.root]
-        super().__init__(tree, commitments, salt, trace, chain, deposits,
+        super().__init__(tree, commitments, salt, trace, deposits,
                          self.instances[tree.root], body)
+        # Steps agreed so far; an agreed step is appended, not agreed again.
+        self.agreed_steps: Set[NodeId] = set()
 
     def copies(self, child: NodeId) -> List[TxInstance]:
         return [self.instances[child]]
+
+    def step_signers(self, child: NodeId) -> Set[str]:
+        """The edge's authorizers and the participants owning its secrets;
+        an edge that needs neither is appended without agreement."""
+        _, auth, labels = edge_parts(self.tree.node(child).edge)
+        owners = {self.commitments.owner(label) for label in labels
+                  if label in self.commitments}
+        return (set(auth) | owners) & set(self.tree.participants)
+
+    def edge_satisfiable(self, child: NodeId) -> bool:
+        """Worth agreeing now: not agreed yet, someone must agree, the
+        instance is enabled on the chain, and every reveal is published or
+        held by a participant who would open it on agreement."""
+        if child in self.agreed_steps or not self.step_signers(child):
+            return False
+        tx = self.instances[child]
+        enabled = self.chain.enabled_at(tx)
+        if not isinstance(enabled, int) or enabled > self.chain.height:
+            return False
+        return all(c.label in self.reveal_pool or c.owner in self.tree.participants
+                   for c in tx.required_reveals)
+
+    def agree_step(self, child: NodeId, signers: Iterable[str]) -> None:
+        super().agree_step(child, signers)
+        self.agreed_steps.add(child)
 
     def _anchored(self) -> None:
         self.phase = RUNNING

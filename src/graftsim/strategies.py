@@ -33,14 +33,12 @@ REFUSE = "refuse"
 IDLE = "idle"
 
 # Append targets
-TARGET_ROOT = "root"            # on-chain root after stipulation
-TARGET_STEP = "step"            # on-chain child append (carries .child)
-TARGET_HEAD = "head"
+TARGET_ANCHOR = "anchor"        # after stipulation: the root on-chain, Head off-chain
+TARGET_CONTINUE = "continue"    # next node of the on-chain walk (carries .child)
 TARGET_INIT = "init"
 TARGET_FAILSAFE = "failsafe"    # deliberate Init append with a trigger event
 TARGET_LATEST_GRAFT = "latest_graft"
 TARGET_OLDEST_GRAFT = "oldest_graft"
-TARGET_CONTINUE = "continue"    # graft-body continuation (carries .child)
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,8 @@ class Observation:
 
     Everything here is derivable from public chain state, the
     participant's own stores and obligations, and protocol bookkeeping;
-    nothing exposes other participants' private holdings.
+    nothing exposes other participants' private holdings.  The graft
+    fields keep their defaults on-chain.
     """
     actor: str
     height: int
@@ -58,21 +57,19 @@ class Observation:
     owes_message: bool           # I could deliver a message right now
     others_owe_me: bool          # an exchange or agreement is waiting on others
     waiting_rounds: int          # rounds since anyone last made progress
-    root_appendable: bool = False
-    head_appendable: bool = False
+    anchor_appendable: bool = False                 # TARGET_ANCHOR would land now
     init_on_chain: bool = False
     steps_sealed: int = 0
     pending_graft: bool = False
     proposal: Optional[Tuple[str, NodeId]] = None   # (proposer, child)
     i_agreed: bool = True
     step_refused: bool = False
-    next_child: Optional[NodeId] = None             # next node on the intended branch
-    next_child_ready: bool = False                  # appendable now (on-chain step)
+    next_child: Optional[NodeId] = None             # next step to agree on the branch
     next_child_proposable: bool = False             # edge satisfiable by agreement now
     at_leaf: bool = False                           # off-chain head is a leaf
     latest_root_ready: bool = False
-    continuation_child: Optional[NodeId] = None
-    continuation_ready: bool = False
+    continuation_child: Optional[NodeId] = None     # next node of the on-chain walk
+    continuation_ready: bool = False                # TARGET_CONTINUE would land now
     rollback_target: Optional[int] = None           # oldest appendable old-state graft
 
 
@@ -98,38 +95,32 @@ def register(name: str) -> Callable[[Strategy], Strategy]:
 
 
 def _onchain_progress(obs: Observation) -> Action:
-    """Cooperative on-chain play: stipulate, then walk the intended branch."""
-    if obs.phase == STIPULATING:
-        if obs.owes_message:
-            return Action(SEND)
-        if obs.root_appendable:
-            return Action(APPEND, TARGET_ROOT)
-        return _IDLE
+    """Cooperative on-chain play after stipulation: walk the intended branch."""
     if obs.phase == RUNNING and obs.next_child is not None:
         if obs.proposal is not None and not obs.i_agreed:
             proposer, child = obs.proposal
             return Action(AGREE) if child == obs.next_child else Action(REFUSE)
-        if obs.next_child_ready:
-            return Action(APPEND, TARGET_STEP, obs.next_child)
+        if obs.continuation_ready:
+            return Action(APPEND, TARGET_CONTINUE, obs.continuation_child)
         if obs.next_child_proposable and obs.proposal is None:
             return Action(PROPOSE, child=obs.next_child)
     return _IDLE
 
 
 def _cooperates_until_running(fn: Strategy) -> Strategy:
-    """Give ``fn`` only its off-chain play after stipulation: on-chain runs
-    go to ``_onchain_progress``, and off-chain stipulation is played by the
-    protocol (deliver messages, append Head) before any misbehavior."""
+    """Give ``fn`` only its off-chain play after stipulation: stipulation is
+    played by the protocol (deliver messages, append the anchor) in both
+    modes, and on-chain runs then go to ``_onchain_progress``."""
     @functools.wraps(fn)
     def strategy(obs: Observation, params: Params) -> Action:
-        if obs.mode == "onchain":
-            return _onchain_progress(obs)
         if obs.phase == STIPULATING:
             if obs.owes_message:
                 return Action(SEND)
-            if obs.head_appendable:
-                return Action(APPEND, TARGET_HEAD)
+            if obs.anchor_appendable:
+                return Action(APPEND, TARGET_ANCHOR)
             return _IDLE
+        if obs.mode == "onchain":
+            return _onchain_progress(obs)
         return fn(obs, params)
     return strategy
 

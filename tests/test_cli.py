@@ -45,6 +45,12 @@ class TestValidate:
         assert main(["validate", str(bad)]) == EXIT_BAD_INPUT
         assert "error:" in capsys.readouterr().err
 
+    def test_json_nested_past_the_parser_exits_two(self, tmp_path, capsys):
+        deep = tmp_path / "deep.contract"
+        deep.write_text('{"nodes": ' + "[" * 100_000)
+        assert main(["validate", str(deep)]) == EXIT_BAD_INPUT
+        assert "nested too deeply" in capsys.readouterr().err
+
 
 class TestRun:
     def test_happy_scenario(self, capsys):
@@ -77,6 +83,35 @@ class TestRun:
             "label": "x", "contract": "gone.contract", "mode": "offchain",
             "strategies": {}, "path": ["Bet"]}))
         assert main(["run", str(scn)]) == EXIT_BAD_INPUT
+
+
+def _out_w_shares_sum_to_11_28(contract):
+    out_w = contract["nodes"]["children"][0]["children"][0]
+    out_w["outputs"] = [{"to": "A", "share": "1/4"}, {"to": "B", "share": "1/7"}]
+
+
+@pytest.mark.parametrize("scenario_patch, contract_patch, code, message", [
+    ({"t": 0}, None, EXIT_BAD_INPUT, "t must be in"),
+    ({"t": 2 ** 31}, None, EXIT_BAD_INPUT, "shadow root's timelock"),
+    ({"strategies": {"A": "honest"}}, None, EXIT_BAD_INPUT, "strategy for A"),
+    ({"seed": -1}, None, EXIT_BAD_INPUT, "seed must be in"),
+    ({}, lambda c: c["deposits"].update(A=2 ** 64), EXIT_INVALID, "TooLarge at deposits"),
+    ({}, _out_w_shares_sum_to_11_28, EXIT_INVALID, "leaf shares sum to 11/28"),
+], ids=["t-zero", "t-past-u32-timelock", "strategy-not-an-object", "negative-seed", "deposit-over-u64",
+        "leaf-shares-11/28"])
+def test_bad_scenario_values_end_in_one_line(tmp_path, capsys, scenario_patch,
+                                             contract_patch, code, message):
+    contract = json.loads(Path(bundled("bo3.contract")).read_text())
+    if contract_patch:
+        contract_patch(contract)
+    (tmp_path / "c.contract").write_text(json.dumps(contract))
+    data = json.loads(Path(bundled("bo3_happy.scn")).read_text())
+    data.update(contract="c.contract", **scenario_patch)
+    scn = tmp_path / "s.scn"
+    scn.write_text(json.dumps(data))
+    assert main(["run", str(scn)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 class TestCompare:

@@ -7,6 +7,9 @@ from fractions import Fraction
 import pytest
 
 from graftsim.contract import (
+    MAX_AMOUNT,
+    MAX_NAME_BYTES,
+    MAX_TIMELOCK,
     After,
     AuthBy,
     ContractParseError,
@@ -28,6 +31,9 @@ from graftsim.contract import (
     subtree_size,
     validate_tree,
 )
+from graftsim.onchain import compile_onchain
+from graftsim.treegen import chain_tree
+from graftsim.witness import CommitmentSet
 
 
 def names(tree, ids):
@@ -124,6 +130,20 @@ class TestValidation:
         nodes[3] = replace(nodes[3], edge=(RevealReq("nope"),))
         assert "UnknownSecret" in self._kinds(replace(three_party, nodes=nodes))
 
+    def test_values_the_encoding_cannot_hold(self, three_party):
+        nodes = dict(three_party.nodes)
+        nodes[1] = replace(nodes[1], edge=(After(MAX_TIMELOCK),))
+        nodes[3] = replace(nodes[3], name="x" * MAX_NAME_BYTES)
+        at_limit = replace(three_party, nodes=nodes,
+                           deposits={"A": MAX_AMOUNT - 20, "B": 10, "C": 10})
+        assert validate_tree(at_limit) == []
+        compile_onchain(at_limit, CommitmentSet([("SA", "A")], 0), b"salt")
+        nodes[1] = replace(nodes[1], edge=(After(MAX_TIMELOCK + 1),))
+        nodes[3] = replace(nodes[3], name="x" * (MAX_NAME_BYTES + 1))
+        over = replace(at_limit, nodes=nodes, deposits={"A": MAX_AMOUNT - 19, "B": 10, "C": 10})
+        assert [(e.kind, e.where) for e in validate_tree(over)] == [
+            ("TooLarge", "T1"), ("TooLarge", "deposits"), ("TooLarge", "names")]
+
     def test_oracle_secret_owner_is_allowed(self, bo3_tree):
         assert all(s.owner == "oracle" for s in bo3_tree.secrets)
         assert validate_tree(bo3_tree) == []
@@ -193,6 +213,13 @@ class TestSerialization:
         data = contract_to_dict(three_party)
         again = contract_from_dict(data)
         assert contract_to_dict(again) == data
+
+    def test_deep_round_trip_without_recursion(self):
+        # Deeper than the interpreter's default recursion limit of 1000.
+        deep = chain_tree(1500)
+        again = contract_from_dict(contract_to_dict(deep))
+        assert names(again, iter_preorder(again)) == names(deep, iter_preorder(deep))
+        assert contract_from_dict(contract_to_dict(again)) == again
 
     def test_bad_edge_requirement_rejected(self):
         data = {"participants": ["A"], "deposits": {"A": 5}, "fee": 0,

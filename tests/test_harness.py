@@ -1,10 +1,16 @@
 """Scenario loading and the round engine, pinned on the bundled scenarios."""
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from graftsim.contract import subtree_height
+import graftsim
+from graftsim.contract import NodeTemplate, subtree_height
 from graftsim.harness import (
     MODE_OFFCHAIN,
     MODE_ONCHAIN,
@@ -265,7 +271,44 @@ class TestCensusAndCaps:
         deep = chain_tree(5000)
         assert subtree_height(deep, deep.root) == 4999
 
+    def test_compare_on_a_deep_contract(self):
+        # A 1,500-node chain plus a leaf "Out" below its root: deeper than
+        # the recursion limit, with a one-step branch to run.
+        chain = chain_tree(1500)
+        out = max(chain.nodes) + 1
+        nodes = dict(chain.nodes)
+        nodes[chain.root] = replace(nodes[chain.root],
+                                    children=nodes[chain.root].children + (out,))
+        nodes[out] = NodeTemplate(out, "Out", outputs=chain.nodes[out - 1].outputs)
+        tree = replace(chain, nodes=nodes)
+        off, on = (Scenario(label=mode, tree=tree, mode=mode, path=("N1", "Out"),
+                            strategies={p: ("honest", {}) for p in tree.participants})
+                   for mode in (MODE_OFFCHAIN, MODE_ONCHAIN))
+        comparison = compare(off, on)
+        assert comparison.offchain.outcome == comparison.onchain.outcome == "leaf"
+
     def test_default_height_cap_scales_with_the_contract(self, bo3_tree):
         scn = scenario_from_dict(scn_dict(t=2, oracle=[[6, "L3"]]), bundled_data_dir())
         # 10 * (last reveal 6 + (height 3 + 2) * t 2 + patience 2 + 5)
         assert default_height_cap(scn) == 230
+
+
+def test_traces_match_the_goldens_across_hash_seeds(tmp_path):
+    """Trace bytes do not depend on set or dict iteration order."""
+    golden = Path(__file__).parent / "golden"
+    script = ("import sys\n"
+              "from graftsim.cli import main\n"
+              "for scn, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+              "    main(['run', scn, '--trace', out])\n")
+    names = ("bo3_happy", "bo3_staller")
+    src = str(Path(graftsim.__file__).parents[1])
+    for hash_seed in ("0", "1", "2", "4294967295"):
+        args = []
+        for name in names:
+            args += [str(bundled_data_dir() / f"{name}.scn"), str(tmp_path / f"{name}.trace")]
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", script, *args], env=env, check=True,
+                       stdout=subprocess.DEVNULL, timeout=60)
+        for name in names:
+            assert (tmp_path / f"{name}.trace").read_bytes() == \
+                (golden / f"{name}.trace").read_bytes(), (hash_seed, name)

@@ -15,6 +15,7 @@ from graftsim.onchain import (
     run_onchain_baseline,
 )
 from graftsim.trace import (
+    SECRET_PUBLISHED,
     SIGNATURE_SENT,
     STIPULATION_ABORTED,
     STIPULATION_COMPLETE,
@@ -212,6 +213,42 @@ class TestStepping:
         assert error is not None and error.code == "TimelockNotExpired"
         session.chain.tick(5)
         assert session.append_child("A", ids["T1"]) is None
+
+
+class TestStepAgreement:
+    def test_step_signers_are_authorizers_and_secret_owners(self, three_party):
+        session = session_for(three_party)
+        ids = by_name(three_party)
+        assert session.step_signers(ids["T2"]) == {"A", "B"}  # A owns SA, B authorizes
+        assert session.step_signers(ids["T3"]) == {"C"}
+        assert session.step_signers(ids["T1"]) == set()  # a bare timelock
+
+    def test_edge_satisfiable_follows_the_chain_and_the_agreement(self, three_party):
+        session = session_for(three_party)
+        ids = by_name(three_party)
+        t2, t4, t5 = ids["T2"], ids["T4"], ids["T5"]
+        assert not session.edge_satisfiable(t2)  # the root is not on-chain yet
+        session.stipulate()
+        assert session.edge_satisfiable(t2) and session.edge_satisfiable(ids["T3"])
+        assert not session.edge_satisfiable(ids["T1"])  # nobody has to agree
+        assert not session.edge_satisfiable(t4)  # T2 is not on-chain yet
+        session.agree_step(t2, session.step_signers(t2))
+        assert not session.edge_satisfiable(t2)  # agreed once, appended next
+        assert [e.data["label"] for e in session.trace.find(SECRET_PUBLISHED)] == ["SA"]
+        assert session.edge_pool[session.instances[t2].digest] == {"B"}
+        assert session.append_child("C", t2) is None  # C holds neither SA nor B's auth
+        assert session.edge_satisfiable(t4)
+
+    def test_a_timelock_alone_is_appended_not_agreed(self, three_party):
+        session = session_for(three_party)
+        session.stipulate()
+        ids = by_name(three_party)
+        session.agree_step(ids["T2"], {"A", "B"})
+        assert session.append_child("A", ids["T2"]) is None
+        t5 = ids["T5"]
+        assert not session.edge_satisfiable(t5) and not session.child_ready("A", t5)
+        session.chain.tick(10)
+        assert not session.edge_satisfiable(t5) and session.child_ready("A", t5)
 
 
 class TestBaselineDriver:

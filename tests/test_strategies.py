@@ -9,14 +9,12 @@ from graftsim.strategies import (
     REFUSE,
     SEND,
     STRATEGIES,
+    TARGET_ANCHOR,
     TARGET_CONTINUE,
     TARGET_FAILSAFE,
-    TARGET_HEAD,
     TARGET_INIT,
     TARGET_LATEST_GRAFT,
     TARGET_OLDEST_GRAFT,
-    TARGET_ROOT,
-    TARGET_STEP,
     WITHHOLD,
     Observation,
     honest,
@@ -57,8 +55,8 @@ class TestHonestStipulation:
         assert action.kind == SEND
 
     def test_appends_head_when_exchange_done(self):
-        action = honest(obs(phase=STIPULATING, head_appendable=True), {})
-        assert (action.kind, action.target) == (APPEND, TARGET_HEAD)
+        action = honest(obs(phase=STIPULATING, anchor_appendable=True), {})
+        assert (action.kind, action.target) == (APPEND, TARGET_ANCHOR)
 
     def test_idles_while_gated(self):
         assert honest(obs(phase=STIPULATING, others_owe_me=True), {}).kind == IDLE
@@ -133,12 +131,13 @@ class TestHonestOnchain:
         action = honest(obs(mode="onchain", phase=STIPULATING, owes_message=True), {})
         assert action.kind == SEND
         action = honest(obs(mode="onchain", phase=STIPULATING,
-                            root_appendable=True), {})
-        assert (action.kind, action.target) == (APPEND, TARGET_ROOT)
+                            anchor_appendable=True), {})
+        assert (action.kind, action.target) == (APPEND, TARGET_ANCHOR)
 
     def test_walks_the_branch(self):
-        action = honest(obs(mode="onchain", next_child=6, next_child_ready=True), {})
-        assert (action.kind, action.target, action.child) == (APPEND, TARGET_STEP, 6)
+        action = honest(obs(mode="onchain", next_child=6, continuation_child=6,
+                            continuation_ready=True), {})
+        assert (action.kind, action.target, action.child) == (APPEND, TARGET_CONTINUE, 6)
         action = honest(obs(mode="onchain", next_child=6,
                             next_child_proposable=True), {})
         assert (action.kind, action.child) == (PROPOSE, 6)
@@ -230,11 +229,12 @@ class TestSilentAborter:
 
 class TestOnchainDelegation:
     def test_all_strategies_cooperate_on_chain(self):
-        view = obs(mode="onchain", next_child=6, next_child_ready=True)
+        view = obs(mode="onchain", next_child=6, continuation_child=6,
+                   continuation_ready=True)
         for name in ("staller", "premature_init", "rollback_attacker",
                      "silent_aborter"):
             action = STRATEGIES[name](view, {"stall_after_steps": 0,
                                              "trigger_step": 1,
                                              "refuse_at_step": 0})
             assert (action.kind, action.target, action.child) == \
-                (APPEND, TARGET_STEP, 6)
+                (APPEND, TARGET_CONTINUE, 6)
