@@ -369,13 +369,13 @@ def _requirement_to_dict(req: EdgeRequirement) -> Dict:
 
 def contract_from_dict(data: Dict) -> ContractTree:
     try:
-        participants = tuple(sorted(data["participants"]))
+        participants = tuple(sorted(str(p) for p in data["participants"]))
         deposits = {str(k): int(v) for k, v in data["deposits"].items()}
         fee = int(data["fee"])
         secrets = tuple(SecretDecl(str(s["label"]), str(s["owner"]))
                         for s in data.get("secrets", []))
         root_obj = data["nodes"]
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise ContractParseError(f"missing or malformed contract field: {exc}") from exc
 
     nodes: Dict[NodeId, NodeTemplate] = {}

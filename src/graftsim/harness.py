@@ -51,7 +51,6 @@ from .onchain import (
     STIPULATING,
     Session,
     edge_parts,
-    run_onchain_baseline,
 )
 from .offchain import OffchainSession, offchain_step, start_offchain
 from .strategies import (
@@ -59,6 +58,7 @@ from .strategies import (
     APPEND,
     Action,
     IDLE,
+    INT_PARAMS,
     Observation,
     PROPOSE,
     REFUSE,
@@ -121,15 +121,17 @@ def default_height_cap(scenario: Scenario) -> int:
 
 
 def _integer(data: Dict, key: str, default: int, low: int,
-             high: Optional[int] = None) -> int:
-    """``data[key]``, or ``default`` when absent, as an int in [low, high]."""
+             high: Optional[int] = None, what: str = "") -> int:
+    """``data[key]``, or ``default`` when absent, as an int in [low, high];
+    errors call the value ``what``, or ``key``."""
     value = data.get(key, default)
+    what = what or key
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"{key} must be an integer, got {value!r}") from None
+        raise ScenarioError(f"{what} must be an integer, got {value!r}") from None
     if number < low or (high is not None and number > high):
-        raise ScenarioError(f"{key} must be in [{low}, {high or 'inf'}], got {number}")
+        raise ScenarioError(f"{what} must be in [{low}, {high or 'inf'}], got {number}")
     return number
 
 
@@ -166,7 +168,11 @@ def scenario_from_dict(data: Dict, base_dir: Union[str, Path, None] = None) -> S
         name = entry.get("name")
         if not isinstance(name, str) or name not in STRATEGIES:
             raise ScenarioError(f"unknown strategy {name!r} for {participant}")
-        strategies[participant] = (name, dict(entry.get("params", {})))
+        params = entry.get("params", {})
+        for key in INT_PARAMS[name]:
+            if key in params:
+                _integer(params, key, 0, 0, what=f"{participant}'s {name} param {key}")
+        strategies[participant] = (name, dict(params))
     for participant in tree.participants:
         strategies.setdefault(participant, ("honest", {}))
     try:
@@ -331,7 +337,7 @@ class _Engine:
         # on-chain, a step is agreed where the walk stands.
         head = session.offchain_head if offchain else None
         step = self.next_on_path.get(head) if offchain else walk
-        latest = session.latest_sealed if offchain else None
+        latest = session.latest_sealed
         return Observation(
             actor=participant, height=self.chain.height, mode=self.scn.mode,
             phase=session.phase,
@@ -350,7 +356,7 @@ class _Engine:
             and session.graft_root_ready(participant, latest),
             continuation_child=walk,
             continuation_ready=walk is not None and session.child_ready(participant, walk),
-            rollback_target=session.rollback_target() if offchain else None,
+            rollback_target=session.rollback_target(),
         )
 
     # -- execution -----------------------------------------------------------
@@ -413,28 +419,34 @@ class _Engine:
         target = action.target
         session = self.session
         error: Optional[AppendError]
-        if target == TARGET_ANCHOR:
-            error = session.append_anchor(participant)
-        elif target == TARGET_CONTINUE:
-            if action.child is None:
-                return False
-            error = session.append_child(participant, action.child)
-        elif target == TARGET_INIT:
-            error = session.append_init(participant)
-        elif target == TARGET_FAILSAFE:
-            error = session.trigger_failsafe(participant)
-        elif target == TARGET_LATEST_GRAFT:
-            graft = session.latest_sealed
-            if graft is None:
-                return False
-            error = session.append_graft_root(participant, graft)
-        elif target == TARGET_OLDEST_GRAFT:
-            index = session.rollback_target()
-            if index is None:
-                return False
-            error = session.append_graft_root(participant, session.grafts[index])
-        else:
-            raise ProtocolError(f"unknown append target {target!r} from {participant}")
+        try:
+            if target == TARGET_ANCHOR:
+                error = session.append_anchor(participant)
+            elif target == TARGET_CONTINUE:
+                error = session.append_child(participant, action.child)
+            elif target == TARGET_INIT:
+                error = session.append_init(participant)
+            elif target == TARGET_FAILSAFE:
+                if session.phase == FAILSAFE:
+                    return False  # Init has landed: nothing is left to trigger
+                error = session.trigger_failsafe(participant)
+            elif target == TARGET_LATEST_GRAFT:
+                graft = session.latest_sealed
+                if graft is None:
+                    return False
+                error = session.append_graft_root(participant, graft)
+            elif target == TARGET_OLDEST_GRAFT:
+                index = session.rollback_target()
+                if index is None:
+                    return False
+                error = session.append_graft_root(participant, session.grafts[index])
+            else:
+                raise ValueError(f"unknown append target {target!r} from {participant}")
+        except ProtocolError:
+            # The session refuses the move outright (Init in an on-chain run
+            # or before Head, a node off the walk): no progress, like an
+            # append the ledger rejects.
+            return False
         return error is None
 
 
@@ -551,24 +563,19 @@ def message_census(tree: ContractTree, path_names: Optional[Sequence[str]] = Non
 
     The walk descends to the deepest leaf unless ``path_names`` says
     otherwise.  Off-chain that covers stipulation plus one graft per
-    step; on-chain, stipulation alone.
+    step; on-chain every signature message is a stipulation message, so
+    the walk adds none.
     """
     if path_names is None:
         ids = deepest_leaf_path(tree)
     else:
         ids = resolve_path(tree, list(path_names))
     if mode == MODE_ONCHAIN:
-        names = [tree.node(n).name for n in ids]
-        owner_of = {s.label: s.owner for s in tree.secrets}
-        outside = {}
-        for child in ids[1:]:
-            _, _, labels = edge_parts(tree.node(child).edge)
-            for label in labels:
-                if owner_of.get(label) not in tree.participants:
-                    outside[label] = (0, label)
-        trace = run_onchain_baseline(tree, names, oracle=tuple(outside.values()),
-                                     seed=seed, label="census")
-        return trace.count(SIGNATURE_SENT)
+        commitments = CommitmentSet([(s.label, s.owner) for s in tree.secrets], seed)
+        onchain = OnchainSession(tree, commitments, scenario_salt(seed, MODE_ONCHAIN),
+                                 Trace({"label": "census"}))
+        onchain.stipulate()
+        return onchain.trace.count(SIGNATURE_SENT)
     session = start_offchain(tree, seed=seed, t=t, label="census")
     session.stipulate()
     for child in ids[1:]:

@@ -2,15 +2,16 @@
 
 A transaction instance is immutable: its digest covers the input
 references, relative timelock, outputs, display name, and compilation
-salt.  ``ChainState.try_append`` validates an instance against a witness
-in a fixed order and either appends it or reports the first rule it
-violates, so outcomes are stable across runs.
+salt.  ``ChainState.check`` validates an instance against a witness in a
+fixed order and reports the first rule it violates; ``try_append`` is
+that check followed by the append, so outcomes are stable across runs
+and a dry run gives exactly the ledger's answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from .contract import CONTINUATION, OutputSpec
 from .witness import (
@@ -127,12 +128,6 @@ class ValueMismatch(AppendError):
         return {"expected": self.expected, "got": self.got}
 
 
-@dataclass(frozen=True)
-class Blocked:
-    """Result of ``enabled_at`` when an instance cannot currently be timed."""
-    reason: AppendError
-
-
 class ChainState:
     """Height, appended transactions, and the live UTxO set."""
 
@@ -152,23 +147,23 @@ class ChainState:
     def is_unspent(self, ref: InputRef) -> bool:
         return ref in self.utxos
 
-    def enabled_at(self, tx: TxInstance) -> Union[int, Blocked]:
+    def enabled_at(self, tx: TxInstance) -> Optional[int]:
         """Earliest height at which the timelock rule passes, assuming the
-        inputs stay unspent.  Returns ``Blocked`` if an input is missing."""
+        inputs stay unspent.  None if an input is missing."""
         if tx.is_deposit:
             return 0
         latest = 0
         for ref in tx.inputs:
             if ref not in self.utxos:
-                return Blocked(MissingInput(ref))
+                return None
             src_height = self.appended[ref[0]][1]
             latest = max(latest, src_height + tx.rel_timelock)
         return latest
 
-    def try_append(self, tx: TxInstance, witness: AppendWitness = EMPTY_WITNESS) -> Optional[AppendError]:
-        """Validate and append.  Returns None on success, otherwise the
-        first violated rule: inputs, signatures, reveals, timelocks, value
-        conservation — in that order."""
+    def check(self, tx: TxInstance, witness: AppendWitness = EMPTY_WITNESS) -> Optional[AppendError]:
+        """Would ``try_append`` accept this?  Returns None if so, otherwise
+        the first violated rule: inputs, signatures, reveals, timelocks,
+        value conservation — in that order.  Changes nothing."""
         if tx.digest in self.appended:
             return MissingInput((tx.digest, 0)) if tx.is_deposit else MissingInput(tx.inputs[0])
 
@@ -193,14 +188,20 @@ class ChainState:
 
         if not tx.is_deposit:
             needed = self.enabled_at(tx)
-            assert isinstance(needed, int)
             if self.height < needed:
                 return TimelockNotExpired(needed)
 
             input_total = sum(self.utxos[ref].value for ref in tx.inputs)
             if tx.output_total() + self.fee != input_total:
                 return ValueMismatch(input_total - self.fee, tx.output_total())
+        return None
 
+    def try_append(self, tx: TxInstance, witness: AppendWitness = EMPTY_WITNESS) -> Optional[AppendError]:
+        """Validate with ``check`` and append.  Returns None on success,
+        otherwise the first violated rule, appending nothing."""
+        error = self.check(tx, witness)
+        if error is not None:
+            return error
         for ref in tx.inputs:
             del self.utxos[ref]
         for index, output in enumerate(tx.outputs):

@@ -57,14 +57,12 @@ from .onchain import (
     Exchange,
     ProtocolError,
     Session,
-    build_witness,
     edge_parts,
     exchange_plan,
     instantiate_subtree,
     make_deposits,
-    record_append,
 )
-from .witness import IMPLICIT, CommitmentSet, scenario_salt
+from .witness import CommitmentSet, scenario_salt
 
 _DRIVER_GUARD = 100_000
 
@@ -284,8 +282,7 @@ class OffchainSession(Session):
     def append_init(self, actor: str) -> Optional[AppendError]:
         if self.phase not in (RUNNING, FAILSAFE):
             raise ProtocolError("Init cannot be appended before Head")
-        witness = build_witness(self.init, actor, self.stores[actor])
-        error = record_append(self.trace, self.chain, actor, self.init, witness, ROLE_INIT)
+        error = self.append(actor, self.init, ROLE_INIT)
         if error is None:
             self.init_on_chain = True
             self.phase = FAILSAFE
@@ -300,37 +297,36 @@ class OffchainSession(Session):
         """Deliberate move on-chain: idempotent once Init has landed."""
         if self.init_on_chain:
             return None
+        if self.phase != RUNNING:
+            raise ProtocolError("the failsafe needs Head on-chain")
         self.trace.add(Event(self.chain.height, actor, FAILSAFE_TRIGGERED,
                              {"steps_sealed": self.steps_sealed}))
         return self.append_init(actor)
 
     def append_graft_root(self, actor: str, graft: Graft) -> Optional[AppendError]:
-        tx = graft.root_instance
-        witness = build_witness(tx, actor, self.stores[actor], self.commitments,
-                                self.reveal_pool, self.edge_pool)
-        error = record_append(self.trace, self.chain, actor, tx, witness, ROLE_GRAFT_ROOT)
+        error = self.append(actor, graft.root_instance, ROLE_GRAFT_ROOT)
         if error is None:
             self.trace.add(Event(self.chain.height, actor, GRAFT_APPENDED, {
-                "digest": tx.digest, "index": graft.index,
+                "digest": graft.root_instance.digest, "index": graft.index,
                 "origin": self.tree.node(graft.origin).name}))
             self._land(graft.instances, graft.origin)
         return error
 
     def graft_root_ready(self, actor: str, graft: Graft) -> bool:
         """Could ``actor`` land this graft root right now?"""
-        if not self.init_on_chain or self.chain.is_appended(graft.root_instance.digest):
-            return False
-        enabled = self.chain.enabled_at(graft.root_instance)
-        if not isinstance(enabled, int) or enabled > self.chain.height:
-            return False
-        held = self.stores[actor].signers(graft.root_instance.digest, IMPLICIT) | {actor}
-        return held >= set(self.tree.participants)
+        return self.init_on_chain and self.ready(actor, graft.root_instance)
 
-    def _edge_granted(self, actor: str, tx: TxInstance) -> bool:
-        # Stricter than on-chain: the actor's own authorization must already
-        # be published, although build_witness would supply it.
-        granted = self.edge_pool.get(tx.digest, ())
-        return all(s in granted for s in tx.edge_signers)
+    def child_ready(self, actor: str, child: NodeId) -> bool:
+        # The one readiness rule stricter than the ledger: continuing
+        # through a graft body waits until every authorization on the edge,
+        # the actor's own included, is published, although the actor's
+        # witness would supply its own.  An honest party whose own
+        # authorization only an agreement publishes therefore waits; the
+        # pinned rnd-19-* traces of the ACCEPTANCE 5 sweep record that wait.
+        tx = self.cursor[0].get(child) if self.cursor else None
+        if tx is not None and not tx.edge_signers <= self.edge_pool.get(tx.digest, set()):
+            return False
+        return super().child_ready(actor, child)
 
 
 # ---------------------------------------------------------------------------

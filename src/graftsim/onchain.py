@@ -294,56 +294,6 @@ def exchange_plan(
 
 
 # ---------------------------------------------------------------------------
-# Witness assembly
-
-def build_witness(
-    tx: TxInstance,
-    actor: str,
-    store: SignatureStore,
-    commitments: Optional[CommitmentSet] = None,
-    reveal_pool: Optional[Dict[str, Reveal]] = None,
-    edge_sigs: Optional[Dict[str, Set[str]]] = None,
-    extra: AppendWitness = EMPTY_WITNESS,
-) -> AppendWitness:
-    """Everything ``actor`` legitimately holds toward appending ``tx``:
-    its own signatures, signatures received into its store, execution-time
-    authorizations granted so far, published reveals, and openings of its
-    own secrets.  The witness may be incomplete; the ledger will say so."""
-    sigs = set(extra.signatures)
-    for signer in tx.required_signers:
-        if signer == actor or store.has(signer, tx.digest, IMPLICIT):
-            sigs.add(sign(signer, tx.digest, IMPLICIT))
-    for signer in tx.edge_signers:
-        if signer == actor or (edge_sigs and signer in edge_sigs.get(tx.digest, ())):
-            sigs.add(sign(signer, tx.digest, EDGE))
-    reveals = set(extra.reveals)
-    for commitment in tx.required_reveals:
-        if reveal_pool and commitment.label in reveal_pool:
-            reveals.add(reveal_pool[commitment.label])
-        elif commitments is not None and commitment.owner == actor and commitment.label in commitments:
-            reveals.add(commitments.reveal(commitment.label))
-    return AppendWitness(frozenset(sigs), frozenset(reveals))
-
-
-def record_append(trace: Trace, chain: ChainState, actor: str, tx: TxInstance,
-                  witness: AppendWitness, role: str) -> Optional[AppendError]:
-    """Attempt an append and log it, success or failure."""
-    error = chain.try_append(tx, witness)
-    outcome = "ok" if error is None else {"error": error.code, **error.detail()}
-    trace.add(Event(chain.height, actor, APPEND, {
-        "digest": tx.digest,
-        "inputs": [[d, i] for d, i in tx.inputs],
-        "name": tx.name,
-        "outcome": outcome,
-        "role": role,
-        "witness": witness_summary(witness),
-    }))
-    if error is None:
-        trace.appends.append((tx, witness, chain.height))
-    return error
-
-
-# ---------------------------------------------------------------------------
 # Sessions
 
 class Session:
@@ -351,7 +301,8 @@ class Session:
     a pairwise stipulation exchange whose last messages sign the
     deposit-spending ``anchor``, public pools of published material, and
     a cursor that walks one map of instances on-chain, and the rules for
-    agreeing on a contract step.
+    agreeing on a contract step.  Every append goes through ``append``,
+    and ``ready`` is its dry run, so readiness is the ledger's answer.
 
     ``cursor`` is ``(instances, node)``: the last appended node and the
     instance map its children are taken from.  A subclass builds the
@@ -396,6 +347,57 @@ class Session:
             self.trace.add(Event(self.chain.height, p, DEPOSIT, {
                 "digest": dep.digest, "name": dep.name, "value": dep.output_total()}))
             self.trace.appends.append((dep, EMPTY_WITNESS, self.chain.height))
+
+    # -- appends -------------------------------------------------------------
+
+    def witness(self, actor: str, tx: TxInstance,
+                extra: AppendWitness = EMPTY_WITNESS) -> AppendWitness:
+        """Everything ``actor`` legitimately holds toward appending ``tx``:
+        its own signatures, signatures received into its store, published
+        authorizations and reveals, and openings of its own secrets, on top
+        of ``extra``.  The witness may be incomplete; the ledger will say so."""
+        store = self.stores[actor]
+        sigs = set(extra.signatures)
+        for signer in tx.required_signers:
+            if signer == actor or store.has(signer, tx.digest, IMPLICIT):
+                sigs.add(sign(signer, tx.digest, IMPLICIT))
+        granted = self.edge_pool.get(tx.digest, ())
+        for signer in tx.edge_signers:
+            if signer == actor or signer in granted:
+                sigs.add(sign(signer, tx.digest, EDGE))
+        reveals = set(extra.reveals)
+        for commitment in tx.required_reveals:
+            if commitment.label in self.reveal_pool:
+                reveals.add(self.reveal_pool[commitment.label])
+            elif commitment.owner == actor:
+                reveals.add(self.commitments.reveal(commitment.label))
+        return AppendWitness(frozenset(sigs), frozenset(reveals))
+
+    def ready(self, actor: str, tx: TxInstance) -> bool:
+        """Would the ledger accept ``actor``'s append of ``tx`` right now?
+        A dry run of the append; the timing is asked first because it is
+        the usual reason to wait and needs no witness."""
+        enabled = self.chain.enabled_at(tx)
+        return enabled is not None and enabled <= self.chain.height \
+            and self.chain.check(tx, self.witness(actor, tx)) is None
+
+    def append(self, actor: str, tx: TxInstance, role: str,
+               extra: AppendWitness = EMPTY_WITNESS) -> Optional[AppendError]:
+        """Attempt ``actor``'s append of ``tx`` and log it, success or failure."""
+        witness = self.witness(actor, tx, extra)
+        error = self.chain.try_append(tx, witness)
+        outcome = "ok" if error is None else {"error": error.code, **error.detail()}
+        self.trace.add(Event(self.chain.height, actor, APPEND, {
+            "digest": tx.digest,
+            "inputs": [[d, i] for d, i in tx.inputs],
+            "name": tx.name,
+            "outcome": outcome,
+            "role": role,
+            "witness": witness_summary(witness),
+        }))
+        if error is None:
+            self.trace.appends.append((tx, witness, self.chain.height))
+        return error
 
     # -- published material --------------------------------------------------
 
@@ -480,19 +482,14 @@ class Session:
     # -- the anchor ----------------------------------------------------------
 
     def anchor_appendable(self, actor: str) -> bool:
-        if self.phase != STIPULATING or not self.stipulation.complete:
-            return False
-        held = self.stores[actor].signers(self.anchor.digest, IMPLICIT) | {actor}
-        return not self.chain.is_appended(self.anchor.digest) and \
-            held >= set(self.tree.participants)
+        return self.phase == STIPULATING and self.stipulation.complete \
+            and self.ready(actor, self.anchor)
 
     def _anchored(self) -> None:
         raise NotImplementedError
 
     def append_anchor(self, actor: str) -> Optional[AppendError]:
-        witness = build_witness(self.anchor, actor, self.stores[actor])
-        error = record_append(self.trace, self.chain, actor, self.anchor, witness,
-                              self.ANCHOR_ROLE)
+        error = self.append(actor, self.anchor, self.ANCHOR_ROLE)
         if error is None:
             self._anchored()
         return error
@@ -524,26 +521,12 @@ class Session:
             self.cursor = None
             self.phase = FINALIZED
 
-    def _edge_granted(self, actor: str, tx: TxInstance) -> bool:
-        granted = self.edge_pool.get(tx.digest, ())
-        return all(s == actor or s in granted for s in tx.edge_signers)
-
     def child_ready(self, actor: str, child: NodeId) -> bool:
         """Could ``actor`` append ``child`` below the cursor right now?"""
         if self.cursor is None:
             return False
         instances, at = self.cursor
-        if child not in self.tree.node(at).children:
-            return False
-        tx = instances[child]
-        enabled = self.chain.enabled_at(tx)
-        if not isinstance(enabled, int) or enabled > self.chain.height:
-            return False
-        held = self.stores[actor].signers(tx.digest, IMPLICIT) | {actor}
-        if not held >= tx.required_signers or not self._edge_granted(actor, tx):
-            return False
-        return all(c.label in self.reveal_pool or c.owner == actor
-                   for c in tx.required_reveals)
+        return child in self.tree.node(at).children and self.ready(actor, instances[child])
 
     def append_child(self, actor: str, child: NodeId,
                      witness: AppendWitness = EMPTY_WITNESS) -> Optional[AppendError]:
@@ -555,13 +538,25 @@ class Session:
         instances, at = self.cursor
         if child not in self.tree.node(at).children:
             raise ProtocolError(f"{child} is not a child of the current node")
-        tx = instances[child]
-        full = build_witness(tx, actor, self.stores[actor], self.commitments,
-                             self.reveal_pool, self.edge_pool, extra=witness)
-        error = record_append(self.trace, self.chain, actor, tx, full, ROLE_NODE)
+        error = self.append(actor, instances[child], ROLE_NODE, witness)
         if error is None:
             self._land(instances, child)
         return error
+
+    # -- settling an off-chain execution -------------------------------------
+    # Direct on-chain execution has no Init and no grafts: moving on-chain
+    # is refused and no settled state is there to land or roll back to.
+
+    latest_sealed = None
+
+    def rollback_target(self) -> Optional[int]:
+        return None
+
+    def append_init(self, actor: str) -> Optional[AppendError]:
+        raise ProtocolError(f"{self.MODE} execution has no Init")
+
+    def trigger_failsafe(self, actor: str) -> Optional[AppendError]:
+        return self.append_init(actor)
 
 
 class OnchainSession(Session):
@@ -603,7 +598,7 @@ class OnchainSession(Session):
             return False
         tx = self.instances[child]
         enabled = self.chain.enabled_at(tx)
-        if not isinstance(enabled, int) or enabled > self.chain.height:
+        if enabled is None or enabled > self.chain.height:
             return False
         return all(c.label in self.reveal_pool or c.owner in self.tree.participants
                    for c in tx.required_reveals)
@@ -649,29 +644,26 @@ def run_onchain_baseline(
             session.publish_reveal(commitments.reveal(lbl))
             trace.add(Event(session.chain.height, "oracle", ORACLE_REVEAL, {"label": lbl}))
 
+    actor = tree.participants[0]
     deliver_due()
     for child in path_ids[1:]:
         tx = session.instances[child]
+        # Cooperative run: edge signers authorize, secret owners open up.
+        for signer in tx.edge_signers:
+            session.publish_edge_auth(tx.digest, signer)
+        for commitment in tx.required_reveals:
+            if commitment.owner in tree.participants:
+                session.publish_reveal(commitments.reveal(commitment.label))
         for _ in range(_BASELINE_GUARD):
             deliver_due()
-            enabled = session.chain.enabled_at(tx)
-            labels_ok = all(c.label in session.reveal_pool or c.owner in tree.participants
-                            for c in tx.required_reveals)
-            if isinstance(enabled, int) and enabled <= session.chain.height and labels_ok:
-                # Cooperative run: edge signers authorize, secret owners open up.
-                for signer in tx.edge_signers:
-                    session.publish_edge_auth(tx.digest, signer)
-                owner_reveals = frozenset(
-                    commitments.reveal(c.label) for c in tx.required_reveals
-                    if c.label not in session.reveal_pool)
-                error = session.append_child(tree.participants[0], child,
-                                             AppendWitness(reveals=owner_reveals))
-                if error is not None:
-                    raise ProtocolError(f"baseline step to {tx.name} failed: {error.code}")
+            if session.child_ready(actor, child):
                 break
             session.chain.tick()
         else:
             raise ProtocolError("baseline run exceeded its guard bound")
+        error = session.append_child(actor, child)
+        if error is not None:
+            raise ProtocolError(f"baseline step to {tx.name} failed: {error.code}")
 
     summarize_run(trace, session.chain, tree.fee, OUTCOME_LEAF,
                   completion_height=session.chain.height)

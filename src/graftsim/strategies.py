@@ -85,11 +85,14 @@ Params = Dict[str, object]
 Strategy = Callable[[Observation, Params], Action]
 
 STRATEGIES: Dict[str, Strategy] = {}
+# The integer params each strategy reads, checked when a scenario loads.
+INT_PARAMS: Dict[str, Tuple[str, ...]] = {}
 
 
-def register(name: str) -> Callable[[Strategy], Strategy]:
+def register(name: str, *int_params: str) -> Callable[[Strategy], Strategy]:
     def wrap(fn: Strategy) -> Strategy:
         STRATEGIES[name] = fn
+        INT_PARAMS[name] = int_params
         return fn
     return wrap
 
@@ -125,7 +128,7 @@ def _cooperates_until_running(fn: Strategy) -> Strategy:
     return strategy
 
 
-@register("honest")
+@register("honest", "patience", "failsafe_after_steps")
 @_cooperates_until_running
 def honest(obs: Observation, params: Params) -> Action:
     """Follow the protocol; on any sign of non-cooperation, move on-chain
@@ -165,7 +168,7 @@ def honest(obs: Observation, params: Params) -> Action:
     return _IDLE
 
 
-@register("staller")
+@register("staller", "stall_after_steps")
 @_cooperates_until_running
 def staller(obs: Observation, params: Params) -> Action:
     """Cooperate for ``stall_after_steps`` steps, then agree to further
@@ -180,7 +183,7 @@ def staller(obs: Observation, params: Params) -> Action:
     return _IDLE
 
 
-@register("premature_init")
+@register("premature_init", "trigger_step")
 @_cooperates_until_running
 def premature_init(obs: Observation, params: Params) -> Action:
     """Cooperate — even propose steps — until step ``trigger_step`` is
@@ -218,7 +221,7 @@ def rollback_attacker(obs: Observation, params: Params) -> Action:
     return _IDLE
 
 
-@register("silent_aborter")
+@register("silent_aborter", "refuse_at_step")
 @_cooperates_until_running
 def silent_aborter(obs: Observation, params: Params) -> Action:
     """Cooperate for ``refuse_at_step`` steps, then refuse every further

@@ -1,9 +1,11 @@
 """Command-line interface: exit codes and printed output."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from graftsim.cli import (
     EXIT_BAD_INPUT,
@@ -97,8 +99,21 @@ def _out_w_shares_sum_to_11_28(contract):
     ({"seed": -1}, None, EXIT_BAD_INPUT, "seed must be in"),
     ({}, lambda c: c["deposits"].update(A=2 ** 64), EXIT_INVALID, "TooLarge at deposits"),
     ({}, _out_w_shares_sum_to_11_28, EXIT_INVALID, "leaf shares sum to 11/28"),
+    ({"strategies": {"A": {"name": "honest", "params": {"patience": "soon"}}}},
+     None, EXIT_BAD_INPUT, "A's honest param patience must be an integer"),
+    ({"strategies": {"A": {"name": "honest", "params": {"patience": [1]}}}},
+     None, EXIT_BAD_INPUT, "A's honest param patience must be an integer"),
+    ({"strategies": {"A": {"name": "honest", "params": {"failsafe_after_steps": "x"}}}},
+     None, EXIT_BAD_INPUT, "A's honest param failsafe_after_steps must be an integer"),
+    ({"strategies": {"B": {"name": "staller", "params": {"stall_after_steps": -1}}}},
+     None, EXIT_BAD_INPUT, "B's staller param stall_after_steps must be in [0, inf]"),
+    ({}, lambda c: c["deposits"].update(A="x"), EXIT_BAD_INPUT, "malformed contract field"),
+    ({"strategies": {}}, lambda c: c.update(participants=[None]), EXIT_INVALID,
+     "MissingDeposit at None"),
 ], ids=["t-zero", "t-past-u32-timelock", "strategy-not-an-object", "negative-seed", "deposit-over-u64",
-        "leaf-shares-11/28"])
+        "leaf-shares-11/28", "patience-not-a-number", "patience-a-list",
+        "failsafe-after-steps-not-a-number", "negative-stall-after-steps",
+        "deposit-not-a-number", "participant-not-a-name"])
 def test_bad_scenario_values_end_in_one_line(tmp_path, capsys, scenario_patch,
                                              contract_patch, code, message):
     contract = json.loads(Path(bundled("bo3.contract")).read_text())
@@ -112,6 +127,61 @@ def test_bad_scenario_values_end_in_one_line(tmp_path, capsys, scenario_patch,
     assert main(["run", str(scn)]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def _slots(doc):
+    """Every (container, key) pair of a parsed JSON document, in a fixed order."""
+    slots, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        keys = list(node) if isinstance(node, dict) else \
+            range(len(node)) if isinstance(node, list) else ()
+        for key in keys:
+            slots.append((node, key))
+            stack.append(node[key])
+    return slots
+
+
+SCENARIOS = sorted(p.name for p in bundled_data_dir().glob("*.scn"))
+DELETE = object()
+# Small integers only: a large patience, timelock or oracle height is valid
+# input that makes a run legitimately long, not a fault.
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.text(max_size=4),
+              st.sampled_from(["A", "B", "honest", "staller", "Bet", "LWL", "L1", "1/2"])),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=5)
+# A scenario slot whose key is a strategy param, for the pinned example.
+FAILSAFE_SLOT = next(i for i, (_, key) in enumerate(_slots(json.loads(
+    Path(bundled("bo3_failsafe_start.scn")).read_text()))) if key == "failsafe_after_steps")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(name=st.sampled_from(SCENARIOS),
+       mutations=st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 4),
+                                    JSON_VALUES | st.just(DELETE)), min_size=1, max_size=3))
+@example(name="bo3_failsafe_start.scn", mutations=[(False, FAILSAFE_SLOT, "x")])
+def test_mutated_inputs_end_in_an_exit_code(name, mutations):
+    # Each mutation replaces or deletes one value anywhere in the scenario
+    # or, when its flag is set, in the contract it names.
+    docs = [json.loads(Path(bundled(name)).read_text()),
+            json.loads(Path(bundled("bo3.contract")).read_text())]
+    for in_contract, index, value in mutations:
+        slots = _slots(docs[in_contract])
+        if not slots:
+            continue
+        container, key = slots[index % len(slots)]
+        if value is DELETE:
+            del container[key]
+        else:
+            container[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        scn, contract = Path(tmp) / "s.scn", Path(tmp) / "bo3.contract"
+        scn.write_text(json.dumps(docs[0]))
+        contract.write_text(json.dumps(docs[1]))
+        assert main(["validate", str(contract)]) in (0, 1, 2, 3)
+        assert main(["run", str(scn)]) in (0, 1, 2, 3)
 
 
 class TestCompare:

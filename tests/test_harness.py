@@ -26,7 +26,18 @@ from graftsim.harness import (
     run,
     scenario_from_dict,
 )
-from graftsim.strategies import IDLE, Action, STRATEGIES, register
+from graftsim.onchain import STIPULATING
+from graftsim.strategies import (
+    IDLE,
+    TARGET_FAILSAFE,
+    TARGET_INIT,
+    TARGET_LATEST_GRAFT,
+    TARGET_OLDEST_GRAFT,
+    Action,
+    STRATEGIES,
+    honest,
+    register,
+)
 from graftsim.treegen import chain_tree
 from graftsim.trace import (
     APPEND,
@@ -235,6 +246,29 @@ class TestEngineWatchdog:
         assert trace.summary["payouts"] == {"A": 50, "B": 50}  # deposits intact
         aborted = trace.find(STIPULATION_ABORTED)
         assert aborted and aborted[0].data["withholder"] == "A"
+
+    @pytest.mark.parametrize("name, target", [
+        ("bo3_onchain", TARGET_INIT),
+        ("bo3_onchain", TARGET_FAILSAFE),
+        ("bo3_onchain", TARGET_LATEST_GRAFT),
+        ("bo3_onchain", TARGET_OLDEST_GRAFT),
+        ("bo3_happy", TARGET_FAILSAFE),
+    ])
+    def test_a_move_the_session_refuses_is_no_progress(self, name, target):
+        # After stipulation A asks for the same append on every poll: an
+        # off-chain move in an on-chain run, or the failsafe again once
+        # Init has landed.  The run carries on without A's move.
+        @register("insistent")
+        def insistent(observation, params):
+            if observation.phase == STIPULATING:
+                return honest(observation, params)
+            return Action(graftsim.strategies.APPEND, target)
+        scn = load(name)
+        try:
+            trace = run(replace(scn, strategies={**scn.strategies, "A": ("insistent", {})}))
+        finally:
+            del STRATEGIES["insistent"]
+        assert trace.summary["outcome"] == "leaf"
 
 
 class TestComparison:

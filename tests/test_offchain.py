@@ -289,3 +289,24 @@ class TestFullDescent:
         trace = finalize(session)
         assert trace.summary["onchain_tx_count"] == 3
         assert trace.summary["payouts"] == {"A": 25, "B": 72}
+
+
+class TestReadiness:
+    def test_graft_body_waits_for_the_actors_own_published_authorization(self, three_party):
+        # The one readiness rule the ledger does not decide: the ledger
+        # would accept C's append of T3 with C's own authorization in C's
+        # witness, but off-chain continuation waits until it is published.
+        session = start_offchain(three_party, seed=0, t=1)
+        session.stipulate()
+        assert session.append_init("A") is None
+        shadow = session.shadow
+        session.chain.tick(shadow.root_timelock)
+        assert session.graft_root_ready("C", shadow)
+        assert session.append_graft_root("C", shadow) is None
+        t3 = ids_by_name(three_party)["T3"]
+        tx = shadow.instances[t3]
+        assert tx.edge_signers == {"C"} and tx.digest not in session.edge_pool
+        assert session.ready("C", tx)
+        assert not session.child_ready("C", t3)
+        session.publish_edge_auth(tx.digest, "C")
+        assert session.child_ready("C", t3)
