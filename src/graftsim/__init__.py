@@ -43,19 +43,8 @@ from .harness import (
     scenario_from_dict,
 )
 from .ledger import AppendError, AppendWitness, ChainState, TxInstance
-from .offchain import (
-    OffchainSession,
-    compile_offchain,
-    finalize,
-    offchain_step,
-    start_offchain,
-)
-from .onchain import (
-    OnchainSession,
-    ProtocolError,
-    compile_onchain,
-    run_onchain_baseline,
-)
+from .offchain import OffchainSession, compile_offchain
+from .onchain import OnchainSession, ProtocolError, compile_onchain
 from .strategies import STRATEGIES, Action, Observation, register
 from .trace import Trace, replay_appends, summarize_run
 from .treegen import chain_tree, complete_binary_tree, random_tree
@@ -73,9 +62,8 @@ __all__ = [
     "load_scenario", "message_census", "report_from_trace", "run",
     "scenario_from_dict",
     "AppendError", "AppendWitness", "ChainState", "TxInstance",
-    "OffchainSession", "compile_offchain", "finalize", "offchain_step",
-    "start_offchain",
-    "OnchainSession", "ProtocolError", "compile_onchain", "run_onchain_baseline",
+    "OffchainSession", "compile_offchain",
+    "OnchainSession", "ProtocolError", "compile_onchain",
     "STRATEGIES", "Action", "Observation", "register",
     "Trace", "replay_appends", "summarize_run",
     "chain_tree", "complete_binary_tree", "random_tree",

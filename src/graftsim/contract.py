@@ -369,6 +369,8 @@ def _requirement_to_dict(req: EdgeRequirement) -> Dict:
 
 def contract_from_dict(data: Dict) -> ContractTree:
     try:
+        if not isinstance(data["participants"], list):
+            raise TypeError("participants must be a list")
         participants = tuple(sorted(str(p) for p in data["participants"]))
         deposits = {str(k): int(v) for k, v in data["deposits"].items()}
         fee = int(data["fee"])

@@ -50,9 +50,8 @@ from .onchain import (
     ProtocolError,
     STIPULATING,
     Session,
-    edge_parts,
 )
-from .offchain import OffchainSession, offchain_step, start_offchain
+from .offchain import OffchainSession
 from .strategies import (
     AGREE,
     APPEND,
@@ -78,7 +77,6 @@ from .trace import (
     OUTCOME_ABORTED,
     OUTCOME_HEIGHT_CAP,
     OUTCOME_LEAF,
-    SIGNATURE_SENT,
     STEP_AGREED,
     STEP_PROPOSED,
     STEP_REFUSED,
@@ -135,6 +133,11 @@ def _integer(data: Dict, key: str, default: int, low: int,
     return number
 
 
+def _require_leaf(tree: ContractTree, path_ids: Sequence[NodeId]) -> None:
+    if not path_ids or tree.node(path_ids[-1]).children:
+        raise ScenarioError("the scenario path must end at a leaf")
+
+
 def scenario_from_dict(data: Dict, base_dir: Union[str, Path, None] = None) -> Scenario:
     """Build a Scenario from parsed JSON; ``contract`` paths are resolved
     relative to ``base_dir`` (the scenario file's directory)."""
@@ -179,8 +182,7 @@ def scenario_from_dict(data: Dict, base_dir: Union[str, Path, None] = None) -> S
         path_ids = resolve_path(tree, path_names)
     except UnknownNodeError as err:
         raise ScenarioError(f"the scenario path names unknown node {err}") from None
-    if not path_ids or tree.node(path_ids[-1]).children:
-        raise ScenarioError("the scenario path must end at a leaf")
+    _require_leaf(tree, path_ids)
     try:
         oracle = tuple(sorted((int(h), str(lbl)) for h, lbl in data.get("oracle", [])))
     except (TypeError, ValueError, OverflowError):
@@ -559,31 +561,20 @@ def compare(offchain_scenario: Scenario, onchain_scenario: Scenario) -> Comparis
 
 def message_census(tree: ContractTree, path_names: Optional[Sequence[str]] = None,
                    *, mode: str = MODE_OFFCHAIN, t: int = 1, seed: int = 0) -> int:
-    """Count the signature messages a cooperative run of ``tree`` needs.
+    """Count the signature messages of a cooperative ``run`` of ``tree``.
 
-    The walk descends to the deepest leaf unless ``path_names`` says
-    otherwise.  Off-chain that covers stipulation plus one graft per
-    step; on-chain every signature message is a stipulation message, so
-    the walk adds none.
+    Every participant plays ``honest`` along ``path_names``, or the path
+    to the deepest leaf, and every secret no participant owns is revealed
+    at height 0.
     """
     if path_names is None:
-        ids = deepest_leaf_path(tree)
-    else:
-        ids = resolve_path(tree, list(path_names))
-    if mode == MODE_ONCHAIN:
-        commitments = CommitmentSet([(s.label, s.owner) for s in tree.secrets], seed)
-        onchain = OnchainSession(tree, commitments, scenario_salt(seed, MODE_ONCHAIN),
-                                 Trace({"label": "census"}))
-        onchain.stipulate()
-        return onchain.trace.count(SIGNATURE_SENT)
-    session = start_offchain(tree, seed=seed, t=t, label="census")
-    session.stipulate()
-    for child in ids[1:]:
-        _, _, labels = edge_parts(tree.node(child).edge)
-        for label in labels:
-            if label not in session.reveal_pool:
-                session.publish_reveal(session.commitments.reveal(label))
-        while not session.edge_satisfiable(child):
-            session.chain.tick()
-        offchain_step(session, child)
-    return session.trace.count(SIGNATURE_SENT)
+        path_names = [tree.node(i).name for i in deepest_leaf_path(tree)]
+    _require_leaf(tree, resolve_path(tree, list(path_names)))
+    scenario = Scenario(
+        label="census", tree=tree, mode=mode,
+        strategies={p: ("honest", {}) for p in tree.participants},
+        path=tuple(path_names),
+        oracle=tuple((0, s.label) for s in tree.secrets
+                     if s.owner not in tree.participants),
+        t=t, seed=seed)
+    return run(scenario).summary["message_count"]

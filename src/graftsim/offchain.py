@@ -23,7 +23,7 @@ timelocks guarantee the newest agreed state can always land first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from .contract import (
     CONTINUATION,
@@ -31,7 +31,6 @@ from .contract import (
     NodeId,
     OutputSpec,
     iter_preorder,
-    resolve_path,
     subtree_height,
     validate_tree,
 )
@@ -42,14 +41,11 @@ from .trace import (
     GRAFT_PROPOSED,
     GRAFT_SEALED,
     INIT_APPENDED,
-    OUTCOME_LEAF,
     Event,
     Trace,
-    summarize_run,
 )
 from .onchain import (
     FAILSAFE,
-    FINALIZED,
     ROLE_GRAFT_ROOT,
     ROLE_HEAD,
     ROLE_INIT,
@@ -62,9 +58,7 @@ from .onchain import (
     instantiate_subtree,
     make_deposits,
 )
-from .witness import CommitmentSet, scenario_salt
-
-_DRIVER_GUARD = 100_000
+from .witness import CommitmentSet
 
 HEAD_NAME = "Head"
 INIT_NAME = "Init"
@@ -328,85 +322,3 @@ class OffchainSession(Session):
             return False
         return super().child_ready(actor, child)
 
-
-# ---------------------------------------------------------------------------
-# Direct drivers (no strategy engine): used by tests and for reference runs.
-
-def start_offchain(tree: ContractTree, seed: int = 0, t: int = 2,
-                   label: str = "offchain") -> OffchainSession:
-    commitments = CommitmentSet([(s.label, s.owner) for s in tree.secrets], seed)
-    salt = scenario_salt(seed, "offchain")
-    trace = Trace(header={"label": label, "mode": "offchain", "seed": seed, "t": t})
-    return OffchainSession(tree, commitments, salt, trace, t)
-
-
-def offchain_step(session: OffchainSession, child: NodeId,
-                  withhold_at: Optional[int] = None) -> Optional[Graft]:
-    """Agree one step and run its graft exchange to completion.  With
-    ``withhold_at`` the exchange stops at that message index, leaving the
-    graft half signed (the caller would then trigger the failsafe)."""
-    if not session.edge_satisfiable(child):
-        raise ProtocolError(
-            f"edge into {session.tree.node(child).name} is not satisfiable")
-    session.agree_step(child, session.tree.participants)
-    graft = session.pending_graft
-    plan = graft.exchange.messages
-    for index in range(len(plan)):
-        if withhold_at is not None and index == withhold_at:
-            return None
-        if session.deliver_next(plan[index].sender) is None:
-            raise ProtocolError("graft plan is not deliverable in order")
-    return graft
-
-
-def finalize(session: OffchainSession,
-             path_names: Optional[Sequence[str]] = None) -> Trace:
-    """Append Init (if needed) and the latest sealed graft root at its
-    enablement, then continue on-chain along ``path_names`` — cooperative:
-    the first participant acts, edge signers authorize and the oracle's
-    remaining secrets are treated as revealed at need."""
-    actor = session.tree.participants[0]
-    if not session.init_on_chain:
-        error = session.append_init(actor)
-        if error is not None:
-            raise ProtocolError(f"Init rejected: {error.code}")
-    latest = session.latest_sealed
-    if latest is None:
-        raise ProtocolError("nothing sealed to finalize with")
-    for _ in range(_DRIVER_GUARD):
-        if session.graft_root_ready(actor, latest):
-            break
-        session.chain.tick()
-    else:
-        raise ProtocolError("graft root never became enabled")
-    error = session.append_graft_root(actor, latest)
-    if error is not None:
-        raise ProtocolError(f"graft root rejected: {error.code}")
-
-    if session.phase != FINALIZED:
-        if path_names is None:
-            raise ProtocolError("a continuation path is required below the graft root")
-        path_ids = resolve_path(session.tree, path_names)
-        if latest.origin not in path_ids:
-            raise ProtocolError("the path does not pass through the graft origin")
-        remaining = path_ids[path_ids.index(latest.origin) + 1:]
-        for child in remaining:
-            tx = latest.instances[child]
-            for signer in tx.edge_signers:
-                session.publish_edge_auth(tx.digest, signer)
-            for commitment in tx.required_reveals:
-                if commitment.label not in session.reveal_pool:
-                    session.publish_reveal(session.commitments.reveal(commitment.label))
-            for _ in range(_DRIVER_GUARD):
-                if session.child_ready(actor, child):
-                    break
-                session.chain.tick()
-            else:
-                raise ProtocolError("continuation never became enabled")
-            error = session.append_child(actor, child)
-            if error is not None:
-                raise ProtocolError(
-                    f"continuation to {tx.name} rejected: {error.code}")
-    summarize_run(session.trace, session.chain, session.tree.fee, OUTCOME_LEAF,
-                  completion_height=session.chain.height)
-    return session.trace

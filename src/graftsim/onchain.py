@@ -33,7 +33,6 @@ from .contract import (
     OutputSpec,
     RevealReq,
     iter_preorder,
-    resolve_path,
     resolve_payout,
     validate_tree,
 )
@@ -48,16 +47,13 @@ from .ledger import (
 from .trace import (
     APPEND,
     DEPOSIT,
-    ORACLE_REVEAL,
     SECRET_PUBLISHED,
     SIGNATURE_SENT,
     STIPULATION_ABORTED,
     STIPULATION_COMPLETE,
     TXSET_SENT,
-    OUTCOME_LEAF,
     Event,
     Trace,
-    summarize_run,
     witness_summary,
 )
 from .witness import (
@@ -66,7 +62,6 @@ from .witness import (
     CommitmentSet,
     Reveal,
     SignatureStore,
-    scenario_salt,
     sign,
 )
 
@@ -82,8 +77,6 @@ ROLE_NODE = "node"
 ROLE_HEAD = "head"
 ROLE_INIT = "init"
 ROLE_GRAFT_ROOT = "graft_root"
-
-_BASELINE_GUARD = 100_000
 
 
 class ProtocolError(RuntimeError):
@@ -494,22 +487,6 @@ class Session:
             self._anchored()
         return error
 
-    def stipulate(self, withhold_at: Optional[int] = None) -> bool:
-        """Reference driver: deliver the whole plan in order and append the
-        anchor.  ``withhold_at`` stops right before that message index and
-        aborts instead, leaving every deposit untouched."""
-        for index, msg in enumerate(self.stipulation.messages):
-            if index == withhold_at:
-                self.abort(msg.sender)
-                return False
-            if self.deliver_next(msg.sender) is None:
-                raise ProtocolError("stipulation plan is not deliverable in order")
-        error = self.append_anchor(self.tree.participants[0])
-        if error is not None:
-            raise ProtocolError(
-                f"{self.anchor.name} rejected after stipulation: {error.code}")
-        return True
-
     # -- the on-chain walk ---------------------------------------------------
 
     def _land(self, instances: Dict[NodeId, TxInstance], node: NodeId) -> None:
@@ -611,60 +588,3 @@ class OnchainSession(Session):
         self.phase = RUNNING
         self._land(self.instances, self.tree.root)
 
-
-# ---------------------------------------------------------------------------
-# Reference baseline run
-
-def run_onchain_baseline(
-    tree: ContractTree,
-    path_names: Sequence[str],
-    oracle: Sequence[Tuple[int, str]] = (),
-    seed: int = 0,
-    label: str = "onchain-baseline",
-) -> Trace:
-    """Stipulate, then walk ``path_names`` from the root to a leaf,
-    ticking until each step's reveals and timelocks allow it.  All
-    participants are assumed cooperative: edge signers authorize at step
-    time and secret owners open their commitments when needed."""
-    commitments = CommitmentSet([(s.label, s.owner) for s in tree.secrets], seed)
-    salt = scenario_salt(seed, "onchain")
-    trace = Trace(header={"label": label, "mode": "onchain", "seed": seed})
-    session = OnchainSession(tree, commitments, salt, trace)
-    session.stipulate()
-
-    path_ids = resolve_path(tree, path_names)
-    if not path_ids or path_ids[0] != tree.root:
-        raise ProtocolError("the path must start at the root")
-
-    pending = sorted(oracle)
-
-    def deliver_due() -> None:
-        while pending and pending[0][0] <= session.chain.height:
-            _, lbl = pending.pop(0)
-            session.publish_reveal(commitments.reveal(lbl))
-            trace.add(Event(session.chain.height, "oracle", ORACLE_REVEAL, {"label": lbl}))
-
-    actor = tree.participants[0]
-    deliver_due()
-    for child in path_ids[1:]:
-        tx = session.instances[child]
-        # Cooperative run: edge signers authorize, secret owners open up.
-        for signer in tx.edge_signers:
-            session.publish_edge_auth(tx.digest, signer)
-        for commitment in tx.required_reveals:
-            if commitment.owner in tree.participants:
-                session.publish_reveal(commitments.reveal(commitment.label))
-        for _ in range(_BASELINE_GUARD):
-            deliver_due()
-            if session.child_ready(actor, child):
-                break
-            session.chain.tick()
-        else:
-            raise ProtocolError("baseline run exceeded its guard bound")
-        error = session.append_child(actor, child)
-        if error is not None:
-            raise ProtocolError(f"baseline step to {tx.name} failed: {error.code}")
-
-    summarize_run(trace, session.chain, tree.fee, OUTCOME_LEAF,
-                  completion_height=session.chain.height)
-    return trace

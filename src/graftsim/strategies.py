@@ -140,7 +140,7 @@ def honest(obs: Observation, params: Params) -> Action:
     """
     patience = int(params.get("patience", 2))
     deliberate = params.get("failsafe_after_steps")
-    if obs.init_on_chain or obs.phase == FAILSAFE:
+    if obs.phase == FAILSAFE:
         if obs.latest_root_ready:
             return Action(APPEND, TARGET_LATEST_GRAFT)
         if obs.continuation_child is not None and obs.continuation_ready:
@@ -188,7 +188,7 @@ def staller(obs: Observation, params: Params) -> Action:
 def premature_init(obs: Observation, params: Params) -> Action:
     """Cooperate — even propose steps — until step ``trigger_step`` is
     under negotiation, then append Init while it is still half signed."""
-    if obs.init_on_chain or obs.phase != RUNNING:
+    if obs.phase != RUNNING:
         return _IDLE
     trigger = int(params.get("trigger_step", 1))
     if obs.steps_sealed >= trigger - 1:
@@ -208,7 +208,7 @@ def premature_init(obs: Observation, params: Params) -> Action:
 def rollback_attacker(obs: Observation, params: Params) -> Action:
     """Cooperate passively; once Init is on-chain, try every round to
     redeem it with the OLDEST settled state instead of the newest."""
-    if obs.init_on_chain or obs.phase == FAILSAFE:
+    if obs.phase == FAILSAFE:
         if obs.rollback_target is not None:
             return Action(APPEND, TARGET_OLDEST_GRAFT)
         return _IDLE

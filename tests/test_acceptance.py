@@ -24,15 +24,12 @@ from graftsim.harness import (
     report_from_trace,
     run,
 )
-from graftsim.offchain import (
-    finalize,
-    offchain_step,
-    start_offchain,
-)
 from graftsim.onchain import ABORTED, OnchainSession
 from graftsim.trace import GRAFT_SEALED, INIT_APPENDED, Trace, replay_appends
 from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
 from graftsim.witness import CommitmentSet, scenario_salt
+
+from drivers import finalize, offchain_step, start_offchain, stipulate
 
 BO3_PATH = ("Bet", "L??", "LW?", "LWL")
 BO3_ORACLE = ((2, "L1"), (4, "W2"), (6, "L3"))
@@ -65,7 +62,7 @@ def load(name):
 
 def fresh_offchain(bo3_tree, t=2):
     session = start_offchain(bo3_tree, seed=0, t=t)
-    session.stipulate()
+    stipulate(session)
     return session
 
 
@@ -134,7 +131,7 @@ def test_criterion_03_partial_progress(bo3_tree):
 def test_criterion_04_timelock_ladder(bo3_tree):
     for t in (1, 2, 5):
         session = start_offchain(bo3_tree, seed=0, t=t)
-        session.stipulate()
+        stipulate(session)
         walk(session, [("L??", "L1"), ("LW?", "W2"), ("LWL", "L3")])
         ladder = [g.root_timelock for g in session.grafts if g.sealed]
         assert ladder == [3 * t, 2 * t, 1 * t, 0]
@@ -261,7 +258,7 @@ def test_criterion_08_value_conservation():
             assert paid + summary["fees_paid"] == summary["deposits"], path.stem
     # aborted stipulations leave the deposits themselves as the payout
     session = start_offchain(load("bo3_happy").tree, seed=0, t=2)
-    session.stipulate(withhold_at=7)
+    stipulate(session, withhold_at=7)
     values = session.chain.participant_utxo_values()
     assert values == {"A": 50, "B": 50}
 
@@ -287,7 +284,7 @@ def test_criterion_10_stipulation_atomicity(bo3_tree):
     for index in range(plan_size):
         session = OnchainSession(bo3_tree, commitments,
                                  scenario_salt(0, "onchain"), Trace({}))
-        assert session.stipulate(withhold_at=index) is False
+        assert stipulate(session, withhold_at=index) is False
         assert session.phase == ABORTED
         assert session.chain.non_deposit_count() == 0
         for dep in session.deposits.values():
@@ -298,7 +295,7 @@ def test_criterion_10_stipulation_atomicity(bo3_tree):
     assert offchain_size == 36
     for index in range(offchain_size):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        assert session.stipulate(withhold_at=index) is False
+        assert stipulate(session, withhold_at=index) is False
         assert session.phase == ABORTED
         assert session.chain.non_deposit_count() == 0
         for dep in session.deposits.values():

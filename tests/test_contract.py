@@ -228,6 +228,12 @@ class TestSerialization:
         with pytest.raises(ContractParseError):
             contract_from_dict(data)
 
-    def test_missing_fields_rejected(self):
+    def test_missing_fields_rejected(self, bo3_tree):
         with pytest.raises(ContractParseError):
             contract_from_dict({"participants": ["A"]})
+        # A string or an object is not a list of participants, even when
+        # iterating it yields plausible names.
+        for participants in ("AB", {"A": 1, "B": 2}):
+            data = dict(contract_to_dict(bo3_tree), participants=participants)
+            with pytest.raises(ContractParseError, match="participants must be a list"):
+                contract_from_dict(data)

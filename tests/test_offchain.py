@@ -4,13 +4,7 @@ import pytest
 
 from graftsim.contract import CONTINUATION, iter_preorder, resolve_path, subtree_height
 from graftsim.ledger import MissingSignature
-from graftsim.offchain import (
-    OffchainSession,
-    compile_offchain,
-    finalize,
-    offchain_step,
-    start_offchain,
-)
+from graftsim.offchain import compile_offchain
 from graftsim.onchain import FAILSAFE, FINALIZED, ProtocolError, RUNNING
 from graftsim.trace import (
     FAILSAFE_TRIGGERED,
@@ -21,6 +15,8 @@ from graftsim.trace import (
 )
 from graftsim.treegen import chain_tree
 from graftsim.witness import CommitmentSet, scenario_salt
+
+from drivers import finalize, offchain_step, start_offchain, stipulate
 
 
 BO3_PATH = ["Bet", "L??", "LW?", "LWL"]
@@ -70,7 +66,7 @@ class TestStipulation:
 
     def test_completion_seals_the_shadow(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        assert session.stipulate() is True
+        assert stipulate(session) is True
         assert session.phase == RUNNING
         assert session.chain.is_appended(session.head.digest)
         assert not session.chain.is_appended(session.init.digest)
@@ -83,7 +79,7 @@ class TestStipulation:
 
     def test_withholding_keeps_deposits_unspent(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        assert session.stipulate(withhold_at=20) is False
+        assert stipulate(session, withhold_at=20) is False
         assert session.chain.non_deposit_count() == 0
         for dep in session.deposits.values():
             assert session.chain.is_unspent((dep.digest, 0))
@@ -98,7 +94,7 @@ class TestGrafts:
     def test_timelock_ladder_strictly_decreases(self, bo3_tree):
         for t in (1, 2, 5):
             session = start_offchain(bo3_tree, seed=0, t=t)
-            session.stipulate()
+            stipulate(session)
             ids = ids_by_name(bo3_tree)
             expected = [3 * t, 2 * t, 1 * t, 0]
             locks = [session.shadow.root_timelock]
@@ -112,7 +108,7 @@ class TestGrafts:
 
     def test_graft_copies_keyed_by_original_node_ids(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        session.stipulate()
+        stipulate(session)
         ids = ids_by_name(bo3_tree)
         reveal_oracle(session, "L1")
         graft = offchain_step(session, ids["L??"])
@@ -127,7 +123,7 @@ class TestGrafts:
 
     def test_exchange_size_per_step(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        session.stipulate()
+        stipulate(session)
         ids = ids_by_name(bo3_tree)
         before = session.trace.count(SIGNATURE_SENT)
         reveal_oracle(session, "L1")
@@ -146,7 +142,7 @@ class TestGrafts:
         session = start_offchain(bo3_tree, seed=0, t=2)
         with pytest.raises(ProtocolError):
             session.create_graft(1)  # still stipulating
-        session.stipulate()
+        stipulate(session)
         ids = ids_by_name(bo3_tree)
         with pytest.raises(ProtocolError):
             session.create_graft(ids["LW?"])  # not a child of the head
@@ -156,7 +152,7 @@ class TestGrafts:
 
     def test_unsatisfiable_edge_blocks_the_step(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        session.stipulate()
+        stipulate(session)
         ids = ids_by_name(bo3_tree)
         assert not session.edge_satisfiable(ids["L??"])  # oracle has not spoken
         with pytest.raises(ProtocolError):
@@ -166,7 +162,7 @@ class TestGrafts:
 
     def test_wait_edges_anchor_on_last_settled_step(self, three_party):
         session = start_offchain(three_party, seed=1, t=1)
-        session.stipulate()  # Head lands at height 0
+        stipulate(session)  # Head lands at height 0
         t1, t2, t5 = 1, 2, 5
         assert not session.edge_satisfiable(t1)  # needs 5 blocks after Head
         session.chain.tick(5)
@@ -183,7 +179,7 @@ class TestGrafts:
 class TestHalfSignedGrafts:
     def test_withheld_body_signature_blocks_everyone(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        session.stipulate()
+        stipulate(session)
         ids = ids_by_name(bo3_tree)
         reveal_oracle(session, "L1")
         result = offchain_step(session, ids["L??"], withhold_at=5)
@@ -201,7 +197,7 @@ class TestHalfSignedGrafts:
 
     def test_failsafe_falls_back_to_last_sealed_state(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        session.stipulate()
+        stipulate(session)
         ids = ids_by_name(bo3_tree)
         reveal_oracle(session, "L1")
         offchain_step(session, ids["L??"])
@@ -219,7 +215,7 @@ class TestHalfSignedGrafts:
 class TestFailsafe:
     def test_trigger_is_idempotent(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        session.stipulate()
+        stipulate(session)
         assert session.trigger_failsafe("B") is None
         assert session.phase == FAILSAFE and session.init_on_chain
         assert session.trigger_failsafe("B") is None
@@ -228,7 +224,7 @@ class TestFailsafe:
 
     def test_init_discards_pending_graft(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        session.stipulate()
+        stipulate(session)
         ids = ids_by_name(bo3_tree)
         reveal_oracle(session, "L1")
         graft = session.create_graft(ids["L??"])
@@ -238,7 +234,7 @@ class TestFailsafe:
 
     def test_failsafe_after_two_steps_costs_four_transactions(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        session.stipulate()
+        stipulate(session)
         ids = ids_by_name(bo3_tree)
         reveal_oracle(session, "L1")
         offchain_step(session, ids["L??"])
@@ -257,7 +253,7 @@ class TestFailsafe:
 class TestFullDescent:
     def test_leaf_graft_settles_in_three_transactions(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        session.stipulate()
+        stipulate(session)
         ids = ids_by_name(bo3_tree)
         for name, label in (("L??", "L1"), ("LW?", "W2"), ("LWL", "L3")):
             reveal_oracle(session, label)
@@ -272,7 +268,7 @@ class TestFullDescent:
     def test_single_node_contract(self):
         tree = chain_tree(1)
         session = start_offchain(tree, seed=0, t=3)
-        session.stipulate()
+        stipulate(session)
         assert session.trace.count(SIGNATURE_SENT) == 6
         trace = finalize(session)
         assert trace.summary["onchain_tx_count"] == 3
@@ -281,7 +277,7 @@ class TestFullDescent:
 
     def test_early_authorized_exit(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        session.stipulate()
+        stipulate(session)
         ids = ids_by_name(bo3_tree)
         reveal_oracle(session, "L1")
         offchain_step(session, ids["L??"])
@@ -297,7 +293,7 @@ class TestReadiness:
         # would accept C's append of T3 with C's own authorization in C's
         # witness, but off-chain continuation waits until it is published.
         session = start_offchain(three_party, seed=0, t=1)
-        session.stipulate()
+        stipulate(session)
         assert session.append_init("A") is None
         shadow = session.shadow
         session.chain.tick(shadow.root_timelock)

@@ -3,6 +3,7 @@
 import pytest
 
 from graftsim.contract import CONTINUATION, iter_preorder
+from graftsim.harness import MODE_ONCHAIN, Scenario, run
 from graftsim.ledger import MissingSignature
 from graftsim.onchain import (
     ABORTED,
@@ -12,7 +13,6 @@ from graftsim.onchain import (
     RUNNING,
     compile_onchain,
     make_deposits,
-    run_onchain_baseline,
 )
 from graftsim.trace import (
     SECRET_PUBLISHED,
@@ -23,6 +23,8 @@ from graftsim.trace import (
     TXSET_SENT,
 )
 from graftsim.witness import CommitmentSet, scenario_salt
+
+from drivers import stipulate
 
 
 def commitments_for(tree, seed=1):
@@ -145,7 +147,7 @@ class TestExchangePlan:
 class TestStipulation:
     def test_full_run_lands_the_root(self, three_party):
         session = session_for(three_party)
-        assert session.stipulate() is True
+        assert stipulate(session) is True
         assert session.phase == RUNNING
         assert session.chain.is_appended(session.anchor.digest)
         assert session.trace.count(STIPULATION_COMPLETE) == 1
@@ -155,7 +157,7 @@ class TestStipulation:
 
     def test_withholding_any_message_leaves_deposits_untouched(self, three_party):
         session = session_for(three_party)
-        assert session.stipulate(withhold_at=17) is False
+        assert stipulate(session, withhold_at=17) is False
         assert session.phase == ABORTED
         assert session.chain.non_deposit_count() == 0
         for dep in session.deposits.values():
@@ -172,7 +174,7 @@ class TestStipulation:
 
     def test_message_census_equals_two_per_instance_pair(self, bo3_tree):
         session = session_for(bo3_tree)
-        session.stipulate()
+        stipulate(session)
         assert session.trace.count(SIGNATURE_SENT) == 30  # 2 * 15 instances
         assert session.trace.count(TXSET_SENT) == 2
 
@@ -180,7 +182,7 @@ class TestStipulation:
 class TestStepping:
     def test_step_requires_published_edge_material(self, three_party):
         session = session_for(three_party)
-        session.stipulate()
+        stipulate(session)
         ids = by_name(three_party)
         tx = session.instances[ids["T3"]]
         error = session.append_child("A", ids["T3"])
@@ -192,14 +194,14 @@ class TestStepping:
 
     def test_step_rejects_non_child(self, three_party):
         session = session_for(three_party)
-        session.stipulate()
+        stipulate(session)
         ids = by_name(three_party)
         with pytest.raises(ProtocolError):
             session.append_child("A", ids["T4"])  # grandchild of the current node
 
     def test_owner_supplies_own_reveal(self, three_party):
         session = session_for(three_party)
-        session.stipulate()
+        stipulate(session)
         ids = by_name(three_party)
         session.publish_edge_auth(session.instances[ids["T2"]].digest, "B")
         # actor A owns SA, so no published reveal is needed
@@ -207,7 +209,7 @@ class TestStepping:
 
     def test_timelocked_leaf_waits(self, three_party):
         session = session_for(three_party)
-        session.stipulate()
+        stipulate(session)
         ids = by_name(three_party)
         error = session.append_child("A", ids["T1"])
         assert error is not None and error.code == "TimelockNotExpired"
@@ -228,7 +230,7 @@ class TestStepAgreement:
         ids = by_name(three_party)
         t2, t4, t5 = ids["T2"], ids["T4"], ids["T5"]
         assert not session.edge_satisfiable(t2)  # the root is not on-chain yet
-        session.stipulate()
+        stipulate(session)
         assert session.edge_satisfiable(t2) and session.edge_satisfiable(ids["T3"])
         assert not session.edge_satisfiable(ids["T1"])  # nobody has to agree
         assert not session.edge_satisfiable(t4)  # T2 is not on-chain yet
@@ -241,7 +243,7 @@ class TestStepAgreement:
 
     def test_a_timelock_alone_is_appended_not_agreed(self, three_party):
         session = session_for(three_party)
-        session.stipulate()
+        stipulate(session)
         ids = by_name(three_party)
         session.agree_step(ids["T2"], {"A", "B"})
         assert session.append_child("A", ids["T2"]) is None
@@ -252,8 +254,17 @@ class TestStepAgreement:
 
 
 class TestBaselineDriver:
+    """The on-chain baseline: an all-honest on-chain ``run``."""
+
+    @staticmethod
+    def baseline(tree, path, oracle=(), seed=0):
+        return run(Scenario(
+            label="onchain-baseline", tree=tree, mode=MODE_ONCHAIN,
+            strategies={p: ("honest", {}) for p in tree.participants},
+            path=tuple(path), oracle=tuple(oracle), seed=seed))
+
     def test_bet_contract_full_descent(self, bo3_tree):
-        trace = run_onchain_baseline(
+        trace = self.baseline(
             bo3_tree, ["Bet", "L??", "LW?", "LWL"],
             oracle=((2, "L1"), (4, "W2"), (6, "L3")), seed=0)
         assert trace.summary["outcome"] == "leaf"
@@ -264,7 +275,7 @@ class TestBaselineDriver:
         assert heights == sorted(heights)
 
     def test_authorization_path(self, three_party):
-        trace = run_onchain_baseline(three_party, ["T0", "T2", "T4"], seed=1)
+        trace = self.baseline(three_party, ["T0", "T2", "T4"], seed=1)
         assert trace.summary["outcome"] == "leaf"
         assert trace.summary["onchain_tx_count"] == 3
         assert trace.summary["payouts"] == {"A": 14, "B": 13}
@@ -272,7 +283,7 @@ class TestBaselineDriver:
     def test_single_node_contract(self):
         from graftsim.treegen import chain_tree
         tree = chain_tree(1)
-        trace = run_onchain_baseline(tree, ["N1"], seed=0)
+        trace = self.baseline(tree, ["N1"], seed=0)
         assert trace.summary["onchain_tx_count"] == 1
         assert trace.summary["outcome"] == "leaf"
         assert trace.count(SIGNATURE_SENT) == 2
