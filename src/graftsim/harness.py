@@ -50,6 +50,7 @@ from .onchain import (
     ProtocolError,
     STIPULATING,
     Session,
+    edge_parts,
 )
 from .offchain import OffchainSession
 from .strategies import (
@@ -565,11 +566,13 @@ def message_census(tree: ContractTree, path_names: Optional[Sequence[str]] = Non
 
     Every participant plays ``honest`` along ``path_names``, or the path
     to the deepest leaf, and every secret no participant owns is revealed
-    at height 0.
+    at height 0.  Raises ``ValueError`` if the run ends anywhere but the
+    leaf.
     """
     if path_names is None:
         path_names = [tree.node(i).name for i in deepest_leaf_path(tree)]
-    _require_leaf(tree, resolve_path(tree, list(path_names)))
+    path_ids = resolve_path(tree, list(path_names))
+    _require_leaf(tree, path_ids)
     scenario = Scenario(
         label="census", tree=tree, mode=mode,
         strategies={p: ("honest", {}) for p in tree.participants},
@@ -577,4 +580,10 @@ def message_census(tree: ContractTree, path_names: Optional[Sequence[str]] = Non
         oracle=tuple((0, s.label) for s in tree.secrets
                      if s.owner not in tree.participants),
         t=t, seed=seed)
-    return run(scenario).summary["message_count"]
+    # The default cap leaves no room for the After waits along the path.
+    scenario.height_cap = default_height_cap(scenario) + sum(
+        edge_parts(tree.node(i).edge)[0] for i in path_ids[1:])
+    summary = run(scenario).summary
+    if summary["outcome"] != OUTCOME_LEAF:
+        raise ValueError(f"the census run ended at {summary['outcome']}, not at the leaf")
+    return summary["message_count"]

@@ -10,8 +10,8 @@ from typing import Optional, Sequence
 
 from graftsim.contract import ContractTree, NodeId, resolve_path
 from graftsim.offchain import Graft, OffchainSession
-from graftsim.onchain import FINALIZED, ProtocolError, Session
-from graftsim.trace import OUTCOME_LEAF, Trace, summarize_run
+from graftsim.onchain import FINALIZED, OnchainSession, ProtocolError, Session, edge_parts
+from graftsim.trace import OUTCOME_LEAF, SIGNATURE_SENT, Trace, summarize_run
 from graftsim.witness import CommitmentSet, scenario_salt
 
 _DRIVER_GUARD = 100_000
@@ -112,3 +112,25 @@ def finalize(session: OffchainSession,
     summarize_run(session.trace, session.chain, session.tree.fee, OUTCOME_LEAF,
                   completion_height=session.chain.height)
     return session.trace
+
+
+def census_by_replay(tree: ContractTree, ids: Sequence[NodeId], mode: str,
+                     t: int = 1, seed: int = 0) -> int:
+    """Signature messages of the cooperative branch ``ids``, stepped by the
+    drivers: stipulation, then off-chain one graft exchange per step,
+    ticking the chain until each edge's wait has passed."""
+    if mode == "onchain":
+        commitments = CommitmentSet([(s.label, s.owner) for s in tree.secrets], seed)
+        session = OnchainSession(tree, commitments, scenario_salt(seed, mode), Trace({}))
+        stipulate(session)
+        return session.trace.count(SIGNATURE_SENT)
+    session = start_offchain(tree, seed=seed, t=t)
+    stipulate(session)
+    for child in ids[1:]:
+        for label in edge_parts(tree.node(child).edge)[2]:
+            if label not in session.reveal_pool:
+                session.publish_reveal(session.commitments.reveal(label))
+        while not session.edge_satisfiable(child):
+            session.chain.tick()
+        offchain_step(session, child)
+    return session.trace.count(SIGNATURE_SENT)

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import graftsim
-from graftsim.contract import NodeTemplate, subtree_height
+from graftsim import harness
+from graftsim.contract import After, NodeTemplate, subtree_height
 from graftsim.harness import (
     MODE_OFFCHAIN,
     MODE_ONCHAIN,
@@ -47,6 +48,8 @@ from graftsim.trace import (
     STEP_REFUSED,
     STIPULATION_ABORTED,
 )
+
+from drivers import census_by_replay
 
 BO3_PATH = ["Bet", "L??", "LW?", "LWL"]
 
@@ -298,6 +301,20 @@ class TestCensusAndCaps:
     def test_census_matches_engine_message_counts(self, bo3_tree):
         assert message_census(bo3_tree, BO3_PATH, mode=MODE_OFFCHAIN, t=2) == 58
         assert message_census(bo3_tree, BO3_PATH, mode=MODE_ONCHAIN) == 30
+        # Waits far past the default height cap still reach the leaf.
+        chain = chain_tree(3)
+        nodes = dict(chain.nodes)
+        nodes[2] = replace(nodes[2], edge=(After(300),))
+        nodes[3] = replace(nodes[3], edge=(After(200),))
+        waits = replace(chain, nodes=nodes)
+        for mode in (MODE_OFFCHAIN, MODE_ONCHAIN):
+            assert message_census(waits, mode=mode) \
+                == census_by_replay(waits, [1, 2, 3], mode), mode
+
+    def test_census_refuses_a_run_that_misses_the_leaf(self, monkeypatch):
+        monkeypatch.setattr(harness, "default_height_cap", lambda scenario: 0)
+        with pytest.raises(ValueError, match="ended at height_cap"):
+            message_census(chain_tree(3))
 
     def test_deep_contracts_compile_without_recursion(self):
         # Deeper than the interpreter's default recursion limit of 1000.

@@ -254,17 +254,18 @@ class TestStepAgreement:
 
 
 class TestBaselineDriver:
-    """The on-chain baseline: an all-honest on-chain ``run``."""
+    """All-honest on-chain ``run`` checks.  The separate baseline driver
+    these tests once exercised is gone: this ``run`` is the baseline."""
 
     @staticmethod
-    def baseline(tree, path, oracle=(), seed=0):
+    def honest_onchain_run(tree, path, oracle=(), seed=0):
         return run(Scenario(
             label="onchain-baseline", tree=tree, mode=MODE_ONCHAIN,
             strategies={p: ("honest", {}) for p in tree.participants},
             path=tuple(path), oracle=tuple(oracle), seed=seed))
 
     def test_bet_contract_full_descent(self, bo3_tree):
-        trace = self.baseline(
+        trace = self.honest_onchain_run(
             bo3_tree, ["Bet", "L??", "LW?", "LWL"],
             oracle=((2, "L1"), (4, "W2"), (6, "L3")), seed=0)
         assert trace.summary["outcome"] == "leaf"
@@ -275,7 +276,7 @@ class TestBaselineDriver:
         assert heights == sorted(heights)
 
     def test_authorization_path(self, three_party):
-        trace = self.baseline(three_party, ["T0", "T2", "T4"], seed=1)
+        trace = self.honest_onchain_run(three_party, ["T0", "T2", "T4"], seed=1)
         assert trace.summary["outcome"] == "leaf"
         assert trace.summary["onchain_tx_count"] == 3
         assert trace.summary["payouts"] == {"A": 14, "B": 13}
@@ -283,7 +284,7 @@ class TestBaselineDriver:
     def test_single_node_contract(self):
         from graftsim.treegen import chain_tree
         tree = chain_tree(1)
-        trace = self.baseline(tree, ["N1"], seed=0)
+        trace = self.honest_onchain_run(tree, ["N1"], seed=0)
         assert trace.summary["onchain_tx_count"] == 1
         assert trace.summary["outcome"] == "leaf"
         assert trace.count(SIGNATURE_SENT) == 2

@@ -16,18 +16,12 @@ from graftsim.contract import (
     validate_tree,
 )
 from graftsim.harness import MODE_OFFCHAIN, MODE_ONCHAIN, Scenario, message_census, run
-from graftsim.onchain import Exchange, OnchainSession, edge_parts, exchange_plan
-from graftsim.trace import (
-    GRAFT_PROPOSED,
-    GRAFT_SEALED,
-    SIGNATURE_SENT,
-    Trace,
-    replay_appends,
-)
+from graftsim.onchain import Exchange, edge_parts, exchange_plan
+from graftsim.trace import GRAFT_PROPOSED, GRAFT_SEALED, replay_appends
 from graftsim.treegen import random_tree
-from graftsim.witness import CommitmentSet, scenario_salt, tx_digest
+from graftsim.witness import tx_digest
 
-from drivers import offchain_step, start_offchain, stipulate
+from drivers import census_by_replay, offchain_step, start_offchain, stipulate
 
 NO_DEADLINE = settings(deadline=None)
 
@@ -197,26 +191,6 @@ def test_graft_bookkeeping_matches_a_recount(seed, data):
 
 # -- message census ---------------------------------------------------------
 
-def _census_by_replay(tree, ids, mode, t, seed):
-    """Signature messages of the cooperative branch ``ids``, stepped by the
-    drivers: stipulation, then off-chain one graft exchange per step."""
-    if mode == MODE_ONCHAIN:
-        commitments = CommitmentSet([(s.label, s.owner) for s in tree.secrets], seed)
-        session = OnchainSession(tree, commitments, scenario_salt(seed, mode), Trace({}))
-        stipulate(session)
-        return session.trace.count(SIGNATURE_SENT)
-    session = start_offchain(tree, seed=seed, t=t)
-    stipulate(session)
-    for child in ids[1:]:
-        for label in edge_parts(tree.node(child).edge)[2]:
-            if label not in session.reveal_pool:
-                session.publish_reveal(session.commitments.reveal(label))
-        while not session.edge_satisfiable(child):
-            session.chain.tick()
-        offchain_step(session, child)
-    return session.trace.count(SIGNATURE_SENT)
-
-
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_message_census_equals_a_driver_replay(seed):
@@ -227,7 +201,7 @@ def test_message_census_equals_a_driver_replay(seed):
         for mode in (MODE_ONCHAIN, MODE_OFFCHAIN):
             for t in (1, 2):
                 assert message_census(tree, names, mode=mode, t=t, seed=seed) \
-                    == _census_by_replay(tree, ids, mode, t, seed), (names, mode, t)
+                    == census_by_replay(tree, ids, mode, t, seed), (names, mode, t)
 
 
 # -- end-to-end honest runs -------------------------------------------------
