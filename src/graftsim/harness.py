@@ -9,8 +9,11 @@ participants intend to follow.  ``run`` replays it round by round:
 * a polled participant acts repeatedly (observe -> decide -> execute)
   until its action makes no progress — a failed chain append counts as
   no progress, which limits retries to one attempt per round;
-* after the polls the chain ticks one block, unless the run has reached
-  a terminal state or the height cap.
+* after the polls the chain ticks, unless the run has reached a terminal
+  state or the height cap: one block after a round that added a trace
+  event, otherwise straight to the earliest height at which anything can
+  change (see ``_Engine._next_height``).  An idle block emits nothing, so
+  skipping it changes no trace byte.
 
 All randomness is confined to seeds, so a scenario always produces a
 byte-identical trace.  Strategies communicate only through the session
@@ -270,10 +273,14 @@ class _Engine:
     # -- scheduling ----------------------------------------------------------
 
     def run_rounds(self) -> str:
+        events = self.trace.events
         while True:
             self._deliver_oracle()
+            # The polls see the reveals, so only their own events count.
+            emitted = len(events)
+            wakes = []
             for participant in self.order:
-                self._poll(participant)
+                wakes.append(self._poll(participant))
                 if self._terminal():
                     return self._outcome()
             if self.session.phase == STIPULATING and \
@@ -283,17 +290,38 @@ class _Engine:
                 return OUTCOME_ABORTED
             if self.chain.height >= self.cap:
                 return OUTCOME_HEIGHT_CAP
-            self.chain.tick()
+            if len(events) > emitted or None in wakes:
+                self.chain.tick()
+            else:
+                self.chain.tick(self._next_height(wakes) - self.chain.height)
 
-    def _poll(self, participant: str) -> None:
+    def _next_height(self, wakes: List[float]) -> int:
+        """After a round without events, the earliest height at which a
+        round could differ from it: the next oracle reveal, the stipulation
+        patience abort, the cap, the least height at which a height test of
+        the round would pass (``ChainState.next_flip``) and the players'
+        wakes.  Until then every round sees the same state and makes the
+        same choices, so it would be idle too."""
+        candidates = [self.cap, *wakes]
+        if self.oracle_cursor < len(self.oracle):
+            candidates.append(self.oracle[self.oracle_cursor][0])
+        if self.session.phase == STIPULATING:
+            candidates.append(self.last_progress + self.scn.patience + 1)
+        if self.chain.next_flip is not None:
+            candidates.append(self.chain.next_flip)
+        return max(self.chain.height + 1, int(min(candidates)))
+
+    def _poll(self, participant: str) -> Optional[float]:
+        """Let ``participant`` act until an action makes no progress, and
+        return that action's wake."""
         fn, params = self.players[participant]
         for _ in range(_POLL_GUARD):
             action = fn(self._observe(participant), params)
             if not self._execute(participant, action):
-                return
+                return action.wake
             self.last_progress = self.chain.height
             if self._terminal():
-                return
+                return None
         raise ProtocolError(f"{participant} exceeded the per-round action guard")
 
     def _terminal(self) -> bool:

@@ -129,17 +129,33 @@ class ValueMismatch(AppendError):
 
 
 class ChainState:
-    """Height, appended transactions, and the live UTxO set."""
+    """Height, appended transactions, and the live UTxO set.
+
+    Every height test goes through ``reached``, which remembers the least
+    height it answered "not yet" for since the chain last moved: until
+    then no such answer can change (``next_flip``).
+    """
 
     def __init__(self, fee: int) -> None:
         self.fee = fee
         self.height = 0
         self.appended: Dict[str, Tuple[TxInstance, int]] = {}
         self.utxos: Dict[InputRef, OutputSpec] = {}
+        self.next_flip: Optional[int] = None
 
     def tick(self, blocks: int = 1) -> int:
         self.height += blocks
+        self.next_flip = None
         return self.height
+
+    def reached(self, height: int) -> bool:
+        """Is the chain at ``height`` or past it?  A "no" lowers
+        ``next_flip`` to ``height``."""
+        if self.height >= height:
+            return True
+        if self.next_flip is None or height < self.next_flip:
+            self.next_flip = height
+        return False
 
     def is_appended(self, digest: str) -> bool:
         return digest in self.appended
@@ -163,7 +179,7 @@ class ChainState:
     def check(self, tx: TxInstance, witness: AppendWitness = EMPTY_WITNESS) -> Optional[AppendError]:
         """Would ``try_append`` accept this?  Returns None if so, otherwise
         the first violated rule: inputs, signatures, reveals, timelocks,
-        value conservation — in that order.  Changes nothing."""
+        value conservation — in that order.  Appends nothing."""
         if tx.digest in self.appended:
             return MissingInput((tx.digest, 0)) if tx.is_deposit else MissingInput(tx.inputs[0])
 
@@ -188,7 +204,7 @@ class ChainState:
 
         if not tx.is_deposit:
             needed = self.enabled_at(tx)
-            if self.height < needed:
+            if not self.reached(needed):
                 return TimelockNotExpired(needed)
 
             input_total = sum(self.utxos[ref].value for ref in tx.inputs)

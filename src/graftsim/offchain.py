@@ -205,7 +205,7 @@ class OffchainSession(Session):
             if not (published or owned):
                 return False
         anchor = self.last_settle_height
-        if delay and (anchor is None or self.chain.height < anchor + delay):
+        if delay and (anchor is None or not self.chain.reached(anchor + delay)):
             return False
         return True
 

@@ -371,7 +371,7 @@ class Session:
         A dry run of the append; the timing is asked first because it is
         the usual reason to wait and needs no witness."""
         enabled = self.chain.enabled_at(tx)
-        return enabled is not None and enabled <= self.chain.height \
+        return enabled is not None and self.chain.reached(enabled) \
             and self.chain.check(tx, self.witness(actor, tx)) is None
 
     def append(self, actor: str, tx: TxInstance, role: str,
@@ -575,7 +575,7 @@ class OnchainSession(Session):
             return False
         tx = self.instances[child]
         enabled = self.chain.enabled_at(tx)
-        if enabled is None or enabled > self.chain.height:
+        if enabled is None or not self.chain.reached(enabled):
             return False
         return all(c.label in self.reveal_pool or c.owner in self.tree.participants
                    for c in tx.required_reveals)

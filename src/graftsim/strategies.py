@@ -6,6 +6,9 @@ view (its own stores, the chain, published material, and protocol state)
 and executes the returned Action; strategies never touch shared state, so
 the same observation sequence always yields the same action sequence.
 
+An idle action can say, in ``wake``, when the strategy next needs a look;
+the scheduler skips the blocks before it where nothing else can change.
+
 ``honest`` follows the protocol and the scenario's intended branch;
 the remaining strategies model the classic ways a participant can
 misbehave off-chain: stalling a signature exchange, appending Init
@@ -17,6 +20,7 @@ under on-chain execution every bundled strategy simply cooperates.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -48,7 +52,8 @@ class Observation:
     Everything here is derivable from public chain state, the
     participant's own stores and obligations, and protocol bookkeeping;
     nothing exposes other participants' private holdings.  The graft
-    fields keep their defaults on-chain.
+    fields keep their defaults on-chain.  ``waiting_rounds`` counts blocks,
+    not polls: the scheduler does not poll at the blocks it skips.
     """
     actor: str
     height: int
@@ -56,7 +61,7 @@ class Observation:
     phase: str
     owes_message: bool           # I could deliver a message right now
     others_owe_me: bool          # an exchange or agreement is waiting on others
-    waiting_rounds: int          # rounds since anyone last made progress
+    waiting_rounds: int          # blocks since anyone last made progress
     anchor_appendable: bool = False                 # TARGET_ANCHOR would land now
     init_on_chain: bool = False
     steps_sealed: int = 0
@@ -73,14 +78,30 @@ class Observation:
     rollback_target: Optional[int] = None           # oldest appendable old-state graft
 
 
+# A wake for a choice that does not depend on the height.
+NEVER = math.inf
+
+
 @dataclass(frozen=True)
 class Action:
+    """What a participant does now.
+
+    ``wake`` matters only when the action makes no progress: it is the
+    least height at which the strategy, shown the same state, could choose
+    differently (``NEVER`` if its choice does not read ``height`` or
+    ``waiting_rounds``).  The scheduler skips the blocks before it in which
+    nothing else can change.  ``None``, the default, polls again at the
+    next block.
+    """
     kind: str
     target: str = ""
     child: Optional[NodeId] = None
+    wake: Optional[float] = None
 
 
-_IDLE = Action(IDLE)
+# The idle move of the bundled strategies, none of which idles on the height
+# except ``honest`` while it waits out its patience.
+_IDLE = Action(IDLE, wake=NEVER)
 Params = Dict[str, object]
 Strategy = Callable[[Observation, Params], Action]
 
@@ -134,8 +155,8 @@ def honest(obs: Observation, params: Params) -> Action:
     """Follow the protocol; on any sign of non-cooperation, move on-chain
     and land the newest agreed state the moment its timelock allows.
 
-    params: ``patience`` — full stalled rounds tolerated while others owe
-    messages (default 2); ``failsafe_after_steps`` — optionally abandon
+    params: ``patience`` — blocks without progress tolerated while others
+    owe messages (default 2); ``failsafe_after_steps`` — optionally abandon
     the off-chain phase deliberately once that many steps have sealed.
     """
     patience = int(params.get("patience", 2))
@@ -165,6 +186,9 @@ def honest(obs: Observation, params: Params) -> Action:
     if obs.next_child is not None and obs.next_child_proposable \
             and not obs.pending_graft and obs.proposal is None:
         return Action(PROPOSE, child=obs.next_child)
+    if obs.others_owe_me:
+        # Look again when the patience runs out.
+        return Action(IDLE, wake=obs.height + patience + 1 - obs.waiting_rounds)
     return _IDLE
 
 
@@ -179,7 +203,7 @@ def staller(obs: Observation, params: Params) -> Action:
     if obs.proposal is not None and not obs.i_agreed:
         return Action(AGREE)
     if obs.owes_message:
-        return Action(SEND) if obs.steps_sealed < limit else Action(WITHHOLD)
+        return Action(SEND) if obs.steps_sealed < limit else Action(WITHHOLD, wake=NEVER)
     return _IDLE
 
 

@@ -4,13 +4,19 @@
 drivers step a session by hand instead (deliver a plan in order, agree
 one step, settle) so a test can stop anywhere, withhold any single
 message, and check the engine's results against a walk it does not use.
+``run_blockwise`` is the reference for the engine's clock: the same run,
+polled at every block.
 """
 
-from typing import Optional, Sequence
+from contextlib import contextmanager
+from dataclasses import replace
+from typing import Dict, Iterator, Optional, Sequence
 
 from graftsim.contract import ContractTree, NodeId, resolve_path
+from graftsim.harness import Scenario, run
 from graftsim.offchain import Graft, OffchainSession
 from graftsim.onchain import FINALIZED, OnchainSession, ProtocolError, Session, edge_parts
+from graftsim.strategies import STRATEGIES, Strategy
 from graftsim.trace import OUTCOME_LEAF, SIGNATURE_SENT, Trace, summarize_run
 from graftsim.witness import CommitmentSet, scenario_salt
 
@@ -134,3 +140,35 @@ def census_by_replay(tree: ContractTree, ids: Sequence[NodeId], mode: str,
             session.chain.tick()
         offchain_step(session, child)
     return session.trace.count(SIGNATURE_SENT)
+
+
+@contextmanager
+def strategies_added(extra: Dict[str, Strategy]) -> Iterator[None]:
+    """Register ``extra`` by name for the duration of the block."""
+    STRATEGIES.update(extra)
+    try:
+        yield
+    finally:
+        for name in extra:
+            del STRATEGIES[name]
+
+
+def _without_wake(fn: Strategy) -> Strategy:
+    return lambda obs, params: replace(fn(obs, params), wake=None)
+
+
+def events_and_summary(trace: Trace) -> str:
+    """The serialized trace without its header line."""
+    return trace.serialize().split("\n", 1)[1]
+
+
+def run_blockwise(scenario: Scenario) -> Trace:
+    """``run(scenario)`` with every strategy made to drop the wake of its
+    actions, so the engine polls everyone at every block.  The header
+    names the wrapped strategies; the events and summary are comparable."""
+    names = {name for name, _ in scenario.strategies.values()}
+    wrapped = {f"{name}/blockwise": _without_wake(STRATEGIES[name]) for name in names}
+    with strategies_added(wrapped):
+        return run(replace(scenario, strategies={
+            p: (f"{name}/blockwise", params)
+            for p, (name, params) in scenario.strategies.items()}))

@@ -11,7 +11,7 @@ import statistics
 import time
 from pathlib import Path
 
-from graftsim.contract import leaves, path_to, subtree_height
+from graftsim.contract import leaves, path_to
 from graftsim.harness import (
     MODE_OFFCHAIN,
     MODE_ONCHAIN,
@@ -21,7 +21,6 @@ from graftsim.harness import (
     compare,
     load_scenario,
     message_census,
-    report_from_trace,
     run,
 )
 from graftsim.onchain import ABORTED, OnchainSession

@@ -14,7 +14,10 @@ from graftsim.cli import (
     EXIT_OK,
     main,
 )
-from graftsim.harness import bundled_data_dir
+from graftsim import harness
+from graftsim.harness import bundled_data_dir, load_scenario, run
+
+from drivers import events_and_summary, run_blockwise
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -144,10 +147,15 @@ def _slots(doc):
 
 SCENARIOS = sorted(p.name for p in bundled_data_dir().glob("*.scn"))
 DELETE = object()
-# Small integers only: a large patience, timelock or oracle height is valid
-# input that makes a run legitimately long, not a fault.
+# Integers up to and past the encoding limits: a long wait costs the engine
+# nothing, since it skips the blocks where nothing can change.  The runs that
+# stay long are those whose traces are long by nature, e.g. rollback_attacker
+# logs one failed append per block while a large-t graft timelock runs; none
+# of the 80 examples below draws one.
+LIMITS = (10 ** 9, 2 ** 32 - 1, 2 ** 32, 2 ** 62, 2 ** 64 - 1, 2 ** 64)
 JSON_VALUES = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.text(max_size=4),
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.sampled_from(LIMITS),
+              st.text(max_size=4),
               st.sampled_from(["A", "B", "honest", "staller", "Bet", "LWL", "L1", "1/2"])),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=3),
@@ -182,6 +190,60 @@ def test_mutated_inputs_end_in_an_exit_code(name, mutations):
         contract.write_text(json.dumps(docs[1]))
         assert main(["validate", str(contract)]) in (0, 1, 2, 3)
         assert main(["run", str(scn)]) in (0, 1, 2, 3)
+
+
+def _staller_copy(tmp_path, scenario_patch=None, contract_patch=None) -> Path:
+    """A copy of ``bo3_staller.scn`` and its contract, patched in place."""
+    data = json.loads(Path(bundled("bo3_staller.scn")).read_text())
+    contract = json.loads(Path(bundled("bo3.contract")).read_text())
+    if scenario_patch:
+        scenario_patch(data)
+    if contract_patch:
+        contract_patch(contract)
+    (tmp_path / "bo3.contract").write_text(json.dumps(contract))
+    scn = tmp_path / "s.scn"
+    scn.write_text(json.dumps(data))
+    return scn
+
+
+def _last_reveal_at(height):
+    return lambda data: data.update(oracle=[[2, "L1"], [4, "W2"], [height, "L3"]])
+
+
+def _wait_before_lw(contract):
+    # ``LW?``, the third node of the scenario branch, waits the longest
+    # relative timelock the encoding holds.
+    lw = contract["nodes"]["children"][1]["children"][0]
+    assert lw["name"] == "LW?"
+    lw["edge"].append({"after": 2 ** 32 - 1})
+
+
+@pytest.mark.parametrize("scenario_patch, contract_patch, code", [
+    (_last_reveal_at(10 ** 9), None, EXIT_OK),
+    (lambda d: d["strategies"]["A"].update(params={"patience": 2 ** 32 - 1}), None,
+     EXIT_HEIGHT_CAP),
+    (None, _wait_before_lw, EXIT_HEIGHT_CAP),
+    (lambda d: d.update(height_cap=2 ** 62), _wait_before_lw, EXIT_OK),
+    (lambda d: d.update(height_cap=2 ** 62), None, EXIT_OK),
+], ids=["last-reveal-1e9", "honest-patience-u32", "after-u32", "after-u32-cap-2^62",
+        "cap-2^62"])
+def test_values_at_their_limits_end_in_a_few_polls(tmp_path, monkeypatch, scenario_patch,
+                                                   contract_patch, code):
+    # The engine polls only at the blocks where something can change, so a
+    # run is as long as its events, not as its waits.
+    polls = []
+    poll = harness._Engine._poll
+    monkeypatch.setattr(harness._Engine, "_poll",
+                        lambda engine, participant: polls.append(participant)
+                        or poll(engine, participant))
+    scn = _staller_copy(tmp_path, scenario_patch, contract_patch)
+    assert main(["run", str(scn)]) == code
+    assert len(polls) <= 50
+
+
+def test_a_long_wait_skips_no_event(tmp_path):
+    scenario = load_scenario(_staller_copy(tmp_path, _last_reveal_at(10 ** 5)))
+    assert events_and_summary(run(scenario)) == events_and_summary(run_blockwise(scenario))
 
 
 class TestCompare:

@@ -13,7 +13,6 @@ from graftsim.contract import (
     After,
     AuthBy,
     ContractParseError,
-    ContractTree,
     NodeTemplate,
     PayoutShare,
     RevealReq,

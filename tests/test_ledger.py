@@ -1,7 +1,5 @@
 """Chain rules: append validation order, timelocks, value conservation."""
 
-import pytest
-
 from graftsim.contract import OutputSpec
 from graftsim.ledger import (
     AppendWitness,

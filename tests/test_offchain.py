@@ -2,7 +2,7 @@
 
 import pytest
 
-from graftsim.contract import CONTINUATION, iter_preorder, resolve_path, subtree_height
+from graftsim.contract import CONTINUATION, iter_preorder, subtree_height
 from graftsim.ledger import MissingSignature
 from graftsim.offchain import compile_offchain
 from graftsim.onchain import FAILSAFE, FINALIZED, ProtocolError, RUNNING

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from graftsim.contract import (
@@ -15,13 +16,30 @@ from graftsim.contract import (
     subtree_size,
     validate_tree,
 )
-from graftsim.harness import MODE_OFFCHAIN, MODE_ONCHAIN, Scenario, message_census, run
+from graftsim.harness import (
+    MODE_OFFCHAIN,
+    MODE_ONCHAIN,
+    Scenario,
+    bundled_scenarios,
+    load_scenario,
+    message_census,
+    run,
+)
 from graftsim.onchain import Exchange, edge_parts, exchange_plan
+from graftsim.strategies import NEVER, WITHHOLD, Action
 from graftsim.trace import GRAFT_PROPOSED, GRAFT_SEALED, replay_appends
 from graftsim.treegen import random_tree
 from graftsim.witness import tx_digest
 
-from drivers import census_by_replay, offchain_step, start_offchain, stipulate
+from drivers import (
+    census_by_replay,
+    events_and_summary,
+    offchain_step,
+    run_blockwise,
+    start_offchain,
+    stipulate,
+    strategies_added,
+)
 
 NO_DEADLINE = settings(deadline=None)
 
@@ -257,3 +275,55 @@ def test_sealed_graft_timelocks_strictly_decrease(seed):
     ladder = [shadow_lock if e.data["index"] == 0 else proposed[e.data["index"]]
               for e in trace.find(GRAFT_SEALED)]
     assert all(a > b for a, b in zip(ladder, ladder[1:]))
+
+
+# -- the clock skips only idle blocks ---------------------------------------
+
+ADVERSARIES = ("staller", "premature_init", "rollback_attacker", "silent_aborter")
+MUTE = "stipulation_mute"
+
+
+def _stipulation_mute(obs, params):
+    """Withholds every message, so stipulation stalls until the scenario's
+    patience runs out and the engine aborts it."""
+    return Action(WITHHOLD, wake=NEVER)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_skipped_blocks_change_no_event(seed, data):
+    # The engine jumps over idle blocks; polling at every block instead must
+    # give the same events and summary, against each adversary (and none),
+    # in both modes and for both timelock units.  The oracle schedule is
+    # stretched to leave idle stretches between reveals.
+    tree, path_names, oracle = random_tree(seed)
+    stretch = data.draw(st.integers(1, 5), label="stretch")
+    oracle = tuple((h * stretch, label) for h, label in oracle)
+    step = data.draw(st.integers(0, 3), label="step")
+    adversary_at = data.draw(st.sampled_from(tree.participants), label="adversary_at")
+    honest_patience = data.draw(st.integers(0, 3), label="honest_patience")
+    patience = data.draw(st.integers(0, 3), label="patience")
+    with strategies_added({MUTE: _stipulation_mute}):
+        for adversary in ADVERSARIES + ("honest", MUTE):
+            honest_params = {"patience": honest_patience}
+            if adversary == "rollback_attacker":
+                honest_params["failsafe_after_steps"] = 1
+            strategies = {p: ("honest", dict(honest_params)) for p in tree.participants}
+            strategies[adversary_at] = (adversary, {
+                "staller": {"stall_after_steps": step},
+                "premature_init": {"trigger_step": 1 + step},
+                "silent_aborter": {"refuse_at_step": step}}.get(adversary, {}))
+            for mode in (MODE_ONCHAIN, MODE_OFFCHAIN):
+                for t in (1, 2):
+                    scenario = Scenario(
+                        label=f"clock-{seed}", tree=tree, mode=mode, strategies=strategies,
+                        path=tuple(path_names), oracle=oracle, t=t, patience=patience,
+                        seed=seed)
+                    assert events_and_summary(run(scenario)) == \
+                        events_and_summary(run_blockwise(scenario)), (adversary, mode, t)
+
+
+@pytest.mark.parametrize("path", bundled_scenarios(), ids=lambda p: p.stem)
+def test_bundled_runs_skip_no_event(path):
+    scenario = load_scenario(path)
+    assert events_and_summary(run(scenario)) == events_and_summary(run_blockwise(scenario))
