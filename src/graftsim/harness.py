@@ -28,7 +28,7 @@ import importlib.resources
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .contract import (
     MAX_AMOUNT,
@@ -247,6 +247,70 @@ class _Proposal:
     agreed: Set[str] = field(default_factory=set)
 
 
+class _Lazy:
+    """A field computed on its first read and stored in the instance
+    ``__dict__``, which shadows this non-data descriptor from then on.
+    ``functools.cached_property`` would do the same but takes a lock on
+    every first read on Python 3.11."""
+
+    def __init__(self, compute: Callable[["_LiveObservation"], object]) -> None:
+        self.compute = compute
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obs: Optional["_LiveObservation"], owner: Optional[type] = None):
+        if obs is None:
+            return self
+        if obs._engine is None:
+            raise ProtocolError(f"{obs.actor}'s observation was read ({self.name}) after "
+                                f"its strategy returned; it describes that poll only")
+        value = vars(obs)[self.name] = self.compute(obs)
+        return value
+
+
+class _LiveObservation(Observation):
+    """The observation of one poll.  ``actor``, ``height``, ``mode`` and
+    ``phase`` are set up front; every other field is computed from the
+    engine's state when the strategy first reads it, so an unread field
+    costs nothing and makes no height test.  ``_Engine._poll`` spends the
+    observation once the strategy returns.  Only ``_Engine._observe``
+    builds one; ``dataclasses.replace`` calls the dataclass ``__init__``,
+    which fills every field."""
+
+    def _spend(self) -> None:
+        vars(self)["_engine"] = None
+
+    _exchange = _Lazy(lambda o: o._session.active_exchange())
+    owes_message = _Lazy(lambda o: o._exchange is not None
+                         and o._exchange.next_for(o.actor) is not None)
+    others_owe_me = _Lazy(lambda o: o._engine._others_owe(o.actor, o._exchange))
+    waiting_rounds = _Lazy(lambda o: o._engine.chain.height - o._engine.last_progress)
+    anchor_appendable = _Lazy(lambda o: o._session.anchor_appendable(o.actor))
+    init_on_chain = _Lazy(lambda o: o._session.phase == FAILSAFE)
+    steps_sealed = _Lazy(lambda o: o._session.steps_sealed if o._offchain else 0)
+    pending_graft = _Lazy(lambda o: o._offchain and o._session.pending_graft is not None)
+    proposal = _Lazy(lambda o: o._engine._proposal_view(o.actor)[0])
+    i_agreed = _Lazy(lambda o: o._engine._proposal_view(o.actor)[1])
+    step_refused = _Lazy(lambda o: o._engine.step_refused)
+    # The node the on-chain walk would append next, if any.
+    continuation_child = _Lazy(
+        lambda o: o._engine.next_on_path.get(o._session.cursor[1]) if o._session.cursor else None)
+    # Off-chain, steps are agreed from the newest sealed graft's origin;
+    # on-chain, a step is agreed where the walk stands.
+    next_child = _Lazy(lambda o: o._engine.next_on_path.get(o._session.offchain_head)
+                       if o._offchain else o.continuation_child)
+    next_child_proposable = _Lazy(
+        lambda o: o.next_child is not None and o._session.edge_satisfiable(o.next_child))
+    at_leaf = _Lazy(lambda o: o._offchain
+                    and not o._engine.tree.node(o._session.offchain_head).children)
+    latest_root_ready = _Lazy(lambda o: o._session.latest_sealed is not None
+                              and o._session.graft_root_ready(o.actor, o._session.latest_sealed))
+    continuation_ready = _Lazy(lambda o: o.continuation_child is not None
+                               and o._session.child_ready(o.actor, o.continuation_child))
+    rollback_target = _Lazy(lambda o: o._session.rollback_target())
+
+
 class _Engine:
     def __init__(self, scenario: Scenario, session: Session, trace: Trace) -> None:
         self.scn = scenario
@@ -316,7 +380,9 @@ class _Engine:
         return that action's wake."""
         fn, params = self.players[participant]
         for _ in range(_POLL_GUARD):
-            action = fn(self._observe(participant), params)
+            observation = self._observe(participant)
+            action = fn(observation, params)
+            observation._spend()
             if not self._execute(participant, action):
                 return action.wake
             self.last_progress = self.chain.height
@@ -358,37 +424,12 @@ class _Engine:
         return (self.proposal.proposer, self.proposal.child), agreed
 
     def _observe(self, participant: str) -> Observation:
-        session = self.session
-        offchain = self.offchain
-        proposal, i_agreed = self._proposal_view(participant)
-        exchange = session.active_exchange()
-        # The node the on-chain walk would append next, if any.
-        walk = self.next_on_path.get(session.cursor[1]) if session.cursor else None
-        # Off-chain, steps are agreed from the newest sealed graft's origin;
-        # on-chain, a step is agreed where the walk stands.
-        head = session.offchain_head if offchain else None
-        step = self.next_on_path.get(head) if offchain else walk
-        latest = session.latest_sealed
-        return Observation(
+        observation = object.__new__(_LiveObservation)
+        vars(observation).update(
             actor=participant, height=self.chain.height, mode=self.scn.mode,
-            phase=session.phase,
-            owes_message=exchange is not None and exchange.next_for(participant) is not None,
-            others_owe_me=self._others_owe(participant, exchange),
-            waiting_rounds=self.chain.height - self.last_progress,
-            anchor_appendable=session.anchor_appendable(participant),
-            init_on_chain=session.phase == FAILSAFE,
-            steps_sealed=session.steps_sealed if offchain else 0,
-            pending_graft=offchain and session.pending_graft is not None,
-            proposal=proposal, i_agreed=i_agreed, step_refused=self.step_refused,
-            next_child=step,
-            next_child_proposable=step is not None and session.edge_satisfiable(step),
-            at_leaf=offchain and not self.tree.node(head).children,
-            latest_root_ready=latest is not None
-            and session.graft_root_ready(participant, latest),
-            continuation_child=walk,
-            continuation_ready=walk is not None and session.child_ready(participant, walk),
-            rollback_target=session.rollback_target(),
-        )
+            phase=self.session.phase, _engine=self, _session=self.session,
+            _offchain=self.offchain)
+        return observation
 
     # -- execution -----------------------------------------------------------
 

@@ -54,6 +54,11 @@ class Observation:
     nothing exposes other participants' private holdings.  The graft
     fields keep their defaults on-chain.  ``waiting_rounds`` counts blocks,
     not polls: the scheduler does not poll at the blocks it skips.
+
+    The scheduler's observation computes each field past ``phase`` on its
+    first read, so a strategy pays only for what it reads.  It describes
+    one poll: a strategy must not keep it past its return, and a field
+    first read after that raises ``ProtocolError``.
     """
     actor: str
     height: int

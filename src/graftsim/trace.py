@@ -38,6 +38,10 @@ OUTCOME_LEAF = "leaf"
 OUTCOME_ABORTED = "aborted"
 OUTCOME_HEIGHT_CAP = "height_cap"
 
+# One encoder for every line: ``json.dumps`` with these options would build
+# an equal one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 @dataclass(frozen=True)
 class Event:
@@ -47,9 +51,8 @@ class Event:
     data: Dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"actor": self.actor, "data": self.data, "height": self.height, "kind": self.kind},
-            sort_keys=True, separators=(",", ":"))
+        return _ENCODER.encode(
+            {"actor": self.actor, "data": self.data, "height": self.height, "kind": self.kind})
 
 
 @dataclass
@@ -74,11 +77,9 @@ class Trace:
         return self.summary.get("outcome", "")
 
     def serialize(self) -> str:
-        lines = [json.dumps({"type": "header", **self.header},
-                            sort_keys=True, separators=(",", ":"))]
+        lines = [_ENCODER.encode({"type": "header", **self.header})]
         lines.extend(e.to_json() for e in self.events)
-        lines.append(json.dumps({"type": "summary", **self.summary},
-                                sort_keys=True, separators=(",", ":")))
+        lines.append(_ENCODER.encode({"type": "summary", **self.summary}))
         return "\n".join(lines) + "\n"
 
     def write(self, path: Union[str, Path]) -> None:

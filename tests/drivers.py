@@ -5,18 +5,26 @@ drivers step a session by hand instead (deliver a plan in order, agree
 one step, settle) so a test can stop anywhere, withhold any single
 message, and check the engine's results against a walk it does not use.
 ``run_blockwise`` is the reference for the engine's clock: the same run,
-polled at every block.
+polled at every block.  ``eager_observation`` is the reference for the
+engine's observations: every field computed up front.
 """
 
 from contextlib import contextmanager
-from dataclasses import replace
-from typing import Dict, Iterator, Optional, Sequence
+from dataclasses import fields, replace
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from graftsim.contract import ContractTree, NodeId, resolve_path
-from graftsim.harness import Scenario, run
+from graftsim.harness import Scenario, _Engine, run
 from graftsim.offchain import Graft, OffchainSession
-from graftsim.onchain import FINALIZED, OnchainSession, ProtocolError, Session, edge_parts
-from graftsim.strategies import STRATEGIES, Strategy
+from graftsim.onchain import (
+    FAILSAFE,
+    FINALIZED,
+    OnchainSession,
+    ProtocolError,
+    Session,
+    edge_parts,
+)
+from graftsim.strategies import STRATEGIES, Action, Observation, Strategy
 from graftsim.trace import OUTCOME_LEAF, SIGNATURE_SENT, Trace, summarize_run
 from graftsim.witness import CommitmentSet, scenario_salt
 
@@ -172,3 +180,79 @@ def run_blockwise(scenario: Scenario) -> Trace:
         return run(replace(scenario, strategies={
             p: (f"{name}/blockwise", params)
             for p, (name, params) in scenario.strategies.items()}))
+
+
+def eager_observation(engine: _Engine, participant: str) -> Observation:
+    """``participant``'s observation with every field computed now, each by
+    the same expression as the engine's lazily filled one."""
+    session = engine.session
+    offchain = engine.offchain
+    proposal, i_agreed = engine._proposal_view(participant)
+    exchange = session.active_exchange()
+    # The node the on-chain walk would append next, if any.
+    walk = engine.next_on_path.get(session.cursor[1]) if session.cursor else None
+    # Off-chain, steps are agreed from the newest sealed graft's origin;
+    # on-chain, a step is agreed where the walk stands.
+    head = session.offchain_head if offchain else None
+    step = engine.next_on_path.get(head) if offchain else walk
+    latest = session.latest_sealed
+    return Observation(
+        actor=participant, height=engine.chain.height, mode=engine.scn.mode,
+        phase=session.phase,
+        owes_message=exchange is not None and exchange.next_for(participant) is not None,
+        others_owe_me=engine._others_owe(participant, exchange),
+        waiting_rounds=engine.chain.height - engine.last_progress,
+        anchor_appendable=session.anchor_appendable(participant),
+        init_on_chain=session.phase == FAILSAFE,
+        steps_sealed=session.steps_sealed if offchain else 0,
+        pending_graft=offchain and session.pending_graft is not None,
+        proposal=proposal, i_agreed=i_agreed, step_refused=engine.step_refused,
+        next_child=step,
+        next_child_proposable=step is not None and session.edge_satisfiable(step),
+        at_leaf=offchain and not engine.tree.node(head).children,
+        latest_root_ready=latest is not None
+        and session.graft_root_ready(participant, latest),
+        continuation_child=walk,
+        continuation_ready=walk is not None and session.child_ready(participant, walk),
+        rollback_target=session.rollback_target(),
+    )
+
+
+def _checked(engine: _Engine, participant: str, fn: Strategy,
+             polls: List[str]) -> Strategy:
+    def strategy(obs: Observation, params: Dict) -> Action:
+        action = fn(obs, params)
+        # The state is still the poll's: the engine has not executed yet.
+        # Both sides' height tests lower ``next_flip``, which would change
+        # the blocks the engine skips, so it is put back afterwards.
+        chain = engine.chain
+        flip = chain.next_flip
+        eager = eager_observation(engine, participant)
+        for f in fields(Observation):
+            live, expected = getattr(obs, f.name), getattr(eager, f.name)
+            assert live == expected, (participant, chain.height, f.name, live, expected)
+        chain.next_flip = flip
+        polls.append(participant)
+        return action
+    return strategy
+
+
+@contextmanager
+def observations_checked() -> Iterator[List[str]]:
+    """Within the block, every run checks each observation its strategies
+    are given, once the strategy returns, field by field against
+    ``eager_observation``.  Yields the list of the polled participants, one
+    entry per check."""
+    polls: List[str] = []
+    init = _Engine.__init__
+
+    def checked_init(engine: _Engine, *args) -> None:
+        init(engine, *args)
+        engine.players = {p: (_checked(engine, p, fn, polls), params)
+                          for p, (fn, params) in engine.players.items()}
+
+    _Engine.__init__ = checked_init
+    try:
+        yield polls
+    finally:
+        _Engine.__init__ = init

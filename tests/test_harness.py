@@ -27,7 +27,7 @@ from graftsim.harness import (
     run,
     scenario_from_dict,
 )
-from graftsim.onchain import STIPULATING
+from graftsim.onchain import STIPULATING, ProtocolError
 from graftsim.strategies import (
     IDLE,
     TARGET_FAILSAFE,
@@ -49,7 +49,7 @@ from graftsim.trace import (
     STIPULATION_ABORTED,
 )
 
-from drivers import census_by_replay
+from drivers import census_by_replay, events_and_summary
 
 BO3_PATH = ["Bet", "L??", "LW?", "LWL"]
 
@@ -272,6 +272,48 @@ class TestEngineWatchdog:
         finally:
             del STRATEGIES["insistent"]
         assert trace.summary["outcome"] == "leaf"
+
+
+    def test_an_observation_read_after_its_poll_raises(self, bo3_tree):
+        # A strategy that keeps its observation and reads a field it had
+        # not read before, on its next poll, would see a later state.
+        kept = []
+
+        @register("hoarder")
+        def hoarder(observation, params):
+            if kept:
+                kept[0].rollback_target  # honest never reads it
+            kept.append(observation)
+            return honest(observation, params)
+        try:
+            scn = Scenario(
+                label="hoard", tree=bo3_tree, mode=MODE_OFFCHAIN,
+                strategies={"A": ("hoarder", {}), "B": ("honest", {})},
+                path=tuple(BO3_PATH))
+            with pytest.raises(ProtocolError, match="rollback_target.*after its strategy"):
+                run(scn)
+        finally:
+            del STRATEGIES["hoarder"]
+        assert len(kept) == 1
+
+
+    def test_a_strategy_may_replace_fields_of_its_observation(self):
+        # ``dataclasses.replace`` copies the observation with every field
+        # filled; the copy outlives the poll without raising.
+        copies = []
+
+        @register("replacer")
+        def replacer(observation, params):
+            copies.append(replace(observation, mode=observation.mode))
+            return honest(copies[-1], params)
+        scn = load("bo3_happy")
+        try:
+            trace = run(replace(scn, strategies={**scn.strategies, "A": ("replacer", {})}))
+        finally:
+            del STRATEGIES["replacer"]
+        assert events_and_summary(trace) == events_and_summary(run(scn))
+        for copy in copies:
+            assert copy == replace(copy)  # reads every field, long after its poll
 
 
 class TestComparison:

@@ -1,5 +1,6 @@
 """Invariant checks over randomized inputs."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -20,13 +21,15 @@ from graftsim.harness import (
     MODE_OFFCHAIN,
     MODE_ONCHAIN,
     Scenario,
+    _Lazy,
+    _LiveObservation,
     bundled_scenarios,
     load_scenario,
     message_census,
     run,
 )
 from graftsim.onchain import Exchange, edge_parts, exchange_plan
-from graftsim.strategies import NEVER, WITHHOLD, Action
+from graftsim.strategies import NEVER, WITHHOLD, Action, Observation
 from graftsim.trace import GRAFT_PROPOSED, GRAFT_SEALED, replay_appends
 from graftsim.treegen import random_tree
 from graftsim.witness import tx_digest
@@ -34,6 +37,7 @@ from graftsim.witness import tx_digest
 from drivers import (
     census_by_replay,
     events_and_summary,
+    observations_checked,
     offchain_step,
     run_blockwise,
     start_offchain,
@@ -289,13 +293,11 @@ def _stipulation_mute(obs, params):
     return Action(WITHHOLD, wake=NEVER)
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10**6), data=st.data())
-def test_skipped_blocks_change_no_event(seed, data):
-    # The engine jumps over idle blocks; polling at every block instead must
-    # give the same events and summary, against each adversary (and none),
-    # in both modes and for both timelock units.  The oracle schedule is
-    # stretched to leave idle stretches between reveals.
+def _adversary_scenarios(seed, data, adversaries):
+    """Scenarios over ``random_tree(seed)``: each of ``adversaries`` (or
+    "honest", for none) at one drawn participant against honest players, in
+    both modes and for both timelock units.  The oracle schedule is
+    stretched to leave idle stretches between reveals."""
     tree, path_names, oracle = random_tree(seed)
     stretch = data.draw(st.integers(1, 5), label="stretch")
     oracle = tuple((h * stretch, label) for h, label in oracle)
@@ -303,27 +305,68 @@ def test_skipped_blocks_change_no_event(seed, data):
     adversary_at = data.draw(st.sampled_from(tree.participants), label="adversary_at")
     honest_patience = data.draw(st.integers(0, 3), label="honest_patience")
     patience = data.draw(st.integers(0, 3), label="patience")
+    for adversary in adversaries:
+        honest_params = {"patience": honest_patience}
+        if adversary == "rollback_attacker":
+            honest_params["failsafe_after_steps"] = 1
+        strategies = {p: ("honest", dict(honest_params)) for p in tree.participants}
+        strategies[adversary_at] = (adversary, {
+            "staller": {"stall_after_steps": step},
+            "premature_init": {"trigger_step": 1 + step},
+            "silent_aborter": {"refuse_at_step": step}}.get(adversary, {}))
+        for mode in (MODE_ONCHAIN, MODE_OFFCHAIN):
+            for t in (1, 2):
+                yield Scenario(
+                    label=f"clock-{seed}", tree=tree, mode=mode, strategies=strategies,
+                    path=tuple(path_names), oracle=oracle, t=t, patience=patience,
+                    seed=seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_skipped_blocks_change_no_event(seed, data):
+    # The engine jumps over idle blocks; polling at every block instead must
+    # give the same events and summary.
     with strategies_added({MUTE: _stipulation_mute}):
-        for adversary in ADVERSARIES + ("honest", MUTE):
-            honest_params = {"patience": honest_patience}
-            if adversary == "rollback_attacker":
-                honest_params["failsafe_after_steps"] = 1
-            strategies = {p: ("honest", dict(honest_params)) for p in tree.participants}
-            strategies[adversary_at] = (adversary, {
-                "staller": {"stall_after_steps": step},
-                "premature_init": {"trigger_step": 1 + step},
-                "silent_aborter": {"refuse_at_step": step}}.get(adversary, {}))
-            for mode in (MODE_ONCHAIN, MODE_OFFCHAIN):
-                for t in (1, 2):
-                    scenario = Scenario(
-                        label=f"clock-{seed}", tree=tree, mode=mode, strategies=strategies,
-                        path=tuple(path_names), oracle=oracle, t=t, patience=patience,
-                        seed=seed)
-                    assert events_and_summary(run(scenario)) == \
-                        events_and_summary(run_blockwise(scenario)), (adversary, mode, t)
+        for scenario in _adversary_scenarios(seed, data, ADVERSARIES + ("honest", MUTE)):
+            assert events_and_summary(run(scenario)) == \
+                events_and_summary(run_blockwise(scenario)), \
+                (scenario.strategies, scenario.mode, scenario.t)
 
 
 @pytest.mark.parametrize("path", bundled_scenarios(), ids=lambda p: p.stem)
 def test_bundled_runs_skip_no_event(path):
     scenario = load_scenario(path)
     assert events_and_summary(run(scenario)) == events_and_summary(run_blockwise(scenario))
+
+
+# -- observations are filled on first read ----------------------------------
+
+def _observations_match_the_eager_reference(scenario):
+    with observations_checked() as polls:
+        checked = run(scenario).serialize()
+    assert polls
+    # The check reads every field; the run must not notice.
+    assert checked == run(scenario).serialize()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_observations_equal_the_eager_reference(seed, data):
+    for scenario in _adversary_scenarios(seed, data, ADVERSARIES + ("honest",)):
+        _observations_match_the_eager_reference(scenario)
+
+
+@pytest.mark.parametrize("path", bundled_scenarios(), ids=lambda p: p.stem)
+def test_bundled_observations_equal_the_eager_reference(path):
+    _observations_match_the_eager_reference(load_scenario(path))
+
+
+def test_every_observation_field_is_filled_on_first_read():
+    # A field without a lazy definition would read its dataclass default
+    # (``anchor_appendable=False``, say), which the reference comparison
+    # catches only where the true value differs from it.
+    up_front = {"actor", "height", "mode", "phase"}
+    for f in dataclasses.fields(Observation):
+        if f.name not in up_front:
+            assert isinstance(vars(_LiveObservation).get(f.name), _Lazy), f.name
