@@ -11,13 +11,11 @@ byte-reproducible trace of everything that happened.
 """
 
 from .contract import (
-    After,
-    AuthBy,
     CONTINUATION,
     ContractTree,
+    Edge,
     NodeTemplate,
     PayoutShare,
-    RevealReq,
     SecretDecl,
     StructuralError,
     contract_from_dict,
@@ -53,8 +51,8 @@ from .witness import CommitmentSet, scenario_salt
 __version__ = "0.1.0"
 
 __all__ = [
-    "After", "AuthBy", "CONTINUATION", "ContractTree", "NodeTemplate",
-    "PayoutShare", "RevealReq", "SecretDecl", "StructuralError",
+    "CONTINUATION", "ContractTree", "Edge", "NodeTemplate",
+    "PayoutShare", "SecretDecl", "StructuralError",
     "contract_from_dict", "contract_to_dict", "load_contract_file",
     "resolve_path", "validate_tree",
     "Comparison", "MODE_OFFCHAIN", "MODE_ONCHAIN", "Report", "Scenario",

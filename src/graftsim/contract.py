@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 # Beneficiary sentinel for the single output of an internal node, spent by
 # whichever child transaction is appended next.
@@ -40,31 +40,29 @@ class ContractParseError(ValueError):
     pass
 
 
+def is_int(value: object) -> bool:
+    """Is ``value`` a JSON integer?  A bool, a float or a numeric string
+    is not, whatever ``int()`` would make of it."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
-# Edge requirements
+# Edges
 
 @dataclass(frozen=True)
-class AuthBy:
-    """Signatures from each named participant, granted at execution time."""
-    signers: frozenset
-
-    def __init__(self, signers) -> None:
-        object.__setattr__(self, "signers", frozenset(signers))
-
-
-@dataclass(frozen=True)
-class RevealReq:
-    """A valid opening of the named secret commitment."""
-    label: str
+class Edge:
+    """What redeeming the parent into this node takes: at least ``wait``
+    blocks since the previous step, a signature from each participant in
+    ``auth`` granted at execution time, and an opening of each secret
+    commitment in ``reveals``."""
+    wait: int = 0
+    auth: FrozenSet[str] = frozenset()
+    reveals: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class After:
-    """At least ``blocks`` blocks elapsed since the previous step."""
-    blocks: int
-
-
-EdgeRequirement = Union[AuthBy, RevealReq, After]
+# Shared by every node without requirements, so their compiled instances
+# also share one empty signer set.
+NO_EDGE = Edge()
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,7 @@ class SecretDecl:
 class NodeTemplate:
     id: NodeId
     name: str
-    edge: Tuple[EdgeRequirement, ...] = ()
+    edge: Edge = NO_EDGE
     outputs: Tuple[PayoutShare, ...] = ()  # non-empty exactly at leaves
     children: Tuple[NodeId, ...] = ()
 
@@ -287,7 +285,7 @@ def validate_tree(tree: ContractTree) -> List[StructuralError]:
         if s.owner != "oracle" and s.owner not in tree.participants:
             err("UnknownParticipant", s.label, f"secret owner {s.owner!r} unknown")
 
-    if tree.nodes[tree.root].edge:
+    if tree.nodes[tree.root].edge != NO_EDGE:
         err("RootEdge", tree.nodes[tree.root].name, "the root has no parent edge to satisfy")
 
     names_ok = not errors
@@ -299,19 +297,17 @@ def validate_tree(tree: ContractTree) -> List[StructuralError]:
         where = template.name
         for child in template.children:
             depth[child] = depth[node_id] + 1
-        for req in template.edge:
-            if isinstance(req, AuthBy):
-                for signer in req.signers:
-                    if signer not in tree.participants:
-                        err("UnknownParticipant", where, f"edge signer {signer!r} unknown")
-            elif isinstance(req, RevealReq):
-                if req.label not in declared:
-                    err("UnknownSecret", where, f"edge reveals undeclared {req.label!r}")
-            elif isinstance(req, After):
-                if req.blocks < 0:
-                    err("NegativeValue", where, f"negative wait {req.blocks}")
-                elif req.blocks > MAX_TIMELOCK:
-                    err("TooLarge", where, f"wait {req.blocks} is over {MAX_TIMELOCK}")
+        edge = template.edge
+        for signer in sorted(edge.auth):
+            if signer not in tree.participants:
+                err("UnknownParticipant", where, f"edge signer {signer!r} unknown")
+        for label in edge.reveals:
+            if label not in declared:
+                err("UnknownSecret", where, f"edge reveals undeclared {label!r}")
+        if edge.wait < 0:
+            err("NegativeValue", where, f"negative wait {edge.wait}")
+        elif edge.wait > MAX_TIMELOCK:
+            err("TooLarge", where, f"wait {edge.wait} is over {MAX_TIMELOCK}")
         if template.children:
             if template.outputs:
                 err("BalanceMismatch", where, "internal node declares leaf payouts")
@@ -340,31 +336,41 @@ def validate_tree(tree: ContractTree) -> List[StructuralError]:
 # ---------------------------------------------------------------------------
 # File format: one JSON object per contract
 
-def _requirement_from_dict(obj: Dict, where: str) -> EdgeRequirement:
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise ContractParseError(f"{where}: each edge entry is a one-key object")
-    key, value = next(iter(obj.items()))
-    if key == "auth":
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise ContractParseError(f"{where}: auth takes a list of participant names")
-        return AuthBy(value)
-    if key == "reveal":
-        if not isinstance(value, str):
-            raise ContractParseError(f"{where}: reveal takes a secret label")
-        return RevealReq(value)
-    if key == "after":
-        if not isinstance(value, int) or value < 0:
-            raise ContractParseError(f"{where}: after takes a non-negative block count")
-        return After(value)
-    raise ContractParseError(f"{where}: unknown edge requirement {key!r}")
+def _edge_from_list(entries: List, where: str) -> Edge:
+    """Fold the file's edge entries into one ``Edge``: the longest wait,
+    every signer named, and the reveals in declaration order."""
+    if not entries:
+        return NO_EDGE
+    wait = 0
+    auth: Set[str] = set()
+    reveals: List[str] = []
+    for obj in entries:
+        if not isinstance(obj, dict) or len(obj) != 1:
+            raise ContractParseError(f"{where}: each edge entry is a one-key object")
+        key, value = next(iter(obj.items()))
+        if key == "auth":
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise ContractParseError(f"{where}: auth takes a list of participant names")
+            auth.update(value)
+        elif key == "reveal":
+            if not isinstance(value, str):
+                raise ContractParseError(f"{where}: reveal takes a secret label")
+            reveals.append(value)
+        elif key == "after":
+            if not is_int(value) or value < 0:
+                raise ContractParseError(f"{where}: after takes a non-negative block count")
+            wait = max(wait, value)
+        else:
+            raise ContractParseError(f"{where}: unknown edge requirement {key!r}")
+    return Edge(wait, frozenset(auth), tuple(reveals))
 
 
-def _requirement_to_dict(req: EdgeRequirement) -> Dict:
-    if isinstance(req, AuthBy):
-        return {"auth": sorted(req.signers)}
-    if isinstance(req, RevealReq):
-        return {"reveal": req.label}
-    return {"after": req.blocks}
+def _edge_to_list(edge: Edge) -> List[Dict]:
+    entries: List[Dict] = [{"auth": sorted(edge.auth)}] if edge.auth else []
+    entries += [{"reveal": label} for label in edge.reveals]
+    if edge.wait:
+        entries.append({"after": edge.wait})
+    return entries
 
 
 def contract_from_dict(data: Dict) -> ContractTree:
@@ -372,18 +378,21 @@ def contract_from_dict(data: Dict) -> ContractTree:
         if not isinstance(data["participants"], list):
             raise TypeError("participants must be a list")
         participants = tuple(sorted(str(p) for p in data["participants"]))
-        deposits = {str(k): int(v) for k, v in data["deposits"].items()}
-        fee = int(data["fee"])
+        deposits = {str(k): v for k, v in data["deposits"].items()}
+        fee = data["fee"]
+        bad = [v for v in (fee, *deposits.values()) if not is_int(v)]
+        if bad:
+            raise TypeError(f"the fee and deposits must be integers, got {bad[0]!r}")
         secrets = tuple(SecretDecl(str(s["label"]), str(s["owner"]))
                         for s in data.get("secrets", []))
         root_obj = data["nodes"]
-    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ContractParseError(f"missing or malformed contract field: {exc}") from exc
 
     nodes: Dict[NodeId, NodeTemplate] = {}
     counter = iter(range(10 ** 9))
 
-    def open_node(obj) -> Tuple[NodeId, str, Tuple, Tuple, Iterator, List[NodeId]]:
+    def open_node(obj) -> Tuple[NodeId, str, Edge, Tuple, Iterator, List[NodeId]]:
         try:
             name = str(obj["name"])
         except (KeyError, TypeError) as exc:
@@ -394,7 +403,7 @@ def contract_from_dict(data: Dict) -> ContractTree:
         if not (isinstance(edge_list, list) and isinstance(output_list, list)
                 and isinstance(children, list)):
             raise ContractParseError(f"{name}: edge, outputs and children must be lists")
-        edge = tuple(_requirement_from_dict(e, name) for e in edge_list)
+        edge = _edge_from_list(edge_list, name)
         outputs = []
         for entry in output_list:
             try:
@@ -427,7 +436,7 @@ def contract_to_dict(tree: ContractTree) -> Dict:
         template = tree.node(node_id)
         dumped[node_id] = {
             "name": template.name,
-            "edge": [_requirement_to_dict(r) for r in template.edge],
+            "edge": _edge_to_list(template.edge),
             "outputs": [{"to": s.to, "share": str(s.share)} for s in template.outputs],
             "children": [],
         }

@@ -39,6 +39,7 @@ from .contract import (
     contract_from_dict,
     contract_to_dict,
     deepest_leaf_path,
+    is_int,
     load_contract_file,
     resolve_path,
     subtree_height,
@@ -53,7 +54,6 @@ from .onchain import (
     ProtocolError,
     STIPULATING,
     Session,
-    edge_parts,
 )
 from .offchain import OffchainSession
 from .strategies import (
@@ -128,13 +128,11 @@ def _integer(data: Dict, key: str, default: int, low: int,
     errors call the value ``what``, or ``key``."""
     value = data.get(key, default)
     what = what or key
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"{what} must be an integer, got {value!r}") from None
-    if number < low or (high is not None and number > high):
-        raise ScenarioError(f"{what} must be in [{low}, {high or 'inf'}], got {number}")
-    return number
+    if not is_int(value):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        raise ScenarioError(f"{what} must be in [{low}, {high or 'inf'}], got {value}")
+    return value
 
 
 def _require_leaf(tree: ContractTree, path_ids: Sequence[NodeId]) -> None:
@@ -188,11 +186,13 @@ def scenario_from_dict(data: Dict, base_dir: Union[str, Path, None] = None) -> S
         raise ScenarioError(f"the scenario path names unknown node {err}") from None
     _require_leaf(tree, path_ids)
     try:
-        oracle = tuple(sorted((int(h), str(lbl)) for h, lbl in data.get("oracle", [])))
-    except (TypeError, ValueError, OverflowError):
+        oracle = tuple(sorted((h, str(lbl)) for h, lbl in data.get("oracle", [])))
+    except (TypeError, ValueError):
         raise ScenarioError("oracle must be a list of [height, label] pairs") from None
     known = {s.label for s in tree.secrets}
     for height, lbl in oracle:
+        if not is_int(height):
+            raise ScenarioError(f"oracle heights must be integers, got {height!r}")
         if lbl not in known:
             raise ScenarioError(f"oracle reveals unknown secret {lbl!r}")
         if height < 0:
@@ -649,9 +649,9 @@ def message_census(tree: ContractTree, path_names: Optional[Sequence[str]] = Non
         oracle=tuple((0, s.label) for s in tree.secrets
                      if s.owner not in tree.participants),
         t=t, seed=seed)
-    # The default cap leaves no room for the After waits along the path.
+    # The default cap leaves no room for the edge waits along the path.
     scenario.height_cap = default_height_cap(scenario) + sum(
-        edge_parts(tree.node(i).edge)[0] for i in path_ids[1:])
+        tree.node(i).edge.wait for i in path_ids[1:])
     summary = run(scenario).summary
     if summary["outcome"] != OUTCOME_LEAF:
         raise ValueError(f"the census run ended at {summary['outcome']}, not at the leaf")

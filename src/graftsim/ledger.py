@@ -10,7 +10,7 @@ and a dry run gives exactly the ledger's answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from .contract import CONTINUATION, OutputSpec
@@ -78,20 +78,20 @@ EMPTY_WITNESS = AppendWitness()
 
 @dataclass(frozen=True)
 class AppendError:
+    """The first rule an append broke; each field is a key of the trace's
+    outcome object."""
+
     @property
     def code(self) -> str:
         return type(self).__name__
 
     def detail(self) -> Dict:
-        return {}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class MissingInput(AppendError):
-    ref: InputRef
-
-    def detail(self) -> Dict:
-        return {"input": [self.ref[0], self.ref[1]]}
+    input: InputRef
 
 
 @dataclass(frozen=True)
@@ -99,33 +99,21 @@ class MissingSignature(AppendError):
     signer: str
     role: str = IMPLICIT
 
-    def detail(self) -> Dict:
-        return {"signer": self.signer, "role": self.role}
-
 
 @dataclass(frozen=True)
 class MissingReveal(AppendError):
     label: str
-
-    def detail(self) -> Dict:
-        return {"label": self.label}
 
 
 @dataclass(frozen=True)
 class TimelockNotExpired(AppendError):
     needed_height: int
 
-    def detail(self) -> Dict:
-        return {"needed_height": self.needed_height}
-
 
 @dataclass(frozen=True)
 class ValueMismatch(AppendError):
     expected: int
     got: int
-
-    def detail(self) -> Dict:
-        return {"expected": self.expected, "got": self.got}
 
 
 class ChainState:

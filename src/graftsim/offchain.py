@@ -53,7 +53,6 @@ from .onchain import (
     Exchange,
     ProtocolError,
     Session,
-    edge_parts,
     exchange_plan,
     instantiate_subtree,
     make_deposits,
@@ -113,8 +112,7 @@ def compile_offchain(tree: ContractTree, commitments: CommitmentSet, salt: bytes
                    outputs=(OutputSpec(pot - 2 * tree.fee, CONTINUATION),))
     shadow = instantiate_subtree(
         tree, commitments, salt, tree.root, ((init.digest, 0),),
-        pot - 2 * tree.fee, subtree_height(tree, tree.root) * t,
-        clear_root_edge=True)
+        pot - 2 * tree.fee, subtree_height(tree, tree.root) * t)
     return OffchainCompilation(head, init, shadow, deposits)
 
 
@@ -166,7 +164,7 @@ class OffchainSession(Session):
     @property
     def last_settle_height(self) -> Optional[int]:
         """Height the latest sealed graft (or Head itself) landed/sealed —
-        the anchor from which edge After delays are measured."""
+        the anchor from which edge waits are measured."""
         latest = self.latest_sealed
         return latest.seal_height if latest else None
 
@@ -195,17 +193,17 @@ class OffchainSession(Session):
     def edge_satisfiable(self, child: NodeId) -> bool:
         """Can a step to ``child`` be agreed right now?  Reveals must be
         published (or held by a participant who would publish them on
-        agreement), and After delays must have elapsed since the last
+        agreement), and the edge's wait must have elapsed since the last
         settled step.  Authorizations are granted by the agreement itself."""
-        delay, _, labels = edge_parts(self.tree.node(child).edge)
-        for label in labels:
+        edge = self.tree.node(child).edge
+        for label in edge.reveals:
             published = label in self.reveal_pool
             owned = (label in self.commitments
                      and self.commitments.owner(label) in self.tree.participants)
             if not (published or owned):
                 return False
         anchor = self.last_settle_height
-        if delay and (anchor is None or not self.chain.reached(anchor + delay)):
+        if edge.wait and (anchor is None or not self.chain.reached(anchor + edge.wait)):
             return False
         return True
 
@@ -256,7 +254,7 @@ class OffchainSession(Session):
         timelock = subtree_height(self.tree, child) * self.t
         instances = instantiate_subtree(
             self.tree, self.commitments, self.salt, child, ((self.init.digest, 0),),
-            self.init.output_total(), timelock, clear_root_edge=True)
+            self.init.output_total(), timelock)
         body = [(self.tree.node(n).name, instances[n].digest)
                 for n in iter_preorder(self.tree, child) if n != child]
         root_item = (self.tree.node(child).name, instances[child].digest)

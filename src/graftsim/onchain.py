@@ -26,12 +26,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .contract import (
     CONTINUATION,
-    After,
-    AuthBy,
+    NO_EDGE,
     ContractTree,
     NodeId,
     OutputSpec,
-    RevealReq,
     iter_preorder,
     resolve_payout,
     validate_tree,
@@ -83,21 +81,6 @@ class ProtocolError(RuntimeError):
     pass
 
 
-def edge_parts(edge: Tuple) -> Tuple[int, frozenset, Tuple[str, ...]]:
-    """Split an edge into (wait blocks, authorizing signers, reveal labels)."""
-    delay = 0
-    signers: Set[str] = set()
-    labels: List[str] = []
-    for req in edge:
-        if isinstance(req, After):
-            delay = max(delay, req.blocks)
-        elif isinstance(req, AuthBy):
-            signers |= req.signers
-        elif isinstance(req, RevealReq):
-            labels.append(req.label)
-    return delay, frozenset(signers), tuple(labels)
-
-
 def make_deposits(tree: ContractTree, salt: bytes) -> Dict[str, TxInstance]:
     """Pre-existing deposit transactions, one per participant."""
     return {
@@ -115,37 +98,33 @@ def instantiate_subtree(
     root_inputs: Tuple[Tuple[str, int], ...],
     root_input_value: int,
     root_rel_timelock: int,
-    clear_root_edge: bool,
 ) -> Dict[NodeId, TxInstance]:
     """Build transaction instances for the subtree rooted at ``sub_root``.
 
-    The subtree root spends ``root_inputs`` under ``root_rel_timelock``;
-    every transaction burns one fee.  With ``clear_root_edge`` the root's
-    own edge requirements are dropped (used for grafts, whose root is
-    guarded by the graft timelock and implicit signatures instead).
+    The subtree root spends ``root_inputs`` under ``root_rel_timelock``
+    and carries no edge requirements: a contract root has none, and a
+    graft root is guarded by the graft timelock and the implicit
+    signatures instead.  Every transaction burns one fee.
     """
     everyone = frozenset(tree.participants)
     instances: Dict[NodeId, TxInstance] = {}
     # Preorder with an explicit stack: a node is built before its children,
     # which spend its digest, and children are popped in declaration order.
-    stack = [(sub_root, root_inputs, root_input_value, root_rel_timelock, clear_root_edge)]
+    stack = [(sub_root, root_inputs, root_input_value, root_rel_timelock, NO_EDGE)]
     while stack:
-        node_id, inputs, input_value, rel, cleared = stack.pop()
+        node_id, inputs, input_value, rel, edge = stack.pop()
         node = tree.node(node_id)
-        _, auth, labels = edge_parts(node.edge)
-        if cleared:
-            auth, labels = frozenset(), ()
         balance = input_value - tree.fee
         if node.children:
             outputs: Tuple[OutputSpec, ...] = (OutputSpec(balance, CONTINUATION),)
         else:
             outputs = resolve_payout(node.outputs, balance)
-        inst = make_tx(node.name, salt, inputs, rel, everyone, auth,
-                       frozenset(commitments[l] for l in labels), outputs)
+        inst = make_tx(node.name, salt, inputs, rel, everyone, edge.auth,
+                       frozenset(commitments[l] for l in edge.reveals), outputs)
         instances[node_id] = inst
         for child in reversed(node.children):
-            child_delay, _, _ = edge_parts(tree.node(child).edge)
-            stack.append((child, ((inst.digest, 0),), balance, child_delay, False))
+            child_edge = tree.node(child).edge
+            stack.append((child, ((inst.digest, 0),), balance, child_edge.wait, child_edge))
     return instances
 
 
@@ -161,7 +140,7 @@ def compile_onchain(
         deposits = make_deposits(tree, salt)
     root_inputs = tuple((deposits[p].digest, 0) for p in tree.participants)
     return instantiate_subtree(tree, commitments, salt, tree.root, root_inputs,
-                               tree.deposit_total(), 0, clear_root_edge=False)
+                               tree.deposit_total(), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -424,13 +403,13 @@ class Session:
         name order, publishes its authorization on every copy of the
         child's instance and opens its own secrets on that edge; a subclass
         then makes the step enforceable."""
-        _, auth, labels = edge_parts(self.tree.node(child).edge)
+        edge = self.tree.node(child).edge
         for signer in sorted(signers):
-            if signer in auth:
+            if signer in edge.auth:
                 for inst in self.copies(child):
                     if signer in inst.edge_signers:
                         self.publish_edge_auth(inst.digest, signer)
-            for label in labels:
+            for label in edge.reveals:
                 if label in self.commitments and self.commitments.owner(label) == signer \
                         and label not in self.reveal_pool:
                     self.publish_reveal(self.commitments.reveal(label))
@@ -562,10 +541,10 @@ class OnchainSession(Session):
     def step_signers(self, child: NodeId) -> Set[str]:
         """The edge's authorizers and the participants owning its secrets;
         an edge that needs neither is appended without agreement."""
-        _, auth, labels = edge_parts(self.tree.node(child).edge)
-        owners = {self.commitments.owner(label) for label in labels
+        edge = self.tree.node(child).edge
+        owners = {self.commitments.owner(label) for label in edge.reveals
                   if label in self.commitments}
-        return (set(auth) | owners) & set(self.tree.participants)
+        return (set(edge.auth) | owners) & set(self.tree.participants)
 
     def edge_satisfiable(self, child: NodeId) -> bool:
         """Worth agreeing now: not agreed yet, someone must agree, the

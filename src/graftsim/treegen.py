@@ -14,13 +14,12 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .contract import (
-    After,
-    AuthBy,
+    NO_EDGE,
     ContractTree,
+    Edge,
     NodeId,
     NodeTemplate,
     PayoutShare,
-    RevealReq,
     SecretDecl,
     deepest_leaf_path,
     validate_tree,
@@ -50,7 +49,7 @@ def chain_tree(n: int, deposit: int = 0) -> ContractTree:
     for i in range(1, n + 1):
         children = (i + 1,) if i < n else ()
         outputs = _even_split(participants) if i == n else ()
-        nodes[i] = NodeTemplate(i, f"N{i}", edge=(), outputs=outputs, children=children)
+        nodes[i] = NodeTemplate(i, f"N{i}", outputs=outputs, children=children)
     return _checked(ContractTree(
         participants=participants,
         deposits={p: deposit for p in participants},
@@ -69,7 +68,7 @@ def complete_binary_tree(height: int, deposit: int = 0) -> ContractTree:
     for i in range(1, n + 1):
         children = tuple(c for c in (2 * i, 2 * i + 1) if c <= n)
         outputs = _even_split(participants) if not children else ()
-        nodes[i] = NodeTemplate(i, f"N{i}", edge=(), outputs=outputs, children=children)
+        nodes[i] = NodeTemplate(i, f"N{i}", outputs=outputs, children=children)
     return _checked(ContractTree(
         participants=participants,
         deposits={p: deposit for p in participants},
@@ -89,22 +88,22 @@ def random_tree(seed: int) -> Tuple[ContractTree, List[str], List[Tuple[int, str
     secrets: List[SecretDecl] = []
     nodes: Dict[NodeId, NodeTemplate] = {}
     children: Dict[NodeId, List[NodeId]] = {i: [] for i in range(1, n + 1)}
-    edges: Dict[NodeId, Tuple] = {1: ()}
+    edges: Dict[NodeId, Edge] = {1: NO_EDGE}
     for i in range(2, n + 1):
         parent = rng.randint(1, i - 1)
         children[parent].append(i)
         roll = rng.random()
         if roll < 0.45:
-            edges[i] = ()
+            edges[i] = NO_EDGE
         elif roll < 0.70:
             label = f"S{i}"
             secrets.append(SecretDecl(label, "oracle"))
-            edges[i] = (RevealReq(label),)
+            edges[i] = Edge(reveals=(label,))
         elif roll < 0.85:
-            edges[i] = (After(rng.randint(1, 2)),)
+            edges[i] = Edge(wait=rng.randint(1, 2))
         else:
             count = rng.randint(1, len(participants))
-            edges[i] = (AuthBy(rng.sample(participants, count)),)
+            edges[i] = Edge(auth=frozenset(rng.sample(participants, count)))
     for i in range(1, n + 1):
         kids = tuple(children[i])
         if kids:
@@ -124,8 +123,7 @@ def random_tree(seed: int) -> Tuple[ContractTree, List[str], List[Tuple[int, str
     oracle: List[Tuple[int, str]] = []
     height = 2
     for node_id in path_ids[1:]:
-        for requirement in tree.node(node_id).edge:
-            if isinstance(requirement, RevealReq):
-                oracle.append((height, requirement.label))
-                height += 2
+        for label in tree.node(node_id).edge.reveals:
+            oracle.append((height, label))
+            height += 2
     return tree, path_names, oracle

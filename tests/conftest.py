@@ -6,12 +6,10 @@ from fractions import Fraction
 import pytest
 
 from graftsim.contract import (
-    After,
-    AuthBy,
     ContractTree,
+    Edge,
     NodeTemplate,
     PayoutShare,
-    RevealReq,
     SecretDecl,
     validate_tree,
 )
@@ -29,17 +27,17 @@ def build_three_party() -> ContractTree:
     half = Fraction(1, 2)
     third = Fraction(1, 3)
     nodes = {
-        0: NodeTemplate(0, "T0", edge=(), children=(1, 2, 3)),
-        1: NodeTemplate(1, "T1", edge=(After(5),),
+        0: NodeTemplate(0, "T0", children=(1, 2, 3)),
+        1: NodeTemplate(1, "T1", edge=Edge(wait=5),
                         outputs=(PayoutShare("A", third), PayoutShare("B", third),
                                  PayoutShare("C", third))),
-        2: NodeTemplate(2, "T2", edge=(AuthBy(["B"]), RevealReq("SA")),
+        2: NodeTemplate(2, "T2", edge=Edge(auth=frozenset({"B"}), reveals=("SA",)),
                         children=(4, 5)),
-        3: NodeTemplate(3, "T3", edge=(AuthBy(["C"]),),
+        3: NodeTemplate(3, "T3", edge=Edge(auth=frozenset({"C"})),
                         outputs=(PayoutShare("C", Fraction(1)),)),
-        4: NodeTemplate(4, "T4", edge=(AuthBy(["A", "B"]),),
+        4: NodeTemplate(4, "T4", edge=Edge(auth=frozenset({"A", "B"})),
                         outputs=(PayoutShare("A", half), PayoutShare("B", half))),
-        5: NodeTemplate(5, "T5", edge=(After(10),),
+        5: NodeTemplate(5, "T5", edge=Edge(wait=10),
                         outputs=(PayoutShare("A", Fraction(1)),)),
     }
     tree = ContractTree(

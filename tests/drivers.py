@@ -22,7 +22,6 @@ from graftsim.onchain import (
     OnchainSession,
     ProtocolError,
     Session,
-    edge_parts,
 )
 from graftsim.strategies import STRATEGIES, Action, Observation, Strategy
 from graftsim.trace import OUTCOME_LEAF, SIGNATURE_SENT, Trace, summarize_run
@@ -141,7 +140,7 @@ def census_by_replay(tree: ContractTree, ids: Sequence[NodeId], mode: str,
     session = start_offchain(tree, seed=seed, t=t)
     stipulate(session)
     for child in ids[1:]:
-        for label in edge_parts(tree.node(child).edge)[2]:
+        for label in tree.node(child).edge.reveals:
             if label not in session.reveal_pool:
                 session.publish_reveal(session.commitments.reveal(label))
         while not session.edge_satisfiable(child):

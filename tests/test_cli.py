@@ -95,6 +95,10 @@ def _out_w_shares_sum_to_11_28(contract):
     out_w["outputs"] = [{"to": "A", "share": "1/4"}, {"to": "B", "share": "1/7"}]
 
 
+def _out_w_waits_true(contract):
+    contract["nodes"]["children"][0]["children"][0]["edge"].append({"after": True})
+
+
 @pytest.mark.parametrize("scenario_patch, contract_patch, code, message", [
     ({"t": 0}, None, EXIT_BAD_INPUT, "t must be in"),
     ({"t": 2 ** 31}, None, EXIT_BAD_INPUT, "shadow root's timelock"),
@@ -113,10 +117,25 @@ def _out_w_shares_sum_to_11_28(contract):
     ({}, lambda c: c["deposits"].update(A="x"), EXIT_BAD_INPUT, "malformed contract field"),
     ({"strategies": {}}, lambda c: c.update(participants=[None]), EXIT_INVALID,
      "MissingDeposit at None"),
+    # Integer fields take JSON integers only: no bool, float or numeric string.
+    ({}, lambda c: c["deposits"].update(A=49.9), EXIT_BAD_INPUT, "must be integers, got 49.9"),
+    ({}, lambda c: c["deposits"].update(A=True), EXIT_BAD_INPUT, "must be integers, got True"),
+    ({}, lambda c: c["deposits"].update(A="50"), EXIT_BAD_INPUT, "must be integers, got '50'"),
+    ({}, lambda c: c.update(fee=1.9), EXIT_BAD_INPUT, "must be integers, got 1.9"),
+    ({}, _out_w_waits_true, EXIT_BAD_INPUT, "Out_W: after takes a non-negative block count"),
+    ({"t": 2.7}, None, EXIT_BAD_INPUT, "t must be an integer, got 2.7"),
+    ({"patience": True}, None, EXIT_BAD_INPUT, "patience must be an integer, got True"),
+    ({"seed": "7"}, None, EXIT_BAD_INPUT, "seed must be an integer, got '7'"),
+    ({"oracle": [[2.5, "L1"], [4, "W2"], [6, "L3"]]}, None, EXIT_BAD_INPUT,
+     "oracle heights must be integers, got 2.5"),
+    ({"height_cap": 9.9}, None, EXIT_BAD_INPUT, "height_cap must be an integer, got 9.9"),
 ], ids=["t-zero", "t-past-u32-timelock", "strategy-not-an-object", "negative-seed", "deposit-over-u64",
         "leaf-shares-11/28", "patience-not-a-number", "patience-a-list",
         "failsafe-after-steps-not-a-number", "negative-stall-after-steps",
-        "deposit-not-a-number", "participant-not-a-name"])
+        "deposit-not-a-number", "participant-not-a-name",
+        "deposit-a-float", "deposit-a-bool", "deposit-a-string", "fee-a-float",
+        "after-a-bool", "t-a-float", "patience-a-bool", "seed-a-string",
+        "oracle-height-a-float", "height-cap-a-float"])
 def test_bad_scenario_values_end_in_one_line(tmp_path, capsys, scenario_patch,
                                              contract_patch, code, message):
     contract = json.loads(Path(bundled("bo3.contract")).read_text())

@@ -10,12 +10,11 @@ from graftsim.contract import (
     MAX_AMOUNT,
     MAX_NAME_BYTES,
     MAX_TIMELOCK,
-    After,
-    AuthBy,
+    NO_EDGE,
     ContractParseError,
+    Edge,
     NodeTemplate,
     PayoutShare,
-    RevealReq,
     balance_at,
     contract_from_dict,
     contract_to_dict,
@@ -31,7 +30,7 @@ from graftsim.contract import (
     validate_tree,
 )
 from graftsim.onchain import compile_onchain
-from graftsim.treegen import chain_tree
+from graftsim.treegen import chain_tree, random_tree
 from graftsim.witness import CommitmentSet
 
 
@@ -121,23 +120,23 @@ class TestValidation:
 
     def test_unknown_edge_signer(self, three_party):
         nodes = dict(three_party.nodes)
-        nodes[3] = replace(nodes[3], edge=(AuthBy(["Z"]),))
+        nodes[3] = replace(nodes[3], edge=Edge(auth=frozenset({"Z"})))
         assert "UnknownParticipant" in self._kinds(replace(three_party, nodes=nodes))
 
     def test_undeclared_secret(self, three_party):
         nodes = dict(three_party.nodes)
-        nodes[3] = replace(nodes[3], edge=(RevealReq("nope"),))
+        nodes[3] = replace(nodes[3], edge=Edge(reveals=("nope",)))
         assert "UnknownSecret" in self._kinds(replace(three_party, nodes=nodes))
 
     def test_values_the_encoding_cannot_hold(self, three_party):
         nodes = dict(three_party.nodes)
-        nodes[1] = replace(nodes[1], edge=(After(MAX_TIMELOCK),))
+        nodes[1] = replace(nodes[1], edge=Edge(wait=MAX_TIMELOCK))
         nodes[3] = replace(nodes[3], name="x" * MAX_NAME_BYTES)
         at_limit = replace(three_party, nodes=nodes,
                            deposits={"A": MAX_AMOUNT - 20, "B": 10, "C": 10})
         assert validate_tree(at_limit) == []
         compile_onchain(at_limit, CommitmentSet([("SA", "A")], 0), b"salt")
-        nodes[1] = replace(nodes[1], edge=(After(MAX_TIMELOCK + 1),))
+        nodes[1] = replace(nodes[1], edge=Edge(wait=MAX_TIMELOCK + 1))
         nodes[3] = replace(nodes[3], name="x" * (MAX_NAME_BYTES + 1))
         over = replace(at_limit, nodes=nodes, deposits={"A": MAX_AMOUNT - 19, "B": 10, "C": 10})
         assert [(e.kind, e.where) for e in validate_tree(over)] == [
@@ -149,7 +148,7 @@ class TestValidation:
 
     def test_root_must_not_have_an_edge(self, three_party):
         nodes = dict(three_party.nodes)
-        nodes[0] = replace(nodes[0], edge=(After(1),))
+        nodes[0] = replace(nodes[0], edge=Edge(wait=1))
         assert "RootEdge" in self._kinds(replace(three_party, nodes=nodes))
 
     def test_two_parents_rejected(self, three_party):
@@ -207,6 +206,28 @@ class TestSerialization:
         data = contract_to_dict(bo3_tree)
         again = contract_from_dict(json.loads(json.dumps(data)))
         assert contract_to_dict(again) == data
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_random_tree_round_trip(self, seed):
+        tree = random_tree(seed)[0]
+        data = contract_to_dict(tree)
+        again = contract_from_dict(json.loads(json.dumps(data)))
+        assert contract_to_dict(again) == data
+        assert [again.node(n).edge for n in iter_preorder(again)] \
+            == [tree.node(n).edge for n in iter_preorder(tree)]
+
+    def test_edge_entries_fold_into_one_edge(self):
+        data = {"participants": ["A", "B"], "deposits": {"A": 5, "B": 5}, "fee": 0,
+                "secrets": [{"label": "S", "owner": "A"}],
+                "nodes": {"name": "R", "children": [
+                    {"name": "L", "outputs": [{"to": "A", "share": "1"}],
+                     "edge": [{"after": 3}, {"auth": ["B"]}, {"reveal": "S"},
+                              {"after": 5}, {"auth": ["A"]}]}]}}
+        tree = contract_from_dict(data)
+        assert tree.node(1).edge == Edge(5, frozenset({"A", "B"}), ("S",))
+        assert tree.node(0).edge is NO_EDGE
+        assert contract_to_dict(tree)["nodes"]["children"][0]["edge"] == [
+            {"auth": ["A", "B"]}, {"reveal": "S"}, {"after": 5}]
 
     def test_three_party_round_trip(self, three_party):
         data = contract_to_dict(three_party)

@@ -11,7 +11,7 @@ import pytest
 
 import graftsim
 from graftsim import harness
-from graftsim.contract import After, NodeTemplate, subtree_height
+from graftsim.contract import Edge, NodeTemplate, subtree_height
 from graftsim.harness import (
     MODE_OFFCHAIN,
     MODE_ONCHAIN,
@@ -346,8 +346,8 @@ class TestCensusAndCaps:
         # Waits far past the default height cap still reach the leaf.
         chain = chain_tree(3)
         nodes = dict(chain.nodes)
-        nodes[2] = replace(nodes[2], edge=(After(300),))
-        nodes[3] = replace(nodes[3], edge=(After(200),))
+        nodes[2] = replace(nodes[2], edge=Edge(wait=300))
+        nodes[3] = replace(nodes[3], edge=Edge(wait=200))
         waits = replace(chain, nodes=nodes)
         for mode in (MODE_OFFCHAIN, MODE_ONCHAIN):
             assert message_census(waits, mode=mode) \
@@ -405,3 +405,13 @@ def test_traces_match_the_goldens_across_hash_seeds(tmp_path):
         for name in names:
             assert (tmp_path / f"{name}.trace").read_bytes() == \
                 (golden / f"{name}.trace").read_bytes(), (hash_seed, name)
+
+
+def test_public_names_resolve():
+    assert len(set(graftsim.__all__)) == len(graftsim.__all__)
+    for name in graftsim.__all__:
+        assert hasattr(graftsim, name), name
+    # An edge is one ``Edge``; the per-requirement classes are gone.
+    for name in ("After", "AuthBy", "RevealReq", "EdgeRequirement"):
+        assert not hasattr(graftsim, name) and not hasattr(graftsim.contract, name)
+    assert not hasattr(graftsim.onchain, "edge_parts")

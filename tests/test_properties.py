@@ -28,7 +28,7 @@ from graftsim.harness import (
     message_census,
     run,
 )
-from graftsim.onchain import Exchange, edge_parts, exchange_plan
+from graftsim.onchain import Exchange, exchange_plan
 from graftsim.strategies import NEVER, WITHHOLD, Action, Observation
 from graftsim.trace import GRAFT_PROPOSED, GRAFT_SEALED, replay_appends
 from graftsim.treegen import random_tree
@@ -191,7 +191,7 @@ def test_graft_bookkeeping_matches_a_recount(seed, data):
     # The step whose graft is left half signed; len(ids) means none is.
     cut = data.draw(st.integers(1, len(ids)), label="cut")
     for step, child in enumerate(ids[1:], start=1):
-        for label in edge_parts(tree.node(child).edge)[2]:
+        for label in tree.node(child).edge.reveals:
             if label not in session.reveal_pool:
                 session.publish_reveal(session.commitments.reveal(label))
         while not session.edge_satisfiable(child):

@@ -3,7 +3,7 @@
 import pytest
 
 from graftsim.contract import (
-    RevealReq,
+    NO_EDGE,
     contract_to_dict,
     deepest_leaf_path,
     iter_preorder,
@@ -23,7 +23,7 @@ class TestChain:
         assert subtree_height(tree, tree.root) == 3
         for i in range(1, 4):
             assert tree.node(i).children == (i + 1,)
-            assert tree.node(i).edge == ()
+            assert tree.node(i).edge == NO_EDGE
 
     def test_default_deposit_covers_every_fee(self):
         for n in (1, 2, 8, 16):
@@ -81,9 +81,8 @@ class TestRandom:
         tree, path_names, oracle = random_tree(seed)
         path_ids = resolve_path(tree, path_names)
         assert path_ids == deepest_leaf_path(tree)
-        on_branch = [req.label for node_id in path_ids[1:]
-                     for req in tree.node(node_id).edge
-                     if isinstance(req, RevealReq)]
+        on_branch = [label for node_id in path_ids[1:]
+                     for label in tree.node(node_id).edge.reveals]
         assert [label for _, label in oracle] == on_branch
         heights = [h for h, _ in oracle]
         assert heights == sorted(heights)
