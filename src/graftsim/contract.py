@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 # Beneficiary sentinel for the single output of an internal node, spent by
 # whichever child transaction is appended next.
@@ -46,6 +46,13 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _name(value: object, what: str) -> str:
+    """``value`` if it is a JSON string; ``str()`` would make a name of anything."""
+    if not isinstance(value, str):
+        raise ContractParseError(f"{what} must be strings, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Edges
 
@@ -71,8 +78,7 @@ class PayoutShare:
     share: Fraction
 
 
-@dataclass(frozen=True)
-class OutputSpec:
+class OutputSpec(NamedTuple):
     """A concrete transaction output: an integer value and who may spend it."""
     value: int
     beneficiary: str
@@ -188,14 +194,19 @@ def resolve_path(tree: ContractTree, names: Sequence[str]) -> List[NodeId]:
     return ids
 
 
-def subtree_height(tree: ContractTree, node_id: NodeId) -> int:
-    """Number of edges on the longest path from ``node_id`` to a leaf."""
+def subtree_heights(tree: ContractTree, start: Optional[NodeId] = None) -> Dict[NodeId, int]:
+    """``subtree_height`` of each node in the subtree at ``start`` (default: root)."""
     height: Dict[NodeId, int] = {}
     # Reversed preorder visits every child before its parent.
-    for n in reversed(list(iter_preorder(tree, node_id))):
+    for n in reversed(list(iter_preorder(tree, start))):
         children = tree.node(n).children
         height[n] = 1 + max(height[c] for c in children) if children else 0
-    return height[node_id]
+    return height
+
+
+def subtree_height(tree: ContractTree, node_id: NodeId) -> int:
+    """Number of edges on the longest path from ``node_id`` to a leaf."""
+    return subtree_heights(tree, node_id)[node_id]
 
 
 def subtree_size(tree: ContractTree, node_id: NodeId) -> int:
@@ -377,13 +388,14 @@ def contract_from_dict(data: Dict) -> ContractTree:
     try:
         if not isinstance(data["participants"], list):
             raise TypeError("participants must be a list")
-        participants = tuple(sorted(str(p) for p in data["participants"]))
+        participants = tuple(sorted(_name(p, "participant names") for p in data["participants"]))
         deposits = {str(k): v for k, v in data["deposits"].items()}
         fee = data["fee"]
         bad = [v for v in (fee, *deposits.values()) if not is_int(v)]
         if bad:
             raise TypeError(f"the fee and deposits must be integers, got {bad[0]!r}")
-        secrets = tuple(SecretDecl(str(s["label"]), str(s["owner"]))
+        secrets = tuple(SecretDecl(_name(s["label"], "secret labels"),
+                                   _name(s["owner"], "secret owners"))
                         for s in data.get("secrets", []))
         root_obj = data["nodes"]
     except (KeyError, TypeError, AttributeError) as exc:
@@ -394,7 +406,7 @@ def contract_from_dict(data: Dict) -> ContractTree:
 
     def open_node(obj) -> Tuple[NodeId, str, Edge, Tuple, Iterator, List[NodeId]]:
         try:
-            name = str(obj["name"])
+            name = _name(obj["name"], "node names")
         except (KeyError, TypeError) as exc:
             raise ContractParseError(f"node without a name: {exc}") from exc
         edge_list = obj.get("edge", [])
@@ -407,7 +419,8 @@ def contract_from_dict(data: Dict) -> ContractTree:
         outputs = []
         for entry in output_list:
             try:
-                outputs.append(PayoutShare(str(entry["to"]), Fraction(str(entry["share"]))))
+                outputs.append(PayoutShare(_name(entry["to"], "payout beneficiaries"),
+                                           Fraction(str(entry["share"]))))
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ContractParseError(f"{name}: bad payout entry: {exc}") from exc
         return next(counter), name, edge, tuple(outputs), iter(children), []

@@ -11,7 +11,7 @@ and a dry run gives exactly the ledger's answer.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from .contract import CONTINUATION, OutputSpec
 from .witness import (
@@ -28,8 +28,7 @@ from .witness import (
 InputRef = Tuple[str, int]  # (source digest hex, output index)
 
 
-@dataclass(frozen=True)
-class TxInstance:
+class TxInstance(NamedTuple):
     digest: str
     name: str
     inputs: Tuple[InputRef, ...]
@@ -57,8 +56,7 @@ def make_tx(
     required_reveals: FrozenSet[SecretCommitment] = frozenset(),
     outputs: Tuple[OutputSpec, ...] = (),
 ) -> TxInstance:
-    digest = tx_digest(name, salt, inputs, rel_timelock,
-                       tuple((o.value, o.beneficiary) for o in outputs))
+    digest = tx_digest(name, salt, inputs, rel_timelock, outputs)
     return TxInstance(digest, name, tuple(inputs), rel_timelock,
                       frozenset(required_signers), frozenset(edge_signers),
                       frozenset(required_reveals), tuple(outputs))

@@ -30,8 +30,8 @@ from .contract import (
     ContractTree,
     NodeId,
     OutputSpec,
-    iter_preorder,
     subtree_height,
+    subtree_heights,
     validate_tree,
 )
 from .ledger import AppendError, TxInstance, make_tx
@@ -132,14 +132,15 @@ class OffchainSession(Session):
     def __init__(self, tree: ContractTree, commitments: CommitmentSet, salt: bytes,
                  trace: Trace, t: int) -> None:
         comp = compile_offchain(tree, commitments, salt, t)
-        body = [comp.init] + [comp.shadow[n] for n in iter_preorder(tree)]
-        super().__init__(tree, commitments, salt, trace, comp.deposits, comp.head, body)
+        super().__init__(tree, commitments, salt, trace, comp.deposits, comp.head,
+                         [comp.init, *comp.shadow.values()])
         self.t = t
         self.head = comp.head
         self.init = comp.init
+        # Every node's subtree height, which times t is its graft's timelock.
+        self.heights = subtree_heights(tree)
         self.grafts: List[Graft] = [Graft(
-            0, tree.root, comp.shadow,
-            subtree_height(tree, tree.root) * t, exchange=None)]
+            0, tree.root, comp.shadow, self.heights[tree.root] * t, exchange=None)]
         self.init_on_chain = False
         # Kept up to date where grafts are created, sealed and discarded:
         # the graft whose exchange is under way, the newest fully signed
@@ -251,16 +252,15 @@ class OffchainSession(Session):
         if child not in self.tree.node(self.offchain_head).children:
             raise ProtocolError(
                 f"{child} is not a child of the current off-chain head")
-        timelock = subtree_height(self.tree, child) * self.t
+        timelock = self.heights[child] * self.t
         instances = instantiate_subtree(
             self.tree, self.commitments, self.salt, child, ((self.init.digest, 0),),
             self.init.output_total(), timelock)
-        body = [(self.tree.node(n).name, instances[n].digest)
-                for n in iter_preorder(self.tree, child) if n != child]
-        root_item = (self.tree.node(child).name, instances[child].digest)
+        root, *body = instances.values()
         graft = Graft(len(self.grafts), child, instances, timelock,
-                      Exchange(exchange_plan(self.tree.participants, body,
-                                             root_item, include_txset=False)))
+                      Exchange(exchange_plan(self.tree.participants,
+                                             [(tx.name, tx.digest) for tx in body],
+                                             (root.name, root.digest), include_txset=False)))
         self.grafts.append(graft)
         self.pending_graft = graft
         self.trace.add(Event(self.chain.height, "session", GRAFT_PROPOSED, {

@@ -21,8 +21,7 @@ session in ``offchain`` builds on it with Head as its anchor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .contract import (
     CONTINUATION,
@@ -30,7 +29,6 @@ from .contract import (
     ContractTree,
     NodeId,
     OutputSpec,
-    iter_preorder,
     resolve_payout,
     validate_tree,
 )
@@ -59,6 +57,7 @@ from .witness import (
     IMPLICIT,
     CommitmentSet,
     Reveal,
+    SecretCommitment,
     SignatureStore,
     sign,
 )
@@ -90,6 +89,10 @@ def make_deposits(tree: ContractTree, salt: bytes) -> Dict[str, TxInstance]:
     }
 
 
+# Shared by every instance whose edge opens no secret.
+NO_REVEALS: FrozenSet[SecretCommitment] = frozenset()
+
+
 def instantiate_subtree(
     tree: ContractTree,
     commitments: CommitmentSet,
@@ -104,7 +107,8 @@ def instantiate_subtree(
     The subtree root spends ``root_inputs`` under ``root_rel_timelock``
     and carries no edge requirements: a contract root has none, and a
     graft root is guarded by the graft timelock and the implicit
-    signatures instead.  Every transaction burns one fee.
+    signatures instead.  Every transaction burns one fee.  The map lists
+    the nodes in preorder, ``sub_root`` first.
     """
     everyone = frozenset(tree.participants)
     instances: Dict[NodeId, TxInstance] = {}
@@ -119,8 +123,8 @@ def instantiate_subtree(
             outputs: Tuple[OutputSpec, ...] = (OutputSpec(balance, CONTINUATION),)
         else:
             outputs = resolve_payout(node.outputs, balance)
-        inst = make_tx(node.name, salt, inputs, rel, everyone, edge.auth,
-                       frozenset(commitments[l] for l in edge.reveals), outputs)
+        reveals = frozenset(commitments[l] for l in edge.reveals) if edge.reveals else NO_REVEALS
+        inst = make_tx(node.name, salt, inputs, rel, everyone, edge.auth, reveals, outputs)
         instances[node_id] = inst
         for child in reversed(node.children):
             child_edge = tree.node(child).edge
@@ -146,8 +150,7 @@ def compile_onchain(
 # ---------------------------------------------------------------------------
 # Pairwise message exchange with phase gating
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     sender: str
     recipient: str
     kind: str        # "txset" | "sig"
@@ -435,7 +438,7 @@ class Session:
             return None
         msg = exchange.deliver(index)
         if msg.kind == "sig":
-            self.stores[msg.recipient].add(sign(msg.sender, msg.digest, IMPLICIT))
+            self.stores[msg.recipient].add(msg.sender, msg.digest, IMPLICIT)
             event = Event(self.chain.height, sender, SIGNATURE_SENT,
                           {"digest": msg.digest, "to": msg.recipient, "tx": msg.subject})
         else:
@@ -529,9 +532,8 @@ class OnchainSession(Session):
             raise ProtocolError(f"invalid contract: {errors[0]}")
         deposits = make_deposits(tree, salt)
         self.instances = compile_onchain(tree, commitments, salt, deposits)
-        body = [self.instances[i] for i in iter_preorder(tree) if i != tree.root]
-        super().__init__(tree, commitments, salt, trace, deposits,
-                         self.instances[tree.root], body)
+        anchor, *body = self.instances.values()
+        super().__init__(tree, commitments, salt, trace, deposits, anchor, body)
         # Steps agreed so far; an agreed step is appended, not agreed again.
         self.agreed_steps: Set[NodeId] = set()
 

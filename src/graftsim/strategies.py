@@ -104,9 +104,10 @@ class Action:
     wake: Optional[float] = None
 
 
-# The idle move of the bundled strategies, none of which idles on the height
-# except ``honest`` while it waits out its patience.
+# The idle and send moves of the bundled strategies, one object each.  None
+# of them idles on the height except ``honest`` while it waits out its patience.
 _IDLE = Action(IDLE, wake=NEVER)
+_SEND = Action(SEND)
 Params = Dict[str, object]
 Strategy = Callable[[Observation, Params], Action]
 
@@ -144,7 +145,7 @@ def _cooperates_until_running(fn: Strategy) -> Strategy:
     def strategy(obs: Observation, params: Params) -> Action:
         if obs.phase == STIPULATING:
             if obs.owes_message:
-                return Action(SEND)
+                return _SEND
             if obs.anchor_appendable:
                 return Action(APPEND, TARGET_ANCHOR)
             return _IDLE
@@ -181,7 +182,7 @@ def honest(obs: Observation, params: Params) -> Action:
     if obs.others_owe_me and obs.waiting_rounds > patience:
         return Action(APPEND, TARGET_FAILSAFE)
     if obs.owes_message:
-        return Action(SEND)
+        return _SEND
     if obs.proposal is not None and not obs.i_agreed:
         proposer, child = obs.proposal
         return Action(AGREE) if child == obs.next_child else Action(REFUSE)
@@ -208,7 +209,7 @@ def staller(obs: Observation, params: Params) -> Action:
     if obs.proposal is not None and not obs.i_agreed:
         return Action(AGREE)
     if obs.owes_message:
-        return Action(SEND) if obs.steps_sealed < limit else Action(WITHHOLD, wake=NEVER)
+        return _SEND if obs.steps_sealed < limit else Action(WITHHOLD, wake=NEVER)
     return _IDLE
 
 
@@ -225,7 +226,7 @@ def premature_init(obs: Observation, params: Params) -> Action:
     if obs.proposal is not None and not obs.i_agreed:
         return Action(AGREE)
     if obs.owes_message:
-        return Action(SEND)
+        return _SEND
     if obs.next_child is not None and obs.next_child_proposable \
             and not obs.pending_graft and obs.proposal is None:
         return Action(PROPOSE, child=obs.next_child)
@@ -246,7 +247,7 @@ def rollback_attacker(obs: Observation, params: Params) -> Action:
     if obs.proposal is not None and not obs.i_agreed:
         return Action(AGREE)
     if obs.owes_message:
-        return Action(SEND)
+        return _SEND
     return _IDLE
 
 
@@ -261,5 +262,5 @@ def silent_aborter(obs: Observation, params: Params) -> Action:
     if obs.proposal is not None and not obs.i_agreed:
         return Action(AGREE) if obs.steps_sealed < limit else Action(REFUSE)
     if obs.owes_message:
-        return Action(SEND)
+        return _SEND
     return _IDLE

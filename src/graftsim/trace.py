@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .ledger import AppendWitness, ChainState, TxInstance
 
@@ -43,8 +43,7 @@ OUTCOME_HEIGHT_CAP = "height_cap"
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     height: int
     actor: str
     kind: str

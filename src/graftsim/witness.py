@@ -33,26 +33,10 @@ def hash_bytes(data: bytes) -> bytes:
 # ---------------------------------------------------------------------------
 # Canonical serialization: length-prefixed, field-ordered, fixed-width
 # big-endian integers.  Structural equality of the serialized fields is
-# exactly digest equality.
-
-def _u16(value: int) -> bytes:
-    return value.to_bytes(2, "big")
-
-
-def _u32(value: int) -> bytes:
-    return value.to_bytes(4, "big")
-
+# exactly digest equality; a value too wide for its field raises OverflowError.
 
 def _u64(value: int) -> bytes:
     return value.to_bytes(8, "big")
-
-
-def _blob(data: bytes) -> bytes:
-    return _u16(len(data)) + data
-
-
-def _text(value: str) -> bytes:
-    return _blob(value.encode("utf-8"))
 
 
 def tx_digest(
@@ -67,18 +51,21 @@ def tx_digest(
     ``inputs`` are (source digest hex, output index) pairs; ``outputs`` are
     (value, beneficiary) pairs.  The salt scopes the digest to one
     compilation, so identically shaped transactions from different
-    sessions never collide.
+    sessions never collide.  Fields are hashed in one pass as they are
+    encoded: text and bytes with a 16-bit length, counts and indices in 16
+    bits, the timelock in 32 and values in 64.
     """
-    parts = [b"TX1", _text(name), _blob(salt), _u16(len(inputs))]
+    raw = name.encode("utf-8")
+    h = hashlib.sha256(b"TX1" + len(raw).to_bytes(2, "big") + raw
+                       + len(salt).to_bytes(2, "big") + salt + len(inputs).to_bytes(2, "big"))
     for src, idx in inputs:
-        parts.append(_blob(bytes.fromhex(src)))
-        parts.append(_u16(idx))
-    parts.append(_u32(rel_timelock))
-    parts.append(_u16(len(outputs)))
+        ref = bytes.fromhex(src)
+        h.update(len(ref).to_bytes(2, "big") + ref + idx.to_bytes(2, "big"))
+    h.update(rel_timelock.to_bytes(4, "big") + len(outputs).to_bytes(2, "big"))
     for value, beneficiary in outputs:
-        parts.append(_u64(value))
-        parts.append(_text(beneficiary))
-    return hash_bytes(b"".join(parts)).hex()
+        raw = beneficiary.encode("utf-8")
+        h.update(value.to_bytes(8, "big") + len(raw).to_bytes(2, "big") + raw)
+    return h.hexdigest()
 
 
 def scenario_salt(seed: int, scope: str = "") -> bytes:
@@ -120,8 +107,8 @@ class SignatureStore:
     def __init__(self) -> None:
         self._by_digest: Dict[str, Set[Tuple[str, str]]] = {}
 
-    def add(self, sig: Signature) -> "SignatureStore":
-        self._by_digest.setdefault(sig.digest, set()).add((sig.signer, sig.role))
+    def add(self, signer: str, digest: str, role: str = IMPLICIT) -> "SignatureStore":
+        self._by_digest.setdefault(digest, set()).add((signer, role))
         return self
 
     def has(self, signer: str, digest: str, role: str = IMPLICIT) -> bool:

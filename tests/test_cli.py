@@ -95,6 +95,10 @@ def _out_w_shares_sum_to_11_28(contract):
     out_w["outputs"] = [{"to": "A", "share": "1/4"}, {"to": "B", "share": "1/7"}]
 
 
+def _out_w_pays_to_a_number(contract):
+    contract["nodes"]["children"][0]["children"][0]["outputs"][0]["to"] = 1
+
+
 def _out_w_waits_true(contract):
     contract["nodes"]["children"][0]["children"][0]["edge"].append({"after": True})
 
@@ -115,8 +119,18 @@ def _out_w_waits_true(contract):
     ({"strategies": {"B": {"name": "staller", "params": {"stall_after_steps": -1}}}},
      None, EXIT_BAD_INPUT, "B's staller param stall_after_steps must be in [0, inf]"),
     ({}, lambda c: c["deposits"].update(A="x"), EXIT_BAD_INPUT, "malformed contract field"),
-    ({"strategies": {}}, lambda c: c.update(participants=[None]), EXIT_INVALID,
-     "MissingDeposit at None"),
+    ({"strategies": {}}, lambda c: c.update(participants=[None]), EXIT_BAD_INPUT,
+     "participant names must be strings, got None"),
+    # Name fields take JSON strings only: no number or null made into a name.
+    ({}, lambda c: c["nodes"].update(name=7), EXIT_BAD_INPUT, "node names must be strings, got 7"),
+    ({}, lambda c: c["nodes"].update(name=None), EXIT_BAD_INPUT,
+     "node names must be strings, got None"),
+    ({}, lambda c: c["secrets"][0].update(label=12), EXIT_BAD_INPUT,
+     "secret labels must be strings, got 12"),
+    ({}, lambda c: c["secrets"][0].update(owner=None), EXIT_BAD_INPUT,
+     "secret owners must be strings, got None"),
+    ({}, _out_w_pays_to_a_number, EXIT_BAD_INPUT,
+     "Out_W: bad payout entry: payout beneficiaries must be strings, got 1"),
     # Integer fields take JSON integers only: no bool, float or numeric string.
     ({}, lambda c: c["deposits"].update(A=49.9), EXIT_BAD_INPUT, "must be integers, got 49.9"),
     ({}, lambda c: c["deposits"].update(A=True), EXIT_BAD_INPUT, "must be integers, got True"),
@@ -133,6 +147,8 @@ def _out_w_waits_true(contract):
         "leaf-shares-11/28", "patience-not-a-number", "patience-a-list",
         "failsafe-after-steps-not-a-number", "negative-stall-after-steps",
         "deposit-not-a-number", "participant-not-a-name",
+        "node-name-a-number", "node-name-null", "secret-label-a-number", "secret-owner-null",
+        "payout-to-a-number",
         "deposit-a-float", "deposit-a-bool", "deposit-a-string", "fee-a-float",
         "after-a-bool", "t-a-float", "patience-a-bool", "seed-a-string",
         "oracle-height-a-float", "height-cap-a-float"])

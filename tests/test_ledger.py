@@ -1,5 +1,7 @@
 """Chain rules: append validation order, timelocks, value conservation."""
 
+import pytest
+
 from graftsim.contract import OutputSpec
 from graftsim.ledger import (
     AppendWitness,
@@ -12,6 +14,8 @@ from graftsim.ledger import (
     ValueMismatch,
     make_tx,
 )
+from graftsim.onchain import Message
+from graftsim.trace import DEPOSIT, Event
 from graftsim.witness import (
     CommitmentSet,
     EDGE,
@@ -32,6 +36,19 @@ def witness_for(tx, signers=("A", "B"), edge=(), reveals=()):
     sigs = frozenset({sign(s, tx.digest, IMPLICIT) for s in signers}
                      | {sign(s, tx.digest, EDGE) for s in edge})
     return AppendWitness(signatures=sigs, reveals=frozenset(reveals))
+
+
+@pytest.mark.parametrize("record", [
+    Event(0, "A", DEPOSIT, {"value": 20}),
+    Message("A", "B", "sig", "Dep_A", "aa", 1),
+    deposit(),
+    OutputSpec(20, "A"),
+], ids=lambda record: type(record).__name__)
+def test_records_are_immutable_tuples(record):
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    assert record == tuple(record)
 
 
 class TestAppendRules:

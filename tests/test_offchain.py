@@ -13,7 +13,7 @@ from graftsim.trace import (
     SIGNATURE_SENT,
     TXSET_SENT,
 )
-from graftsim.treegen import chain_tree
+from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
 from graftsim.witness import CommitmentSet, scenario_salt
 
 from drivers import finalize, offchain_step, start_offchain, stipulate
@@ -137,6 +137,29 @@ class TestGrafts:
         assert session.trace.count(SIGNATURE_SENT) - before == 14 + 8 + 2
         assert session.steps_sealed == 3
         assert session.offchain_head == ids["LWL"]
+
+    @pytest.mark.parametrize("tree", [complete_binary_tree(4)] +
+                             [random_tree(seed)[0] for seed in range(50)])
+    def test_height_map_matches_subtree_height(self, tree):
+        session = start_offchain(tree, seed=0, t=3)
+        assert session.heights == {n: subtree_height(tree, n) for n in iter_preorder(tree)}
+        assert session.shadow.root_timelock == session.heights[tree.root] * 3
+
+    @pytest.mark.parametrize("tree", [complete_binary_tree(4)] +
+                             [random_tree(seed)[0] for seed in range(50)])
+    def test_graft_body_is_signed_in_preorder(self, tree):
+        for child in tree.node(tree.root).children:
+            session = start_offchain(tree, seed=0, t=2)
+            stipulate(session)
+            graft = session.create_graft(child)
+            sender, recipient = sorted(tree.participants)[:2]
+            signed = [(m.phase, m.subject, m.digest) for m in graft.exchange.messages
+                      if (m.sender, m.recipient) == (sender, recipient)]
+            body = [n for n in iter_preorder(tree, child) if n != child]
+            root = graft.instances[child]
+            assert signed == [(0, tree.node(n).name, graft.instances[n].digest) for n in body] \
+                + [(1, root.name, root.digest)]
+            assert graft.root_timelock == subtree_height(tree, child) * 2
 
     def test_graft_guards(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)

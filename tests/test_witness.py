@@ -1,7 +1,11 @@
 """Authorization layer: digests, signature stores, commitments, reveals."""
 
-import pytest
+import hashlib
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from graftsim.contract import MAX_AMOUNT, MAX_NAME_BYTES, MAX_TIMELOCK, OutputSpec
 from graftsim.witness import (
     CommitmentSet,
     EDGE,
@@ -52,6 +56,72 @@ class TestDigests:
         assert scenario_salt(1) != scenario_salt(2)
 
 
+# The piecewise encoding, kept as the reference the one-pass ``tx_digest``
+# must equal: each field encoded on its own, the parts joined, then hashed.
+
+def _u16(value):
+    return value.to_bytes(2, "big")
+
+
+def _blob(data):
+    return _u16(len(data)) + data
+
+
+def _text(value):
+    return _blob(value.encode("utf-8"))
+
+
+def reference_tx_digest(name, salt, inputs, rel_timelock, outputs):
+    parts = [b"TX1", _text(name), _blob(salt), _u16(len(inputs))]
+    for src, idx in inputs:
+        parts.append(_blob(bytes.fromhex(src)))
+        parts.append(_u16(idx))
+    parts.append(rel_timelock.to_bytes(4, "big"))
+    parts.append(_u16(len(outputs)))
+    for value, beneficiary in outputs:
+        parts.append(value.to_bytes(8, "big"))
+        parts.append(_text(beneficiary))
+    return hashlib.sha256(b"".join(parts)).hexdigest()
+
+
+# Short names, and names at the limit: a participant's name of MAX_NAME_BYTES,
+# its deposit's "Dep_" name of 2^16 - 1 bytes, and two-byte characters.
+LONG_NAMES = {"longest": "x" * MAX_NAME_BYTES, "deposit": "Dep_" + "x" * MAX_NAME_BYTES,
+              "accented": "é" * (MAX_NAME_BYTES // 2),
+              "deposit-accented": "Dep_ü" + "x" * (MAX_NAME_BYTES - 2)}
+names = st.one_of(st.text(max_size=12), st.sampled_from(sorted(LONG_NAMES)).map(LONG_NAMES.get))
+refs = st.tuples(st.binary(max_size=32).map(bytes.hex), st.integers(0, 2 ** 16 - 1))
+outs = st.builds(OutputSpec, st.integers(0, MAX_AMOUNT), names)
+
+
+@settings(max_examples=200, deadline=None)
+@given(names, st.binary(max_size=40), st.lists(refs, max_size=3).map(tuple),
+       st.integers(0, MAX_TIMELOCK), st.lists(outs, max_size=3).map(tuple))
+def test_one_pass_digest_equals_the_piecewise_reference(name, salt, inputs, rel, outputs):
+    assert tx_digest(name, salt, inputs, rel, outputs) == \
+        reference_tx_digest(name, salt, inputs, rel, tuple(map(tuple, outputs)))
+
+
+WIDE = 2 ** 16
+OK = ("T", SALT, ((SRC, 0),), 5, ((10, "A"),))
+
+
+@pytest.mark.parametrize("field, value", [
+    (0, "x" * WIDE), (0, "é" * (WIDE // 2)), (1, bytes(WIDE)),
+    (2, ((SRC, 0),) * WIDE), (2, ((bytes(WIDE).hex(), 0),)), (2, ((SRC, WIDE),)),
+    (2, ((SRC, -1),)), (3, 2 ** 32), (3, -1), (4, ((0, "A"),) * WIDE),
+    (4, ((MAX_AMOUNT + 1, "A"),)), (4, ((-1, "A"),)), (4, ((10, "b" * WIDE),)),
+], ids=["name", "name-non-ascii", "salt", "input-count", "input-digest", "input-index",
+        "input-index-negative", "timelock", "timelock-negative", "output-count", "value",
+        "value-negative", "beneficiary"])
+def test_one_past_each_limit_overflows_in_both(field, value):
+    args = list(OK)
+    args[field] = value
+    for digest in (tx_digest, reference_tx_digest):
+        with pytest.raises(OverflowError):
+            digest(*args)
+
+
 class TestSignatures:
     def test_verify_binds_to_digest(self):
         sig = sign("A", "00" * 32)
@@ -60,20 +130,21 @@ class TestSignatures:
 
     def test_roles_are_distinct_authorizations(self):
         store = SignatureStore()
-        store.add(sign("A", "aa", IMPLICIT))
+        store.add("A", "aa", IMPLICIT)
         assert store.has("A", "aa", IMPLICIT)
         assert not store.has("A", "aa", EDGE)
-        store.add(sign("A", "aa", EDGE))
+        store.add("A", "aa", EDGE)
         assert store.signers("aa", EDGE) == {"A"}
         assert store.signers("aa", IMPLICIT) == {"A"}
 
     def test_store_accumulates(self):
         store = SignatureStore()
         for signer in ("A", "B", "C"):
-            store.add(sign(signer, "aa"))
-        store.add(sign("A", "aa"))  # duplicates collapse
+            store.add(signer, "aa")
+        store.add("A", "aa", IMPLICIT)  # duplicates collapse
         assert store.signers("aa") == {"A", "B", "C"}
         assert store.signers("bb") == set()
+        assert not store.has("A", "bb")
 
 
 class TestCommitments:
