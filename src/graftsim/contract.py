@@ -209,10 +209,6 @@ def subtree_height(tree: ContractTree, node_id: NodeId) -> int:
     return subtree_heights(tree, node_id)[node_id]
 
 
-def subtree_size(tree: ContractTree, node_id: NodeId) -> int:
-    return sum(1 for _ in iter_preorder(tree, node_id))
-
-
 def balance_at(tree: ContractTree, node_id: NodeId) -> int:
     """Funds available to ``node_id`` when the tree is executed on-chain:
     the deposits minus one fee per transaction from the root down to and

@@ -7,8 +7,8 @@ participants intend to follow.  ``run`` replays it round by round:
 * each round starts by publishing any oracle reveals due at the current
   height, then polls every participant in a fixed order;
 * a polled participant acts repeatedly (observe -> decide -> execute)
-  until its action makes no progress — a failed chain append counts as
-  no progress, which limits retries to one attempt per round;
+  until its action makes no progress, as a failed chain append makes none
+  (one attempt per round); one ``SEND`` delivers all it can send now;
 * after the polls the chain ticks, unless the run has reached a terminal
   state or the height cap: one block after a round that added a trace
   event, otherwise straight to the earliest height at which anything can
@@ -437,8 +437,11 @@ class _Engine:
         kind = action.kind
         if kind in (IDLE, WITHHOLD):
             return False
-        if kind == SEND:
-            return self.session.deliver_next(participant) is not None
+        if kind == SEND:  # every message the actor can send now (see ``Action``)
+            sent = False
+            while self.session.deliver_next(participant) is not None:
+                sent = True
+            return sent
         if kind == PROPOSE:
             return self._execute_propose(participant, action.child)
         if kind == AGREE:

@@ -202,10 +202,6 @@ class Exchange:
         index = queue[pos]
         return index if self._phase_open(self.messages[index].phase) else None
 
-    def peek(self, sender: str) -> Optional[Message]:
-        index = self.next_for(sender)
-        return None if index is None else self.messages[index]
-
     def deliver(self, index: int) -> Message:
         if self.delivered[index]:
             raise ProtocolError("message already delivered")

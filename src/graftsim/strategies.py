@@ -28,7 +28,7 @@ from .contract import NodeId
 from .onchain import FAILSAFE, RUNNING, STIPULATING
 
 # Action kinds
-SEND = "send"
+SEND = "send"          # deliver every message I can send now, as one action
 WITHHOLD = "withhold"
 APPEND = "append"
 PROPOSE = "propose"
@@ -90,6 +90,10 @@ NEVER = math.inf
 @dataclass(frozen=True)
 class Action:
     """What a participant does now.
+
+    A ``SEND`` delivers the actor's messages one by one, phase gating
+    checked before each, until none is deliverable, without asking the
+    strategy again; to stop partway through an exchange, return ``WITHHOLD``.
 
     ``wake`` matters only when the action makes no progress: it is the
     least height at which the strategy, shown the same state, could choose

@@ -1,6 +1,7 @@
 """Shared fixtures: the bundled bet contract and a small three-party tree."""
 
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,20 @@ from graftsim.contract import (
     validate_tree,
 )
 from graftsim.harness import bundled_data_dir, load_scenario
+
+# When a ``@given`` test fails, the hypothesis pytest plugin's report hook
+# imports ``hypothesis.extra._patching`` to suggest a patch, and that module
+# imports ``libcst``, whose import raises a ``DeprecationWarning``.  Under
+# ``-W error`` the warning escapes the hook as an INTERNALERROR that ends the
+# session, hiding every later result.  Importing the module here once, with
+# only that import's deprecation warnings ignored, leaves the report hook
+# nothing to warn about; every warning raised by a test is still an error.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is not installed: the hook returns quietly
+        pass
 
 
 def build_three_party() -> ContractTree:

@@ -5,29 +5,45 @@ drivers step a session by hand instead (deliver a plan in order, agree
 one step, settle) so a test can stop anywhere, withhold any single
 message, and check the engine's results against a walk it does not use.
 ``run_blockwise`` is the reference for the engine's clock: the same run,
-polled at every block.  ``eager_observation`` is the reference for the
-engine's observations: every field computed up front.
+polled at every block.  ``run_per_message`` is the reference for the
+engine's send burst: the same run, one message per ``SEND``.
+``eager_observation`` is the reference for the engine's observations:
+every field computed up front.  ``next_message`` and ``subtree_size`` are
+small queries only the tests need.
 """
 
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from graftsim.contract import ContractTree, NodeId, resolve_path
+from graftsim.contract import ContractTree, NodeId, iter_preorder, resolve_path
 from graftsim.harness import Scenario, _Engine, run
 from graftsim.offchain import Graft, OffchainSession
 from graftsim.onchain import (
     FAILSAFE,
     FINALIZED,
+    Exchange,
+    Message,
     OnchainSession,
     ProtocolError,
     Session,
 )
-from graftsim.strategies import STRATEGIES, Action, Observation, Strategy
+from graftsim.strategies import SEND, STRATEGIES, Action, Observation, Strategy
 from graftsim.trace import OUTCOME_LEAF, SIGNATURE_SENT, Trace, summarize_run
 from graftsim.witness import CommitmentSet, scenario_salt
 
 _DRIVER_GUARD = 100_000
+
+
+def subtree_size(tree: ContractTree, node_id: NodeId) -> int:
+    """Number of nodes in the subtree at ``node_id``, itself included."""
+    return sum(1 for _ in iter_preorder(tree, node_id))
+
+
+def next_message(exchange: Exchange, sender: str) -> Optional[Message]:
+    """The message ``sender`` could deliver next in ``exchange``, if any."""
+    index = exchange.next_for(sender)
+    return None if index is None else exchange.messages[index]
 
 
 def stipulate(session: Session, withhold_at: Optional[int] = None) -> bool:
@@ -179,6 +195,24 @@ def run_blockwise(scenario: Scenario) -> Trace:
         return run(replace(scenario, strategies={
             p: (f"{name}/blockwise", params)
             for p, (name, params) in scenario.strategies.items()}))
+
+
+def run_per_message(scenario: Scenario) -> Trace:
+    """``run(scenario)`` with an engine whose ``SEND`` delivers exactly one
+    message, so the strategy is polled again before each further message.
+    Nothing else changes, so the whole trace is comparable."""
+    execute = _Engine._execute
+
+    def one_message(engine: _Engine, participant: str, action: Action) -> bool:
+        if action.kind == SEND:
+            return engine.session.deliver_next(participant) is not None
+        return execute(engine, participant, action)
+
+    _Engine._execute = one_message
+    try:
+        return run(scenario)
+    finally:
+        _Engine._execute = execute
 
 
 def eager_observation(engine: _Engine, participant: str) -> Observation:

@@ -26,12 +26,13 @@ from graftsim.contract import (
     resolve_path,
     resolve_payout,
     subtree_height,
-    subtree_size,
     validate_tree,
 )
 from graftsim.onchain import compile_onchain
 from graftsim.treegen import chain_tree, random_tree
 from graftsim.witness import CommitmentSet
+
+from drivers import subtree_size
 
 
 def names(tree, ids):

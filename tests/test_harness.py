@@ -30,6 +30,7 @@ from graftsim.harness import (
 from graftsim.onchain import STIPULATING, ProtocolError
 from graftsim.strategies import (
     IDLE,
+    SEND,
     TARGET_FAILSAFE,
     TARGET_INIT,
     TARGET_LATEST_GRAFT,
@@ -314,6 +315,32 @@ class TestEngineWatchdog:
         assert events_and_summary(trace) == events_and_summary(run(scn))
         for copy in copies:
             assert copy == replace(copy)  # reads every field, long after its poll
+
+
+class TestSendBurst:
+    def test_one_send_delivers_every_message_the_actor_can_send_now(self):
+        # After a SEND the actor owes nothing more in that poll, so its
+        # next choice at that height is never SEND again.
+        polls = []
+
+        @register("recorder")
+        def recorder(observation, params):
+            action = honest(observation, params)
+            polls.append((observation.actor, observation.height, action.kind,
+                          observation.owes_message))
+            return action
+        scn = load("bo3_happy")
+        try:
+            trace = run(replace(scn, strategies={p: ("recorder", {}) for p in scn.strategies}))
+        finally:
+            del STRATEGIES["recorder"]
+        assert events_and_summary(trace) == events_and_summary(run(scn))
+        sends = [i for i, (_, _, kind, _) in enumerate(polls) if kind == SEND]
+        assert 0 < len(sends) < trace.summary["message_count"]
+        for i in sends:
+            actor, height = polls[i][:2]
+            after = [p for p in polls[i + 1:] if p[:2] == (actor, height)]
+            assert not after or not after[0][3]
 
 
 class TestComparison:

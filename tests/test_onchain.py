@@ -24,7 +24,7 @@ from graftsim.trace import (
 )
 from graftsim.witness import CommitmentSet, scenario_salt
 
-from drivers import stipulate
+from drivers import next_message, stipulate
 
 
 def commitments_for(tree, seed=1):
@@ -127,7 +127,7 @@ class TestExchangePlan:
             else:
                 assert nxt is None  # their final signature is still gated
         exchange.deliver(held_back)
-        assert all(exchange.peek(p).phase == 2 for p in three_party.participants)
+        assert all(next_message(exchange, p).phase == 2 for p in three_party.participants)
 
     def test_redelivery_raises(self, three_party):
         exchange = session_for(three_party).stipulation

@@ -1,6 +1,7 @@
 """Invariant checks over randomized inputs."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from graftsim.contract import (
     resolve_path,
     resolve_payout,
     subtree_height,
-    subtree_size,
     validate_tree,
 )
 from graftsim.harness import (
@@ -40,9 +40,11 @@ from drivers import (
     observations_checked,
     offchain_step,
     run_blockwise,
+    run_per_message,
     start_offchain,
     stipulate,
     strategies_added,
+    subtree_size,
 )
 
 NO_DEADLINE = settings(deadline=None)
@@ -293,6 +295,13 @@ def _stipulation_mute(obs, params):
     return Action(WITHHOLD, wake=NEVER)
 
 
+def _adversary_params(adversary, step):
+    """``adversary``'s params, each deviating after ``step`` sealed steps."""
+    return {"staller": {"stall_after_steps": step},
+            "premature_init": {"trigger_step": 1 + step},
+            "silent_aborter": {"refuse_at_step": step}}.get(adversary, {})
+
+
 def _adversary_scenarios(seed, data, adversaries):
     """Scenarios over ``random_tree(seed)``: each of ``adversaries`` (or
     "honest", for none) at one drawn participant against honest players, in
@@ -310,10 +319,7 @@ def _adversary_scenarios(seed, data, adversaries):
         if adversary == "rollback_attacker":
             honest_params["failsafe_after_steps"] = 1
         strategies = {p: ("honest", dict(honest_params)) for p in tree.participants}
-        strategies[adversary_at] = (adversary, {
-            "staller": {"stall_after_steps": step},
-            "premature_init": {"trigger_step": 1 + step},
-            "silent_aborter": {"refuse_at_step": step}}.get(adversary, {}))
+        strategies[adversary_at] = (adversary, _adversary_params(adversary, step))
         for mode in (MODE_ONCHAIN, MODE_OFFCHAIN):
             for t in (1, 2):
                 yield Scenario(
@@ -338,6 +344,59 @@ def test_skipped_blocks_change_no_event(seed, data):
 def test_bundled_runs_skip_no_event(path):
     scenario = load_scenario(path)
     assert events_and_summary(run(scenario)) == events_and_summary(run_blockwise(scenario))
+
+
+# -- one SEND delivers a burst ----------------------------------------------
+
+def _sends_match_the_per_message_reference(scenario):
+    assert events_and_summary(run(scenario)) == \
+        events_and_summary(run_per_message(scenario)), \
+        (scenario.strategies, scenario.order, scenario.mode, scenario.t)
+
+
+def _coalition_scenarios(seed, data):
+    """Scenarios over the first three-party ``random_tree`` from ``seed``:
+    one honest party, at a drawn place in the poll order, against every
+    ordered pair of distinct adversaries, in both modes and for both
+    timelock units."""
+    while len(random_tree(seed)[0].participants) < 3:
+        seed += 1
+    tree, path_names, oracle = random_tree(seed)
+    step = data.draw(st.integers(0, 3), label="step")
+    honest_at = data.draw(st.sampled_from(tree.participants), label="honest_at")
+    others = [p for p in tree.participants if p != honest_at]
+    for first, second in itertools.permutations(ADVERSARIES, 2):
+        strategies = {honest_at: ("honest", {}),
+                      others[0]: (first, _adversary_params(first, step)),
+                      others[1]: (second, _adversary_params(second, step))}
+        for mode in (MODE_ONCHAIN, MODE_OFFCHAIN):
+            for t in (1, 2):
+                yield Scenario(
+                    label=f"coalition-{seed}", tree=tree, mode=mode,
+                    strategies=strategies, path=tuple(path_names),
+                    oracle=tuple(oracle), t=t, seed=seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_a_send_burst_equals_one_message_per_poll(seed, data):
+    # One SEND delivers every message the actor can send now; polling the
+    # strategy before each message instead must give the same events.
+    with strategies_added({MUTE: _stipulation_mute}):
+        for scenario in _adversary_scenarios(seed, data, ADVERSARIES + ("honest", MUTE)):
+            _sends_match_the_per_message_reference(scenario)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_a_send_burst_equals_one_message_per_poll_in_coalitions(seed, data):
+    for scenario in _coalition_scenarios(seed, data):
+        _sends_match_the_per_message_reference(scenario)
+
+
+@pytest.mark.parametrize("path", bundled_scenarios(), ids=lambda p: p.stem)
+def test_bundled_send_bursts_equal_one_message_per_poll(path):
+    _sends_match_the_per_message_reference(load_scenario(path))
 
 
 # -- observations are filled on first read ----------------------------------
