@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .ledger import AppendWitness, ChainState, TxInstance
 
@@ -42,6 +42,45 @@ OUTCOME_HEIGHT_CAP = "height_cap"
 # an equal one per call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
+# Event line formats by shape, ``(kind, *data keys)`` in insertion order.
+# An entry depends on its shape alone, so every trace can share it.  The
+# package's events have literal keys and few shapes (14 over the three
+# benchmark workloads); the cache is cleared once it holds ``_MAX_SHAPES``,
+# so callers that serialize arbitrary events cannot grow it without limit.
+_FORMATS: Dict[Tuple, Tuple[str, Tuple[str, ...]]] = {}
+_MAX_SHAPES = 1024
+
+
+def _line_format(kind: str, data: Dict) -> Tuple[str, Tuple[str, ...]]:
+    """The ``%`` format of an event line of this shape, and the data keys
+    whose encoded values fill it, sorted.  The constant parts are encoded
+    here once, with every ``%`` in them doubled."""
+    for key in data:
+        if not isinstance(key, str):
+            raise TypeError(f"event data keys must be str, not {type(key).__name__}")
+    def quoted(text: str) -> str:
+        return _ENCODER.encode(text).replace("%", "%%")
+    keys = tuple(sorted(data))
+    fields = ",".join(quoted(key) + ":%s" for key in keys)
+    return '{"actor":%s,"data":{' + fields + '},"height":%d,"kind":' + quoted(kind) + "}", keys
+
+
+def _event_lines(events: Iterable[Event]) -> Iterator[str]:
+    """Each event's line, filled into its shape's cached format: the bytes
+    of ``json.dumps`` with sorted keys and compact separators, for an
+    ``int`` height and ``str`` data keys."""
+    enc = _ENCODER.encode
+    formats = _FORMATS
+    for height, actor, kind, data in events:
+        shape = (kind, *data)
+        try:
+            fmt, keys = formats[shape]
+        except KeyError:
+            if len(formats) >= _MAX_SHAPES:
+                formats.clear()
+            fmt, keys = formats[shape] = _line_format(kind, data)
+        yield fmt % (enc(actor), *map(enc, map(data.__getitem__, keys)), height)
+
 
 class Event(NamedTuple):
     height: int
@@ -50,8 +89,7 @@ class Event(NamedTuple):
     data: Dict
 
     def to_json(self) -> str:
-        return _ENCODER.encode(
-            {"actor": self.actor, "data": self.data, "height": self.height, "kind": self.kind})
+        return next(_event_lines((self,)))
 
 
 @dataclass
@@ -77,7 +115,7 @@ class Trace:
 
     def serialize(self) -> str:
         lines = [_ENCODER.encode({"type": "header", **self.header})]
-        lines.extend(e.to_json() for e in self.events)
+        lines.extend(_event_lines(self.events))
         lines.append(_ENCODER.encode({"type": "summary", **self.summary}))
         return "\n".join(lines) + "\n"
 
@@ -95,8 +133,13 @@ def witness_summary(witness: AppendWitness) -> Dict:
 def summarize_run(trace: Trace, chain: ChainState, fee: int, outcome: str,
                   completion_height: Optional[int] = None) -> Dict:
     """Fill in the trace's terminal summary from the final chain state."""
-    appended = [[e.data["name"], e.data["digest"], e.height, e.data["role"]]
-                for e in trace.find(APPEND) if e.data["outcome"] == "ok"]
+    messages = 0
+    appended = []
+    for e in trace.events:
+        if e.kind == SIGNATURE_SENT:
+            messages += 1
+        elif e.kind == APPEND and e.data["outcome"] == "ok":
+            appended.append([e.data["name"], e.data["digest"], e.height, e.data["role"]])
     trace.summary = {
         "outcome": outcome,
         "final_height": chain.height,
@@ -105,7 +148,7 @@ def summarize_run(trace: Trace, chain: ChainState, fee: int, outcome: str,
         "fees_paid": fee * chain.non_deposit_count(),
         "deposits": chain.deposit_total(),
         "payouts": dict(sorted(chain.participant_utxo_values().items())),
-        "message_count": trace.count(SIGNATURE_SENT),
+        "message_count": messages,
         "appended": appended,
         "chain": chain.snapshot(),
     }

@@ -8,10 +8,12 @@ message, and check the engine's results against a walk it does not use.
 polled at every block.  ``run_per_message`` is the reference for the
 engine's send burst: the same run, one message per ``SEND``.
 ``eager_observation`` is the reference for the engine's observations:
-every field computed up front.  ``next_message`` and ``subtree_size`` are
-small queries only the tests need.
+every field computed up front.  ``serialize_by_dumps`` is the reference
+for trace serialization: one ``json.dumps`` per line.  ``next_message`` and
+``subtree_size`` are small queries only the tests need.
 """
 
+import json
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from typing import Dict, Iterator, List, Optional, Sequence
@@ -178,6 +180,18 @@ def strategies_added(extra: Dict[str, Strategy]) -> Iterator[None]:
 
 def _without_wake(fn: Strategy) -> Strategy:
     return lambda obs, params: replace(fn(obs, params), wake=None)
+
+
+def serialize_by_dumps(trace: Trace) -> str:
+    """``trace.serialize()`` with every line one ``json.dumps`` of a dict,
+    with sorted keys and compact separators."""
+    def dumps(obj: Dict) -> str:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    lines = [dumps({"type": "header", **trace.header})]
+    lines += [dumps({"actor": e.actor, "data": e.data, "height": e.height, "kind": e.kind})
+              for e in trace.events]
+    lines.append(dumps({"type": "summary", **trace.summary}))
+    return "\n".join(lines) + "\n"
 
 
 def events_and_summary(trace: Trace) -> str:

@@ -420,7 +420,7 @@ def test_traces_match_the_goldens_across_hash_seeds(tmp_path):
               "from graftsim.cli import main\n"
               "for scn, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
               "    main(['run', scn, '--trace', out])\n")
-    names = ("bo3_happy", "bo3_staller")
+    names = ("bo3_happy", "bo3_onchain", "bo3_staller")
     src = str(Path(graftsim.__file__).parents[1])
     for hash_seed in ("0", "1", "2", "4294967295"):
         args = []

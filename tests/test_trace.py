@@ -3,9 +3,15 @@ compact separators, whatever the values."""
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from drivers import serialize_by_dumps
+from graftsim import trace as trace_module
+from graftsim.contract import deepest_leaf_path
+from graftsim.harness import MODE_OFFCHAIN, Scenario, bundled_scenarios, load_scenario, run
 from graftsim.trace import Event, Trace
+from graftsim.treegen import chain_tree, random_tree
 
 # Integers reach 2^64 either side; text covers control and non-ASCII
 # characters, in keys and values alike, and always draws a few of them.
@@ -38,7 +44,92 @@ def test_event_line_is_json_dumps(event):
 @given(header=OBJECTS, events=st.lists(EVENTS, max_size=4), summary=OBJECTS)
 def test_trace_serialization_is_json_dumps(header, events, summary):
     trace = Trace(header, events=events, summary=summary)
-    lines = [dumps({"type": "header", **header})]
-    lines += [dumps(event_dict(e)) for e in events]
-    lines.append(dumps({"type": "summary", **summary}))
-    assert trace.serialize() == "\n".join(lines) + "\n"
+    assert trace.serialize() == serialize_by_dumps(trace)
+
+
+# -- the per-shape line formats ---------------------------------------------
+
+# Characters that mean something to ``%`` formatting or to JSON strings.
+AWKWARD = ("%", "%%", "%s", "{}", '"\\')
+
+
+@pytest.mark.parametrize("events", [
+    [Event(0, "A", "Empty", {})],
+    [Event(7, "B", "One", {"only": "value"})],
+    [Event(1, actor, kind, {key: key, "x" + key: [key, {key: 1}]})
+     for actor in AWKWARD for kind in AWKWARD for key in AWKWARD],
+    # One key set inserted in two orders.
+    [Event(2, "A", "Order", {"b": 1, "a": 2}), Event(3, "A", "Order", {"a": 3, "b": 4})],
+    # One kind with two key sets.
+    [Event(4, "A", "Keys", {"a": 1}), Event(5, "A", "Keys", {"a": 1, "b": None})],
+    # Values of one shape that compare equal but encode differently.
+    [Event(6, "A", "Flag", {"v": True}), Event(6, "A", "Flag", {"v": 1}),
+     Event(6, "A", "Flag", {"v": 1.0}), Event(6, "A", "Flag", {"v": "1"})],
+], ids=["empty-data", "one-key", "format-characters", "two-orders", "two-key-sets",
+        "true-against-one"])
+def test_event_lines_of_every_shape_are_json_dumps(events):
+    trace = Trace({"type": "ignored"}, events=events)
+    assert trace.serialize() == serialize_by_dumps(trace)
+    assert [e.to_json() for e in events] == [dumps(event_dict(e)) for e in events]
+
+
+@pytest.mark.parametrize("data", [{1: "x"}, {"a": 1, 2: "x"}, {None: 0}, {(1,): 0}])
+def test_a_data_key_that_is_not_a_string_raises(data):
+    with pytest.raises(TypeError):
+        Event(0, "A", "Bad", data).to_json()
+    with pytest.raises(TypeError):
+        Trace({}, events=[Event(0, "A", "Good", {"a": 1}), Event(0, "A", "Bad", data)]).serialize()
+
+
+def test_the_shape_cache_stays_within_its_bound():
+    bound = trace_module._MAX_SHAPES
+    events = [Event(i, "A", f"Kind{i % 7}", {f"k{i}": i, "shared": "%s"})
+              for i in range(bound + 50)]
+    # The first shape again, after the cache has been cleared.
+    events.append(events[0])
+    trace = Trace({}, events=events)
+    assert trace.serialize() == serialize_by_dumps(trace)
+    assert 0 < len(trace_module._FORMATS) <= bound
+
+
+# -- the package's own traces -----------------------------------------------
+
+ADVERSARY_PARAMS = {
+    "staller": lambda seed: {"stall_after_steps": seed % 3},
+    "premature_init": lambda seed: {"trigger_step": 1 + seed % 3},
+    "rollback_attacker": lambda seed: {},
+    "silent_aborter": lambda seed: {"refuse_at_step": seed % 3},
+}
+
+
+def _reference_scenarios():
+    """The bundled scenarios, a cooperative off-chain ``chain_tree(16)`` and
+    ``random_tree`` seeds 0-24 against every bundled adversary, which between
+    them end at the leaf and at the height cap, with failed appends."""
+    for path in bundled_scenarios():
+        yield load_scenario(path)
+    tree = chain_tree(16)
+    yield Scenario(
+        label="chain16", tree=tree, mode=MODE_OFFCHAIN,
+        strategies={p: ("honest", {}) for p in tree.participants},
+        path=tuple(tree.node(i).name for i in deepest_leaf_path(tree)), t=1)
+    for seed in range(25):
+        tree, path_names, oracle = random_tree(seed)
+        for adversary, params in ADVERSARY_PARAMS.items():
+            strategies = {p: ("honest", {}) for p in tree.participants}
+            strategies[tree.participants[-1]] = (adversary, params(seed))
+            yield Scenario(
+                label=f"rnd-{seed}-{adversary}", tree=tree, mode=MODE_OFFCHAIN,
+                strategies=strategies, path=tuple(path_names), oracle=tuple(oracle),
+                t=1 + seed % 2, patience=2, seed=seed)
+
+
+def test_package_traces_serialize_as_the_reference():
+    outcomes, failed_appends = set(), 0
+    for scenario in _reference_scenarios():
+        trace = run(scenario)
+        assert trace.serialize() == serialize_by_dumps(trace), scenario.label
+        outcomes.add(trace.outcome)
+        failed_appends += sum(e.data["outcome"] != "ok" for e in trace.find("Append"))
+    assert outcomes == {"leaf", "height_cap"}
+    assert failed_appends > 0
