@@ -209,13 +209,6 @@ def subtree_height(tree: ContractTree, node_id: NodeId) -> int:
     return subtree_heights(tree, node_id)[node_id]
 
 
-def balance_at(tree: ContractTree, node_id: NodeId) -> int:
-    """Funds available to ``node_id`` when the tree is executed on-chain:
-    the deposits minus one fee per transaction from the root down to and
-    including this node."""
-    return tree.deposit_total() - tree.fee * len(path_to(tree, node_id))
-
-
 def resolve_payout(shares: Tuple[PayoutShare, ...], balance: int) -> Tuple[OutputSpec, ...]:
     """Turn fractional shares into integer outputs over ``balance``.
 
@@ -327,7 +320,7 @@ def validate_tree(tree: ContractTree) -> List[StructuralError]:
                     err("UnknownParticipant", where, f"payout to {s.to!r}")
                 if s.share < 0:
                     err("NegativeValue", where, f"negative share for {s.to}")
-        # balance_at, with the path length taken from the depth
+        # Funds left here on-chain: the pot less one fee per node down to it
         if pot - tree.fee * (depth[node_id] + 1) < 0:
             err("NegativeBalance", where, "fees exceed the deposits on this path")
 

@@ -17,18 +17,19 @@ participants intend to follow.  ``run`` replays it round by round:
 
 All randomness is confined to seeds, so a scenario always produces a
 byte-identical trace.  Strategies communicate only through the session
-(message delivery, published material, the chain) and through the
-engine's proposal bookkeeping; the session says who must agree to a
-step, whether it is agreeable, and what an agreed step becomes.
+(message delivery, step proposals and agreements, published material,
+the chain).  The engine only schedules: the session holds the whole
+protocol state and refuses, with ``ProtocolError``, a move that does not
+apply, which the engine counts as no progress.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .contract import (
     MAX_AMOUNT,
@@ -47,7 +48,6 @@ from .contract import (
 from .ledger import AppendError
 from .onchain import (
     ABORTED,
-    Exchange,
     FAILSAFE,
     FINALIZED,
     OnchainSession,
@@ -81,9 +81,6 @@ from .trace import (
     OUTCOME_ABORTED,
     OUTCOME_HEIGHT_CAP,
     OUTCOME_LEAF,
-    STEP_AGREED,
-    STEP_PROPOSED,
-    STEP_REFUSED,
     Trace,
     summarize_run,
 )
@@ -151,6 +148,8 @@ def scenario_from_dict(data: Dict, base_dir: Union[str, Path, None] = None) -> S
         path_names = data["path"]
     except KeyError as missing:
         raise ScenarioError(f"scenario is missing required key {missing}") from None
+    if not isinstance(label, str):
+        raise ScenarioError(f"label must be a string, got {label!r}")
     if mode not in (MODE_ONCHAIN, MODE_OFFCHAIN):
         raise ScenarioError(f"unknown mode {mode!r}")
     if not isinstance(contract_ref, str):
@@ -186,13 +185,15 @@ def scenario_from_dict(data: Dict, base_dir: Union[str, Path, None] = None) -> S
         raise ScenarioError(f"the scenario path names unknown node {err}") from None
     _require_leaf(tree, path_ids)
     try:
-        oracle = tuple(sorted((h, str(lbl)) for h, lbl in data.get("oracle", [])))
+        oracle = tuple((h, lbl) for h, lbl in data.get("oracle", []))
     except (TypeError, ValueError):
         raise ScenarioError("oracle must be a list of [height, label] pairs") from None
     known = {s.label for s in tree.secrets}
     for height, lbl in oracle:
         if not is_int(height):
             raise ScenarioError(f"oracle heights must be integers, got {height!r}")
+        if not isinstance(lbl, str):
+            raise ScenarioError(f"oracle labels must be strings, got {lbl!r}")
         if lbl not in known:
             raise ScenarioError(f"oracle reveals unknown secret {lbl!r}")
         if height < 0:
@@ -208,7 +209,7 @@ def scenario_from_dict(data: Dict, base_dir: Union[str, Path, None] = None) -> S
         raise ScenarioError(f"t = {t} puts the shadow root's timelock over {MAX_TIMELOCK}")
     return Scenario(
         label=label, tree=tree, mode=mode, strategies=strategies,
-        path=tuple(path_names), oracle=oracle, t=t,
+        path=tuple(path_names), oracle=tuple(sorted(oracle)), t=t,
         patience=_integer(data, "patience", 2, 0),
         seed=_integer(data, "seed", 0, 0, MAX_AMOUNT), order=order,
         height_cap=_integer(data, "height_cap", 0, 0) if "height_cap" in data else None,
@@ -239,14 +240,6 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
 # The engine
 
 
-@dataclass
-class _Proposal:
-    proposer: str
-    child: NodeId
-    needed: Set[str]
-    agreed: Set[str] = field(default_factory=set)
-
-
 class _Lazy:
     """A field computed on its first read and stored in the instance
     ``__dict__``, which shadows this non-data descriptor from then on.
@@ -272,7 +265,7 @@ class _Lazy:
 class _LiveObservation(Observation):
     """The observation of one poll.  ``actor``, ``height``, ``mode`` and
     ``phase`` are set up front; every other field is computed from the
-    engine's state when the strategy first reads it, so an unread field
+    session's state when the strategy first reads it, so an unread field
     costs nothing and makes no height test.  ``_Engine._poll`` spends the
     observation once the strategy returns.  Only ``_Engine._observe``
     builds one; ``dataclasses.replace`` calls the dataclass ``__init__``,
@@ -284,26 +277,25 @@ class _LiveObservation(Observation):
     _exchange = _Lazy(lambda o: o._session.active_exchange())
     owes_message = _Lazy(lambda o: o._exchange is not None
                          and o._exchange.next_for(o.actor) is not None)
-    others_owe_me = _Lazy(lambda o: o._engine._others_owe(o.actor, o._exchange))
+    others_owe_me = _Lazy(lambda o: o._session.others_owe(o.actor))
     waiting_rounds = _Lazy(lambda o: o._engine.chain.height - o._engine.last_progress)
     anchor_appendable = _Lazy(lambda o: o._session.anchor_appendable(o.actor))
     init_on_chain = _Lazy(lambda o: o._session.phase == FAILSAFE)
-    steps_sealed = _Lazy(lambda o: o._session.steps_sealed if o._offchain else 0)
-    pending_graft = _Lazy(lambda o: o._offchain and o._session.pending_graft is not None)
-    proposal = _Lazy(lambda o: o._engine._proposal_view(o.actor)[0])
-    i_agreed = _Lazy(lambda o: o._engine._proposal_view(o.actor)[1])
-    step_refused = _Lazy(lambda o: o._engine.step_refused)
+    steps_sealed = _Lazy(lambda o: o._session.steps_sealed)
+    pending_graft = _Lazy(lambda o: o._session.pending_graft is not None)
+    proposal = _Lazy(lambda o: o._session.proposal)
+    i_agreed = _Lazy(lambda o: not o._session.owes_agreement(o.actor))
+    step_refused = _Lazy(lambda o: o._session.step_refused)
     # The node the on-chain walk would append next, if any.
     continuation_child = _Lazy(
         lambda o: o._engine.next_on_path.get(o._session.cursor[1]) if o._session.cursor else None)
-    # Off-chain, steps are agreed from the newest sealed graft's origin;
-    # on-chain, a step is agreed where the walk stands.
-    next_child = _Lazy(lambda o: o._engine.next_on_path.get(o._session.offchain_head)
-                       if o._offchain else o.continuation_child)
+    _step_origin = _Lazy(lambda o: o._session.step_origin)
+    next_child = _Lazy(lambda o: o._engine.next_on_path.get(o._step_origin))
     next_child_proposable = _Lazy(
         lambda o: o.next_child is not None and o._session.edge_satisfiable(o.next_child))
-    at_leaf = _Lazy(lambda o: o._offchain
-                    and not o._engine.tree.node(o._session.offchain_head).children)
+    # Never on-chain: the walk stands at a leaf only once the run is over.
+    at_leaf = _Lazy(lambda o: o._step_origin is not None
+                    and not o._engine.tree.node(o._step_origin).children)
     latest_root_ready = _Lazy(lambda o: o._session.latest_sealed is not None
                               and o._session.graft_root_ready(o.actor, o._session.latest_sealed))
     continuation_ready = _Lazy(lambda o: o.continuation_child is not None
@@ -318,7 +310,6 @@ class _Engine:
         self.session = session
         self.chain = session.chain
         self.trace = trace
-        self.offchain = scenario.mode == MODE_OFFCHAIN
         self.order: List[str] = list(scenario.order or sorted(self.tree.participants))
         self.players = {p: (STRATEGIES[name], dict(params))
                         for p, (name, params) in scenario.strategies.items()}
@@ -329,10 +320,9 @@ class _Engine:
             self.next_on_path.setdefault(at, nxt)
         self.oracle = list(scenario.oracle)
         self.oracle_cursor = 0
-        self.proposal: Optional[_Proposal] = None
-        self.step_refused = False
         self.last_progress = self.chain.height
-        self.cap = scenario.height_cap or default_height_cap(scenario)
+        self.cap = default_height_cap(scenario) if scenario.height_cap is None \
+            else scenario.height_cap
 
     # -- scheduling ----------------------------------------------------------
 
@@ -409,26 +399,11 @@ class _Engine:
 
     # -- observation ---------------------------------------------------------
 
-    def _others_owe(self, participant: str, exchange: Optional[Exchange]) -> bool:
-        if exchange is not None and exchange.pending_from_others(participant):
-            return True
-        proposal = self.proposal
-        return proposal is not None and participant in proposal.agreed \
-            and not proposal.needed <= proposal.agreed
-
-    def _proposal_view(self, participant: str) -> Tuple[Optional[Tuple[str, NodeId]], bool]:
-        if self.proposal is None:
-            return None, True
-        agreed = participant in self.proposal.agreed or \
-            participant not in self.proposal.needed
-        return (self.proposal.proposer, self.proposal.child), agreed
-
     def _observe(self, participant: str) -> Observation:
         observation = object.__new__(_LiveObservation)
         vars(observation).update(
             actor=participant, height=self.chain.height, mode=self.scn.mode,
-            phase=self.session.phase, _engine=self, _session=self.session,
-            _offchain=self.offchain)
+            phase=self.session.phase, _engine=self, _session=self.session)
         return observation
 
     # -- execution -----------------------------------------------------------
@@ -443,52 +418,14 @@ class _Engine:
                 sent = True
             return sent
         if kind == PROPOSE:
-            return self._execute_propose(participant, action.child)
+            return self.session.propose(participant, action.child)
         if kind == AGREE:
-            return self._execute_agree(participant)
+            return self.session.agree(participant)
         if kind == REFUSE:
-            return self._execute_refuse(participant)
+            return self.session.refuse(participant)
         if kind == APPEND:
             return self._execute_append(participant, action)
         raise ProtocolError(f"unknown action kind {kind!r} from {participant}")
-
-    def _execute_propose(self, participant: str, child: Optional[NodeId]) -> bool:
-        if child is None or self.proposal is not None or not self.session.step_open():
-            return False
-        self.proposal = _Proposal(participant, child, self.session.step_signers(child),
-                                  {participant})
-        self.trace.add(Event(self.chain.height, participant, STEP_PROPOSED,
-                             {"child": self.tree.node(child).name}))
-        if self.proposal.needed <= self.proposal.agreed:
-            self._complete_agreement()
-        return True
-
-    def _execute_agree(self, participant: str) -> bool:
-        proposal = self.proposal
-        if proposal is None or participant in proposal.agreed \
-                or participant not in proposal.needed:
-            return False
-        proposal.agreed.add(participant)
-        self.trace.add(Event(self.chain.height, participant, STEP_AGREED,
-                             {"child": self.tree.node(proposal.child).name}))
-        if proposal.needed <= proposal.agreed:
-            self._complete_agreement()
-        return True
-
-    def _execute_refuse(self, participant: str) -> bool:
-        proposal = self.proposal
-        if proposal is None:
-            return False
-        self.trace.add(Event(self.chain.height, participant, STEP_REFUSED,
-                             {"child": self.tree.node(proposal.child).name}))
-        self.proposal = None
-        self.step_refused = True
-        return True
-
-    def _complete_agreement(self) -> None:
-        child, needed = self.proposal.child, self.proposal.needed
-        self.proposal = None
-        self.session.agree_step(child, needed)
 
     def _execute_append(self, participant: str, action: Action) -> bool:
         target = action.target
@@ -502,25 +439,17 @@ class _Engine:
             elif target == TARGET_INIT:
                 error = session.append_init(participant)
             elif target == TARGET_FAILSAFE:
-                if session.phase == FAILSAFE:
-                    return False  # Init has landed: nothing is left to trigger
                 error = session.trigger_failsafe(participant)
             elif target == TARGET_LATEST_GRAFT:
-                graft = session.latest_sealed
-                if graft is None:
-                    return False
-                error = session.append_graft_root(participant, graft)
+                error = session.append_latest_graft(participant)
             elif target == TARGET_OLDEST_GRAFT:
-                index = session.rollback_target()
-                if index is None:
-                    return False
-                error = session.append_graft_root(participant, session.grafts[index])
+                error = session.append_oldest_graft(participant)
             else:
                 raise ValueError(f"unknown append target {target!r} from {participant}")
         except ProtocolError:
             # The session refuses the move outright (Init in an on-chain run
-            # or before Head, a node off the walk): no progress, like an
-            # append the ledger rejects.
+            # or before Head, a second failsafe, a node off the walk, no
+            # graft to land): no progress, like an append the ledger rejects.
             return False
         return error is None
 

@@ -157,17 +157,11 @@ class OffchainSession(Session):
     # -- graft bookkeeping ---------------------------------------------------
 
     @property
-    def offchain_head(self) -> NodeId:
-        """The node the off-chain execution currently stands at."""
+    def step_origin(self) -> NodeId:
+        """Off-chain, the next step is agreed from the newest sealed
+        graft's origin: the node the off-chain execution stands at."""
         latest = self.latest_sealed
         return latest.origin if latest else self.tree.root
-
-    @property
-    def last_settle_height(self) -> Optional[int]:
-        """Height the latest sealed graft (or Head itself) landed/sealed —
-        the anchor from which edge waits are measured."""
-        latest = self.latest_sealed
-        return latest.seal_height if latest else None
 
     def rollback_target(self) -> Optional[int]:
         """Index of the oldest sealed graft whose root could still redeem
@@ -203,7 +197,8 @@ class OffchainSession(Session):
                      and self.commitments.owner(label) in self.tree.participants)
             if not (published or owned):
                 return False
-        anchor = self.last_settle_height
+        latest = self.latest_sealed
+        anchor = latest.seal_height if latest else None
         if edge.wait and (anchor is None or not self.chain.reached(anchor + edge.wait)):
             return False
         return True
@@ -249,7 +244,7 @@ class OffchainSession(Session):
             raise ProtocolError("grafts can only be created while running")
         if self.pending_graft is not None:
             raise ProtocolError("a graft exchange is already in progress")
-        if child not in self.tree.node(self.offchain_head).children:
+        if child not in self.tree.node(self.step_origin).children:
             raise ProtocolError(
                 f"{child} is not a child of the current off-chain head")
         timelock = self.heights[child] * self.t
@@ -286,11 +281,9 @@ class OffchainSession(Session):
         return error
 
     def trigger_failsafe(self, actor: str) -> Optional[AppendError]:
-        """Deliberate move on-chain: idempotent once Init has landed."""
-        if self.init_on_chain:
-            return None
+        """Deliberate move on-chain, logged before the Init append."""
         if self.phase != RUNNING:
-            raise ProtocolError("the failsafe needs Head on-chain")
+            raise ProtocolError("the failsafe needs Head on-chain and Init off it")
         self.trace.add(Event(self.chain.height, actor, FAILSAFE_TRIGGERED,
                              {"steps_sealed": self.steps_sealed}))
         return self.append_init(actor)
@@ -303,6 +296,19 @@ class OffchainSession(Session):
                 "origin": self.tree.node(graft.origin).name}))
             self._land(graft.instances, graft.origin)
         return error
+
+    def append_latest_graft(self, actor: str) -> Optional[AppendError]:
+        """Settle the newest agreed state."""
+        if self.latest_sealed is None:
+            raise ProtocolError("no graft is sealed")
+        return self.append_graft_root(actor, self.latest_sealed)
+
+    def append_oldest_graft(self, actor: str) -> Optional[AppendError]:
+        """Roll back to the oldest sealed state that can still redeem Init."""
+        index = self.rollback_target()
+        if index is None:
+            raise ProtocolError("no older state can redeem Init")
+        return self.append_graft_root(actor, self.grafts[index])
 
     def graft_root_ready(self, actor: str, graft: Graft) -> bool:
         """Could ``actor`` land this graft root right now?"""

@@ -45,6 +45,9 @@ from .trace import (
     DEPOSIT,
     SECRET_PUBLISHED,
     SIGNATURE_SENT,
+    STEP_AGREED,
+    STEP_PROPOSED,
+    STEP_REFUSED,
     STIPULATION_ABORTED,
     STIPULATION_COMPLETE,
     TXSET_SENT,
@@ -270,10 +273,11 @@ def exchange_plan(
 class Session:
     """The protocol core both execution modes share: deposits on the chain,
     a pairwise stipulation exchange whose last messages sign the
-    deposit-spending ``anchor``, public pools of published material, and
-    a cursor that walks one map of instances on-chain, and the rules for
-    agreeing on a contract step.  Every append goes through ``append``,
-    and ``ready`` is its dry run, so readiness is the ledger's answer.
+    deposit-spending ``anchor``, public pools of published material, a
+    cursor that walks one map of instances on-chain, and the open step
+    proposal.  Every append goes through ``append``, and ``ready`` is its
+    dry run, so readiness is the ledger's answer.  A move that does not
+    apply now raises ``ProtocolError``.
 
     ``cursor`` is ``(instances, node)``: the last appended node and the
     instance map its children are taken from.  A subclass builds the
@@ -307,6 +311,12 @@ class Session:
         self.stipulation = Exchange(exchange_plan(
             tree.participants, [(tx.name, tx.digest) for tx in body],
             (anchor.name, anchor.digest), include_txset=True))
+        # The open proposal as (proposer, child), who must agree to it and
+        # who has; a refusal closes it and stays on record for good.
+        self.proposal: Optional[Tuple[str, NodeId]] = None
+        self._signers: Set[str] = set()
+        self._agreed: Set[str] = set()
+        self.step_refused = False
         self._inject_deposits()
 
     def _inject_deposits(self) -> None:
@@ -392,10 +402,68 @@ class Session:
         """Could a step to ``child`` be agreed right now?"""
         raise NotImplementedError
 
-    def step_open(self) -> bool:
-        """May a step be proposed now?  Only while running, and never while
-        the signatures of an earlier agreed step are still being exchanged."""
-        return self.phase == RUNNING and self.active_exchange() is None
+    @property
+    def step_origin(self) -> Optional[NodeId]:
+        """The node the next step is agreed from: on-chain, where the walk
+        stands (``None`` before the anchor lands and after the leaf)."""
+        return self.cursor[1] if self.cursor else None
+
+    def propose(self, actor: str, child: Optional[NodeId]) -> bool:
+        """``actor`` proposes the step to ``child`` and agrees to it.  No
+        progress unless running, with no proposal open, no signatures of an
+        earlier agreed step still being exchanged, and ``child`` a child of
+        ``step_origin``."""
+        if self.proposal is not None or self.phase != RUNNING \
+                or self.active_exchange() is not None \
+                or child not in self.tree.node(self.step_origin).children:
+            return False
+        self.proposal = (actor, child)
+        self._signers = self.step_signers(child)
+        self._agreed = {actor}
+        self._log_step(actor, STEP_PROPOSED)
+        self._agree_if_complete()
+        return True
+
+    def agree(self, actor: str) -> bool:
+        """``actor`` agrees to the open proposal, if it waits on ``actor``."""
+        if not self.owes_agreement(actor):
+            return False
+        self._agreed.add(actor)
+        self._log_step(actor, STEP_AGREED)
+        self._agree_if_complete()
+        return True
+
+    def refuse(self, actor: str) -> bool:
+        """``actor`` refuses the open proposal, closing it; ``step_refused`` stays set."""
+        if self.proposal is None:
+            return False
+        self._log_step(actor, STEP_REFUSED)
+        self.proposal = None
+        self.step_refused = True
+        return True
+
+    def owes_agreement(self, actor: str) -> bool:
+        """Does the open proposal wait on ``actor``'s agreement?"""
+        return self.proposal is not None and actor in self._signers \
+            and actor not in self._agreed
+
+    def others_owe(self, actor: str) -> bool:
+        """Does the open exchange, or a proposal ``actor`` has agreed to,
+        wait on someone else?  An open proposal always waits on someone."""
+        exchange = self.active_exchange()
+        if exchange is not None and exchange.pending_from_others(actor):
+            return True
+        return self.proposal is not None and actor in self._agreed
+
+    def _log_step(self, actor: str, kind: str) -> None:
+        self.trace.add(Event(self.chain.height, actor, kind,
+                             {"child": self.tree.node(self.proposal[1]).name}))
+
+    def _agree_if_complete(self) -> None:
+        if self._signers <= self._agreed:
+            child = self.proposal[1]
+            self.proposal = None
+            self.agree_step(child, self._signers)
 
     def agree_step(self, child: NodeId, signers: Iterable[str]) -> None:
         """Everyone in ``signers`` has agreed to step to ``child``.  Each, in
@@ -500,18 +568,20 @@ class Session:
 
     # -- settling an off-chain execution -------------------------------------
     # Direct on-chain execution has no Init and no grafts: moving on-chain
-    # is refused and no settled state is there to land or roll back to.
+    # is refused, no step is sealed or pending, and no settled state is
+    # there to land or roll back to.
 
+    steps_sealed = 0
+    pending_graft = None
     latest_sealed = None
 
     def rollback_target(self) -> Optional[int]:
         return None
 
     def append_init(self, actor: str) -> Optional[AppendError]:
-        raise ProtocolError(f"{self.MODE} execution has no Init")
+        raise ProtocolError(f"{self.MODE} execution has no Init and no grafts")
 
-    def trigger_failsafe(self, actor: str) -> Optional[AppendError]:
-        return self.append_init(actor)
+    trigger_failsafe = append_latest_graft = append_oldest_graft = append_init
 
 
 class OnchainSession(Session):

@@ -9,8 +9,8 @@ polled at every block.  ``run_per_message`` is the reference for the
 engine's send burst: the same run, one message per ``SEND``.
 ``eager_observation`` is the reference for the engine's observations:
 every field computed up front.  ``serialize_by_dumps`` is the reference
-for trace serialization: one ``json.dumps`` per line.  ``next_message`` and
-``subtree_size`` are small queries only the tests need.
+for trace serialization: one ``json.dumps`` per line.  ``next_message``,
+``subtree_size`` and ``balance_at`` are small queries only the tests need.
 """
 
 import json
@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import fields, replace
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from graftsim.contract import ContractTree, NodeId, iter_preorder, resolve_path
+from graftsim.contract import ContractTree, NodeId, iter_preorder, path_to, resolve_path
 from graftsim.harness import Scenario, _Engine, run
 from graftsim.offchain import Graft, OffchainSession
 from graftsim.onchain import (
@@ -40,6 +40,13 @@ _DRIVER_GUARD = 100_000
 def subtree_size(tree: ContractTree, node_id: NodeId) -> int:
     """Number of nodes in the subtree at ``node_id``, itself included."""
     return sum(1 for _ in iter_preorder(tree, node_id))
+
+
+def balance_at(tree: ContractTree, node_id: NodeId) -> int:
+    """Funds available to ``node_id`` when the tree is executed on-chain:
+    the deposits minus one fee per transaction from the root down to and
+    including this node."""
+    return tree.deposit_total() - tree.fee * len(path_to(tree, node_id))
 
 
 def next_message(exchange: Exchange, sender: str) -> Optional[Message]:
@@ -233,30 +240,27 @@ def eager_observation(engine: _Engine, participant: str) -> Observation:
     """``participant``'s observation with every field computed now, each by
     the same expression as the engine's lazily filled one."""
     session = engine.session
-    offchain = engine.offchain
-    proposal, i_agreed = engine._proposal_view(participant)
     exchange = session.active_exchange()
     # The node the on-chain walk would append next, if any.
     walk = engine.next_on_path.get(session.cursor[1]) if session.cursor else None
-    # Off-chain, steps are agreed from the newest sealed graft's origin;
-    # on-chain, a step is agreed where the walk stands.
-    head = session.offchain_head if offchain else None
-    step = engine.next_on_path.get(head) if offchain else walk
+    origin = session.step_origin
+    step = engine.next_on_path.get(origin)
     latest = session.latest_sealed
     return Observation(
         actor=participant, height=engine.chain.height, mode=engine.scn.mode,
         phase=session.phase,
         owes_message=exchange is not None and exchange.next_for(participant) is not None,
-        others_owe_me=engine._others_owe(participant, exchange),
+        others_owe_me=session.others_owe(participant),
         waiting_rounds=engine.chain.height - engine.last_progress,
         anchor_appendable=session.anchor_appendable(participant),
         init_on_chain=session.phase == FAILSAFE,
-        steps_sealed=session.steps_sealed if offchain else 0,
-        pending_graft=offchain and session.pending_graft is not None,
-        proposal=proposal, i_agreed=i_agreed, step_refused=engine.step_refused,
+        steps_sealed=session.steps_sealed,
+        pending_graft=session.pending_graft is not None,
+        proposal=session.proposal, i_agreed=not session.owes_agreement(participant),
+        step_refused=session.step_refused,
         next_child=step,
         next_child_proposable=step is not None and session.edge_satisfiable(step),
-        at_leaf=offchain and not engine.tree.node(head).children,
+        at_leaf=origin is not None and not engine.tree.node(origin).children,
         latest_root_ready=latest is not None
         and session.graft_root_ready(participant, latest),
         continuation_child=walk,

@@ -143,6 +143,12 @@ def _out_w_waits_true(contract):
     ({"oracle": [[2.5, "L1"], [4, "W2"], [6, "L3"]]}, None, EXIT_BAD_INPUT,
      "oracle heights must be integers, got 2.5"),
     ({"height_cap": 9.9}, None, EXIT_BAD_INPUT, "height_cap must be an integer, got 9.9"),
+    # Labels take JSON strings only, as the contract's names do: the oracle's
+    # 1 does not name the contract's secret "1".
+    ({"label": ["not", "a", "string"]}, None, EXIT_BAD_INPUT,
+     "label must be a string, got ['not', 'a', 'string']"),
+    ({"oracle": [[2, 1]]}, lambda c: c["secrets"].append({"label": "1", "owner": "oracle"}),
+     EXIT_BAD_INPUT, "oracle labels must be strings, got 1"),
 ], ids=["t-zero", "t-past-u32-timelock", "strategy-not-an-object", "negative-seed", "deposit-over-u64",
         "leaf-shares-11/28", "patience-not-a-number", "patience-a-list",
         "failsafe-after-steps-not-a-number", "negative-stall-after-steps",
@@ -151,7 +157,8 @@ def _out_w_waits_true(contract):
         "payout-to-a-number",
         "deposit-a-float", "deposit-a-bool", "deposit-a-string", "fee-a-float",
         "after-a-bool", "t-a-float", "patience-a-bool", "seed-a-string",
-        "oracle-height-a-float", "height-cap-a-float"])
+        "oracle-height-a-float", "height-cap-a-float", "label-a-list",
+        "oracle-label-a-number"])
 def test_bad_scenario_values_end_in_one_line(tmp_path, capsys, scenario_patch,
                                              contract_patch, code, message):
     contract = json.loads(Path(bundled("bo3.contract")).read_text())
@@ -260,8 +267,9 @@ def _wait_before_lw(contract):
     (None, _wait_before_lw, EXIT_HEIGHT_CAP),
     (lambda d: d.update(height_cap=2 ** 62), _wait_before_lw, EXIT_OK),
     (lambda d: d.update(height_cap=2 ** 62), None, EXIT_OK),
+    (lambda d: d.update(height_cap=0), None, EXIT_HEIGHT_CAP),
 ], ids=["last-reveal-1e9", "honest-patience-u32", "after-u32", "after-u32-cap-2^62",
-        "cap-2^62"])
+        "cap-2^62", "cap-0"])
 def test_values_at_their_limits_end_in_a_few_polls(tmp_path, monkeypatch, scenario_patch,
                                                    contract_patch, code):
     # The engine polls only at the blocks where something can change, so a

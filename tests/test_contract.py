@@ -15,7 +15,6 @@ from graftsim.contract import (
     Edge,
     NodeTemplate,
     PayoutShare,
-    balance_at,
     contract_from_dict,
     contract_to_dict,
     deepest_leaf_path,
@@ -32,7 +31,7 @@ from graftsim.onchain import compile_onchain
 from graftsim.treegen import chain_tree, random_tree
 from graftsim.witness import CommitmentSet
 
-from drivers import subtree_size
+from drivers import balance_at, subtree_size
 
 
 def names(tree, ids):

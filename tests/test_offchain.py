@@ -11,6 +11,7 @@ from graftsim.trace import (
     GRAFT_SEALED,
     INIT_APPENDED,
     SIGNATURE_SENT,
+    STEP_PROPOSED,
     TXSET_SENT,
 )
 from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
@@ -136,7 +137,7 @@ class TestGrafts:
         offchain_step(session, ids["LWL"])  # leaf
         assert session.trace.count(SIGNATURE_SENT) - before == 14 + 8 + 2
         assert session.steps_sealed == 3
-        assert session.offchain_head == ids["LWL"]
+        assert session.step_origin == ids["LWL"]
 
     @pytest.mark.parametrize("tree", [complete_binary_tree(4)] +
                              [random_tree(seed)[0] for seed in range(50)])
@@ -199,6 +200,62 @@ class TestGrafts:
         assert session.edge_satisfiable(t5)
 
 
+class TestProposals:
+    """Step agreement off-chain: everyone signs every graft, and no step is
+    proposed while a graft exchange is under way."""
+
+    def test_agreement_opens_a_graft_exchange_that_blocks_proposals(self, bo3_tree):
+        session = start_offchain(bo3_tree, seed=0, t=2)
+        stipulate(session)
+        ids = ids_by_name(bo3_tree)
+        reveal_oracle(session, "L1", "W2")
+        assert not session.propose("A", ids["LW?"])  # not a child of the origin
+        assert session.propose("A", ids["L??"])
+        assert session.owes_agreement("B") and not session.owes_agreement("A")
+        assert session.others_owe("A") and not session.others_owe("B")
+        assert session.pending_graft is None
+        assert session.agree("B")
+        graft = session.pending_graft
+        assert graft is not None and graft.origin == ids["L??"]
+        assert session.proposal is None and session.step_origin == bo3_tree.root
+        assert session.others_owe("A") and session.others_owe("B")  # the graft exchange
+        assert not session.propose("B", ids["LW?"])
+        assert session.proposal is None and session.trace.count(STEP_PROPOSED) == 1
+        while any(session.deliver_next(p) for p in bo3_tree.participants):
+            pass
+        assert graft.sealed and session.steps_sealed == 1
+        assert session.step_origin == ids["L??"]
+        assert not any(session.others_owe(p) for p in bo3_tree.participants)
+        assert session.propose("B", ids["LW?"])
+
+    def test_refusal_sticks_and_the_failsafe_still_works(self, bo3_tree):
+        session = start_offchain(bo3_tree, seed=0, t=2)
+        stipulate(session)
+        ids = ids_by_name(bo3_tree)
+        reveal_oracle(session, "L1")
+        assert session.propose("A", ids["L??"])
+        assert session.refuse("B")
+        assert session.step_refused and session.proposal is None
+        assert session.pending_graft is None
+        assert session.trigger_failsafe("A") is None
+        assert session.step_refused
+        assert not session.propose("A", ids["L??"])  # Init is on-chain
+
+    def test_graft_appends_need_a_graft_to_land(self, bo3_tree):
+        session = start_offchain(bo3_tree, seed=0, t=2)
+        with pytest.raises(ProtocolError, match="no graft is sealed"):
+            session.append_latest_graft("A")
+        stipulate(session)
+        with pytest.raises(ProtocolError, match="no older state"):
+            session.append_oldest_graft("A")  # Init is not on-chain
+        assert session.append_init("A") is None
+        session.chain.tick(session.shadow.root_timelock)
+        assert session.rollback_target() == 0
+        assert session.append_oldest_graft("B") is None
+        with pytest.raises(ProtocolError, match="no older state"):
+            session.append_oldest_graft("A")  # Init is spent
+
+
 class TestHalfSignedGrafts:
     def test_withheld_body_signature_blocks_everyone(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
@@ -236,12 +293,13 @@ class TestHalfSignedGrafts:
 
 
 class TestFailsafe:
-    def test_trigger_is_idempotent(self, bo3_tree):
+    def test_second_trigger_is_refused(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
         stipulate(session)
         assert session.trigger_failsafe("B") is None
         assert session.phase == FAILSAFE and session.init_on_chain
-        assert session.trigger_failsafe("B") is None
+        with pytest.raises(ProtocolError, match="failsafe"):
+            session.trigger_failsafe("B")
         assert session.trace.count(FAILSAFE_TRIGGERED) == 1
         assert session.trace.count(INIT_APPENDED) == 1
 

@@ -17,6 +17,9 @@ from graftsim.onchain import (
 from graftsim.trace import (
     SECRET_PUBLISHED,
     SIGNATURE_SENT,
+    STEP_AGREED,
+    STEP_PROPOSED,
+    STEP_REFUSED,
     STIPULATION_ABORTED,
     STIPULATION_COMPLETE,
     Trace,
@@ -251,6 +254,85 @@ class TestStepAgreement:
         assert not session.edge_satisfiable(t5) and not session.child_ready("A", t5)
         session.chain.tick(10)
         assert not session.edge_satisfiable(t5) and session.child_ready("A", t5)
+
+
+class TestProposals:
+    """Step agreement as the session keeps it: the open proposal, who owes
+    an agreement, and the sticky refusal."""
+
+    def test_proposer_agrees_at_once_and_a_non_signer_cannot(self, three_party):
+        session = session_for(three_party)
+        stipulate(session)
+        t2 = by_name(three_party)["T2"]  # A owns SA, B authorizes
+        assert session.propose("A", t2)
+        assert session.proposal == ("A", t2)
+        assert not session.owes_agreement("A") and session.owes_agreement("B")
+        assert not session.owes_agreement("C")
+        assert not session.agree("C") and not session.agree("A")
+        assert session.agree("B")
+        assert session.proposal is None and t2 in session.agreed_steps
+        kinds = [e.kind for e in session.trace.events
+                 if e.kind in (STEP_PROPOSED, STEP_AGREED, SECRET_PUBLISHED)]
+        assert kinds == [STEP_PROPOSED, STEP_AGREED, SECRET_PUBLISHED]
+
+    def test_a_sole_signer_proposal_is_agreed_on_the_spot(self, three_party):
+        session = session_for(three_party)
+        stipulate(session)
+        t3 = by_name(three_party)["T3"]
+        assert session.step_signers(t3) == {"C"}
+        assert session.propose("C", t3)
+        assert session.proposal is None and t3 in session.agreed_steps
+        assert session.edge_pool[session.instances[t3].digest] == {"C"}
+
+    def test_others_owe_while_the_agreement_waits(self, three_party):
+        session = session_for(three_party)
+        stipulate(session)
+        t2 = by_name(three_party)["T2"]
+        assert not any(session.others_owe(p) for p in "ABC")
+        session.propose("C", t2)  # C need not agree, but has
+        assert session.others_owe("C")
+        assert not session.others_owe("A") and not session.others_owe("B")
+        session.agree("A")
+        assert session.others_owe("A") and session.others_owe("C")
+        session.agree("B")
+        assert not any(session.others_owe(p) for p in "ABC")
+
+    def test_refusal_closes_the_proposal_and_sticks(self, three_party):
+        session = session_for(three_party)
+        stipulate(session)
+        ids = by_name(three_party)
+        assert not session.refuse("B")  # nothing to refuse
+        assert session.propose("A", ids["T2"])
+        assert session.refuse("B")
+        assert session.proposal is None and session.step_refused
+        assert session.trace.events[-1].kind == STEP_REFUSED
+        assert session.trace.events[-1].data == {"child": "T2"}
+        assert session.propose("C", ids["T3"])  # a later step still goes through
+        assert ids["T3"] in session.agreed_steps and session.step_refused
+
+    def test_proposals_need_a_running_session_and_no_open_proposal(self, three_party):
+        session = session_for(three_party)
+        ids = by_name(three_party)
+        assert not session.propose("A", ids["T2"])  # still stipulating
+        stipulate(session)
+        assert not session.propose("A", None)
+        assert not session.propose("A", ids["T4"])  # a grandchild of the root
+        assert session.propose("A", ids["T2"])
+        assert not session.propose("C", ids["T3"])
+        assert session.proposal == ("A", ids["T2"])
+        assert [e.kind for e in session.trace.events].count(STEP_PROPOSED) == 1
+
+    def test_onchain_defaults(self, three_party):
+        session = session_for(three_party)
+        assert session.step_origin is None
+        assert (session.steps_sealed, session.pending_graft, session.latest_sealed) == \
+            (0, None, None)
+        stipulate(session)
+        assert session.step_origin == three_party.root
+        for move in (session.trigger_failsafe, session.append_latest_graft,
+                     session.append_oldest_graft):
+            with pytest.raises(ProtocolError):
+                move("A")
 
 
 class TestBaselineDriver:
