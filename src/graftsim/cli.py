@@ -7,7 +7,8 @@ Commands:
   demo                       bundled side-by-side walkthrough
 
 Exit codes: 0 success, 1 validation failure, 2 unreadable or malformed
-input, 3 the run hit its height cap without reaching a terminal state.
+input or an unwritable trace file, 3 the run hit its height cap without
+reaching a terminal state.
 """
 
 from __future__ import annotations
@@ -75,7 +76,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     trace = run(scenario)
     if args.trace:
-        trace.write(args.trace)
+        try:
+            trace.write(args.trace)
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_BAD_INPUT
     report = report_from_trace(trace)
     print(f"label: {report.label} ({report.mode})")
     print(f"outcome: {report.outcome}")

@@ -454,10 +454,9 @@ def contract_to_dict(tree: ContractTree) -> Dict:
 
 
 def load_contract_file(path: Union[str, Path]) -> ContractTree:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContractParseError(f"{path}: {exc}") from exc
     except RecursionError:
         raise ContractParseError(f"{path}: JSON nested too deeply to parse") from None

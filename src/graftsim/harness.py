@@ -48,7 +48,6 @@ from .contract import (
 from .ledger import AppendError
 from .onchain import (
     ABORTED,
-    FAILSAFE,
     FINALIZED,
     OnchainSession,
     ProtocolError,
@@ -229,7 +228,7 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as err:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
         raise ScenarioError(f"{path}: invalid JSON ({err})") from err
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: scenario must be a JSON object")
@@ -280,15 +279,11 @@ class _LiveObservation(Observation):
     others_owe_me = _Lazy(lambda o: o._session.others_owe(o.actor))
     waiting_rounds = _Lazy(lambda o: o._engine.chain.height - o._engine.last_progress)
     anchor_appendable = _Lazy(lambda o: o._session.anchor_appendable(o.actor))
-    init_on_chain = _Lazy(lambda o: o._session.phase == FAILSAFE)
     steps_sealed = _Lazy(lambda o: o._session.steps_sealed)
     pending_graft = _Lazy(lambda o: o._session.pending_graft is not None)
     proposal = _Lazy(lambda o: o._session.proposal)
     i_agreed = _Lazy(lambda o: not o._session.owes_agreement(o.actor))
     step_refused = _Lazy(lambda o: o._session.step_refused)
-    # The node the on-chain walk would append next, if any.
-    continuation_child = _Lazy(
-        lambda o: o._engine.next_on_path.get(o._session.cursor[1]) if o._session.cursor else None)
     _step_origin = _Lazy(lambda o: o._session.step_origin)
     next_child = _Lazy(lambda o: o._engine.next_on_path.get(o._step_origin))
     next_child_proposable = _Lazy(
@@ -298,8 +293,8 @@ class _LiveObservation(Observation):
                     and not o._engine.tree.node(o._step_origin).children)
     latest_root_ready = _Lazy(lambda o: o._session.latest_sealed is not None
                               and o._session.graft_root_ready(o.actor, o._session.latest_sealed))
-    continuation_ready = _Lazy(lambda o: o.continuation_child is not None
-                               and o._session.child_ready(o.actor, o.continuation_child))
+    continuation_ready = _Lazy(lambda o: o.next_child is not None
+                               and o._session.child_ready(o.actor, o.next_child))
     rollback_target = _Lazy(lambda o: o._session.rollback_target())
 
 

@@ -69,17 +69,15 @@ class Graft:
 
     Index 0 is the shadow copy of the whole contract created at
     compilation; it has no exchange of its own because its signatures
-    travel with stipulation.  ``instances`` is keyed by the node ids of
-    the original tree, so walking a graft body is ordinary tree walking.
+    travel with stipulation.  ``index`` is the graft's place on the
+    session's ladder.  ``instances`` is keyed by the node ids of the
+    original tree, so walking a graft body is ordinary tree walking.
     """
     index: int
     origin: NodeId
     instances: Dict[NodeId, TxInstance]
-    root_timelock: int
     exchange: Optional[Exchange]
-    sealed: bool = False
     seal_height: Optional[int] = None
-    discarded: bool = False
 
     @property
     def root_instance(self) -> TxInstance:
@@ -120,10 +118,11 @@ class OffchainSession(Session):
     """State of one off-chain execution.
 
     The anchor is Head; stipulation also signs Init and the shadow copy.
-    On top of the shared core this holds the ordered graft list and the
-    Init step.  Message delivery, graft creation, and appends are
-    individual methods so drivers and strategy engines can interleave
-    them freely; the session only enforces protocol structure.
+    On top of the shared core this holds the ladder of sealed grafts, the
+    pending graft and the Init step.  Message delivery, graft creation,
+    and appends are individual methods so drivers and strategy engines
+    can interleave them freely; the session only enforces protocol
+    structure.
     """
 
     MODE = "offchain"
@@ -135,49 +134,50 @@ class OffchainSession(Session):
         super().__init__(tree, commitments, salt, trace, comp.deposits, comp.head,
                          [comp.init, *comp.shadow.values()])
         self.t = t
-        self.head = comp.head
         self.init = comp.init
         # Every node's subtree height, which times t is its graft's timelock.
         self.heights = subtree_heights(tree)
-        self.grafts: List[Graft] = [Graft(
-            0, tree.root, comp.shadow, self.heights[tree.root] * t, exchange=None)]
-        self.init_on_chain = False
-        # Kept up to date where grafts are created, sealed and discarded:
-        # the graft whose exchange is under way, the newest fully signed
-        # graft (the shadow once stipulation completes), and how many
-        # grafts other than the shadow are sealed.
+        self.shadow = Graft(0, tree.root, comp.shadow, exchange=None)
+        # The sealed grafts, oldest first: the shadow joins once stipulation
+        # completes, each agreed step's graft once its exchange completes.
+        self.ladder: List[Graft] = []
+        # The graft whose exchange is under way, if any.
         self.pending_graft: Optional[Graft] = None
-        self.latest_sealed: Optional[Graft] = None
-        self.steps_sealed = 0
-
-    @property
-    def shadow(self) -> Graft:
-        return self.grafts[0]
 
     # -- graft bookkeeping ---------------------------------------------------
 
     @property
+    def latest_sealed(self) -> Optional[Graft]:
+        """The newest fully signed graft: the state settling lands."""
+        return self.ladder[-1] if self.ladder else None
+
+    @property
+    def steps_sealed(self) -> int:
+        """How many grafts other than the shadow are sealed."""
+        return max(len(self.ladder) - 1, 0)
+
+    @property
     def step_origin(self) -> NodeId:
         """Off-chain, the next step is agreed from the newest sealed
-        graft's origin: the node the off-chain execution stands at."""
-        latest = self.latest_sealed
-        return latest.origin if latest else self.tree.root
+        graft's origin, the node the off-chain execution stands at; once
+        a graft has landed, the walk goes on from where it stands."""
+        if self.cursor is not None:
+            return self.cursor[1]
+        return self.ladder[-1].origin if self.ladder else self.tree.root
 
     def rollback_target(self) -> Optional[int]:
-        """Index of the oldest sealed graft whose root could still redeem
-        Init, if Init is on-chain and unspent: the state a rollback would
-        settle."""
-        if not self.init_on_chain or not self.chain.is_unspent((self.init.digest, 0)):
+        """Index of the oldest sealed graft, if Init is on-chain and
+        unspent: the state a rollback would settle.  Every graft root
+        spends Init, so while Init is unspent each sealed graft can still
+        redeem it."""
+        if not self.ladder or not self.chain.is_unspent((self.init.digest, 0)):
             return None
-        for graft in self.grafts:
-            if graft.sealed and not self.chain.is_appended(graft.root_instance.digest):
-                return graft.index
-        return None
+        return self.ladder[0].index
 
     # -- published material --------------------------------------------------
 
     def copies(self, child: NodeId) -> List[TxInstance]:
-        return [g.instances[child] for g in self.grafts if child in g.instances]
+        return [g.instances[child] for g in self.ladder if child in g.instances]
 
     # -- agreeing on a step --------------------------------------------------
 
@@ -223,9 +223,7 @@ class OffchainSession(Session):
             graft = self.pending_graft
             graft.seal_height = self.chain.height
             self.pending_graft = None
-            self.steps_sealed += 1
-        graft.sealed = True
-        self.latest_sealed = graft
+        self.ladder.append(graft)
         self.trace.add(Event(self.chain.height, sender, GRAFT_SEALED, {
             "digest": graft.root_instance.digest, "index": graft.index,
             "origin": self.tree.node(graft.origin).name}))
@@ -252,11 +250,10 @@ class OffchainSession(Session):
             self.tree, self.commitments, self.salt, child, ((self.init.digest, 0),),
             self.init.output_total(), timelock)
         root, *body = instances.values()
-        graft = Graft(len(self.grafts), child, instances, timelock,
+        graft = Graft(len(self.ladder), child, instances,
                       Exchange(exchange_plan(self.tree.participants,
                                              [(tx.name, tx.digest) for tx in body],
                                              (root.name, root.digest), include_txset=False)))
-        self.grafts.append(graft)
         self.pending_graft = graft
         self.trace.add(Event(self.chain.height, "session", GRAFT_PROPOSED, {
             "digest": instances[child].digest, "index": graft.index,
@@ -271,11 +268,9 @@ class OffchainSession(Session):
             raise ProtocolError("Init cannot be appended before Head")
         error = self.append(actor, self.init, ROLE_INIT)
         if error is None:
-            self.init_on_chain = True
             self.phase = FAILSAFE
-            if self.pending_graft is not None:
-                self.pending_graft.discarded = True
-                self.pending_graft = None
+            # A half-signed graft can never land: its exchange stops here.
+            self.pending_graft = None
             self.trace.add(Event(self.chain.height, actor, INIT_APPENDED,
                                  {"digest": self.init.digest}))
         return error
@@ -308,11 +303,12 @@ class OffchainSession(Session):
         index = self.rollback_target()
         if index is None:
             raise ProtocolError("no older state can redeem Init")
-        return self.append_graft_root(actor, self.grafts[index])
+        return self.append_graft_root(actor, self.ladder[index])
 
     def graft_root_ready(self, actor: str, graft: Graft) -> bool:
-        """Could ``actor`` land this graft root right now?"""
-        return self.init_on_chain and self.ready(actor, graft.root_instance)
+        """Could ``actor`` land this graft root right now?  The ledger's dry
+        run says no while Init, the input it spends, is off the chain."""
+        return self.ready(actor, graft.root_instance)
 
     def child_ready(self, actor: str, child: NodeId) -> bool:
         # The one readiness rule stricter than the ledger: continuing

@@ -163,76 +163,65 @@ class Message(NamedTuple):
 
 
 class Exchange:
-    """An ordered plan of messages where phase k opens only once every
-    phase < k message has been delivered.
+    """A plan of messages, listed phase by phase, where phase k opens only
+    once every phase < k message has been delivered and each sender sends
+    its own messages in plan order.
 
-    The queries made on every observation answer in constant (amortized)
-    time, from counters that ``deliver`` keeps up to date: ``left``
-    undelivered messages in all, ``left_by_sender`` of them per sender,
-    and ``lowest_phase``, the lowest phase with a message still
-    undelivered (``None`` once the exchange is complete).  Per sender, a
-    cursor into its own messages skips the delivered ones.  Only
-    ``first_blocker``, asked once when a stalled exchange is aborted,
-    walks the plan.
+    Progress is one count per sender: ``sent[sender]`` of its messages,
+    the first ones of its plan, are delivered.  The lowest phase with a
+    message undelivered is the least phase among the senders' next
+    messages, so a next message is open when no other next message has a
+    lower phase.  Every query is answered from the counts in time linear
+    in the number of senders; only ``first_blocker``, asked once when a
+    stalled exchange is aborted, walks the plan.
     """
 
     def __init__(self, messages: Sequence[Message]) -> None:
         self.messages: List[Message] = list(messages)
-        self.delivered: List[bool] = [False] * len(self.messages)
-        self.left = len(self.messages)
-        self.left_by_sender: Dict[str, int] = {}
-        self._left_in_phase: Dict[int, int] = {}
-        self._by_sender: Dict[str, List[int]] = {}
-        for index, msg in enumerate(self.messages):
-            self.left_by_sender[msg.sender] = self.left_by_sender.get(msg.sender, 0) + 1
-            self._left_in_phase[msg.phase] = self._left_in_phase.get(msg.phase, 0) + 1
-            self._by_sender.setdefault(msg.sender, []).append(index)
-        self._sender_pos: Dict[str, int] = {s: 0 for s in self._by_sender}
-        self._later_phases = iter(sorted(self._left_in_phase))
-        self.lowest_phase: Optional[int] = next(self._later_phases, None)
+        self._queues: Dict[str, List[Message]] = {}
+        for msg in self.messages:
+            self._queues.setdefault(msg.sender, []).append(msg)
+        self.sent: Dict[str, int] = dict.fromkeys(self._queues, 0)
+        # What ``sent`` reads once every message is delivered.
+        self._all_sent = {s: len(queue) for s, queue in self._queues.items()}
 
-    def _phase_open(self, phase: int) -> bool:
-        return self.lowest_phase is None or phase <= self.lowest_phase
-
-    def next_for(self, sender: str) -> Optional[int]:
-        queue = self._by_sender.get(sender, [])
-        pos = self._sender_pos.get(sender, 0)
-        while pos < len(queue) and self.delivered[queue[pos]]:
-            pos += 1
-        self._sender_pos[sender] = pos
-        if pos >= len(queue):
+    def next_for(self, sender: str) -> Optional[Message]:
+        """``sender``'s next message, if its phase is open."""
+        queue = self._queues.get(sender, ())
+        count = self.sent.get(sender, 0)
+        if count == len(queue):
             return None
-        index = queue[pos]
-        return index if self._phase_open(self.messages[index].phase) else None
+        msg = queue[count]
+        sent = self.sent
+        for other, other_queue in self._queues.items():
+            other_count = sent[other]
+            if other_count < len(other_queue) and other_queue[other_count].phase < msg.phase:
+                return None
+        return msg
 
-    def deliver(self, index: int) -> Message:
-        if self.delivered[index]:
-            raise ProtocolError("message already delivered")
-        msg = self.messages[index]
-        if not self._phase_open(msg.phase):
-            raise ProtocolError("message phase not open yet")
-        self.delivered[index] = True
-        self.left -= 1
-        self.left_by_sender[msg.sender] -= 1
-        self._left_in_phase[msg.phase] -= 1
-        # An open phase is the lowest incomplete one, so only it can empty.
-        while self.lowest_phase is not None and self._left_in_phase[self.lowest_phase] == 0:
-            self.lowest_phase = next(self._later_phases, None)
+    def deliver(self, sender: str) -> Optional[Message]:
+        """Send ``sender``'s next message if its phase is open, and return it."""
+        msg = self.next_for(sender)
+        if msg is not None:
+            self.sent[sender] += 1
         return msg
 
     @property
     def complete(self) -> bool:
-        return self.left == 0
+        return self.sent == self._all_sent
 
     def pending_from_others(self, me: str) -> bool:
-        return self.left - self.left_by_sender.get(me, 0) > 0
+        return any(count < self._all_sent[s] for s, count in self.sent.items() if s != me)
 
     def first_blocker(self) -> Optional[str]:
-        """Sender of the first undelivered message in the lowest incomplete
-        phase — with phase gating, the participant holding everyone up."""
-        for msg, done in zip(self.messages, self.delivered):
-            if not done and msg.phase == self.lowest_phase:
+        """Sender of the first undelivered message, which is in the lowest
+        incomplete phase — with phase gating, the participant holding
+        everyone up."""
+        seen = dict.fromkeys(self.sent, 0)
+        for msg in self.messages:
+            if seen[msg.sender] == self.sent[msg.sender]:
                 return msg.sender
+            seen[msg.sender] += 1
         return None
 
 
@@ -411,11 +400,12 @@ class Session:
     def propose(self, actor: str, child: Optional[NodeId]) -> bool:
         """``actor`` proposes the step to ``child`` and agrees to it.  No
         progress unless running, with no proposal open, no signatures of an
-        earlier agreed step still being exchanged, and ``child`` a child of
-        ``step_origin``."""
+        earlier agreed step still being exchanged, ``child`` a child of
+        ``step_origin`` and its edge satisfiable now."""
         if self.proposal is not None or self.phase != RUNNING \
                 or self.active_exchange() is not None \
-                or child not in self.tree.node(self.step_origin).children:
+                or child not in self.tree.node(self.step_origin).children \
+                or not self.edge_satisfiable(child):
             return False
         self.proposal = (actor, child)
         self._signers = self.step_signers(child)
@@ -495,12 +485,9 @@ class Session:
 
     def deliver_next(self, sender: str) -> Optional[Event]:
         exchange = self.active_exchange()
-        if exchange is None:
+        msg = exchange.deliver(sender) if exchange is not None else None
+        if msg is None:
             return None
-        index = exchange.next_for(sender)
-        if index is None:
-            return None
-        msg = exchange.deliver(index)
         if msg.kind == "sig":
             self.stores[msg.recipient].add(msg.sender, msg.digest, IMPLICIT)
             event = Event(self.chain.height, sender, SIGNATURE_SENT,

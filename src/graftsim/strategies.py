@@ -54,6 +54,10 @@ class Observation:
     nothing exposes other participants' private holdings.  The graft
     fields keep their defaults on-chain.  ``waiting_rounds`` counts blocks,
     not polls: the scheduler does not poll at the blocks it skips.
+    ``next_child`` is the branch's node after the one the run stands at:
+    the newest sealed graft's origin off-chain, and the node the on-chain
+    walk stands at once one is appended.  It is both the step to agree on
+    and the node ``TARGET_CONTINUE`` appends.
 
     The scheduler's observation computes each field past ``phase`` on its
     first read, so a strategy pays only for what it reads.  It describes
@@ -68,18 +72,16 @@ class Observation:
     others_owe_me: bool          # an exchange or agreement is waiting on others
     waiting_rounds: int          # blocks since anyone last made progress
     anchor_appendable: bool = False                 # TARGET_ANCHOR would land now
-    init_on_chain: bool = False
     steps_sealed: int = 0
     pending_graft: bool = False
     proposal: Optional[Tuple[str, NodeId]] = None   # (proposer, child)
     i_agreed: bool = True
     step_refused: bool = False
-    next_child: Optional[NodeId] = None             # next step to agree on the branch
+    next_child: Optional[NodeId] = None             # next node of the branch
     next_child_proposable: bool = False             # edge satisfiable by agreement now
     at_leaf: bool = False                           # off-chain head is a leaf
     latest_root_ready: bool = False
-    continuation_child: Optional[NodeId] = None     # next node of the on-chain walk
-    continuation_ready: bool = False                # TARGET_CONTINUE would land now
+    continuation_ready: bool = False                # TARGET_CONTINUE would land next_child
     rollback_target: Optional[int] = None           # oldest appendable old-state graft
 
 
@@ -135,7 +137,7 @@ def _onchain_progress(obs: Observation) -> Action:
             proposer, child = obs.proposal
             return Action(AGREE) if child == obs.next_child else Action(REFUSE)
         if obs.continuation_ready:
-            return Action(APPEND, TARGET_CONTINUE, obs.continuation_child)
+            return Action(APPEND, TARGET_CONTINUE, obs.next_child)
         if obs.next_child_proposable and obs.proposal is None:
             return Action(PROPOSE, child=obs.next_child)
     return _IDLE
@@ -174,8 +176,8 @@ def honest(obs: Observation, params: Params) -> Action:
     if obs.phase == FAILSAFE:
         if obs.latest_root_ready:
             return Action(APPEND, TARGET_LATEST_GRAFT)
-        if obs.continuation_child is not None and obs.continuation_ready:
-            return Action(APPEND, TARGET_CONTINUE, obs.continuation_child)
+        if obs.continuation_ready:
+            return Action(APPEND, TARGET_CONTINUE, obs.next_child)
         return _IDLE
     if obs.phase != RUNNING:
         return _IDLE

@@ -9,8 +9,8 @@ polled at every block.  ``run_per_message`` is the reference for the
 engine's send burst: the same run, one message per ``SEND``.
 ``eager_observation`` is the reference for the engine's observations:
 every field computed up front.  ``serialize_by_dumps`` is the reference
-for trace serialization: one ``json.dumps`` per line.  ``next_message``,
-``subtree_size`` and ``balance_at`` are small queries only the tests need.
+for trace serialization: one ``json.dumps`` per line.  ``subtree_size``
+and ``balance_at`` are small queries only the tests need.
 """
 
 import json
@@ -24,8 +24,6 @@ from graftsim.offchain import Graft, OffchainSession
 from graftsim.onchain import (
     FAILSAFE,
     FINALIZED,
-    Exchange,
-    Message,
     OnchainSession,
     ProtocolError,
     Session,
@@ -47,12 +45,6 @@ def balance_at(tree: ContractTree, node_id: NodeId) -> int:
     the deposits minus one fee per transaction from the root down to and
     including this node."""
     return tree.deposit_total() - tree.fee * len(path_to(tree, node_id))
-
-
-def next_message(exchange: Exchange, sender: str) -> Optional[Message]:
-    """The message ``sender`` could deliver next in ``exchange``, if any."""
-    index = exchange.next_for(sender)
-    return None if index is None else exchange.messages[index]
 
 
 def stipulate(session: Session, withhold_at: Optional[int] = None) -> bool:
@@ -106,7 +98,7 @@ def finalize(session: OffchainSession,
     the first participant acts, edge signers authorize and the oracle's
     remaining secrets are treated as revealed at need."""
     actor = session.tree.participants[0]
-    if not session.init_on_chain:
+    if session.phase != FAILSAFE:
         error = session.append_init(actor)
         if error is not None:
             raise ProtocolError(f"Init rejected: {error.code}")
@@ -241,8 +233,6 @@ def eager_observation(engine: _Engine, participant: str) -> Observation:
     the same expression as the engine's lazily filled one."""
     session = engine.session
     exchange = session.active_exchange()
-    # The node the on-chain walk would append next, if any.
-    walk = engine.next_on_path.get(session.cursor[1]) if session.cursor else None
     origin = session.step_origin
     step = engine.next_on_path.get(origin)
     latest = session.latest_sealed
@@ -253,7 +243,6 @@ def eager_observation(engine: _Engine, participant: str) -> Observation:
         others_owe_me=session.others_owe(participant),
         waiting_rounds=engine.chain.height - engine.last_progress,
         anchor_appendable=session.anchor_appendable(participant),
-        init_on_chain=session.phase == FAILSAFE,
         steps_sealed=session.steps_sealed,
         pending_graft=session.pending_graft is not None,
         proposal=session.proposal, i_agreed=not session.owes_agreement(participant),
@@ -263,8 +252,7 @@ def eager_observation(engine: _Engine, participant: str) -> Observation:
         at_leaf=origin is not None and not engine.tree.node(origin).children,
         latest_root_ready=latest is not None
         and session.graft_root_ready(participant, latest),
-        continuation_child=walk,
-        continuation_ready=walk is not None and session.child_ready(participant, walk),
+        continuation_ready=step is not None and session.child_ready(participant, step),
         rollback_target=session.rollback_target(),
     )
 

@@ -132,7 +132,7 @@ def test_criterion_04_timelock_ladder(bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=t)
         stipulate(session)
         walk(session, [("L??", "L1"), ("LW?", "W2"), ("LWL", "L3")])
-        ladder = [g.root_timelock for g in session.grafts if g.sealed]
+        ladder = [g.root_instance.rel_timelock for g in session.ladder]
         assert ladder == [3 * t, 2 * t, 1 * t, 0]
         assert all(a > b for a, b in zip(ladder, ladder[1:]))
 

@@ -174,6 +174,40 @@ def test_bad_scenario_values_end_in_one_line(tmp_path, capsys, scenario_patch,
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+def _not_utf8(directory, name, text):
+    """Write ``text`` to ``directory/name`` as Latin-1, which is not UTF-8."""
+    path = directory / name
+    path.write_bytes(text.encode("latin-1"))
+    return path
+
+
+def _scenario_naming(directory, contract):
+    data = json.loads(Path(bundled("bo3_happy.scn")).read_text())
+    scn = directory / "s.scn"
+    scn.write_text(json.dumps(dict(data, contract=contract.name)))
+    return scn
+
+
+# Files that cannot be read as given: each ends in one line and exit 2.
+@pytest.mark.parametrize("argv, message", [
+    (lambda d: ["validate", str(_not_utf8(d, "c.contract", '{"fee": "\xe9"}'))],
+     "c.contract: 'utf-8' codec can't decode byte 0xe9"),
+    (lambda d: ["run", str(_scenario_naming(d, _not_utf8(d, "c.contract", '{"\xe9"}')))],
+     "c.contract: 'utf-8' codec can't decode byte 0xe9"),
+    (lambda d: ["run", str(_not_utf8(d, "s.scn", '{"label": "caf\xe9"}'))],
+     "s.scn: invalid JSON ('utf-8' codec can't decode byte 0xe9"),
+    (lambda d: ["run", bundled("bo3_happy.scn"), "--trace", str(d / "missing" / "t.jsonl")],
+     "No such file or directory"),
+], ids=["contract-not-utf8", "scenario-contract-not-utf8", "scenario-not-utf8",
+        "trace-into-a-missing-directory"])
+def test_unreadable_files_end_in_one_line(tmp_path, capsys, argv, message):
+    assert main(argv(tmp_path)) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 def _slots(doc):
     """Every (container, key) pair of a parsed JSON document, in a fixed order."""
     slots, stack = [], [doc]

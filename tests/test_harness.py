@@ -27,9 +27,10 @@ from graftsim.harness import (
     run,
     scenario_from_dict,
 )
-from graftsim.onchain import STIPULATING, ProtocolError
+from graftsim.onchain import RUNNING, STIPULATING, ProtocolError
 from graftsim.strategies import (
     IDLE,
+    PROPOSE,
     SEND,
     TARGET_FAILSAFE,
     TARGET_INIT,
@@ -315,6 +316,29 @@ class TestEngineWatchdog:
         assert events_and_summary(trace) == events_and_summary(run(scn))
         for copy in copies:
             assert copy == replace(copy)  # reads every field, long after its poll
+
+
+class TestStepAgreement:
+    def test_no_step_is_agreed_before_its_edge_can_be_met(self):
+        # A proposes the branch's next step whenever nothing else is under
+        # way, without reading ``next_child_proposable``.  With no oracle
+        # reveal no edge below Bet can be met, so no step may be agreed,
+        # and nothing settles on a secret nobody revealed.
+        @register("eager")
+        def eager(observation, params):
+            if observation.phase == RUNNING and observation.proposal is None \
+                    and not observation.pending_graft and not observation.owes_message \
+                    and observation.next_child is not None:
+                return Action(PROPOSE, child=observation.next_child)
+            return honest(observation, params)
+        scn = replace(load("bo3_happy"), oracle=())
+        try:
+            trace = run(replace(scn, strategies={**scn.strategies, "A": ("eager", {})}))
+        finally:
+            del STRATEGIES["eager"]
+        assert trace.summary["outcome"] == "height_cap"
+        assert trace.count(STEP_PROPOSED) == trace.count(STEP_AGREED) == 0
+        assert trace.summary["payouts"] == {}
 
 
 class TestSendBurst:

@@ -69,9 +69,9 @@ class TestStipulation:
         session = start_offchain(bo3_tree, seed=0, t=2)
         assert stipulate(session) is True
         assert session.phase == RUNNING
-        assert session.chain.is_appended(session.head.digest)
+        assert session.chain.is_appended(session.anchor.digest)
         assert not session.chain.is_appended(session.init.digest)
-        assert session.shadow.sealed
+        assert session.ladder == [session.shadow] and session.latest_sealed is session.shadow
         sealed = session.trace.find(GRAFT_SEALED)
         assert len(sealed) == 1
         assert sealed[0].data["index"] == 0 and sealed[0].data["origin"] == "Bet"
@@ -98,12 +98,11 @@ class TestGrafts:
             stipulate(session)
             ids = ids_by_name(bo3_tree)
             expected = [3 * t, 2 * t, 1 * t, 0]
-            locks = [session.shadow.root_timelock]
             for name, label in (("L??", "L1"), ("LW?", "W2"), ("LWL", "L3")):
                 reveal_oracle(session, label)
-                graft = offchain_step(session, ids[name])
-                locks.append(graft.root_timelock)
-                assert graft.root_instance.rel_timelock == graft.root_timelock
+                offchain_step(session, ids[name])
+            assert [g.index for g in session.ladder] == [0, 1, 2, 3]
+            locks = [g.root_instance.rel_timelock for g in session.ladder]
             assert locks == expected
             assert all(a > b for a, b in zip(locks, locks[1:]))
 
@@ -144,7 +143,7 @@ class TestGrafts:
     def test_height_map_matches_subtree_height(self, tree):
         session = start_offchain(tree, seed=0, t=3)
         assert session.heights == {n: subtree_height(tree, n) for n in iter_preorder(tree)}
-        assert session.shadow.root_timelock == session.heights[tree.root] * 3
+        assert session.shadow.root_instance.rel_timelock == session.heights[tree.root] * 3
 
     @pytest.mark.parametrize("tree", [complete_binary_tree(4)] +
                              [random_tree(seed)[0] for seed in range(50)])
@@ -160,7 +159,7 @@ class TestGrafts:
             root = graft.instances[child]
             assert signed == [(0, tree.node(n).name, graft.instances[n].digest) for n in body] \
                 + [(1, root.name, root.digest)]
-            assert graft.root_timelock == subtree_height(tree, child) * 2
+            assert root.rel_timelock == subtree_height(tree, child) * 2
 
     def test_graft_guards(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
@@ -223,10 +222,19 @@ class TestProposals:
         assert session.proposal is None and session.trace.count(STEP_PROPOSED) == 1
         while any(session.deliver_next(p) for p in bo3_tree.participants):
             pass
-        assert graft.sealed and session.steps_sealed == 1
+        assert session.ladder[-1] is graft and session.steps_sealed == 1
         assert session.step_origin == ids["L??"]
         assert not any(session.others_owe(p) for p in bo3_tree.participants)
         assert session.propose("B", ids["LW?"])
+
+    def test_a_step_waits_for_its_oracle_secret(self, bo3_tree):
+        session = start_offchain(bo3_tree, seed=0, t=2)
+        stipulate(session)
+        lq = ids_by_name(bo3_tree)["L??"]
+        assert not session.propose("A", lq)  # the oracle has not revealed L1
+        assert session.proposal is None and session.trace.count(STEP_PROPOSED) == 0
+        reveal_oracle(session, "L1")
+        assert session.propose("A", lq) and session.trace.count(STEP_PROPOSED) == 1
 
     def test_refusal_sticks_and_the_failsafe_still_works(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
@@ -249,7 +257,7 @@ class TestProposals:
         with pytest.raises(ProtocolError, match="no older state"):
             session.append_oldest_graft("A")  # Init is not on-chain
         assert session.append_init("A") is None
-        session.chain.tick(session.shadow.root_timelock)
+        session.chain.tick(session.shadow.root_instance.rel_timelock)
         assert session.rollback_target() == 0
         assert session.append_oldest_graft("B") is None
         with pytest.raises(ProtocolError, match="no older state"):
@@ -265,9 +273,9 @@ class TestHalfSignedGrafts:
         result = offchain_step(session, ids["L??"], withhold_at=5)
         assert result is None
         graft = session.pending_graft
-        assert graft is not None and not graft.sealed
+        assert graft is not None and graft not in session.ladder
         session.append_init("A")
-        assert graft.discarded
+        assert session.pending_graft is None and graft not in session.ladder
         session.chain.tick(20)  # well past every timelock
         for actor in bo3_tree.participants:
             assert not session.graft_root_ready(actor, graft)
@@ -297,7 +305,7 @@ class TestFailsafe:
         session = start_offchain(bo3_tree, seed=0, t=2)
         stipulate(session)
         assert session.trigger_failsafe("B") is None
-        assert session.phase == FAILSAFE and session.init_on_chain
+        assert session.phase == FAILSAFE and session.chain.is_appended(session.init.digest)
         with pytest.raises(ProtocolError, match="failsafe"):
             session.trigger_failsafe("B")
         assert session.trace.count(FAILSAFE_TRIGGERED) == 1
@@ -309,9 +317,11 @@ class TestFailsafe:
         ids = ids_by_name(bo3_tree)
         reveal_oracle(session, "L1")
         graft = session.create_graft(ids["L??"])
+        assert session.pending_graft is graft
         session.append_init("A")
-        assert graft.discarded
-        assert session.pending_graft is None
+        assert session.pending_graft is None and graft not in session.ladder
+        assert session.ladder == [session.shadow]
+        assert not any(session.deliver_next(p) for p in bo3_tree.participants)
 
     def test_failsafe_after_two_steps_costs_four_transactions(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
@@ -377,7 +387,7 @@ class TestReadiness:
         stipulate(session)
         assert session.append_init("A") is None
         shadow = session.shadow
-        session.chain.tick(shadow.root_timelock)
+        session.chain.tick(shadow.root_instance.rel_timelock)
         assert session.graft_root_ready("C", shadow)
         assert session.append_graft_root("C", shadow) is None
         t3 = ids_by_name(three_party)["T3"]

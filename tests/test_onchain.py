@@ -1,8 +1,10 @@
 """Direct on-chain execution: compilation, stipulation exchange, stepping."""
 
+import dataclasses
+
 import pytest
 
-from graftsim.contract import CONTINUATION, iter_preorder
+from graftsim.contract import CONTINUATION, SecretDecl, iter_preorder
 from graftsim.harness import MODE_ONCHAIN, Scenario, run
 from graftsim.ledger import MissingSignature
 from graftsim.onchain import (
@@ -27,7 +29,7 @@ from graftsim.trace import (
 )
 from graftsim.witness import CommitmentSet, scenario_salt
 
-from drivers import next_message, stipulate
+from drivers import stipulate
 
 
 def commitments_for(tree, seed=1):
@@ -114,35 +116,46 @@ class TestExchangePlan:
         assert len(session.stipulation.messages) == 32  # 2 txsets + 28 body + 2 root
 
     def test_phase_gating_blocks_final_signatures(self, three_party):
-        session = session_for(three_party)
-        exchange = session.stipulation
-        # deliver everything except one body signature
-        sig_indices = [i for i, m in enumerate(exchange.messages) if m.phase == 1]
-        held_back = sig_indices[-1]
-        for i, m in enumerate(exchange.messages):
-            if m.phase == 0 or (m.phase == 1 and i != held_back):
-                exchange.deliver(i)
-        blocked = exchange.messages[held_back].sender
-        for sender in three_party.participants:
-            nxt = exchange.next_for(sender)
-            if sender == blocked:
-                assert exchange.messages[nxt].phase == 1
-            else:
-                assert nxt is None  # their final signature is still gated
-        exchange.deliver(held_back)
-        assert all(next_message(exchange, p).phase == 2 for p in three_party.participants)
-
-    def test_redelivery_raises(self, three_party):
         exchange = session_for(three_party).stipulation
-        exchange.deliver(0)
-        with pytest.raises(ProtocolError):
-            exchange.deliver(0)
+        # Everyone sends all it can, except that C withholds its last
+        # phase-1 message.
+        held = "C"
+        before_final = sum(1 for m in exchange.messages if m.sender == held and m.phase < 2)
+        while any(exchange.deliver(p) for p in three_party.participants
+                  if p != held or exchange.sent[p] < before_final - 1):
+            pass
+        for sender in three_party.participants:
+            mine = [m for m in exchange.messages if m.sender == sender]
+            if sender == held:
+                assert exchange.next_for(sender) == mine[before_final - 1]
+                assert mine[before_final - 1].phase == 1
+            else:  # every body message out, the final signatures still gated
+                assert exchange.sent[sender] == sum(1 for m in mine if m.phase < 2)
+                assert exchange.next_for(sender) is None
+        assert exchange.first_blocker() == held
+        assert exchange.deliver(held).phase == 1
+        assert all(exchange.next_for(p).phase == 2 for p in three_party.participants)
+
+    def test_deliver_with_nothing_open_returns_none(self, three_party):
+        exchange = session_for(three_party).stipulation
+        while exchange.deliver("A") is not None:
+            pass  # A's transaction sets; its signatures wait for B's and C's
+        assert exchange.sent == {"A": 2, "B": 0, "C": 0}
+        assert exchange.deliver("A") is None and exchange.deliver("Z") is None
+        assert exchange.sent == {"A": 2, "B": 0, "C": 0}
+        assert exchange.next_for("A") is None and exchange.pending_from_others("A")
+        while any(exchange.deliver(p) for p in three_party.participants):
+            pass
+        assert exchange.complete and not exchange.pending_from_others("A")
+        sent = dict(exchange.sent)
+        assert all(exchange.deliver(p) is None for p in three_party.participants)
+        assert exchange.sent == sent
 
     def test_first_blocker_names_lowest_phase_holdout(self, three_party):
         exchange = session_for(three_party).stipulation
-        for i, m in enumerate(exchange.messages):
+        for m in exchange.messages:
             if m.phase == 0:
-                exchange.deliver(i)
+                assert exchange.deliver(m.sender) == m
         first_body = next(m for m in exchange.messages if m.phase == 1)
         assert exchange.first_blocker() == first_body.sender
 
@@ -169,7 +182,7 @@ class TestStipulation:
 
     def test_root_not_appendable_midway(self, three_party):
         session = session_for(three_party)
-        session.stipulation.deliver(0)
+        session.stipulation.deliver("A")
         assert not session.anchor_appendable("A")
         error = session.append_anchor("A")
         assert isinstance(error, MissingSignature)
@@ -321,6 +334,19 @@ class TestProposals:
         assert not session.propose("C", ids["T3"])
         assert session.proposal == ("A", ids["T2"])
         assert [e.kind for e in session.trace.events].count(STEP_PROPOSED) == 1
+
+    def test_a_step_waits_for_its_oracle_secret(self, three_party):
+        # B authorizes T2, and the oracle, not A, now holds its secret.
+        tree = dataclasses.replace(three_party, secrets=(SecretDecl("SA", "oracle"),))
+        session = session_for(tree)
+        stipulate(session)
+        t2 = by_name(tree)["T2"]
+        assert session.step_signers(t2) == {"B"}
+        assert not session.propose("B", t2)
+        assert session.proposal is None and session.trace.count(STEP_PROPOSED) == 0
+        session.publish_reveal(session.commitments.reveal("SA"))
+        assert session.propose("B", t2)
+        assert t2 in session.agreed_steps and session.trace.count(STEP_PROPOSED) == 1
 
     def test_onchain_defaults(self, three_party):
         session = session_for(three_party)

@@ -30,7 +30,7 @@ from graftsim.harness import (
 )
 from graftsim.onchain import Exchange, exchange_plan
 from graftsim.strategies import NEVER, WITHHOLD, Action, Observation
-from graftsim.trace import GRAFT_PROPOSED, GRAFT_SEALED, replay_appends
+from graftsim.trace import GRAFT_PROPOSED, GRAFT_SEALED, INIT_APPENDED, replay_appends
 from graftsim.treegen import random_tree
 from graftsim.witness import tx_digest
 
@@ -110,41 +110,40 @@ def test_any_legal_delivery_order_is_phase_monotone(seed, parties, body_size):
     rng = random.Random(seed)
     phases = []
     while not exchange.complete:
-        open_now = [i for i, done in enumerate(exchange.delivered)
-                    if not done and exchange._phase_open(exchange.messages[i].phase)]
+        open_now = [p for p in parties if exchange.next_for(p) is not None]
         assert open_now, "gating deadlocked with messages pending"
-        index = rng.choice(open_now)
-        phases.append(exchange.deliver(index).phase)
+        phases.append(exchange.deliver(rng.choice(open_now)).phase)
     assert phases == sorted(phases)
     assert len(phases) == len(exchange.messages)
 
 
 def _exchange_by_scan(exchange, parties):
-    """Every Exchange query, recomputed by walking the whole plan."""
-    pending = [(i, m) for i, m in enumerate(exchange.messages) if not exchange.delivered[i]]
-    phases = range(max(m.phase for m in exchange.messages) + 2)
-    open_phases = [all(m.phase >= ph for _, m in pending) for ph in phases]
-    lowest = min((m.phase for _, m in pending), default=None)
+    """Every Exchange query, recomputed by walking the whole plan: the
+    first ``sent[sender]`` messages of each sender are the delivered ones."""
+    seen = dict.fromkeys(parties, 0)
+    pending = []
+    for m in exchange.messages:
+        seen[m.sender] += 1
+        if seen[m.sender] > exchange.sent[m.sender]:
+            pending.append(m)
+    lowest = min((m.phase for m in pending), default=None)
     heads = {}
-    for i, m in pending:
-        heads.setdefault(m.sender, (i, m))
+    for m in pending:
+        heads.setdefault(m.sender, m)
     return {
-        "pending_from_others": [any(m.sender != p for _, m in pending)
+        "pending_from_others": [any(m.sender != p for m in pending)
                                 for p in parties + ("Z",)],
         "complete": not pending,
-        "phase_open": open_phases,
-        "first_blocker": next((m.sender for _, m in pending if m.phase == lowest), None),
-        "next_for": [heads[p][0] if p in heads and open_phases[heads[p][1].phase] else None
+        "first_blocker": next((m.sender for m in pending if m.phase == lowest), None),
+        "next_for": [heads[p] if p in heads and heads[p].phase == lowest else None
                      for p in parties + ("Z",)],
     }
 
 
 def _exchange_by_counters(exchange, parties):
-    phases = range(max(m.phase for m in exchange.messages) + 2)
     return {
         "pending_from_others": [exchange.pending_from_others(p) for p in parties + ("Z",)],
         "complete": exchange.complete,
-        "phase_open": [exchange._phase_open(ph) for ph in phases],
         "first_blocker": exchange.first_blocker(),
         "next_for": [exchange.next_for(p) for p in parties + ("Z",)],
     }
@@ -163,22 +162,36 @@ def test_exchange_counters_match_a_scan_of_the_plan(seed, parties, body_size):
         assert _exchange_by_counters(exchange, parties) == expected
         if expected["complete"]:
             break
-        open_now = [i for i, done in enumerate(exchange.delivered)
-                    if not done and expected["phase_open"][exchange.messages[i].phase]]
-        exchange.deliver(rng.choice(open_now))
+        open_now = [(p, m) for p, m in zip(parties, expected["next_for"]) if m is not None]
+        sender, message = rng.choice(open_now)
+        assert exchange.deliver(sender) is message
 
 
 # -- graft bookkeeping ------------------------------------------------------
 
 def _grafts_by_scan(session):
-    sealed = [g for g in session.grafts if g.sealed]
-    last = session.grafts[-1]
-    pending = last if not last.sealed and not last.discarded and last.index > 0 else None
-    return sealed[-1] if sealed else None, len([g for g in sealed if g.index > 0]), pending
+    """The sealed grafts as (index, root digest), the newest of them, how
+    many are steps and the pending graft's index, recounted from the
+    trace's graft and Init events."""
+    sealed, pending = [], None
+    for event in session.trace.events:
+        if event.kind == GRAFT_PROPOSED:
+            pending = event.data["index"]
+        elif event.kind == GRAFT_SEALED:
+            sealed.append((event.data["index"], event.data["digest"]))
+            pending = None
+        elif event.kind == INIT_APPENDED:
+            pending = None
+    steps = sum(1 for index, _ in sealed if index > 0)
+    return sealed, sealed[-1] if sealed else None, steps, pending
 
 
 def _grafts_kept(session):
-    return session.latest_sealed, session.steps_sealed, session.pending_graft
+    ladder = [(g.index, g.root_instance.digest) for g in session.ladder]
+    assert [index for index, _ in ladder] == list(range(len(ladder)))
+    latest, pending = session.latest_sealed, session.pending_graft
+    return (ladder, (latest.index, latest.root_instance.digest) if latest else None,
+            session.steps_sealed, pending.index if pending else None)
 
 
 @NO_DEADLINE

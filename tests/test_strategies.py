@@ -111,19 +111,17 @@ class TestHonestFailsafeTriggers:
 
 class TestHonestAfterInit:
     def test_lands_latest_graft_first(self):
-        action = honest(obs(phase=FAILSAFE, init_on_chain=True,
-                            latest_root_ready=True, continuation_ready=True,
-                            continuation_child=9), {})
+        action = honest(obs(phase=FAILSAFE, latest_root_ready=True,
+                            continuation_ready=True, next_child=9), {})
         assert (action.kind, action.target) == (APPEND, TARGET_LATEST_GRAFT)
 
     def test_continues_through_the_graft_body(self):
-        action = honest(obs(phase=FAILSAFE, init_on_chain=True,
-                            continuation_child=9, continuation_ready=True), {})
+        action = honest(obs(phase=FAILSAFE, next_child=9, continuation_ready=True), {})
         assert (action.kind, action.target, action.child) == \
             (APPEND, TARGET_CONTINUE, 9)
 
     def test_waits_out_the_timelock(self):
-        assert honest(obs(phase=FAILSAFE, init_on_chain=True), {}).kind == IDLE
+        assert honest(obs(phase=FAILSAFE), {}).kind == IDLE
 
 
 class TestHonestOnchain:
@@ -135,8 +133,7 @@ class TestHonestOnchain:
         assert (action.kind, action.target) == (APPEND, TARGET_ANCHOR)
 
     def test_walks_the_branch(self):
-        action = honest(obs(mode="onchain", next_child=6, continuation_child=6,
-                            continuation_ready=True), {})
+        action = honest(obs(mode="onchain", next_child=6, continuation_ready=True), {})
         assert (action.kind, action.target, action.child) == (APPEND, TARGET_CONTINUE, 6)
         action = honest(obs(mode="onchain", next_child=6,
                             next_child_proposable=True), {})
@@ -165,8 +162,7 @@ class TestStaller:
 
     def test_never_proposes_or_settles(self):
         assert staller(obs(next_child=6, next_child_proposable=True), {}).kind == IDLE
-        assert staller(obs(phase=FAILSAFE, init_on_chain=True,
-                           latest_root_ready=True), {}).kind == IDLE
+        assert staller(obs(phase=FAILSAFE, latest_root_ready=True), {}).kind == IDLE
 
     def test_cooperates_during_stipulation(self):
         assert staller(obs(phase=STIPULATING, owes_message=True),
@@ -188,8 +184,8 @@ class TestPrematureInit:
         assert (action.kind, action.child) == (PROPOSE, 6)
 
     def test_goes_quiet_after_firing(self):
-        assert premature_init(obs(init_on_chain=True, phase=FAILSAFE,
-                                  owes_message=True), {"trigger_step": 1}).kind == IDLE
+        assert premature_init(obs(phase=FAILSAFE, owes_message=True),
+                              {"trigger_step": 1}).kind == IDLE
 
 
 class TestRollbackAttacker:
@@ -200,13 +196,12 @@ class TestRollbackAttacker:
                                  {}).kind == IDLE
 
     def test_replays_the_oldest_state_after_init(self):
-        action = rollback_attacker(obs(phase=FAILSAFE, init_on_chain=True,
-                                       rollback_target=1), {})
+        action = rollback_attacker(obs(phase=FAILSAFE, rollback_target=1), {})
         assert (action.kind, action.target) == (APPEND, TARGET_OLDEST_GRAFT)
 
     def test_gives_up_once_init_is_redeemed(self):
-        assert rollback_attacker(obs(phase=FAILSAFE, init_on_chain=True,
-                                     rollback_target=None), {}).kind == IDLE
+        assert rollback_attacker(obs(phase=FAILSAFE, rollback_target=None),
+                                 {}).kind == IDLE
 
 
 class TestSilentAborter:
@@ -229,8 +224,7 @@ class TestSilentAborter:
 
 class TestOnchainDelegation:
     def test_all_strategies_cooperate_on_chain(self):
-        view = obs(mode="onchain", next_child=6, continuation_child=6,
-                   continuation_ready=True)
+        view = obs(mode="onchain", next_child=6, continuation_ready=True)
         for name in ("staller", "premature_init", "rollback_attacker",
                      "silent_aborter"):
             action = STRATEGIES[name](view, {"stall_after_steps": 0,
