@@ -408,10 +408,7 @@ class _Engine:
         if kind in (IDLE, WITHHOLD):
             return False
         if kind == SEND:  # every message the actor can send now (see ``Action``)
-            sent = False
-            while self.session.deliver_next(participant) is not None:
-                sent = True
-            return sent
+            return self.session.send(participant) > 0
         if kind == PROPOSE:
             return self.session.propose(participant, action.child)
         if kind == AGREE:

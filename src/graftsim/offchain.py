@@ -53,9 +53,11 @@ from .onchain import (
     Exchange,
     ProtocolError,
     Session,
+    TreeParts,
     exchange_plan,
     instantiate_subtree,
     make_deposits,
+    tree_parts,
 )
 from .witness import CommitmentSet
 
@@ -69,9 +71,10 @@ class Graft:
 
     Index 0 is the shadow copy of the whole contract created at
     compilation; it has no exchange of its own because its signatures
-    travel with stipulation.  ``index`` is the graft's place on the
-    session's ladder.  ``instances`` is keyed by the node ids of the
-    original tree, so walking a graft body is ordinary tree walking.
+    travel with stipulation.  A graft's ``exchange`` is dropped once it
+    is sealed.  ``index`` is the graft's place on the session's ladder.
+    ``instances`` is keyed by the node ids of the original tree, so
+    walking a graft body is ordinary tree walking.
     """
     index: int
     origin: NodeId
@@ -90,6 +93,7 @@ class OffchainCompilation:
     init: TxInstance
     shadow: Dict[NodeId, TxInstance]
     deposits: Dict[str, TxInstance]
+    parts: TreeParts
 
 
 def compile_offchain(tree: ContractTree, commitments: CommitmentSet, salt: bytes,
@@ -108,10 +112,10 @@ def compile_offchain(tree: ContractTree, commitments: CommitmentSet, salt: bytes
                    0, everyone, outputs=(OutputSpec(pot - tree.fee, CONTINUATION),))
     init = make_tx(INIT_NAME, salt, ((head.digest, 0),), 0, everyone,
                    outputs=(OutputSpec(pot - 2 * tree.fee, CONTINUATION),))
-    shadow = instantiate_subtree(
-        tree, commitments, salt, tree.root, ((init.digest, 0),),
-        pot - 2 * tree.fee, subtree_height(tree, tree.root) * t)
-    return OffchainCompilation(head, init, shadow, deposits)
+    parts = tree_parts(tree, commitments, salt)
+    shadow = instantiate_subtree(parts, tree.root, ((init.digest, 0),),
+                                 pot - 2 * tree.fee, subtree_height(tree, tree.root) * t)
+    return OffchainCompilation(head, init, shadow, deposits, parts)
 
 
 class OffchainSession(Session):
@@ -135,6 +139,8 @@ class OffchainSession(Session):
                          [comp.init, *comp.shadow.values()])
         self.t = t
         self.init = comp.init
+        # Every node's instance parts, shared by the shadow and each graft.
+        self.parts = comp.parts
         # Every node's subtree height, which times t is its graft's timelock.
         self.heights = subtree_heights(tree)
         self.shadow = Graft(0, tree.root, comp.shadow, exchange=None)
@@ -218,19 +224,31 @@ class OffchainSession(Session):
     def _exchange_complete(self, exchange: Exchange, sender: str) -> None:
         if exchange is self.stipulation:
             super()._exchange_complete(exchange, sender)
-            graft = self.shadow
+            self._seal(self.shadow, sender)
         else:
             graft = self.pending_graft
             graft.seal_height = self.chain.height
             self.pending_graft = None
+            self._seal(graft, sender)
+
+    def _seal(self, graft: Graft, actor: str) -> None:
+        """``graft`` is fully signed: it joins the ladder, and its plan,
+        which nothing reads once it is sealed, is dropped."""
+        graft.exchange = None
         self.ladder.append(graft)
-        self.trace.add(Event(self.chain.height, sender, GRAFT_SEALED, {
+        self.trace.add(Event(self.chain.height, actor, GRAFT_SEALED, {
             "digest": graft.root_instance.digest, "index": graft.index,
             "origin": self.tree.node(graft.origin).name}))
 
-    def _anchored(self) -> None:
+    def _anchored(self, actor: str) -> None:
         self.phase = RUNNING
         self.shadow.seal_height = self.chain.height
+        if not self.ladder:
+            # Head landed before the last Head signatures were sent, so the
+            # stipulation exchange never completes.  Phase gating sends no
+            # Head signature before every Init and shadow signature is
+            # delivered, so the shadow is fully signed: seal it now.
+            self._seal(self.shadow, actor)
 
     # -- stepping (off-chain) ------------------------------------------------
 
@@ -246,9 +264,8 @@ class OffchainSession(Session):
             raise ProtocolError(
                 f"{child} is not a child of the current off-chain head")
         timelock = self.heights[child] * self.t
-        instances = instantiate_subtree(
-            self.tree, self.commitments, self.salt, child, ((self.init.digest, 0),),
-            self.init.output_total(), timelock)
+        instances = instantiate_subtree(self.parts, child, ((self.init.digest, 0),),
+                                        self.init.output_total(), timelock)
         root, *body = instances.values()
         graft = Graft(len(self.ladder), child, instances,
                       Exchange(exchange_plan(self.tree.participants,

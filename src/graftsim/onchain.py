@@ -21,14 +21,15 @@ session in ``offchain`` builds on it with Head as its anchor.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .contract import (
     CONTINUATION,
-    NO_EDGE,
     ContractTree,
     NodeId,
     OutputSpec,
+    PayoutShare,
     resolve_payout,
     validate_tree,
 )
@@ -62,7 +63,9 @@ from .witness import (
     Reveal,
     SecretCommitment,
     SignatureStore,
+    prefixed_digest,
     sign,
+    tx_prefix,
 )
 
 # Session phases
@@ -92,14 +95,45 @@ def make_deposits(tree: ContractTree, salt: bytes) -> Dict[str, TxInstance]:
     }
 
 
-# Shared by every instance whose edge opens no secret.
+# Shared by every instance whose edge opens no secret or needs no authorization.
 NO_REVEALS: FrozenSet[SecretCommitment] = frozenset()
+NO_SIGNERS: FrozenSet[str] = frozenset()
+
+
+class NodeParts(NamedTuple):
+    """What every instance of one node shares, wherever its subtree is
+    grafted: all but the parent reference, the timelock and the outputs."""
+    name: str
+    prefix: bytes                          # ``tx_prefix`` of a spend of one output
+    wait: int                              # the edge's wait: the timelock below a subtree root
+    edge_signers: FrozenSet[str]
+    reveals: FrozenSet[SecretCommitment]
+    children: Tuple[NodeId, ...]
+    shares: Tuple[PayoutShare, ...]        # a leaf's payout
+
+
+class TreeParts(NamedTuple):
+    """The parts of every node of one compilation (see ``tree_parts``)."""
+    salt: bytes
+    fee: int
+    everyone: FrozenSet[str]
+    nodes: Dict[NodeId, NodeParts]
+
+
+def tree_parts(tree: ContractTree, commitments: CommitmentSet, salt: bytes) -> TreeParts:
+    """Each node's ``NodeParts``, computed once per compilation and shared
+    by every subtree instantiated from it."""
+    nodes = {}
+    for node_id, node in tree.nodes.items():
+        edge = node.edge
+        reveals = frozenset(commitments[l] for l in edge.reveals) if edge.reveals else NO_REVEALS
+        nodes[node_id] = NodeParts(node.name, tx_prefix(node.name, salt, 1), edge.wait,
+                                   frozenset(edge.auth), reveals, node.children, node.outputs)
+    return TreeParts(salt, tree.fee, frozenset(tree.participants), nodes)
 
 
 def instantiate_subtree(
-    tree: ContractTree,
-    commitments: CommitmentSet,
-    salt: bytes,
+    parts: TreeParts,
     sub_root: NodeId,
     root_inputs: Tuple[Tuple[str, int], ...],
     root_input_value: int,
@@ -110,28 +144,34 @@ def instantiate_subtree(
     The subtree root spends ``root_inputs`` under ``root_rel_timelock``
     and carries no edge requirements: a contract root has none, and a
     graft root is guarded by the graft timelock and the implicit
-    signatures instead.  Every transaction burns one fee.  The map lists
-    the nodes in preorder, ``sub_root`` first.
+    signatures instead.  Every other node spends its parent's
+    continuation output under its edge's wait.  Every transaction burns
+    one fee.  The map lists the nodes in preorder, ``sub_root`` first.
     """
-    everyone = frozenset(tree.participants)
+    nodes, fee, everyone = parts.nodes, parts.fee, parts.everyone
+    root_inputs = tuple(root_inputs)
+    top = nodes[sub_root]
+    prefix = top.prefix if len(root_inputs) == 1 \
+        else tx_prefix(top.name, parts.salt, len(root_inputs))
+    top = top._replace(prefix=prefix, wait=root_rel_timelock,
+                       edge_signers=NO_SIGNERS, reveals=NO_REVEALS)
     instances: Dict[NodeId, TxInstance] = {}
     # Preorder with an explicit stack: a node is built before its children,
     # which spend its digest, and children are popped in declaration order.
-    stack = [(sub_root, root_inputs, root_input_value, root_rel_timelock, NO_EDGE)]
+    stack = [(sub_root, top, root_inputs, root_input_value)]
     while stack:
-        node_id, inputs, input_value, rel, edge = stack.pop()
-        node = tree.node(node_id)
-        balance = input_value - tree.fee
+        node_id, node, inputs, input_value = stack.pop()
+        balance = input_value - fee
         if node.children:
             outputs: Tuple[OutputSpec, ...] = (OutputSpec(balance, CONTINUATION),)
         else:
-            outputs = resolve_payout(node.outputs, balance)
-        reveals = frozenset(commitments[l] for l in edge.reveals) if edge.reveals else NO_REVEALS
-        inst = make_tx(node.name, salt, inputs, rel, everyone, edge.auth, reveals, outputs)
-        instances[node_id] = inst
+            outputs = resolve_payout(node.shares, balance)
+        digest = prefixed_digest(node.prefix, inputs, node.wait, outputs)
+        instances[node_id] = TxInstance(digest, node.name, inputs, node.wait, everyone,
+                                        node.edge_signers, node.reveals, outputs)
+        spend = ((digest, 0),)
         for child in reversed(node.children):
-            child_edge = tree.node(child).edge
-            stack.append((child, ((inst.digest, 0),), balance, child_edge.wait, child_edge))
+            stack.append((child, nodes[child], spend, balance))
     return instances
 
 
@@ -146,7 +186,7 @@ def compile_onchain(
     if deposits is None:
         deposits = make_deposits(tree, salt)
     root_inputs = tuple((deposits[p].digest, 0) for p in tree.participants)
-    return instantiate_subtree(tree, commitments, salt, tree.root, root_inputs,
+    return instantiate_subtree(tree_parts(tree, commitments, salt), tree.root, root_inputs,
                                tree.deposit_total(), 0)
 
 
@@ -184,6 +224,10 @@ class Exchange:
         self.sent: Dict[str, int] = dict.fromkeys(self._queues, 0)
         # What ``sent`` reads once every message is delivered.
         self._all_sent = {s: len(queue) for s, queue in self._queues.items()}
+        # Per sender, (phase, end) for each phase of its queue in order: its
+        # messages of that phase end at index ``end``.
+        self._phase_ends = {s: tuple({m.phase: i + 1 for i, m in enumerate(queue)}.items())
+                            for s, queue in self._queues.items()}
 
     def next_for(self, sender: str) -> Optional[Message]:
         """``sender``'s next message, if its phase is open."""
@@ -199,12 +243,26 @@ class Exchange:
                 return None
         return msg
 
-    def deliver(self, sender: str) -> Optional[Message]:
-        """Send ``sender``'s next message if its phase is open, and return it."""
-        msg = self.next_for(sender)
-        if msg is not None:
-            self.sent[sender] += 1
-        return msg
+    def deliver(self, sender: str) -> List[Message]:
+        """Send every message of ``sender`` that is open now, and return
+        them in plan order; none if its next message waits on a lower
+        phase.  No other sender's next message moves while ``sender``
+        sends, so the gate, the lowest phase among those, is read once, and
+        the burst runs to the end of ``sender``'s last phase not above it."""
+        if sender not in self._queues:
+            return []
+        sent, all_sent = self.sent, self._all_sent
+        gate = min((queue[sent[other]].phase for other, queue in self._queues.items()
+                    if other != sender and sent[other] < all_sent[other]), default=math.inf)
+        start = end = sent[sender]
+        for phase, stop in self._phase_ends[sender]:
+            if phase > gate:
+                break
+            end = stop
+        if end <= start:
+            return []
+        sent[sender] = end
+        return self._queues[sender][start:end]
 
     @property
     def complete(self) -> bool:
@@ -483,22 +541,29 @@ class Session:
         self.trace.add(Event(self.chain.height, sender, STIPULATION_COMPLETE,
                              {"mode": self.MODE}))
 
-    def deliver_next(self, sender: str) -> Optional[Event]:
+    def send(self, sender: str) -> int:
+        """Deliver every message ``sender`` can send now in the active
+        exchange, as one burst (see ``Exchange.deliver``): each signature
+        goes into its recipient's store and each message into the trace.
+        Returns how many were sent."""
         exchange = self.active_exchange()
-        msg = exchange.deliver(sender) if exchange is not None else None
-        if msg is None:
-            return None
-        if msg.kind == "sig":
-            self.stores[msg.recipient].add(msg.sender, msg.digest, IMPLICIT)
-            event = Event(self.chain.height, sender, SIGNATURE_SENT,
-                          {"digest": msg.digest, "to": msg.recipient, "tx": msg.subject})
-        else:
-            event = Event(self.chain.height, sender, TXSET_SENT,
-                          {"count": self.txset_size, "to": msg.recipient})
-        self.trace.add(event)
+        if exchange is None:
+            return 0
+        burst = exchange.deliver(sender)
+        if not burst:
+            return 0
+        add, height, stores = self.trace.add, self.chain.height, self.stores
+        for msg in burst:
+            if msg.kind == "sig":
+                stores[msg.recipient].add(sender, msg.digest, IMPLICIT)
+                add(Event(height, sender, SIGNATURE_SENT,
+                          {"digest": msg.digest, "to": msg.recipient, "tx": msg.subject}))
+            else:
+                add(Event(height, sender, TXSET_SENT,
+                          {"count": self.txset_size, "to": msg.recipient}))
         if exchange.complete:
             self._exchange_complete(exchange, sender)
-        return event
+        return len(burst)
 
     def abort(self, withholder: str) -> None:
         self.phase = ABORTED
@@ -511,13 +576,14 @@ class Session:
         return self.phase == STIPULATING and self.stipulation.complete \
             and self.ready(actor, self.anchor)
 
-    def _anchored(self) -> None:
+    def _anchored(self, actor: str) -> None:
+        """``actor`` has landed the anchor."""
         raise NotImplementedError
 
     def append_anchor(self, actor: str) -> Optional[AppendError]:
         error = self.append(actor, self.anchor, self.ANCHOR_ROLE)
         if error is None:
-            self._anchored()
+            self._anchored(actor)
         return error
 
     # -- the on-chain walk ---------------------------------------------------
@@ -618,7 +684,7 @@ class OnchainSession(Session):
         super().agree_step(child, signers)
         self.agreed_steps.add(child)
 
-    def _anchored(self) -> None:
+    def _anchored(self, actor: str) -> None:
         self.phase = RUNNING
         self._land(self.instances, self.tree.root)
 

@@ -93,9 +93,10 @@ NEVER = math.inf
 class Action:
     """What a participant does now.
 
-    A ``SEND`` delivers the actor's messages one by one, phase gating
-    checked before each, until none is deliverable, without asking the
-    strategy again; to stop partway through an exchange, return ``WITHHOLD``.
+    A ``SEND`` delivers every message the actor can send now, as one burst
+    that stops where phase gating would stop a message (see
+    ``onchain.Exchange.deliver``), without asking the strategy again; to
+    stop partway through an exchange, return ``WITHHOLD``.
 
     ``wake`` matters only when the action makes no progress: it is the
     least height at which the strategy, shown the same state, could choose

@@ -53,11 +53,32 @@ def tx_digest(
     compilation, so identically shaped transactions from different
     sessions never collide.  Fields are hashed in one pass as they are
     encoded: text and bytes with a 16-bit length, counts and indices in 16
-    bits, the timelock in 32 and values in 64.
+    bits, the timelock in 32 and values in 64.  The encoding is split at
+    the input list: ``tx_prefix`` is the part before it, and
+    ``prefixed_digest`` hashes that part and the rest.
     """
+    return prefixed_digest(tx_prefix(name, salt, len(inputs)), inputs, rel_timelock, outputs)
+
+
+def tx_prefix(name: str, salt: bytes, input_count: int) -> bytes:
+    """The encoding of a transaction template up to its input list: the
+    name, the salt and the number of inputs.  Every instance of one
+    contract node that spends ``input_count`` outputs shares it, wherever
+    its subtree is grafted."""
     raw = name.encode("utf-8")
-    h = hashlib.sha256(b"TX1" + len(raw).to_bytes(2, "big") + raw
-                       + len(salt).to_bytes(2, "big") + salt + len(inputs).to_bytes(2, "big"))
+    return (b"TX1" + len(raw).to_bytes(2, "big") + raw
+            + len(salt).to_bytes(2, "big") + salt + input_count.to_bytes(2, "big"))
+
+
+def prefixed_digest(
+    prefix: bytes,
+    inputs: Tuple[Tuple[str, int], ...],
+    rel_timelock: int,
+    outputs: Tuple[Tuple[int, str], ...],
+) -> str:
+    """``tx_digest`` of the template whose encoding up to the input list is
+    ``prefix``, which must count ``len(inputs)`` inputs (see ``tx_prefix``)."""
+    h = hashlib.sha256(prefix)
     for src, idx in inputs:
         ref = bytes.fromhex(src)
         h.update(len(ref).to_bytes(2, "big") + ref + idx.to_bytes(2, "big"))

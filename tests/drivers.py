@@ -6,7 +6,11 @@ one step, settle) so a test can stop anywhere, withhold any single
 message, and check the engine's results against a walk it does not use.
 ``run_blockwise`` is the reference for the engine's clock: the same run,
 polled at every block.  ``run_per_message`` is the reference for the
-engine's send burst: the same run, one message per ``SEND``.
+engine's send burst: the same run, one message per ``SEND``, each sent
+by ``deliver_next`` (``deliver_one`` for a bare exchange), which checks
+phase gating before every message.  ``instantiate_by_make_tx`` is the
+reference for graft compilation: every instance built by ``make_tx``
+from the contract node itself.
 ``eager_observation`` is the reference for the engine's observations:
 every field computed up front.  ``serialize_by_dumps`` is the reference
 for trace serialization: one ``json.dumps`` per line.  ``subtree_size``
@@ -16,21 +20,41 @@ and ``balance_at`` are small queries only the tests need.
 import json
 from contextlib import contextmanager
 from dataclasses import fields, replace
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from graftsim.contract import ContractTree, NodeId, iter_preorder, path_to, resolve_path
+from graftsim.contract import (
+    CONTINUATION,
+    NO_EDGE,
+    ContractTree,
+    NodeId,
+    OutputSpec,
+    iter_preorder,
+    path_to,
+    resolve_path,
+    resolve_payout,
+)
 from graftsim.harness import Scenario, _Engine, run
+from graftsim.ledger import TxInstance, make_tx
 from graftsim.offchain import Graft, OffchainSession
 from graftsim.onchain import (
     FAILSAFE,
     FINALIZED,
+    Exchange,
+    Message,
     OnchainSession,
     ProtocolError,
     Session,
 )
 from graftsim.strategies import SEND, STRATEGIES, Action, Observation, Strategy
-from graftsim.trace import OUTCOME_LEAF, SIGNATURE_SENT, Trace, summarize_run
-from graftsim.witness import CommitmentSet, scenario_salt
+from graftsim.trace import (
+    OUTCOME_LEAF,
+    SIGNATURE_SENT,
+    TXSET_SENT,
+    Event,
+    Trace,
+    summarize_run,
+)
+from graftsim.witness import IMPLICIT, CommitmentSet, scenario_salt
 
 _DRIVER_GUARD = 100_000
 
@@ -47,6 +71,64 @@ def balance_at(tree: ContractTree, node_id: NodeId) -> int:
     return tree.deposit_total() - tree.fee * len(path_to(tree, node_id))
 
 
+def instantiate_by_make_tx(tree: ContractTree, commitments: CommitmentSet, salt: bytes,
+                           sub_root: NodeId, root_inputs: Tuple[Tuple[str, int], ...],
+                           root_input_value: int,
+                           root_rel_timelock: int) -> Dict[NodeId, TxInstance]:
+    """``onchain.instantiate_subtree`` of the subtree at ``sub_root``, each
+    instance built by ``make_tx`` from its contract node: the subtree root
+    spends ``root_inputs`` under ``root_rel_timelock`` with no edge
+    requirements, every other node its parent's continuation output under
+    its edge."""
+    everyone = frozenset(tree.participants)
+    instances: Dict[NodeId, TxInstance] = {}
+    stack = [(sub_root, root_inputs, root_input_value, root_rel_timelock, NO_EDGE)]
+    while stack:
+        node_id, inputs, input_value, rel, edge = stack.pop()
+        node = tree.node(node_id)
+        balance = input_value - tree.fee
+        if node.children:
+            outputs: Tuple[OutputSpec, ...] = (OutputSpec(balance, CONTINUATION),)
+        else:
+            outputs = resolve_payout(node.outputs, balance)
+        reveals = frozenset(commitments[label] for label in edge.reveals)
+        inst = make_tx(node.name, salt, inputs, rel, everyone, edge.auth, reveals, outputs)
+        instances[node_id] = inst
+        for child in reversed(node.children):
+            child_edge = tree.node(child).edge
+            stack.append((child, ((inst.digest, 0),), balance, child_edge.wait, child_edge))
+    return instances
+
+
+def deliver_one(exchange: Exchange, sender: str) -> Optional[Message]:
+    """Send ``sender``'s next message if its phase is open, and return it."""
+    msg = exchange.next_for(sender)
+    if msg is not None:
+        exchange.sent[sender] += 1
+    return msg
+
+
+def deliver_next(session: Session, sender: str) -> Optional[Event]:
+    """``session.send(sender)`` for one message: deliver ``sender``'s next
+    open message of the active exchange, store and log it, and complete
+    the exchange if it was the last.  Returns its event, or None."""
+    exchange = session.active_exchange()
+    msg = deliver_one(exchange, sender) if exchange is not None else None
+    if msg is None:
+        return None
+    if msg.kind == "sig":
+        session.stores[msg.recipient].add(msg.sender, msg.digest, IMPLICIT)
+        event = Event(session.chain.height, sender, SIGNATURE_SENT,
+                      {"digest": msg.digest, "to": msg.recipient, "tx": msg.subject})
+    else:
+        event = Event(session.chain.height, sender, TXSET_SENT,
+                      {"count": session.txset_size, "to": msg.recipient})
+    session.trace.add(event)
+    if exchange.complete:
+        session._exchange_complete(exchange, sender)
+    return event
+
+
 def stipulate(session: Session, withhold_at: Optional[int] = None) -> bool:
     """Deliver the whole stipulation plan in order and append the anchor.
     ``withhold_at`` stops right before that message index and aborts
@@ -55,7 +137,7 @@ def stipulate(session: Session, withhold_at: Optional[int] = None) -> bool:
         if index == withhold_at:
             session.abort(msg.sender)
             return False
-        if session.deliver_next(msg.sender) is None:
+        if deliver_next(session, msg.sender) is None:
             raise ProtocolError("stipulation plan is not deliverable in order")
     error = session.append_anchor(session.tree.participants[0])
     if error is not None:
@@ -86,7 +168,7 @@ def offchain_step(session: OffchainSession, child: NodeId,
     for index in range(len(plan)):
         if withhold_at is not None and index == withhold_at:
             return None
-        if session.deliver_next(plan[index].sender) is None:
+        if deliver_next(session, plan[index].sender) is None:
             raise ProtocolError("graft plan is not deliverable in order")
     return graft
 
@@ -218,7 +300,7 @@ def run_per_message(scenario: Scenario) -> Trace:
 
     def one_message(engine: _Engine, participant: str, action: Action) -> bool:
         if action.kind == SEND:
-            return engine.session.deliver_next(participant) is not None
+            return deliver_next(engine.session, participant) is not None
         return execute(engine, participant, action)
 
     _Engine._execute = one_message

@@ -31,7 +31,9 @@ from graftsim.onchain import RUNNING, STIPULATING, ProtocolError
 from graftsim.strategies import (
     IDLE,
     PROPOSE,
+    REFUSE,
     SEND,
+    TARGET_ANCHOR,
     TARGET_FAILSAFE,
     TARGET_INIT,
     TARGET_LATEST_GRAFT,
@@ -45,10 +47,13 @@ from graftsim.treegen import chain_tree
 from graftsim.trace import (
     APPEND,
     FAILSAFE_TRIGGERED,
+    GRAFT_APPENDED,
+    GRAFT_SEALED,
     STEP_AGREED,
     STEP_PROPOSED,
     STEP_REFUSED,
     STIPULATION_ABORTED,
+    STIPULATION_COMPLETE,
 )
 
 from drivers import census_by_replay, events_and_summary
@@ -339,6 +344,45 @@ class TestStepAgreement:
         assert trace.summary["outcome"] == "height_cap"
         assert trace.count(STEP_PROPOSED) == trace.count(STEP_AGREED) == 0
         assert trace.summary["payouts"] == {}
+
+
+class TestEarlyHead:
+    def test_head_landed_before_stipulation_completes_seals_the_shadow(self):
+        # A sends what it can at height 0.  At height 1, holding B's Head
+        # signature, it lands Head before sending its own, so stipulation
+        # never completes; then it refuses every proposal.  Phase gating
+        # had every shadow signature delivered before any Head signature,
+        # so the shadow is sealed when Head lands and B's failsafe settles
+        # through it.
+        @register("early_head")
+        def early_head(observation, params):
+            if observation.phase == STIPULATING:
+                if observation.height == 0 and observation.owes_message:
+                    return Action(SEND)
+                if observation.height >= 1:
+                    return Action(graftsim.strategies.APPEND, TARGET_ANCHOR)
+                return Action(IDLE)
+            if observation.proposal is not None and not observation.i_agreed:
+                return Action(REFUSE)
+            return Action(IDLE)
+        scn = replace(load("bo3_happy"), order=("B", "A"))
+        try:
+            trace = run(replace(scn, strategies={**scn.strategies, "A": ("early_head", {})}))
+        finally:
+            del STRATEGIES["early_head"]
+        summary = trace.summary
+        assert (summary["outcome"], summary["final_height"]) == ("leaf", 9)
+        assert [name for name, *_ in summary["appended"]] == \
+            ["Head", "Init", "Bet", "L??", "LW?", "LWL"]
+        assert summary["payouts"] == {"B": 94}
+        assert trace.count(STIPULATION_COMPLETE) == 0
+        head = next(e for e in trace.find(APPEND) if e.data["name"] == "Head")
+        assert (head.actor, head.height) == ("A", 1)
+        sealed = trace.find(GRAFT_SEALED)
+        assert [(e.actor, e.height, e.data["index"]) for e in sealed] == [("A", 1, 0)]
+        assert trace.events.index(sealed[0]) == trace.events.index(head) + 1
+        assert [(e.actor, e.height, e.data["index"]) for e in trace.find(GRAFT_APPENDED)] == \
+            [("B", 9, 0)]
 
 
 class TestSendBurst:

@@ -220,7 +220,7 @@ class TestProposals:
         assert session.others_owe("A") and session.others_owe("B")  # the graft exchange
         assert not session.propose("B", ids["LW?"])
         assert session.proposal is None and session.trace.count(STEP_PROPOSED) == 1
-        while any(session.deliver_next(p) for p in bo3_tree.participants):
+        while any(session.send(p) for p in bo3_tree.participants):
             pass
         assert session.ladder[-1] is graft and session.steps_sealed == 1
         assert session.step_origin == ids["L??"]
@@ -321,7 +321,7 @@ class TestFailsafe:
         session.append_init("A")
         assert session.pending_graft is None and graft not in session.ladder
         assert session.ladder == [session.shadow]
-        assert not any(session.deliver_next(p) for p in bo3_tree.participants)
+        assert not any(session.send(p) for p in bo3_tree.participants)
 
     def test_failsafe_after_two_steps_costs_four_transactions(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)

@@ -29,7 +29,7 @@ from graftsim.trace import (
 )
 from graftsim.witness import CommitmentSet, scenario_salt
 
-from drivers import stipulate
+from drivers import deliver_one, stipulate
 
 
 def commitments_for(tree, seed=1):
@@ -117,11 +117,11 @@ class TestExchangePlan:
 
     def test_phase_gating_blocks_final_signatures(self, three_party):
         exchange = session_for(three_party).stipulation
-        # Everyone sends all it can, except that C withholds its last
-        # phase-1 message.
+        # Everyone sends all it can, one message at a time, except that C
+        # withholds its last phase-1 message.
         held = "C"
         before_final = sum(1 for m in exchange.messages if m.sender == held and m.phase < 2)
-        while any(exchange.deliver(p) for p in three_party.participants
+        while any(deliver_one(exchange, p) for p in three_party.participants
                   if p != held or exchange.sent[p] < before_final - 1):
             pass
         for sender in three_party.participants:
@@ -133,29 +133,48 @@ class TestExchangePlan:
                 assert exchange.sent[sender] == sum(1 for m in mine if m.phase < 2)
                 assert exchange.next_for(sender) is None
         assert exchange.first_blocker() == held
-        assert exchange.deliver(held).phase == 1
+        assert deliver_one(exchange, held).phase == 1
         assert all(exchange.next_for(p).phase == 2 for p in three_party.participants)
+        # Now every phase is open to C: its burst is all its final signatures.
+        assert exchange.deliver(held) == [m for m in exchange.messages
+                                          if m.sender == held and m.phase == 2]
+        assert exchange.next_for(held) is None
 
     def test_deliver_with_nothing_open_returns_none(self, three_party):
         exchange = session_for(three_party).stipulation
-        while exchange.deliver("A") is not None:
-            pass  # A's transaction sets; its signatures wait for B's and C's
+        # A's transaction sets; its signatures wait for B's and C's.
+        assert exchange.deliver("A") == exchange.messages[:2]
         assert exchange.sent == {"A": 2, "B": 0, "C": 0}
-        assert exchange.deliver("A") is None and exchange.deliver("Z") is None
+        assert exchange.deliver("A") == [] and exchange.deliver("Z") == []
         assert exchange.sent == {"A": 2, "B": 0, "C": 0}
         assert exchange.next_for("A") is None and exchange.pending_from_others("A")
         while any(exchange.deliver(p) for p in three_party.participants):
             pass
         assert exchange.complete and not exchange.pending_from_others("A")
         sent = dict(exchange.sent)
-        assert all(exchange.deliver(p) is None for p in three_party.participants)
+        assert all(exchange.deliver(p) == [] for p in three_party.participants)
         assert exchange.sent == sent
+
+    def test_a_burst_runs_to_the_lowest_phase_among_the_others(self, three_party):
+        exchange = session_for(three_party).stipulation
+        mine = {p: [m for m in exchange.messages if m.sender == p]
+                for p in three_party.participants}
+        assert exchange.deliver("A") == [m for m in mine["A"] if m.phase == 0]
+        assert exchange.deliver("B") == [m for m in mine["B"] if m.phase == 0]
+        # Everyone else's next message is in phase 1: C sends through it.
+        assert exchange.deliver("C") == [m for m in mine["C"] if m.phase < 2]
+        assert exchange.deliver("A") == [m for m in mine["A"] if m.phase == 1]
+        # B alone holds up phase 2, so B sends everything it has left.
+        assert exchange.deliver("B") == [m for m in mine["B"] if m.phase > 0]
+        assert exchange.deliver("C") == [m for m in mine["C"] if m.phase == 2]
+        assert exchange.deliver("A") == [m for m in mine["A"] if m.phase == 2]
+        assert exchange.complete
 
     def test_first_blocker_names_lowest_phase_holdout(self, three_party):
         exchange = session_for(three_party).stipulation
         for m in exchange.messages:
             if m.phase == 0:
-                assert exchange.deliver(m.sender) == m
+                assert deliver_one(exchange, m.sender) == m
         first_body = next(m for m in exchange.messages if m.phase == 1)
         assert exchange.first_blocker() == first_body.sender
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from graftsim.contract import (
     PayoutShare,
+    iter_preorder,
     leaves,
     path_to,
     resolve_path,
@@ -28,15 +29,24 @@ from graftsim.harness import (
     message_census,
     run,
 )
-from graftsim.onchain import Exchange, exchange_plan
+from graftsim.offchain import compile_offchain
+from graftsim.onchain import (
+    Exchange,
+    compile_onchain,
+    exchange_plan,
+    instantiate_subtree,
+    make_deposits,
+)
 from graftsim.strategies import NEVER, WITHHOLD, Action, Observation
 from graftsim.trace import GRAFT_PROPOSED, GRAFT_SEALED, INIT_APPENDED, replay_appends
-from graftsim.treegen import random_tree
-from graftsim.witness import tx_digest
+from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
+from graftsim.witness import CommitmentSet, scenario_salt, tx_digest
 
 from drivers import (
     census_by_replay,
+    deliver_one,
     events_and_summary,
+    instantiate_by_make_tx,
     observations_checked,
     offchain_step,
     run_blockwise,
@@ -98,6 +108,61 @@ def test_generated_contracts_always_validate(seed):
     assert all(h >= 0 for h, _ in oracle)
 
 
+# -- graft compilation ------------------------------------------------------
+
+def _compilations(tree, seed, t):
+    """Every instance map a session compiles, as (what, the map, the
+    ``instantiate_subtree`` arguments after the parts): the on-chain map,
+    whose root spends one deposit per participant, the shadow, and a graft
+    at every other node."""
+    commitments = CommitmentSet([(s.label, s.owner) for s in tree.secrets], seed)
+    salt = scenario_salt(seed, MODE_ONCHAIN)
+    deposits = make_deposits(tree, salt)
+    yield (commitments, salt, "onchain", compile_onchain(tree, commitments, salt, deposits),
+           (tree.root, tuple((deposits[p].digest, 0) for p in tree.participants),
+            tree.deposit_total(), 0))
+    salt = scenario_salt(seed, MODE_OFFCHAIN)
+    comp = compile_offchain(tree, commitments, salt, t)
+    spend_init = ((comp.init.digest, 0),)
+    pot = comp.init.output_total()
+    yield (commitments, salt, "shadow", comp.shadow,
+           (tree.root, spend_init, pot, subtree_height(tree, tree.root) * t))
+    for origin in iter_preorder(tree):
+        if origin != tree.root:
+            args = (origin, spend_init, pot, subtree_height(tree, origin) * t)
+            yield commitments, salt, origin, instantiate_subtree(comp.parts, *args), args
+
+
+def _assert_compiled_by_make_tx(tree, seed, t):
+    for commitments, salt, what, instances, args in _compilations(tree, seed, t):
+        expected = instantiate_by_make_tx(tree, commitments, salt, *args)
+        assert list(instances.items()) == list(expected.items()), what
+        for inst, ref in zip(instances.values(), expected.values()):
+            assert [type(f) for f in inst] == [type(f) for f in ref], what
+
+
+@NO_DEADLINE
+@given(seed=st.integers(0, 10**6), t=st.integers(1, 3))
+def test_compiled_instances_equal_a_make_tx_walk(seed, t):
+    _assert_compiled_by_make_tx(random_tree(seed)[0], seed, t)
+
+
+@pytest.mark.parametrize("tree", [chain_tree(1), chain_tree(7), complete_binary_tree(0),
+                                  complete_binary_tree(3)],
+                         ids=["chain1", "chain7", "binary0", "binary3"])
+def test_compiled_regular_trees_equal_a_make_tx_walk(tree):
+    _assert_compiled_by_make_tx(tree, 5, 2)
+
+
+def test_the_make_tx_walk_comparison_covers_edges_and_parties():
+    """Some drawn contract has 2 parties and some 3, and the drawn
+    contracts name secrets and authorizations on their edges."""
+    trees = [random_tree(seed)[0] for seed in range(30)]
+    assert {len(tree.participants) for tree in trees} == {2, 3}
+    edges = [tree.node(n).edge for tree in trees for n in tree.nodes]
+    assert any(edge.reveals for edge in edges) and any(edge.auth for edge in edges)
+
+
 # -- exchange gating --------------------------------------------------------
 
 @NO_DEADLINE
@@ -112,7 +177,7 @@ def test_any_legal_delivery_order_is_phase_monotone(seed, parties, body_size):
     while not exchange.complete:
         open_now = [p for p in parties if exchange.next_for(p) is not None]
         assert open_now, "gating deadlocked with messages pending"
-        phases.append(exchange.deliver(rng.choice(open_now)).phase)
+        phases.extend(m.phase for m in exchange.deliver(rng.choice(open_now)))
     assert phases == sorted(phases)
     assert len(phases) == len(exchange.messages)
 
@@ -164,7 +229,36 @@ def test_exchange_counters_match_a_scan_of_the_plan(seed, parties, body_size):
             break
         open_now = [(p, m) for p, m in zip(parties, expected["next_for"]) if m is not None]
         sender, message = rng.choice(open_now)
-        assert exchange.deliver(sender) is message
+        if rng.random() < 0.5:
+            assert deliver_one(exchange, sender) is message
+        else:
+            assert exchange.deliver(sender)[0] is message
+
+
+@NO_DEADLINE
+@given(parties=st.sampled_from((("A", "B"), ("A", "B", "C"), ("A", "B", "C", "D"))),
+       body_size=st.integers(0, 6), txset=st.booleans(),
+       schedule=st.lists(st.integers(0, 3), max_size=30))
+def test_a_burst_sends_what_one_message_at_a_time_would(parties, body_size, txset, schedule):
+    """Under any schedule of senders, including turns with nothing open, a
+    burst is exactly the run of messages ``deliver_one`` sends until it
+    has none, and leaves the same counts.  Round-robin turns finish the
+    exchange after the schedule."""
+    body = [(f"T{i}", f"d{i}") for i in range(body_size)]
+    plan = exchange_plan(parties, body, ("R", "dr"), txset)
+    bursts, singles = Exchange(plan), Exchange(plan)
+
+    def turn(sender):
+        expected = list(iter(lambda: deliver_one(singles, sender), None))
+        assert bursts.deliver(sender) == expected
+        assert bursts.sent == singles.sent
+
+    for pick in schedule:
+        turn(parties[pick % len(parties)])
+    while not bursts.complete:
+        for sender in parties:
+            turn(sender)
+    assert singles.complete
 
 
 # -- graft bookkeeping ------------------------------------------------------
