@@ -322,11 +322,11 @@ class _Engine:
     # -- scheduling ----------------------------------------------------------
 
     def run_rounds(self) -> str:
-        events = self.trace.events
+        rows = self.trace.rows
         while True:
             self._deliver_oracle()
             # The polls see the reveals, so only their own events count.
-            emitted = len(events)
+            emitted = len(rows)
             wakes = []
             for participant in self.order:
                 wakes.append(self._poll(participant))
@@ -339,7 +339,7 @@ class _Engine:
                 return OUTCOME_ABORTED
             if self.chain.height >= self.cap:
                 return OUTCOME_HEIGHT_CAP
-            if len(events) > emitted or None in wakes:
+            if len(rows) > emitted or None in wakes:
                 self.chain.tick()
             else:
                 self.chain.tick(self._next_height(wakes) - self.chain.height)

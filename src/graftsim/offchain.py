@@ -276,6 +276,10 @@ class OffchainSession(Session):
             "digest": instances[child].digest, "index": graft.index,
             "origin": self.tree.node(child).name, "rel_timelock": timelock,
             "size": len(instances)}))
+        if graft.exchange.complete:
+            # Nothing to sign, as in a one-participant contract: no message
+            # would ever complete the exchange, so it is sealed now.
+            self._exchange_complete(graft.exchange, "session")
         return graft
 
     # -- moving on-chain -----------------------------------------------------

@@ -45,13 +45,13 @@ from .trace import (
     APPEND,
     DEPOSIT,
     SECRET_PUBLISHED,
-    SIGNATURE_SENT,
+    SIG_SHAPE,
     STEP_AGREED,
     STEP_PROPOSED,
     STEP_REFUSED,
     STIPULATION_ABORTED,
     STIPULATION_COMPLETE,
-    TXSET_SENT,
+    TXSET_SHAPE,
     Event,
     Trace,
     witness_summary,
@@ -552,15 +552,13 @@ class Session:
         burst = exchange.deliver(sender)
         if not burst:
             return 0
-        add, height, stores = self.trace.add, self.chain.height, self.stores
+        add, height, stores = self.trace.rows.append, self.chain.height, self.stores
         for msg in burst:
             if msg.kind == "sig":
                 stores[msg.recipient].add(sender, msg.digest, IMPLICIT)
-                add(Event(height, sender, SIGNATURE_SENT,
-                          {"digest": msg.digest, "to": msg.recipient, "tx": msg.subject}))
+                add((SIG_SHAPE, height, sender, msg.digest, msg.recipient, msg.subject))
             else:
-                add(Event(height, sender, TXSET_SENT,
-                          {"count": self.txset_size, "to": msg.recipient}))
+                add((TXSET_SHAPE, height, sender, self.txset_size, msg.recipient))
         if exchange.complete:
             self._exchange_complete(exchange, sender)
         return len(burst)

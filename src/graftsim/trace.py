@@ -1,5 +1,8 @@
 """Run traces: an ordered event log plus everything needed to replay it.
 
+Each event is stored as one immutable row, ``(shape, height, actor,
+*values)``, where ``shape`` is ``(kind, *data keys)`` with the keys in
+insertion order; ``Trace.events`` reads the rows back as ``Event``s.
 Events serialize to JSON Lines with sorted keys, so two runs of the same
 scenario produce byte-identical files.  A trace also keeps the actual
 (instance, witness) pairs of every successful append, which lets tests
@@ -9,9 +12,11 @@ re-apply just the appends to a fresh ledger and compare terminal states.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .ledger import AppendWitness, ChainState, TxInstance
 
@@ -33,81 +38,144 @@ SECRET_PUBLISHED = "SecretPublished"
 STIPULATION_COMPLETE = "StipulationComplete"
 STIPULATION_ABORTED = "StipulationAborted"
 
+# The shapes of the messages, which ``Session.send`` appends as rows
+# directly: ``(SIG_SHAPE, height, sender, digest, to, tx)`` and
+# ``(TXSET_SHAPE, height, sender, count, to)``.
+SIG_SHAPE = (SIGNATURE_SENT, "digest", "to", "tx")
+TXSET_SHAPE = (TXSET_SENT, "count", "to")
+
 # Run outcomes
 OUTCOME_LEAF = "leaf"
 OUTCOME_ABORTED = "aborted"
 OUTCOME_HEIGHT_CAP = "height_cap"
 
-# One encoder for every line: ``json.dumps`` with these options would build
-# an equal one per call.
+# One encoder for every value that is not a ``str``: ``json.dumps`` with
+# these options would build an equal one per call.  A ``str`` it encodes
+# with ``encode_basestring_ascii``, which the lines call directly.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-# Event line formats by shape, ``(kind, *data keys)`` in insertion order.
-# An entry depends on its shape alone, so every trace can share it.  The
-# package's events have literal keys and few shapes (14 over the three
-# benchmark workloads); the cache is cleared once it holds ``_MAX_SHAPES``,
-# so callers that serialize arbitrary events cannot grow it without limit.
-_FORMATS: Dict[Tuple, Tuple[str, Tuple[str, ...]]] = {}
+# Event line formats by shape.  An entry depends on its shape alone, so
+# every trace can share it.  The package's events have literal keys and
+# few shapes (14 over the three benchmark workloads); the cache is cleared
+# once it holds ``_MAX_SHAPES``, so callers that serialize arbitrary events
+# cannot grow it without limit.
+_FORMATS: Dict[Tuple, Tuple[str, Callable[[Tuple], Tuple]]] = {}
 _MAX_SHAPES = 1024
 
 
-def _line_format(kind: str, data: Dict) -> Tuple[str, Tuple[str, ...]]:
-    """The ``%`` format of an event line of this shape, and the data keys
-    whose encoded values fill it, sorted.  The constant parts are encoded
-    here once, with every ``%`` in them doubled."""
-    for key in data:
+def _line_format(shape: Tuple) -> Tuple[str, Callable[[Tuple], Tuple]]:
+    """The ``%`` format of an event line of this shape, and a function that
+    picks from a row of it the actor and the data values in sorted key
+    order, whose encodings fill it ahead of the height.  The constant parts
+    are encoded here once, with every ``%`` in them doubled."""
+    kind, *keys = shape
+    for key in keys:
         if not isinstance(key, str):
             raise TypeError(f"event data keys must be str, not {type(key).__name__}")
     def quoted(text: str) -> str:
         return _ENCODER.encode(text).replace("%", "%%")
-    keys = tuple(sorted(data))
-    fields = ",".join(quoted(key) + ":%s" for key in keys)
-    return '{"actor":%s,"data":{' + fields + '},"height":%d,"kind":' + quoted(kind) + "}", keys
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    fields = ",".join(quoted(keys[i]) + ":%s" for i in order)
+    fmt = '{"actor":%s,"data":{' + fields + '},"height":%d,"kind":' + quoted(kind) + "}"
+    # ``itemgetter`` of one index returns the item, not a 1-tuple.
+    pick = itemgetter(2, *(3 + i for i in order)) if keys else (lambda row: (row[2],))
+    return fmt, pick
 
 
-def _event_lines(events: Iterable[Event]) -> Iterator[str]:
-    """Each event's line, filled into its shape's cached format: the bytes
-    of ``json.dumps`` with sorted keys and compact separators, for an
-    ``int`` height and ``str`` data keys."""
-    enc = _ENCODER.encode
+def _lines(rows: Iterable[Tuple]) -> Iterator[str]:
+    """Each row's line, filled into its shape's cached format: the bytes of
+    ``json.dumps`` with sorted keys and compact separators, for an ``int``
+    height and ``str`` data keys.  A row whose actor and values are all
+    ``str``, as every message's is, is encoded in C alone; any other value
+    raises ``TypeError`` there and the row goes through the encoder, which
+    gives every ``str`` the same bytes."""
+    esc, enc = encode_basestring_ascii, _ENCODER.encode
     formats = _FORMATS
-    for height, actor, kind, data in events:
-        shape = (kind, *data)
+    last = None
+    for row in rows:
+        shape = row[0]
+        if shape is not last:
+            try:
+                fmt, pick = formats[shape]
+            except KeyError:
+                if len(formats) >= _MAX_SHAPES:
+                    formats.clear()
+                fmt, pick = formats[shape] = _line_format(shape)
+            last = shape
         try:
-            fmt, keys = formats[shape]
-        except KeyError:
-            if len(formats) >= _MAX_SHAPES:
-                formats.clear()
-            fmt, keys = formats[shape] = _line_format(kind, data)
-        yield fmt % (enc(actor), *map(enc, map(data.__getitem__, keys)), height)
+            line = fmt % (*map(esc, pick(row)), row[1])
+        except TypeError:
+            line = fmt % (*map(enc, pick(row)), row[1])
+        yield line
 
 
 class Event(NamedTuple):
+    """One trace event, as ``Trace.add`` takes it and as ``Trace.events``
+    and ``Trace.find`` give it back, with a fresh ``data`` dict per read."""
     height: int
     actor: str
     kind: str
     data: Dict
 
     def to_json(self) -> str:
-        return next(_event_lines((self,)))
+        return next(_lines((_row(self),)))
 
 
-@dataclass
+def _row(event: Event) -> Tuple:
+    data = event.data
+    return ((event.kind, *data), event.height, event.actor, *data.values())
+
+
+def _event(row: Tuple) -> Event:
+    shape = row[0]
+    return Event(row[1], row[2], shape[0], dict(zip(shape[1:], row[3:])))
+
+
+class EventView(Sequence):
+    """A live, read-only view of a trace's rows as ``Event``s: it grows as
+    the trace does, and each read builds its ``Event``."""
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: List[Tuple]) -> None:
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_event(row) for row in self._rows[index]]
+        return _event(self._rows[index])
+
+    def __iter__(self) -> Iterator[Event]:
+        return map(_event, self._rows)
+
+
 class Trace:
-    header: Dict
-    events: List[Event] = field(default_factory=list)
-    appends: List[Tuple[TxInstance, AppendWitness, int]] = field(default_factory=list)
-    summary: Dict = field(default_factory=dict)
+    """A run's header, its event rows, its successful appends and its
+    terminal summary.  ``events`` are added as ``Event``s, or appended to
+    ``rows`` directly in the row form."""
+
+    def __init__(self, header: Dict, events: Iterable[Event] = (),
+                 summary: Optional[Dict] = None) -> None:
+        self.header = header
+        self.rows: List[Tuple] = [_row(event) for event in events]
+        self.appends: List[Tuple[TxInstance, AppendWitness, int]] = []
+        self.summary: Dict = {} if summary is None else summary
+
+    @property
+    def events(self) -> EventView:
+        return EventView(self.rows)
 
     def add(self, event: Event) -> Event:
-        self.events.append(event)
+        self.rows.append(_row(event))
         return event
 
     def count(self, kind: str) -> int:
-        return sum(1 for e in self.events if e.kind == kind)
+        return sum(1 for row in self.rows if row[0][0] == kind)
 
     def find(self, kind: str) -> List[Event]:
-        return [e for e in self.events if e.kind == kind]
+        return [_event(row) for row in self.rows if row[0][0] == kind]
 
     @property
     def outcome(self) -> str:
@@ -115,7 +183,7 @@ class Trace:
 
     def serialize(self) -> str:
         lines = [_ENCODER.encode({"type": "header", **self.header})]
-        lines.extend(_event_lines(self.events))
+        lines.extend(_lines(self.rows))
         lines.append(_ENCODER.encode({"type": "summary", **self.summary}))
         return "\n".join(lines) + "\n"
 
@@ -133,13 +201,8 @@ def witness_summary(witness: AppendWitness) -> Dict:
 def summarize_run(trace: Trace, chain: ChainState, fee: int, outcome: str,
                   completion_height: Optional[int] = None) -> Dict:
     """Fill in the trace's terminal summary from the final chain state."""
-    messages = 0
-    appended = []
-    for e in trace.events:
-        if e.kind == SIGNATURE_SENT:
-            messages += 1
-        elif e.kind == APPEND and e.data["outcome"] == "ok":
-            appended.append([e.data["name"], e.data["digest"], e.height, e.data["role"]])
+    appended = [[e.data["name"], e.data["digest"], e.height, e.data["role"]]
+                for e in trace.find(APPEND) if e.data["outcome"] == "ok"]
     trace.summary = {
         "outcome": outcome,
         "final_height": chain.height,
@@ -148,7 +211,7 @@ def summarize_run(trace: Trace, chain: ChainState, fee: int, outcome: str,
         "fees_paid": fee * chain.non_deposit_count(),
         "deposits": chain.deposit_total(),
         "payouts": dict(sorted(chain.participant_utxo_values().items())),
-        "message_count": messages,
+        "message_count": trace.count(SIGNATURE_SENT),
         "appended": appended,
         "chain": chain.snapshot(),
     }

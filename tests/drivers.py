@@ -13,13 +13,15 @@ reference for graft compilation: every instance built by ``make_tx``
 from the contract node itself.
 ``eager_observation`` is the reference for the engine's observations:
 every field computed up front.  ``serialize_by_dumps`` is the reference
-for trace serialization: one ``json.dumps`` per line.  ``subtree_size``
+for trace serialization: one ``json.dumps`` per line.  ``EventListTrace``
+is the reference for the trace's rows: the events kept as a list of
+``Event``s and every read a scan of that list.  ``subtree_size``
 and ``balance_at`` are small queries only the tests need.
 """
 
 import json
 from contextlib import contextmanager
-from dataclasses import fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from graftsim.contract import (
@@ -47,6 +49,7 @@ from graftsim.onchain import (
 )
 from graftsim.strategies import SEND, STRATEGIES, Action, Observation, Strategy
 from graftsim.trace import (
+    APPEND,
     OUTCOME_LEAF,
     SIGNATURE_SENT,
     TXSET_SENT,
@@ -273,6 +276,37 @@ def serialize_by_dumps(trace: Trace) -> str:
               for e in trace.events]
     lines.append(dumps({"type": "summary", **trace.summary}))
     return "\n".join(lines) + "\n"
+
+
+@dataclass
+class EventListTrace:
+    """A trace kept as a list of ``Event``s, each read a scan of the list:
+    the reference for ``Trace``, which keeps one row per event."""
+    header: Dict
+    events: List[Event] = field(default_factory=list)
+    summary: Dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, trace: Trace) -> "EventListTrace":
+        return cls(trace.header, list(trace.events), trace.summary)
+
+    def count(self, kind: str) -> int:
+        return sum(1 for e in self.events if e.kind == kind)
+
+    def find(self, kind: str) -> List[Event]:
+        return [e for e in self.events if e.kind == kind]
+
+    def summary_counts(self) -> Tuple[int, List[list]]:
+        """``summarize_run``'s ``message_count`` and ``appended``, by one
+        pass over the events."""
+        messages = 0
+        appended = []
+        for e in self.events:
+            if e.kind == SIGNATURE_SENT:
+                messages += 1
+            elif e.kind == APPEND and e.data["outcome"] == "ok":
+                appended.append([e.data["name"], e.data["digest"], e.height, e.data["role"]])
+        return messages, appended
 
 
 def events_and_summary(trace: Trace) -> str:

@@ -6,6 +6,7 @@ plain ``pytest -s tests/test_acceptance.py`` reads as a checklist.
 
 import functools
 import hashlib
+import itertools
 import math
 import statistics
 import time
@@ -182,6 +183,11 @@ def _random_attack_cases(count=100):
 
 @criterion(5, "no adversary schedule ever settles a rolled-back state")
 def test_criterion_05_no_rollback_under_attack(bo3_tree):
+    """One adversary against honest parties, in every run.  The claim is
+    bounded in ``t`` for coalitions: under the round scheduler the graft
+    ladder is safe against coalitions of n-1 parties for ``t >= 2``, while
+    ``t = 1`` is measured safe against one adversary only (see
+    ``test_coalition_limit``)."""
     started = time.monotonic()
     cases = 0
     for scenario in _bo3_attack_matrix(bo3_tree):
@@ -209,6 +215,52 @@ def test_acceptance5_sweep_traces_are_pinned(bo3_tree):
     assert len(lines) == len(expected) == 144
     for got, want in zip(lines, expected):
         assert got == want
+
+
+# random_tree(36): 3 parties, the 2-node branch N1-N2, no oracle.
+COALITION_ROLES = (("honest", {}), ("rollback_attacker", {}),
+                   ("premature_init", {"trigger_step": 2}))
+
+
+def _coalition_run(roles, order, t):
+    """One off-chain run of random_tree(36) with ``roles[i]`` played by
+    participant ``i`` and the parties polled in ``order``."""
+    tree, path_names, oracle = random_tree(36)
+    return run(Scenario(
+        label=f"coalition-t{t}", tree=tree, mode=MODE_OFFCHAIN,
+        strategies=dict(zip(tree.participants, roles)), path=tuple(path_names),
+        oracle=tuple(oracle), t=t, patience=2, seed=36, order=order))
+
+
+class TestCoalitionLimit:
+    """Two adversaries against one honest party.  At ``t = 1`` the
+    premature Init lands after the honest party's poll, and one block later
+    the older shadow root becomes valid and lands before the honest party
+    is polled again.  A known limit, pinned so that a fix flips it on
+    purpose; at ``t = 2`` the honest party reacts in time."""
+
+    def test_t1_settles_a_rolled_back_state_for_an_extra_fee(self):
+        trace = _coalition_run(COALITION_ROLES, ("B", "A", "C"), t=1)
+        summary = trace.summary
+        assert no_rollback_ok(trace) is False
+        assert (summary["outcome"], summary["fees_paid"]) == ("leaf", 4)
+        assert [(name, height) for name, _, height, _ in summary["appended"]] == \
+            [("Head", 2), ("Init", 3), ("N1", 4), ("N2", 4)]
+        # The honest party, the only payee, bears the extra fee.
+        assert summary["payouts"] == {"A": 121}
+        cooperative = _coalition_run(COALITION_ROLES, ("B", "A", "C"), t=2).summary
+        assert (cooperative["fees_paid"], cooperative["payouts"]) == (3, {"A": 122})
+
+    def test_t2_holds_with_honest_polled_between_the_adversaries(self):
+        runs = 0
+        for roles in itertools.permutations(COALITION_ROLES):
+            honest = "ABC"[roles.index(COALITION_ROLES[0])]
+            others = [p for p in "ABC" if p != honest]
+            for first, last in (others, others[::-1]):
+                trace = _coalition_run(roles, (first, honest, last), t=2)
+                assert no_rollback_ok(trace), (roles, first, last)
+                runs += 1
+        assert runs == 12
 
 
 @criterion(6, "the rollback checker flags the undefended control run")

@@ -5,13 +5,21 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import graftsim
 from graftsim import harness
-from graftsim.contract import Edge, NodeTemplate, subtree_height
+from graftsim.contract import (
+    ContractTree,
+    Edge,
+    NodeTemplate,
+    PayoutShare,
+    subtree_height,
+    validate_tree,
+)
 from graftsim.harness import (
     MODE_OFFCHAIN,
     MODE_ONCHAIN,
@@ -48,6 +56,7 @@ from graftsim.trace import (
     APPEND,
     FAILSAFE_TRIGGERED,
     GRAFT_APPENDED,
+    GRAFT_PROPOSED,
     GRAFT_SEALED,
     STEP_AGREED,
     STEP_PROPOSED,
@@ -383,6 +392,32 @@ class TestEarlyHead:
         assert trace.events.index(sealed[0]) == trace.events.index(head) + 1
         assert [(e.actor, e.height, e.data["index"]) for e in trace.find(GRAFT_APPENDED)] == \
             [("B", 9, 0)]
+
+
+class TestEmptyPlanGraft:
+    def test_a_one_participant_chain_reaches_its_leaf_offchain(self):
+        # Every graft of a one-participant contract has an empty signature
+        # plan, so the session seals it when it is created.  Unsealed, the
+        # first graft stayed pending and the run idled to its height cap.
+        nodes = {0: NodeTemplate(0, "R", children=(1,)),
+                 1: NodeTemplate(1, "M", children=(2,)),
+                 2: NodeTemplate(2, "L", outputs=(PayoutShare("A", Fraction(1)),))}
+        tree = ContractTree(participants=("A",), deposits={"A": 20}, fee=1, root=0,
+                            nodes=nodes)
+        assert validate_tree(tree) == []
+        trace = run(Scenario(label="solo", tree=tree, mode=MODE_OFFCHAIN,
+                             path=("R", "M", "L"), strategies={"A": ("honest", {})}))
+        summary = trace.summary
+        assert (summary["outcome"], summary["final_height"]) == ("leaf", 0)
+        assert [name for name, *_ in summary["appended"]] == ["Head", "Init", "L"]
+        assert summary["payouts"] == {"A": 17}
+        assert summary["message_count"] == 0
+        assert [(e.actor, e.data["index"]) for e in trace.find(GRAFT_SEALED)] == \
+            [("A", 0), ("session", 1), ("session", 2)]
+        proposed = trace.find(GRAFT_PROPOSED)
+        sealed = trace.find(GRAFT_SEALED)[1:]
+        assert [trace.events.index(e) + 1 for e in proposed] == \
+            [trace.events.index(e) for e in sealed]
 
 
 class TestSendBurst:

@@ -2,16 +2,27 @@
 compact separators, whatever the values."""
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drivers import serialize_by_dumps
-from graftsim import trace as trace_module
+from drivers import EventListTrace, serialize_by_dumps, strategies_added
+from graftsim import harness, trace as trace_module
 from graftsim.contract import deepest_leaf_path
-from graftsim.harness import MODE_OFFCHAIN, Scenario, bundled_scenarios, load_scenario, run
+from graftsim.harness import (
+    MODE_OFFCHAIN,
+    MODE_ONCHAIN,
+    Scenario,
+    bundled_data_dir,
+    bundled_scenarios,
+    load_scenario,
+    run,
+)
+from graftsim.strategies import honest
 from graftsim.trace import Event, Trace
-from graftsim.treegen import chain_tree, random_tree
+from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
+from test_acceptance import _bo3_attack_matrix, _random_attack_cases
 
 # Integers reach 2^64 either side; text covers control and non-ASCII
 # characters, in keys and values alike, and always draws a few of them.
@@ -94,6 +105,21 @@ def test_the_shape_cache_stays_within_its_bound():
 
 # -- the package's own traces -----------------------------------------------
 
+def _assert_rows_read_as_the_reference(trace):
+    """Every read of ``trace``'s rows equals the same read of its events
+    kept as a list: the lines, ``count``, ``find`` and the summary's
+    message count and appended transactions."""
+    reference = EventListTrace.of(trace)
+    label = trace.header.get("label")
+    assert trace.serialize() == serialize_by_dumps(reference), label
+    for kind in {e.kind for e in reference.events} | {"Absent"}:
+        assert trace.count(kind) == reference.count(kind), (label, kind)
+        assert trace.find(kind) == reference.find(kind), (label, kind)
+    messages, appended = reference.summary_counts()
+    assert (trace.summary["message_count"], trace.summary["appended"]) == \
+        (messages, appended), label
+
+
 ADVERSARY_PARAMS = {
     "staller": lambda seed: {"stall_after_steps": seed % 3},
     "premature_init": lambda seed: {"trigger_step": 1 + seed % 3},
@@ -103,11 +129,15 @@ ADVERSARY_PARAMS = {
 
 
 def _reference_scenarios():
-    """The bundled scenarios, a cooperative off-chain ``chain_tree(16)`` and
-    ``random_tree`` seeds 0-24 against every bundled adversary, which between
-    them end at the leaf and at the height cap, with failed appends."""
+    """The bundled scenarios, the 144 runs of ACCEPTANCE 5, a cooperative
+    off-chain ``chain_tree(16)`` and ``random_tree`` seeds 0-24 against
+    every bundled adversary, which between them end at the leaf and at the
+    height cap, with failed appends."""
     for path in bundled_scenarios():
         yield load_scenario(path)
+    bo3_tree = load_scenario(bundled_data_dir() / "bo3_happy.scn").tree
+    yield from _bo3_attack_matrix(bo3_tree)
+    yield from _random_attack_cases(100)
     tree = chain_tree(16)
     yield Scenario(
         label="chain16", tree=tree, mode=MODE_OFFCHAIN,
@@ -125,11 +155,72 @@ def _reference_scenarios():
 
 
 def test_package_traces_serialize_as_the_reference():
-    outcomes, failed_appends = set(), 0
+    outcomes, failed_appends, runs = set(), 0, 0
     for scenario in _reference_scenarios():
         trace = run(scenario)
-        assert trace.serialize() == serialize_by_dumps(trace), scenario.label
+        _assert_rows_read_as_the_reference(trace)
         outcomes.add(trace.outcome)
+        runs += 1
         failed_appends += sum(e.data["outcome"] != "ok" for e in trace.find("Append"))
     assert outcomes == {"leaf", "height_cap"}
     assert failed_appends > 0
+    assert runs == 10 + 144 + 1 + 100
+
+
+# -- generated trees and the live view ---------------------------------------
+
+def _generated_scenario(tree, mode, t):
+    path = tuple(tree.node(i).name for i in deepest_leaf_path(tree))
+    return Scenario(label=f"generated-{mode}", tree=tree, mode=mode, path=path,
+                    strategies={p: ("honest", {}) for p in tree.participants}, t=t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(("random", "chain", "binary")), size=st.integers(0, 5000),
+       mode=st.sampled_from((MODE_OFFCHAIN, MODE_ONCHAIN)), t=st.integers(1, 2))
+def test_generated_rows_read_as_the_reference(kind, size, mode, t):
+    if kind == "random":
+        tree, path_names, oracle = random_tree(size)
+        scenario = Scenario(label=f"rnd-{size}", tree=tree, mode=mode,
+                            strategies={p: ("honest", {}) for p in tree.participants},
+                            path=tuple(path_names), oracle=tuple(oracle), t=t, seed=size)
+    elif kind == "chain":
+        scenario = _generated_scenario(chain_tree(2 + size % 12), mode, t)
+    else:
+        scenario = _generated_scenario(complete_binary_tree(1 + size % 4), mode, t)
+    _assert_rows_read_as_the_reference(run(scenario))
+
+
+def test_the_event_view_is_live_and_read_only(monkeypatch):
+    made, views, lengths = [], [], []
+
+    class Recorded(Trace):
+        def __init__(self, header):
+            super().__init__(header)
+            made.append(self)
+
+    def watcher(observation, params):
+        if not views:
+            views.append(made[0].events)
+        lengths.append(len(views[0]))
+        return honest(observation, params)
+
+    monkeypatch.setattr(harness, "Trace", Recorded)
+    scenario = load_scenario(bundled_data_dir() / "bo3_happy.scn")
+    with strategies_added({"watcher": watcher}):
+        trace = run(replace(scenario, strategies={p: ("watcher", {})
+                                                  for p in scenario.strategies}))
+    view = views[0]
+    assert made == [trace]
+    assert lengths == sorted(lengths) and lengths[0] < lengths[-1] < len(view)
+    assert len(view) == len(trace.events) == len(list(view))
+    events = list(view)
+    assert view[-1] == events[-1] and view[2:5] == events[2:5]
+    assert all(view.index(e) == events.index(e) for e in events)
+    assert not hasattr(view, "append")
+    with pytest.raises(TypeError):
+        view[0] = events[0]
+    # Each read is a fresh ``Event``: changing its data changes no row.
+    view[0].data["value"] = -1
+    assert view[0] == events[0] != Event(events[0].height, events[0].actor,
+                                         events[0].kind, {**events[0].data, "value": -1})
