@@ -274,8 +274,7 @@ class _LiveObservation(Observation):
         vars(self)["_engine"] = None
 
     _exchange = _Lazy(lambda o: o._session.active_exchange())
-    owes_message = _Lazy(lambda o: o._exchange is not None
-                         and o._exchange.next_for(o.actor) is not None)
+    owes_message = _Lazy(lambda o: o._exchange is not None and o._exchange.owes(o.actor))
     others_owe_me = _Lazy(lambda o: o._session.others_owe(o.actor))
     waiting_rounds = _Lazy(lambda o: o._engine.chain.height - o._engine.last_progress)
     anchor_appendable = _Lazy(lambda o: o._session.anchor_appendable(o.actor))

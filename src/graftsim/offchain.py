@@ -54,7 +54,6 @@ from .onchain import (
     ProtocolError,
     Session,
     TreeParts,
-    exchange_plan,
     instantiate_subtree,
     make_deposits,
     tree_parts,
@@ -71,8 +70,8 @@ class Graft:
 
     Index 0 is the shadow copy of the whole contract created at
     compilation; it has no exchange of its own because its signatures
-    travel with stipulation.  A graft's ``exchange`` is dropped once it
-    is sealed.  ``index`` is the graft's place on the session's ladder.
+    travel with stipulation.  ``index`` is the graft's place on the
+    session's ladder.
     ``instances`` is keyed by the node ids of the original tree, so
     walking a graft body is ordinary tree walking.
     """
@@ -232,9 +231,7 @@ class OffchainSession(Session):
             self._seal(graft, sender)
 
     def _seal(self, graft: Graft, actor: str) -> None:
-        """``graft`` is fully signed: it joins the ladder, and its plan,
-        which nothing reads once it is sealed, is dropped."""
-        graft.exchange = None
+        """``graft`` is fully signed: it joins the ladder."""
         self.ladder.append(graft)
         self.trace.add(Event(self.chain.height, actor, GRAFT_SEALED, {
             "digest": graft.root_instance.digest, "index": graft.index,
@@ -268,9 +265,7 @@ class OffchainSession(Session):
                                         self.init.output_total(), timelock)
         root, *body = instances.values()
         graft = Graft(len(self.ladder), child, instances,
-                      Exchange(exchange_plan(self.tree.participants,
-                                             [(tx.name, tx.digest) for tx in body],
-                                             (root.name, root.digest), include_txset=False)))
+                      self.open_exchange(body, root, include_txset=False))
         self.pending_graft = graft
         self.trace.add(Event(self.chain.height, "session", GRAFT_PROPOSED, {
             "digest": instances[child].digest, "index": graft.index,

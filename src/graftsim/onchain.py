@@ -21,8 +21,9 @@ session in ``offchain`` builds on it with Head as its anchor.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from .contract import (
     CONTINUATION,
@@ -62,7 +63,6 @@ from .witness import (
     CommitmentSet,
     Reveal,
     SecretCommitment,
-    SignatureStore,
     prefixed_digest,
     sign,
     tx_prefix,
@@ -193,125 +193,118 @@ def compile_onchain(
 # ---------------------------------------------------------------------------
 # Pairwise message exchange with phase gating
 
-class Message(NamedTuple):
-    sender: str
-    recipient: str
-    kind: str        # "txset" | "sig"
-    subject: str     # display name of the covered transaction ("" for txset)
-    digest: str      # covered digest ("" for txset)
-    phase: int
-
-
 class Exchange:
-    """A plan of messages, listed phase by phase, where phase k opens only
-    once every phase < k message has been delivered and each sender sends
-    its own messages in plan order.
+    """A plan of pairwise messages, kept as its structure: the
+    ``participants`` in name order, the ``body`` items and the ``final``
+    item, each a (subject, digest) pair, and whether transaction sets
+    open it.
 
-    Progress is one count per sender: ``sent[sender]`` of its messages,
-    the first ones of its plan, are delivered.  The lowest phase with a
-    message undelivered is the least phase among the senders' next
-    messages, so a next message is open when no other next message has a
-    lower phase.  Every query is answered from the counts in time linear
-    in the number of senders; only ``first_blocker``, asked once when a
-    stalled exchange is aborted, walks the plan.
+    Every sender's queue has one shape: a transaction set to each other
+    participant in name order (if ``include_txset``), then every body
+    item to each other participant in turn, then ``final`` to each; the
+    three parts are phases 0, 1 and 2, or 0 and 1 without transaction
+    sets.  Phase k opens only once every phase < k message is delivered,
+    and each sender sends its queue in order, so progress is one count
+    per sender: ``sent[sender]`` of its messages are delivered.  A phase
+    ends at the same position of every queue, so the lowest phase with a
+    message undelivered is the one holding the least count short of the
+    queue's end, and every query is arithmetic on the counts.  The counts
+    are also the only record of who holds which signature (``received``).
     """
 
-    def __init__(self, messages: Sequence[Message]) -> None:
-        self.messages: List[Message] = list(messages)
-        self._queues: Dict[str, List[Message]] = {}
-        for msg in self.messages:
-            self._queues.setdefault(msg.sender, []).append(msg)
-        self.sent: Dict[str, int] = dict.fromkeys(self._queues, 0)
-        # What ``sent`` reads once every message is delivered.
-        self._all_sent = {s: len(queue) for s, queue in self._queues.items()}
-        # Per sender, (phase, end) for each phase of its queue in order: its
-        # messages of that phase end at index ``end``.
-        self._phase_ends = {s: tuple({m.phase: i + 1 for i, m in enumerate(queue)}.items())
-                            for s, queue in self._queues.items()}
+    def __init__(self, participants: Sequence[str], body: Sequence[Tuple[str, str]],
+                 final: Tuple[str, str], include_txset: bool) -> None:
+        self.participants = sorted(participants)
+        self.body = list(body)
+        self.final = final
+        self.include_txset = include_txset
+        others = len(self.participants) - 1
+        # Where the body and the final part of each queue start, and its length.
+        self._body_at = others if include_txset else 0
+        self._final_at = self._body_at + others * len(self.body)
+        self.size = self._final_at + others
+        # Where each phase with messages ends, in every queue.
+        self._ends = sorted({self._body_at, self._final_at, self.size} - {0})
+        self._rank = {p: i for i, p in enumerate(self.participants)}
+        # Each signed digest's item: its body index, or len(body) for ``final``.
+        self.index = {digest: i for i, (_, digest) in enumerate(self.body)}
+        self.index[final[1]] = len(self.body)
+        self.sent: Dict[str, int] = dict.fromkeys(self.participants if others else (), 0)
+        self._all_sent = dict.fromkeys(self.sent, self.size)
 
-    def next_for(self, sender: str) -> Optional[Message]:
-        """``sender``'s next message, if its phase is open."""
-        queue = self._queues.get(sender, ())
-        count = self.sent.get(sender, 0)
-        if count == len(queue):
-            return None
-        msg = queue[count]
-        sent = self.sent
-        for other, other_queue in self._queues.items():
-            other_count = sent[other]
-            if other_count < len(other_queue) and other_queue[other_count].phase < msg.phase:
-                return None
-        return msg
+    def _open_until(self, sender: Optional[str]) -> int:
+        """Where the open part of ``sender``'s queue ends: at the end of
+        the phase holding the least count of the others short of the end.
+        No message ``sender`` sends moves that count."""
+        size = self.size
+        least = min((count for other, count in self.sent.items()
+                     if other != sender and count < size), default=size)
+        return next((end for end in self._ends if end > least), size)
 
-    def deliver(self, sender: str) -> List[Message]:
+    def owes(self, sender: str) -> bool:
+        """Is ``sender``'s next message open now?"""
+        count = self.sent.get(sender)
+        return count is not None and count < self._open_until(sender)
+
+    def deliver(self, sender: str) -> range:
         """Send every message of ``sender`` that is open now, and return
-        them in plan order; none if its next message waits on a lower
-        phase.  No other sender's next message moves while ``sender``
-        sends, so the gate, the lowest phase among those, is read once, and
-        the burst runs to the end of ``sender``'s last phase not above it."""
-        if sender not in self._queues:
-            return []
-        sent, all_sent = self.sent, self._all_sent
-        gate = min((queue[sent[other]].phase for other, queue in self._queues.items()
-                    if other != sender and sent[other] < all_sent[other]), default=math.inf)
-        start = end = sent[sender]
-        for phase, stop in self._phase_ends[sender]:
-            if phase > gate:
-                break
-            end = stop
-        if end <= start:
-            return []
-        sent[sender] = end
-        return self._queues[sender][start:end]
+        their positions in its queue; none if its next message waits on
+        a lower phase."""
+        start = self.sent.get(sender)
+        if start is None:
+            return range(0)
+        end = max(start, self._open_until(sender))
+        self.sent[sender] = end
+        return range(start, end)
+
+    def segments(self, sender: str,
+                 burst: range) -> Iterator[Tuple[str, Optional[Sequence[Tuple[str, str]]]]]:
+        """The messages at ``burst``'s positions of ``sender``'s queue, in
+        order, as runs (recipient, items): the (subject, digest) items
+        signed to ``recipient``, or None for its transaction set."""
+        others = [p for p in self.participants if p != sender]
+        body, width = self.body, len(self.body)
+        at, stop = burst.start, burst.stop
+        while at < stop:
+            if at < self._body_at:
+                yield others[at], None
+                at += 1
+            elif at < self._final_at:
+                to, item = divmod(at - self._body_at, width)
+                items = body[item:item + stop - at]
+                yield others[to], items
+                at += len(items)
+            else:
+                yield others[at - self._final_at], (self.final,)
+                at += 1
+
+    def received(self, recipient: str, signer: str, digest: str) -> bool:
+        """Has ``signer``'s signature on ``digest`` reached ``recipient``?
+        It has once ``signer``'s count is past that message's position."""
+        item, rank = self.index.get(digest), self._rank
+        if item is None or recipient == signer or recipient not in rank or signer not in rank:
+            return False
+        # ``recipient``'s place among those ``signer`` sends to.
+        to = rank[recipient] - (rank[recipient] > rank[signer])
+        width = len(self.body)
+        at = self._body_at + to * width + item if item < width else self._final_at + to
+        return self.sent[signer] > at
 
     @property
     def complete(self) -> bool:
         return self.sent == self._all_sent
 
     def pending_from_others(self, me: str) -> bool:
-        return any(count < self._all_sent[s] for s, count in self.sent.items() if s != me)
+        size = self.size
+        return any(count < size for sender, count in self.sent.items() if sender != me)
 
     def first_blocker(self) -> Optional[str]:
-        """Sender of the first undelivered message, which is in the lowest
-        incomplete phase — with phase gating, the participant holding
-        everyone up."""
-        seen = dict.fromkeys(self.sent, 0)
-        for msg in self.messages:
-            if seen[msg.sender] == self.sent[msg.sender]:
-                return msg.sender
-            seen[msg.sender] += 1
-        return None
-
-
-def exchange_plan(
-    participants: Sequence[str],
-    body: Sequence[Tuple[str, str]],
-    final: Tuple[str, str],
-    include_txset: bool,
-) -> List[Message]:
-    """Stipulation/graft plan: optional transaction-set announcements, then
-    signatures on every body item, then signatures on ``final`` last."""
-    plan: List[Message] = []
-    ordered = sorted(participants)
-    phase = 0
-    if include_txset:
-        for sender in ordered:
-            for recipient in ordered:
-                if sender != recipient:
-                    plan.append(Message(sender, recipient, "txset", "", "", phase))
-        phase += 1
-    for sender in ordered:
-        for recipient in ordered:
-            if sender == recipient:
-                continue
-            for subject, digest in body:
-                plan.append(Message(sender, recipient, "sig", subject, digest, phase))
-    phase += 1
-    for sender in ordered:
-        for recipient in ordered:
-            if sender != recipient:
-                plan.append(Message(sender, recipient, "sig", final[0], final[1], phase))
-    return plan
+        """Sender of the first undelivered message, listing the plan phase
+        by phase and sender by sender: the first sender by name whose
+        count stops in the lowest incomplete phase — with phase gating,
+        the participant holding everyone up."""
+        end = self._open_until(None)
+        return next((s for s, count in self.sent.items() if count < end), None)
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +341,16 @@ class Session:
         self.anchor = anchor
         # The announced transaction set: the stipulation body plus the anchor.
         self.txset_size = len(body) + 1
-        self.stores: Dict[str, SignatureStore] = {p: SignatureStore() for p in tree.participants}
+        # The exchange that signs each digest, sealed or not: ``witness``
+        # reads the signatures an actor holds off its counts.
+        self.exchange_of: Dict[str, Exchange] = {}
         # Public bulletin: reveals and execution-time edge authorizations,
         # visible to everyone once published.
         self.reveal_pool: Dict[str, Reveal] = {}
         self.edge_pool: Dict[str, Set[str]] = {}
         self.cursor: Optional[Tuple[Dict[NodeId, TxInstance], NodeId]] = None
         self.phase = STIPULATING
-        self.stipulation = Exchange(exchange_plan(
-            tree.participants, [(tx.name, tx.digest) for tx in body],
-            (anchor.name, anchor.digest), include_txset=True))
+        self.stipulation = self.open_exchange(body, anchor, include_txset=True)
         # The open proposal as (proposer, child), who must agree to it and
         # who has; a refusal closes it and stays on record for good.
         self.proposal: Optional[Tuple[str, NodeId]] = None
@@ -381,13 +374,15 @@ class Session:
     def witness(self, actor: str, tx: TxInstance,
                 extra: AppendWitness = EMPTY_WITNESS) -> AppendWitness:
         """Everything ``actor`` legitimately holds toward appending ``tx``:
-        its own signatures, signatures received into its store, published
-        authorizations and reveals, and openings of its own secrets, on top
-        of ``extra``.  The witness may be incomplete; the ledger will say so."""
-        store = self.stores[actor]
+        its own signatures, the signatures the exchange signing ``tx`` has
+        delivered to it, published authorizations and reveals, and openings
+        of its own secrets, on top of ``extra``.  The witness may be
+        incomplete; the ledger will say so."""
+        exchange = self.exchange_of.get(tx.digest)
         sigs = set(extra.signatures)
         for signer in tx.required_signers:
-            if signer == actor or store.has(signer, tx.digest, IMPLICIT):
+            if signer == actor or (exchange is not None
+                                   and exchange.received(actor, signer, tx.digest)):
                 sigs.add(sign(signer, tx.digest, IMPLICIT))
         granted = self.edge_pool.get(tx.digest, ())
         for signer in tx.edge_signers:
@@ -533,6 +528,15 @@ class Session:
 
     # -- signature exchanges -------------------------------------------------
 
+    def open_exchange(self, body: Sequence[TxInstance], final: TxInstance,
+                      include_txset: bool) -> Exchange:
+        """A new exchange of every participant's signatures on ``body``
+        and then on ``final``, recorded as the one that signs them."""
+        exchange = Exchange(self.tree.participants, [(tx.name, tx.digest) for tx in body],
+                            (final.name, final.digest), include_txset)
+        self.exchange_of.update(dict.fromkeys(exchange.index, exchange))
+        return exchange
+
     def active_exchange(self) -> Optional[Exchange]:
         """The exchange whose messages are owed now, if any."""
         return self.stipulation if self.phase == STIPULATING else None
@@ -543,8 +547,8 @@ class Session:
 
     def send(self, sender: str) -> int:
         """Deliver every message ``sender`` can send now in the active
-        exchange, as one burst (see ``Exchange.deliver``): each signature
-        goes into its recipient's store and each message into the trace.
+        exchange, as one burst (see ``Exchange.deliver``), and log each
+        message; the exchange's counts record the signatures delivered.
         Returns how many were sent."""
         exchange = self.active_exchange()
         if exchange is None:
@@ -552,13 +556,13 @@ class Session:
         burst = exchange.deliver(sender)
         if not burst:
             return 0
-        add, height, stores = self.trace.rows.append, self.chain.height, self.stores
-        for msg in burst:
-            if msg.kind == "sig":
-                stores[msg.recipient].add(sender, msg.digest, IMPLICIT)
-                add((SIG_SHAPE, height, sender, msg.digest, msg.recipient, msg.subject))
+        rows, height = self.trace.rows, self.chain.height
+        for recipient, items in exchange.segments(sender, burst):
+            if items is None:
+                rows.append((TXSET_SHAPE, height, sender, self.txset_size, recipient))
             else:
-                add((TXSET_SHAPE, height, sender, self.txset_size, msg.recipient))
+                rows.extend([(SIG_SHAPE, height, sender, digest, recipient, subject)
+                             for subject, digest in items])
         if exchange.complete:
             self._exchange_complete(exchange, sender)
         return len(burst)

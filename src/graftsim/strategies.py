@@ -2,9 +2,10 @@
 
 Each strategy is a pure function ``(Observation, params) -> Action``.  The
 scheduler builds the Observation from a participant's legitimate local
-view (its own stores, the chain, published material, and protocol state)
-and executes the returned Action; strategies never touch shared state, so
-the same observation sequence always yields the same action sequence.
+view (the signatures delivered to it, the chain, published material, and
+protocol state) and executes the returned Action; strategies never touch
+shared state, so the same observation sequence always yields the same
+action sequence.
 
 An idle action can say, in ``wake``, when the strategy next needs a look;
 the scheduler skips the blocks before it where nothing else can change.
@@ -49,11 +50,12 @@ TARGET_OLDEST_GRAFT = "oldest_graft"
 class Observation:
     """A participant's view of the run at poll time.
 
-    Everything here is derivable from public chain state, the
-    participant's own stores and obligations, and protocol bookkeeping;
-    nothing exposes other participants' private holdings.  The graft
-    fields keep their defaults on-chain.  ``waiting_rounds`` counts blocks,
-    not polls: the scheduler does not poll at the blocks it skips.
+    Everything here is derivable from public chain state, the signatures
+    delivered to the participant, its obligations, and protocol
+    bookkeeping; nothing exposes other participants' private holdings.
+    The graft fields keep their defaults on-chain.  ``waiting_rounds``
+    counts blocks, not polls: the scheduler does not poll at the blocks
+    it skips.
     ``next_child`` is the branch's node after the one the run stands at:
     the newest sealed graft's origin off-chain, and the node the on-chain
     walk stands at once one is appended.  It is both the step to agree on

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, Set, Tuple
+from typing import Dict, Iterable, Tuple
 
 # Signature roles.  IMPLICIT signatures are the all-participant signatures
 # exchanged up front for every transaction of a compiled tree; EDGE
@@ -116,27 +116,6 @@ def sign(signer: str, digest: str, role: str = IMPLICIT) -> Signature:
 def verify(sig: Signature, digest: str) -> bool:
     """A signature verifies against exactly the digest it was issued for."""
     return sig.digest == digest
-
-
-class SignatureStore:
-    """One participant's accumulated view of received signatures.
-
-    Maps a transaction digest to the set of (signer, role) pairs seen for
-    it.  The store only ever grows.
-    """
-
-    def __init__(self) -> None:
-        self._by_digest: Dict[str, Set[Tuple[str, str]]] = {}
-
-    def add(self, signer: str, digest: str, role: str = IMPLICIT) -> "SignatureStore":
-        self._by_digest.setdefault(digest, set()).add((signer, role))
-        return self
-
-    def has(self, signer: str, digest: str, role: str = IMPLICIT) -> bool:
-        return (signer, role) in self._by_digest.get(digest, ())
-
-    def signers(self, digest: str, role: str = IMPLICIT) -> Set[str]:
-        return {s for s, r in self._by_digest.get(digest, ()) if r == role}
 
 
 # ---------------------------------------------------------------------------

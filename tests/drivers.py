@@ -11,6 +11,11 @@ by ``deliver_next`` (``deliver_one`` for a bare exchange), which checks
 phase gating before every message.  ``instantiate_by_make_tx`` is the
 reference for graft compilation: every instance built by ``make_tx``
 from the contract node itself.
+``exchange_plan`` is the reference for the exchange: the plan as a list
+of ``Message``s, which ``next_for`` walks for a sender's next open
+message.  ``DeliveredSignatures`` is the reference for the signatures an
+actor holds: one ``SignatureStore`` per participant fed every message a
+trace logs, read by ``witness_by_store``.
 ``eager_observation`` is the reference for the engine's observations:
 every field computed up front.  ``serialize_by_dumps`` is the reference
 for trace serialization: one ``json.dumps`` per line.  ``EventListTrace``
@@ -22,7 +27,10 @@ and ``balance_at`` are small queries only the tests need.
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
+from weakref import WeakKeyDictionary
 
 from graftsim.contract import (
     CONTINUATION,
@@ -36,13 +44,12 @@ from graftsim.contract import (
     resolve_payout,
 )
 from graftsim.harness import Scenario, _Engine, run
-from graftsim.ledger import TxInstance, make_tx
+from graftsim.ledger import EMPTY_WITNESS, AppendWitness, TxInstance, make_tx
 from graftsim.offchain import Graft, OffchainSession
 from graftsim.onchain import (
     FAILSAFE,
     FINALIZED,
     Exchange,
-    Message,
     OnchainSession,
     ProtocolError,
     Session,
@@ -57,7 +64,7 @@ from graftsim.trace import (
     Trace,
     summarize_run,
 )
-from graftsim.witness import IMPLICIT, CommitmentSet, scenario_salt
+from graftsim.witness import EDGE, IMPLICIT, CommitmentSet, scenario_salt, sign
 
 _DRIVER_GUARD = 100_000
 
@@ -103,9 +110,91 @@ def instantiate_by_make_tx(tree: ContractTree, commitments: CommitmentSet, salt:
     return instances
 
 
+class Message(NamedTuple):
+    sender: str
+    recipient: str
+    kind: str        # "txset" | "sig"
+    subject: str     # display name of the covered transaction ("" for txset)
+    digest: str      # covered digest ("" for txset)
+    phase: int
+
+
+def exchange_plan(
+    participants: Sequence[str],
+    body: Sequence[Tuple[str, str]],
+    final: Tuple[str, str],
+    include_txset: bool,
+) -> List[Message]:
+    """Stipulation/graft plan: optional transaction-set announcements, then
+    signatures on every body item, then signatures on ``final`` last."""
+    plan: List[Message] = []
+    ordered = sorted(participants)
+    phase = 0
+    if include_txset:
+        for sender in ordered:
+            for recipient in ordered:
+                if sender != recipient:
+                    plan.append(Message(sender, recipient, "txset", "", "", phase))
+        phase += 1
+    for sender in ordered:
+        for recipient in ordered:
+            if sender == recipient:
+                continue
+            for subject, digest in body:
+                plan.append(Message(sender, recipient, "sig", subject, digest, phase))
+    phase += 1
+    for sender in ordered:
+        for recipient in ordered:
+            if sender != recipient:
+                plan.append(Message(sender, recipient, "sig", final[0], final[1], phase))
+    return plan
+
+
+_PLANS: "WeakKeyDictionary[Exchange, List[Message]]" = WeakKeyDictionary()
+
+
+def plan_of(exchange: Exchange) -> List[Message]:
+    """``exchange_plan`` of the structure ``exchange`` keeps, built once
+    per exchange."""
+    plan = _PLANS.get(exchange)
+    if plan is None:
+        plan = _PLANS[exchange] = exchange_plan(exchange.participants, exchange.body,
+                                                exchange.final, exchange.include_txset)
+    return plan
+
+
+def queue_of(exchange: Exchange, sender: str) -> List[Message]:
+    """``sender``'s messages of the reference plan, in plan order."""
+    return [m for m in plan_of(exchange) if m.sender == sender]
+
+
+def next_for(exchange: Exchange, sender: str) -> Optional[Message]:
+    """``sender``'s next message of the reference plan, the first past
+    ``exchange.sent[sender]``, if no other sender's next message has a
+    lower phase."""
+    queues: Dict[str, List[Message]] = {}
+    for m in plan_of(exchange):
+        queues.setdefault(m.sender, []).append(m)
+    heads = {s: queue[exchange.sent[s]] for s, queue in queues.items()
+             if exchange.sent[s] < len(queue)}
+    msg = heads.get(sender)
+    if msg is None or any(m.phase < msg.phase for m in heads.values()):
+        return None
+    return msg
+
+
+def burst_of(exchange: Exchange, sender: str) -> List[Message]:
+    """``exchange.deliver(sender)``, as the messages of the reference plan
+    at the positions of ``sender``'s queue it returns."""
+    start = exchange.sent.get(sender, 0)
+    burst = exchange.deliver(sender)
+    assert not burst or (burst.start, burst.stop) == (start, exchange.sent[sender])
+    return queue_of(exchange, sender)[burst.start:burst.stop]
+
+
 def deliver_one(exchange: Exchange, sender: str) -> Optional[Message]:
     """Send ``sender``'s next message if its phase is open, and return it."""
-    msg = exchange.next_for(sender)
+    msg = next_for(exchange, sender)
     if msg is not None:
         exchange.sent[sender] += 1
     return msg
@@ -113,14 +202,13 @@ def deliver_one(exchange: Exchange, sender: str) -> Optional[Message]:
 
 def deliver_next(session: Session, sender: str) -> Optional[Event]:
     """``session.send(sender)`` for one message: deliver ``sender``'s next
-    open message of the active exchange, store and log it, and complete
-    the exchange if it was the last.  Returns its event, or None."""
+    open message of the active exchange, log it, and complete the
+    exchange if it was the last.  Returns its event, or None."""
     exchange = session.active_exchange()
     msg = deliver_one(exchange, sender) if exchange is not None else None
     if msg is None:
         return None
     if msg.kind == "sig":
-        session.stores[msg.recipient].add(msg.sender, msg.digest, IMPLICIT)
         event = Event(session.chain.height, sender, SIGNATURE_SENT,
                       {"digest": msg.digest, "to": msg.recipient, "tx": msg.subject})
     else:
@@ -136,7 +224,7 @@ def stipulate(session: Session, withhold_at: Optional[int] = None) -> bool:
     """Deliver the whole stipulation plan in order and append the anchor.
     ``withhold_at`` stops right before that message index and aborts
     instead, leaving every deposit untouched."""
-    for index, msg in enumerate(session.stipulation.messages):
+    for index, msg in enumerate(plan_of(session.stipulation)):
         if index == withhold_at:
             session.abort(msg.sender)
             return False
@@ -167,7 +255,7 @@ def offchain_step(session: OffchainSession, child: NodeId,
             f"edge into {session.tree.node(child).name} is not satisfiable")
     session.agree_step(child, session.tree.participants)
     graft = session.pending_graft
-    plan = graft.exchange.messages
+    plan = plan_of(graft.exchange)
     for index in range(len(plan)):
         if withhold_at is not None and index == withhold_at:
             return None
@@ -355,7 +443,7 @@ def eager_observation(engine: _Engine, participant: str) -> Observation:
     return Observation(
         actor=participant, height=engine.chain.height, mode=engine.scn.mode,
         phase=session.phase,
-        owes_message=exchange is not None and exchange.next_for(participant) is not None,
+        owes_message=exchange is not None and next_for(exchange, participant) is not None,
         others_owe_me=session.others_owe(participant),
         waiting_rounds=engine.chain.height - engine.last_progress,
         anchor_appendable=session.anchor_appendable(participant),
@@ -409,5 +497,129 @@ def observations_checked() -> Iterator[List[str]]:
     _Engine.__init__ = checked_init
     try:
         yield polls
+    finally:
+        _Engine.__init__ = init
+
+
+class SignatureStore:
+    """One participant's accumulated view of received signatures.
+
+    Maps a transaction digest to the set of (signer, role) pairs seen for
+    it.  The store only ever grows.
+    """
+
+    def __init__(self) -> None:
+        self._by_digest: Dict[str, Set[Tuple[str, str]]] = {}
+
+    def add(self, signer: str, digest: str, role: str = IMPLICIT) -> "SignatureStore":
+        self._by_digest.setdefault(digest, set()).add((signer, role))
+        return self
+
+    def has(self, signer: str, digest: str, role: str = IMPLICIT) -> bool:
+        return (signer, role) in self._by_digest.get(digest, ())
+
+    def signers(self, digest: str, role: str = IMPLICIT) -> Set[str]:
+        return {s for s, r in self._by_digest.get(digest, ()) if r == role}
+
+
+class DeliveredSignatures:
+    """One ``SignatureStore`` per participant, fed one message at a time
+    with every ``SignatureSent`` a trace logs: the reference for the
+    signatures ``Session.witness`` reads off the exchanges' counts."""
+
+    def __init__(self, participants: Iterable[str]) -> None:
+        self.stores = {p: SignatureStore() for p in participants}
+        self.seen = 0
+
+    def catch_up(self, trace: Trace) -> Dict[str, SignatureStore]:
+        """Feed the events ``trace`` logged since the last call."""
+        events = trace.events
+        for event in events[self.seen:]:
+            if event.kind == SIGNATURE_SENT:
+                self.stores[event.data["to"]].add(event.actor, event.data["digest"], IMPLICIT)
+        self.seen = len(events)
+        return self.stores
+
+
+def witness_by_store(session: Session, store: SignatureStore, actor: str,
+                     tx: TxInstance, extra: AppendWitness = EMPTY_WITNESS) -> AppendWitness:
+    """``session.witness(actor, tx, extra)`` with the implicit signatures
+    ``actor`` holds read from its ``store``."""
+    sigs = set(extra.signatures)
+    for signer in tx.required_signers:
+        if signer == actor or store.has(signer, tx.digest, IMPLICIT):
+            sigs.add(sign(signer, tx.digest, IMPLICIT))
+    granted = session.edge_pool.get(tx.digest, ())
+    for signer in tx.edge_signers:
+        if signer == actor or signer in granted:
+            sigs.add(sign(signer, tx.digest, EDGE))
+    reveals = set(extra.reveals)
+    for commitment in tx.required_reveals:
+        if commitment.label in session.reveal_pool:
+            reveals.add(session.reveal_pool[commitment.label])
+        elif commitment.owner == actor:
+            reveals.add(session.commitments.reveal(commitment.label))
+    return AppendWitness(frozenset(sigs), frozenset(reveals))
+
+
+def signed_instances(session: Session, grafts: Iterable[Graft]) -> Dict[str, TxInstance]:
+    """Every instance the stipulation of ``session`` signs, then those of
+    each of ``grafts``, by digest."""
+    if isinstance(session, OffchainSession):
+        stipulated = [session.anchor, session.init, *session.shadow.instances.values()]
+    else:
+        stipulated = list(session.instances.values())
+    every = stipulated + [tx for graft in grafts for tx in graft.instances.values()]
+    return {tx.digest: tx for tx in every}
+
+
+def _witness_check(engine: _Engine, counts: List[int]) -> Callable[[Observation], None]:
+    """The check ``witnesses_checked`` makes at each poll of ``engine``'s run."""
+    session = engine.session
+    delivered = DeliveredSignatures(engine.tree.participants)
+    grafts: Dict[int, Graft] = {}  # every graft opened so far, by index
+
+    def check(obs: Observation) -> None:
+        stores = delivered.catch_up(session.trace)
+        for graft in [*getattr(session, "ladder", ())[1:], session.pending_graft]:
+            if graft is not None:
+                grafts.setdefault(graft.index, graft)
+        instances = signed_instances(session, grafts.values()).values()
+        for tx in instances:
+            for actor in engine.tree.participants:
+                assert session.witness(actor, tx) == \
+                    witness_by_store(session, stores[actor], actor, tx), \
+                    (obs.actor, session.chain.height, actor, tx.name)
+        counts.append(len(instances) * len(engine.tree.participants))
+    return check
+
+
+def _then(fn: Strategy, check: Callable[[Observation], None]) -> Strategy:
+    def strategy(obs: Observation, params: Dict) -> Action:
+        action = fn(obs, params)
+        check(obs)  # the state is still the poll's: the engine has not executed yet
+        return action
+    return strategy
+
+
+@contextmanager
+def witnesses_checked() -> Iterator[List[int]]:
+    """Within the block, at every poll of every run, once the strategy
+    returns, ``Session.witness`` of every participant on every instance of
+    the stipulation and of each graft so far is compared with
+    ``witness_by_store`` over the ``DeliveredSignatures`` of the trace.
+    Yields the number of comparisons of each poll."""
+    counts: List[int] = []
+    init = _Engine.__init__
+
+    def checked_init(engine: _Engine, *args) -> None:
+        init(engine, *args)
+        check = _witness_check(engine, counts)
+        engine.players = {p: (_then(fn, check), params)
+                          for p, (fn, params) in engine.players.items()}
+
+    _Engine.__init__ = checked_init
+    try:
+        yield counts
     finally:
         _Engine.__init__ = init

@@ -25,11 +25,18 @@ from graftsim.harness import (
     run,
 )
 from graftsim.onchain import ABORTED, OnchainSession
-from graftsim.trace import GRAFT_SEALED, INIT_APPENDED, Trace, replay_appends
+from graftsim.trace import (
+    GRAFT_PROPOSED,
+    GRAFT_SEALED,
+    INIT_APPENDED,
+    OUTCOME_LEAF,
+    Trace,
+    replay_appends,
+)
 from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
 from graftsim.witness import CommitmentSet, scenario_salt
 
-from drivers import finalize, offchain_step, start_offchain, stipulate
+from drivers import finalize, offchain_step, plan_of, start_offchain, stipulate
 
 BO3_PATH = ("Bet", "L??", "LW?", "LWL")
 BO3_ORACLE = ((2, "L1"), (4, "W2"), (6, "L3"))
@@ -217,9 +224,91 @@ def test_acceptance5_sweep_traces_are_pinned(bo3_tree):
         assert got == want
 
 
+# -- the honest party's enforceable frontier ---------------------------------
+
+def enforceable_frontier(tree, trace):
+    """The node of the scenario path an honest party can enforce the run
+    to, read off the trace: from the origin of the newest graft sealed
+    before Init, the path's nodes while each edge can be taken without any
+    other party.  An edge can be if each of its signers plays ``honest``
+    or has already authorized it (agreeing to a step, which opens its
+    graft, publishes every signer's authorization), each reveal is owned
+    by an honest party or on the oracle schedule, and its wait fits
+    between the landing of the node above and the run's final height.
+    None if no graft was sealed before Init."""
+    header, summary = trace.header, trace.summary
+    honest = {p for p, s in header["strategies"].items() if s["name"] == "honest"}
+    scheduled = {label for _, label in header["oracle"]}
+    owners = {s.label: s.owner for s in tree.secrets}
+    origin, agreed = None, set()
+    for event in trace.events:
+        if event.kind == INIT_APPENDED:
+            break
+        if event.kind == GRAFT_SEALED:
+            origin = event.data["origin"]
+        elif event.kind == GRAFT_PROPOSED:
+            agreed.add(event.data["origin"])
+    if origin is None:
+        return None
+    nodes = {tree.node(i).name: tree.node(i) for i in tree.nodes}
+    landed = {name: height for name, _, height, _ in summary["appended"]}
+    path = header["path"]
+    frontier = origin
+    for name in path[path.index(origin) + 1:]:
+        edge = nodes[name].edge
+        if not (edge.auth <= honest or name in agreed) \
+                or not all(label in scheduled or owners[label] in honest
+                           for label in edge.reveals) \
+                or landed.get(frontier, 0) + edge.wait > summary["final_height"]:
+            break
+        frontier = name
+    return frontier
+
+
+def run_end(trace):
+    """The contract node the run's on-chain walk ended at, if any."""
+    walked = [name for name, _, _, role in trace.summary["appended"]
+              if role in ("graft_root", "node")]
+    return walked[-1] if walked else None
+
+
+ATTACKERS = ("staller", "premature_init", "rollback_attacker", "silent_aborter")
+# Runs that stop short of the leaf at their frontier: the edge below needs
+# an adversary's authorization, which no protocol can force.
+LEGITIMATE_STOPS = {f"rnd-{seed}-{name}" for seed in (0, 10, 12, 21) for name in ATTACKERS} \
+    | {"rnd-5-rollback_attacker"}
+
+
+def test_acceptance5_runs_end_at_their_enforceable_frontier(bo3_tree):
+    """Every ACCEPTANCE 5 run with an honest party reaches the leaf or its
+    enforceable frontier, except the four ``rnd-19`` runs: there the
+    honest A waits at N4 for its own authorization of N9 to be published
+    (``OffchainSession.child_ready``).  A known limit, pinned so that the
+    change that lifts it flips this test on purpose."""
+    stops, short = set(), {}
+    for scenario in list(_bo3_attack_matrix(bo3_tree)) + list(_random_attack_cases(100)):
+        trace = run(scenario)
+        if "honest" not in {name for name, _ in scenario.strategies.values()} \
+                or trace.summary["outcome"] == OUTCOME_LEAF:
+            continue
+        end, frontier = run_end(trace), enforceable_frontier(scenario.tree, trace)
+        if end == frontier:
+            stops.add(scenario.label)
+        else:
+            short[scenario.label] = (end, frontier)
+    assert stops == LEGITIMATE_STOPS and len(stops) == 17
+    assert short == {f"rnd-19-{name}": ("N4", "N10") for name in ATTACKERS}
+
+
 # random_tree(36): 3 parties, the 2-node branch N1-N2, no oracle.
 COALITION_ROLES = (("honest", {}), ("rollback_attacker", {}),
                    ("premature_init", {"trigger_step": 2}))
+# The coalition sweep's adversary settings: two adversaries of one kind
+# never collude in it.
+COALITION_ADVERSARIES = (("staller", {"stall_after_steps": 1}),
+                         ("silent_aborter", {"refuse_at_step": 1}),
+                         ("rollback_attacker", {}),
+                         *(("premature_init", {"trigger_step": k}) for k in (1, 2, 3)))
 
 
 def _coalition_run(roles, order, t):
@@ -261,6 +350,34 @@ class TestCoalitionLimit:
                 assert no_rollback_ok(trace), (roles, first, last)
                 runs += 1
         assert runs == 12
+
+    def test_t2_sweep_holds_over_three_party_seeds(self):
+        """Every three-party ``random_tree`` among seeds 20-39 (nine of
+        them), off-chain at ``t = 2``: honest at each seat, polled between
+        two adversaries of different kinds, in both orders, for every
+        ordered pair of the adversary settings below: 1,296 runs.  At
+        ``t = 1`` twelve of them, on seeds 25 and 36, settle a rolled-back
+        state, so the sweep tells the two units apart."""
+        runs = 0
+        for seed in range(20, 40):
+            tree, path_names, oracle = random_tree(seed)
+            if len(tree.participants) != 3:
+                continue
+            for honest in tree.participants:
+                one, other = [p for p in tree.participants if p != honest]
+                for first, second in itertools.permutations(COALITION_ADVERSARIES, 2):
+                    if first[0] == second[0]:
+                        continue
+                    strategies = {honest: ("honest", {}), one: (first[0], dict(first[1])),
+                                  other: (second[0], dict(second[1]))}
+                    for order in ((one, honest, other), (other, honest, one)):
+                        trace = run(Scenario(
+                            label=f"coalition-{seed}", tree=tree, mode=MODE_OFFCHAIN,
+                            strategies=strategies, path=tuple(path_names),
+                            oracle=tuple(oracle), t=2, seed=seed, order=order))
+                        assert no_rollback_ok(trace), (seed, strategies, order)
+                        runs += 1
+        assert runs == 1296
 
 
 @criterion(6, "the rollback checker flags the undefended control run")
@@ -328,9 +445,9 @@ def test_criterion_09_determinism():
 def test_criterion_10_stipulation_atomicity(bo3_tree):
     commitments = CommitmentSet([(s.label, s.owner) for s in bo3_tree.secrets], 0)
 
-    plan_size = len(OnchainSession(bo3_tree, commitments,
-                                   scenario_salt(0, "onchain"),
-                                   Trace({})).stipulation.messages)
+    plan_size = len(plan_of(OnchainSession(bo3_tree, commitments,
+                                           scenario_salt(0, "onchain"),
+                                           Trace({})).stipulation))
     assert plan_size == 32
     for index in range(plan_size):
         session = OnchainSession(bo3_tree, commitments,
@@ -341,8 +458,7 @@ def test_criterion_10_stipulation_atomicity(bo3_tree):
         for dep in session.deposits.values():
             assert session.chain.is_unspent((dep.digest, 0))
 
-    offchain_size = len(start_offchain(bo3_tree, seed=0, t=2)
-                        .stipulation.messages)
+    offchain_size = len(plan_of(start_offchain(bo3_tree, seed=0, t=2).stipulation))
     assert offchain_size == 36
     for index in range(offchain_size):
         session = start_offchain(bo3_tree, seed=0, t=2)

@@ -14,7 +14,6 @@ from graftsim.ledger import (
     ValueMismatch,
     make_tx,
 )
-from graftsim.onchain import Message
 from graftsim.trace import DEPOSIT, Event
 from graftsim.witness import (
     CommitmentSet,
@@ -23,6 +22,8 @@ from graftsim.witness import (
     scenario_salt,
     sign,
 )
+
+from drivers import Message
 
 SALT = scenario_salt(11)
 

@@ -17,7 +17,7 @@ from graftsim.trace import (
 from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
 from graftsim.witness import CommitmentSet, scenario_salt
 
-from drivers import finalize, offchain_step, start_offchain, stipulate
+from drivers import finalize, offchain_step, plan_of, start_offchain, stipulate
 
 
 BO3_PATH = ["Bet", "L??", "LW?", "LWL"]
@@ -58,7 +58,7 @@ class TestCompilation:
 class TestStipulation:
     def test_message_plan_counts(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        messages = session.stipulation.messages
+        messages = plan_of(session.stipulation)
         assert len(messages) == 36
         assert sum(1 for m in messages if m.kind == "txset") == 2
         # body covers Init plus every shadow instance, in both directions
@@ -153,7 +153,7 @@ class TestGrafts:
             stipulate(session)
             graft = session.create_graft(child)
             sender, recipient = sorted(tree.participants)[:2]
-            signed = [(m.phase, m.subject, m.digest) for m in graft.exchange.messages
+            signed = [(m.phase, m.subject, m.digest) for m in plan_of(graft.exchange)
                       if (m.sender, m.recipient) == (sender, recipient)]
             body = [n for n in iter_preorder(tree, child) if n != child]
             root = graft.instances[child]

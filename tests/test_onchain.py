@@ -29,7 +29,7 @@ from graftsim.trace import (
 )
 from graftsim.witness import CommitmentSet, scenario_salt
 
-from drivers import deliver_one, stipulate
+from drivers import burst_of, deliver_one, next_for, plan_of, stipulate
 
 
 def commitments_for(tree, seed=1):
@@ -105,7 +105,7 @@ class TestCompilation:
 class TestExchangePlan:
     def test_three_party_message_counts(self, three_party):
         session = session_for(three_party)
-        messages = session.stipulation.messages
+        messages = plan_of(session.stipulation)
         assert len(messages) == 42
         assert sum(1 for m in messages if m.kind == "txset") == 6
         assert sum(1 for m in messages if m.kind == "sig" and m.phase == 1) == 30
@@ -113,69 +113,74 @@ class TestExchangePlan:
 
     def test_bet_contract_message_count(self, bo3_tree):
         session = session_for(bo3_tree)
-        assert len(session.stipulation.messages) == 32  # 2 txsets + 28 body + 2 root
+        assert len(plan_of(session.stipulation)) == 32  # 2 txsets + 28 body + 2 root
 
     def test_phase_gating_blocks_final_signatures(self, three_party):
         exchange = session_for(three_party).stipulation
+        plan = plan_of(exchange)
         # Everyone sends all it can, one message at a time, except that C
         # withholds its last phase-1 message.
         held = "C"
-        before_final = sum(1 for m in exchange.messages if m.sender == held and m.phase < 2)
+        before_final = sum(1 for m in plan if m.sender == held and m.phase < 2)
         while any(deliver_one(exchange, p) for p in three_party.participants
                   if p != held or exchange.sent[p] < before_final - 1):
             pass
         for sender in three_party.participants:
-            mine = [m for m in exchange.messages if m.sender == sender]
+            mine = [m for m in plan if m.sender == sender]
             if sender == held:
-                assert exchange.next_for(sender) == mine[before_final - 1]
+                assert next_for(exchange, sender) == mine[before_final - 1]
                 assert mine[before_final - 1].phase == 1
+                assert exchange.owes(sender)
             else:  # every body message out, the final signatures still gated
                 assert exchange.sent[sender] == sum(1 for m in mine if m.phase < 2)
-                assert exchange.next_for(sender) is None
+                assert next_for(exchange, sender) is None
+                assert not exchange.owes(sender)
         assert exchange.first_blocker() == held
         assert deliver_one(exchange, held).phase == 1
-        assert all(exchange.next_for(p).phase == 2 for p in three_party.participants)
+        assert all(next_for(exchange, p).phase == 2 for p in three_party.participants)
         # Now every phase is open to C: its burst is all its final signatures.
-        assert exchange.deliver(held) == [m for m in exchange.messages
-                                          if m.sender == held and m.phase == 2]
-        assert exchange.next_for(held) is None
+        assert burst_of(exchange, held) == [m for m in plan
+                                            if m.sender == held and m.phase == 2]
+        assert next_for(exchange, held) is None and not exchange.owes(held)
 
     def test_deliver_with_nothing_open_returns_none(self, three_party):
         exchange = session_for(three_party).stipulation
         # A's transaction sets; its signatures wait for B's and C's.
-        assert exchange.deliver("A") == exchange.messages[:2]
+        assert burst_of(exchange, "A") == plan_of(exchange)[:2]
         assert exchange.sent == {"A": 2, "B": 0, "C": 0}
-        assert exchange.deliver("A") == [] and exchange.deliver("Z") == []
+        assert burst_of(exchange, "A") == [] and burst_of(exchange, "Z") == []
         assert exchange.sent == {"A": 2, "B": 0, "C": 0}
-        assert exchange.next_for("A") is None and exchange.pending_from_others("A")
+        assert next_for(exchange, "A") is None and exchange.pending_from_others("A")
+        assert not exchange.owes("A")
         while any(exchange.deliver(p) for p in three_party.participants):
             pass
         assert exchange.complete and not exchange.pending_from_others("A")
         sent = dict(exchange.sent)
-        assert all(exchange.deliver(p) == [] for p in three_party.participants)
+        assert all(burst_of(exchange, p) == [] for p in three_party.participants)
         assert exchange.sent == sent
 
     def test_a_burst_runs_to_the_lowest_phase_among_the_others(self, three_party):
         exchange = session_for(three_party).stipulation
-        mine = {p: [m for m in exchange.messages if m.sender == p]
+        mine = {p: [m for m in plan_of(exchange) if m.sender == p]
                 for p in three_party.participants}
-        assert exchange.deliver("A") == [m for m in mine["A"] if m.phase == 0]
-        assert exchange.deliver("B") == [m for m in mine["B"] if m.phase == 0]
+        assert burst_of(exchange, "A") == [m for m in mine["A"] if m.phase == 0]
+        assert burst_of(exchange, "B") == [m for m in mine["B"] if m.phase == 0]
         # Everyone else's next message is in phase 1: C sends through it.
-        assert exchange.deliver("C") == [m for m in mine["C"] if m.phase < 2]
-        assert exchange.deliver("A") == [m for m in mine["A"] if m.phase == 1]
+        assert burst_of(exchange, "C") == [m for m in mine["C"] if m.phase < 2]
+        assert burst_of(exchange, "A") == [m for m in mine["A"] if m.phase == 1]
         # B alone holds up phase 2, so B sends everything it has left.
-        assert exchange.deliver("B") == [m for m in mine["B"] if m.phase > 0]
-        assert exchange.deliver("C") == [m for m in mine["C"] if m.phase == 2]
-        assert exchange.deliver("A") == [m for m in mine["A"] if m.phase == 2]
+        assert burst_of(exchange, "B") == [m for m in mine["B"] if m.phase > 0]
+        assert burst_of(exchange, "C") == [m for m in mine["C"] if m.phase == 2]
+        assert burst_of(exchange, "A") == [m for m in mine["A"] if m.phase == 2]
         assert exchange.complete
 
     def test_first_blocker_names_lowest_phase_holdout(self, three_party):
         exchange = session_for(three_party).stipulation
-        for m in exchange.messages:
+        plan = plan_of(exchange)
+        for m in plan:
             if m.phase == 0:
                 assert deliver_one(exchange, m.sender) == m
-        first_body = next(m for m in exchange.messages if m.phase == 1)
+        first_body = next(m for m in plan if m.phase == 1)
         assert exchange.first_blocker() == first_body.sender
 
 

@@ -30,31 +30,30 @@ from graftsim.harness import (
     run,
 )
 from graftsim.offchain import compile_offchain
-from graftsim.onchain import (
-    Exchange,
-    compile_onchain,
-    exchange_plan,
-    instantiate_subtree,
-    make_deposits,
-)
+from graftsim.onchain import Exchange, compile_onchain, instantiate_subtree, make_deposits
 from graftsim.strategies import NEVER, WITHHOLD, Action, Observation
 from graftsim.trace import GRAFT_PROPOSED, GRAFT_SEALED, INIT_APPENDED, replay_appends
 from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
 from graftsim.witness import CommitmentSet, scenario_salt, tx_digest
 
 from drivers import (
+    burst_of,
     census_by_replay,
     deliver_one,
     events_and_summary,
+    exchange_plan,
     instantiate_by_make_tx,
+    next_for,
     observations_checked,
     offchain_step,
+    plan_of,
     run_blockwise,
     run_per_message,
     start_offchain,
     stipulate,
     strategies_added,
     subtree_size,
+    witnesses_checked,
 )
 
 NO_DEADLINE = settings(deadline=None)
@@ -171,23 +170,24 @@ def test_the_make_tx_walk_comparison_covers_edges_and_parties():
        body_size=st.integers(0, 5))
 def test_any_legal_delivery_order_is_phase_monotone(seed, parties, body_size):
     body = [(f"T{i}", f"d{i}") for i in range(body_size)]
-    exchange = Exchange(exchange_plan(parties, body, ("R", "dr"), True))
+    exchange = Exchange(parties, body, ("R", "dr"), True)
     rng = random.Random(seed)
     phases = []
     while not exchange.complete:
-        open_now = [p for p in parties if exchange.next_for(p) is not None]
+        open_now = [p for p in parties if next_for(exchange, p) is not None]
         assert open_now, "gating deadlocked with messages pending"
-        phases.extend(m.phase for m in exchange.deliver(rng.choice(open_now)))
+        phases.extend(m.phase for m in burst_of(exchange, rng.choice(open_now)))
     assert phases == sorted(phases)
-    assert len(phases) == len(exchange.messages)
+    assert len(phases) == len(plan_of(exchange))
 
 
 def _exchange_by_scan(exchange, parties):
-    """Every Exchange query, recomputed by walking the whole plan: the
-    first ``sent[sender]`` messages of each sender are the delivered ones."""
+    """Every Exchange query, recomputed by walking the whole reference
+    plan: the first ``sent[sender]`` messages of each sender are the
+    delivered ones."""
     seen = dict.fromkeys(parties, 0)
     pending = []
-    for m in exchange.messages:
+    for m in plan_of(exchange):
         seen[m.sender] += 1
         if seen[m.sender] > exchange.sent[m.sender]:
             pending.append(m)
@@ -210,7 +210,8 @@ def _exchange_by_counters(exchange, parties):
         "pending_from_others": [exchange.pending_from_others(p) for p in parties + ("Z",)],
         "complete": exchange.complete,
         "first_blocker": exchange.first_blocker(),
-        "next_for": [exchange.next_for(p) for p in parties + ("Z",)],
+        "next_for": [next_for(exchange, p) for p in parties + ("Z",)],
+        "owes": [exchange.owes(p) for p in parties + ("Z",)],
     }
 
 
@@ -220,10 +221,11 @@ def _exchange_by_counters(exchange, parties):
        body_size=st.integers(0, 5))
 def test_exchange_counters_match_a_scan_of_the_plan(seed, parties, body_size):
     body = [(f"T{i}", f"d{i}") for i in range(body_size)]
-    exchange = Exchange(exchange_plan(parties, body, ("R", "dr"), True))
+    exchange = Exchange(parties, body, ("R", "dr"), True)
     rng = random.Random(seed)
     while True:
         expected = _exchange_by_scan(exchange, parties)
+        expected["owes"] = [m is not None for m in expected["next_for"]]
         assert _exchange_by_counters(exchange, parties) == expected
         if expected["complete"]:
             break
@@ -232,7 +234,7 @@ def test_exchange_counters_match_a_scan_of_the_plan(seed, parties, body_size):
         if rng.random() < 0.5:
             assert deliver_one(exchange, sender) is message
         else:
-            assert exchange.deliver(sender)[0] is message
+            assert burst_of(exchange, sender)[0] is message
 
 
 @NO_DEADLINE
@@ -245,12 +247,12 @@ def test_a_burst_sends_what_one_message_at_a_time_would(parties, body_size, txse
     has none, and leaves the same counts.  Round-robin turns finish the
     exchange after the schedule."""
     body = [(f"T{i}", f"d{i}") for i in range(body_size)]
-    plan = exchange_plan(parties, body, ("R", "dr"), txset)
-    bursts, singles = Exchange(plan), Exchange(plan)
+    bursts = Exchange(parties, body, ("R", "dr"), txset)
+    singles = Exchange(parties, body, ("R", "dr"), txset)
 
     def turn(sender):
         expected = list(iter(lambda: deliver_one(singles, sender), None))
-        assert bursts.deliver(sender) == expected
+        assert burst_of(bursts, sender) == expected
         assert bursts.sent == singles.sent
 
     for pick in schedule:
@@ -258,7 +260,93 @@ def test_a_burst_sends_what_one_message_at_a_time_would(parties, body_size, txse
     while not bursts.complete:
         for sender in parties:
             turn(sender)
-    assert singles.complete
+
+
+class _DeliveredPlan:
+    """The reference state of an exchange: its plan and the set of
+    messages delivered, with every query answered by a walk of the plan."""
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.delivered = set()
+
+    def pending(self):
+        return [m for m in self.plan if m not in self.delivered]
+
+    def next_open(self, sender):
+        pending = self.pending()
+        lowest = min((m.phase for m in pending), default=None)
+        mine = next((m for m in pending if m.sender == sender), None)
+        return mine if mine is not None and mine.phase == lowest else None
+
+    def queries(self, parties, digests):
+        pending = self.pending()
+        everyone = parties + ("Z",)
+        return {
+            "complete": not pending,
+            "pending_from_others": [any(m.sender != p for m in pending) for p in everyone],
+            "first_blocker": pending[0].sender if pending else None,
+            "owes": [self.next_open(p) is not None for p in everyone],
+            "received": [any(m.kind == "sig" and m.digest == d
+                             and (m.recipient, m.sender) == (r, s) for m in self.delivered)
+                         for r in everyone for s in everyone for d in digests],
+        }
+
+
+def _exchange_queries(exchange, parties, digests):
+    everyone = parties + ("Z",)
+    return {
+        "complete": exchange.complete,
+        "pending_from_others": [exchange.pending_from_others(p) for p in everyone],
+        "first_blocker": exchange.first_blocker(),
+        "owes": [exchange.owes(p) for p in everyone],
+        "received": [exchange.received(r, s, d)
+                     for r in everyone for s in everyone for d in digests],
+    }
+
+
+@NO_DEADLINE
+@given(parties=st.integers(1, 4).flatmap(
+           lambda n: st.permutations(("A", "B", "C", "D")[:n]).map(tuple)),
+       body_size=st.integers(0, 6), txset=st.booleans(),
+       schedule=st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=40))
+def test_the_arithmetic_exchange_follows_the_reference_plan(parties, body_size, txset,
+                                                           schedule):
+    """``Exchange`` against ``exchange_plan`` and a set of the messages
+    delivered, under a schedule that mixes bursts with single messages
+    (``deliver_one``, the reference delivery): each burst is the open run
+    of the sender's reference queue, and after every step every query,
+    ``received`` for every recipient, signer and digest of the plan plus a
+    foreign one included, agrees with a walk of the plan."""
+    body = [(f"T{i}", f"d{i}") for i in range(body_size)]
+    exchange = Exchange(parties, body, ("R", "dr"), txset)
+    plan = exchange_plan(parties, body, ("R", "dr"), txset)
+    assert plan_of(exchange) == plan
+    reference = _DeliveredPlan(plan)
+    digests = [d for _, d in body] + ["dr", "foreign"]
+
+    def step(sender, single):
+        if single:
+            expected = reference.next_open(sender)
+            assert deliver_one(exchange, sender) == expected
+            if expected is not None:
+                reference.delivered.add(expected)
+        else:
+            sent = []
+            while (message := reference.next_open(sender)) is not None:
+                sent.append(message)
+                reference.delivered.add(message)
+            assert burst_of(exchange, sender) == sent
+        assert _exchange_queries(exchange, parties, digests) == \
+            reference.queries(parties, digests)
+
+    assert _exchange_queries(exchange, parties, digests) == reference.queries(parties, digests)
+    for pick, single in schedule:
+        step(sorted(parties)[pick % len(parties)], single)
+    while not exchange.complete:
+        for sender in parties:
+            step(sender, False)
+    assert reference.delivered == set(plan)
 
 
 # -- graft bookkeeping ------------------------------------------------------
@@ -536,3 +624,29 @@ def test_every_observation_field_is_filled_on_first_read():
     for f in dataclasses.fields(Observation):
         if f.name not in up_front:
             assert isinstance(vars(_LiveObservation).get(f.name), _Lazy), f.name
+
+
+# -- delivered signatures are read off the exchanges' counts -----------------
+
+def _witnesses_match_the_store_reference(scenario):
+    """Checked at every poll, with each ``SEND`` a burst and, so that polls
+    also fall inside a phase, one message."""
+    for runner in (run, run_per_message):
+        with witnesses_checked() as counts:
+            checked = runner(scenario).serialize()
+        assert counts and min(counts) > 0
+        # The check reads the session; the run must not notice.
+        assert checked == runner(scenario).serialize()
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_witnesses_equal_the_store_reference(seed, data):
+    adversary = data.draw(st.sampled_from(ADVERSARIES + ("honest",)), label="adversary")
+    for scenario in _adversary_scenarios(seed, data, (adversary,)):
+        _witnesses_match_the_store_reference(scenario)
+
+
+@pytest.mark.parametrize("path", bundled_scenarios(), ids=lambda p: p.stem)
+def test_bundled_witnesses_equal_the_store_reference(path):
+    _witnesses_match_the_store_reference(load_scenario(path))

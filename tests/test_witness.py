@@ -1,4 +1,5 @@
-"""Authorization layer: digests, signature stores, commitments, reveals."""
+"""Authorization layer: digests, signatures, commitments, reveals; the
+reference signature store."""
 
 import hashlib
 
@@ -11,7 +12,6 @@ from graftsim.witness import (
     EDGE,
     IMPLICIT,
     Reveal,
-    SignatureStore,
     check_reveal,
     commit,
     scenario_salt,
@@ -19,6 +19,8 @@ from graftsim.witness import (
     tx_digest,
     verify,
 )
+
+from drivers import SignatureStore
 
 SALT = scenario_salt(7)
 SRC = "ab" * 32
