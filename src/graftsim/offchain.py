@@ -12,12 +12,15 @@ deposit-spending Head signatures last, then appends Head only.
 
 Each agreed step clones the subtree rooted at the chosen child as a
 *graft*: its root spends Init under a timelock of subtree_height(child) × t,
-strictly smaller than every earlier graft's.  Within a graft, body
-signatures are exchanged before root signatures, so a half-signed graft is
-never appendable by anyone.  To settle — voluntarily or as a failsafe —
-append Init, then the latest fully signed graft root once its timelock
-expires, then continue through that graft's body on-chain.  The shrinking
-timelocks guarantee the newest agreed state can always land first.
+strictly smaller than every earlier graft's.  A graft is compiled as its
+root's instance and its nodes' digests, which is all its exchange signs;
+a body instance is built only if the graft lands and the walk reaches
+its parent.  Within a graft, body signatures are exchanged before root
+signatures, so a half-signed graft is never appendable by anyone.  To
+settle — voluntarily or as a failsafe — append Init, then the latest fully
+signed graft root once its timelock expires, then continue through that
+graft's body on-chain.  The shrinking timelocks guarantee the newest
+agreed state can always land first.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ from .onchain import (
     ProtocolError,
     Session,
     TreeParts,
-    instantiate_subtree,
+    body_items,
+    compile_subtree,
     make_deposits,
     tree_parts,
 )
@@ -71,26 +75,26 @@ class Graft:
     Index 0 is the shadow copy of the whole contract created at
     compilation; it has no exchange of its own because its signatures
     travel with stipulation.  ``index`` is the graft's place on the
-    session's ladder.
-    ``instances`` is keyed by the node ids of the original tree, so
-    walking a graft body is ordinary tree walking.
+    session's ladder.  The copy is its root's instance, the one a
+    settlement appends first, and ``digests``: every node's digest in
+    preorder, keyed by the node ids of the original tree, so walking a
+    graft body is ordinary tree walking.  The instances below the root
+    are built only as the walk lands their parents.
     """
     index: int
     origin: NodeId
-    instances: Dict[NodeId, TxInstance]
+    root_instance: TxInstance
+    digests: Dict[NodeId, str]
     exchange: Optional[Exchange]
     seal_height: Optional[int] = None
-
-    @property
-    def root_instance(self) -> TxInstance:
-        return self.instances[self.origin]
 
 
 @dataclass(frozen=True)
 class OffchainCompilation:
     head: TxInstance
     init: TxInstance
-    shadow: Dict[NodeId, TxInstance]
+    shadow_root: TxInstance
+    shadow: Dict[NodeId, str]      # every node's digest, in preorder, the root's first
     deposits: Dict[str, TxInstance]
     parts: TreeParts
 
@@ -112,9 +116,10 @@ def compile_offchain(tree: ContractTree, commitments: CommitmentSet, salt: bytes
     init = make_tx(INIT_NAME, salt, ((head.digest, 0),), 0, everyone,
                    outputs=(OutputSpec(pot - 2 * tree.fee, CONTINUATION),))
     parts = tree_parts(tree, commitments, salt)
-    shadow = instantiate_subtree(parts, tree.root, ((init.digest, 0),),
-                                 pot - 2 * tree.fee, subtree_height(tree, tree.root) * t)
-    return OffchainCompilation(head, init, shadow, deposits, parts)
+    shadow_root, shadow = compile_subtree(parts, tree.root, ((init.digest, 0),),
+                                          pot - 2 * tree.fee,
+                                          subtree_height(tree, tree.root) * t)
+    return OffchainCompilation(head, init, shadow_root, shadow, deposits, parts)
 
 
 class OffchainSession(Session):
@@ -134,15 +139,15 @@ class OffchainSession(Session):
     def __init__(self, tree: ContractTree, commitments: CommitmentSet, salt: bytes,
                  trace: Trace, t: int) -> None:
         comp = compile_offchain(tree, commitments, salt, t)
-        super().__init__(tree, commitments, salt, trace, comp.deposits, comp.head,
-                         [comp.init, *comp.shadow.values()])
+        super().__init__(tree, commitments, salt, trace, comp.parts, comp.deposits, comp.head,
+                         [(comp.init.name, comp.init.digest),
+                          (comp.shadow_root.name, comp.shadow_root.digest),
+                          *body_items(comp.parts, comp.shadow)])
         self.t = t
         self.init = comp.init
-        # Every node's instance parts, shared by the shadow and each graft.
-        self.parts = comp.parts
         # Every node's subtree height, which times t is its graft's timelock.
         self.heights = subtree_heights(tree)
-        self.shadow = Graft(0, tree.root, comp.shadow, exchange=None)
+        self.shadow = Graft(0, tree.root, comp.shadow_root, comp.shadow, exchange=None)
         # The sealed grafts, oldest first: the shadow joins once stipulation
         # completes, each agreed step's graft once its exchange completes.
         self.ladder: List[Graft] = []
@@ -181,8 +186,11 @@ class OffchainSession(Session):
 
     # -- published material --------------------------------------------------
 
-    def copies(self, child: NodeId) -> List[TxInstance]:
-        return [g.instances[child] for g in self.ladder if child in g.instances]
+    def copies(self, child: NodeId) -> List[str]:
+        """Below the root of every sealed graft holding one; a graft root
+        needs no authorization."""
+        return [g.digests[child] for g in self.ladder
+                if child in g.digests and child != g.origin]
 
     # -- agreeing on a step --------------------------------------------------
 
@@ -261,16 +269,16 @@ class OffchainSession(Session):
             raise ProtocolError(
                 f"{child} is not a child of the current off-chain head")
         timelock = self.heights[child] * self.t
-        instances = instantiate_subtree(self.parts, child, ((self.init.digest, 0),),
+        root, digests = compile_subtree(self.parts, child, ((self.init.digest, 0),),
                                         self.init.output_total(), timelock)
-        root, *body = instances.values()
-        graft = Graft(len(self.ladder), child, instances,
-                      self.open_exchange(body, root, include_txset=False))
+        graft = Graft(len(self.ladder), child, root, digests,
+                      self.open_exchange(body_items(self.parts, digests), root,
+                                         include_txset=False))
         self.pending_graft = graft
         self.trace.add(Event(self.chain.height, "session", GRAFT_PROPOSED, {
-            "digest": instances[child].digest, "index": graft.index,
+            "digest": root.digest, "index": graft.index,
             "origin": self.tree.node(child).name, "rel_timelock": timelock,
-            "size": len(instances)}))
+            "size": len(digests)}))
         if graft.exchange.complete:
             # Nothing to sign, as in a one-participant contract: no message
             # would ever complete the exchange, so it is sealed now.
@@ -305,7 +313,7 @@ class OffchainSession(Session):
             self.trace.add(Event(self.chain.height, actor, GRAFT_APPENDED, {
                 "digest": graft.root_instance.digest, "index": graft.index,
                 "origin": self.tree.node(graft.origin).name}))
-            self._land(graft.instances, graft.origin)
+            self._land(graft.digests, graft.root_instance, graft.origin)
         return error
 
     def append_latest_graft(self, actor: str) -> Optional[AppendError]:
@@ -333,7 +341,7 @@ class OffchainSession(Session):
         # witness would supply its own.  An honest party whose own
         # authorization only an agreement publishes therefore waits; the
         # pinned rnd-19-* traces of the ACCEPTANCE 5 sweep record that wait.
-        tx = self.cursor[0].get(child) if self.cursor else None
+        tx = self.ahead.get(child)
         if tx is not None and not tx.edge_signers <= self.edge_pool.get(tx.digest, set()):
             return False
         return super().child_ready(actor, child)

@@ -1,11 +1,15 @@
 """On-chain contract execution.
 
-``compile_onchain`` turns a contract tree into concrete transaction
-instances: the root spends the participants' deposits, every other node
-spends its parent's continuation output, and edge requirements become
-execution-time signature/reveal/timelock conditions.  Stipulation then
-exchanges, pairwise and one signature per message, everything needed to
-make the whole tree spendable:
+``compile_onchain`` turns a contract tree into concrete transactions:
+the root spends the participants' deposits, every other node spends its
+parent's continuation output, and edge requirements become
+execution-time signature/reveal/timelock conditions.  A compiled subtree
+is its root's instance and every node's digest, one hash per node
+(``compile_subtree``); the instance of any other node is built only when
+its parent lands on-chain (``instances_below``), since only a landed
+node's children can be appended.  Stipulation then exchanges, pairwise
+and one signature per message, everything needed to make the whole tree
+spendable:
 
   phase 0  every participant sends the full transaction set to every other
   phase 1  all-participant signatures on every non-root instance
@@ -63,9 +67,12 @@ from .witness import (
     CommitmentSet,
     Reveal,
     SecretCommitment,
-    prefixed_digest,
+    encode_outputs,
+    encode_value,
+    hash_bytes,
+    one_output_template,
     sign,
-    tx_prefix,
+    spend_template,
 )
 
 # Session phases
@@ -95,16 +102,17 @@ def make_deposits(tree: ContractTree, salt: bytes) -> Dict[str, TxInstance]:
     }
 
 
-# Shared by every instance whose edge opens no secret or needs no authorization.
+# Shared by every instance whose edge opens no secret.
 NO_REVEALS: FrozenSet[SecretCommitment] = frozenset()
-NO_SIGNERS: FrozenSet[str] = frozenset()
 
 
 class NodeParts(NamedTuple):
-    """What every instance of one node shares, wherever its subtree is
-    grafted: all but the parent reference, the timelock and the outputs."""
+    """What every instance of one node below a subtree root shares,
+    wherever its subtree is grafted: all but the parent reference and the
+    outputs."""
     name: str
-    prefix: bytes                          # ``tx_prefix`` of a spend of one output
+    before: bytes                          # ``spend_template``: the encoding before
+    after: bytes                           # and after the parent's raw digest
     wait: int                              # the edge's wait: the timelock below a subtree root
     edge_signers: FrozenSet[str]
     reveals: FrozenSet[SecretCommitment]
@@ -122,57 +130,98 @@ class TreeParts(NamedTuple):
 
 def tree_parts(tree: ContractTree, commitments: CommitmentSet, salt: bytes) -> TreeParts:
     """Each node's ``NodeParts``, computed once per compilation and shared
-    by every subtree instantiated from it."""
+    by every subtree compiled from it."""
     nodes = {}
     for node_id, node in tree.nodes.items():
         edge = node.edge
         reveals = frozenset(commitments[l] for l in edge.reveals) if edge.reveals else NO_REVEALS
-        nodes[node_id] = NodeParts(node.name, tx_prefix(node.name, salt, 1), edge.wait,
-                                   frozenset(edge.auth), reveals, node.children, node.outputs)
+        nodes[node_id] = NodeParts(node.name, *spend_template(node.name, salt, edge.wait),
+                                   edge.wait, frozenset(edge.auth), reveals, node.children,
+                                   node.outputs)
     return TreeParts(salt, tree.fee, frozenset(tree.participants), nodes)
 
 
-def instantiate_subtree(
+# A continuation output's encoding, around its value.
+_PAY_BEFORE, _PAY_AFTER = one_output_template(CONTINUATION)
+
+
+def _outputs(node: NodeParts, balance: int) -> Tuple[OutputSpec, ...]:
+    """``node``'s outputs when ``balance`` is left after its fee."""
+    if node.children:
+        return (OutputSpec(balance, CONTINUATION),)
+    return resolve_payout(node.shares, balance)
+
+
+def compile_subtree(
     parts: TreeParts,
     sub_root: NodeId,
     root_inputs: Tuple[Tuple[str, int], ...],
     root_input_value: int,
     root_rel_timelock: int,
-) -> Dict[NodeId, TxInstance]:
-    """Build transaction instances for the subtree rooted at ``sub_root``.
+) -> Tuple[TxInstance, Dict[NodeId, str]]:
+    """Compile the subtree rooted at ``sub_root``: the root's instance,
+    and the digest of every node in preorder, ``sub_root`` first.
 
     The subtree root spends ``root_inputs`` under ``root_rel_timelock``
     and carries no edge requirements: a contract root has none, and a
     graft root is guarded by the graft timelock and the implicit
     signatures instead.  Every other node spends its parent's
-    continuation output under its edge's wait.  Every transaction burns
-    one fee.  The map lists the nodes in preorder, ``sub_root`` first.
+    continuation output under its edge's wait; its instance is built only
+    once its parent lands (``instances_below``).  Every transaction burns
+    one fee.
     """
-    nodes, fee, everyone = parts.nodes, parts.fee, parts.everyone
-    root_inputs = tuple(root_inputs)
+    nodes, fee = parts.nodes, parts.fee
     top = nodes[sub_root]
-    prefix = top.prefix if len(root_inputs) == 1 \
-        else tx_prefix(top.name, parts.salt, len(root_inputs))
-    top = top._replace(prefix=prefix, wait=root_rel_timelock,
-                       edge_signers=NO_SIGNERS, reveals=NO_REVEALS)
-    instances: Dict[NodeId, TxInstance] = {}
-    # Preorder with an explicit stack: a node is built before its children,
-    # which spend its digest, and children are popped in declaration order.
-    stack = [(sub_root, top, root_inputs, root_input_value)]
+    root = make_tx(top.name, parts.salt, root_inputs, root_rel_timelock, parts.everyone,
+                   outputs=_outputs(top, root_input_value - fee))
+    digests = {sub_root: root.digest}
+    # Preorder with an explicit stack: a node is hashed before its children,
+    # which spend its raw digest, and children are popped in declaration order.
+    stack = [(child, bytes.fromhex(root.digest), root_input_value - fee)
+             for child in reversed(top.children)]
     while stack:
-        node_id, node, inputs, input_value = stack.pop()
-        balance = input_value - fee
+        node_id, parent, value = stack.pop()
+        node = nodes[node_id]
+        balance = value - fee
         if node.children:
-            outputs: Tuple[OutputSpec, ...] = (OutputSpec(balance, CONTINUATION),)
+            raw = hash_bytes(b"".join((node.before, parent, node.after, _PAY_BEFORE,
+                                       encode_value(balance), _PAY_AFTER)))
+            for child in reversed(node.children):
+                stack.append((child, raw, balance))
         else:
-            outputs = resolve_payout(node.shares, balance)
-        digest = prefixed_digest(node.prefix, inputs, node.wait, outputs)
-        instances[node_id] = TxInstance(digest, node.name, inputs, node.wait, everyone,
-                                        node.edge_signers, node.reveals, outputs)
-        spend = ((digest, 0),)
-        for child in reversed(node.children):
-            stack.append((child, nodes[child], spend, balance))
-    return instances
+            raw = hash_bytes(b"".join((node.before, parent, node.after,
+                                       encode_outputs(resolve_payout(node.shares, balance)))))
+        digests[node_id] = raw.hex()
+    return root, digests
+
+
+def instances_below(parts: TreeParts, digests: Dict[NodeId, str], tx: TxInstance,
+                    node: NodeId) -> Dict[NodeId, TxInstance]:
+    """The instances of ``node``'s children, in declaration order, where
+    ``tx`` is ``node``'s instance and ``digests`` those of its subtree."""
+    nodes, spend = parts.nodes, ((tx.digest, 0),)
+    balance = tx.outputs[0].value - parts.fee
+    below = {}
+    for child in nodes[node].children:
+        part = nodes[child]
+        below[child] = TxInstance(digests[child], part.name, spend, part.wait, parts.everyone,
+                                  part.edge_signers, part.reveals, _outputs(part, balance))
+    return below
+
+
+def body_items(parts: TreeParts, digests: Dict[NodeId, str]) -> List[Tuple[str, str]]:
+    """The (name, digest) of every node of a compiled subtree but its
+    root, in preorder: what its exchange signs before the root."""
+    nodes, items = parts.nodes, iter(digests.items())
+    next(items)
+    return [(nodes[node_id].name, digest) for node_id, digest in items]
+
+
+class OnchainCompilation(NamedTuple):
+    """A contract compiled for direct on-chain execution."""
+    root: TxInstance               # spends every deposit
+    digests: Dict[NodeId, str]     # every node's, in preorder, the root's first
+    parts: TreeParts
 
 
 def compile_onchain(
@@ -180,14 +229,15 @@ def compile_onchain(
     commitments: CommitmentSet,
     salt: bytes,
     deposits: Optional[Dict[str, TxInstance]] = None,
-) -> Dict[NodeId, TxInstance]:
-    """Instances for direct on-chain execution: the root spends every
-    deposit, children spend their parent's continuation output."""
+) -> OnchainCompilation:
+    """Direct on-chain execution: the root spends every deposit, children
+    spend their parent's continuation output."""
     if deposits is None:
         deposits = make_deposits(tree, salt)
+    parts = tree_parts(tree, commitments, salt)
     root_inputs = tuple((deposits[p].digest, 0) for p in tree.participants)
-    return instantiate_subtree(tree_parts(tree, commitments, salt), tree.root, root_inputs,
-                               tree.deposit_total(), 0)
+    root, digests = compile_subtree(parts, tree.root, root_inputs, tree.deposit_total(), 0)
+    return OnchainCompilation(root, digests, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +364,15 @@ class Session:
     """The protocol core both execution modes share: deposits on the chain,
     a pairwise stipulation exchange whose last messages sign the
     deposit-spending ``anchor``, public pools of published material, a
-    cursor that walks one map of instances on-chain, and the open step
+    cursor that walks one compiled subtree on-chain, and the open step
     proposal.  Every append goes through ``append``, and ``ready`` is its
     dry run, so readiness is the ledger's answer.  A move that does not
     apply now raises ``ProtocolError``.
 
-    ``cursor`` is ``(instances, node)``: the last appended node and the
-    instance map its children are taken from.  A subclass builds the
+    ``cursor`` is ``(digests, node)``: the last appended node and the
+    digests of the subtree it was compiled in.  ``ahead`` holds the
+    instances of that node's children, built when it landed; no other
+    instance below a subtree root is ever built.  A subclass compiles the
     anchor and the stipulation body, says what landing the anchor means
     in ``_anchored``, and says who must agree to a step, when a step is
     agreeable, and what an agreed step becomes.
@@ -330,12 +382,14 @@ class Session:
     ANCHOR_ROLE = ROLE_NODE
 
     def __init__(self, tree: ContractTree, commitments: CommitmentSet, salt: bytes,
-                 trace: Trace, deposits: Dict[str, TxInstance], anchor: TxInstance,
-                 body: Sequence[TxInstance]) -> None:
+                 trace: Trace, parts: TreeParts, deposits: Dict[str, TxInstance],
+                 anchor: TxInstance, body: Sequence[Tuple[str, str]]) -> None:
         self.tree = tree
         self.commitments = commitments
         self.salt = salt
         self.trace = trace
+        # Every node's parts, shared by every subtree the session compiles.
+        self.parts = parts
         self.chain = ChainState(tree.fee)
         self.deposits = deposits
         self.anchor = anchor
@@ -348,7 +402,8 @@ class Session:
         # visible to everyone once published.
         self.reveal_pool: Dict[str, Reveal] = {}
         self.edge_pool: Dict[str, Set[str]] = {}
-        self.cursor: Optional[Tuple[Dict[NodeId, TxInstance], NodeId]] = None
+        self.cursor: Optional[Tuple[Dict[NodeId, str], NodeId]] = None
+        self.ahead: Dict[NodeId, TxInstance] = {}
         self.phase = STIPULATING
         self.stipulation = self.open_exchange(body, anchor, include_txset=True)
         # The open proposal as (proposer, child), who must agree to it and
@@ -430,8 +485,9 @@ class Session:
     def publish_edge_auth(self, digest: str, signer: str) -> None:
         self.edge_pool.setdefault(digest, set()).add(signer)
 
-    def copies(self, child: NodeId) -> List[TxInstance]:
-        """Every instance of ``child`` that an agreement must authorize."""
+    def copies(self, child: NodeId) -> List[str]:
+        """The digest of every copy of ``child`` whose edge an agreement
+        must authorize."""
         raise NotImplementedError
 
     # -- agreeing on a step --------------------------------------------------
@@ -516,9 +572,8 @@ class Session:
         edge = self.tree.node(child).edge
         for signer in sorted(signers):
             if signer in edge.auth:
-                for inst in self.copies(child):
-                    if signer in inst.edge_signers:
-                        self.publish_edge_auth(inst.digest, signer)
+                for digest in self.copies(child):
+                    self.publish_edge_auth(digest, signer)
             for label in edge.reveals:
                 if label in self.commitments and self.commitments.owner(label) == signer \
                         and label not in self.reveal_pool:
@@ -528,12 +583,13 @@ class Session:
 
     # -- signature exchanges -------------------------------------------------
 
-    def open_exchange(self, body: Sequence[TxInstance], final: TxInstance,
+    def open_exchange(self, body: Sequence[Tuple[str, str]], final: TxInstance,
                       include_txset: bool) -> Exchange:
-        """A new exchange of every participant's signatures on ``body``
-        and then on ``final``, recorded as the one that signs them."""
-        exchange = Exchange(self.tree.participants, [(tx.name, tx.digest) for tx in body],
-                            (final.name, final.digest), include_txset)
+        """A new exchange of every participant's signatures on the (name,
+        digest) items of ``body`` and then on ``final``, recorded as the
+        one that signs them."""
+        exchange = Exchange(self.tree.participants, body, (final.name, final.digest),
+                            include_txset)
         self.exchange_of.update(dict.fromkeys(exchange.index, exchange))
         return exchange
 
@@ -590,35 +646,36 @@ class Session:
 
     # -- the on-chain walk ---------------------------------------------------
 
-    def _land(self, instances: Dict[NodeId, TxInstance], node: NodeId) -> None:
-        """``node`` of ``instances`` is on-chain: continue below it, or
-        finish if it is a leaf."""
-        if self.tree.node(node).children:
-            self.cursor = (instances, node)
+    def _land(self, digests: Dict[NodeId, str], tx: TxInstance, node: NodeId) -> None:
+        """``tx``, the instance of ``node`` in the subtree compiled as
+        ``digests``, is on-chain: build its children's instances and
+        continue below it, or finish if it is a leaf."""
+        self.ahead = instances_below(self.parts, digests, tx, node)
+        if self.ahead:
+            self.cursor = (digests, node)
         else:
             self.cursor = None
             self.phase = FINALIZED
 
     def child_ready(self, actor: str, child: NodeId) -> bool:
         """Could ``actor`` append ``child`` below the cursor right now?"""
-        if self.cursor is None:
-            return False
-        instances, at = self.cursor
-        return child in self.tree.node(at).children and self.ready(actor, instances[child])
+        tx = self.ahead.get(child)
+        return tx is not None and self.ready(actor, tx)
 
     def append_child(self, actor: str, child: NodeId,
                      witness: AppendWitness = EMPTY_WITNESS) -> Optional[AppendError]:
         """Spend the cursor node's continuation output into ``child``.
-        Implicit signatures come from the actor's store, edge material from
-        the public pools; ``witness`` may carry extras on top."""
+        Implicit signatures come from the exchange that signed ``child``,
+        edge material from the public pools; ``witness`` may carry extras
+        on top."""
         if self.cursor is None:
             raise ProtocolError("no node on-chain to continue from")
-        instances, at = self.cursor
-        if child not in self.tree.node(at).children:
+        tx = self.ahead.get(child)
+        if tx is None:
             raise ProtocolError(f"{child} is not a child of the current node")
-        error = self.append(actor, instances[child], ROLE_NODE, witness)
+        error = self.append(actor, tx, ROLE_NODE, witness)
         if error is None:
-            self._land(instances, child)
+            self._land(self.cursor[0], tx, child)
         return error
 
     # -- settling an off-chain execution -------------------------------------
@@ -642,7 +699,7 @@ class Session:
 class OnchainSession(Session):
     """Direct on-chain execution: the anchor is the contract root itself,
     spending the deposits; once it lands the cursor walks the compiled
-    instances."""
+    contract."""
 
     MODE = "onchain"
 
@@ -652,14 +709,14 @@ class OnchainSession(Session):
         if errors:
             raise ProtocolError(f"invalid contract: {errors[0]}")
         deposits = make_deposits(tree, salt)
-        self.instances = compile_onchain(tree, commitments, salt, deposits)
-        anchor, *body = self.instances.values()
-        super().__init__(tree, commitments, salt, trace, deposits, anchor, body)
+        anchor, self.digests, parts = compile_onchain(tree, commitments, salt, deposits)
+        super().__init__(tree, commitments, salt, trace, parts, deposits, anchor,
+                         body_items(parts, self.digests))
         # Steps agreed so far; an agreed step is appended, not agreed again.
         self.agreed_steps: Set[NodeId] = set()
 
-    def copies(self, child: NodeId) -> List[TxInstance]:
-        return [self.instances[child]]
+    def copies(self, child: NodeId) -> List[str]:
+        return [self.digests[child]]
 
     def step_signers(self, child: NodeId) -> Set[str]:
         """The edge's authorizers and the participants owning its secrets;
@@ -675,7 +732,11 @@ class OnchainSession(Session):
         held by a participant who would open it on agreement."""
         if child in self.agreed_steps or not self.step_signers(child):
             return False
-        tx = self.instances[child]
+        # Only a child of the node on-chain has an instance whose input
+        # exists and is unspent.
+        tx = self.ahead.get(child)
+        if tx is None:
+            return False
         enabled = self.chain.enabled_at(tx)
         if enabled is None or not self.chain.reached(enabled):
             return False
@@ -688,5 +749,5 @@ class OnchainSession(Session):
 
     def _anchored(self, actor: str) -> None:
         self.phase = RUNNING
-        self._land(self.instances, self.tree.root)
+        self._land(self.digests, self.anchor, self.tree.root)
 

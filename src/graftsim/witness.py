@@ -35,8 +35,31 @@ def hash_bytes(data: bytes) -> bytes:
 # big-endian integers.  Structural equality of the serialized fields is
 # exactly digest equality; a value too wide for its field raises OverflowError.
 
-def _u64(value: int) -> bytes:
+DIGEST_SIZE = 32
+
+
+def encode_value(value: int) -> bytes:
+    """A 64-bit field, such as an output's value."""
     return value.to_bytes(8, "big")
+
+
+def _text(raw: bytes) -> bytes:
+    """``raw`` after its length in 16 bits."""
+    return len(raw).to_bytes(2, "big") + raw
+
+
+def _head(name: str, salt: bytes, input_count: int) -> bytes:
+    """The encoding of a transaction template up to its input list."""
+    return b"TX1" + _text(name.encode("utf-8")) + _text(salt) + input_count.to_bytes(2, "big")
+
+
+def encode_outputs(outputs: Tuple[Tuple[int, str], ...]) -> bytes:
+    """The encoding of an output list, a template's last field: the count
+    in 16 bits, then each (value, beneficiary) pair, the value in 64 bits
+    and the beneficiary as text."""
+    return len(outputs).to_bytes(2, "big") + b"".join(
+        encode_value(value) + _text(beneficiary.encode("utf-8"))
+        for value, beneficiary in outputs)
 
 
 def tx_digest(
@@ -51,42 +74,34 @@ def tx_digest(
     ``inputs`` are (source digest hex, output index) pairs; ``outputs`` are
     (value, beneficiary) pairs.  The salt scopes the digest to one
     compilation, so identically shaped transactions from different
-    sessions never collide.  Fields are hashed in one pass as they are
-    encoded: text and bytes with a 16-bit length, counts and indices in 16
-    bits, the timelock in 32 and values in 64.  The encoding is split at
-    the input list: ``tx_prefix`` is the part before it, and
-    ``prefixed_digest`` hashes that part and the rest.
+    sessions never collide.  The preimage is the fields in order: text and
+    bytes with a 16-bit length, counts and indices in 16 bits, the
+    timelock in 32 and values in 64.  ``spend_template`` gives the same
+    encoding in parts for a spend of one transaction's first output.
     """
-    return prefixed_digest(tx_prefix(name, salt, len(inputs)), inputs, rel_timelock, outputs)
+    preimage = (_head(name, salt, len(inputs))
+                + b"".join(_text(bytes.fromhex(src)) + idx.to_bytes(2, "big")
+                           for src, idx in inputs)
+                + rel_timelock.to_bytes(4, "big") + encode_outputs(outputs))
+    return hashlib.sha256(preimage).hexdigest()
 
 
-def tx_prefix(name: str, salt: bytes, input_count: int) -> bytes:
-    """The encoding of a transaction template up to its input list: the
-    name, the salt and the number of inputs.  Every instance of one
-    contract node that spends ``input_count`` outputs shares it, wherever
-    its subtree is grafted."""
-    raw = name.encode("utf-8")
-    return (b"TX1" + len(raw).to_bytes(2, "big") + raw
-            + len(salt).to_bytes(2, "big") + salt + input_count.to_bytes(2, "big"))
+def spend_template(name: str, salt: bytes, rel_timelock: int) -> Tuple[bytes, bytes]:
+    """The encoding of a template that spends output 0 of one source
+    transaction under ``rel_timelock``, as the parts before and after the
+    source's raw digest; the output list follows.  So for a source digest
+    ``raw``, ``sha256(before + raw + after + encode_outputs(outputs))`` is
+    ``tx_digest(name, salt, ((raw.hex(), 0),), rel_timelock, outputs)``,
+    unhexed."""
+    return (_head(name, salt, 1) + DIGEST_SIZE.to_bytes(2, "big"),
+            (0).to_bytes(2, "big") + rel_timelock.to_bytes(4, "big"))
 
 
-def prefixed_digest(
-    prefix: bytes,
-    inputs: Tuple[Tuple[str, int], ...],
-    rel_timelock: int,
-    outputs: Tuple[Tuple[int, str], ...],
-) -> str:
-    """``tx_digest`` of the template whose encoding up to the input list is
-    ``prefix``, which must count ``len(inputs)`` inputs (see ``tx_prefix``)."""
-    h = hashlib.sha256(prefix)
-    for src, idx in inputs:
-        ref = bytes.fromhex(src)
-        h.update(len(ref).to_bytes(2, "big") + ref + idx.to_bytes(2, "big"))
-    h.update(rel_timelock.to_bytes(4, "big") + len(outputs).to_bytes(2, "big"))
-    for value, beneficiary in outputs:
-        raw = beneficiary.encode("utf-8")
-        h.update(value.to_bytes(8, "big") + len(raw).to_bytes(2, "big") + raw)
-    return h.hexdigest()
+def one_output_template(beneficiary: str) -> Tuple[bytes, bytes]:
+    """The encoding of a list of one output to ``beneficiary``, as the
+    parts before and after its value: ``before + encode_value(value) +
+    after`` is ``encode_outputs(((value, beneficiary),))``."""
+    return (1).to_bytes(2, "big"), _text(beneficiary.encode("utf-8"))
 
 
 def scenario_salt(seed: int, scope: str = "") -> bytes:
@@ -95,7 +110,7 @@ def scenario_salt(seed: int, scope: str = "") -> bytes:
     ``scope`` separates compilations that share a seed (for example the
     on-chain and off-chain instantiations of the same contract).
     """
-    return hash_bytes(b"salt/" + _u64(seed) + scope.encode("utf-8"))[:NONCE_SIZE]
+    return hash_bytes(b"salt/" + encode_value(seed) + scope.encode("utf-8"))[:NONCE_SIZE]
 
 
 # ---------------------------------------------------------------------------

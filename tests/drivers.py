@@ -9,8 +9,12 @@ polled at every block.  ``run_per_message`` is the reference for the
 engine's send burst: the same run, one message per ``SEND``, each sent
 by ``deliver_next`` (``deliver_one`` for a bare exchange), which checks
 phase gating before every message.  ``instantiate_by_make_tx`` is the
-reference for graft compilation: every instance built by ``make_tx``
-from the contract node itself.
+reference for compilation: every instance of a subtree built by
+``make_tx`` from the contract node itself, which ``compiled_by_make_tx``
+applies to what a session compiled; a session keeps only the digests,
+and builds an instance only below a node that lands, which
+``instances_by_landing`` does for every node and ``landings_checked``
+compares with the reference in whole runs.
 ``exchange_plan`` is the reference for the exchange: the plan as a list
 of ``Message``s, which ``next_for`` walks for a sender's next open
 message.  ``DeliveredSignatures`` is the reference for the signatures an
@@ -53,6 +57,8 @@ from graftsim.onchain import (
     OnchainSession,
     ProtocolError,
     Session,
+    TreeParts,
+    instances_below,
 )
 from graftsim.strategies import SEND, STRATEGIES, Action, Observation, Strategy
 from graftsim.trace import (
@@ -85,11 +91,11 @@ def instantiate_by_make_tx(tree: ContractTree, commitments: CommitmentSet, salt:
                            sub_root: NodeId, root_inputs: Tuple[Tuple[str, int], ...],
                            root_input_value: int,
                            root_rel_timelock: int) -> Dict[NodeId, TxInstance]:
-    """``onchain.instantiate_subtree`` of the subtree at ``sub_root``, each
-    instance built by ``make_tx`` from its contract node: the subtree root
-    spends ``root_inputs`` under ``root_rel_timelock`` with no edge
-    requirements, every other node its parent's continuation output under
-    its edge."""
+    """Every instance of the subtree at ``sub_root``, in preorder, each
+    built by ``make_tx`` from its contract node: the subtree root spends
+    ``root_inputs`` under ``root_rel_timelock`` with no edge requirements,
+    every other node its parent's continuation output under its edge.
+    ``onchain.compile_subtree`` gives the root's instance and the digests."""
     everyone = frozenset(tree.participants)
     instances: Dict[NodeId, TxInstance] = {}
     stack = [(sub_root, root_inputs, root_input_value, root_rel_timelock, NO_EDGE)]
@@ -108,6 +114,77 @@ def instantiate_by_make_tx(tree: ContractTree, commitments: CommitmentSet, salt:
             child_edge = tree.node(child).edge
             stack.append((child, ((inst.digest, 0),), balance, child_edge.wait, child_edge))
     return instances
+
+
+def instances_by_landing(parts: TreeParts, root: TxInstance,
+                         digests: Dict[NodeId, str]) -> Dict[NodeId, TxInstance]:
+    """Every instance of a compiled subtree, in preorder, as a session
+    builds each one once its parent lands (``onchain.instances_below``):
+    ``root`` is the subtree root's instance and ``digests`` the subtree's."""
+    instances = {next(iter(digests)): root}
+    for node_id in digests:
+        instances.update(instances_below(parts, digests, instances[node_id], node_id))
+    return {node_id: instances[node_id] for node_id in digests}
+
+
+def compiled_by_make_tx(session: Session,
+                        graft: Optional[Graft] = None) -> Dict[NodeId, TxInstance]:
+    """``instantiate_by_make_tx`` of what ``session`` compiled: the whole
+    contract on-chain, or ``graft``'s subtree off-chain.  Its digests are
+    checked against the session's."""
+    tree = session.tree
+    if graft is None:
+        inputs = tuple((session.deposits[p].digest, 0) for p in tree.participants)
+        instances = instantiate_by_make_tx(tree, session.commitments, session.salt, tree.root,
+                                           inputs, tree.deposit_total(), 0)
+        digests = session.digests
+    else:
+        instances = instantiate_by_make_tx(
+            tree, session.commitments, session.salt, graft.origin,
+            ((session.init.digest, 0),), session.init.output_total(),
+            graft.root_instance.rel_timelock)
+        digests = graft.digests
+    assert {n: tx.digest for n, tx in instances.items()} == digests
+    return instances
+
+
+def field_types(tx: TxInstance) -> List:
+    """The type of each field of ``tx``, and of each item of a tuple
+    field, recursively: equal instances of different types differ here."""
+    def shape(value):
+        if isinstance(value, tuple):
+            return (type(value), tuple(shape(item) for item in value))
+        return type(value)
+    return [shape(value) for value in tx]
+
+
+@contextmanager
+def landings_checked() -> Iterator[List[Tuple[str, Optional[int], int]]]:
+    """Within the block, every time a session lands a node, the landed
+    instance and the instances it builds for the node's children are
+    compared, field for field and with the same types, with
+    ``compiled_by_make_tx`` of their subtree.  Yields one (mode, the
+    landed graft's index or None on-chain, the ladder's length) per
+    landing."""
+    landings: List[Tuple[str, Optional[int], int]] = []
+    land = Session._land
+
+    def checked(session: Session, digests: Dict[NodeId, str], tx: TxInstance,
+                node: NodeId) -> None:
+        land(session, digests, tx, node)
+        ladder = getattr(session, "ladder", [])
+        graft = next((g for g in ladder if g.digests is digests), None)
+        expected = compiled_by_make_tx(session, graft)
+        for node_id, built in [(node, tx), *session.ahead.items()]:
+            assert built == expected[node_id], (node_id, built, expected[node_id])
+            assert field_types(built) == field_types(expected[node_id]), node_id
+        landings.append((session.MODE, graft.index if graft else None, len(ladder)))
+
+    Session._land = checked
+    try:
+        yield landings
+    finally:
+        Session._land = land
 
 
 class Message(NamedTuple):
@@ -296,7 +373,7 @@ def finalize(session: OffchainSession,
             raise ProtocolError("the path does not pass through the graft origin")
         remaining = path_ids[path_ids.index(latest.origin) + 1:]
         for child in remaining:
-            tx = latest.instances[child]
+            tx = session.ahead[child]
             for signer in tx.edge_signers:
                 session.publish_edge_auth(tx.digest, signer)
             for commitment in tx.required_reveals:
@@ -562,29 +639,32 @@ def witness_by_store(session: Session, store: SignatureStore, actor: str,
     return AppendWitness(frozenset(sigs), frozenset(reveals))
 
 
-def signed_instances(session: Session, grafts: Iterable[Graft]) -> Dict[str, TxInstance]:
-    """Every instance the stipulation of ``session`` signs, then those of
-    each of ``grafts``, by digest."""
+def stipulated_instances(session: Session) -> List[TxInstance]:
+    """Every instance the stipulation of ``session`` signs, each built by
+    ``compiled_by_make_tx``."""
     if isinstance(session, OffchainSession):
-        stipulated = [session.anchor, session.init, *session.shadow.instances.values()]
-    else:
-        stipulated = list(session.instances.values())
-    every = stipulated + [tx for graft in grafts for tx in graft.instances.values()]
-    return {tx.digest: tx for tx in every}
+        return [session.anchor, session.init,
+                *compiled_by_make_tx(session, session.shadow).values()]
+    return list(compiled_by_make_tx(session).values())
 
 
 def _witness_check(engine: _Engine, counts: List[int]) -> Callable[[Observation], None]:
     """The check ``witnesses_checked`` makes at each poll of ``engine``'s run."""
     session = engine.session
     delivered = DeliveredSignatures(engine.tree.participants)
-    grafts: Dict[int, Graft] = {}  # every graft opened so far, by index
+    # Every instance the stipulation and each graft opened so far sign, by
+    # digest, each built by ``compiled_by_make_tx`` once.
+    signed = {tx.digest: tx for tx in stipulated_instances(session)}
+    opened: Set[int] = set()
 
     def check(obs: Observation) -> None:
         stores = delivered.catch_up(session.trace)
         for graft in [*getattr(session, "ladder", ())[1:], session.pending_graft]:
-            if graft is not None:
-                grafts.setdefault(graft.index, graft)
-        instances = signed_instances(session, grafts.values()).values()
+            if graft is not None and graft.index not in opened:
+                opened.add(graft.index)
+                signed.update((tx.digest, tx)
+                              for tx in compiled_by_make_tx(session, graft).values())
+        instances = signed.values()
         for tx in instances:
             for actor in engine.tree.participants:
                 assert session.witness(actor, tx) == \

@@ -27,6 +27,7 @@ from graftsim.contract import (
     subtree_height,
     validate_tree,
 )
+from graftsim.offchain import compile_offchain
 from graftsim.onchain import compile_onchain
 from graftsim.treegen import chain_tree, random_tree
 from graftsim.witness import CommitmentSet
@@ -135,7 +136,20 @@ class TestValidation:
         at_limit = replace(three_party, nodes=nodes,
                            deposits={"A": MAX_AMOUNT - 20, "B": 10, "C": 10})
         assert validate_tree(at_limit) == []
-        compile_onchain(at_limit, CommitmentSet([("SA", "A")], 0), b"salt")
+        commitments = CommitmentSet([("SA", "A")], 0)
+        compile_onchain(at_limit, commitments, b"salt")
+        compile_offchain(at_limit, commitments, b"salt", 1)
+        # One step past a field's width, the encoding raises (compiling
+        # does not validate): a timelock, a name, and a value.
+        for key, too_wide in ((1, replace(nodes[1], edge=Edge(wait=MAX_TIMELOCK + 1))),
+                              (3, replace(nodes[3], name="x" * 2 ** 16))):
+            with pytest.raises(OverflowError):
+                compile_onchain(replace(at_limit, nodes={**nodes, key: too_wide}),
+                                commitments, b"salt")
+        with pytest.raises(OverflowError):
+            compile_onchain(replace(at_limit, fee=0, deposits={"A": MAX_AMOUNT - 19,
+                                                               "B": 10, "C": 10}),
+                            commitments, b"salt")
         nodes[1] = replace(nodes[1], edge=Edge(wait=MAX_TIMELOCK + 1))
         nodes[3] = replace(nodes[3], name="x" * (MAX_NAME_BYTES + 1))
         over = replace(at_limit, nodes=nodes, deposits={"A": MAX_AMOUNT - 19, "B": 10, "C": 10})

@@ -17,7 +17,14 @@ from graftsim.trace import (
 from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
 from graftsim.witness import CommitmentSet, scenario_salt
 
-from drivers import finalize, offchain_step, plan_of, start_offchain, stipulate
+from drivers import (
+    finalize,
+    instances_by_landing,
+    offchain_step,
+    plan_of,
+    start_offchain,
+    stipulate,
+)
 
 
 BO3_PATH = ["Bet", "L??", "LW?", "LWL"]
@@ -45,7 +52,8 @@ class TestCompilation:
     def test_shadow_root_spends_init_under_full_height_timelock(self, bo3_tree):
         commitments = CommitmentSet([(s.label, s.owner) for s in bo3_tree.secrets], 0)
         comp = compile_offchain(bo3_tree, commitments, scenario_salt(0, "offchain"), t=2)
-        shadow_root = comp.shadow[bo3_tree.root]
+        shadow_root = comp.shadow_root
+        assert comp.shadow[bo3_tree.root] == shadow_root.digest
         assert shadow_root.inputs == ((comp.init.digest, 0),)
         assert shadow_root.rel_timelock == subtree_height(bo3_tree, bo3_tree.root) * 2 == 6
 
@@ -112,14 +120,18 @@ class TestGrafts:
         ids = ids_by_name(bo3_tree)
         reveal_oracle(session, "L1")
         graft = offchain_step(session, ids["L??"])
-        assert set(graft.instances) == set(iter_preorder(bo3_tree, ids["L??"]))
-        assert len(graft.instances) == 7
+        assert set(graft.digests) == set(iter_preorder(bo3_tree, ids["L??"]))
+        assert len(graft.digests) == 7
         # cleared root edge: the graft root needs no reveal, only the ladder
         root = graft.root_instance
         assert root.edge_signers == frozenset() and root.required_reveals == frozenset()
         # but body copies keep their own edge requirements
-        body_ll = graft.instances[ids["LL"]]
+        body_ll = instances_by_landing(session.parts, root, graft.digests)[ids["LL"]]
         assert {c.label for c in body_ll.required_reveals} == {"L2"}
+        # an agreement authorizes the body copies of a node, not a graft root
+        assert session.copies(ids["LL"]) == [session.shadow.digests[ids["LL"]],
+                                             graft.digests[ids["LL"]]]
+        assert session.copies(ids["L??"]) == [session.shadow.digests[ids["L??"]]]
 
     def test_exchange_size_per_step(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
@@ -156,8 +168,8 @@ class TestGrafts:
             signed = [(m.phase, m.subject, m.digest) for m in plan_of(graft.exchange)
                       if (m.sender, m.recipient) == (sender, recipient)]
             body = [n for n in iter_preorder(tree, child) if n != child]
-            root = graft.instances[child]
-            assert signed == [(0, tree.node(n).name, graft.instances[n].digest) for n in body] \
+            root = graft.root_instance
+            assert signed == [(0, tree.node(n).name, graft.digests[n]) for n in body] \
                 + [(1, root.name, root.digest)]
             assert root.rel_timelock == subtree_height(tree, child) * 2
 
@@ -391,7 +403,7 @@ class TestReadiness:
         assert session.graft_root_ready("C", shadow)
         assert session.append_graft_root("C", shadow) is None
         t3 = ids_by_name(three_party)["T3"]
-        tx = shadow.instances[t3]
+        tx = session.ahead[t3]
         assert tx.edge_signers == {"C"} and tx.digest not in session.edge_pool
         assert session.ready("C", tx)
         assert not session.child_ready("C", t3)

@@ -29,11 +29,18 @@ from graftsim.trace import (
 )
 from graftsim.witness import CommitmentSet, scenario_salt
 
-from drivers import burst_of, deliver_one, next_for, plan_of, stipulate
+from drivers import burst_of, deliver_one, instances_by_landing, next_for, plan_of, stipulate
 
 
 def commitments_for(tree, seed=1):
     return CommitmentSet([(s.label, s.owner) for s in tree.secrets], seed)
+
+
+def compiled_instances(tree, salt, deposits=None):
+    """Every instance of ``compile_onchain``, as a session builds it on
+    landing each node."""
+    comp = compile_onchain(tree, commitments_for(tree), salt, deposits)
+    return instances_by_landing(comp.parts, comp.root, comp.digests)
 
 
 def session_for(tree, seed=1):
@@ -48,8 +55,7 @@ def by_name(tree):
 
 class TestCompilation:
     def test_edge_requirements_become_instance_fields(self, three_party):
-        instances = compile_onchain(three_party, commitments_for(three_party),
-                                    scenario_salt(1, "onchain"))
+        instances = compiled_instances(three_party, scenario_salt(1, "onchain"))
         named = {three_party.node(i).name: inst for i, inst in instances.items()}
         assert named["T1"].rel_timelock == 5
         assert named["T5"].rel_timelock == 10
@@ -59,32 +65,28 @@ class TestCompilation:
         assert named["T4"].edge_signers == frozenset({"A", "B"})
 
     def test_every_instance_requires_all_participants(self, three_party):
-        instances = compile_onchain(three_party, commitments_for(three_party),
-                                    scenario_salt(1, "onchain"))
+        instances = compiled_instances(three_party, scenario_salt(1, "onchain"))
         for inst in instances.values():
             assert inst.required_signers == frozenset({"A", "B", "C"})
 
     def test_root_spends_all_deposits(self, three_party):
         salt = scenario_salt(1, "onchain")
         deposits = make_deposits(three_party, salt)
-        instances = compile_onchain(three_party, commitments_for(three_party),
-                                    salt, deposits)
+        instances = compiled_instances(three_party, salt, deposits)
         root = instances[three_party.root]
         assert set(root.inputs) == {(d.digest, 0) for d in deposits.values()}
         assert root.outputs[0].beneficiary == CONTINUATION
         assert root.outputs[0].value == 29  # 30 deposited, one fee burned
 
     def test_children_spend_parent_continuation(self, three_party):
-        instances = compile_onchain(three_party, commitments_for(three_party),
-                                    scenario_salt(1, "onchain"))
+        instances = compiled_instances(three_party, scenario_salt(1, "onchain"))
         ids = by_name(three_party)
         parent = instances[ids["T2"]]
         child = instances[ids["T4"]]
         assert child.inputs == ((parent.digest, 0),)
 
     def test_leaf_payouts_split_the_remaining_balance(self, three_party):
-        instances = compile_onchain(three_party, commitments_for(three_party),
-                                    scenario_salt(1, "onchain"))
+        instances = compiled_instances(three_party, scenario_salt(1, "onchain"))
         ids = by_name(three_party)
         t1 = instances[ids["T1"]]  # depth 1: balance 28, thirds, A gets remainder
         assert [(o.value, o.beneficiary) for o in t1.outputs] == \
@@ -98,8 +100,7 @@ class TestCompilation:
                               scenario_salt(1, "onchain"))
         two = compile_onchain(three_party, commitments_for(three_party),
                               scenario_salt(2, "onchain"))
-        assert {i.digest for i in one.values()}.isdisjoint(
-            {i.digest for i in two.values()})
+        assert set(one.digests.values()).isdisjoint(two.digests.values())
 
 
 class TestExchangePlan:
@@ -224,7 +225,7 @@ class TestStepping:
         session = session_for(three_party)
         stipulate(session)
         ids = by_name(three_party)
-        tx = session.instances[ids["T3"]]
+        tx = session.ahead[ids["T3"]]
         error = session.append_child("A", ids["T3"])
         assert isinstance(error, MissingSignature)
         assert (error.signer, error.role) == ("C", "edge")
@@ -243,7 +244,7 @@ class TestStepping:
         session = session_for(three_party)
         stipulate(session)
         ids = by_name(three_party)
-        session.publish_edge_auth(session.instances[ids["T2"]].digest, "B")
+        session.publish_edge_auth(session.digests[ids["T2"]], "B")
         # actor A owns SA, so no published reveal is needed
         assert session.append_child("A", ids["T2"]) is None
 
@@ -277,7 +278,7 @@ class TestStepAgreement:
         session.agree_step(t2, session.step_signers(t2))
         assert not session.edge_satisfiable(t2)  # agreed once, appended next
         assert [e.data["label"] for e in session.trace.find(SECRET_PUBLISHED)] == ["SA"]
-        assert session.edge_pool[session.instances[t2].digest] == {"B"}
+        assert session.edge_pool[session.digests[t2]] == {"B"}
         assert session.append_child("C", t2) is None  # C holds neither SA nor B's auth
         assert session.edge_satisfiable(t4)
 
@@ -319,7 +320,7 @@ class TestProposals:
         assert session.step_signers(t3) == {"C"}
         assert session.propose("C", t3)
         assert session.proposal is None and t3 in session.agreed_steps
-        assert session.edge_pool[session.instances[t3].digest] == {"C"}
+        assert session.edge_pool[session.digests[t3]] == {"C"}
 
     def test_others_owe_while_the_agreement_waits(self, three_party):
         session = session_for(three_party)

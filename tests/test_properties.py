@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from graftsim.contract import (
     PayoutShare,
+    deepest_leaf_path,
     iter_preorder,
     leaves,
     path_to,
@@ -29,10 +30,17 @@ from graftsim.harness import (
     message_census,
     run,
 )
+from graftsim.ledger import TxInstance
 from graftsim.offchain import compile_offchain
-from graftsim.onchain import Exchange, compile_onchain, instantiate_subtree, make_deposits
+from graftsim.onchain import Exchange, compile_onchain, compile_subtree, make_deposits
 from graftsim.strategies import NEVER, WITHHOLD, Action, Observation
-from graftsim.trace import GRAFT_PROPOSED, GRAFT_SEALED, INIT_APPENDED, replay_appends
+from graftsim.trace import (
+    GRAFT_PROPOSED,
+    GRAFT_SEALED,
+    INIT_APPENDED,
+    OUTCOME_LEAF,
+    replay_appends,
+)
 from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
 from graftsim.witness import CommitmentSet, scenario_salt, tx_digest
 
@@ -42,7 +50,10 @@ from drivers import (
     deliver_one,
     events_and_summary,
     exchange_plan,
+    field_types,
+    instances_by_landing,
     instantiate_by_make_tx,
+    landings_checked,
     next_for,
     observations_checked,
     offchain_step,
@@ -110,34 +121,42 @@ def test_generated_contracts_always_validate(seed):
 # -- graft compilation ------------------------------------------------------
 
 def _compilations(tree, seed, t):
-    """Every instance map a session compiles, as (what, the map, the
-    ``instantiate_subtree`` arguments after the parts): the on-chain map,
-    whose root spends one deposit per participant, the shadow, and a graft
-    at every other node."""
+    """Every subtree a session compiles, as (commitments, salt, what, the
+    parts, the root's instance, the digests, the ``compile_subtree``
+    arguments after the parts): the on-chain contract, whose root spends
+    one deposit per participant, the shadow, and a graft at every other
+    node."""
     commitments = CommitmentSet([(s.label, s.owner) for s in tree.secrets], seed)
     salt = scenario_salt(seed, MODE_ONCHAIN)
     deposits = make_deposits(tree, salt)
-    yield (commitments, salt, "onchain", compile_onchain(tree, commitments, salt, deposits),
+    root, digests, parts = compile_onchain(tree, commitments, salt, deposits)
+    yield (commitments, salt, "onchain", parts, root, digests,
            (tree.root, tuple((deposits[p].digest, 0) for p in tree.participants),
             tree.deposit_total(), 0))
     salt = scenario_salt(seed, MODE_OFFCHAIN)
     comp = compile_offchain(tree, commitments, salt, t)
     spend_init = ((comp.init.digest, 0),)
     pot = comp.init.output_total()
-    yield (commitments, salt, "shadow", comp.shadow,
+    yield (commitments, salt, "shadow", comp.parts, comp.shadow_root, comp.shadow,
            (tree.root, spend_init, pot, subtree_height(tree, tree.root) * t))
     for origin in iter_preorder(tree):
         if origin != tree.root:
             args = (origin, spend_init, pot, subtree_height(tree, origin) * t)
-            yield commitments, salt, origin, instantiate_subtree(comp.parts, *args), args
+            yield (commitments, salt, origin, comp.parts, *compile_subtree(comp.parts, *args),
+                   args)
 
 
 def _assert_compiled_by_make_tx(tree, seed, t):
-    for commitments, salt, what, instances, args in _compilations(tree, seed, t):
+    """Each compilation's digests are the reference's, in preorder; its
+    root instance, and every instance a session would build on landing,
+    equal the reference's field for field, with the same types."""
+    for commitments, salt, what, parts, root, digests, args in _compilations(tree, seed, t):
         expected = instantiate_by_make_tx(tree, commitments, salt, *args)
-        assert list(instances.items()) == list(expected.items()), what
-        for inst, ref in zip(instances.values(), expected.values()):
-            assert [type(f) for f in inst] == [type(f) for f in ref], what
+        assert list(digests.items()) == [(n, tx.digest) for n, tx in expected.items()], what
+        landed = instances_by_landing(parts, root, digests)
+        assert list(landed.items()) == list(expected.items()), what
+        for inst, ref in zip(landed.values(), expected.values()):
+            assert field_types(inst) == field_types(ref), what
 
 
 @NO_DEADLINE
@@ -650,3 +669,86 @@ def test_witnesses_equal_the_store_reference(seed, data):
 @pytest.mark.parametrize("path", bundled_scenarios(), ids=lambda p: p.stem)
 def test_bundled_witnesses_equal_the_store_reference(path):
     _witnesses_match_the_store_reference(load_scenario(path))
+
+
+# -- instances are built only below a node that lands -------------------------
+
+def _landings_match_the_reference(scenario):
+    with landings_checked() as landings:
+        checked = run(scenario).serialize()
+    # The check reads the session; the run must not notice.
+    assert checked == run(scenario).serialize()
+    return landings
+
+
+def _older_graft_landed(landings):
+    return any(index is not None and index < size - 1 for _, index, size in landings)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_landed_instances_equal_the_make_tx_reference(seed, data):
+    adversary = data.draw(st.sampled_from(ADVERSARIES + ("honest",)), label="adversary")
+    for scenario in _adversary_scenarios(seed, data, (adversary,)):
+        _landings_match_the_reference(scenario)
+
+
+@pytest.mark.parametrize("path", bundled_scenarios(), ids=lambda p: p.stem)
+def test_bundled_landed_instances_equal_the_make_tx_reference(path):
+    _landings_match_the_reference(load_scenario(path))
+
+
+def test_the_landing_comparison_covers_both_modes_and_an_older_graft():
+    """The bundled runs land nodes in both modes, and a failsafe among
+    them lands a graft older than the newest sealed one."""
+    landings = [landing for path in bundled_scenarios()
+                for landing in _landings_match_the_reference(load_scenario(path))]
+    assert {mode for mode, _, _ in landings} == {MODE_ONCHAIN, MODE_OFFCHAIN}
+    assert _older_graft_landed(landings)
+
+
+def _instances_built(scenario):
+    """How many ``TxInstance``s a run of ``scenario`` builds."""
+    built = [0]
+    new = TxInstance.__dict__["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    TxInstance.__new__ = counting
+    try:
+        trace = run(scenario)
+    finally:
+        TxInstance.__new__ = new
+    return built[0], trace
+
+
+def _cooperative(tree, mode):
+    path = tuple(tree.node(n).name for n in deepest_leaf_path(tree))
+    return Scenario(label="cooperative", tree=tree, mode=mode,
+                    strategies={p: ("honest", {}) for p in tree.participants}, path=path)
+
+
+def test_an_offchain_run_builds_instances_only_for_roots():
+    # For chain_tree(n): the deposits, Head and Init; one root for the
+    # shadow and for each of the n - 1 grafts; the leaf graft lands, and
+    # builds no child.  An instance per node of the shadow and of every
+    # graft would be n(n - 1)/2 more.
+    n = 16
+    tree = chain_tree(n)
+    built, trace = _instances_built(_cooperative(tree, MODE_OFFCHAIN))
+    assert trace.summary["outcome"] == OUTCOME_LEAF
+    assert trace.count(GRAFT_PROPOSED) == n - 1
+    assert built == len(tree.participants) + 2 + 1 + (n - 1)
+
+
+def test_an_onchain_run_builds_instances_only_below_landed_nodes():
+    # For complete_binary_tree(h): the deposits and the root; the two
+    # children of each of the h internal nodes the walk lands.  An
+    # instance per node would be 2^(h+1) - 1 after the deposits.
+    h = 3
+    tree = complete_binary_tree(h)
+    built, trace = _instances_built(_cooperative(tree, MODE_ONCHAIN))
+    assert trace.summary["outcome"] == OUTCOME_LEAF
+    assert built == len(tree.participants) + 1 + 2 * h

@@ -14,8 +14,11 @@ from graftsim.witness import (
     Reveal,
     check_reveal,
     commit,
+    encode_outputs,
+    one_output_template,
     scenario_salt,
     sign,
+    spend_template,
     tx_digest,
     verify,
 )
@@ -102,6 +105,21 @@ outs = st.builds(OutputSpec, st.integers(0, MAX_AMOUNT), names)
 def test_one_pass_digest_equals_the_piecewise_reference(name, salt, inputs, rel, outputs):
     assert tx_digest(name, salt, inputs, rel, outputs) == \
         reference_tx_digest(name, salt, inputs, rel, tuple(map(tuple, outputs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(names, st.binary(max_size=40), st.binary(min_size=32, max_size=32),
+       st.integers(0, MAX_TIMELOCK), st.lists(outs, max_size=3).map(tuple),
+       st.integers(0, MAX_AMOUNT), names)
+def test_the_templates_fill_to_the_one_pass_digest(name, salt, raw, rel, outputs, value, payee):
+    # What compilation hashes per node: a spend of one source's output 0,
+    # filled in with the source's raw digest and the outputs.
+    before, after = spend_template(name, salt, rel)
+    assert hashlib.sha256(before + raw + after + encode_outputs(outputs)).hexdigest() == \
+        tx_digest(name, salt, ((raw.hex(), 0),), rel, outputs)
+    pay_before, pay_after = one_output_template(payee)
+    assert pay_before + value.to_bytes(8, "big") + pay_after == \
+        encode_outputs(((value, payee),))
 
 
 WIDE = 2 ** 16
