@@ -49,6 +49,8 @@ from .ledger import AppendError
 from .onchain import (
     ABORTED,
     FINALIZED,
+    MODE_OFFCHAIN,
+    MODE_ONCHAIN,
     OnchainSession,
     ProtocolError,
     STIPULATING,
@@ -75,7 +77,6 @@ from .strategies import (
     WITHHOLD,
 )
 from .trace import (
-    Event,
     ORACLE_REVEAL,
     OUTCOME_ABORTED,
     OUTCOME_HEIGHT_CAP,
@@ -84,9 +85,6 @@ from .trace import (
     summarize_run,
 )
 from .witness import CommitmentSet, scenario_salt
-
-MODE_ONCHAIN = "onchain"
-MODE_OFFCHAIN = "offchain"
 
 _POLL_GUARD = 10_000
 
@@ -290,8 +288,9 @@ class _LiveObservation(Observation):
     # Never on-chain: the walk stands at a leaf only once the run is over.
     at_leaf = _Lazy(lambda o: o._step_origin is not None
                     and not o._engine.tree.node(o._step_origin).children)
+    # The ledger's dry run says no while Init, the input it spends, is off the chain.
     latest_root_ready = _Lazy(lambda o: o._session.latest_sealed is not None
-                              and o._session.graft_root_ready(o.actor, o._session.latest_sealed))
+                              and o._session.ready(o.actor, o._session.latest_sealed.root_instance))
     continuation_ready = _Lazy(lambda o: o.next_child is not None
                                and o._session.child_ready(o.actor, o.next_child))
     rollback_target = _Lazy(lambda o: o._session.rollback_target())
@@ -388,8 +387,7 @@ class _Engine:
             if label in self.session.reveal_pool:
                 continue
             self.session.publish_reveal(self.session.commitments.reveal(label))
-            self.trace.add(Event(self.chain.height, "oracle", ORACLE_REVEAL,
-                                 {"label": label}))
+            self.trace.add(self.chain.height, "oracle", ORACLE_REVEAL, {"label": label})
 
     # -- observation ---------------------------------------------------------
 

@@ -143,9 +143,6 @@ class ChainState:
             self.next_flip = height
         return False
 
-    def is_appended(self, digest: str) -> bool:
-        return digest in self.appended
-
     def is_unspent(self, ref: InputRef) -> bool:
         return ref in self.utxos
 

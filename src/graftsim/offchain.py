@@ -44,11 +44,11 @@ from .trace import (
     GRAFT_PROPOSED,
     GRAFT_SEALED,
     INIT_APPENDED,
-    Event,
     Trace,
 )
 from .onchain import (
     FAILSAFE,
+    MODE_OFFCHAIN,
     ROLE_GRAFT_ROOT,
     ROLE_HEAD,
     ROLE_INIT,
@@ -133,13 +133,13 @@ class OffchainSession(Session):
     structure.
     """
 
-    MODE = "offchain"
+    MODE = MODE_OFFCHAIN
     ANCHOR_ROLE = ROLE_HEAD
 
     def __init__(self, tree: ContractTree, commitments: CommitmentSet, salt: bytes,
                  trace: Trace, t: int) -> None:
         comp = compile_offchain(tree, commitments, salt, t)
-        super().__init__(tree, commitments, salt, trace, comp.parts, comp.deposits, comp.head,
+        super().__init__(tree, commitments, trace, comp.parts, comp.deposits, comp.head,
                          [(comp.init.name, comp.init.digest),
                           (comp.shadow_root.name, comp.shadow_root.digest),
                           *body_items(comp.parts, comp.shadow)])
@@ -203,18 +203,12 @@ class OffchainSession(Session):
         published (or held by a participant who would publish them on
         agreement), and the edge's wait must have elapsed since the last
         settled step.  Authorizations are granted by the agreement itself."""
-        edge = self.tree.node(child).edge
-        for label in edge.reveals:
-            published = label in self.reveal_pool
-            owned = (label in self.commitments
-                     and self.commitments.owner(label) in self.tree.participants)
-            if not (published or owned):
-                return False
+        if not self.secrets_openable(child):
+            return False
+        wait = self.parts.nodes[child].wait
         latest = self.latest_sealed
         anchor = latest.seal_height if latest else None
-        if edge.wait and (anchor is None or not self.chain.reached(anchor + edge.wait)):
-            return False
-        return True
+        return not wait or (anchor is not None and self.chain.reached(anchor + wait))
 
     def agree_step(self, child: NodeId, signers: Iterable[str]) -> None:
         super().agree_step(child, signers)
@@ -241,9 +235,9 @@ class OffchainSession(Session):
     def _seal(self, graft: Graft, actor: str) -> None:
         """``graft`` is fully signed: it joins the ladder."""
         self.ladder.append(graft)
-        self.trace.add(Event(self.chain.height, actor, GRAFT_SEALED, {
+        self.trace.add(self.chain.height, actor, GRAFT_SEALED, {
             "digest": graft.root_instance.digest, "index": graft.index,
-            "origin": self.tree.node(graft.origin).name}))
+            "origin": self.tree.node(graft.origin).name})
 
     def _anchored(self, actor: str) -> None:
         self.phase = RUNNING
@@ -275,10 +269,10 @@ class OffchainSession(Session):
                       self.open_exchange(body_items(self.parts, digests), root,
                                          include_txset=False))
         self.pending_graft = graft
-        self.trace.add(Event(self.chain.height, "session", GRAFT_PROPOSED, {
+        self.trace.add(self.chain.height, "session", GRAFT_PROPOSED, {
             "digest": root.digest, "index": graft.index,
             "origin": self.tree.node(child).name, "rel_timelock": timelock,
-            "size": len(digests)}))
+            "size": len(digests)})
         if graft.exchange.complete:
             # Nothing to sign, as in a one-participant contract: no message
             # would ever complete the exchange, so it is sealed now.
@@ -295,24 +289,23 @@ class OffchainSession(Session):
             self.phase = FAILSAFE
             # A half-signed graft can never land: its exchange stops here.
             self.pending_graft = None
-            self.trace.add(Event(self.chain.height, actor, INIT_APPENDED,
-                                 {"digest": self.init.digest}))
+            self.trace.add(self.chain.height, actor, INIT_APPENDED, {"digest": self.init.digest})
         return error
 
     def trigger_failsafe(self, actor: str) -> Optional[AppendError]:
         """Deliberate move on-chain, logged before the Init append."""
         if self.phase != RUNNING:
             raise ProtocolError("the failsafe needs Head on-chain and Init off it")
-        self.trace.add(Event(self.chain.height, actor, FAILSAFE_TRIGGERED,
-                             {"steps_sealed": self.steps_sealed}))
+        self.trace.add(self.chain.height, actor, FAILSAFE_TRIGGERED,
+                       {"steps_sealed": self.steps_sealed})
         return self.append_init(actor)
 
     def append_graft_root(self, actor: str, graft: Graft) -> Optional[AppendError]:
         error = self.append(actor, graft.root_instance, ROLE_GRAFT_ROOT)
         if error is None:
-            self.trace.add(Event(self.chain.height, actor, GRAFT_APPENDED, {
+            self.trace.add(self.chain.height, actor, GRAFT_APPENDED, {
                 "digest": graft.root_instance.digest, "index": graft.index,
-                "origin": self.tree.node(graft.origin).name}))
+                "origin": self.tree.node(graft.origin).name})
             self._land(graft.digests, graft.root_instance, graft.origin)
         return error
 
@@ -328,11 +321,6 @@ class OffchainSession(Session):
         if index is None:
             raise ProtocolError("no older state can redeem Init")
         return self.append_graft_root(actor, self.ladder[index])
-
-    def graft_root_ready(self, actor: str, graft: Graft) -> bool:
-        """Could ``actor`` land this graft root right now?  The ledger's dry
-        run says no while Init, the input it spends, is off the chain."""
-        return self.ready(actor, graft.root_instance)
 
     def child_ready(self, actor: str, child: NodeId) -> bool:
         # The one readiness rule stricter than the ledger: continuing

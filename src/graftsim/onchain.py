@@ -57,7 +57,6 @@ from .trace import (
     STIPULATION_ABORTED,
     STIPULATION_COMPLETE,
     TXSET_SHAPE,
-    Event,
     Trace,
     witness_summary,
 )
@@ -74,6 +73,10 @@ from .witness import (
     sign,
     spend_template,
 )
+
+# Execution modes
+MODE_ONCHAIN = "onchain"
+MODE_OFFCHAIN = "offchain"
 
 # Session phases
 STIPULATING = "stipulating"
@@ -221,23 +224,19 @@ class OnchainCompilation(NamedTuple):
     """A contract compiled for direct on-chain execution."""
     root: TxInstance               # spends every deposit
     digests: Dict[NodeId, str]     # every node's, in preorder, the root's first
+    deposits: Dict[str, TxInstance]
     parts: TreeParts
 
 
-def compile_onchain(
-    tree: ContractTree,
-    commitments: CommitmentSet,
-    salt: bytes,
-    deposits: Optional[Dict[str, TxInstance]] = None,
-) -> OnchainCompilation:
+def compile_onchain(tree: ContractTree, commitments: CommitmentSet,
+                    salt: bytes) -> OnchainCompilation:
     """Direct on-chain execution: the root spends every deposit, children
     spend their parent's continuation output."""
-    if deposits is None:
-        deposits = make_deposits(tree, salt)
+    deposits = make_deposits(tree, salt)
     parts = tree_parts(tree, commitments, salt)
     root_inputs = tuple((deposits[p].digest, 0) for p in tree.participants)
     root, digests = compile_subtree(parts, tree.root, root_inputs, tree.deposit_total(), 0)
-    return OnchainCompilation(root, digests, parts)
+    return OnchainCompilation(root, digests, deposits, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +259,14 @@ class Exchange:
     message undelivered is the one holding the least count short of the
     queue's end, and every query is arithmetic on the counts.  The counts
     are also the only record of who holds which signature (``received``).
+    ``body`` is the list given, kept as it is; the session maps each
+    signed digest to its item (``Session.exchange_of``).
     """
 
     def __init__(self, participants: Sequence[str], body: Sequence[Tuple[str, str]],
                  final: Tuple[str, str], include_txset: bool) -> None:
         self.participants = sorted(participants)
-        self.body = list(body)
+        self.body = body
         self.final = final
         self.include_txset = include_txset
         others = len(self.participants) - 1
@@ -276,9 +277,6 @@ class Exchange:
         # Where each phase with messages ends, in every queue.
         self._ends = sorted({self._body_at, self._final_at, self.size} - {0})
         self._rank = {p: i for i, p in enumerate(self.participants)}
-        # Each signed digest's item: its body index, or len(body) for ``final``.
-        self.index = {digest: i for i, (_, digest) in enumerate(self.body)}
-        self.index[final[1]] = len(self.body)
         self.sent: Dict[str, int] = dict.fromkeys(self.participants if others else (), 0)
         self._all_sent = dict.fromkeys(self.sent, self.size)
 
@@ -328,11 +326,12 @@ class Exchange:
                 yield others[at - self._final_at], (self.final,)
                 at += 1
 
-    def received(self, recipient: str, signer: str, digest: str) -> bool:
-        """Has ``signer``'s signature on ``digest`` reached ``recipient``?
-        It has once ``signer``'s count is past that message's position."""
-        item, rank = self.index.get(digest), self._rank
-        if item is None or recipient == signer or recipient not in rank or signer not in rank:
+    def received(self, recipient: str, signer: str, item: int) -> bool:
+        """Has ``signer``'s signature on ``item``, a body index or
+        ``len(body)`` for ``final``, reached ``recipient``?  It has once
+        ``signer``'s count is past that message's position."""
+        rank = self._rank
+        if recipient == signer or recipient not in rank or signer not in rank:
             return False
         # ``recipient``'s place among those ``signer`` sends to.
         to = rank[recipient] - (rank[recipient] > rank[signer])
@@ -381,23 +380,21 @@ class Session:
     MODE = ""
     ANCHOR_ROLE = ROLE_NODE
 
-    def __init__(self, tree: ContractTree, commitments: CommitmentSet, salt: bytes,
-                 trace: Trace, parts: TreeParts, deposits: Dict[str, TxInstance],
-                 anchor: TxInstance, body: Sequence[Tuple[str, str]]) -> None:
+    def __init__(self, tree: ContractTree, commitments: CommitmentSet, trace: Trace,
+                 parts: TreeParts, deposits: Dict[str, TxInstance], anchor: TxInstance,
+                 body: Sequence[Tuple[str, str]]) -> None:
         self.tree = tree
         self.commitments = commitments
-        self.salt = salt
         self.trace = trace
-        # Every node's parts, shared by every subtree the session compiles.
+        # The salt and every node's parts, shared by every subtree the session compiles.
         self.parts = parts
         self.chain = ChainState(tree.fee)
         self.deposits = deposits
         self.anchor = anchor
-        # The announced transaction set: the stipulation body plus the anchor.
-        self.txset_size = len(body) + 1
-        # The exchange that signs each digest, sealed or not: ``witness``
-        # reads the signatures an actor holds off its counts.
-        self.exchange_of: Dict[str, Exchange] = {}
+        # Each signed digest's one record: the exchange that signs it,
+        # sealed or not, and its item there (see ``Exchange.received``).
+        # ``witness`` reads the signatures an actor holds off its counts.
+        self.exchange_of: Dict[str, Tuple[Exchange, int]] = {}
         # Public bulletin: reveals and execution-time edge authorizations,
         # visible to everyone once published.
         self.reveal_pool: Dict[str, Reveal] = {}
@@ -420,30 +417,29 @@ class Session:
             error = self.chain.try_append(dep)
             if error is not None:
                 raise ProtocolError(f"deposit rejected: {error.code}")
-            self.trace.add(Event(self.chain.height, p, DEPOSIT, {
-                "digest": dep.digest, "name": dep.name, "value": dep.output_total()}))
+            self.trace.add(self.chain.height, p, DEPOSIT, {
+                "digest": dep.digest, "name": dep.name, "value": dep.output_total()})
             self.trace.appends.append((dep, EMPTY_WITNESS, self.chain.height))
 
     # -- appends -------------------------------------------------------------
 
-    def witness(self, actor: str, tx: TxInstance,
-                extra: AppendWitness = EMPTY_WITNESS) -> AppendWitness:
+    def witness(self, actor: str, tx: TxInstance) -> AppendWitness:
         """Everything ``actor`` legitimately holds toward appending ``tx``:
         its own signatures, the signatures the exchange signing ``tx`` has
         delivered to it, published authorizations and reveals, and openings
-        of its own secrets, on top of ``extra``.  The witness may be
-        incomplete; the ledger will say so."""
-        exchange = self.exchange_of.get(tx.digest)
-        sigs = set(extra.signatures)
+        of its own secrets.  The witness may be incomplete; the ledger will
+        say so."""
+        exchange, item = self.exchange_of.get(tx.digest, (None, 0))
+        sigs = set()
         for signer in tx.required_signers:
             if signer == actor or (exchange is not None
-                                   and exchange.received(actor, signer, tx.digest)):
+                                   and exchange.received(actor, signer, item)):
                 sigs.add(sign(signer, tx.digest, IMPLICIT))
         granted = self.edge_pool.get(tx.digest, ())
         for signer in tx.edge_signers:
             if signer == actor or signer in granted:
                 sigs.add(sign(signer, tx.digest, EDGE))
-        reveals = set(extra.reveals)
+        reveals = set()
         for commitment in tx.required_reveals:
             if commitment.label in self.reveal_pool:
                 reveals.add(self.reveal_pool[commitment.label])
@@ -459,20 +455,19 @@ class Session:
         return enabled is not None and self.chain.reached(enabled) \
             and self.chain.check(tx, self.witness(actor, tx)) is None
 
-    def append(self, actor: str, tx: TxInstance, role: str,
-               extra: AppendWitness = EMPTY_WITNESS) -> Optional[AppendError]:
+    def append(self, actor: str, tx: TxInstance, role: str) -> Optional[AppendError]:
         """Attempt ``actor``'s append of ``tx`` and log it, success or failure."""
-        witness = self.witness(actor, tx, extra)
+        witness = self.witness(actor, tx)
         error = self.chain.try_append(tx, witness)
         outcome = "ok" if error is None else {"error": error.code, **error.detail()}
-        self.trace.add(Event(self.chain.height, actor, APPEND, {
+        self.trace.add(self.chain.height, actor, APPEND, {
             "digest": tx.digest,
             "inputs": [[d, i] for d, i in tx.inputs],
             "name": tx.name,
             "outcome": outcome,
             "role": role,
             "witness": witness_summary(witness),
-        }))
+        })
         if error is None:
             self.trace.appends.append((tx, witness, self.chain.height))
         return error
@@ -499,6 +494,12 @@ class Session:
     def edge_satisfiable(self, child: NodeId) -> bool:
         """Could a step to ``child`` be agreed right now?"""
         raise NotImplementedError
+
+    def secrets_openable(self, child: NodeId) -> bool:
+        """Is every secret on the edge into ``child`` published, or owned by
+        a participant, who would open it on agreement?"""
+        return all(c.label in self.reveal_pool or c.owner in self.parts.everyone
+                   for c in self.parts.nodes[child].reveals)
 
     @property
     def step_origin(self) -> Optional[NodeId]:
@@ -555,8 +556,8 @@ class Session:
         return self.proposal is not None and actor in self._agreed
 
     def _log_step(self, actor: str, kind: str) -> None:
-        self.trace.add(Event(self.chain.height, actor, kind,
-                             {"child": self.tree.node(self.proposal[1]).name}))
+        self.trace.add(self.chain.height, actor, kind,
+                       {"child": self.tree.node(self.proposal[1]).name})
 
     def _agree_if_complete(self) -> None:
         if self._signers <= self._agreed:
@@ -578,8 +579,7 @@ class Session:
                 if label in self.commitments and self.commitments.owner(label) == signer \
                         and label not in self.reveal_pool:
                     self.publish_reveal(self.commitments.reveal(label))
-                    self.trace.add(Event(self.chain.height, signer, SECRET_PUBLISHED,
-                                         {"label": label}))
+                    self.trace.add(self.chain.height, signer, SECRET_PUBLISHED, {"label": label})
 
     # -- signature exchanges -------------------------------------------------
 
@@ -590,7 +590,8 @@ class Session:
         one that signs them."""
         exchange = Exchange(self.tree.participants, body, (final.name, final.digest),
                             include_txset)
-        self.exchange_of.update(dict.fromkeys(exchange.index, exchange))
+        self.exchange_of.update((digest, (exchange, item))
+                                for item, (_, digest) in enumerate([*body, exchange.final]))
         return exchange
 
     def active_exchange(self) -> Optional[Exchange]:
@@ -598,8 +599,7 @@ class Session:
         return self.stipulation if self.phase == STIPULATING else None
 
     def _exchange_complete(self, exchange: Exchange, sender: str) -> None:
-        self.trace.add(Event(self.chain.height, sender, STIPULATION_COMPLETE,
-                             {"mode": self.MODE}))
+        self.trace.add(self.chain.height, sender, STIPULATION_COMPLETE, {"mode": self.MODE})
 
     def send(self, sender: str) -> int:
         """Deliver every message ``sender`` can send now in the active
@@ -615,7 +615,8 @@ class Session:
         rows, height = self.trace.rows, self.chain.height
         for recipient, items in exchange.segments(sender, burst):
             if items is None:
-                rows.append((TXSET_SHAPE, height, sender, self.txset_size, recipient))
+                # The announced transaction set: the stipulation body and the anchor.
+                rows.append((TXSET_SHAPE, height, sender, len(exchange.body) + 1, recipient))
             else:
                 rows.extend([(SIG_SHAPE, height, sender, digest, recipient, subject)
                              for subject, digest in items])
@@ -625,8 +626,8 @@ class Session:
 
     def abort(self, withholder: str) -> None:
         self.phase = ABORTED
-        self.trace.add(Event(self.chain.height, withholder, STIPULATION_ABORTED,
-                             {"withholder": withholder}))
+        self.trace.add(self.chain.height, withholder, STIPULATION_ABORTED,
+                       {"withholder": withholder})
 
     # -- the anchor ----------------------------------------------------------
 
@@ -662,18 +663,16 @@ class Session:
         tx = self.ahead.get(child)
         return tx is not None and self.ready(actor, tx)
 
-    def append_child(self, actor: str, child: NodeId,
-                     witness: AppendWitness = EMPTY_WITNESS) -> Optional[AppendError]:
+    def append_child(self, actor: str, child: NodeId) -> Optional[AppendError]:
         """Spend the cursor node's continuation output into ``child``.
         Implicit signatures come from the exchange that signed ``child``,
-        edge material from the public pools; ``witness`` may carry extras
-        on top."""
+        edge material from the public pools."""
         if self.cursor is None:
             raise ProtocolError("no node on-chain to continue from")
         tx = self.ahead.get(child)
         if tx is None:
             raise ProtocolError(f"{child} is not a child of the current node")
-        error = self.append(actor, tx, ROLE_NODE, witness)
+        error = self.append(actor, tx, ROLE_NODE)
         if error is None:
             self._land(self.cursor[0], tx, child)
         return error
@@ -701,17 +700,17 @@ class OnchainSession(Session):
     spending the deposits; once it lands the cursor walks the compiled
     contract."""
 
-    MODE = "onchain"
+    MODE = MODE_ONCHAIN
 
     def __init__(self, tree: ContractTree, commitments: CommitmentSet, salt: bytes,
                  trace: Trace) -> None:
         errors = validate_tree(tree)
         if errors:
             raise ProtocolError(f"invalid contract: {errors[0]}")
-        deposits = make_deposits(tree, salt)
-        anchor, self.digests, parts = compile_onchain(tree, commitments, salt, deposits)
-        super().__init__(tree, commitments, salt, trace, parts, deposits, anchor,
-                         body_items(parts, self.digests))
+        comp = compile_onchain(tree, commitments, salt)
+        self.digests = comp.digests
+        super().__init__(tree, commitments, trace, comp.parts, comp.deposits, comp.root,
+                         body_items(comp.parts, comp.digests))
         # Steps agreed so far; an agreed step is appended, not agreed again.
         self.agreed_steps: Set[NodeId] = set()
 
@@ -721,10 +720,8 @@ class OnchainSession(Session):
     def step_signers(self, child: NodeId) -> Set[str]:
         """The edge's authorizers and the participants owning its secrets;
         an edge that needs neither is appended without agreement."""
-        edge = self.tree.node(child).edge
-        owners = {self.commitments.owner(label) for label in edge.reveals
-                  if label in self.commitments}
-        return (set(edge.auth) | owners) & set(self.tree.participants)
+        part = self.parts.nodes[child]
+        return ({c.owner for c in part.reveals} | part.edge_signers) & self.parts.everyone
 
     def edge_satisfiable(self, child: NodeId) -> bool:
         """Worth agreeing now: not agreed yet, someone must agree, the
@@ -738,10 +735,8 @@ class OnchainSession(Session):
         if tx is None:
             return False
         enabled = self.chain.enabled_at(tx)
-        if enabled is None or not self.chain.reached(enabled):
-            return False
-        return all(c.label in self.reveal_pool or c.owner in self.tree.participants
-                   for c in tx.required_reveals)
+        return enabled is not None and self.chain.reached(enabled) \
+            and self.secrets_openable(child)
 
     def agree_step(self, child: NodeId, signers: Iterable[str]) -> None:
         super().agree_step(child, signers)

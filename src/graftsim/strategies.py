@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from .contract import NodeId
-from .onchain import FAILSAFE, RUNNING, STIPULATING
+from .onchain import FAILSAFE, MODE_ONCHAIN, RUNNING, STIPULATING
 
 # Action kinds
 SEND = "send"          # deliver every message I can send now, as one action
@@ -68,7 +68,7 @@ class Observation:
     """
     actor: str
     height: int
-    mode: str                    # "onchain" | "offchain"
+    mode: str                    # MODE_ONCHAIN | MODE_OFFCHAIN
     phase: str
     owes_message: bool           # I could deliver a message right now
     others_owe_me: bool          # an exchange or agreement is waiting on others
@@ -158,7 +158,7 @@ def _cooperates_until_running(fn: Strategy) -> Strategy:
             if obs.anchor_appendable:
                 return Action(APPEND, TARGET_ANCHOR)
             return _IDLE
-        if obs.mode == "onchain":
+        if obs.mode == MODE_ONCHAIN:
             return _onchain_progress(obs)
         return fn(obs, params)
     return strategy

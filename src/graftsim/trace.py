@@ -1,6 +1,6 @@
 """Run traces: an ordered event log plus everything needed to replay it.
 
-Each event is stored as one immutable row, ``(shape, height, actor,
+Each event is written as one immutable row, ``(shape, height, actor,
 *values)``, where ``shape`` is ``(kind, *data keys)`` with the keys in
 insertion order; ``Trace.events`` reads the rows back as ``Event``s.
 Events serialize to JSON Lines with sorted keys, so two runs of the same
@@ -110,20 +110,12 @@ def _lines(rows: Iterable[Tuple]) -> Iterator[str]:
 
 
 class Event(NamedTuple):
-    """One trace event, as ``Trace.add`` takes it and as ``Trace.events``
-    and ``Trace.find`` give it back, with a fresh ``data`` dict per read."""
+    """One trace event, as ``Trace.events`` and ``Trace.find`` give it
+    back, with a fresh ``data`` dict per read: the read form of a row."""
     height: int
     actor: str
     kind: str
     data: Dict
-
-    def to_json(self) -> str:
-        return next(_lines((_row(self),)))
-
-
-def _row(event: Event) -> Tuple:
-    data = event.data
-    return ((event.kind, *data), event.height, event.actor, *data.values())
 
 
 def _event(row: Tuple) -> Event:
@@ -153,23 +145,23 @@ class EventView(Sequence):
 
 class Trace:
     """A run's header, its event rows, its successful appends and its
-    terminal summary.  ``events`` are added as ``Event``s, or appended to
-    ``rows`` directly in the row form."""
+    terminal summary, which ``summarize_run`` fills in.  ``add`` writes an
+    event as its row; ``Session.send`` appends message rows to ``rows``
+    directly.  ``events``, ``find`` and ``serialize`` read the rows."""
 
-    def __init__(self, header: Dict, events: Iterable[Event] = (),
-                 summary: Optional[Dict] = None) -> None:
+    def __init__(self, header: Dict) -> None:
         self.header = header
-        self.rows: List[Tuple] = [_row(event) for event in events]
+        self.rows: List[Tuple] = []
         self.appends: List[Tuple[TxInstance, AppendWitness, int]] = []
-        self.summary: Dict = {} if summary is None else summary
+        self.summary: Dict = {}
 
     @property
     def events(self) -> EventView:
         return EventView(self.rows)
 
-    def add(self, event: Event) -> Event:
-        self.rows.append(_row(event))
-        return event
+    def add(self, height: int, actor: str, kind: str, data: Dict) -> None:
+        """Write the event ``Event(height, actor, kind, data)`` as its row."""
+        self.rows.append(((kind, *data), height, actor, *data.values()))
 
     def count(self, kind: str) -> int:
         return sum(1 for row in self.rows if row[0][0] == kind)
@@ -177,15 +169,13 @@ class Trace:
     def find(self, kind: str) -> List[Event]:
         return [_event(row) for row in self.rows if row[0][0] == kind]
 
-    @property
-    def outcome(self) -> str:
-        return self.summary.get("outcome", "")
-
     def serialize(self) -> str:
         lines = [_ENCODER.encode({"type": "header", **self.header})]
         lines.extend(_lines(self.rows))
         lines.append(_ENCODER.encode({"type": "summary", **self.summary}))
-        return "\n".join(lines) + "\n"
+        # The closing newline, so the text is joined once and not copied.
+        lines.append("")
+        return "\n".join(lines)
 
     def write(self, path: Union[str, Path]) -> None:
         Path(path).write_text(self.serialize(), encoding="utf-8")

@@ -186,9 +186,6 @@ class CommitmentSet:
     def __getitem__(self, label: str) -> SecretCommitment:
         return self._commitments[label]
 
-    def labels(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._commitments))
-
     def owner(self, label: str) -> str:
         return self._commitments[label].owner
 

@@ -48,7 +48,7 @@ from graftsim.contract import (
     resolve_payout,
 )
 from graftsim.harness import Scenario, _Engine, run
-from graftsim.ledger import EMPTY_WITNESS, AppendWitness, TxInstance, make_tx
+from graftsim.ledger import AppendWitness, TxInstance, make_tx
 from graftsim.offchain import Graft, OffchainSession
 from graftsim.onchain import (
     FAILSAFE,
@@ -135,12 +135,12 @@ def compiled_by_make_tx(session: Session,
     tree = session.tree
     if graft is None:
         inputs = tuple((session.deposits[p].digest, 0) for p in tree.participants)
-        instances = instantiate_by_make_tx(tree, session.commitments, session.salt, tree.root,
+        instances = instantiate_by_make_tx(tree, session.commitments, session.parts.salt, tree.root,
                                            inputs, tree.deposit_total(), 0)
         digests = session.digests
     else:
         instances = instantiate_by_make_tx(
-            tree, session.commitments, session.salt, graft.origin,
+            tree, session.commitments, session.parts.salt, graft.origin,
             ((session.init.digest, 0),), session.init.output_total(),
             graft.root_instance.rel_timelock)
         digests = graft.digests
@@ -290,8 +290,8 @@ def deliver_next(session: Session, sender: str) -> Optional[Event]:
                       {"digest": msg.digest, "to": msg.recipient, "tx": msg.subject})
     else:
         event = Event(session.chain.height, sender, TXSET_SENT,
-                      {"count": session.txset_size, "to": msg.recipient})
-    session.trace.add(event)
+                      {"count": len(session.stipulation.body) + 1, "to": msg.recipient})
+    session.trace.add(*event)
     if exchange.complete:
         session._exchange_complete(exchange, sender)
     return event
@@ -356,7 +356,7 @@ def finalize(session: OffchainSession,
     if latest is None:
         raise ProtocolError("nothing sealed to finalize with")
     for _ in range(_DRIVER_GUARD):
-        if session.graft_root_ready(actor, latest):
+        if session.ready(actor, latest.root_instance):
             break
         session.chain.tick()
     else:
@@ -532,7 +532,7 @@ def eager_observation(engine: _Engine, participant: str) -> Observation:
         next_child_proposable=step is not None and session.edge_satisfiable(step),
         at_leaf=origin is not None and not engine.tree.node(origin).children,
         latest_root_ready=latest is not None
-        and session.graft_root_ready(participant, latest),
+        and session.ready(participant, latest.root_instance),
         continuation_ready=step is not None and session.child_ready(participant, step),
         rollback_target=session.rollback_target(),
     )
@@ -619,10 +619,10 @@ class DeliveredSignatures:
 
 
 def witness_by_store(session: Session, store: SignatureStore, actor: str,
-                     tx: TxInstance, extra: AppendWitness = EMPTY_WITNESS) -> AppendWitness:
-    """``session.witness(actor, tx, extra)`` with the implicit signatures
-    ``actor`` holds read from its ``store``."""
-    sigs = set(extra.signatures)
+                     tx: TxInstance) -> AppendWitness:
+    """``session.witness(actor, tx)`` with the implicit signatures ``actor``
+    holds read from its ``store``."""
+    sigs = set()
     for signer in tx.required_signers:
         if signer == actor or store.has(signer, tx.digest, IMPLICIT):
             sigs.add(sign(signer, tx.digest, IMPLICIT))
@@ -630,7 +630,7 @@ def witness_by_store(session: Session, store: SignatureStore, actor: str,
     for signer in tx.edge_signers:
         if signer == actor or signer in granted:
             sigs.add(sign(signer, tx.digest, EDGE))
-    reveals = set(extra.reveals)
+    reveals = set()
     for commitment in tx.required_reveals:
         if commitment.label in session.reveal_pool:
             reveals.add(session.reveal_pool[commitment.label])

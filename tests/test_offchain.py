@@ -77,8 +77,8 @@ class TestStipulation:
         session = start_offchain(bo3_tree, seed=0, t=2)
         assert stipulate(session) is True
         assert session.phase == RUNNING
-        assert session.chain.is_appended(session.anchor.digest)
-        assert not session.chain.is_appended(session.init.digest)
+        assert session.anchor.digest in session.chain.appended
+        assert session.init.digest not in session.chain.appended
         assert session.ladder == [session.shadow] and session.latest_sealed is session.shadow
         sealed = session.trace.find(GRAFT_SEALED)
         assert len(sealed) == 1
@@ -290,7 +290,7 @@ class TestHalfSignedGrafts:
         assert session.pending_graft is None and graft not in session.ladder
         session.chain.tick(20)  # well past every timelock
         for actor in bo3_tree.participants:
-            assert not session.graft_root_ready(actor, graft)
+            assert not session.ready(actor, graft.root_instance)
             # root signatures were phase-gated behind the withheld body message
         error = session.append_graft_root("A", graft)
         assert isinstance(error, MissingSignature)
@@ -317,7 +317,7 @@ class TestFailsafe:
         session = start_offchain(bo3_tree, seed=0, t=2)
         stipulate(session)
         assert session.trigger_failsafe("B") is None
-        assert session.phase == FAILSAFE and session.chain.is_appended(session.init.digest)
+        assert session.phase == FAILSAFE and session.init.digest in session.chain.appended
         with pytest.raises(ProtocolError, match="failsafe"):
             session.trigger_failsafe("B")
         assert session.trace.count(FAILSAFE_TRIGGERED) == 1
@@ -400,7 +400,7 @@ class TestReadiness:
         assert session.append_init("A") is None
         shadow = session.shadow
         session.chain.tick(shadow.root_instance.rel_timelock)
-        assert session.graft_root_ready("C", shadow)
+        assert session.ready("C", shadow.root_instance)
         assert session.append_graft_root("C", shadow) is None
         t3 = ids_by_name(three_party)["T3"]
         tx = session.ahead[t3]

@@ -36,10 +36,11 @@ def commitments_for(tree, seed=1):
     return CommitmentSet([(s.label, s.owner) for s in tree.secrets], seed)
 
 
-def compiled_instances(tree, salt, deposits=None):
+def compiled_instances(tree, salt):
     """Every instance of ``compile_onchain``, as a session builds it on
-    landing each node."""
-    comp = compile_onchain(tree, commitments_for(tree), salt, deposits)
+    landing each node; the compilation's deposits are ``make_deposits``'."""
+    comp = compile_onchain(tree, commitments_for(tree), salt)
+    assert comp.deposits == make_deposits(tree, salt)
     return instances_by_landing(comp.parts, comp.root, comp.digests)
 
 
@@ -72,7 +73,7 @@ class TestCompilation:
     def test_root_spends_all_deposits(self, three_party):
         salt = scenario_salt(1, "onchain")
         deposits = make_deposits(three_party, salt)
-        instances = compiled_instances(three_party, salt, deposits)
+        instances = compiled_instances(three_party, salt)
         root = instances[three_party.root]
         assert set(root.inputs) == {(d.digest, 0) for d in deposits.values()}
         assert root.outputs[0].beneficiary == CONTINUATION
@@ -190,7 +191,7 @@ class TestStipulation:
         session = session_for(three_party)
         assert stipulate(session) is True
         assert session.phase == RUNNING
-        assert session.chain.is_appended(session.anchor.digest)
+        assert session.anchor.digest in session.chain.appended
         assert session.trace.count(STIPULATION_COMPLETE) == 1
         # deposits are spent into the root
         for dep in session.deposits.values():

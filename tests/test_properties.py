@@ -128,9 +128,10 @@ def _compilations(tree, seed, t):
     node."""
     commitments = CommitmentSet([(s.label, s.owner) for s in tree.secrets], seed)
     salt = scenario_salt(seed, MODE_ONCHAIN)
-    deposits = make_deposits(tree, salt)
-    root, digests, parts = compile_onchain(tree, commitments, salt, deposits)
-    yield (commitments, salt, "onchain", parts, root, digests,
+    comp = compile_onchain(tree, commitments, salt)
+    deposits = comp.deposits
+    assert deposits == make_deposits(tree, salt)
+    yield (commitments, salt, "onchain", comp.parts, comp.root, comp.digests,
            (tree.root, tuple((deposits[p].digest, 0) for p in tree.participants),
             tree.deposit_total(), 0))
     salt = scenario_salt(seed, MODE_OFFCHAIN)
@@ -313,13 +314,18 @@ class _DeliveredPlan:
 
 
 def _exchange_queries(exchange, parties, digests):
+    """The exchange's answers to the queries of ``_DeliveredPlan.queries``.
+    ``received`` takes an item: each digest maps to its item, body index or
+    ``len(body)`` for the final one, and a foreign digest reads as not
+    received."""
     everyone = parties + ("Z",)
+    items = {digest: item for item, (_, digest) in enumerate([*exchange.body, exchange.final])}
     return {
         "complete": exchange.complete,
         "pending_from_others": [exchange.pending_from_others(p) for p in everyone],
         "first_blocker": exchange.first_blocker(),
         "owes": [exchange.owes(p) for p in everyone],
-        "received": [exchange.received(r, s, d)
+        "received": [d in items and exchange.received(r, s, items[d])
                      for r in everyone for s in everyone for d in digests],
     }
 

@@ -1,4 +1,5 @@
-"""Source checks that need no linter: every import in the package is used."""
+"""Source checks that need no linter: every import in the package is
+used, and every public name it defines has a reader outside the tests."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,7 @@ import graftsim
 PACKAGE = Path(graftsim.__file__).parent
 # ``__init__`` imports names to re-export them, not to use them.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def unused_imports(source: str) -> list:
@@ -42,3 +44,87 @@ def test_the_check_sees_an_unused_import():
               "def f(x: Dict) -> str:\n"
               "    return json.dumps(x)\n")
     assert unused_imports(source) == [(2, "os"), (3, "L")]
+
+
+def _public_definitions(tree: ast.Module, module: str) -> list:
+    """(qualified name, name) of each public module-level function or
+    class of ``tree`` and each public method of its classes, with the
+    functions registered by a ``@register(...)`` decorator left out."""
+    def registered(node) -> bool:
+        return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                   and d.func.id == "register" for d in node.decorator_list)
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            if not node.name.startswith("_"):
+                found.append((f"{module}.{node.name}", node.name))
+            found += [(f"{module}.{node.name}.{item.name}", item.name) for item in node.body
+                      if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+        elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_") \
+                and not registered(node):
+            found.append((f"{module}.{node.name}", node.name))
+    return found
+
+
+def _reads(tree: ast.Module) -> set:
+    """The names ``tree`` reads: loaded names and attributes, imported
+    names, and the strings listed in an ``__all__``."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(e.value for e in ast.walk(node.value)
+                        if isinstance(e, ast.Constant) and isinstance(e.value, str))
+    return read
+
+
+def unread_public_names(package: dict, readers: list) -> list:
+    """The qualified names of the public functions, classes and methods
+    defined in ``package`` (module name -> source) that neither
+    ``package`` nor ``readers`` (sources) read, export in ``__all__`` or
+    register as a strategy.
+
+    A read is matched by name alone, whoever owns the attribute, so the
+    check is conservative: a member read under a name some other member
+    shares passes.  ``Trace.outcome``, say, would pass because
+    ``Report.outcome`` is read.
+    """
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    read = set()
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        read |= _reads(tree)
+    return sorted(qualified for module, tree in trees.items()
+                  for qualified, name in _public_definitions(tree, module) if name not in read)
+
+
+def test_every_public_name_has_a_reader():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    readers = [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
+    assert readers and unread_public_names(package, readers) == []
+
+
+def test_the_check_sees_an_unread_name():
+    package = {"m": ("__all__ = ['exported']\n"
+                     "def exported(): pass\n"
+                     "def used(): pass\n"
+                     "def unused(): pass\n"
+                     "def _private(): pass\n"
+                     "@register('s')\n"
+                     "def strategy(obs, params): pass\n"
+                     "class K:\n"
+                     "    def __init__(self): self.stored = used()\n"
+                     "    def read(self): pass\n"
+                     "    def stored(self): pass\n"
+                     "    @property\n"
+                     "    def unread(self): pass\n"
+                     "class _Hidden:\n"
+                     "    def method(self): pass\n")}
+    reader = "from m import K\nK().read()\n"
+    assert unread_public_names(package, [reader]) == \
+        ["m.K.stored", "m.K.unread", "m._Hidden.method", "m.unused"]
