@@ -23,11 +23,14 @@ CONTINUATION = "contract"
 
 # What the canonical transaction encoding (``witness.tx_digest``) can hold:
 # amounts in 64 bits, relative timelocks in 32 bits, names in a 16-bit
-# length prefix.  A participant's name also names its deposit transaction,
-# "Dep_<name>", hence the four bytes of headroom.
+# length prefix, input and output counts in 16 bits.  A participant's name
+# also names its deposit transaction, "Dep_<name>", hence the four bytes of
+# headroom.  The anchor spends one deposit per participant, and a leaf pays
+# each participant at most once, so one bound holds both counts.
 MAX_AMOUNT = 2 ** 64 - 1
 MAX_TIMELOCK = 2 ** 32 - 1
 MAX_NAME_BYTES = 2 ** 16 - 1 - len("Dep_")
+MAX_PARTICIPANTS = 2 ** 16 - 1
 
 NodeId = int
 
@@ -238,13 +241,17 @@ def validate_tree(tree: ContractTree) -> List[StructuralError]:
         err("NegativeValue", "fee", f"fee is {tree.fee}")
     if not tree.participants:
         err("NoParticipants", "contract", "a contract needs at least one participant")
+    members: Set[str] = set()
     for p in tree.participants:
+        if p in members:
+            err("DuplicateParticipant", p, "participant listed twice")
+        members.add(p)
         if p == CONTINUATION:
             err("ReservedName", p, f"participant name {CONTINUATION!r} is reserved")
         if p not in tree.deposits:
             err("MissingDeposit", p, "participant has no deposit")
     for p, value in tree.deposits.items():
-        if p not in tree.participants:
+        if p not in members:
             err("UnknownParticipant", p, "deposit from a non-participant")
         if value < 0:
             err("NegativeValue", p, f"deposit is {value}")
@@ -282,7 +289,7 @@ def validate_tree(tree: ContractTree) -> List[StructuralError]:
     if len(declared) != len(tree.secrets):
         err("DuplicateSecret", "secrets", "secret label declared twice")
     for s in tree.secrets:
-        if s.owner != "oracle" and s.owner not in tree.participants:
+        if s.owner != "oracle" and s.owner not in members:
             err("UnknownParticipant", s.label, f"secret owner {s.owner!r} unknown")
 
     if tree.nodes[tree.root].edge != NO_EDGE:
@@ -299,7 +306,7 @@ def validate_tree(tree: ContractTree) -> List[StructuralError]:
             depth[child] = depth[node_id] + 1
         edge = template.edge
         for signer in sorted(edge.auth):
-            if signer not in tree.participants:
+            if signer not in members:
                 err("UnknownParticipant", where, f"edge signer {signer!r} unknown")
         for label in edge.reveals:
             if label not in declared:
@@ -315,8 +322,10 @@ def validate_tree(tree: ContractTree) -> List[StructuralError]:
             total = sum((s.share for s in template.outputs), Fraction(0))
             if total != 1:
                 err("BalanceMismatch", where, f"leaf shares sum to {total}, expected 1")
+            if len({s.to for s in template.outputs}) < len(template.outputs):
+                err("DuplicatePayout", where, "a beneficiary is paid twice")
             for s in template.outputs:
-                if s.to not in tree.participants:
+                if s.to not in members:
                     err("UnknownParticipant", where, f"payout to {s.to!r}")
                 if s.share < 0:
                     err("NegativeValue", where, f"negative share for {s.to}")
@@ -324,6 +333,8 @@ def validate_tree(tree: ContractTree) -> List[StructuralError]:
         if pot - tree.fee * (depth[node_id] + 1) < 0:
             err("NegativeBalance", where, "fees exceed the deposits on this path")
 
+    if len(tree.participants) > MAX_PARTICIPANTS:
+        err("TooLarge", "participants", f"more than {MAX_PARTICIPANTS} participants")
     if tree.deposit_total() > MAX_AMOUNT:
         err("TooLarge", "deposits", f"the deposits total more than {MAX_AMOUNT}")
     names = list(tree.participants) + [t.name for t in tree.nodes.values()]

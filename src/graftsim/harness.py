@@ -474,9 +474,7 @@ def run(scenario: Scenario) -> Trace:
         session = OnchainSession(tree, commitments, salt, trace)
     engine = _Engine(scenario, session, trace)
     outcome = engine.run_rounds()
-    summarize_run(trace, session.chain, tree.fee, outcome,
-                  completion_height=session.chain.height
-                  if outcome == OUTCOME_LEAF else None)
+    summarize_run(trace, session.chain, outcome)
     return trace
 
 

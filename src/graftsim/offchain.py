@@ -205,7 +205,7 @@ class OffchainSession(Session):
         settled step.  Authorizations are granted by the agreement itself."""
         if not self.secrets_openable(child):
             return False
-        wait = self.parts.nodes[child].wait
+        wait = self.tree.node(child).edge.wait
         latest = self.latest_sealed
         anchor = latest.seal_height if latest else None
         return not wait or (anchor is not None and self.chain.reached(anchor + wait))

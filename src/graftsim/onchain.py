@@ -33,8 +33,8 @@ from .contract import (
     CONTINUATION,
     ContractTree,
     NodeId,
+    NodeTemplate,
     OutputSpec,
-    PayoutShare,
     resolve_payout,
     validate_tree,
 )
@@ -110,23 +110,18 @@ NO_REVEALS: FrozenSet[SecretCommitment] = frozenset()
 
 
 class NodeParts(NamedTuple):
-    """What every instance of one node below a subtree root shares,
-    wherever its subtree is grafted: all but the parent reference and the
-    outputs."""
-    name: str
+    """What compilation computes once per node, for every instance of it
+    below a subtree root wherever its subtree is grafted; the rest of a
+    node is read off the tree."""
     before: bytes                          # ``spend_template``: the encoding before
     after: bytes                           # and after the parent's raw digest
-    wait: int                              # the edge's wait: the timelock below a subtree root
-    edge_signers: FrozenSet[str]
-    reveals: FrozenSet[SecretCommitment]
-    children: Tuple[NodeId, ...]
-    shares: Tuple[PayoutShare, ...]        # a leaf's payout
+    reveals: FrozenSet[SecretCommitment]   # the edge's commitments
 
 
 class TreeParts(NamedTuple):
     """The parts of every node of one compilation (see ``tree_parts``)."""
     salt: bytes
-    fee: int
+    tree: ContractTree
     everyone: FrozenSet[str]
     nodes: Dict[NodeId, NodeParts]
 
@@ -138,21 +133,19 @@ def tree_parts(tree: ContractTree, commitments: CommitmentSet, salt: bytes) -> T
     for node_id, node in tree.nodes.items():
         edge = node.edge
         reveals = frozenset(commitments[l] for l in edge.reveals) if edge.reveals else NO_REVEALS
-        nodes[node_id] = NodeParts(node.name, *spend_template(node.name, salt, edge.wait),
-                                   edge.wait, frozenset(edge.auth), reveals, node.children,
-                                   node.outputs)
-    return TreeParts(salt, tree.fee, frozenset(tree.participants), nodes)
+        nodes[node_id] = NodeParts(*spend_template(node.name, salt, edge.wait), reveals)
+    return TreeParts(salt, tree, frozenset(tree.participants), nodes)
 
 
 # A continuation output's encoding, around its value.
 _PAY_BEFORE, _PAY_AFTER = one_output_template(CONTINUATION)
 
 
-def _outputs(node: NodeParts, balance: int) -> Tuple[OutputSpec, ...]:
+def _outputs(node: NodeTemplate, balance: int) -> Tuple[OutputSpec, ...]:
     """``node``'s outputs when ``balance`` is left after its fee."""
     if node.children:
         return (OutputSpec(balance, CONTINUATION),)
-    return resolve_payout(node.shares, balance)
+    return resolve_payout(node.outputs, balance)
 
 
 def compile_subtree(
@@ -173,8 +166,8 @@ def compile_subtree(
     once its parent lands (``instances_below``).  Every transaction burns
     one fee.
     """
-    nodes, fee = parts.nodes, parts.fee
-    top = nodes[sub_root]
+    templates, node_parts, fee = parts.tree.nodes, parts.nodes, parts.tree.fee
+    top = templates[sub_root]
     root = make_tx(top.name, parts.salt, root_inputs, root_rel_timelock, parts.everyone,
                    outputs=_outputs(top, root_input_value - fee))
     digests = {sub_root: root.digest}
@@ -184,16 +177,16 @@ def compile_subtree(
              for child in reversed(top.children)]
     while stack:
         node_id, parent, value = stack.pop()
-        node = nodes[node_id]
+        node, part = templates[node_id], node_parts[node_id]
         balance = value - fee
         if node.children:
-            raw = hash_bytes(b"".join((node.before, parent, node.after, _PAY_BEFORE,
+            raw = hash_bytes(b"".join((part.before, parent, part.after, _PAY_BEFORE,
                                        encode_value(balance), _PAY_AFTER)))
             for child in reversed(node.children):
                 stack.append((child, raw, balance))
         else:
-            raw = hash_bytes(b"".join((node.before, parent, node.after,
-                                       encode_outputs(resolve_payout(node.shares, balance)))))
+            raw = hash_bytes(b"".join((part.before, parent, part.after,
+                                       encode_outputs(resolve_payout(node.outputs, balance)))))
         digests[node_id] = raw.hex()
     return root, digests
 
@@ -202,22 +195,23 @@ def instances_below(parts: TreeParts, digests: Dict[NodeId, str], tx: TxInstance
                     node: NodeId) -> Dict[NodeId, TxInstance]:
     """The instances of ``node``'s children, in declaration order, where
     ``tx`` is ``node``'s instance and ``digests`` those of its subtree."""
-    nodes, spend = parts.nodes, ((tx.digest, 0),)
-    balance = tx.outputs[0].value - parts.fee
+    templates, spend = parts.tree.nodes, ((tx.digest, 0),)
+    balance = tx.outputs[0].value - parts.tree.fee
     below = {}
-    for child in nodes[node].children:
-        part = nodes[child]
-        below[child] = TxInstance(digests[child], part.name, spend, part.wait, parts.everyone,
-                                  part.edge_signers, part.reveals, _outputs(part, balance))
+    for child in templates[node].children:
+        template = templates[child]
+        below[child] = TxInstance(digests[child], template.name, spend, template.edge.wait,
+                                  parts.everyone, frozenset(template.edge.auth),
+                                  parts.nodes[child].reveals, _outputs(template, balance))
     return below
 
 
 def body_items(parts: TreeParts, digests: Dict[NodeId, str]) -> List[Tuple[str, str]]:
     """The (name, digest) of every node of a compiled subtree but its
     root, in preorder: what its exchange signs before the root."""
-    nodes, items = parts.nodes, iter(digests.items())
+    templates, items = parts.tree.nodes, iter(digests.items())
     next(items)
-    return [(nodes[node_id].name, digest) for node_id, digest in items]
+    return [(templates[node_id].name, digest) for node_id, digest in items]
 
 
 class OnchainCompilation(NamedTuple):
@@ -720,8 +714,8 @@ class OnchainSession(Session):
     def step_signers(self, child: NodeId) -> Set[str]:
         """The edge's authorizers and the participants owning its secrets;
         an edge that needs neither is appended without agreement."""
-        part = self.parts.nodes[child]
-        return ({c.owner for c in part.reveals} | part.edge_signers) & self.parts.everyone
+        owners = {c.owner for c in self.parts.nodes[child].reveals}
+        return (owners | self.tree.node(child).edge.auth) & self.parts.everyone
 
     def edge_satisfiable(self, child: NodeId) -> bool:
         """Worth agreeing now: not agreed yet, someone must agree, the

@@ -11,12 +11,13 @@ re-apply just the appends to a fresh ledger and compare terminal states.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
 
 from .ledger import AppendWitness, ChainState, TxInstance
 
@@ -54,15 +55,13 @@ OUTCOME_HEIGHT_CAP = "height_cap"
 # with ``encode_basestring_ascii``, which the lines call directly.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-# Event line formats by shape.  An entry depends on its shape alone, so
-# every trace can share it.  The package's events have literal keys and
-# few shapes (14 over the three benchmark workloads); the cache is cleared
-# once it holds ``_MAX_SHAPES``, so callers that serialize arbitrary events
-# cannot grow it without limit.
-_FORMATS: Dict[Tuple, Tuple[str, Callable[[Tuple], Tuple]]] = {}
+# The package's events have literal keys and few shapes (14 over the
+# three benchmark workloads); the bound keeps callers that serialize
+# arbitrary events from growing the cache of line formats without limit.
 _MAX_SHAPES = 1024
 
 
+@functools.lru_cache(maxsize=_MAX_SHAPES)
 def _line_format(shape: Tuple) -> Tuple[str, Callable[[Tuple], Tuple]]:
     """The ``%`` format of an event line of this shape, and a function that
     picks from a row of it the actor and the data values in sorted key
@@ -90,18 +89,11 @@ def _lines(rows: Iterable[Tuple]) -> Iterator[str]:
     raises ``TypeError`` there and the row goes through the encoder, which
     gives every ``str`` the same bytes."""
     esc, enc = encode_basestring_ascii, _ENCODER.encode
-    formats = _FORMATS
     last = None
     for row in rows:
-        shape = row[0]
-        if shape is not last:
-            try:
-                fmt, pick = formats[shape]
-            except KeyError:
-                if len(formats) >= _MAX_SHAPES:
-                    formats.clear()
-                fmt, pick = formats[shape] = _line_format(shape)
-            last = shape
+        if row[0] is not last:
+            last = row[0]
+            fmt, pick = _line_format(last)
         try:
             line = fmt % (*map(esc, pick(row)), row[1])
         except TypeError:
@@ -188,17 +180,17 @@ def witness_summary(witness: AppendWitness) -> Dict:
     }
 
 
-def summarize_run(trace: Trace, chain: ChainState, fee: int, outcome: str,
-                  completion_height: Optional[int] = None) -> Dict:
-    """Fill in the trace's terminal summary from the final chain state."""
+def summarize_run(trace: Trace, chain: ChainState, outcome: str) -> Dict:
+    """Fill in the trace's terminal summary from the final chain state:
+    a run completes at the height where it reached a leaf."""
     appended = [[e.data["name"], e.data["digest"], e.height, e.data["role"]]
                 for e in trace.find(APPEND) if e.data["outcome"] == "ok"]
     trace.summary = {
         "outcome": outcome,
         "final_height": chain.height,
-        "completion_height": completion_height,
+        "completion_height": chain.height if outcome == OUTCOME_LEAF else None,
         "onchain_tx_count": chain.non_deposit_count(),
-        "fees_paid": fee * chain.non_deposit_count(),
+        "fees_paid": chain.fee * chain.non_deposit_count(),
         "deposits": chain.deposit_total(),
         "payouts": dict(sorted(chain.participant_utxo_values().items())),
         "message_count": trace.count(SIGNATURE_SENT),

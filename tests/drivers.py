@@ -389,8 +389,7 @@ def finalize(session: OffchainSession,
             if error is not None:
                 raise ProtocolError(
                     f"continuation to {tx.name} rejected: {error.code}")
-    summarize_run(session.trace, session.chain, session.tree.fee, OUTCOME_LEAF,
-                  completion_height=session.chain.height)
+    summarize_run(session.trace, session.chain, OUTCOME_LEAF)
     return session.trace
 
 

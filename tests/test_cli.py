@@ -103,6 +103,16 @@ def _out_w_waits_true(contract):
     contract["nodes"]["children"][0]["children"][0]["edge"].append({"after": True})
 
 
+def _out_w_pays_a_twice(contract):
+    contract["nodes"]["children"][0]["children"][0]["outputs"] = [
+        {"to": "A", "share": "1/2"}, {"to": "A", "share": "1/2"}]
+
+
+def _participants_past_the_input_count(contract):
+    contract["participants"] += [f"P{i}" for i in range(2 ** 16 - 2)]
+    contract["deposits"].update(dict.fromkeys(contract["participants"][2:], 1))
+
+
 @pytest.mark.parametrize("scenario_patch, contract_patch, code, message", [
     ({"t": 0}, None, EXIT_BAD_INPUT, "t must be in"),
     ({"t": 2 ** 31}, None, EXIT_BAD_INPUT, "shadow root's timelock"),
@@ -110,6 +120,10 @@ def _out_w_waits_true(contract):
     ({"seed": -1}, None, EXIT_BAD_INPUT, "seed must be in"),
     ({}, lambda c: c["deposits"].update(A=2 ** 64), EXIT_INVALID, "TooLarge at deposits"),
     ({}, _out_w_shares_sum_to_11_28, EXIT_INVALID, "leaf shares sum to 11/28"),
+    # Contracts that ``run`` cannot execute, so validation rejects them.
+    ({}, lambda c: c["participants"].append("A"), EXIT_INVALID, "DuplicateParticipant at A"),
+    ({}, _out_w_pays_a_twice, EXIT_INVALID, "DuplicatePayout at Out_W"),
+    ({}, _participants_past_the_input_count, EXIT_INVALID, "TooLarge at participants"),
     ({"strategies": {"A": {"name": "honest", "params": {"patience": "soon"}}}},
      None, EXIT_BAD_INPUT, "A's honest param patience must be an integer"),
     ({"strategies": {"A": {"name": "honest", "params": {"patience": [1]}}}},
@@ -150,7 +164,8 @@ def _out_w_waits_true(contract):
     ({"oracle": [[2, 1]]}, lambda c: c["secrets"].append({"label": "1", "owner": "oracle"}),
      EXIT_BAD_INPUT, "oracle labels must be strings, got 1"),
 ], ids=["t-zero", "t-past-u32-timelock", "strategy-not-an-object", "negative-seed", "deposit-over-u64",
-        "leaf-shares-11/28", "patience-not-a-number", "patience-a-list",
+        "leaf-shares-11/28", "participant-twice", "payout-twice", "participants-past-u16",
+        "patience-not-a-number", "patience-a-list",
         "failsafe-after-steps-not-a-number", "negative-stall-after-steps",
         "deposit-not-a-number", "participant-not-a-name",
         "node-name-a-number", "node-name-null", "secret-label-a-number", "secret-owner-null",

@@ -7,14 +7,17 @@ from fractions import Fraction
 import pytest
 
 from graftsim.contract import (
+    CONTINUATION,
     MAX_AMOUNT,
     MAX_NAME_BYTES,
+    MAX_PARTICIPANTS,
     MAX_TIMELOCK,
     NO_EDGE,
     ContractParseError,
     Edge,
     NodeTemplate,
     PayoutShare,
+    SecretDecl,
     contract_from_dict,
     contract_to_dict,
     deepest_leaf_path,
@@ -99,6 +102,13 @@ class TestQueries:
         path = deepest_leaf_path(bo3_tree)
         assert len(path) == 4  # a depth-3 leaf, not a depth-2 one
         assert names(bo3_tree, path)[1] == "W??"  # first subtree wins ties
+
+
+def _edit_node(node_id, **fields):
+    """A one-field edit of a tree: its ``nodes``, with node ``node_id``'s
+    ``fields`` replaced."""
+    return lambda tree: {"nodes": {**tree.nodes,
+                                   node_id: replace(tree.nodes[node_id], **fields)}}
 
 
 class TestValidation:
@@ -190,6 +200,43 @@ class TestValidation:
         nodes = dict(three_party.nodes)
         nodes[2] = replace(nodes[2], outputs=(PayoutShare("A", Fraction(1)),))
         assert "BalanceMismatch" in self._kinds(replace(three_party, nodes=nodes))
+
+    @pytest.mark.parametrize("edit, kind, where", [
+        (lambda t: {"participants": ()}, "NoParticipants", "contract"),
+        (lambda t: {"participants": ("A", "B", "C", CONTINUATION)}, "ReservedName", CONTINUATION),
+        (lambda t: {"participants": ("A", "A", "B", "C")}, "DuplicateParticipant", "A"),
+        (lambda t: {"deposits": {**t.deposits, "Z": 1}}, "UnknownParticipant", "Z"),
+        (_edit_node(3, id=9), "IdMismatch", "T3"),
+        (lambda t: {"root": 7}, "UnknownNode", "7"),
+        (_edit_node(0, children=(1, 2, 3, 8)), "UnknownNode", "8"),
+        (lambda t: {"secrets": t.secrets * 2}, "DuplicateSecret", "secrets"),
+        (lambda t: {"secrets": (SecretDecl("SA", "Z"),)}, "UnknownParticipant", "SA"),
+        # The parser rejects a negative wait first; an ``Edge`` built in code reaches here.
+        (_edit_node(1, edge=Edge(wait=-1)), "NegativeValue", "T1"),
+        (_edit_node(3, outputs=(PayoutShare("Z", Fraction(1)),)), "UnknownParticipant", "T3"),
+        (_edit_node(4, outputs=(PayoutShare("A", Fraction(-1)), PayoutShare("B", Fraction(2)))),
+         "NegativeValue", "T4"),
+        # Two outputs, each resolved to the whole balance: the leaf could never land.
+        (_edit_node(4, outputs=(PayoutShare("A", Fraction(1, 2)),) * 2), "DuplicatePayout", "T4"),
+    ], ids=["no-participants", "reserved-name", "participant-twice", "deposit-from-a-stranger",
+            "id-mismatch", "missing-root", "missing-child", "secret-twice",
+            "secret-owner-unknown", "negative-wait", "payout-to-a-stranger", "negative-share",
+            "payout-twice"])
+    def test_a_one_field_edit_is_rejected_first_by_its_check(self, three_party, edit, kind,
+                                                            where):
+        errors = validate_tree(replace(three_party, **edit(three_party)))
+        assert (errors[0].kind, errors[0].where) == (kind, where)
+
+    def test_participants_fit_the_anchors_input_count(self, three_party):
+        """The anchor spends one deposit per participant, and its input
+        count has 16 bits."""
+        def with_participants(count):
+            everyone = ("A", "B", "C", *(f"P{i}" for i in range(count - 3)))
+            return replace(three_party, participants=everyone,
+                           deposits=dict.fromkeys(everyone, 10))
+        assert validate_tree(with_participants(MAX_PARTICIPANTS)) == []
+        assert [(e.kind, e.where) for e in validate_tree(with_participants(
+            MAX_PARTICIPANTS + 1))] == [("TooLarge", "participants")]
 
 
 class TestPayouts:

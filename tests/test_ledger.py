@@ -152,6 +152,18 @@ class TestAppendRules:
         # second input landed at height 5, so 5 + 3 dominates 0 + 3
         assert self.chain.enabled_at(both) == 8
 
+    def test_an_appended_instance_cannot_be_appended_again(self):
+        # A deposit has no input to spend twice: it names its own output.
+        assert self.chain.check(self.dep) == MissingInput((self.dep.digest, 0))
+        tx = self.spend()
+        assert self.chain.try_append(tx, witness_for(tx)) is None
+        assert self.chain.check(tx, witness_for(tx)) == MissingInput((self.dep.digest, 0))
+
+    def test_a_deposit_is_enabled_from_the_start(self):
+        self.chain.tick(4)
+        assert self.chain.enabled_at(deposit("Dep_B", 10)) == 0
+        assert self.chain.enabled_at(self.dep) == 0
+
     def test_value_mismatch(self):
         tx = self.spend(value=20)  # forgets the fee
         error = self.chain.try_append(tx, witness_for(tx))

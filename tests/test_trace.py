@@ -111,11 +111,11 @@ def test_the_shape_cache_stays_within_its_bound():
     bound = trace_module._MAX_SHAPES
     events = [Event(i, "A", f"Kind{i % 7}", {f"k{i}": i, "shared": "%s"})
               for i in range(bound + 50)]
-    # The first shape again, after the cache has been cleared.
+    # The first shape again, after the cache has evicted it.
     events.append(events[0])
     trace = traced({}, events, {})
     assert trace.serialize() == serialize_by_dumps(trace)
-    assert 0 < len(trace_module._FORMATS) <= bound
+    assert 0 < trace_module._line_format.cache_info().currsize <= bound
 
 
 # -- the package's own traces -----------------------------------------------
