@@ -39,6 +39,11 @@ class UnknownNodeError(KeyError):
     pass
 
 
+class PathError(ValueError):
+    """A list of node names, each in the tree, that is not a walk down it
+    from the root."""
+
+
 class ContractParseError(ValueError):
     pass
 
@@ -180,12 +185,18 @@ def path_to(tree: ContractTree, node_id: NodeId) -> List[NodeId]:
 
 
 def resolve_path(tree: ContractTree, names: Sequence[str]) -> List[NodeId]:
-    """Translate a root-to-descendant list of node names into ids."""
+    """Translate a root-to-descendant list of node names into ids.  A name
+    no node has raises ``UnknownNodeError``; a walk that leaves the tree's
+    edges raises ``PathError``."""
+    def off_path(name: str, fault: str) -> Exception:
+        if all(node.name != name for node in tree.nodes.values()):
+            return UnknownNodeError(name)
+        return PathError(fault)
     if not names:
         return []
     root = tree.node(tree.root)
     if names[0] != root.name:
-        raise UnknownNodeError(names[0])
+        raise off_path(names[0], f"must start at the root {root.name!r}")
     ids = [tree.root]
     for name in names[1:]:
         for child in tree.node(ids[-1]).children:
@@ -193,7 +204,8 @@ def resolve_path(tree: ContractTree, names: Sequence[str]) -> List[NodeId]:
                 ids.append(child)
                 break
         else:
-            raise UnknownNodeError(name)
+            raise off_path(name, f"steps off the tree: {name!r} is not a child of "
+                                 f"{tree.node(ids[-1]).name!r}")
     return ids
 
 

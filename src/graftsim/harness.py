@@ -36,6 +36,7 @@ from .contract import (
     MAX_TIMELOCK,
     ContractTree,
     NodeId,
+    PathError,
     UnknownNodeError,
     contract_from_dict,
     contract_to_dict,
@@ -180,6 +181,8 @@ def scenario_from_dict(data: Dict, base_dir: Union[str, Path, None] = None) -> S
         path_ids = resolve_path(tree, path_names)
     except UnknownNodeError as err:
         raise ScenarioError(f"the scenario path names unknown node {err}") from None
+    except PathError as err:
+        raise ScenarioError(f"the scenario path {err}") from None
     _require_leaf(tree, path_ids)
     try:
         oracle = tuple((h, lbl) for h, lbl in data.get("oracle", []))

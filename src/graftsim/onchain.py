@@ -25,6 +25,7 @@ session in ``offchain`` builds on it with Head as its anchor.
 
 from __future__ import annotations
 
+from hashlib import sha256
 from typing import (
     Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
 )
@@ -67,8 +68,6 @@ from .witness import (
     Reveal,
     SecretCommitment,
     encode_outputs,
-    encode_value,
-    hash_bytes,
     one_output_template,
     sign,
     spend_template,
@@ -172,22 +171,29 @@ def compile_subtree(
                    outputs=_outputs(top, root_input_value - fee))
     digests = {sub_root: root.digest}
     # Preorder with an explicit stack: a node is hashed before its children,
-    # which spend its raw digest, and children are popped in declaration order.
+    # which spend its raw digest.  The walk goes on to a node's first child
+    # at once, and its other children wait on the stack in reverse, so
+    # they are popped in declaration order and a single-child run of nodes
+    # never touches the stack.
     stack = [(child, bytes.fromhex(root.digest), root_input_value - fee)
              for child in reversed(top.children)]
     while stack:
         node_id, parent, value = stack.pop()
-        node, part = templates[node_id], node_parts[node_id]
-        balance = value - fee
-        if node.children:
-            raw = hash_bytes(b"".join((part.before, parent, part.after, _PAY_BEFORE,
-                                       encode_value(balance), _PAY_AFTER)))
-            for child in reversed(node.children):
+        while True:
+            node, part = templates[node_id], node_parts[node_id]
+            balance = value - fee
+            children = node.children
+            if not children:
+                digests[node_id] = sha256(b"".join((
+                    part.before, parent, part.after,
+                    encode_outputs(resolve_payout(node.outputs, balance))))).hexdigest()
+                break
+            raw = sha256(b"".join((part.before, parent, part.after, _PAY_BEFORE,
+                                   balance.to_bytes(8, "big"), _PAY_AFTER))).digest()
+            digests[node_id] = raw.hex()
+            for child in children[:0:-1]:
                 stack.append((child, raw, balance))
-        else:
-            raw = hash_bytes(b"".join((part.before, parent, part.after,
-                                       encode_outputs(resolve_payout(node.outputs, balance)))))
-        digests[node_id] = raw.hex()
+            node_id, parent, value = children[0], raw, balance
     return root, digests
 
 
@@ -584,8 +590,8 @@ class Session:
         one that signs them."""
         exchange = Exchange(self.tree.participants, body, (final.name, final.digest),
                             include_txset)
-        self.exchange_of.update((digest, (exchange, item))
-                                for item, (_, digest) in enumerate([*body, exchange.final]))
+        self.exchange_of.update({digest: (exchange, item)
+                                 for item, (_, digest) in enumerate([*body, exchange.final])})
         return exchange
 
     def active_exchange(self) -> Optional[Exchange]:

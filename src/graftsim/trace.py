@@ -14,8 +14,9 @@ from __future__ import annotations
 import functools
 import json
 from collections.abc import Sequence
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import countOf, itemgetter
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
 
@@ -60,32 +61,58 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 # arbitrary events from growing the cache of line formats without limit.
 _MAX_SHAPES = 1024
 
+# A trace of at least ``_MIN_GROUPED`` rows is taken in runs of rows of one
+# shape, and a run of at least ``_MIN_BLOCK`` rows is formatted in blocks of
+# at most ``_BLOCK`` lines, each filled by one ``%`` with arguments gathered
+# in C.  Shorter traces, such as adversary runs (at most 151 rows in the
+# ACCEPTANCE 5 sweep), and shorter runs are formatted row by row, which
+# costs less than grouping the rows and setting up the columns.  The block
+# bound keeps the arguments of one block, and so the peak memory of
+# ``serialize``, small.
+_MIN_GROUPED = 256
+_MIN_BLOCK = 8
+_BLOCK = 64
+
+_SHAPE, _HEIGHT = itemgetter(0), itemgetter(1)
+
 
 @functools.lru_cache(maxsize=_MAX_SHAPES)
-def _line_format(shape: Tuple) -> Tuple[str, Callable[[Tuple], Tuple]]:
-    """The ``%`` format of an event line of this shape, and a function that
+def _line_format(shape: Tuple) -> Tuple[str, Callable[[Tuple], Tuple],
+                                        Tuple[Callable[[Tuple], object], ...]]:
+    """The ``%`` format of an event line of this shape, a function that
     picks from a row of it the actor and the data values in sorted key
-    order, whose encodings fill it ahead of the height.  The constant parts
-    are encoded here once, with every ``%`` in them doubled."""
+    order, whose encodings fill it ahead of the height, and one getter per
+    such column.  The constant parts are encoded here once, with every
+    ``%`` in them doubled."""
+    # Shapes are cached and grouped by equality, under which 1, 1.0 and
+    # True are one kind, though each encodes differently.
+    for part in shape:
+        if not isinstance(part, str):
+            raise TypeError(f"event kinds and data keys must be str, not {type(part).__name__}")
     kind, *keys = shape
-    for key in keys:
-        if not isinstance(key, str):
-            raise TypeError(f"event data keys must be str, not {type(key).__name__}")
     def quoted(text: str) -> str:
         return _ENCODER.encode(text).replace("%", "%%")
     order = sorted(range(len(keys)), key=keys.__getitem__)
     fields = ",".join(quoted(keys[i]) + ":%s" for i in order)
     fmt = '{"actor":%s,"data":{' + fields + '},"height":%d,"kind":' + quoted(kind) + "}"
+    columns = (2, *(3 + i for i in order))
     # ``itemgetter`` of one index returns the item, not a 1-tuple.
-    pick = itemgetter(2, *(3 + i for i in order)) if keys else (lambda row: (row[2],))
-    return fmt, pick
+    pick = itemgetter(*columns) if keys else (lambda row: (row[2],))
+    return fmt, pick, tuple(map(itemgetter, columns))
 
 
-def _lines(rows: Iterable[Tuple]) -> Iterator[str]:
+def _block_args(encode: Callable[[object], str], columns: Tuple, rows: List[Tuple]) -> Tuple:
+    """The arguments of a block of ``rows``' lines, row after row: each
+    column's values encoded, then the height."""
+    return tuple(chain.from_iterable(zip(
+        *[map(encode, map(column, rows)) for column in columns], map(_HEIGHT, rows))))
+
+
+def _row_lines(rows: Iterable[Tuple]) -> Iterator[str]:
     """Each row's line, filled into its shape's cached format: the bytes of
     ``json.dumps`` with sorted keys and compact separators, for an ``int``
     height and ``str`` data keys.  A row whose actor and values are all
-    ``str``, as every message's is, is encoded in C alone; any other value
+    ``str``, as every message's are, is encoded in C alone; any other value
     raises ``TypeError`` there and the row goes through the encoder, which
     gives every ``str`` the same bytes."""
     esc, enc = encode_basestring_ascii, _ENCODER.encode
@@ -93,12 +120,32 @@ def _lines(rows: Iterable[Tuple]) -> Iterator[str]:
     for row in rows:
         if row[0] is not last:
             last = row[0]
-            fmt, pick = _line_format(last)
+            fmt, pick, _ = _line_format(last)
         try:
             line = fmt % (*map(esc, pick(row)), row[1])
         except TypeError:
             line = fmt % (*map(enc, pick(row)), row[1])
         yield line
+
+
+def _block_lines(rows: Iterable[Tuple]) -> Iterator[str]:
+    """``_row_lines``, with each run of at least ``_MIN_BLOCK`` rows of
+    one shape as blocks of lines joined by ``"\\n"``.  A block with a value
+    that is not a ``str`` goes through the encoder whole."""
+    esc, enc = encode_basestring_ascii, _ENCODER.encode
+    for shape, run in groupby(rows, _SHAPE):
+        run = list(run)
+        if len(run) < _MIN_BLOCK:
+            yield from _row_lines(run)
+            continue
+        fmt, _, columns = _line_format(shape)
+        for start in range(0, len(run), _BLOCK):
+            batch = run[start:start + _BLOCK]
+            try:
+                args = _block_args(esc, columns, batch)
+            except TypeError:
+                args = _block_args(enc, columns, batch)
+            yield "\n".join([fmt] * len(batch)) % args
 
 
 class Event(NamedTuple):
@@ -156,14 +203,15 @@ class Trace:
         self.rows.append(((kind, *data), height, actor, *data.values()))
 
     def count(self, kind: str) -> int:
-        return sum(1 for row in self.rows if row[0][0] == kind)
+        return countOf(map(itemgetter(0), map(_SHAPE, self.rows)), kind)
 
     def find(self, kind: str) -> List[Event]:
         return [_event(row) for row in self.rows if row[0][0] == kind]
 
     def serialize(self) -> str:
         lines = [_ENCODER.encode({"type": "header", **self.header})]
-        lines.extend(_lines(self.rows))
+        rows = self.rows
+        lines.extend(_row_lines(rows) if len(rows) < _MIN_GROUPED else _block_lines(rows))
         lines.append(_ENCODER.encode({"type": "summary", **self.summary}))
         # The closing newline, so the text is joined once and not copied.
         lines.append("")

@@ -163,6 +163,12 @@ def _participants_past_the_input_count(contract):
      "label must be a string, got ['not', 'a', 'string']"),
     ({"oracle": [[2, 1]]}, lambda c: c["secrets"].append({"label": "1", "owner": "oracle"}),
      EXIT_BAD_INPUT, "oracle labels must be strings, got 1"),
+    # A path names nodes of the contract, from its root and along its edges.
+    ({"path": ["L??"]}, None, EXIT_BAD_INPUT,
+     "the scenario path must start at the root 'Bet'"),
+    ({"path": ["Bet", "LWL"]}, None, EXIT_BAD_INPUT, "'LWL' is not a child of 'Bet'"),
+    ({"path": ["Bet", "L??", "Nope"]}, None, EXIT_BAD_INPUT,
+     "the scenario path names unknown node 'Nope'"),
 ], ids=["t-zero", "t-past-u32-timelock", "strategy-not-an-object", "negative-seed", "deposit-over-u64",
         "leaf-shares-11/28", "participant-twice", "payout-twice", "participants-past-u16",
         "patience-not-a-number", "patience-a-list",
@@ -173,7 +179,8 @@ def _participants_past_the_input_count(contract):
         "deposit-a-float", "deposit-a-bool", "deposit-a-string", "fee-a-float",
         "after-a-bool", "t-a-float", "patience-a-bool", "seed-a-string",
         "oracle-height-a-float", "height-cap-a-float", "label-a-list",
-        "oracle-label-a-number"])
+        "oracle-label-a-number", "path-not-from-the-root", "path-skips-a-node",
+        "path-names-an-unknown-node"])
 def test_bad_scenario_values_end_in_one_line(tmp_path, capsys, scenario_patch,
                                              contract_patch, code, message):
     contract = json.loads(Path(bundled("bo3.contract")).read_text())

@@ -16,8 +16,10 @@ from graftsim.contract import (
     ContractParseError,
     Edge,
     NodeTemplate,
+    PathError,
     PayoutShare,
     SecretDecl,
+    UnknownNodeError,
     contract_from_dict,
     contract_to_dict,
     deepest_leaf_path,
@@ -75,8 +77,15 @@ class TestQueries:
         assert names(bo3_tree, ids) == ["Bet", "L??", "LW?", "LWL"]
 
     def test_resolve_path_rejects_non_child(self, bo3_tree):
-        with pytest.raises(KeyError):
+        with pytest.raises(PathError, match="'LWL' is not a child of 'Bet'"):
             resolve_path(bo3_tree, ["Bet", "LWL"])
+        with pytest.raises(PathError, match="must start at the root 'Bet'"):
+            resolve_path(bo3_tree, ["L??"])
+
+    def test_resolve_path_names_an_unknown_node(self, bo3_tree):
+        for names in (["Nope"], ["Bet", "L??", "Nope"]):
+            with pytest.raises(UnknownNodeError, match="Nope"):
+                resolve_path(bo3_tree, names)
 
     def test_subtree_height_counts_edges(self, bo3_tree):
         by_name = {bo3_tree.node(i).name: i for i in iter_preorder(bo3_tree)}

@@ -166,9 +166,12 @@ def test_compiled_instances_equal_a_make_tx_walk(seed, t):
     _assert_compiled_by_make_tx(random_tree(seed)[0], seed, t)
 
 
-@pytest.mark.parametrize("tree", [chain_tree(1), chain_tree(7), complete_binary_tree(0),
-                                  complete_binary_tree(3)],
-                         ids=["chain1", "chain7", "binary0", "binary3"])
+# The deeper trees walk long single-child descents (chain64) and leave
+# siblings on the stack below every fan (binary5).
+@pytest.mark.parametrize("tree", [chain_tree(1), chain_tree(7), chain_tree(64),
+                                  complete_binary_tree(0), complete_binary_tree(3),
+                                  complete_binary_tree(5)],
+                         ids=["chain1", "chain7", "chain64", "binary0", "binary3", "binary5"])
 def test_compiled_regular_trees_equal_a_make_tx_walk(tree):
     _assert_compiled_by_make_tx(tree, 5, 2)
 

@@ -21,7 +21,7 @@ from graftsim.harness import (
     run,
 )
 from graftsim.strategies import honest
-from graftsim.trace import Event, Trace
+from graftsim.trace import SIG_SHAPE, SIGNATURE_SENT, Event, Trace
 from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
 from test_acceptance import _bo3_attack_matrix, _random_attack_cases
 
@@ -107,6 +107,14 @@ def test_a_data_key_that_is_not_a_string_raises(data):
         traced({}, [Event(0, "A", "Good", {"a": 1}), Event(0, "A", "Bad", data)], {}).serialize()
 
 
+@pytest.mark.parametrize("kind", [1, True, 1.0, None])
+def test_a_kind_that_is_not_a_string_raises(kind):
+    """Equal kinds of different types, such as 1 and True, would share a
+    cached line format, and so one encoding."""
+    with pytest.raises(TypeError):
+        traced({}, [Event(0, "A", "Good", {}), Event(0, "A", kind, {})], {}).serialize()
+
+
 def test_the_shape_cache_stays_within_its_bound():
     bound = trace_module._MAX_SHAPES
     events = [Event(i, "A", f"Kind{i % 7}", {f"k{i}": i, "shared": "%s"})
@@ -116,6 +124,52 @@ def test_the_shape_cache_stays_within_its_bound():
     trace = traced({}, events, {})
     assert trace.serialize() == serialize_by_dumps(trace)
     assert 0 < trace_module._line_format.cache_info().currsize <= bound
+
+
+# -- blocks of lines ---------------------------------------------------------
+
+BLOCK = trace_module._BLOCK
+# Values that mean something to ``%``, to JSON strings or to ASCII escaping.
+ODD = ("%", "%s%%", '"', "\\", "\u2028", "é✓𝄞", "plain")
+
+
+def _odd(i):
+    return ODD[i % len(ODD)]
+
+
+def _block_trace(last_run):
+    """A trace long enough to be formatted in blocks: runs longer than the
+    block bound, message rows appended directly beside ``add`` rows of the
+    same shape, a run with a value that is not a ``str`` in its middle, and
+    a last run of ``last_run`` rows."""
+    trace = Trace({"label": "blocks"})
+    for i in range(3 * BLOCK + 5):
+        if i % 9 == 4:
+            # Equal to ``SIG_SHAPE``, but a new tuple.
+            trace.add(i, "B", SIGNATURE_SENT, {"digest": f"d{i}{_odd(i)}", "to": "A",
+                                               "tx": _odd(i)})
+        else:
+            trace.rows.append((SIG_SHAPE, i, "A" + _odd(i), f"d{i}", "B", "T" + _odd(i)))
+    # The same kind with its keys in another order is another shape.
+    for i in range(5):
+        trace.add(i, "A", SIGNATURE_SENT, {"tx": _odd(i), "to": "B", "digest": f"d{i}"})
+        trace.rows.append((SIG_SHAPE, i, "A", f"d{i}", "B", _odd(i)))
+    for i in range(BLOCK + 3):
+        text = {BLOCK // 2: 7, BLOCK // 2 + 1: None}.get(i, _odd(i))
+        trace.add(i, _odd(i), "Note", {"text": text, "at": [i, _odd(i)]})
+    for i in range(last_run):
+        trace.add(i, "C", "Last", {"b": _odd(i), "a": f"{i}%d"})
+    trace.summary = {"outcome": "leaf"}
+    return trace
+
+
+@pytest.mark.parametrize("last_run", [1, trace_module._MIN_BLOCK, BLOCK, BLOCK + 1, 2 * BLOCK],
+                         ids=["one", "shortest-block", "one-block", "block-and-one",
+                              "two-blocks"])
+def test_blocks_of_lines_are_json_dumps(last_run):
+    trace = _block_trace(last_run)
+    assert len(trace.rows) >= trace_module._MIN_GROUPED
+    assert trace.serialize() == serialize_by_dumps(trace)
 
 
 # -- the package's own traces -----------------------------------------------
@@ -206,11 +260,17 @@ def test_generated_rows_read_as_the_reference(kind, size, mode, t):
     _assert_rows_read_as_the_reference(run(scenario))
 
 
-def test_serialize_builds_its_text_once():
+@pytest.mark.parametrize("tree, mode", [(chain_tree(32), MODE_OFFCHAIN),
+                                        (complete_binary_tree(6), MODE_ONCHAIN)],
+                         ids=["offchain-chain32", "onchain-binary6"])
+def test_serialize_builds_its_text_once(tree, mode):
     """``serialize`` joins its lines once, closing newline included: the
     allocation peak stays under 2.9 times the text.  Appending the newline
-    to the joined text copies it whole, which puts the peak near 3.4."""
-    trace = run(_generated_scenario(chain_tree(32), MODE_OFFCHAIN, 1))
+    to the joined text copies it whole, which puts the peak near 3.4.  So
+    does formatting the on-chain run's 254-message stipulation as one
+    block: the block bound keeps the encoded values of one block alive,
+    not those of a whole run."""
+    trace = run(_generated_scenario(tree, mode, 1))
     tracemalloc.start()
     try:
         text = trace.serialize()
