@@ -12,8 +12,10 @@ so the same tree can be instantiated with different fee totals.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
@@ -82,6 +84,13 @@ NO_EDGE = Edge()
 
 @dataclass(frozen=True)
 class PayoutShare:
+    """A leaf pays ``to`` this ``share`` of the balance left there.
+
+    ``validate_tree`` checks a leaf's shares in integers: each share's
+    sign on its numerator, its numerator and denominator against
+    ``MAX_AMOUNT``, and their sum as ``sum(n * (L // d)) == L`` with ``L``
+    the least common multiple of the denominators.  A share may be an
+    ``int``; the file's text form is read by ``contract_from_dict``."""
     to: str
     share: Fraction
 
@@ -211,11 +220,23 @@ def resolve_path(tree: ContractTree, names: Sequence[str]) -> List[NodeId]:
 
 def subtree_heights(tree: ContractTree, start: Optional[NodeId] = None) -> Dict[NodeId, int]:
     """``subtree_height`` of each node in the subtree at ``start`` (default: root)."""
+    nodes = tree.nodes
+    order = [tree.root if start is None else start]
+    tree.node(order[0])  # an unknown start raises UnknownNodeError
+    # Breadth first, each node's children appended as the loop reaches
+    # it; reversed, the order visits every child before its parent.
+    below = []
+    for n in order:
+        children = nodes[n].children
+        below.append(children)
+        order.extend(children)
     height: Dict[NodeId, int] = {}
-    # Reversed preorder visits every child before its parent.
-    for n in reversed(list(iter_preorder(tree, start))):
-        children = tree.node(n).children
-        height[n] = 1 + max(height[c] for c in children) if children else 0
+    for n, children in zip(reversed(order), reversed(below)):
+        tallest = -1
+        for c in children:
+            if height[c] > tallest:
+                tallest = height[c]
+        height[n] = tallest + 1
     return height
 
 
@@ -241,6 +262,35 @@ def resolve_payout(shares: Tuple[PayoutShare, ...], balance: int) -> Tuple[Outpu
 
 # ---------------------------------------------------------------------------
 # Validation
+
+def _payout_faults(outputs: Tuple[PayoutShare, ...], members: Set[str]) -> List[Tuple[str, str]]:
+    """The (kind, detail) of each fault of a leaf's payouts.  The shares
+    are checked in integers (see ``PayoutShare``).  Their ``Fraction``
+    sum is built only to word a mismatch, and written out only if its
+    terms fit the amount bound: past it, its digits could pass the
+    interpreter's limit on converting an int to text."""
+    faults = []
+    shares = [s.share for s in outputs]
+    whole = lcm(*[share.denominator for share in shares])
+    if sum([share.numerator * (whole // share.denominator) for share in shares]) != whole:
+        total = sum(shares, Fraction(0))
+        if abs(total.numerator) > MAX_AMOUNT or total.denominator > MAX_AMOUNT:
+            faults.append(("BalanceMismatch", f"leaf shares sum to a fraction with a term "
+                                              f"over {MAX_AMOUNT}, expected 1"))
+        else:
+            faults.append(("BalanceMismatch", f"leaf shares sum to {total}, expected 1"))
+    if len({s.to for s in outputs}) < len(outputs):
+        faults.append(("DuplicatePayout", "a beneficiary is paid twice"))
+    for s in outputs:
+        if s.to not in members:
+            faults.append(("UnknownParticipant", f"payout to {s.to!r}"))
+        numerator, denominator = s.share.numerator, s.share.denominator
+        if numerator < 0:
+            faults.append(("NegativeValue", f"negative share for {s.to}"))
+        if abs(numerator) > MAX_AMOUNT or denominator > MAX_AMOUNT:
+            faults.append(("TooLarge", f"the share for {s.to} has a term over {MAX_AMOUNT}"))
+    return faults
+
 
 def validate_tree(tree: ContractTree) -> List[StructuralError]:
     """Structural checks; an empty result means the tree is well formed."""
@@ -307,42 +357,42 @@ def validate_tree(tree: ContractTree) -> List[StructuralError]:
     if tree.nodes[tree.root].edge != NO_EDGE:
         err("RootEdge", tree.nodes[tree.root].name, "the root has no parent edge to satisfy")
 
-    names_ok = not errors
-    # Edges from the root to each node, filled in as preorder reaches it.
-    depth = {tree.root: 0}
-    pot = tree.deposit_total()
-    for node_id in (iter_preorder(tree) if names_ok else []):
-        template = tree.node(node_id)
+    nodes, pot, fee = tree.nodes, tree.deposit_total(), tree.fee
+    # Each payout tuple's faults, found once per call: leaves that pay
+    # alike share one tuple (see ``contract_from_dict``), and the tree
+    # keeps every tuple alive, so its id is a key for the call.
+    faults: Dict[int, List[Tuple[str, str]]] = {}
+    # Preorder, each node with the transactions from the root down to it.
+    stack = [(tree.root, 1)] if not errors else []
+    while stack:
+        node_id, steps = stack.pop()
+        template = nodes[node_id]
         where = template.name
-        for child in template.children:
-            depth[child] = depth[node_id] + 1
         edge = template.edge
-        for signer in sorted(edge.auth):
-            if signer not in members:
-                err("UnknownParticipant", where, f"edge signer {signer!r} unknown")
-        for label in edge.reveals:
-            if label not in declared:
-                err("UnknownSecret", where, f"edge reveals undeclared {label!r}")
-        if edge.wait < 0:
-            err("NegativeValue", where, f"negative wait {edge.wait}")
-        elif edge.wait > MAX_TIMELOCK:
-            err("TooLarge", where, f"wait {edge.wait} is over {MAX_TIMELOCK}")
+        if edge is not NO_EDGE:
+            for signer in sorted(edge.auth):
+                if signer not in members:
+                    err("UnknownParticipant", where, f"edge signer {signer!r} unknown")
+            for label in edge.reveals:
+                if label not in declared:
+                    err("UnknownSecret", where, f"edge reveals undeclared {label!r}")
+            if edge.wait < 0:
+                err("NegativeValue", where, f"negative wait {edge.wait}")
+            elif edge.wait > MAX_TIMELOCK:
+                err("TooLarge", where, f"wait {edge.wait} is over {MAX_TIMELOCK}")
+        outputs = template.outputs
         if template.children:
-            if template.outputs:
+            if outputs:
                 err("BalanceMismatch", where, "internal node declares leaf payouts")
+            stack.extend([(child, steps + 1) for child in reversed(template.children)])
         else:
-            total = sum((s.share for s in template.outputs), Fraction(0))
-            if total != 1:
-                err("BalanceMismatch", where, f"leaf shares sum to {total}, expected 1")
-            if len({s.to for s in template.outputs}) < len(template.outputs):
-                err("DuplicatePayout", where, "a beneficiary is paid twice")
-            for s in template.outputs:
-                if s.to not in members:
-                    err("UnknownParticipant", where, f"payout to {s.to!r}")
-                if s.share < 0:
-                    err("NegativeValue", where, f"negative share for {s.to}")
-        # Funds left here on-chain: the pot less one fee per node down to it
-        if pot - tree.fee * (depth[node_id] + 1) < 0:
+            found = faults.get(id(outputs))
+            if found is None:
+                found = faults[id(outputs)] = _payout_faults(outputs, members)
+            for kind, detail in found:
+                err(kind, where, detail)
+        # Funds left here on-chain: the pot less one fee per transaction down to it
+        if pot - fee * steps < 0:
             err("NegativeBalance", where, "fees exceed the deposits on this path")
 
     if len(tree.participants) > MAX_PARTICIPANTS:
@@ -388,6 +438,46 @@ def _edge_from_list(entries: List, where: str) -> Edge:
     return Edge(wait, frozenset(auth), tuple(reveals))
 
 
+# A share's text: the forms ``Fraction(str)`` reads, an integer, a ratio
+# "n/d" or a decimal with an optional exponent, with the same groups.
+_SHARE_TEXT = re.compile(r"""
+    \s*(?P<sign>[-+]?)(?=\d|\.\d)
+    (?P<num>\d*|\d+(?:_\d+)*)
+    (?:/(?P<denom>\d+(?:_\d+)*)
+     |(?:\.(?P<decimal>\d+(?:_\d+)*)?)?(?:E(?P<exp>[-+]?\d+(?:_\d+)*))?)
+    \s*""", re.VERBOSE | re.IGNORECASE)
+
+
+def _share(text: str) -> Fraction:
+    """``Fraction(text)``, or ``ValueError`` if ``text`` is no share or its
+    numerator or denominator is over ``MAX_AMOUNT``.  An exponent is
+    checked before its power of ten is built, so a short text cannot
+    ask for a number of unbounded size."""
+    match = _SHARE_TEXT.fullmatch(text)
+    if match is None:
+        raise ValueError(f"invalid share {text!r}")
+    num, denom, decimal, exp = match.group("num", "denom", "decimal", "exp")
+    numerator = int(num or "0")
+    if denom is not None:
+        denominator = int(denom)
+    else:
+        decimal = (decimal or "").replace("_", "")
+        numerator = numerator * 10 ** len(decimal) + int(decimal or "0")
+        scale = int(exp or "0") - len(decimal) if numerator else 0
+        # The share is numerator * 10 ** scale, with the numerator below
+        # 10 ** digits.  So past these scales the share, or its reduced
+        # denominator, is over 10 ** 20, which is over MAX_AMOUNT.
+        digits = len(num) + len(decimal)
+        if scale > 19 or -scale - digits > 19:
+            raise ValueError(f"share {text!r} has a term over {MAX_AMOUNT}")
+        denominator = 10 ** -scale if scale < 0 else 1
+        numerator *= 10 ** max(scale, 0)
+    share = Fraction(-numerator if match.group("sign") == "-" else numerator, denominator)
+    if abs(share.numerator) > MAX_AMOUNT or share.denominator > MAX_AMOUNT:
+        raise ValueError(f"share {text!r} has a term over {MAX_AMOUNT}")
+    return share
+
+
 def _edge_to_list(edge: Edge) -> List[Dict]:
     entries: List[Dict] = [{"auth": sorted(edge.auth)}] if edge.auth else []
     entries += [{"reveal": label} for label in edge.reveals]
@@ -415,6 +505,11 @@ def contract_from_dict(data: Dict) -> ContractTree:
 
     nodes: Dict[NodeId, NodeTemplate] = {}
     counter = iter(range(10 ** 9))
+    # Read once per parse: each distinct share text, and each distinct list
+    # of (beneficiary, share text) pairs, so leaves that pay alike share
+    # one tuple of outputs.
+    shares: Dict[str, Fraction] = {}
+    payouts: Dict[Tuple[Tuple[str, str], ...], Tuple[PayoutShare, ...]] = {(): ()}
 
     def open_node(obj) -> Tuple[NodeId, str, Edge, Tuple, Iterator, List[NodeId]]:
         try:
@@ -428,14 +523,20 @@ def contract_from_dict(data: Dict) -> ContractTree:
                 and isinstance(children, list)):
             raise ContractParseError(f"{name}: edge, outputs and children must be lists")
         edge = _edge_from_list(edge_list, name)
-        outputs = []
+        pairs = []
         for entry in output_list:
             try:
-                outputs.append(PayoutShare(_name(entry["to"], "payout beneficiaries"),
-                                           Fraction(str(entry["share"]))))
+                pair = (_name(entry["to"], "payout beneficiaries"), str(entry["share"]))
+                if pair[1] not in shares:
+                    shares[pair[1]] = _share(pair[1])
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ContractParseError(f"{name}: bad payout entry: {exc}") from exc
-        return next(counter), name, edge, tuple(outputs), iter(children), []
+            pairs.append(pair)
+        key = tuple(pairs)
+        outputs = payouts.get(key)
+        if outputs is None:
+            outputs = payouts[key] = tuple([PayoutShare(to, shares[text]) for to, text in key])
+        return next(counter), name, edge, outputs, iter(children), []
 
     # A nested walk on an explicit stack, so depth costs no interpreter
     # frames: ids follow preorder, and a node is built once its children are.
@@ -479,7 +580,7 @@ def contract_to_dict(tree: ContractTree) -> Dict:
 def load_contract_file(path: Union[str, Path]) -> ContractTree:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an int past the digit limit
         raise ContractParseError(f"{path}: {exc}") from exc
     except RecursionError:
         raise ContractParseError(f"{path}: JSON nested too deeply to parse") from None

@@ -110,10 +110,14 @@ class Scenario:
     height_cap: Optional[int] = None
 
 
-def default_height_cap(scenario: Scenario) -> int:
-    """A generous bound: ten times the span a worst-case run can need."""
+def default_height_cap(scenario: Scenario, height: Optional[int] = None) -> int:
+    """A generous bound: ten times the span a worst-case run can need.
+    ``height`` is the contract's ``subtree_height``, walked for here unless
+    the caller has it from a compilation."""
+    if height is None:
+        height = subtree_height(scenario.tree, scenario.tree.root)
     last_reveal = max((h for h, _ in scenario.oracle), default=0)
-    span = (subtree_height(scenario.tree, scenario.tree.root) + 2) * max(scenario.t, 1)
+    span = (height + 2) * max(scenario.t, 1)
     return 10 * (last_reveal + span + scenario.patience + 5)
 
 
@@ -229,7 +233,7 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+    except (ValueError, RecursionError) as err:  # ValueError: as load_contract_file
         raise ScenarioError(f"{path}: invalid JSON ({err})") from err
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: scenario must be a JSON object")
@@ -317,8 +321,8 @@ class _Engine:
         self.oracle = list(scenario.oracle)
         self.oracle_cursor = 0
         self.last_progress = self.chain.height
-        self.cap = default_height_cap(scenario) if scenario.height_cap is None \
-            else scenario.height_cap
+        self.cap = scenario.height_cap if scenario.height_cap is not None \
+            else default_height_cap(scenario, session.parts.heights[self.tree.root])
 
     # -- scheduling ----------------------------------------------------------
 

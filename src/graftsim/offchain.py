@@ -33,8 +33,6 @@ from .contract import (
     ContractTree,
     NodeId,
     OutputSpec,
-    subtree_height,
-    subtree_heights,
     validate_tree,
 )
 from .ledger import AppendError, TxInstance, make_tx
@@ -117,8 +115,7 @@ def compile_offchain(tree: ContractTree, commitments: CommitmentSet, salt: bytes
                    outputs=(OutputSpec(pot - 2 * tree.fee, CONTINUATION),))
     parts = tree_parts(tree, commitments, salt)
     shadow_root, shadow = compile_subtree(parts, tree.root, ((init.digest, 0),),
-                                          pot - 2 * tree.fee,
-                                          subtree_height(tree, tree.root) * t)
+                                          pot - 2 * tree.fee, parts.heights[tree.root] * t)
     return OffchainCompilation(head, init, shadow_root, shadow, deposits, parts)
 
 
@@ -145,8 +142,6 @@ class OffchainSession(Session):
                           *body_items(comp.parts, comp.shadow)])
         self.t = t
         self.init = comp.init
-        # Every node's subtree height, which times t is its graft's timelock.
-        self.heights = subtree_heights(tree)
         self.shadow = Graft(0, tree.root, comp.shadow_root, comp.shadow, exchange=None)
         # The sealed grafts, oldest first: the shadow joins once stipulation
         # completes, each agreed step's graft once its exchange completes.
@@ -262,7 +257,7 @@ class OffchainSession(Session):
         if child not in self.tree.node(self.step_origin).children:
             raise ProtocolError(
                 f"{child} is not a child of the current off-chain head")
-        timelock = self.heights[child] * self.t
+        timelock = self.parts.heights[child] * self.t
         root, digests = compile_subtree(self.parts, child, ((self.init.digest, 0),),
                                         self.init.output_total(), timelock)
         graft = Graft(len(self.ladder), child, root, digests,

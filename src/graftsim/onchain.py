@@ -37,6 +37,7 @@ from .contract import (
     NodeTemplate,
     OutputSpec,
     resolve_payout,
+    subtree_heights,
     validate_tree,
 )
 from .ledger import (
@@ -70,7 +71,7 @@ from .witness import (
     encode_outputs,
     one_output_template,
     sign,
-    spend_template,
+    spend_templates,
 )
 
 # Execution modes
@@ -112,7 +113,7 @@ class NodeParts(NamedTuple):
     """What compilation computes once per node, for every instance of it
     below a subtree root wherever its subtree is grafted; the rest of a
     node is read off the tree."""
-    before: bytes                          # ``spend_template``: the encoding before
+    before: bytes                          # ``spend_templates``: the encoding before
     after: bytes                           # and after the parent's raw digest
     reveals: FrozenSet[SecretCommitment]   # the edge's commitments
 
@@ -123,17 +124,20 @@ class TreeParts(NamedTuple):
     tree: ContractTree
     everyone: FrozenSet[str]
     nodes: Dict[NodeId, NodeParts]
+    heights: Dict[NodeId, int]     # each node's ``subtree_height``, the run's one walk for it
 
 
 def tree_parts(tree: ContractTree, commitments: CommitmentSet, salt: bytes) -> TreeParts:
-    """Each node's ``NodeParts``, computed once per compilation and shared
-    by every subtree compiled from it."""
+    """Each node's ``NodeParts`` and height, computed once per compilation
+    and shared by every subtree compiled from it."""
+    templates = tree.nodes.items()
+    encoded = spend_templates(salt, [(node.name, node.edge.wait) for _, node in templates])
     nodes = {}
-    for node_id, node in tree.nodes.items():
-        edge = node.edge
-        reveals = frozenset(commitments[l] for l in edge.reveals) if edge.reveals else NO_REVEALS
-        nodes[node_id] = NodeParts(*spend_template(node.name, salt, edge.wait), reveals)
-    return TreeParts(salt, tree, frozenset(tree.participants), nodes)
+    for (node_id, node), (before, after) in zip(templates, encoded):
+        reveals = node.edge.reveals
+        nodes[node_id] = NodeParts(before, after, frozenset(commitments[l] for l in reveals)
+                                   if reveals else NO_REVEALS)
+    return TreeParts(salt, tree, frozenset(tree.participants), nodes, subtree_heights(tree))
 
 
 # A continuation output's encoding, around its value.
@@ -170,6 +174,11 @@ def compile_subtree(
     root = make_tx(top.name, parts.salt, root_inputs, root_rel_timelock, parts.everyone,
                    outputs=_outputs(top, root_input_value - fee))
     digests = {sub_root: root.digest}
+    # Each leaf output list encoded once per payout tuple and balance, so
+    # leaves that pay alike at one depth share it.  The key holds the
+    # tuple's id: the tree keeps every tuple alive, and hashing the tuple
+    # would hash every share.
+    paid: Dict[Tuple[int, int], bytes] = {}
     # Preorder with an explicit stack: a node is hashed before its children,
     # which spend its raw digest.  The walk goes on to a node's first child
     # at once, and its other children wait on the stack in reverse, so
@@ -184,9 +193,12 @@ def compile_subtree(
             balance = value - fee
             children = node.children
             if not children:
-                digests[node_id] = sha256(b"".join((
-                    part.before, parent, part.after,
-                    encode_outputs(resolve_payout(node.outputs, balance))))).hexdigest()
+                key = (id(node.outputs), balance)
+                outputs = paid.get(key)
+                if outputs is None:
+                    outputs = paid[key] = encode_outputs(resolve_payout(node.outputs, balance))
+                digests[node_id] = sha256(b"".join((part.before, parent, part.after,
+                                                    outputs))).hexdigest()
                 break
             raw = sha256(b"".join((part.before, parent, part.after, _PAY_BEFORE,
                                    balance.to_bytes(8, "big"), _PAY_AFTER))).digest()

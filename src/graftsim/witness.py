@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 # Signature roles.  IMPLICIT signatures are the all-participant signatures
 # exchanged up front for every transaction of a compiled tree; EDGE
@@ -76,8 +76,8 @@ def tx_digest(
     compilation, so identically shaped transactions from different
     sessions never collide.  The preimage is the fields in order: text and
     bytes with a 16-bit length, counts and indices in 16 bits, the
-    timelock in 32 and values in 64.  ``spend_template`` gives the same
-    encoding in parts for a spend of one transaction's first output.
+    timelock in 32 and values in 64.  ``spend_templates`` gives the same
+    encoding in parts for spends of one transaction's first output.
     """
     preimage = (_head(name, salt, len(inputs))
                 + b"".join(_text(bytes.fromhex(src)) + idx.to_bytes(2, "big")
@@ -86,15 +86,27 @@ def tx_digest(
     return hashlib.sha256(preimage).hexdigest()
 
 
-def spend_template(name: str, salt: bytes, rel_timelock: int) -> Tuple[bytes, bytes]:
-    """The encoding of a template that spends output 0 of one source
-    transaction under ``rel_timelock``, as the parts before and after the
-    source's raw digest; the output list follows.  So for a source digest
-    ``raw``, ``sha256(before + raw + after + encode_outputs(outputs))`` is
+def spend_templates(salt: bytes,
+                    spends: Iterable[Tuple[str, int]]) -> List[Tuple[bytes, bytes]]:
+    """For each (name, rel_timelock) of ``spends``, the encoding of a
+    template that spends output 0 of one source transaction under
+    ``rel_timelock``, as the parts before and after the source's raw
+    digest; the output list follows.  So for a source digest ``raw``,
+    ``sha256(before + raw + after + encode_outputs(outputs))`` is
     ``tx_digest(name, salt, ((raw.hex(), 0),), rel_timelock, outputs)``,
-    unhexed."""
-    return (_head(name, salt, 1) + DIGEST_SIZE.to_bytes(2, "big"),
-            (0).to_bytes(2, "big") + rel_timelock.to_bytes(4, "big"))
+    unhexed.  The salt's part is encoded once, and each distinct
+    timelock's part once."""
+    # After the name: the rest of ``_head(name, salt, 1)``, then the
+    # source digest's length.
+    rest = _text(salt) + (1).to_bytes(2, "big") + DIGEST_SIZE.to_bytes(2, "big")
+    afters: Dict[int, bytes] = {}
+    parts = []
+    for name, rel_timelock in spends:
+        after = afters.get(rel_timelock)
+        if after is None:
+            after = afters[rel_timelock] = (0).to_bytes(2, "big") + rel_timelock.to_bytes(4, "big")
+        parts.append((b"TX1" + _text(name.encode("utf-8")) + rest, after))
+    return parts
 
 
 def one_output_template(beneficiary: str) -> Tuple[bytes, bytes]:

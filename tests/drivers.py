@@ -20,6 +20,10 @@ of ``Message``s, which ``next_for`` walks for a sender's next open
 message.  ``DeliveredSignatures`` is the reference for the signatures an
 actor holds: one ``SignatureStore`` per participant fed every message a
 trace logs, read by ``witness_by_store``.
+``subtree_heights_by_preorder``, ``leaf_errors_by_fractions`` and
+``spend_template`` are the references for the per-node work of loading,
+validating and compiling a contract: the heights, the leaf checks and a
+node's encoding, each computed the direct way.
 ``eager_observation`` is the reference for the engine's observations:
 every field computed up front.  ``serialize_by_dumps`` is the reference
 for trace serialization: one ``json.dumps`` per line.  ``EventListTrace``
@@ -31,6 +35,7 @@ and ``balance_at`` are small queries only the tests need.
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from fractions import Fraction
 from typing import (
     Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
 )
@@ -38,11 +43,14 @@ from weakref import WeakKeyDictionary
 
 from graftsim.contract import (
     CONTINUATION,
+    MAX_AMOUNT,
     NO_EDGE,
     ContractTree,
     NodeId,
     OutputSpec,
+    StructuralError,
     iter_preorder,
+    leaves,
     path_to,
     resolve_path,
     resolve_payout,
@@ -85,6 +93,60 @@ def balance_at(tree: ContractTree, node_id: NodeId) -> int:
     the deposits minus one fee per transaction from the root down to and
     including this node."""
     return tree.deposit_total() - tree.fee * len(path_to(tree, node_id))
+
+
+def subtree_heights_by_preorder(tree: ContractTree) -> Dict[NodeId, int]:
+    """The reference for ``contract.subtree_heights``: every node's height,
+    from its children's, over the reversed preorder of ``iter_preorder``."""
+    height: Dict[NodeId, int] = {}
+    for n in reversed(list(iter_preorder(tree))):
+        children = tree.node(n).children
+        height[n] = 1 + max(height[c] for c in children) if children else 0
+    return height
+
+
+def leaf_errors_by_fractions(tree: ContractTree) -> List[StructuralError]:
+    """The reference for the leaf checks of ``validate_tree``: each leaf's
+    errors in preorder, its shares summed as ``Fraction``s and compared
+    with it, as the package checked them before it checked in integers."""
+    members = set(tree.participants)
+    errors = []
+    for node_id in leaves(tree):
+        node = tree.node(node_id)
+        total = sum((s.share for s in node.outputs), Fraction(0))
+        if total != 1:
+            if max(abs(total.numerator), total.denominator) > MAX_AMOUNT:
+                detail = f"leaf shares sum to a fraction with a term over {MAX_AMOUNT}, expected 1"
+            else:
+                detail = f"leaf shares sum to {total}, expected 1"
+            errors.append(StructuralError("BalanceMismatch", node.name, detail))
+        if len({s.to for s in node.outputs}) < len(node.outputs):
+            errors.append(StructuralError("DuplicatePayout", node.name,
+                                          "a beneficiary is paid twice"))
+        for s in node.outputs:
+            if s.to not in members:
+                errors.append(StructuralError("UnknownParticipant", node.name,
+                                              f"payout to {s.to!r}"))
+            if s.share < 0:
+                errors.append(StructuralError("NegativeValue", node.name,
+                                              f"negative share for {s.to}"))
+            share = Fraction(s.share)
+            if max(abs(share.numerator), share.denominator) > MAX_AMOUNT:
+                errors.append(StructuralError(
+                    "TooLarge", node.name, f"the share for {s.to} has a term over {MAX_AMOUNT}"))
+    return errors
+
+
+def spend_template(name: str, salt: bytes, rel_timelock: int) -> Tuple[bytes, bytes]:
+    """The reference for ``witness.spend_templates``: one spend's parts
+    before and after its source's raw digest, every field encoded on its
+    own (a 16-bit length before each text, the input count, the digest's
+    length, the output index and the timelock)."""
+    def text(raw: bytes) -> bytes:
+        return len(raw).to_bytes(2, "big") + raw
+    return (b"TX1" + text(name.encode("utf-8")) + text(salt) + (1).to_bytes(2, "big")
+            + (32).to_bytes(2, "big"),
+            (0).to_bytes(2, "big") + rel_timelock.to_bytes(4, "big"))
 
 
 def instantiate_by_make_tx(tree: ContractTree, commitments: CommitmentSet, salt: bytes,

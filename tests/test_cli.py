@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,31 @@ def test_bad_scenario_values_end_in_one_line(tmp_path, capsys, scenario_patch,
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+# A share whose number passes the amount bound, as text or as a JSON
+# integer past the interpreter's 4,300-digit limit, each given as its JSON
+# token.  ``Fraction`` would build each text's number first, and
+# "1e999999999" would take hours.
+@pytest.mark.parametrize("token, message", [
+    ('"1e5000"', "share '1e5000' has a term over 18446744073709551615"),
+    ('"1e999999999"', "share '1e999999999' has a term over 18446744073709551615"),
+    ('"1e-999999999"', "share '1e-999999999' has a term over 18446744073709551615"),
+    ("1" + "0" * 5000, "Exceeds the limit (4300 digits) for integer string conversion"),
+], ids=["1e5000", "1e999999999", "1e-999999999", "int-of-5001-digits"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_share_past_the_bound_ends_in_one_line(tmp_path, capsys, token, message, command):
+    contract = json.loads(Path(bundled("bo3.contract")).read_text())
+    contract["nodes"]["children"][0]["children"][0]["outputs"][0]["share"] = "SHARE"
+    (tmp_path / "c.contract").write_text(json.dumps(contract).replace('"SHARE"', token))
+    scn = _scenario_naming(tmp_path, tmp_path / "c.contract")
+    start = time.perf_counter()
+    code = main(["validate", str(tmp_path / "c.contract")] if command == "validate"
+                else ["run", str(scn)])
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 def _not_utf8(directory, name, text):
     """Write ``text`` to ``directory/name`` as Latin-1, which is not UTF-8."""
     path = directory / name
@@ -254,7 +280,8 @@ LIMITS = (10 ** 9, 2 ** 32 - 1, 2 ** 32, 2 ** 62, 2 ** 64 - 1, 2 ** 64)
 JSON_VALUES = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.sampled_from(LIMITS),
               st.text(max_size=4),
-              st.sampled_from(["A", "B", "honest", "staller", "Bet", "LWL", "L1", "1/2"])),
+              st.sampled_from(["A", "B", "honest", "staller", "Bet", "LWL", "L1", "1/2",
+                               "1e5000"])),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=3),
     max_leaves=5)

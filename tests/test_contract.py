@@ -1,10 +1,12 @@
 """Structural model: tree queries, validation, payouts, serialization."""
 
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from graftsim.contract import (
     CONTINUATION,
@@ -14,6 +16,7 @@ from graftsim.contract import (
     MAX_TIMELOCK,
     NO_EDGE,
     ContractParseError,
+    ContractTree,
     Edge,
     NodeTemplate,
     PathError,
@@ -30,14 +33,21 @@ from graftsim.contract import (
     resolve_path,
     resolve_payout,
     subtree_height,
+    subtree_heights,
     validate_tree,
 )
+from graftsim import contract as contract_module
 from graftsim.offchain import compile_offchain
 from graftsim.onchain import compile_onchain
-from graftsim.treegen import chain_tree, random_tree
+from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
 from graftsim.witness import CommitmentSet
 
-from drivers import balance_at, subtree_size
+from drivers import (
+    balance_at,
+    leaf_errors_by_fractions,
+    subtree_heights_by_preorder,
+    subtree_size,
+)
 
 
 def names(tree, ids):
@@ -246,6 +256,146 @@ class TestValidation:
         assert validate_tree(with_participants(MAX_PARTICIPANTS)) == []
         assert [(e.kind, e.where) for e in validate_tree(with_participants(
             MAX_PARTICIPANTS + 1))] == [("TooLarge", "participants")]
+
+
+def one_leaf(share) -> dict:
+    """A one-node contract whose leaf pays ``A`` the given share."""
+    return {"participants": ["A"], "deposits": {"A": 5}, "fee": 0,
+            "nodes": {"name": "R", "outputs": [{"to": "A", "share": share}]}}
+
+
+def parsed_share(share) -> Fraction:
+    return contract_from_dict(one_leaf(share)).node(0).outputs[0].share
+
+
+class TestShares:
+    @pytest.mark.parametrize("text", [
+        "1", "1/2", " 3/4\n", "0.25", ".5", "1.", "1.e1", "-2.5e-1", "+1_000/4_000", "2E-3",
+        "\u0663/\u0664", "18446744073709551615", "1/18446744073709551615", "1e19", "1e-19",
+        "100000000000000000000e-20", "0.000_1e4"])
+    def test_a_share_reads_as_fraction_reads_it(self, text):
+        assert parsed_share(text) == Fraction(text)
+
+    @pytest.mark.parametrize("text", ["0e999999999", "-0.0e-999999999", "0/7"])
+    def test_a_zero_share_builds_no_power_of_ten(self, text):
+        assert parsed_share(text) == 0
+
+    @pytest.mark.parametrize("share", [
+        "18446744073709551616", "-18446744073709551616", "1/18446744073709551616", "1e20",
+        "1e-20", "0.1e-19", "1e5000", "1e999999999", "1e-999999999", 2 ** 64, 1e300])
+    def test_a_share_past_the_bound_is_refused(self, share):
+        with pytest.raises(ContractParseError, match=f"has a term over {MAX_AMOUNT}"):
+            parsed_share(share)
+
+    @pytest.mark.parametrize("share", ["", "1/0", "1/ 2", "1.d", "abc", "1e", "--1", True, None,
+                                       [1], 1e400])
+    def test_a_share_that_is_no_number_is_refused(self, share):
+        with pytest.raises(ContractParseError, match="R: bad payout entry"):
+            parsed_share(share)
+
+    def test_each_share_text_is_read_once_per_parse(self, monkeypatch):
+        read = []
+        share = contract_module._share
+        monkeypatch.setattr(contract_module, "_share",
+                            lambda text: read.append(text) or share(text))
+        data = contract_to_dict(complete_binary_tree(4))
+        tree = contract_from_dict(data)
+        assert read == ["1/2"]
+        # Leaves that pay alike share one tuple of outputs.
+        assert len({id(tree.node(n).outputs) for n in leaves(tree)}) == 1
+        contract_from_dict(data)
+        assert read == ["1/2", "1/2"]
+
+
+# Texts made of what a share's grammar uses and a few things it does not.
+SHARE_TEXTS = st.text(alphabet="0123456789_./eE+- d\u0663\t", max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=SHARE_TEXTS | st.builds("{}{}/{}".format, st.sampled_from(["", "-", "+"]),
+                                    st.integers(0, 2 ** 70), st.integers(0, 2 ** 70))
+       | st.builds("{}e{}".format, st.decimals(allow_nan=False, allow_infinity=False,
+                                               places=4).map(str), st.integers(-40, 40)))
+@example(text="1e-2_0")
+def test_parsed_shares_equal_fraction(text):
+    # Fraction builds 10 ** exponent first, so long exponents are left out.
+    assume(not re.search(r"[eE][-+]?[\d_]{4}", text))
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    if expected is None or max(abs(expected.numerator), expected.denominator) > MAX_AMOUNT:
+        with pytest.raises(ContractParseError):
+            parsed_share(text)
+    else:
+        assert parsed_share(text) == expected
+
+
+# Shares with mixed denominators, zero, negative and ``int`` shares, and
+# shares past the amount bound.
+SHARES = st.one_of(st.fractions(-2, 3, max_denominator=12), st.integers(-1, 2),
+                   st.sampled_from([Fraction(0), Fraction(1, MAX_AMOUNT), Fraction(MAX_AMOUNT),
+                                    Fraction(MAX_AMOUNT + 1), Fraction(-1, MAX_AMOUNT + 1)]))
+PAYOUTS = st.lists(st.builds(PayoutShare, st.sampled_from(["A", "B", "C", "Z"]), SHARES),
+                   max_size=4).map(tuple)
+# Some payout lists end in the share that brings their sum to 1.
+PAYOUTS = PAYOUTS | PAYOUTS.map(lambda outs: outs + (
+    PayoutShare("C", 1 - sum((s.share for s in outs), Fraction(0))),))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(PAYOUTS, min_size=1, max_size=4), data=st.data())
+def test_leaf_checks_equal_the_fraction_reference(pool, data):
+    # Leaves draw from a pool of payout tuples, so some share one tuple.
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
+    nodes = {0: NodeTemplate(0, "R", children=tuple(range(1, len(picks) + 1)))}
+    for node_id, pick in enumerate(picks, 1):
+        nodes[node_id] = NodeTemplate(node_id, f"L{node_id}", outputs=pool[pick])
+    tree = ContractTree(("A", "B", "C"), dict.fromkeys("ABC", 10), 0, 0, nodes)
+    assert validate_tree(tree) == leaf_errors_by_fractions(tree)
+
+
+class TestLeafChecks:
+    @pytest.mark.parametrize("share", [Fraction(MAX_AMOUNT + 1), Fraction(1, MAX_AMOUNT + 1),
+                                       -(MAX_AMOUNT + 1), 10 ** 5000],
+                             ids=["numerator", "denominator", "negative-int",
+                                  "int-of-5001-digits"])
+    def test_a_built_share_past_the_bound_is_too_large(self, three_party, share):
+        nodes = dict(three_party.nodes)
+        nodes[3] = replace(nodes[3], outputs=(PayoutShare("C", share),))
+        kinds = [(e.kind, e.where) for e in validate_tree(replace(three_party, nodes=nodes))]
+        assert ("TooLarge", "T3") in kinds
+
+    def test_mixed_denominators_that_sum_to_one_pass(self, three_party):
+        # 5/30 + 3/30 + 22/30: the least common multiple, 30, is no
+        # denominator of any share.
+        nodes = dict(three_party.nodes)
+        nodes[1] = replace(nodes[1], outputs=(PayoutShare("A", Fraction(1, 6)),
+                                              PayoutShare("B", Fraction(1, 10)),
+                                              PayoutShare("C", Fraction(11, 15))))
+        nodes[3] = replace(nodes[3], outputs=(PayoutShare("C", 1),))
+        assert validate_tree(replace(three_party, nodes=nodes)) == []
+
+    def test_a_sum_too_long_to_print_is_worded(self, three_party):
+        # 3 ** 10_000 has 4,772 digits, past the interpreter's limit of
+        # 4,300 on converting an int to text.
+        nodes = dict(three_party.nodes)
+        nodes[3] = replace(nodes[3], outputs=(PayoutShare("C", Fraction(1, 3 ** 10_000)),))
+        errors = validate_tree(replace(three_party, nodes=nodes))
+        assert [str(e) for e in errors if e.kind == "BalanceMismatch"] == [
+            f"BalanceMismatch at T3: leaf shares sum to a fraction with a term over "
+            f"{MAX_AMOUNT}, expected 1"]
+
+
+@pytest.mark.parametrize("tree", [chain_tree(20_000), complete_binary_tree(6),
+                                  *(random_tree(seed)[0] for seed in range(20))],
+                         ids=["chain20000", "binary6", *(f"random{s}" for s in range(20))])
+def test_subtree_heights_equal_the_preorder_reference(tree):
+    # chain_tree(20_000) is far deeper than the recursion limit of 1,000.
+    heights = subtree_heights_by_preorder(tree)
+    assert subtree_heights(tree) == heights
+    for start in list(tree.nodes)[::len(tree.nodes) // 5 + 1]:
+        assert subtree_heights(tree, start) == {n: heights[n] for n in iter_preorder(tree, start)}
 
 
 class TestPayouts:

@@ -515,6 +515,21 @@ class TestCensusAndCaps:
         # 10 * (last reveal 6 + (height 3 + 2) * t 2 + patience 2 + 5)
         assert default_height_cap(scn) == 230
 
+    @pytest.mark.parametrize("name", ["bo3_happy", "bo3_onchain"])
+    def test_a_run_walks_the_tree_for_heights_once(self, monkeypatch, name):
+        # The shadow's and each graft's timelock and the default cap read
+        # one walk; ``subtree_height`` walks through ``subtree_heights``.
+        scn = load_scenario(bundled_data_dir() / f"{name}.scn")
+        walks = []
+        heights = graftsim.contract.subtree_heights
+        def counted(tree, start=None):
+            walks.append(start)
+            return heights(tree, start)
+        monkeypatch.setattr(graftsim.contract, "subtree_heights", counted)
+        monkeypatch.setattr(graftsim.onchain, "subtree_heights", counted)
+        assert run(scn).summary["outcome"] == "leaf"
+        assert walks == [None]
+
 
 def test_traces_match_the_goldens_across_hash_seeds(tmp_path):
     """Trace bytes do not depend on set or dict iteration order."""

@@ -154,8 +154,8 @@ class TestGrafts:
                              [random_tree(seed)[0] for seed in range(50)])
     def test_height_map_matches_subtree_height(self, tree):
         session = start_offchain(tree, seed=0, t=3)
-        assert session.heights == {n: subtree_height(tree, n) for n in iter_preorder(tree)}
-        assert session.shadow.root_instance.rel_timelock == session.heights[tree.root] * 3
+        assert session.parts.heights == {n: subtree_height(tree, n) for n in iter_preorder(tree)}
+        assert session.shadow.root_instance.rel_timelock == session.parts.heights[tree.root] * 3
 
     @pytest.mark.parametrize("tree", [complete_binary_tree(4)] +
                              [random_tree(seed)[0] for seed in range(50)])

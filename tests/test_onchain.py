@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from graftsim.contract import CONTINUATION, SecretDecl, iter_preorder
+from graftsim.contract import CONTINUATION, MAX_TIMELOCK, SecretDecl, iter_preorder
 from graftsim.harness import MODE_ONCHAIN, Scenario, run
 from graftsim.ledger import MissingSignature
 from graftsim.onchain import (
@@ -13,8 +13,10 @@ from graftsim.onchain import (
     OnchainSession,
     ProtocolError,
     RUNNING,
+    NodeParts,
     compile_onchain,
     make_deposits,
+    tree_parts,
 )
 from graftsim.trace import (
     SECRET_PUBLISHED,
@@ -27,9 +29,19 @@ from graftsim.trace import (
     Trace,
     TXSET_SENT,
 )
+from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
 from graftsim.witness import CommitmentSet, scenario_salt
 
-from drivers import burst_of, deliver_one, instances_by_landing, next_for, plan_of, stipulate
+from drivers import (
+    burst_of,
+    deliver_one,
+    instances_by_landing,
+    next_for,
+    plan_of,
+    spend_template,
+    stipulate,
+    subtree_heights_by_preorder,
+)
 
 
 def commitments_for(tree, seed=1):
@@ -52,6 +64,38 @@ def session_for(tree, seed=1):
 
 def by_name(tree):
     return {tree.node(i).name: i for i in iter_preorder(tree)}
+
+
+def renamed_and_waiting(tree):
+    """``tree`` with non-ASCII node names, and waits of 0 and
+    ``MAX_TIMELOCK`` on alternate non-root nodes."""
+    nodes = {}
+    for i, (node_id, node) in enumerate(tree.nodes.items()):
+        edge = node.edge if node_id == tree.root else \
+            dataclasses.replace(node.edge, wait=(0, MAX_TIMELOCK)[i % 2])
+        nodes[node_id] = dataclasses.replace(node, name=f"{node.name}\u00e9\u4e2d\U0001F600",
+                                             edge=edge)
+    return dataclasses.replace(tree, nodes=nodes)
+
+
+PART_TREES = {"chain": chain_tree(9), "binary": complete_binary_tree(4),
+              "random7": random_tree(7)[0], "random11": random_tree(11)[0], "bo3": None}
+
+
+@pytest.mark.parametrize("name", PART_TREES)
+@pytest.mark.parametrize("renamed", [False, True], ids=["as-built", "renamed"])
+def test_tree_parts_equal_the_per_node_reference(name, renamed, bo3_tree):
+    tree = PART_TREES[name] or bo3_tree
+    if renamed:
+        tree = renamed_and_waiting(tree)
+        assert {0, MAX_TIMELOCK} <= {node.edge.wait for node in tree.nodes.values()}
+    commitments, salt = commitments_for(tree), scenario_salt(5, "onchain")
+    parts = tree_parts(tree, commitments, salt)
+    assert parts.nodes == {
+        node_id: NodeParts(*spend_template(node.name, salt, node.edge.wait),
+                           frozenset(commitments[label] for label in node.edge.reveals))
+        for node_id, node in tree.nodes.items()}
+    assert parts.heights == subtree_heights_by_preorder(tree)
 
 
 class TestCompilation:

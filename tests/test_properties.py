@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from graftsim.contract import (
     PayoutShare,
+    contract_from_dict,
+    contract_to_dict,
     deepest_leaf_path,
     iter_preorder,
     leaves,
@@ -160,18 +162,36 @@ def _assert_compiled_by_make_tx(tree, seed, t):
             assert field_types(inst) == field_types(ref), what
 
 
+def reparsed(tree):
+    """``tree`` dumped and parsed: its leaves that pay alike then share one
+    tuple of outputs, whose encoding compilation reuses per balance."""
+    return contract_from_dict(contract_to_dict(tree))
+
+
 @NO_DEADLINE
-@given(seed=st.integers(0, 10**6), t=st.integers(1, 3))
-def test_compiled_instances_equal_a_make_tx_walk(seed, t):
-    _assert_compiled_by_make_tx(random_tree(seed)[0], seed, t)
+@given(seed=st.integers(0, 10**6), t=st.integers(1, 3), parsed=st.booleans())
+def test_compiled_instances_equal_a_make_tx_walk(seed, t, parsed):
+    tree = random_tree(seed)[0]
+    _assert_compiled_by_make_tx(reparsed(tree) if parsed else tree, seed, t)
+
+
+# Leaves that pay alike at depths 1 and 2, so at two balances.
+UNEVEN = {"participants": ["A", "B"], "deposits": {"A": 9, "B": 9}, "fee": 1, "nodes": {
+    "name": "R", "children": [
+        {"name": "L1", "outputs": [{"to": "A", "share": "1/3"}, {"to": "B", "share": "2/3"}]},
+        {"name": "N2", "children": [
+            {"name": "L3", "outputs": [{"to": "A", "share": "1/3"},
+                                       {"to": "B", "share": "2/3"}]}]}]}}
 
 
 # The deeper trees walk long single-child descents (chain64) and leave
 # siblings on the stack below every fan (binary5).
 @pytest.mark.parametrize("tree", [chain_tree(1), chain_tree(7), chain_tree(64),
                                   complete_binary_tree(0), complete_binary_tree(3),
-                                  complete_binary_tree(5)],
-                         ids=["chain1", "chain7", "chain64", "binary0", "binary3", "binary5"])
+                                  complete_binary_tree(5), reparsed(complete_binary_tree(5)),
+                                  contract_from_dict(UNEVEN)],
+                         ids=["chain1", "chain7", "chain64", "binary0", "binary3", "binary5",
+                              "binary5-parsed", "uneven-parsed"])
 def test_compiled_regular_trees_equal_a_make_tx_walk(tree):
     _assert_compiled_by_make_tx(tree, 5, 2)
 

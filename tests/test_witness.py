@@ -18,12 +18,12 @@ from graftsim.witness import (
     one_output_template,
     scenario_salt,
     sign,
-    spend_template,
+    spend_templates,
     tx_digest,
     verify,
 )
 
-from drivers import SignatureStore
+from drivers import SignatureStore, spend_template
 
 SALT = scenario_salt(7)
 SRC = "ab" * 32
@@ -115,6 +115,8 @@ def test_the_templates_fill_to_the_one_pass_digest(name, salt, raw, rel, outputs
     # What compilation hashes per node: a spend of one source's output 0,
     # filled in with the source's raw digest and the outputs.
     before, after = spend_template(name, salt, rel)
+    assert spend_templates(salt, [(name, rel), ("", 0), (name, rel)]) == \
+        [(before, after), spend_template("", salt, 0), (before, after)]
     assert hashlib.sha256(before + raw + after + encode_outputs(outputs)).hexdigest() == \
         tx_digest(name, salt, ((raw.hex(), 0),), rel, outputs)
     pay_before, pay_after = one_output_template(payee)
