@@ -12,7 +12,6 @@ so the same tree can be instantiated with different fee totals.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
@@ -266,19 +265,18 @@ def resolve_payout(shares: Tuple[PayoutShare, ...], balance: int) -> Tuple[Outpu
 def _payout_faults(outputs: Tuple[PayoutShare, ...], members: Set[str]) -> List[Tuple[str, str]]:
     """The (kind, detail) of each fault of a leaf's payouts.  The shares
     are checked in integers (see ``PayoutShare``).  Their ``Fraction``
-    sum is built only to word a mismatch, and written out only if its
-    terms fit the amount bound: past it, its digits could pass the
-    interpreter's limit on converting an int to text."""
+    sum is built only to word a mismatch, and written out unless its
+    terms pass the interpreter's limit on converting an int to text."""
     faults = []
     shares = [s.share for s in outputs]
     whole = lcm(*[share.denominator for share in shares])
     if sum([share.numerator * (whole // share.denominator) for share in shares]) != whole:
         total = sum(shares, Fraction(0))
-        if abs(total.numerator) > MAX_AMOUNT or total.denominator > MAX_AMOUNT:
-            faults.append(("BalanceMismatch", f"leaf shares sum to a fraction with a term "
-                                              f"over {MAX_AMOUNT}, expected 1"))
-        else:
-            faults.append(("BalanceMismatch", f"leaf shares sum to {total}, expected 1"))
+        try:
+            detail = f"leaf shares sum to {total}, expected 1"
+        except ValueError:
+            detail = "leaf shares sum to a fraction too long to print, expected 1"
+        faults.append(("BalanceMismatch", detail))
     if len({s.to for s in outputs}) < len(outputs):
         faults.append(("DuplicatePayout", "a beneficiary is paid twice"))
     for s in outputs:
@@ -438,41 +436,22 @@ def _edge_from_list(entries: List, where: str) -> Edge:
     return Edge(wait, frozenset(auth), tuple(reveals))
 
 
-# A share's text: the forms ``Fraction(str)`` reads, an integer, a ratio
-# "n/d" or a decimal with an optional exponent, with the same groups.
-_SHARE_TEXT = re.compile(r"""
-    \s*(?P<sign>[-+]?)(?=\d|\.\d)
-    (?P<num>\d*|\d+(?:_\d+)*)
-    (?:/(?P<denom>\d+(?:_\d+)*)
-     |(?:\.(?P<decimal>\d+(?:_\d+)*)?)?(?:E(?P<exp>[-+]?\d+(?:_\d+)*))?)
-    \s*""", re.VERBOSE | re.IGNORECASE)
+# No share within the amount bound, save a zero, needs an exponent past
+# this in size: the integer and decimal digits of a share's text are each
+# read as one int, which the interpreter holds to 4,300 digits.
+_MAX_EXPONENT = 10_000
 
 
 def _share(text: str) -> Fraction:
     """``Fraction(text)``, or ``ValueError`` if ``text`` is no share or its
-    numerator or denominator is over ``MAX_AMOUNT``.  An exponent is
-    checked before its power of ten is built, so a short text cannot
-    ask for a number of unbounded size."""
-    match = _SHARE_TEXT.fullmatch(text)
-    if match is None:
-        raise ValueError(f"invalid share {text!r}")
-    num, denom, decimal, exp = match.group("num", "denom", "decimal", "exp")
-    numerator = int(num or "0")
-    if denom is not None:
-        denominator = int(denom)
-    else:
-        decimal = (decimal or "").replace("_", "")
-        numerator = numerator * 10 ** len(decimal) + int(decimal or "0")
-        scale = int(exp or "0") - len(decimal) if numerator else 0
-        # The share is numerator * 10 ** scale, with the numerator below
-        # 10 ** digits.  So past these scales the share, or its reduced
-        # denominator, is over 10 ** 20, which is over MAX_AMOUNT.
-        digits = len(num) + len(decimal)
-        if scale > 19 or -scale - digits > 19:
-            raise ValueError(f"share {text!r} has a term over {MAX_AMOUNT}")
-        denominator = 10 ** -scale if scale < 0 else 1
-        numerator *= 10 ** max(scale, 0)
-    share = Fraction(-numerator if match.group("sign") == "-" else numerator, denominator)
+    numerator or denominator is over ``MAX_AMOUNT``.  ``Fraction`` builds
+    ``10 ** exponent`` before it reduces, so an exponent over
+    ``_MAX_EXPONENT`` in size is refused first: a short text cannot ask
+    for a number of unbounded size."""
+    _, e, exponent = text.lower().rpartition("e")
+    if e and abs(int(exponent)) > _MAX_EXPONENT:
+        raise ValueError(f"share {text!r} has an exponent over {_MAX_EXPONENT}")
+    share = Fraction(text)
     if abs(share.numerator) > MAX_AMOUNT or share.denominator > MAX_AMOUNT:
         raise ValueError(f"share {text!r} has a term over {MAX_AMOUNT}")
     return share

@@ -94,19 +94,13 @@ def spend_templates(salt: bytes,
     digest; the output list follows.  So for a source digest ``raw``,
     ``sha256(before + raw + after + encode_outputs(outputs))`` is
     ``tx_digest(name, salt, ((raw.hex(), 0),), rel_timelock, outputs)``,
-    unhexed.  The salt's part is encoded once, and each distinct
-    timelock's part once."""
+    unhexed.  The salt's part is encoded once."""
     # After the name: the rest of ``_head(name, salt, 1)``, then the
     # source digest's length.
     rest = _text(salt) + (1).to_bytes(2, "big") + DIGEST_SIZE.to_bytes(2, "big")
-    afters: Dict[int, bytes] = {}
-    parts = []
-    for name, rel_timelock in spends:
-        after = afters.get(rel_timelock)
-        if after is None:
-            after = afters[rel_timelock] = (0).to_bytes(2, "big") + rel_timelock.to_bytes(4, "big")
-        parts.append((b"TX1" + _text(name.encode("utf-8")) + rest, after))
-    return parts
+    return [(b"TX1" + _text(name.encode("utf-8")) + rest,
+             (0).to_bytes(2, "big") + rel_timelock.to_bytes(4, "big"))
+            for name, rel_timelock in spends]
 
 
 def one_output_template(beneficiary: str) -> Tuple[bytes, bytes]:

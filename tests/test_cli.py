@@ -203,9 +203,9 @@ def test_bad_scenario_values_end_in_one_line(tmp_path, capsys, scenario_patch,
 # "1e999999999" would take hours.
 @pytest.mark.parametrize("token, message", [
     ('"1e5000"', "share '1e5000' has a term over 18446744073709551615"),
-    ('"1e999999999"', "share '1e999999999' has a term over 18446744073709551615"),
-    ('"1e-999999999"', "share '1e-999999999' has a term over 18446744073709551615"),
-    ("1" + "0" * 5000, "Exceeds the limit (4300 digits) for integer string conversion"),
+    ('"1e999999999"', "share '1e999999999' has an exponent over 10000"),
+    ('"1e-999999999"', "share '1e-999999999' has an exponent over 10000"),
+    ("1" + "0" * 5000, "for integer string conversion"),
 ], ids=["1e5000", "1e999999999", "1e-999999999", "int-of-5001-digits"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_a_share_past_the_bound_ends_in_one_line(tmp_path, capsys, token, message, command):
