@@ -55,10 +55,23 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_utf8(text: str) -> bool:
+    """Can UTF-8 encode ``text``?  Not if it holds a lone surrogate, as
+    JSON's ``"\\ud800"`` loads."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _name(value: object, what: str) -> str:
-    """``value`` if it is a JSON string; ``str()`` would make a name of anything."""
+    """``value`` if it is a JSON string UTF-8 can encode; ``str()`` would
+    make a name of anything."""
     if not isinstance(value, str):
         raise ContractParseError(f"{what} must be strings, got {value!r}")
+    if not (value.isascii() or is_utf8(value)):  # ASCII, as most names are, is UTF-8
+        raise ContractParseError(f"{what} must be UTF-8 text, got {value!r}")
     return value
 
 
@@ -398,7 +411,9 @@ def validate_tree(tree: ContractTree) -> List[StructuralError]:
     if tree.deposit_total() > MAX_AMOUNT:
         err("TooLarge", "deposits", f"the deposits total more than {MAX_AMOUNT}")
     names = list(tree.participants) + [t.name for t in tree.nodes.values()]
-    if any(len(name.encode("utf-8")) > MAX_NAME_BYTES for name in names):
+    if not is_utf8("".join(names + [s.label for s in tree.secrets])):
+        err("BadName", "names", "a name holds a lone surrogate, which UTF-8 cannot encode")
+    elif any(len(name.encode("utf-8")) > MAX_NAME_BYTES for name in names):
         err("TooLarge", "names", f"a name is longer than {MAX_NAME_BYTES} bytes")
 
     return errors
@@ -470,7 +485,7 @@ def contract_from_dict(data: Dict) -> ContractTree:
         if not isinstance(data["participants"], list):
             raise TypeError("participants must be a list")
         participants = tuple(sorted(_name(p, "participant names") for p in data["participants"]))
-        deposits = {str(k): v for k, v in data["deposits"].items()}
+        deposits = {_name(k, "deposit keys"): v for k, v in data["deposits"].items()}
         fee = data["fee"]
         bad = [v for v in (fee, *deposits.values()) if not is_int(v)]
         if bad:

@@ -42,6 +42,7 @@ from .contract import (
     contract_to_dict,
     deepest_leaf_path,
     is_int,
+    is_utf8,
     load_contract_file,
     resolve_path,
     subtree_height,
@@ -72,9 +73,8 @@ from .strategies import (
     TARGET_ANCHOR,
     TARGET_CONTINUE,
     TARGET_FAILSAFE,
+    TARGET_GRAFT,
     TARGET_INIT,
-    TARGET_LATEST_GRAFT,
-    TARGET_OLDEST_GRAFT,
     WITHHOLD,
 )
 from .trace import (
@@ -110,12 +110,9 @@ class Scenario:
     height_cap: Optional[int] = None
 
 
-def default_height_cap(scenario: Scenario, height: Optional[int] = None) -> int:
+def default_height_cap(scenario: Scenario, height: int) -> int:
     """A generous bound: ten times the span a worst-case run can need.
-    ``height`` is the contract's ``subtree_height``, walked for here unless
-    the caller has it from a compilation."""
-    if height is None:
-        height = subtree_height(scenario.tree, scenario.tree.root)
+    ``height`` is the contract's ``subtree_height``."""
     last_reveal = max((h for h, _ in scenario.oracle), default=0)
     span = (height + 2) * max(scenario.t, 1)
     return 10 * (last_reveal + span + scenario.patience + 5)
@@ -152,6 +149,8 @@ def scenario_from_dict(data: Dict, base_dir: Union[str, Path, None] = None) -> S
         raise ScenarioError(f"scenario is missing required key {missing}") from None
     if not isinstance(label, str):
         raise ScenarioError(f"label must be a string, got {label!r}")
+    if not is_utf8(label):
+        raise ScenarioError(f"label must be UTF-8 text, got {label!r}")
     if mode not in (MODE_ONCHAIN, MODE_OFFCHAIN):
         raise ScenarioError(f"unknown mode {mode!r}")
     if not isinstance(contract_ref, str):
@@ -436,16 +435,15 @@ class _Engine:
                 error = session.append_init(participant)
             elif target == TARGET_FAILSAFE:
                 error = session.trigger_failsafe(participant)
-            elif target == TARGET_LATEST_GRAFT:
-                error = session.append_latest_graft(participant)
-            elif target == TARGET_OLDEST_GRAFT:
-                error = session.append_oldest_graft(participant)
+            elif target == TARGET_GRAFT:
+                error = session.append_graft(participant, action.index)
             else:
                 raise ValueError(f"unknown append target {target!r} from {participant}")
         except ProtocolError:
             # The session refuses the move outright (Init in an on-chain run
-            # or before Head, a second failsafe, a node off the walk, no
-            # graft to land): no progress, like an append the ledger rejects.
+            # or before Head, a second failsafe, a node off the walk, an
+            # index off the graft ladder): no progress, like an append the
+            # ledger rejects.
             return False
         return error is None
 
@@ -576,7 +574,7 @@ def message_census(tree: ContractTree, path_names: Optional[Sequence[str]] = Non
                      if s.owner not in tree.participants),
         t=t, seed=seed)
     # The default cap leaves no room for the edge waits along the path.
-    scenario.height_cap = default_height_cap(scenario) + sum(
+    scenario.height_cap = default_height_cap(scenario, subtree_height(tree, tree.root)) + sum(
         tree.node(i).edge.wait for i in path_ids[1:])
     summary = run(scenario).summary
     if summary["outcome"] != OUTCOME_LEAF:

@@ -17,10 +17,12 @@ root's instance and its nodes' digests, which is all its exchange signs;
 a body instance is built only if the graft lands and the walk reaches
 its parent.  Within a graft, body signatures are exchanged before root
 signatures, so a half-signed graft is never appendable by anyone.  To
-settle — voluntarily or as a failsafe — append Init, then the latest fully
-signed graft root once its timelock expires, then continue through that
-graft's body on-chain.  The shrinking timelocks guarantee the newest
-agreed state can always land first.
+settle — voluntarily or as a failsafe — append Init, then a sealed graft's
+root by its ladder index (``append_graft``) once its timelock expires, then
+continue through that graft's body on-chain.  The ledger judges every
+graft append: each root spends Init, so only one ever lands, and the
+shrinking timelocks guarantee the newest agreed state can always land
+first.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .contract import (
     ContractTree,
     NodeId,
     OutputSpec,
+    is_int,
     validate_tree,
 )
 from .ledger import AppendError, TxInstance, make_tx
@@ -295,7 +298,14 @@ class OffchainSession(Session):
                        {"steps_sealed": self.steps_sealed})
         return self.append_init(actor)
 
-    def append_graft_root(self, actor: str, graft: Graft) -> Optional[AppendError]:
+    def append_graft(self, actor: str, index: int) -> Optional[AppendError]:
+        """Land the root of ``ladder[index]``, the shadow at index 0.  Only
+        an index off the ladder is refused here; whether Init is on-chain
+        and unspent and the root's timelock has passed is the ledger's to
+        judge."""
+        if not is_int(index) or not 0 <= index < len(self.ladder):
+            raise ProtocolError(f"no sealed graft has index {index!r}")
+        graft = self.ladder[index]
         error = self.append(actor, graft.root_instance, ROLE_GRAFT_ROOT)
         if error is None:
             self.trace.add(self.chain.height, actor, GRAFT_APPENDED, {
@@ -303,19 +313,6 @@ class OffchainSession(Session):
                 "origin": self.tree.node(graft.origin).name})
             self._land(graft.digests, graft.root_instance, graft.origin)
         return error
-
-    def append_latest_graft(self, actor: str) -> Optional[AppendError]:
-        """Settle the newest agreed state."""
-        if self.latest_sealed is None:
-            raise ProtocolError("no graft is sealed")
-        return self.append_graft_root(actor, self.latest_sealed)
-
-    def append_oldest_graft(self, actor: str) -> Optional[AppendError]:
-        """Roll back to the oldest sealed state that can still redeem Init."""
-        index = self.rollback_target()
-        if index is None:
-            raise ProtocolError("no older state can redeem Init")
-        return self.append_graft_root(actor, self.ladder[index])
 
     def child_ready(self, actor: str, child: NodeId) -> bool:
         # The one readiness rule stricter than the ledger: continuing

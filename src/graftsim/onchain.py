@@ -704,7 +704,10 @@ class Session:
     def append_init(self, actor: str) -> Optional[AppendError]:
         raise ProtocolError(f"{self.MODE} execution has no Init and no grafts")
 
-    trigger_failsafe = append_latest_graft = append_oldest_graft = append_init
+    trigger_failsafe = append_init
+
+    def append_graft(self, actor: str, index: int) -> Optional[AppendError]:
+        return self.append_init(actor)
 
 
 class OnchainSession(Session):

@@ -42,8 +42,7 @@ TARGET_ANCHOR = "anchor"        # after stipulation: the root on-chain, Head off
 TARGET_CONTINUE = "continue"    # next node of the on-chain walk (carries .child)
 TARGET_INIT = "init"
 TARGET_FAILSAFE = "failsafe"    # deliberate Init append with a trigger event
-TARGET_LATEST_GRAFT = "latest_graft"
-TARGET_OLDEST_GRAFT = "oldest_graft"
+TARGET_GRAFT = "graft"          # a sealed graft's root (carries .index, 0 the shadow)
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ class Observation:
     next_child: Optional[NodeId] = None             # next node of the branch
     next_child_proposable: bool = False             # edge satisfiable by agreement now
     at_leaf: bool = False                           # off-chain head is a leaf
-    latest_root_ready: bool = False
+    latest_root_ready: bool = False                 # TARGET_GRAFT of the newest would land now
     continuation_ready: bool = False                # TARGET_CONTINUE would land next_child
     rollback_target: Optional[int] = None           # oldest appendable old-state graft
 
@@ -100,6 +99,9 @@ class Action:
     ``onchain.Exchange.deliver``), without asking the strategy again; to
     stop partway through an exchange, return ``WITHHOLD``.
 
+    ``index`` is the ladder position of the graft a ``TARGET_GRAFT`` append
+    lands: 0 is the shadow, ``steps_sealed`` the newest sealed graft.
+
     ``wake`` matters only when the action makes no progress: it is the
     least height at which the strategy, shown the same state, could choose
     differently (``NEVER`` if its choice does not read ``height`` or
@@ -110,6 +112,7 @@ class Action:
     kind: str
     target: str = ""
     child: Optional[NodeId] = None
+    index: Optional[int] = None
     wake: Optional[float] = None
 
 
@@ -178,7 +181,7 @@ def honest(obs: Observation, params: Params) -> Action:
     deliberate = params.get("failsafe_after_steps")
     if obs.phase == FAILSAFE:
         if obs.latest_root_ready:
-            return Action(APPEND, TARGET_LATEST_GRAFT)
+            return Action(APPEND, TARGET_GRAFT, index=obs.steps_sealed)
         if obs.continuation_ready:
             return Action(APPEND, TARGET_CONTINUE, obs.next_child)
         return _IDLE
@@ -249,7 +252,7 @@ def rollback_attacker(obs: Observation, params: Params) -> Action:
     redeem it with the OLDEST settled state instead of the newest."""
     if obs.phase == FAILSAFE:
         if obs.rollback_target is not None:
-            return Action(APPEND, TARGET_OLDEST_GRAFT)
+            return Action(APPEND, TARGET_GRAFT, index=obs.rollback_target)
         return _IDLE
     if obs.phase != RUNNING:
         return _IDLE

@@ -423,7 +423,7 @@ def finalize(session: OffchainSession,
         session.chain.tick()
     else:
         raise ProtocolError("graft root never became enabled")
-    error = session.append_graft_root(actor, latest)
+    error = session.append_graft(actor, latest.index)
     if error is not None:
         raise ProtocolError(f"graft root rejected: {error.code}")
 

@@ -222,6 +222,46 @@ def test_a_share_past_the_bound_ends_in_one_line(tmp_path, capsys, token, messag
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+# JSON's "\ud800" loads as a lone surrogate, which UTF-8 cannot encode, so
+# printing it to a UTF-8 stdout would end in a traceback: each name field is
+# refused where it is parsed.
+LONE = "\ud800"
+LONE_CASES = {
+    "node-name": ({}, lambda c: c["nodes"].update(name=LONE), "node names must be UTF-8 text"),
+    "participant-name": ({"strategies": {}}, lambda c: c.update(participants=["A", LONE]),
+                         "participant names must be UTF-8 text"),
+    "deposit-key": ({}, lambda c: c["deposits"].update({LONE: 1}),
+                    "deposit keys must be UTF-8 text"),
+    "secret-label": ({}, lambda c: c["secrets"].append({"label": LONE, "owner": "oracle"}),
+                     "secret labels must be UTF-8 text"),
+    "scenario-label": ({"label": LONE}, None, "label must be UTF-8 text"),
+}
+
+
+# ``validate`` reads the contract alone, so it runs the four contract cases.
+@pytest.mark.parametrize("command, scenario_patch, contract_patch, message", [
+    pytest.param(command, *case, id=f"{command}-{name}")
+    for name, case in LONE_CASES.items() for command in ("validate", "run")
+    if command == "run" or case[1] is not None])
+def test_a_lone_surrogate_ends_in_one_line(tmp_path, capsys, command, scenario_patch,
+                                           contract_patch, message):
+    contract = json.loads(Path(bundled("bo3.contract")).read_text())
+    if contract_patch:
+        contract_patch(contract)
+    (tmp_path / "c.contract").write_text(json.dumps(contract))
+    data = json.loads(Path(bundled("bo3_happy.scn")).read_text())
+    data.update(contract="c.contract", **scenario_patch)
+    (tmp_path / "s.scn").write_text(json.dumps(data))
+    argv = ["validate", str(tmp_path / "c.contract")] if command == "validate" \
+        else ["run", str(tmp_path / "s.scn")]
+    assert main(argv) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message + ", got '\\ud800'" in captured.err
+    captured.err.encode("utf-8")  # the escaped name prints on any stream
+
+
 def _not_utf8(directory, name, text):
     """Write ``text`` to ``directory/name`` as Latin-1, which is not UTF-8."""
     path = directory / name
@@ -281,7 +321,7 @@ JSON_VALUES = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.sampled_from(LIMITS),
               st.text(max_size=4),
               st.sampled_from(["A", "B", "honest", "staller", "Bet", "LWL", "L1", "1/2",
-                               "1e5000"])),
+                               "1e5000", LONE])),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=3),
     max_leaves=5)

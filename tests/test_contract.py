@@ -246,6 +246,18 @@ class TestValidation:
         errors = validate_tree(replace(three_party, **edit(three_party)))
         assert (errors[0].kind, errors[0].where) == (kind, where)
 
+    # A lone surrogate, as JSON's "\ud800" loads, has no UTF-8 encoding.  The
+    # parser refuses it; a tree built in code gets an error, not a traceback.
+    @pytest.mark.parametrize("edit", [
+        _edit_node(3, name="\ud800"),
+        lambda t: {"participants": (*t.participants, "\ud800"),
+                   "deposits": {**t.deposits, "\ud800": 1}},
+        lambda t: {"secrets": (*t.secrets, SecretDecl("\ud800", "A"))},
+    ], ids=["node-name", "participant-name", "secret-label"])
+    def test_a_name_utf8_cannot_encode_is_an_error(self, three_party, edit):
+        errors = validate_tree(replace(three_party, **edit(three_party)))
+        assert [(e.kind, e.where) for e in errors] == [("BadName", "names")]
+
     def test_participants_fit_the_anchors_input_count(self, three_party):
         """The anchor spends one deposit per participant, and its input
         count has 16 bits."""

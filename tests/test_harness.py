@@ -44,8 +44,7 @@ from graftsim.strategies import (
     TARGET_ANCHOR,
     TARGET_FAILSAFE,
     TARGET_INIT,
-    TARGET_LATEST_GRAFT,
-    TARGET_OLDEST_GRAFT,
+    TARGET_GRAFT,
     Action,
     STRATEGIES,
     honest,
@@ -269,14 +268,15 @@ class TestEngineWatchdog:
     @pytest.mark.parametrize("name, target", [
         ("bo3_onchain", TARGET_INIT),
         ("bo3_onchain", TARGET_FAILSAFE),
-        ("bo3_onchain", TARGET_LATEST_GRAFT),
-        ("bo3_onchain", TARGET_OLDEST_GRAFT),
+        ("bo3_onchain", TARGET_GRAFT),
         ("bo3_happy", TARGET_FAILSAFE),
+        ("bo3_happy", TARGET_GRAFT),
     ])
     def test_a_move_the_session_refuses_is_no_progress(self, name, target):
         # After stipulation A asks for the same append on every poll: an
-        # off-chain move in an on-chain run, or the failsafe again once
-        # Init has landed.  The run carries on without A's move.
+        # off-chain move in an on-chain run, the failsafe again once Init
+        # has landed, or a graft with no index.  The run carries on without
+        # A's move.
         @register("insistent")
         def insistent(observation, params):
             if observation.phase == STIPULATING:
@@ -484,7 +484,7 @@ class TestCensusAndCaps:
                 == census_by_replay(waits, [1, 2, 3], mode), mode
 
     def test_census_refuses_a_run_that_misses_the_leaf(self, monkeypatch):
-        monkeypatch.setattr(harness, "default_height_cap", lambda scenario: 0)
+        monkeypatch.setattr(harness, "default_height_cap", lambda scenario, height: 0)
         with pytest.raises(ValueError, match="ended at height_cap"):
             message_census(chain_tree(3))
 
@@ -513,7 +513,7 @@ class TestCensusAndCaps:
     def test_default_height_cap_scales_with_the_contract(self, bo3_tree):
         scn = scenario_from_dict(scn_dict(t=2, oracle=[[6, "L3"]]), bundled_data_dir())
         # 10 * (last reveal 6 + (height 3 + 2) * t 2 + patience 2 + 5)
-        assert default_height_cap(scn) == 230
+        assert default_height_cap(scn, subtree_height(scn.tree, scn.tree.root)) == 230
 
     @pytest.mark.parametrize("name", ["bo3_happy", "bo3_onchain"])
     def test_a_run_walks_the_tree_for_heights_once(self, monkeypatch, name):

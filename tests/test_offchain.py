@@ -1,12 +1,21 @@
 """Off-chain execution: anchors, grafts, timelock ladder, failsafe."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from graftsim.contract import CONTINUATION, iter_preorder, subtree_height
-from graftsim.ledger import MissingSignature
+from graftsim.contract import (
+    CONTINUATION,
+    iter_preorder,
+    load_contract_file,
+    resolve_path,
+    subtree_height,
+)
+from graftsim.harness import bundled_data_dir
+from graftsim.ledger import MissingInput, MissingSignature, TimelockNotExpired
 from graftsim.offchain import compile_offchain
-from graftsim.onchain import FAILSAFE, FINALIZED, ProtocolError, RUNNING
+from graftsim.onchain import FAILSAFE, FINALIZED, ROLE_GRAFT_ROOT, ProtocolError, RUNNING
 from graftsim.trace import (
+    APPEND,
     FAILSAFE_TRIGGERED,
     GRAFT_SEALED,
     INIT_APPENDED,
@@ -263,17 +272,19 @@ class TestProposals:
 
     def test_graft_appends_need_a_graft_to_land(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
-        with pytest.raises(ProtocolError, match="no graft is sealed"):
-            session.append_latest_graft("A")
+        with pytest.raises(ProtocolError, match="no sealed graft has index 0"):
+            session.append_graft("A", 0)
         stipulate(session)
-        with pytest.raises(ProtocolError, match="no older state"):
-            session.append_oldest_graft("A")  # Init is not on-chain
+        # The ledger, not the session, refuses a graft while Init is off-chain
+        # and once it is spent, and the refusal is logged as a failed append.
+        appends = session.trace.count(APPEND)
+        assert isinstance(session.append_graft("A", 0), MissingInput)  # Init is not on-chain
+        assert session.trace.count(APPEND) == appends + 1
         assert session.append_init("A") is None
         session.chain.tick(session.shadow.root_instance.rel_timelock)
         assert session.rollback_target() == 0
-        assert session.append_oldest_graft("B") is None
-        with pytest.raises(ProtocolError, match="no older state"):
-            session.append_oldest_graft("A")  # Init is spent
+        assert session.append_graft("B", 0) is None
+        assert isinstance(session.append_graft("A", 0), MissingInput)  # Init is spent
 
 
 class TestHalfSignedGrafts:
@@ -292,8 +303,10 @@ class TestHalfSignedGrafts:
         for actor in bo3_tree.participants:
             assert not session.ready(actor, graft.root_instance)
             # root signatures were phase-gated behind the withheld body message
-        error = session.append_graft_root("A", graft)
+        error = session.append("A", graft.root_instance, ROLE_GRAFT_ROOT)
         assert isinstance(error, MissingSignature)
+        with pytest.raises(ProtocolError, match="no sealed graft has index 1"):
+            session.append_graft("A", graft.index)  # never sealed, so off the ladder
 
     def test_failsafe_falls_back_to_last_sealed_state(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
@@ -353,6 +366,69 @@ class TestFailsafe:
         assert heights["LW?"] - heights["Init"] == 2
 
 
+def _sealed_session(seed, steps, t):
+    """An off-chain session of bo3 (``seed`` None) or ``random_tree(seed)``
+    with up to ``steps`` steps of its branch sealed by the drivers, each
+    edge's secrets published and its wait ticked out."""
+    if seed is None:
+        tree, path_names = load_contract_file(bundled_data_dir() / "bo3.contract"), BO3_PATH
+    else:
+        tree, path_names, _ = random_tree(seed)
+    session = start_offchain(tree, seed=0, t=t)
+    stipulate(session)
+    for child in resolve_path(tree, path_names)[1:1 + steps]:
+        for label in tree.node(child).edge.reveals:
+            if label not in session.reveal_pool:
+                reveal_oracle(session, label)
+        while not session.edge_satisfiable(child):
+            session.chain.tick()
+        offchain_step(session, child)
+    return session
+
+
+class TestSettleByIndex:
+    """``append_graft(actor, index)`` lands any sealed graft by its ladder
+    index, and the ledger alone decides which can: after Init lands at h,
+    index i waits for h plus its root's timelock, so the newest lands
+    first, and its landing spends Init for every other index."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.none() | st.integers(0, 10 ** 6), steps=st.integers(1, 4),
+           t=st.integers(1, 3), delay=st.integers(0, 3), data=st.data())
+    def test_the_newest_graft_lands_first_at_every_index(self, seed, steps, t, delay, data):
+        session = _sealed_session(seed, steps, t)
+        ladder = session.ladder
+        newest = len(ladder) - 1
+        assert newest == session.steps_sealed >= 1
+        actor = data.draw(st.sampled_from(session.tree.participants))
+        session.chain.tick(delay)
+        assert session.append_init(actor) is None
+        h = session.chain.height
+        init_output = (session.init.digest, 0)
+        rows = len(session.trace.rows)
+        for index in (None, -1, len(ladder)):
+            with pytest.raises(ProtocolError, match="no sealed graft has index"):
+                session.append_graft(actor, index)
+        assert len(session.trace.rows) == rows
+        # Every index, oldest first, at every height until one lands.
+        landed = None
+        while landed is None:
+            for index, graft in enumerate(ladder):
+                error = session.append_graft(actor, index)
+                if error is None:
+                    landed = index
+                    break
+                needed = h + graft.root_instance.rel_timelock
+                assert error == TimelockNotExpired(needed) and session.chain.height < needed
+            else:
+                session.chain.tick()
+        assert landed == newest
+        assert session.chain.height == h + ladder[newest].root_instance.rel_timelock
+        session.chain.tick(ladder[0].root_instance.rel_timelock)  # past every timelock
+        for index in range(newest):
+            assert session.append_graft(actor, index) == MissingInput(init_output)
+
+
 class TestFullDescent:
     def test_leaf_graft_settles_in_three_transactions(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)
@@ -401,7 +477,7 @@ class TestReadiness:
         shadow = session.shadow
         session.chain.tick(shadow.root_instance.rel_timelock)
         assert session.ready("C", shadow.root_instance)
-        assert session.append_graft_root("C", shadow) is None
+        assert session.append_graft("C", shadow.index) is None
         t3 = ids_by_name(three_party)["T3"]
         tx = session.ahead[t3]
         assert tx.edge_signers == {"C"} and tx.digest not in session.edge_pool

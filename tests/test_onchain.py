@@ -425,10 +425,12 @@ class TestProposals:
             (0, None, None)
         stipulate(session)
         assert session.step_origin == three_party.root
-        for move in (session.trigger_failsafe, session.append_latest_graft,
-                     session.append_oldest_graft):
+        for move in (session.trigger_failsafe, session.append_init):
             with pytest.raises(ProtocolError):
                 move("A")
+        for index in (None, 0):
+            with pytest.raises(ProtocolError):
+                session.append_graft("A", index)
 
 
 class TestBaselineDriver:

@@ -12,9 +12,8 @@ from graftsim.strategies import (
     TARGET_ANCHOR,
     TARGET_CONTINUE,
     TARGET_FAILSAFE,
+    TARGET_GRAFT,
     TARGET_INIT,
-    TARGET_LATEST_GRAFT,
-    TARGET_OLDEST_GRAFT,
     WITHHOLD,
     Observation,
     honest,
@@ -111,9 +110,9 @@ class TestHonestFailsafeTriggers:
 
 class TestHonestAfterInit:
     def test_lands_latest_graft_first(self):
-        action = honest(obs(phase=FAILSAFE, latest_root_ready=True,
+        action = honest(obs(phase=FAILSAFE, latest_root_ready=True, steps_sealed=2,
                             continuation_ready=True, next_child=9), {})
-        assert (action.kind, action.target) == (APPEND, TARGET_LATEST_GRAFT)
+        assert (action.kind, action.target, action.index) == (APPEND, TARGET_GRAFT, 2)
 
     def test_continues_through_the_graft_body(self):
         action = honest(obs(phase=FAILSAFE, next_child=9, continuation_ready=True), {})
@@ -197,7 +196,7 @@ class TestRollbackAttacker:
 
     def test_replays_the_oldest_state_after_init(self):
         action = rollback_attacker(obs(phase=FAILSAFE, rollback_target=1), {})
-        assert (action.kind, action.target) == (APPEND, TARGET_OLDEST_GRAFT)
+        assert (action.kind, action.target, action.index) == (APPEND, TARGET_GRAFT, 1)
 
     def test_gives_up_once_init_is_redeemed(self):
         assert rollback_attacker(obs(phase=FAILSAFE, rollback_target=None),
