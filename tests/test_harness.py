@@ -265,23 +265,26 @@ class TestEngineWatchdog:
         aborted = trace.find(STIPULATION_ABORTED)
         assert aborted and aborted[0].data["withholder"] == "A"
 
-    @pytest.mark.parametrize("name, target", [
-        ("bo3_onchain", TARGET_INIT),
-        ("bo3_onchain", TARGET_FAILSAFE),
-        ("bo3_onchain", TARGET_GRAFT),
-        ("bo3_happy", TARGET_FAILSAFE),
-        ("bo3_happy", TARGET_GRAFT),
-    ])
-    def test_a_move_the_session_refuses_is_no_progress(self, name, target):
+    @pytest.mark.parametrize("name, target, graft", [
+        ("bo3_onchain", TARGET_INIT, None),
+        ("bo3_onchain", TARGET_FAILSAFE, None),
+        ("bo3_onchain", TARGET_GRAFT, "latest"),
+        ("bo3_onchain", TARGET_GRAFT, "oldest"),
+        ("bo3_happy", TARGET_FAILSAFE, None),
+        ("bo3_happy", TARGET_GRAFT, None),
+    ], ids=["bo3_onchain-init", "bo3_onchain-failsafe", "bo3_onchain-latest_graft",
+            "bo3_onchain-oldest_graft", "bo3_happy-failsafe", "bo3_happy-graft"])
+    def test_a_move_the_session_refuses_is_no_progress(self, name, target, graft):
         # After stipulation A asks for the same append on every poll: an
-        # off-chain move in an on-chain run, the failsafe again once Init
-        # has landed, or a graft with no index.  The run carries on without
-        # A's move.
+        # off-chain move in an on-chain run (the newest or the oldest
+        # graft among them), the failsafe again once Init has landed, or a
+        # graft with no index.  The run carries on without A's move.
         @register("insistent")
         def insistent(observation, params):
             if observation.phase == STIPULATING:
                 return honest(observation, params)
-            return Action(graftsim.strategies.APPEND, target)
+            index = {"latest": observation.steps_sealed, "oldest": 0}.get(graft)
+            return Action(graftsim.strategies.APPEND, target, index=index)
         scn = load(name)
         try:
             trace = run(replace(scn, strategies={**scn.strategies, "A": ("insistent", {})}))
