@@ -52,7 +52,6 @@ from .trace import (
     APPEND,
     DEPOSIT,
     SECRET_PUBLISHED,
-    SIG_SHAPE,
     STEP_AGREED,
     STEP_PROPOSED,
     STEP_REFUSED,
@@ -271,14 +270,15 @@ class Exchange:
     message undelivered is the one holding the least count short of the
     queue's end, and every query is arithmetic on the counts.  The counts
     are also the only record of who holds which signature (``received``).
-    ``body`` is the list given, kept as it is; the session maps each
-    signed digest to its item (``Session.exchange_of``).
+    ``body`` is kept as a tuple, so that each slice ``segments`` cuts of it
+    is one too; the session maps each signed digest to its item
+    (``Session.exchange_of``).
     """
 
     def __init__(self, participants: Sequence[str], body: Sequence[Tuple[str, str]],
                  final: Tuple[str, str], include_txset: bool) -> None:
         self.participants = sorted(participants)
-        self.body = body
+        self.body = tuple(body)
         self.final = final
         self.include_txset = include_txset
         others = len(self.participants) - 1
@@ -318,10 +318,11 @@ class Exchange:
         return range(start, end)
 
     def segments(self, sender: str,
-                 burst: range) -> Iterator[Tuple[str, Optional[Sequence[Tuple[str, str]]]]]:
+                 burst: range) -> Iterator[Tuple[str, Optional[Tuple[Tuple[str, str], ...]]]]:
         """The messages at ``burst``'s positions of ``sender``'s queue, in
         order, as runs (recipient, items): the (subject, digest) items
-        signed to ``recipient``, or None for its transaction set."""
+        signed to ``recipient``, one slice of ``body`` or ``(final,)``, or
+        None for its transaction set."""
         others = [p for p in self.participants if p != sender]
         body, width = self.body, len(self.body)
         at, stop = burst.start, burst.stop
@@ -616,7 +617,9 @@ class Session:
     def send(self, sender: str) -> int:
         """Deliver every message ``sender`` can send now in the active
         exchange, as one burst (see ``Exchange.deliver``), and log each
-        message; the exchange's counts record the signatures delivered.
+        message: a transaction set as its row, and each recipient's slice
+        of signed items as one ``Trace.add_messages`` call, which keeps the
+        slice.  The exchange's counts record the signatures delivered.
         Returns how many were sent."""
         exchange = self.active_exchange()
         if exchange is None:
@@ -624,14 +627,14 @@ class Session:
         burst = exchange.deliver(sender)
         if not burst:
             return 0
-        rows, height = self.trace.rows, self.chain.height
+        trace, height = self.trace, self.chain.height
         for recipient, items in exchange.segments(sender, burst):
             if items is None:
                 # The announced transaction set: the stipulation body and the anchor.
-                rows.append((TXSET_SHAPE, height, sender, len(exchange.body) + 1, recipient))
+                trace.rows.append((TXSET_SHAPE, height, sender, len(exchange.body) + 1,
+                                   recipient))
             else:
-                rows.extend([(SIG_SHAPE, height, sender, digest, recipient, subject)
-                             for subject, digest in items])
+                trace.add_messages(height, sender, recipient, items)
         if exchange.complete:
             self._exchange_complete(exchange, sender)
         return len(burst)

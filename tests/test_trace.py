@@ -172,6 +172,164 @@ def test_blocks_of_lines_are_json_dumps(last_run):
     assert trace.serialize() == serialize_by_dumps(trace)
 
 
+# -- run rows ----------------------------------------------------------------
+
+# Sizes at and around the serializer's bounds: a group of ``_MIN_BLOCK``
+# plain rows of one shape is formatted as a block, and a block holds
+# ``_BLOCK`` lines.
+SIZES = st.sampled_from([0, 1, 2, 3, trace_module._MIN_BLOCK - 1, trace_module._MIN_BLOCK,
+                         BLOCK - 1, BLOCK, BLOCK + 1])
+# Message values: mostly text, which is encoded in C, and now and then a
+# value that is not a ``str``, which sends its run or block to the encoder.
+MESSAGE_VALUES = TEXT | st.integers(-2**64, 2**64) | st.none() | st.lists(TEXT, max_size=2)
+HEIGHTS = st.integers(0, 2**64)
+
+
+def _messages(size):
+    return st.lists(st.tuples(MESSAGE_VALUES, MESSAGE_VALUES), min_size=size, max_size=size)
+
+
+# One sender's messages at one height, as a burst is: segments (to,
+# items) with the same number of items each, and up to one more segment
+# than ``_MIN_BLOCK``, so that run rows follow each other as long as
+# plain rows do in a block.
+SEGMENTS = st.tuples(
+    st.sampled_from([1, 2, trace_module._MIN_BLOCK - 1, trace_module._MIN_BLOCK,
+                     trace_module._MIN_BLOCK + 1]),
+    SIZES,
+).flatmap(lambda counts: st.lists(st.tuples(TEXT, _messages(counts[1])),
+                                  min_size=counts[0], max_size=counts[0]))
+# Pieces of a trace: an ``add`` event; messages as ``SIG_SHAPE`` rows
+# appended to ``rows`` by hand, or added as events with the same keys (an
+# equal shape, but not the same tuple); and messages written segment by
+# segment with ``add_messages``.
+PIECES = st.one_of(
+    st.tuples(st.just("event"), EVENTS),
+    st.tuples(st.sampled_from(["rows", "added", "segments"]), HEIGHTS, TEXT, SEGMENTS),
+)
+
+
+def _message_event(height, sender, to, item):
+    tx, digest = item
+    return Event(height, sender, SIGNATURE_SENT, {"digest": digest, "to": to, "tx": tx})
+
+
+def _pieces_traces(pieces, filler):
+    """Three traces of ``pieces`` after ``filler`` plain events: one with
+    each segment written by ``add_messages``, one with every segment
+    expanded into ``SIG_SHAPE`` rows, and the ``EventListTrace`` reference."""
+    trace, expanded = Trace({"label": "runs"}), Trace({"label": "runs"})
+    reference = EventListTrace({"label": "runs"})
+    for i in range(filler):
+        for t in (trace, expanded):
+            t.add(i, "F", "Filler", {"at": i})
+        reference.events.append(Event(i, "F", "Filler", {"at": i}))
+    for piece in pieces:
+        if piece[0] == "event":
+            for t in (trace, expanded):
+                t.add(*piece[1])
+            reference.events.append(piece[1])
+            continue
+        what, height, sender, segments = piece
+        for to, items in segments:
+            events = [_message_event(height, sender, to, item) for item in items]
+            reference.events.extend(events)
+            for t in (trace, expanded):
+                if what == "segments" and t is trace:
+                    trace.add_messages(height, sender, to, items)
+                elif what == "added":
+                    for event in events:
+                        t.add(*event)
+                else:
+                    t.rows.extend((SIG_SHAPE, height, sender, digest, to, tx)
+                                  for tx, digest in items)
+    for t in (trace, expanded, reference):
+        t.summary = {"outcome": "leaf"}
+    return trace, expanded, reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(pieces=st.lists(PIECES, max_size=6),
+       filler=st.sampled_from([0, trace_module._MIN_GROUPED - 1, trace_module._MIN_GROUPED]),
+       data=st.data())
+def test_runs_read_as_their_messages(pieces, filler, data):
+    """Every read of a trace with run rows equals the same read of the
+    trace with each run expanded into ``SIG_SHAPE`` rows, and of the
+    events kept as a list: ``events`` (length, iteration, indexing,
+    slices, ``index``), ``count``, ``find`` and ``serialize``."""
+    trace, expanded, reference = _pieces_traces(pieces, filler)
+    events = reference.events
+    size = len(events)
+    for t in (trace, expanded):
+        view = t.events
+        assert view is t.events
+        assert len(view) == size
+        assert list(view) == events
+        assert all(view[i] == events[i] for i in range(-size, size))
+        for index in (size, -size - 1):
+            with pytest.raises(IndexError):
+                view[index]
+        for _ in range(3):
+            cut = slice(data.draw(st.integers(-size - 2, size + 2) | st.none()),
+                        data.draw(st.integers(-size - 2, size + 2) | st.none()),
+                        data.draw(st.sampled_from([None, 1, 2, 7, -1, -3])))
+            assert view[cut] == events[cut]
+        for i in range(0, size, max(1, size // 16)):
+            assert view.index(events[i]) == events.index(events[i])
+        for kind in {e.kind for e in events} | {SIGNATURE_SENT, "Absent"}:
+            assert t.count(kind) == reference.count(kind), kind
+            assert t.find(kind) == reference.find(kind), kind
+    assert trace.serialize() == expanded.serialize() == serialize_by_dumps(reference)
+    if any(len(items) >= trace_module._MIN_RUN
+           for piece in pieces if piece[0] == "segments" for _, items in piece[3]):
+        assert len(trace.rows) < len(expanded.rows)
+
+
+def test_a_segment_of_one_message_is_a_plain_row():
+    trace = Trace({})
+    trace.add_messages(3, "A", "B", [("T", "d")])
+    trace.add_messages(3, "A", "C", [])
+    assert trace.rows == [(SIG_SHAPE, 3, "A", "d", "B", "T")]
+
+
+def test_a_run_keeps_its_items_as_a_tuple():
+    """Rows stay immutable: a run holds a tuple, a copy of a list given."""
+    trace, items = Trace({}), [("T1", "d1"), ("T2", "d2")]
+    trace.add_messages(0, "A", "B", items)
+    items.append(("T3", "d3"))
+    (row,) = trace.rows
+    assert row[-1] == (("T1", "d1"), ("T2", "d2"))
+    assert [e.data["tx"] for e in trace.events] == ["T1", "T2"]
+
+
+def test_every_index_of_a_view_reads_its_event():
+    """Runs in the first rows, next to each other and next to plain rows:
+    each index, from either end, finds its row and its item in it."""
+    trace, events = Trace({}), []
+    trace.add(0, "A", "Start", {})
+    events.append(Event(0, "A", "Start", {}))
+    for to, size in (("B", 3), ("C", 2), ("D", 1), ("E", 4)):
+        items = [(f"T{to}{i}", f"d{to}{i}") for i in range(size)]
+        trace.add_messages(1, "A", to, items)
+        events += [_message_event(1, "A", to, item) for item in items]
+    trace.add(2, "A", "End", {})
+    events.append(Event(2, "A", "End", {}))
+    assert len(trace.rows) == 6
+    assert [trace.events[i] for i in range(len(events))] == events
+    assert [trace.events[-i] for i in range(1, len(events) + 1)] == events[::-1]
+
+
+def test_write_writes_the_serialized_bytes(tmp_path):
+    """The file holds ``serialize()`` encoded as UTF-8, each newline a
+    single ``"\\n"``: written in text mode with the default newline, it
+    would hold ``os.linesep`` instead, which is ``"\\r\\n"`` on Windows."""
+    trace = run(load_scenario(bundled_data_dir() / "bo3_happy.scn"))
+    trace.header["note"] = "é✓𝄞\r\n"
+    path = tmp_path / "trace.jsonl"
+    trace.write(path)
+    assert path.read_bytes() == trace.serialize().encode("utf-8")
+
+
 # -- the package's own traces -----------------------------------------------
 
 def _assert_rows_read_as_the_reference(trace):
