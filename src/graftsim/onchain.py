@@ -57,7 +57,7 @@ from .trace import (
     STEP_REFUSED,
     STIPULATION_ABORTED,
     STIPULATION_COMPLETE,
-    TXSET_SHAPE,
+    TXSET_SENT,
     Trace,
     witness_summary,
 )
@@ -617,10 +617,10 @@ class Session:
     def send(self, sender: str) -> int:
         """Deliver every message ``sender`` can send now in the active
         exchange, as one burst (see ``Exchange.deliver``), and log each
-        message: a transaction set as its row, and each recipient's slice
-        of signed items as one ``Trace.add_messages`` call, which keeps the
-        slice.  The exchange's counts record the signatures delivered.
-        Returns how many were sent."""
+        message: a transaction set with ``Trace.add``, and each recipient's
+        slice of signed items as one ``Trace.add_messages`` call, which
+        keeps the slice.  The exchange's counts record the signatures
+        delivered.  Returns how many were sent."""
         exchange = self.active_exchange()
         if exchange is None:
             return 0
@@ -631,8 +631,8 @@ class Session:
         for recipient, items in exchange.segments(sender, burst):
             if items is None:
                 # The announced transaction set: the stipulation body and the anchor.
-                trace.rows.append((TXSET_SHAPE, height, sender, len(exchange.body) + 1,
-                                   recipient))
+                trace.add(height, sender, TXSET_SENT,
+                          {"count": len(exchange.body) + 1, "to": recipient})
             else:
                 trace.add_messages(height, sender, recipient, items)
         if exchange.complete:

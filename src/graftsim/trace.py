@@ -19,7 +19,7 @@ import functools
 import json
 from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import chain, groupby
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import countOf, index as as_index, itemgetter
 from pathlib import Path
@@ -45,11 +45,9 @@ SECRET_PUBLISHED = "SecretPublished"
 STIPULATION_COMPLETE = "StipulationComplete"
 STIPULATION_ABORTED = "StipulationAborted"
 
-# The shapes of the messages: ``(SIG_SHAPE, height, sender, digest, to,
-# tx)``, which ``Trace.add_messages`` writes, and ``(TXSET_SHAPE, height,
-# sender, count, to)``, which ``Session.send`` appends directly.
+# The shape of a message row, ``(SIG_SHAPE, height, sender, digest, to,
+# tx)``, which ``Trace.add_messages`` writes.
 SIG_SHAPE = (SIGNATURE_SENT, "digest", "to", "tx")
-TXSET_SHAPE = (TXSET_SENT, "count", "to")
 
 # A run row, ``(_RUN, height, sender, to, items)``: the ``SignatureSent``
 # events of ``sender`` to ``to`` at ``height``, one per (tx, digest) item,
@@ -77,32 +75,17 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 # arbitrary events from growing the cache of line formats without limit.
 _MAX_SHAPES = 1024
 
-# A trace of at least ``_MIN_GROUPED`` rows is taken in groups of rows of
-# one shape, and a group of at least ``_MIN_BLOCK`` rows is formatted in
-# blocks of at most ``_BLOCK`` lines, each filled by one ``%`` with arguments
-# gathered in C.  Shorter traces, such as adversary runs (at most 151 rows in
-# the ACCEPTANCE 5 sweep), and shorter groups are formatted row by row,
-# which costs less than grouping the rows and setting up the columns; so
-# are run rows, each of which formats its own lines.  The block bound keeps
-# the arguments of one block, and so the peak memory of ``serialize``,
-# small.
-_MIN_GROUPED = 256
-_MIN_BLOCK = 8
-_BLOCK = 64
-
-_SHAPE, _HEIGHT = itemgetter(0), itemgetter(1)
+_SHAPE = itemgetter(0)
 
 
 @functools.lru_cache(maxsize=_MAX_SHAPES)
-def _line_format(shape: Tuple) -> Tuple[str, Callable[[Tuple], Tuple],
-                                        Tuple[Callable[[Tuple], object], ...]]:
-    """The ``%`` format of an event line of this shape, a function that
-    picks from a row of it the actor and the data values in sorted key
-    order, whose encodings fill it ahead of the height, and one getter per
-    such column.  The constant parts are encoded here once, with every
-    ``%`` in them doubled."""
-    # Shapes are cached and grouped by equality, under which 1, 1.0 and
-    # True are one kind, though each encodes differently.
+def _line_format(shape: Tuple) -> Tuple[str, Callable[[Tuple], Tuple]]:
+    """The ``%`` format of an event line of this shape, and a function
+    that picks from a row of it the actor and the data values in sorted
+    key order, whose encodings fill it ahead of the height.  The constant
+    parts are encoded here once, with every ``%`` in them doubled."""
+    # Shapes are cached by equality, under which 1, 1.0 and True are one
+    # kind, though each encodes differently.
     for part in shape:
         if not isinstance(part, str):
             raise TypeError(f"event kinds and data keys must be str, not {type(part).__name__}")
@@ -115,14 +98,7 @@ def _line_format(shape: Tuple) -> Tuple[str, Callable[[Tuple], Tuple],
     columns = (2, *(3 + i for i in order))
     # ``itemgetter`` of one index returns the item, not a 1-tuple.
     pick = itemgetter(*columns) if keys else (lambda row: (row[2],))
-    return fmt, pick, tuple(map(itemgetter, columns))
-
-
-def _block_args(encode: Callable[[object], str], columns: Tuple, rows: List[Tuple]) -> Tuple:
-    """The arguments of a block of ``rows``' lines, row after row: each
-    column's values encoded, then the height."""
-    return tuple(chain.from_iterable(zip(
-        *[map(encode, map(column, rows)) for column in columns], map(_HEIGHT, rows))))
+    return fmt, pick
 
 
 def _run_text(row: Tuple, encode: Callable[[object], str]) -> str:
@@ -152,7 +128,7 @@ def _row_lines(rows: Iterable[Tuple]) -> Iterator[str]:
     """Each row's line, filled into its shape's cached format: the bytes of
     ``json.dumps`` with sorted keys and compact separators, for an ``int``
     height and ``str`` data keys.  A row whose actor and values are all
-    ``str``, as every message's are, is encoded in C alone; any other value
+    ``str``, as every signature's are, is encoded in C alone; any other value
     raises ``TypeError`` there and the row goes through the encoder, which
     gives every ``str`` the same bytes.  A run row gives its lines joined."""
     esc, enc = encode_basestring_ascii, _ENCODER.encode
@@ -164,32 +140,12 @@ def _row_lines(rows: Iterable[Tuple]) -> Iterator[str]:
                 yield _run_lines(row)
                 continue
             last = row[0]
-            fmt, pick, _ = _line_format(last)
+            fmt, pick = _line_format(last)
         try:
             line = fmt % (*map(esc, pick(row)), row[1])
         except TypeError:
             line = fmt % (*map(enc, pick(row)), row[1])
         yield line
-
-
-def _block_lines(rows: Iterable[Tuple]) -> Iterator[str]:
-    """``_row_lines``, with each group of at least ``_MIN_BLOCK`` plain
-    rows of one shape as blocks of lines joined by ``"\\n"``.  A block with
-    a value that is not a ``str`` goes through the encoder whole."""
-    esc, enc = encode_basestring_ascii, _ENCODER.encode
-    for shape, group in groupby(rows, _SHAPE):
-        group = list(group)
-        if len(group) < _MIN_BLOCK or shape is _RUN:
-            yield from _row_lines(group)
-            continue
-        fmt, _, columns = _line_format(shape)
-        for start in range(0, len(group), _BLOCK):
-            batch = group[start:start + _BLOCK]
-            try:
-                args = _block_args(esc, columns, batch)
-            except TypeError:
-                args = _block_args(enc, columns, batch)
-            yield "\n".join([fmt] * len(batch)) % args
 
 
 class Event(NamedTuple):
@@ -263,8 +219,7 @@ class EventView(Sequence):
 class Trace:
     """A run's header, its event rows, its successful appends and its
     terminal summary, which ``summarize_run`` fills in.  ``add`` writes an
-    event as its row, and ``add_messages`` a segment of a burst;
-    ``Session.send`` appends a transaction set's row to ``rows`` directly.
+    event as its row, and ``add_messages`` a segment of a burst.
     ``events``, ``count``, ``find`` and ``serialize`` read the rows."""
 
     def __init__(self, header: Dict) -> None:
@@ -308,8 +263,7 @@ class Trace:
 
     def serialize(self) -> str:
         lines = [_ENCODER.encode({"type": "header", **self.header})]
-        rows = self.rows
-        lines.extend(_row_lines(rows) if len(rows) < _MIN_GROUPED else _block_lines(rows))
+        lines.extend(_row_lines(self.rows))
         lines.append(_ENCODER.encode({"type": "summary", **self.summary}))
         # The closing newline, so the text is joined once and not copied.
         lines.append("")

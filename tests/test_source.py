@@ -1,5 +1,6 @@
 """Source checks that need no linter: every import in the package is
-used, and every public name it defines has a reader outside the tests."""
+used, and every public name and every module-level constant it defines
+has a reader outside the tests."""
 
 import ast
 from pathlib import Path
@@ -66,6 +67,19 @@ def _public_definitions(tree: ast.Module, module: str) -> list:
     return found
 
 
+def _constants(tree: ast.Module, module: str) -> list:
+    """(qualified name, name) of each name, public or private, that a
+    module-level assignment of ``tree`` binds, dunder names left out."""
+    found = []
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        found += [(f"{module}.{name.id}", name.id) for target in targets
+                  for name in ast.walk(target)
+                  if isinstance(name, ast.Name) and not name.id.startswith("__")]
+    return found
+
+
 def _reads(tree: ast.Module) -> set:
     """The names ``tree`` reads: loaded names and attributes, imported
     names, and the strings listed in an ``__all__``."""
@@ -86,9 +100,10 @@ def _reads(tree: ast.Module) -> set:
 
 def unread_public_names(package: dict, readers: list) -> list:
     """The qualified names of the public functions, classes and methods
-    defined in ``package`` (module name -> source) that neither
-    ``package`` nor ``readers`` (sources) read, export in ``__all__`` or
-    register as a strategy.
+    and of the module-level constants, public or private, defined in
+    ``package`` (module name -> source) that neither ``package`` nor
+    ``readers`` (sources) read, export in ``__all__`` or register as a
+    strategy.
 
     A read is matched by name alone, whoever owns the attribute, so the
     check is conservative: a member read under a name some other member
@@ -100,7 +115,9 @@ def unread_public_names(package: dict, readers: list) -> list:
     for tree in [*trees.values(), *map(ast.parse, readers)]:
         read |= _reads(tree)
     return sorted(qualified for module, tree in trees.items()
-                  for qualified, name in _public_definitions(tree, module) if name not in read)
+                  for qualified, name in [*_public_definitions(tree, module),
+                                          *_constants(tree, module)]
+                  if name not in read)
 
 
 def test_every_public_name_has_a_reader():
@@ -128,3 +145,18 @@ def test_the_check_sees_an_unread_name():
     reader = "from m import K\nK().read()\n"
     assert unread_public_names(package, [reader]) == \
         ["m.K.stored", "m.K.unread", "m._Hidden.method", "m.unused"]
+
+
+def test_the_check_sees_an_unread_constant():
+    package = {"m": ("__all__ = ['EXPORTED']\n"
+                     "EXPORTED = 1\n"
+                     "USED, _UNUSED = 2, 3\n"
+                     "_PRIVATE: int = USED\n"
+                     "FROM_READER = 4\n"
+                     "UNREAD = 5\n"
+                     "_cache = {}\n"
+                     "def read(): return _PRIVATE\n"
+                     "class K:\n"
+                     "    FIELD = 6\n")}
+    reader = "from m import FROM_READER, K\nimport m\nm.read()\n"
+    assert unread_public_names(package, [reader]) == ["m.UNREAD", "m._UNUSED", "m._cache"]

@@ -4,13 +4,14 @@ compact separators, whatever the values."""
 import json
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from drivers import EventListTrace, serialize_by_dumps, strategies_added
 from graftsim import harness, trace as trace_module
-from graftsim.contract import deepest_leaf_path
+from graftsim.contract import PayoutShare, deepest_leaf_path
 from graftsim.harness import (
     MODE_OFFCHAIN,
     MODE_ONCHAIN,
@@ -126,9 +127,8 @@ def test_the_shape_cache_stays_within_its_bound():
     assert 0 < trace_module._line_format.cache_info().currsize <= bound
 
 
-# -- blocks of lines ---------------------------------------------------------
+# -- long traces -------------------------------------------------------------
 
-BLOCK = trace_module._BLOCK
 # Values that mean something to ``%``, to JSON strings or to ASCII escaping.
 ODD = ("%", "%s%%", '"', "\\", "\u2028", "é✓𝄞", "plain")
 
@@ -137,13 +137,13 @@ def _odd(i):
     return ODD[i % len(ODD)]
 
 
-def _block_trace(last_run):
-    """A trace long enough to be formatted in blocks: runs longer than the
-    block bound, message rows appended directly beside ``add`` rows of the
-    same shape, a run with a value that is not a ``str`` in its middle, and
-    a last run of ``last_run`` rows."""
-    trace = Trace({"label": "blocks"})
-    for i in range(3 * BLOCK + 5):
+def _long_trace(last_run):
+    """A trace of a few hundred rows: long stretches of rows of one shape,
+    message rows appended directly beside ``add`` rows of the same shape,
+    a stretch with values that are not a ``str`` in its middle, and a last
+    stretch of ``last_run`` rows."""
+    trace = Trace({"label": "long"})
+    for i in range(197):
         if i % 9 == 4:
             # Equal to ``SIG_SHAPE``, but a new tuple.
             trace.add(i, "B", SIGNATURE_SENT, {"digest": f"d{i}{_odd(i)}", "to": "A",
@@ -154,8 +154,8 @@ def _block_trace(last_run):
     for i in range(5):
         trace.add(i, "A", SIGNATURE_SENT, {"tx": _odd(i), "to": "B", "digest": f"d{i}"})
         trace.rows.append((SIG_SHAPE, i, "A", f"d{i}", "B", _odd(i)))
-    for i in range(BLOCK + 3):
-        text = {BLOCK // 2: 7, BLOCK // 2 + 1: None}.get(i, _odd(i))
+    for i in range(67):
+        text = {32: 7, 33: None}.get(i, _odd(i))
         trace.add(i, _odd(i), "Note", {"text": text, "at": [i, _odd(i)]})
     for i in range(last_run):
         trace.add(i, "C", "Last", {"b": _odd(i), "a": f"{i}%d"})
@@ -163,24 +163,20 @@ def _block_trace(last_run):
     return trace
 
 
-@pytest.mark.parametrize("last_run", [1, trace_module._MIN_BLOCK, BLOCK, BLOCK + 1, 2 * BLOCK],
-                         ids=["one", "shortest-block", "one-block", "block-and-one",
-                              "two-blocks"])
-def test_blocks_of_lines_are_json_dumps(last_run):
-    trace = _block_trace(last_run)
-    assert len(trace.rows) >= trace_module._MIN_GROUPED
+@pytest.mark.parametrize("last_run", [1, 8, 64, 65, 128])
+def test_a_long_trace_of_odd_values_is_json_dumps(last_run):
+    trace = _long_trace(last_run)
+    assert len(trace.rows) >= 256
     assert trace.serialize() == serialize_by_dumps(trace)
 
 
 # -- run rows ----------------------------------------------------------------
 
-# Sizes at and around the serializer's bounds: a group of ``_MIN_BLOCK``
-# plain rows of one shape is formatted as a block, and a block holds
-# ``_BLOCK`` lines.
-SIZES = st.sampled_from([0, 1, 2, 3, trace_module._MIN_BLOCK - 1, trace_module._MIN_BLOCK,
-                         BLOCK - 1, BLOCK, BLOCK + 1])
+# Segment sizes around ``_MIN_RUN``, the shortest segment that is a run
+# row, and a few larger ones.
+SIZES = st.sampled_from([0, 1, 2, 3, 7, 8, 63, 64, 65])
 # Message values: mostly text, which is encoded in C, and now and then a
-# value that is not a ``str``, which sends its run or block to the encoder.
+# value that is not a ``str``, which sends its row or run to the encoder.
 MESSAGE_VALUES = TEXT | st.integers(-2**64, 2**64) | st.none() | st.lists(TEXT, max_size=2)
 HEIGHTS = st.integers(0, 2**64)
 
@@ -190,12 +186,10 @@ def _messages(size):
 
 
 # One sender's messages at one height, as a burst is: segments (to,
-# items) with the same number of items each, and up to one more segment
-# than ``_MIN_BLOCK``, so that run rows follow each other as long as
-# plain rows do in a block.
+# items) with the same number of items each, up to nine of them, so that
+# run rows follow each other as plain rows do.
 SEGMENTS = st.tuples(
-    st.sampled_from([1, 2, trace_module._MIN_BLOCK - 1, trace_module._MIN_BLOCK,
-                     trace_module._MIN_BLOCK + 1]),
+    st.sampled_from([1, 2, 7, 8, 9]),
     SIZES,
 ).flatmap(lambda counts: st.lists(st.tuples(TEXT, _messages(counts[1])),
                                   min_size=counts[0], max_size=counts[0]))
@@ -250,7 +244,7 @@ def _pieces_traces(pieces, filler):
 
 @settings(max_examples=60, deadline=None)
 @given(pieces=st.lists(PIECES, max_size=6),
-       filler=st.sampled_from([0, trace_module._MIN_GROUPED - 1, trace_module._MIN_GROUPED]),
+       filler=st.sampled_from([0, 255, 256]),
        data=st.data())
 def test_runs_read_as_their_messages(pieces, filler, data):
     """Every read of a trace with run rows equals the same read of the
@@ -347,6 +341,19 @@ def _assert_rows_read_as_the_reference(trace):
         (messages, appended), label
 
 
+def _with_many_parties(tree, count):
+    """``tree`` with ``count`` participants, ``P00`` on, each depositing
+    what the first one does, and every leaf split evenly among them: most
+    of a burst's segments are then of one message, and so plain rows."""
+    parties = tuple(f"P{i:02d}" for i in range(count))
+    split = tuple(PayoutShare(p, Fraction(1, count)) for p in parties)
+    nodes = {i: replace(node, outputs=split) if node.outputs else node
+             for i, node in tree.nodes.items()}
+    deposit = tree.deposits[tree.participants[0]]
+    return replace(tree, participants=parties, deposits=dict.fromkeys(parties, deposit),
+                   nodes=nodes)
+
+
 ADVERSARY_PARAMS = {
     "staller": lambda seed: {"stall_after_steps": seed % 3},
     "premature_init": lambda seed: {"trigger_step": 1 + seed % 3},
@@ -357,8 +364,9 @@ ADVERSARY_PARAMS = {
 
 def _reference_scenarios():
     """The bundled scenarios, the 144 runs of ACCEPTANCE 5, a cooperative
-    off-chain ``chain_tree(16)`` and ``random_tree`` seeds 0-24 against
-    every bundled adversary, which between them end at the leaf and at the
+    off-chain ``chain_tree(16)``, a cooperative off-chain ``chain_tree(8)``
+    with eight participants and ``random_tree`` seeds 0-24 against every
+    bundled adversary, which between them end at the leaf and at the
     height cap, with failed appends."""
     for path in bundled_scenarios():
         yield load_scenario(path)
@@ -370,6 +378,7 @@ def _reference_scenarios():
         label="chain16", tree=tree, mode=MODE_OFFCHAIN,
         strategies={p: ("honest", {}) for p in tree.participants},
         path=tuple(tree.node(i).name for i in deepest_leaf_path(tree)), t=1)
+    yield _generated_scenario(_with_many_parties(chain_tree(8), 8), MODE_OFFCHAIN, 1)
     for seed in range(25):
         tree, path_names, oracle = random_tree(seed)
         for adversary, params in ADVERSARY_PARAMS.items():
@@ -391,7 +400,7 @@ def test_package_traces_serialize_as_the_reference():
         failed_appends += sum(e.data["outcome"] != "ok" for e in trace.find("Append"))
     assert outcomes == {"leaf", "height_cap"}
     assert failed_appends > 0
-    assert runs == 10 + 144 + 1 + 100
+    assert runs == 10 + 144 + 2 + 100
 
 
 # -- generated trees and the live view ---------------------------------------
@@ -418,16 +427,18 @@ def test_generated_rows_read_as_the_reference(kind, size, mode, t):
     _assert_rows_read_as_the_reference(run(scenario))
 
 
-@pytest.mark.parametrize("tree, mode", [(chain_tree(32), MODE_OFFCHAIN),
-                                        (complete_binary_tree(6), MODE_ONCHAIN)],
-                         ids=["offchain-chain32", "onchain-binary6"])
+@pytest.mark.parametrize("tree, mode", [
+    (chain_tree(32), MODE_OFFCHAIN),
+    (complete_binary_tree(6), MODE_ONCHAIN),
+    (_with_many_parties(chain_tree(8), 8), MODE_OFFCHAIN),
+], ids=["offchain-chain32", "onchain-binary6", "offchain-chain8-k8"])
 def test_serialize_builds_its_text_once(tree, mode):
     """``serialize`` joins its lines once, closing newline included: the
     allocation peak stays under 2.9 times the text.  Appending the newline
-    to the joined text copies it whole, which puts the peak near 3.4.  So
-    does formatting the on-chain run's 254-message stipulation as one
-    block: the block bound keeps the encoded values of one block alive,
-    not those of a whole run."""
+    to the joined text copies it whole, which puts the peak near 3.4.  A
+    run row's lines, such as the on-chain run's 254-message stipulation,
+    are one string, and the eight-participant run's plain rows one line
+    each, so the peak is the lines and their joined copy."""
     trace = run(_generated_scenario(tree, mode, 1))
     tracemalloc.start()
     try:
