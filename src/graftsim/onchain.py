@@ -57,7 +57,6 @@ from .trace import (
     STEP_REFUSED,
     STIPULATION_ABORTED,
     STIPULATION_COMPLETE,
-    TXSET_SENT,
     Trace,
     witness_summary,
 )
@@ -253,44 +252,70 @@ def compile_onchain(tree: ContractTree, commitments: CommitmentSet,
 # ---------------------------------------------------------------------------
 # Pairwise message exchange with phase gating
 
-class Exchange:
-    """A plan of pairwise messages, kept as its structure: the
-    ``participants`` in name order, the ``body`` items and the ``final``
-    item, each a (subject, digest) pair, and whether transaction sets
-    open it.
+class ExchangeLayout(NamedTuple):
+    """The immutable part of an exchange: the ``participants`` in name
+    order, the ``body`` items and the ``final`` item, each a (subject,
+    digest) pair, and where the body and the final part of each queue
+    start.
 
     Every sender's queue has one shape: a transaction set to each other
-    participant in name order (if ``include_txset``), then every body
-    item to each other participant in turn, then ``final`` to each; the
-    three parts are phases 0, 1 and 2, or 0 and 1 without transaction
-    sets.  Phase k opens only once every phase < k message is delivered,
-    and each sender sends its queue in order, so progress is one count
-    per sender: ``sent[sender]`` of its messages are delivered.  A phase
-    ends at the same position of every queue, so the lowest phase with a
-    message undelivered is the one holding the least count short of the
-    queue's end, and every query is arithmetic on the counts.  The counts
-    are also the only record of who holds which signature (``received``).
-    ``body`` is kept as a tuple, so that each slice ``segments`` cuts of it
-    is one too; the session maps each signed digest to its item
-    (``Session.exchange_of``).
+    participant in name order (if the exchange opens with them, so that
+    ``body_at`` is past 0), then every body item to each other participant
+    in turn, then ``final`` to each; the three parts are phases 0, 1 and 2,
+    or 0 and 1 without transaction sets.  Its fields are tuples and ints,
+    so a trace row that keeps it stays immutable.
+    """
+    participants: Tuple[str, ...]
+    body: Tuple[Tuple[str, str], ...]
+    final: Tuple[str, str]
+    body_at: int
+    final_at: int
+
+    def segments(self, sender: str, start: int,
+                 stop: int) -> Iterator[Tuple[str, Optional[Tuple[Tuple[str, str], ...]]]]:
+        """The messages at positions ``start`` to ``stop`` of ``sender``'s
+        queue, in order, as runs (recipient, items): the (subject, digest)
+        items signed to ``recipient``, one slice of ``body`` or
+        ``(final,)``, or None for its transaction set."""
+        # ``sender``'s place: the recipients are the others in name order.
+        me, at = self.participants.index(sender), start
+        while at < stop:
+            if at < self.body_at:
+                to, items = at, None
+            elif at < self.final_at:
+                to, item = divmod(at - self.body_at, len(self.body))
+                items = self.body[item:item + stop - at]
+            else:
+                to, items = at - self.final_at, (self.final,)
+            yield self.participants[to + (to >= me)], items
+            at += len(items) if items else 1
+
+
+class Exchange:
+    """A plan of pairwise messages, kept as its ``layout`` and one count
+    per sender: ``sent[sender]`` of its messages are delivered.
+
+    Phase k opens only once every phase < k message is delivered, and each
+    sender sends its queue in order.  A phase ends at the same position of
+    every queue, so the lowest phase with a message undelivered is the one
+    holding the least count short of the queue's end, and every query is
+    arithmetic on the counts.  The counts are also the only record of who
+    holds which signature (``received``); the session maps each signed
+    digest to its item (``Session.exchange_of``).
     """
 
     def __init__(self, participants: Sequence[str], body: Sequence[Tuple[str, str]],
                  final: Tuple[str, str], include_txset: bool) -> None:
-        self.participants = sorted(participants)
-        self.body = tuple(body)
-        self.final = final
-        self.include_txset = include_txset
-        others = len(self.participants) - 1
-        # Where the body and the final part of each queue start, and its length.
-        self._body_at = others if include_txset else 0
-        self._final_at = self._body_at + others * len(self.body)
-        self.size = self._final_at + others
-        # Where each phase with messages ends, in every queue.
-        self._ends = sorted({self._body_at, self._final_at, self.size} - {0})
-        self._rank = {p: i for i, p in enumerate(self.participants)}
-        self.sent: Dict[str, int] = dict.fromkeys(self.participants if others else (), 0)
-        self._all_sent = dict.fromkeys(self.sent, self.size)
+        ordered = tuple(sorted(participants))
+        others = len(ordered) - 1
+        body_at = others if include_txset else 0
+        final_at = body_at + others * len(body)
+        self.layout = ExchangeLayout(ordered, tuple(body), final, body_at, final_at)
+        # The length of each queue, and where each phase with messages ends in it.
+        self.size = final_at + others
+        self._ends = sorted({body_at, final_at, self.size} - {0})
+        self._rank = {p: i for i, p in enumerate(ordered)}
+        self.sent: Dict[str, int] = dict.fromkeys(ordered if others else (), 0)
 
     def _open_until(self, sender: Optional[str]) -> int:
         """Where the open part of ``sender``'s queue ends: at the end of
@@ -317,28 +342,6 @@ class Exchange:
         self.sent[sender] = end
         return range(start, end)
 
-    def segments(self, sender: str,
-                 burst: range) -> Iterator[Tuple[str, Optional[Tuple[Tuple[str, str], ...]]]]:
-        """The messages at ``burst``'s positions of ``sender``'s queue, in
-        order, as runs (recipient, items): the (subject, digest) items
-        signed to ``recipient``, one slice of ``body`` or ``(final,)``, or
-        None for its transaction set."""
-        others = [p for p in self.participants if p != sender]
-        body, width = self.body, len(self.body)
-        at, stop = burst.start, burst.stop
-        while at < stop:
-            if at < self._body_at:
-                yield others[at], None
-                at += 1
-            elif at < self._final_at:
-                to, item = divmod(at - self._body_at, width)
-                items = body[item:item + stop - at]
-                yield others[to], items
-                at += len(items)
-            else:
-                yield others[at - self._final_at], (self.final,)
-                at += 1
-
     def received(self, recipient: str, signer: str, item: int) -> bool:
         """Has ``signer``'s signature on ``item``, a body index or
         ``len(body)`` for ``final``, reached ``recipient``?  It has once
@@ -348,13 +351,13 @@ class Exchange:
             return False
         # ``recipient``'s place among those ``signer`` sends to.
         to = rank[recipient] - (rank[recipient] > rank[signer])
-        width = len(self.body)
-        at = self._body_at + to * width + item if item < width else self._final_at + to
+        layout, width = self.layout, len(self.layout.body)
+        at = layout.body_at + to * width + item if item < width else layout.final_at + to
         return self.sent[signer] > at
 
     @property
     def complete(self) -> bool:
-        return self.sent == self._all_sent
+        return min(self.sent.values(), default=self.size) == self.size
 
     def pending_from_others(self, me: str) -> bool:
         size = self.size
@@ -603,8 +606,8 @@ class Session:
         one that signs them."""
         exchange = Exchange(self.tree.participants, body, (final.name, final.digest),
                             include_txset)
-        self.exchange_of.update({digest: (exchange, item)
-                                 for item, (_, digest) in enumerate([*body, exchange.final])})
+        self.exchange_of.update({digest: (exchange, item) for item, (_, digest)
+                                 in enumerate([*body, exchange.layout.final])})
         return exchange
 
     def active_exchange(self) -> Optional[Exchange]:
@@ -616,25 +619,18 @@ class Session:
 
     def send(self, sender: str) -> int:
         """Deliver every message ``sender`` can send now in the active
-        exchange, as one burst (see ``Exchange.deliver``), and log each
-        message: a transaction set with ``Trace.add``, and each recipient's
-        slice of signed items as one ``Trace.add_messages`` call, which
-        keeps the slice.  The exchange's counts record the signatures
-        delivered.  Returns how many were sent."""
+        exchange, as one burst (see ``Exchange.deliver``), and log the
+        burst as one trace row, which the exchange's layout expands into
+        its ``TxSetSent`` and ``SignatureSent`` events.  The exchange's
+        counts record the signatures delivered.  Returns how many were
+        sent."""
         exchange = self.active_exchange()
         if exchange is None:
             return 0
         burst = exchange.deliver(sender)
         if not burst:
             return 0
-        trace, height = self.trace, self.chain.height
-        for recipient, items in exchange.segments(sender, burst):
-            if items is None:
-                # The announced transaction set: the stipulation body and the anchor.
-                trace.add(height, sender, TXSET_SENT,
-                          {"count": len(exchange.body) + 1, "to": recipient})
-            else:
-                trace.add_messages(height, sender, recipient, items)
+        self.trace.add_burst(self.chain.height, sender, exchange.layout, burst.start, burst.stop)
         if exchange.complete:
             self._exchange_complete(exchange, sender)
         return len(burst)

@@ -2,15 +2,17 @@
 
 Each event is written as one immutable row, ``(shape, height, actor,
 *values)``, where ``shape`` is ``(kind, *data keys)`` with the keys in
-insertion order.  A burst's messages to one recipient are one run row,
-which holds the burst's slice of (tx, digest) items and stands for one
-``SignatureSent`` event per item.  ``Trace.events`` reads the rows back as
-``Event``s, a run's only when the read reaches it.  Events serialize to
-JSON Lines with sorted keys, so two runs of the same scenario produce
-byte-identical files; a run's lines are formatted with its sender,
-recipient and height encoded once.  A trace also keeps the actual
-(instance, witness) pairs of every successful append, which lets tests
-re-apply just the appends to a fresh ledger and compare terminal states.
+insertion order.  A burst of one sender's messages is one row too, which
+holds the exchange's immutable layout and the burst's positions in the
+sender's queue, and stands for one ``TxSetSent`` or ``SignatureSent``
+event per position.  The reads, ``Trace.events``, ``count``, ``find`` and
+``serialize``, expand a burst only where they reach it.  Events serialize
+to JSON Lines with sorted keys, so two runs of the same scenario produce
+byte-identical files; a burst's lines are formatted with its sender and
+height encoded once, and each recipient once.  A trace also keeps the
+actual (instance, witness) pairs of every successful append, which lets
+tests re-apply just the appends to a fresh ledger and compare terminal
+states.
 """
 
 from __future__ import annotations
@@ -45,20 +47,17 @@ SECRET_PUBLISHED = "SecretPublished"
 STIPULATION_COMPLETE = "StipulationComplete"
 STIPULATION_ABORTED = "StipulationAborted"
 
-# The shape of a message row, ``(SIG_SHAPE, height, sender, digest, to,
-# tx)``, which ``Trace.add_messages`` writes.
+# The shapes of the rows a burst expands into: ``(SIG_SHAPE, height,
+# sender, digest, to, tx)`` and ``(TXSET_SHAPE, height, sender, count, to)``.
 SIG_SHAPE = (SIGNATURE_SENT, "digest", "to", "tx")
+TXSET_SHAPE = (TXSET_SENT, "count", "to")
 
-# A run row, ``(_RUN, height, sender, to, items)``: the ``SignatureSent``
-# events of ``sender`` to ``to`` at ``height``, one per (tx, digest) item,
-# in order.  Its kind is no ``str``, so no ``add`` row has its shape and no
-# read by kind matches it.  ``add_messages`` writes a segment of fewer than
-# ``_MIN_RUN`` messages as ``SIG_SHAPE`` rows: a run of one costs a head, a
-# middle and a tail for one line, and with runs of one, ``serialize`` of an
-# off-chain ``chain_tree(8)`` with 8 or 32 participants, where most
-# segments are of one message, took about 1.3 times as long.
-_RUN = (object(),)
-_MIN_RUN = 2
+# A burst row, ``(_BURST, height, sender, layout, start, stop)``: the
+# messages at positions ``start`` to ``stop`` of ``sender``'s queue in the
+# exchange laid out as ``layout`` (``onchain.ExchangeLayout``), sent at
+# ``height``.  Its kind is no ``str``, so no ``add`` row has its shape and
+# no read by kind matches it.
+_BURST = (object(),)
 
 # Run outcomes
 OUTCOME_LEAF = "leaf"
@@ -101,27 +100,36 @@ def _line_format(shape: Tuple) -> Tuple[str, Callable[[Tuple], Tuple]]:
     return fmt, pick
 
 
-def _run_text(row: Tuple, encode: Callable[[object], str]) -> str:
-    """The lines of a run row joined by ``"\\n"``: ``SIG_SHAPE``'s line
-    with the actor, ``to`` and height encoded once, as a head, a middle
-    and a tail around each item's digest and tx.  No encoded value holds a
-    NUL, which JSON escapes, so NULs mark the two places.  (A list of
-    ``digest + mid + tx`` measured faster than joining in C by ``map`` and
-    ``zip`` at every run length of the package's traces.)"""
-    _, height, actor, to, items = row
-    filled = _line_format(SIG_SHAPE)[0] % (encode(actor), "\0", encode(to), "\0", height)
-    head, mid, tail = filled.split("\0")
-    return head + (tail + "\n" + head).join([encode(digest) + mid + encode(tx)
-                                             for tx, digest in items]) + tail
+def _txsets_end(row: Tuple) -> int:
+    """Where a burst row's transaction sets end and its signatures start:
+    transaction sets come first in every queue."""
+    return min(max(row[4], row[3].body_at), row[5])
 
 
-def _run_lines(row: Tuple) -> str:
-    """``_run_text`` in C alone, or through the encoder if a value is not
-    a ``str``."""
-    try:
-        return _run_text(row, encode_basestring_ascii)
-    except TypeError:
-        return _run_text(row, _ENCODER.encode)
+def _burst_text(row: Tuple) -> List[str]:
+    """A burst row's lines: its transaction sets as their rows, then its
+    signatures, one string per recipient, in C alone.  ``SIG_SHAPE``'s
+    format is filled once, with the sender and height encoded and NULs
+    marking the digest, the recipient and the tx: no encoded value holds a
+    NUL, which JSON escapes.  Each recipient is then encoded once.  A value
+    that is not a ``str`` raises ``TypeError``."""
+    esc = encode_basestring_ascii
+    _, height, sender, layout, start, stop = row
+    split = _txsets_end(row)
+    texts = list(_row_lines(_messages(row, start, split))) if start < split else []
+    head, to_at, tx_at, tail = (_line_format(SIG_SHAPE)[0]
+                                % (esc(sender), "\0", "\0", "\0", height)).split("\0")
+    for to, items in layout.segments(sender, split, stop):
+        mid = to_at + esc(to) + tx_at
+        if len(items) == 1:
+            # One message, as most are when a burst has many recipients:
+            # no list to build and join.
+            (tx, digest), = items
+            texts.append(head + esc(digest) + mid + esc(tx) + tail)
+        else:
+            texts.append(head + (tail + "\n" + head).join([esc(digest) + mid + esc(tx)
+                                                          for tx, digest in items]) + tail)
+    return texts
 
 
 def _row_lines(rows: Iterable[Tuple]) -> Iterator[str]:
@@ -130,14 +138,19 @@ def _row_lines(rows: Iterable[Tuple]) -> Iterator[str]:
     height and ``str`` data keys.  A row whose actor and values are all
     ``str``, as every signature's are, is encoded in C alone; any other value
     raises ``TypeError`` there and the row goes through the encoder, which
-    gives every ``str`` the same bytes.  A run row gives its lines joined."""
+    gives every ``str`` the same bytes.  A burst row gives its lines by
+    recipient (``_burst_text``), or, if it holds a value that is not a
+    ``str``, as the rows of its messages."""
     esc, enc = encode_basestring_ascii, _ENCODER.encode
     last = None
     for row in rows:
         if row[0] is not last:
-            # ``last`` is never ``_RUN``, so every run row comes here.
-            if row[0] is _RUN:
-                yield _run_lines(row)
+            # ``last`` is never ``_BURST``, so every burst row comes here.
+            if row[0] is _BURST:
+                try:
+                    yield from _burst_text(row)
+                except TypeError:
+                    yield from _row_lines(_plain(row))
                 continue
             last = row[0]
             fmt, pick = _line_format(last)
@@ -162,13 +175,22 @@ def _event(row: Tuple) -> Event:
     return Event(row[1], row[2], shape[0], dict(zip(shape[1:], row[3:])))
 
 
-def _plain(row: Tuple) -> List[Tuple]:
+def _messages(row: Tuple, start: int, stop: int) -> Iterator[Tuple]:
+    """The rows of the messages at positions ``start`` to ``stop`` of a
+    burst row's queue, one event each."""
+    _, height, sender, layout, _, _ = row
+    for to, items in layout.segments(sender, start, stop):
+        if items is None:
+            # A transaction set announces the body and the final item.
+            yield (TXSET_SHAPE, height, sender, len(layout.body) + 1, to)
+        for tx, digest in items or ():
+            yield (SIG_SHAPE, height, sender, digest, to, tx)
+
+
+def _plain(row: Tuple) -> Iterable[Tuple]:
     """The rows of one event each that a row stands for: itself, or one
-    ``SIG_SHAPE`` row per item of a run."""
-    if row[0] is not _RUN:
-        return [row]
-    _, height, sender, to, items = row
-    return [(SIG_SHAPE, height, sender, digest, to, tx) for tx, digest in items]
+    per message of a burst."""
+    return _messages(row, row[4], row[5]) if row[0] is _BURST else (row,)
 
 
 class EventView(Sequence):
@@ -187,7 +209,7 @@ class EventView(Sequence):
         ends, rows = self._ends, self._rows
         total = ends[-1] if ends else 0
         for row in rows[len(ends):]:
-            total += len(row[4]) if row[0] is _RUN else 1
+            total += row[5] - row[4] if row[0] is _BURST else 1
             ends.append(total)
         return ends
 
@@ -206,10 +228,8 @@ class EventView(Sequence):
         ends = self._ends
         at = bisect_right(ends, index)
         row = self._rows[at]
-        if row[0] is _RUN:
-            _, height, sender, to, items = row
-            tx, digest = items[index - (ends[at - 1] if at else 0)]
-            row = (SIG_SHAPE, height, sender, digest, to, tx)
+        if row[0] is _BURST:
+            row = next(_messages(row, row[4] + index - (ends[at - 1] if at else 0), row[5]))
         return _event(row)
 
     def __iter__(self) -> Iterator[Event]:
@@ -219,8 +239,8 @@ class EventView(Sequence):
 class Trace:
     """A run's header, its event rows, its successful appends and its
     terminal summary, which ``summarize_run`` fills in.  ``add`` writes an
-    event as its row, and ``add_messages`` a segment of a burst.
-    ``events``, ``count``, ``find`` and ``serialize`` read the rows."""
+    event as its row, and ``add_burst`` a burst of messages.  ``events``,
+    ``count``, ``find`` and ``serialize`` read the rows."""
 
     def __init__(self, header: Dict) -> None:
         self.header = header
@@ -238,28 +258,24 @@ class Trace:
         """Write the event ``Event(height, actor, kind, data)`` as its row."""
         self.rows.append(((kind, *data), height, actor, *data.values()))
 
-    def add_messages(self, height: int, sender: str, to: str,
-                     items: Sequence[Tuple[str, str]]) -> None:
-        """Write the ``SignatureSent`` events of ``sender`` to ``to`` at
-        ``height``, one per (tx, digest) item in order, as one run row, or
-        as ``SIG_SHAPE`` rows for fewer than ``_MIN_RUN`` items."""
-        if len(items) < _MIN_RUN:
-            self.rows.extend([(SIG_SHAPE, height, sender, digest, to, tx)
-                              for tx, digest in items])
-        else:
-            self.rows.append((_RUN, height, sender, to, tuple(items)))
+    def add_burst(self, height: int, sender: str, layout: Tuple, start: int, stop: int) -> None:
+        """Write the messages at positions ``start`` to ``stop`` of
+        ``sender``'s queue in the exchange laid out as ``layout``, sent at
+        ``height``, as one row."""
+        self.rows.append((_BURST, height, sender, layout, start, stop))
 
     def count(self, kind: str) -> int:
-        rows = self.rows
-        plain = countOf(map(itemgetter(0), map(_SHAPE, rows)), kind)
-        if kind != SIGNATURE_SENT:
-            return plain
-        return plain + sum(len(row[4]) for row in rows if row[0] is _RUN)
+        count = countOf(map(itemgetter(0), map(_SHAPE, self.rows)), kind)
+        if kind in (SIGNATURE_SENT, TXSET_SENT):
+            for row in (row for row in self.rows if row[0] is _BURST):
+                split = _txsets_end(row)
+                count += split - row[4] if kind == TXSET_SENT else row[5] - split
+        return count
 
     def find(self, kind: str) -> List[Event]:
-        runs = kind == SIGNATURE_SENT
-        return [_event(plain) for row in self.rows if row[0][0] == kind or runs and row[0] is _RUN
-                for plain in _plain(row)]
+        sent = kind in (SIGNATURE_SENT, TXSET_SENT)
+        return [_event(plain) for row in self.rows if row[0][0] == kind or sent and row[0] is _BURST
+                for plain in _plain(row) if plain[0][0] == kind]
 
     def serialize(self) -> str:
         lines = [_ENCODER.encode({"type": "header", **self.header})]

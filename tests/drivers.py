@@ -297,8 +297,11 @@ def plan_of(exchange: Exchange) -> List[Message]:
     per exchange."""
     plan = _PLANS.get(exchange)
     if plan is None:
-        plan = _PLANS[exchange] = exchange_plan(exchange.participants, exchange.body,
-                                                exchange.final, exchange.include_txset)
+        # Transaction sets open the queues when the body starts past 0; with
+        # one participant there is no message either way.
+        layout = exchange.layout
+        plan = _PLANS[exchange] = exchange_plan(layout.participants, layout.body,
+                                                layout.final, layout.body_at > 0)
     return plan
 
 
@@ -352,7 +355,7 @@ def deliver_next(session: Session, sender: str) -> Optional[Event]:
                       {"digest": msg.digest, "to": msg.recipient, "tx": msg.subject})
     else:
         event = Event(session.chain.height, sender, TXSET_SENT,
-                      {"count": len(session.stipulation.body) + 1, "to": msg.recipient})
+                      {"count": len(session.stipulation.layout.body) + 1, "to": msg.recipient})
     session.trace.add(*event)
     if exchange.complete:
         session._exchange_complete(exchange, sender)

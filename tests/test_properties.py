@@ -342,7 +342,8 @@ def _exchange_queries(exchange, parties, digests):
     ``len(body)`` for the final one, and a foreign digest reads as not
     received."""
     everyone = parties + ("Z",)
-    items = {digest: item for item, (_, digest) in enumerate([*exchange.body, exchange.final])}
+    layout = exchange.layout
+    items = {digest: item for item, (_, digest) in enumerate([*layout.body, layout.final])}
     return {
         "complete": exchange.complete,
         "pending_from_others": [exchange.pending_from_others(p) for p in everyone],

@@ -1,6 +1,7 @@
 """Trace serialization: the bytes of ``json.dumps`` with sorted keys and
 compact separators, whatever the values."""
 
+import functools
 import json
 import tracemalloc
 from dataclasses import replace
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drivers import EventListTrace, serialize_by_dumps, strategies_added
+from drivers import EventListTrace, exchange_plan, serialize_by_dumps, strategies_added
 from graftsim import harness, trace as trace_module
 from graftsim.contract import PayoutShare, deepest_leaf_path
 from graftsim.harness import (
@@ -22,7 +23,8 @@ from graftsim.harness import (
     run,
 )
 from graftsim.strategies import honest
-from graftsim.trace import SIG_SHAPE, SIGNATURE_SENT, Event, Trace
+from graftsim.onchain import Exchange, Session
+from graftsim.trace import SIG_SHAPE, SIGNATURE_SENT, TXSET_SENT, Event, Trace
 from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
 from test_acceptance import _bo3_attack_matrix, _random_attack_cases
 
@@ -170,88 +172,81 @@ def test_a_long_trace_of_odd_values_is_json_dumps(last_run):
     assert trace.serialize() == serialize_by_dumps(trace)
 
 
-# -- run rows ----------------------------------------------------------------
+# -- burst rows --------------------------------------------------------------
 
-# Segment sizes around ``_MIN_RUN``, the shortest segment that is a run
-# row, and a few larger ones.
-SIZES = st.sampled_from([0, 1, 2, 3, 7, 8, 63, 64, 65])
 # Message values: mostly text, which is encoded in C, and now and then a
-# value that is not a ``str``, which sends its row or run to the encoder.
+# value that is not a ``str``, which sends its burst to the encoder.
 MESSAGE_VALUES = TEXT | st.integers(-2**64, 2**64) | st.none() | st.lists(TEXT, max_size=2)
 HEIGHTS = st.integers(0, 2**64)
+# 1-4 participants, all text or, since they are sorted, all integers.
+PARTIES = st.lists(TEXT, min_size=1, max_size=4, unique=True) \
+    | st.lists(st.integers(-2**64, 2**64), min_size=1, max_size=4, unique=True)
+ITEM = st.tuples(MESSAGE_VALUES, MESSAGE_VALUES)
 
 
-def _messages(size):
-    return st.lists(st.tuples(MESSAGE_VALUES, MESSAGE_VALUES), min_size=size, max_size=size)
+@st.composite
+def bursts(draw):
+    """One sender's queue of a drawn exchange, cut at drawn positions
+    into bursts: (height, sender, exchange, cuts), the cuts sorted and
+    distinct from 0 to the queue's end, so each burst sends something and
+    some span a phase end."""
+    parties = draw(PARTIES)
+    exchange = Exchange(parties, draw(st.lists(ITEM, max_size=9)), draw(ITEM),
+                        draw(st.booleans()))
+    inner = draw(st.lists(st.integers(1, max(1, exchange.size - 1)), max_size=6))
+    cuts = sorted({0, exchange.size, *(c for c in inner if c < exchange.size)})
+    return draw(HEIGHTS), draw(st.sampled_from(parties)), exchange, cuts
 
 
-# One sender's messages at one height, as a burst is: segments (to,
-# items) with the same number of items each, up to nine of them, so that
-# run rows follow each other as plain rows do.
-SEGMENTS = st.tuples(
-    st.sampled_from([1, 2, 7, 8, 9]),
-    SIZES,
-).flatmap(lambda counts: st.lists(st.tuples(TEXT, _messages(counts[1])),
-                                  min_size=counts[0], max_size=counts[0]))
-# Pieces of a trace: an ``add`` event; messages as ``SIG_SHAPE`` rows
-# appended to ``rows`` by hand, or added as events with the same keys (an
-# equal shape, but not the same tuple); and messages written segment by
-# segment with ``add_messages``.
-PIECES = st.one_of(
-    st.tuples(st.just("event"), EVENTS),
-    st.tuples(st.sampled_from(["rows", "added", "segments"]), HEIGHTS, TEXT, SEGMENTS),
-)
+def _burst_events(height, sender, exchange, start, stop):
+    """The events of ``exchange_plan`` at positions ``start`` to ``stop``
+    of ``sender``'s queue."""
+    layout = exchange.layout
+    queue = [m for m in exchange_plan(layout.participants, layout.body, layout.final,
+                                      layout.body_at > 0) if m.sender == sender]
+    return [Event(height, sender, SIGNATURE_SENT,
+                  {"digest": m.digest, "to": m.recipient, "tx": m.subject})
+            if m.kind == "sig" else
+            Event(height, sender, TXSET_SENT, {"count": len(layout.body) + 1, "to": m.recipient})
+            for m in queue[start:stop]]
 
 
-def _message_event(height, sender, to, item):
-    tx, digest = item
-    return Event(height, sender, SIGNATURE_SENT, {"digest": digest, "to": to, "tx": tx})
+# Pieces of a trace: an ``add`` event, or a sender's queue cut into bursts.
+PIECES = st.one_of(st.tuples(st.just("event"), EVENTS), st.tuples(st.just("bursts"), bursts()))
 
 
-def _pieces_traces(pieces, filler):
-    """Three traces of ``pieces`` after ``filler`` plain events: one with
-    each segment written by ``add_messages``, one with every segment
-    expanded into ``SIG_SHAPE`` rows, and the ``EventListTrace`` reference."""
-    trace, expanded = Trace({"label": "runs"}), Trace({"label": "runs"})
-    reference = EventListTrace({"label": "runs"})
-    for i in range(filler):
-        for t in (trace, expanded):
-            t.add(i, "F", "Filler", {"at": i})
-        reference.events.append(Event(i, "F", "Filler", {"at": i}))
-    for piece in pieces:
-        if piece[0] == "event":
+def _pieces_traces(pieces):
+    """Three traces of ``pieces``: one with each burst written by
+    ``add_burst``, one with each of its messages written by ``add``, and
+    the ``EventListTrace`` reference."""
+    trace, expanded = Trace({"label": "bursts"}), Trace({"label": "bursts"})
+    reference = EventListTrace({"label": "bursts"})
+    for what, piece in pieces:
+        if what == "event":
             for t in (trace, expanded):
-                t.add(*piece[1])
-            reference.events.append(piece[1])
+                t.add(*piece)
+            reference.events.append(piece)
             continue
-        what, height, sender, segments = piece
-        for to, items in segments:
-            events = [_message_event(height, sender, to, item) for item in items]
+        height, sender, exchange, cuts = piece
+        for start, stop in zip(cuts, cuts[1:]):
+            events = _burst_events(height, sender, exchange, start, stop)
+            trace.add_burst(height, sender, exchange.layout, start, stop)
+            for event in events:
+                expanded.add(*event)
             reference.events.extend(events)
-            for t in (trace, expanded):
-                if what == "segments" and t is trace:
-                    trace.add_messages(height, sender, to, items)
-                elif what == "added":
-                    for event in events:
-                        t.add(*event)
-                else:
-                    t.rows.extend((SIG_SHAPE, height, sender, digest, to, tx)
-                                  for tx, digest in items)
     for t in (trace, expanded, reference):
         t.summary = {"outcome": "leaf"}
     return trace, expanded, reference
 
 
-@settings(max_examples=60, deadline=None)
-@given(pieces=st.lists(PIECES, max_size=6),
-       filler=st.sampled_from([0, 255, 256]),
-       data=st.data())
-def test_runs_read_as_their_messages(pieces, filler, data):
-    """Every read of a trace with run rows equals the same read of the
-    trace with each run expanded into ``SIG_SHAPE`` rows, and of the
-    events kept as a list: ``events`` (length, iteration, indexing,
-    slices, ``index``), ``count``, ``find`` and ``serialize``."""
-    trace, expanded, reference = _pieces_traces(pieces, filler)
+@settings(max_examples=80, deadline=None)
+@given(pieces=st.lists(PIECES, max_size=6), data=st.data())
+def test_runs_read_as_their_messages(pieces, data):
+    """Every read of a trace with burst rows equals the same read of the
+    trace with each message written by ``add``, and of the events of
+    ``exchange_plan`` kept as a list: ``events`` (length, iteration,
+    indexing, slices, ``index``), ``count``, ``find`` and ``serialize``."""
+    trace, expanded, reference = _pieces_traces(pieces)
     events = reference.events
     size = len(events)
     for t in (trace, expanded):
@@ -270,45 +265,29 @@ def test_runs_read_as_their_messages(pieces, filler, data):
             assert view[cut] == events[cut]
         for i in range(0, size, max(1, size // 16)):
             assert view.index(events[i]) == events.index(events[i])
-        for kind in {e.kind for e in events} | {SIGNATURE_SENT, "Absent"}:
+        for kind in {e.kind for e in events} | {SIGNATURE_SENT, TXSET_SENT, "Absent"}:
             assert t.count(kind) == reference.count(kind), kind
             assert t.find(kind) == reference.find(kind), kind
     assert trace.serialize() == expanded.serialize() == serialize_by_dumps(reference)
-    if any(len(items) >= trace_module._MIN_RUN
-           for piece in pieces if piece[0] == "segments" for _, items in piece[3]):
-        assert len(trace.rows) < len(expanded.rows)
-
-
-def test_a_segment_of_one_message_is_a_plain_row():
-    trace = Trace({})
-    trace.add_messages(3, "A", "B", [("T", "d")])
-    trace.add_messages(3, "A", "C", [])
-    assert trace.rows == [(SIG_SHAPE, 3, "A", "d", "B", "T")]
-
-
-def test_a_run_keeps_its_items_as_a_tuple():
-    """Rows stay immutable: a run holds a tuple, a copy of a list given."""
-    trace, items = Trace({}), [("T1", "d1"), ("T2", "d2")]
-    trace.add_messages(0, "A", "B", items)
-    items.append(("T3", "d3"))
-    (row,) = trace.rows
-    assert row[-1] == (("T1", "d1"), ("T2", "d2"))
-    assert [e.data["tx"] for e in trace.events] == ["T1", "T2"]
+    # A row per ``add`` event and per burst, however many recipients it has.
+    assert len(trace.rows) == sum(1 if what == "event" else len(piece[3]) - 1
+                                  for what, piece in pieces)
 
 
 def test_every_index_of_a_view_reads_its_event():
-    """Runs in the first rows, next to each other and next to plain rows:
-    each index, from either end, finds its row and its item in it."""
+    """Bursts in the first rows, next to each other and next to plain
+    rows, across the ends of the transaction sets and of the body: each
+    index, from either end, finds its row and its message in it."""
+    exchange = Exchange("ABCDE", [("T1", "d1"), ("T2", "d2")], ("R", "dr"), True)
     trace, events = Trace({}), []
-    trace.add(0, "A", "Start", {})
-    events.append(Event(0, "A", "Start", {}))
-    for to, size in (("B", 3), ("C", 2), ("D", 1), ("E", 4)):
-        items = [(f"T{to}{i}", f"d{to}{i}") for i in range(size)]
-        trace.add_messages(1, "A", to, items)
-        events += [_message_event(1, "A", to, item) for item in items]
-    trace.add(2, "A", "End", {})
-    events.append(Event(2, "A", "End", {}))
-    assert len(trace.rows) == 6
+    for start, stop in ((0, 3), (3, 5), (5, 6), (6, 13), (13, exchange.size)):
+        trace.add_burst(1, "C", exchange.layout, start, stop)
+        events += _burst_events(1, "C", exchange, start, stop)
+    trace.add(2, "A", "Middle", {})
+    events.append(Event(2, "A", "Middle", {}))
+    trace.add_burst(3, "A", exchange.layout, 4, 9)
+    events += _burst_events(3, "A", exchange, 4, 9)
+    assert len(trace.rows) == 7 and len(events) == 22
     assert [trace.events[i] for i in range(len(events))] == events
     assert [trace.events[-i] for i in range(1, len(events) + 1)] == events[::-1]
 
@@ -344,7 +323,7 @@ def _assert_rows_read_as_the_reference(trace):
 def _with_many_parties(tree, count):
     """``tree`` with ``count`` participants, ``P00`` on, each depositing
     what the first one does, and every leaf split evenly among them: most
-    of a burst's segments are then of one message, and so plain rows."""
+    of a burst's recipients then get one message of it."""
     parties = tuple(f"P{i:02d}" for i in range(count))
     split = tuple(PayoutShare(p, Fraction(1, count)) for p in parties)
     nodes = {i: replace(node, outputs=split) if node.outputs else node
@@ -390,10 +369,14 @@ def _reference_scenarios():
                 t=1 + seed % 2, patience=2, seed=seed)
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_traces():
+    return tuple(run(scenario) for scenario in _reference_scenarios())
+
+
 def test_package_traces_serialize_as_the_reference():
     outcomes, failed_appends, runs = set(), 0, 0
-    for scenario in _reference_scenarios():
-        trace = run(scenario)
+    for trace in _reference_traces():
         _assert_rows_read_as_the_reference(trace)
         outcomes.add(trace.summary["outcome"])
         runs += 1
@@ -401,6 +384,35 @@ def test_package_traces_serialize_as_the_reference():
     assert outcomes == {"leaf", "height_cap"}
     assert failed_appends > 0
     assert runs == 10 + 144 + 2 + 100
+
+
+def test_every_burst_row_is_hashable():
+    """Rows stay immutable: a burst row holds the exchange's layout, whose
+    fields are tuples and ints, and no mutable object such as the exchange."""
+    bursts = [row for trace in _reference_traces() for row in trace.rows
+              if row[0] is trace_module._BURST]
+    assert bursts
+    for row in bursts:
+        hash(row)
+
+
+@pytest.mark.parametrize("count", [2, 8, 32])
+def test_rows_grow_with_bursts_not_recipients(monkeypatch, count):
+    """Off-chain ``chain_tree(8)`` with ``count`` participants: each
+    ``Session.send`` that sends something writes one row, whatever the
+    number of its recipients, and every other event is a row of its own."""
+    sends = []
+    send = Session.send
+
+    def counted(session, sender):
+        sends.append(send(session, sender))
+        return sends[-1]
+
+    monkeypatch.setattr(Session, "send", counted)
+    trace = run(_generated_scenario(_with_many_parties(chain_tree(8), count), MODE_OFFCHAIN, 1))
+    messages = trace.count(SIGNATURE_SENT) + trace.count(TXSET_SENT)
+    assert messages == sum(sends)
+    assert len(trace.rows) == sum(1 for sent in sends if sent) + len(trace.events) - messages
 
 
 # -- generated trees and the live view ---------------------------------------
@@ -436,9 +448,10 @@ def test_serialize_builds_its_text_once(tree, mode):
     """``serialize`` joins its lines once, closing newline included: the
     allocation peak stays under 2.9 times the text.  Appending the newline
     to the joined text copies it whole, which puts the peak near 3.4.  A
-    run row's lines, such as the on-chain run's 254-message stipulation,
-    are one string, and the eight-participant run's plain rows one line
-    each, so the peak is the lines and their joined copy."""
+    burst row's lines to one recipient, such as those of the on-chain
+    run's 254-message stipulation, are one string, and no burst's lines
+    are joined before the whole text, so the peak is the lines and their
+    joined copy."""
     trace = run(_generated_scenario(tree, mode, 1))
     tracemalloc.start()
     try:
