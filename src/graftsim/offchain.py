@@ -28,7 +28,7 @@ first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .contract import (
     CONTINUATION,
@@ -58,7 +58,6 @@ from .onchain import (
     ProtocolError,
     Session,
     TreeParts,
-    body_items,
     compile_subtree,
     make_deposits,
     tree_parts,
@@ -96,6 +95,7 @@ class OffchainCompilation:
     init: TxInstance
     shadow_root: TxInstance
     shadow: Dict[NodeId, str]      # every node's digest, in preorder, the root's first
+    body: List[Tuple[str, str]]    # every other node's (name, digest), in preorder
     deposits: Dict[str, TxInstance]
     parts: TreeParts
 
@@ -117,9 +117,9 @@ def compile_offchain(tree: ContractTree, commitments: CommitmentSet, salt: bytes
     init = make_tx(INIT_NAME, salt, ((head.digest, 0),), 0, everyone,
                    outputs=(OutputSpec(pot - 2 * tree.fee, CONTINUATION),))
     parts = tree_parts(tree, commitments, salt)
-    shadow_root, shadow = compile_subtree(parts, tree.root, ((init.digest, 0),),
-                                          pot - 2 * tree.fee, parts.heights[tree.root] * t)
-    return OffchainCompilation(head, init, shadow_root, shadow, deposits, parts)
+    shadow_root, shadow, body = compile_subtree(parts, tree.root, ((init.digest, 0),),
+                                                init.output_total(), parts.heights[tree.root] * t)
+    return OffchainCompilation(head, init, shadow_root, shadow, body, deposits, parts)
 
 
 class OffchainSession(Session):
@@ -141,8 +141,7 @@ class OffchainSession(Session):
         comp = compile_offchain(tree, commitments, salt, t)
         super().__init__(tree, commitments, trace, comp.parts, comp.deposits, comp.head,
                          [(comp.init.name, comp.init.digest),
-                          (comp.shadow_root.name, comp.shadow_root.digest),
-                          *body_items(comp.parts, comp.shadow)])
+                          (comp.shadow_root.name, comp.shadow_root.digest), *comp.body])
         self.t = t
         self.init = comp.init
         self.shadow = Graft(0, tree.root, comp.shadow_root, comp.shadow, exchange=None)
@@ -261,11 +260,10 @@ class OffchainSession(Session):
             raise ProtocolError(
                 f"{child} is not a child of the current off-chain head")
         timelock = self.parts.heights[child] * self.t
-        root, digests = compile_subtree(self.parts, child, ((self.init.digest, 0),),
-                                        self.init.output_total(), timelock)
+        root, digests, body = compile_subtree(self.parts, child, ((self.init.digest, 0),),
+                                              self.init.output_total(), timelock)
         graft = Graft(len(self.ladder), child, root, digests,
-                      self.open_exchange(body_items(self.parts, digests), root,
-                                         include_txset=False))
+                      self.open_exchange(body, root, include_txset=False))
         self.pending_graft = graft
         self.trace.add(self.chain.height, "session", GRAFT_PROPOSED, {
             "digest": root.digest, "index": graft.index,

@@ -4,12 +4,12 @@
 the root spends the participants' deposits, every other node spends its
 parent's continuation output, and edge requirements become
 execution-time signature/reveal/timelock conditions.  A compiled subtree
-is its root's instance and every node's digest, one hash per node
-(``compile_subtree``); the instance of any other node is built only when
-its parent lands on-chain (``instances_below``), since only a landed
-node's children can be appended.  Stipulation then exchanges, pairwise
-and one signature per message, everything needed to make the whole tree
-spendable:
+is its root's instance, every node's digest and the body its exchange
+signs, one hash per node in one walk (``compile_subtree``); the instance
+of any other node is built only when its parent lands on-chain
+(``instances_below``), since only a landed node's children can be
+appended.  Stipulation then exchanges, pairwise and one signature per
+message, everything needed to make the whole tree spendable:
 
   phase 0  every participant sends the full transaction set to every other
   phase 1  all-participant signatures on every non-root instance
@@ -25,6 +25,7 @@ session in ``offchain`` builds on it with Head as its anchor.
 
 from __future__ import annotations
 
+from functools import cached_property
 from hashlib import sha256
 from typing import (
     Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
@@ -155,9 +156,11 @@ def compile_subtree(
     root_inputs: Tuple[Tuple[str, int], ...],
     root_input_value: int,
     root_rel_timelock: int,
-) -> Tuple[TxInstance, Dict[NodeId, str]]:
-    """Compile the subtree rooted at ``sub_root``: the root's instance,
-    and the digest of every node in preorder, ``sub_root`` first.
+) -> Tuple[TxInstance, Dict[NodeId, str], List[Tuple[str, str]]]:
+    """Compile the subtree rooted at ``sub_root``: the root's instance, the
+    digest of every node in preorder, ``sub_root`` first, and the body its
+    exchange signs before the root, the (name, digest) of every other node
+    in the same order.  One walk hashes each node and lists it.
 
     The subtree root spends ``root_inputs`` under ``root_rel_timelock``
     and carries no edge requirements: a contract root has none, and a
@@ -171,7 +174,7 @@ def compile_subtree(
     top = templates[sub_root]
     root = make_tx(top.name, parts.salt, root_inputs, root_rel_timelock, parts.everyone,
                    outputs=_outputs(top, root_input_value - fee))
-    digests = {sub_root: root.digest}
+    digests, body = {sub_root: root.digest}, []
     # Each leaf output list encoded once per payout tuple and balance, so
     # leaves that pay alike at one depth share it.  The key holds the
     # tuple's id: the tree keeps every tuple alive, and hashing the tuple
@@ -195,16 +198,19 @@ def compile_subtree(
                 outputs = paid.get(key)
                 if outputs is None:
                     outputs = paid[key] = encode_outputs(resolve_payout(node.outputs, balance))
-                digests[node_id] = sha256(b"".join((part.before, parent, part.after,
-                                                    outputs))).hexdigest()
+                digest = digests[node_id] = sha256(b"".join((part.before, parent, part.after,
+                                                             outputs))).hexdigest()
+                body.append((node.name, digest))
                 break
             raw = sha256(b"".join((part.before, parent, part.after, _PAY_BEFORE,
                                    balance.to_bytes(8, "big"), _PAY_AFTER))).digest()
-            digests[node_id] = raw.hex()
-            for child in children[:0:-1]:
-                stack.append((child, raw, balance))
+            digest = digests[node_id] = raw.hex()
+            body.append((node.name, digest))
+            if len(children) > 1:
+                for child in children[:0:-1]:
+                    stack.append((child, raw, balance))
             node_id, parent, value = children[0], raw, balance
-    return root, digests
+    return root, digests, body
 
 
 def instances_below(parts: TreeParts, digests: Dict[NodeId, str], tx: TxInstance,
@@ -222,18 +228,11 @@ def instances_below(parts: TreeParts, digests: Dict[NodeId, str], tx: TxInstance
     return below
 
 
-def body_items(parts: TreeParts, digests: Dict[NodeId, str]) -> List[Tuple[str, str]]:
-    """The (name, digest) of every node of a compiled subtree but its
-    root, in preorder: what its exchange signs before the root."""
-    templates, items = parts.tree.nodes, iter(digests.items())
-    next(items)
-    return [(templates[node_id].name, digest) for node_id, digest in items]
-
-
 class OnchainCompilation(NamedTuple):
     """A contract compiled for direct on-chain execution."""
     root: TxInstance               # spends every deposit
     digests: Dict[NodeId, str]     # every node's, in preorder, the root's first
+    body: List[Tuple[str, str]]    # every other node's (name, digest), in preorder
     deposits: Dict[str, TxInstance]
     parts: TreeParts
 
@@ -245,8 +244,8 @@ def compile_onchain(tree: ContractTree, commitments: CommitmentSet,
     deposits = make_deposits(tree, salt)
     parts = tree_parts(tree, commitments, salt)
     root_inputs = tuple((deposits[p].digest, 0) for p in tree.participants)
-    root, digests = compile_subtree(parts, tree.root, root_inputs, tree.deposit_total(), 0)
-    return OnchainCompilation(root, digests, deposits, parts)
+    root, digests, body = compile_subtree(parts, tree.root, root_inputs, tree.deposit_total(), 0)
+    return OnchainCompilation(root, digests, body, deposits, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +299,9 @@ class Exchange:
     every queue, so the lowest phase with a message undelivered is the one
     holding the least count short of the queue's end, and every query is
     arithmetic on the counts.  The counts are also the only record of who
-    holds which signature (``received``); the session maps each signed
-    digest to its item (``Session.exchange_of``).
+    holds which signature (``received``), read at the item ``item_of``
+    gives each signed digest; the session maps each signed digest to its
+    exchange (``Session.exchange_of``).
     """
 
     def __init__(self, participants: Sequence[str], body: Sequence[Tuple[str, str]],
@@ -354,6 +354,13 @@ class Exchange:
         layout, width = self.layout, len(self.layout.body)
         at = layout.body_at + to * width + item if item < width else layout.final_at + to
         return self.sent[signer] > at
+
+    @cached_property
+    def item_of(self) -> Dict[str, int]:
+        """Each signed digest's item: its position in ``(*body, final)``.
+        Built on the first read, so an exchange whose signatures no
+        witness reads never builds it."""
+        return {digest: i for i, (_, digest) in enumerate((*self.layout.body, self.layout.final))}
 
     @property
     def complete(self) -> bool:
@@ -408,9 +415,9 @@ class Session:
         self.deposits = deposits
         self.anchor = anchor
         # Each signed digest's one record: the exchange that signs it,
-        # sealed or not, and its item there (see ``Exchange.received``).
-        # ``witness`` reads the signatures an actor holds off its counts.
-        self.exchange_of: Dict[str, Tuple[Exchange, int]] = {}
+        # sealed or not.  ``witness`` reads the signatures an actor holds
+        # off its counts, at the digest's item there (``Exchange.item_of``).
+        self.exchange_of: Dict[str, Exchange] = {}
         # Public bulletin: reveals and execution-time edge authorizations,
         # visible to everyone once published.
         self.reveal_pool: Dict[str, Reveal] = {}
@@ -445,12 +452,10 @@ class Session:
         delivered to it, published authorizations and reveals, and openings
         of its own secrets.  The witness may be incomplete; the ledger will
         say so."""
-        exchange, item = self.exchange_of.get(tx.digest, (None, 0))
-        sigs = set()
-        for signer in tx.required_signers:
-            if signer == actor or (exchange is not None
-                                   and exchange.received(actor, signer, item)):
-                sigs.add(sign(signer, tx.digest, IMPLICIT))
+        exchange = self.exchange_of.get(tx.digest)
+        item = exchange.item_of[tx.digest] if exchange is not None else None
+        sigs = {sign(signer, tx.digest, IMPLICIT) for signer in tx.required_signers
+                if signer == actor or item is not None and exchange.received(actor, signer, item)}
         granted = self.edge_pool.get(tx.digest, ())
         for signer in tx.edge_signers:
             if signer == actor or signer in granted:
@@ -602,12 +607,14 @@ class Session:
     def open_exchange(self, body: Sequence[Tuple[str, str]], final: TxInstance,
                       include_txset: bool) -> Exchange:
         """A new exchange of every participant's signatures on the (name,
-        digest) items of ``body`` and then on ``final``, recorded as the
-        one that signs them."""
+        digest) items of ``body`` and then on ``final``, recorded in
+        ``exchange_of`` as the one that signs them: each digest maps to the
+        exchange alone, and the exchange finds the digest's item
+        (``Exchange.item_of``) only when a witness first asks."""
         exchange = Exchange(self.tree.participants, body, (final.name, final.digest),
                             include_txset)
-        self.exchange_of.update({digest: (exchange, item) for item, (_, digest)
-                                 in enumerate([*body, exchange.layout.final])})
+        for _, digest in (*exchange.layout.body, exchange.layout.final):
+            self.exchange_of[digest] = exchange
         return exchange
 
     def active_exchange(self) -> Optional[Exchange]:
@@ -723,8 +730,7 @@ class OnchainSession(Session):
             raise ProtocolError(f"invalid contract: {errors[0]}")
         comp = compile_onchain(tree, commitments, salt)
         self.digests = comp.digests
-        super().__init__(tree, commitments, trace, comp.parts, comp.deposits, comp.root,
-                         body_items(comp.parts, comp.digests))
+        super().__init__(tree, commitments, trace, comp.parts, comp.deposits, comp.root, comp.body)
         # Steps agreed so far; an agreed step is appended, not agreed again.
         self.agreed_steps: Set[NodeId] = set()
 

@@ -64,10 +64,13 @@ OUTCOME_LEAF = "leaf"
 OUTCOME_ABORTED = "aborted"
 OUTCOME_HEIGHT_CAP = "height_cap"
 
-# One encoder for every value that is not a ``str``: ``json.dumps`` with
-# these options would build an equal one per call.  A ``str`` it encodes
-# with ``encode_basestring_ascii``, which the lines call directly.
+# One encoder for every value that is not a ``str`` or an exact ``int``:
+# ``json.dumps`` with these options would build an equal one per call.  A
+# ``str`` it encodes with ``encode_basestring_ascii``, and an ``int`` with
+# ``int.__repr__``, which the lines call directly, by the value's exact
+# type (``_TEXT_OF``): a ``bool`` or an ``int`` subclass goes to the encoder.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_TEXT_OF = {str: encode_basestring_ascii, int: int.__repr__}
 
 # The package's events have literal keys and few shapes (14 over the
 # three benchmark workloads); the bound keeps callers that serialize
@@ -137,11 +140,11 @@ def _row_lines(rows: Iterable[Tuple]) -> Iterator[str]:
     ``json.dumps`` with sorted keys and compact separators, for an ``int``
     height and ``str`` data keys.  A row whose actor and values are all
     ``str``, as every signature's are, is encoded in C alone; any other value
-    raises ``TypeError`` there and the row goes through the encoder, which
-    gives every ``str`` the same bytes.  A burst row gives its lines by
-    recipient (``_burst_text``), or, if it holds a value that is not a
-    ``str``, as the rows of its messages."""
-    esc, enc = encode_basestring_ascii, _ENCODER.encode
+    raises ``TypeError`` there and each value of the row is encoded by its
+    type (``_TEXT_OF``), which gives every value the encoder's bytes.  A burst
+    row gives its lines by recipient (``_burst_text``), or, if it holds a
+    value that is not a ``str``, as the rows of its messages."""
+    esc, enc, text_of = encode_basestring_ascii, _ENCODER.encode, _TEXT_OF.get
     last = None
     for row in rows:
         if row[0] is not last:
@@ -157,7 +160,7 @@ def _row_lines(rows: Iterable[Tuple]) -> Iterator[str]:
         try:
             line = fmt % (*map(esc, pick(row)), row[1])
         except TypeError:
-            line = fmt % (*map(enc, pick(row)), row[1])
+            line = fmt % (*[text_of(type(v), enc)(v) for v in pick(row)], row[1])
         yield line
 
 

@@ -11,8 +11,9 @@ by ``deliver_next`` (``deliver_one`` for a bare exchange), which checks
 phase gating before every message.  ``instantiate_by_make_tx`` is the
 reference for compilation: every instance of a subtree built by
 ``make_tx`` from the contract node itself, which ``compiled_by_make_tx``
-applies to what a session compiled; a session keeps only the digests,
-and builds an instance only below a node that lands, which
+applies to what a session compiled, and ``body_items`` the reference for
+the body a compilation lists, read off its digests; a session keeps only
+the digests, and builds an instance only below a node that lands, which
 ``instances_by_landing`` does for every node and ``landings_checked``
 compares with the reference in whole runs.
 ``exchange_plan`` is the reference for the exchange: the plan as a list
@@ -157,7 +158,8 @@ def instantiate_by_make_tx(tree: ContractTree, commitments: CommitmentSet, salt:
     built by ``make_tx`` from its contract node: the subtree root spends
     ``root_inputs`` under ``root_rel_timelock`` with no edge requirements,
     every other node its parent's continuation output under its edge.
-    ``onchain.compile_subtree`` gives the root's instance and the digests."""
+    ``onchain.compile_subtree`` gives the root's instance, the digests and
+    the body."""
     everyone = frozenset(tree.participants)
     instances: Dict[NodeId, TxInstance] = {}
     stack = [(sub_root, root_inputs, root_input_value, root_rel_timelock, NO_EDGE)]
@@ -176,6 +178,15 @@ def instantiate_by_make_tx(tree: ContractTree, commitments: CommitmentSet, salt:
             child_edge = tree.node(child).edge
             stack.append((child, ((inst.digest, 0),), balance, child_edge.wait, child_edge))
     return instances
+
+
+def body_items(parts: TreeParts, digests: Dict[NodeId, str]) -> List[Tuple[str, str]]:
+    """The reference for the body ``onchain.compile_subtree`` lists as it
+    hashes: the (name, digest) of every node of a compiled subtree but its
+    root, in preorder, read off its digests."""
+    templates, items = parts.tree.nodes, iter(digests.items())
+    next(items)
+    return [(templates[node_id].name, digest) for node_id, digest in items]
 
 
 def instances_by_landing(parts: TreeParts, root: TxInstance,

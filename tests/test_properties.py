@@ -47,6 +47,7 @@ from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
 from graftsim.witness import CommitmentSet, scenario_salt, tx_digest
 
 from drivers import (
+    body_items,
     burst_of,
     census_by_replay,
     deliver_one,
@@ -124,23 +125,23 @@ def test_generated_contracts_always_validate(seed):
 
 def _compilations(tree, seed, t):
     """Every subtree a session compiles, as (commitments, salt, what, the
-    parts, the root's instance, the digests, the ``compile_subtree``
-    arguments after the parts): the on-chain contract, whose root spends
-    one deposit per participant, the shadow, and a graft at every other
-    node."""
+    parts, the root's instance, the digests, the body, the
+    ``compile_subtree`` arguments after the parts): the on-chain contract,
+    whose root spends one deposit per participant, the shadow, and a graft
+    at every other node."""
     commitments = CommitmentSet([(s.label, s.owner) for s in tree.secrets], seed)
     salt = scenario_salt(seed, MODE_ONCHAIN)
     comp = compile_onchain(tree, commitments, salt)
     deposits = comp.deposits
     assert deposits == make_deposits(tree, salt)
-    yield (commitments, salt, "onchain", comp.parts, comp.root, comp.digests,
+    yield (commitments, salt, "onchain", comp.parts, comp.root, comp.digests, comp.body,
            (tree.root, tuple((deposits[p].digest, 0) for p in tree.participants),
             tree.deposit_total(), 0))
     salt = scenario_salt(seed, MODE_OFFCHAIN)
     comp = compile_offchain(tree, commitments, salt, t)
     spend_init = ((comp.init.digest, 0),)
     pot = comp.init.output_total()
-    yield (commitments, salt, "shadow", comp.parts, comp.shadow_root, comp.shadow,
+    yield (commitments, salt, "shadow", comp.parts, comp.shadow_root, comp.shadow, comp.body,
            (tree.root, spend_init, pot, subtree_height(tree, tree.root) * t))
     for origin in iter_preorder(tree):
         if origin != tree.root:
@@ -152,10 +153,17 @@ def _compilations(tree, seed, t):
 def _assert_compiled_by_make_tx(tree, seed, t):
     """Each compilation's digests are the reference's, in preorder; its
     root instance, and every instance a session would build on landing,
-    equal the reference's field for field, with the same types."""
-    for commitments, salt, what, parts, root, digests, args in _compilations(tree, seed, t):
+    equal the reference's field for field, with the same types.  The body
+    its walk lists is ``body_items`` of its digests, and an exchange over
+    it gives every digest its position in ``(*body, final)``."""
+    for commitments, salt, what, parts, root, digests, body, args in _compilations(tree, seed, t):
         expected = instantiate_by_make_tx(tree, commitments, salt, *args)
         assert list(digests.items()) == [(n, tx.digest) for n, tx in expected.items()], what
+        assert body == body_items(parts, digests), what
+        items = [*body, (root.name, root.digest)]
+        item_of = Exchange(tree.participants, body, items[-1], False).item_of
+        assert len(item_of) == len(items), what
+        assert [item_of[digest] for _, digest in items] == list(range(len(items))), what
         landed = instances_by_landing(parts, root, digests)
         assert list(landed.items()) == list(expected.items()), what
         for inst, ref in zip(landed.values(), expected.values()):

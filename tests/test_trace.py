@@ -3,8 +3,10 @@ compact separators, whatever the values."""
 
 import functools
 import json
+import math
 import tracemalloc
 from dataclasses import replace
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -31,7 +33,19 @@ from test_acceptance import _bo3_attack_matrix, _random_attack_cases
 # Integers reach 2^64 either side; text covers control and non-ASCII
 # characters, in keys and values alike, and always draws a few of them.
 TEXT = st.text(max_size=6) | st.sampled_from(["\x00\t\x1f\x7f", "é✓\u2028𝄞", "\"\\/"])
-SCALARS = st.none() | st.booleans() | st.integers(-2**64, 2**64) | TEXT
+
+
+class Level(IntEnum):
+    """An ``int`` subclass, which the row fallback leaves to the encoder."""
+    LOW = -1
+    HIGH = 2**40
+
+
+# Floats always draw NaN and both infinities now and then, which the
+# encoder writes as ``NaN``, ``Infinity`` and ``-Infinity``.
+FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+SCALARS = st.none() | st.booleans() | st.integers(-2**64, 2**64) | FLOATS \
+    | st.sampled_from(Level) | TEXT
 VALUES = st.recursive(
     SCALARS,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
@@ -94,8 +108,13 @@ AWKWARD = ("%", "%%", "%s", "{}", '"\\')
     # Values of one shape that compare equal but encode differently.
     [Event(6, "A", "Flag", {"v": True}), Event(6, "A", "Flag", {"v": 1}),
      Event(6, "A", "Flag", {"v": 1.0}), Event(6, "A", "Flag", {"v": "1"})],
+    # Rows that mix ``bool``s, exact ``int``s, an ``int`` subclass and text.
+    [Event(8, "A", "Mix", {"b": True, "i": 1, "s": "x", "n": -2**70}),
+     Event(8, "A", "Mix", {"b": 0, "i": False, "s": Level.HIGH, "n": 1}),
+     Event(8, "A", "Mix", {"b": False, "i": -0, "s": True, "n": Level.LOW})],
+    [Event(9, "A", "Floats", {"f": math.nan, "g": math.inf, "h": -math.inf, "i": 2**64})],
 ], ids=["empty-data", "one-key", "format-characters", "two-orders", "two-key-sets",
-        "true-against-one"])
+        "true-against-one", "bools-and-ints", "floats"])
 def test_event_lines_of_every_shape_are_json_dumps(events):
     trace = traced({"type": "ignored"}, events, {})
     assert trace.serialize() == serialize_by_dumps(trace)
