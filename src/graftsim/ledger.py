@@ -22,7 +22,6 @@ from .witness import (
     Signature,
     check_reveal,
     tx_digest,
-    verify,
 )
 
 InputRef = Tuple[str, int]  # (source digest hex, output index)
@@ -62,8 +61,7 @@ def make_tx(
                       frozenset(required_reveals), tuple(outputs))
 
 
-@dataclass(frozen=True)
-class AppendWitness:
+class AppendWitness(NamedTuple):
     signatures: FrozenSet[Signature] = frozenset()
     reveals: FrozenSet[Reveal] = frozenset()
 
@@ -148,9 +146,8 @@ class ChainState:
 
     def enabled_at(self, tx: TxInstance) -> Optional[int]:
         """Earliest height at which the timelock rule passes, assuming the
-        inputs stay unspent.  None if an input is missing."""
-        if tx.is_deposit:
-            return 0
+        inputs stay unspent (0 for a deposit, which has none).  None if an
+        input is missing."""
         latest = 0
         for ref in tx.inputs:
             if ref not in self.utxos:
@@ -162,22 +159,23 @@ class ChainState:
     def check(self, tx: TxInstance, witness: AppendWitness = EMPTY_WITNESS) -> Optional[AppendError]:
         """Would ``try_append`` accept this?  Returns None if so, otherwise
         the first violated rule: inputs, signatures, reveals, timelocks,
-        value conservation — in that order.  Appends nothing."""
+        value conservation — in that order.  Appends nothing.  Each
+        required signer, in name order, is one lookup of the signature it
+        owes, ``Signature(signer, tx.digest, role)``, in the witness's
+        signatures."""
         if tx.digest in self.appended:
             return MissingInput((tx.digest, 0)) if tx.is_deposit else MissingInput(tx.inputs[0])
 
-        if not tx.is_deposit:
-            for ref in tx.inputs:
-                if ref not in self.utxos:
-                    return MissingInput(ref)
+        for ref in tx.inputs:
+            if ref not in self.utxos:
+                return MissingInput(ref)
 
+        digest, signatures = tx.digest, witness.signatures
         for signer in sorted(tx.required_signers):
-            if not any(s.signer == signer and s.role == IMPLICIT and verify(s, tx.digest)
-                       for s in witness.signatures):
+            if Signature(signer, digest, IMPLICIT) not in signatures:
                 return MissingSignature(signer, IMPLICIT)
         for signer in sorted(tx.edge_signers):
-            if not any(s.signer == signer and s.role == EDGE and verify(s, tx.digest)
-                       for s in witness.signatures):
+            if Signature(signer, digest, EDGE) not in signatures:
                 return MissingSignature(signer, EDGE)
 
         for commitment in sorted(tx.required_reveals):

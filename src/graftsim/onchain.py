@@ -25,6 +25,7 @@ session in ``offchain`` builds on it with Head as its anchor.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
 from hashlib import sha256
 from typing import (
@@ -298,7 +299,9 @@ class Exchange:
     sender sends its queue in order.  A phase ends at the same position of
     every queue, so the lowest phase with a message undelivered is the one
     holding the least count short of the queue's end, and every query is
-    arithmetic on the counts.  The counts are also the only record of who
+    arithmetic on the counts: one loop over them in name order, which
+    stops at its answer where it can, and a bisection of the phase ends
+    (``_ends``).  The counts are also the only record of who
     holds which signature (``received``), read at the item ``item_of``
     gives each signed digest; the session maps each signed digest to its
     exchange (``Session.exchange_of``).
@@ -321,10 +324,11 @@ class Exchange:
         """Where the open part of ``sender``'s queue ends: at the end of
         the phase holding the least count of the others short of the end.
         No message ``sender`` sends moves that count."""
-        size = self.size
-        least = min((count for other, count in self.sent.items()
-                     if other != sender and count < size), default=size)
-        return next((end for end in self._ends if end > least), size)
+        least = size = self.size
+        for other, count in self.sent.items():
+            if count < least and other != sender:
+                least = count
+        return self._ends[bisect_right(self._ends, least)] if least < size else size
 
     def owes(self, sender: str) -> bool:
         """Is ``sender``'s next message open now?"""
@@ -366,17 +370,23 @@ class Exchange:
     def complete(self) -> bool:
         return min(self.sent.values(), default=self.size) == self.size
 
+    def _first_short(self, end: int, skip: Optional[str] = None) -> Optional[str]:
+        """The first sender by name, other than ``skip``, whose count is
+        short of ``end``."""
+        for sender, count in self.sent.items():
+            if count < end and sender != skip:
+                return sender
+        return None
+
     def pending_from_others(self, me: str) -> bool:
-        size = self.size
-        return any(count < size for sender, count in self.sent.items() if sender != me)
+        return self._first_short(self.size, me) is not None
 
     def first_blocker(self) -> Optional[str]:
         """Sender of the first undelivered message, listing the plan phase
         by phase and sender by sender: the first sender by name whose
         count stops in the lowest incomplete phase — with phase gating,
         the participant holding everyone up."""
-        end = self._open_until(None)
-        return next((s for s, count in self.sent.items() if count < end), None)
+        return self._first_short(self._open_until(None))
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +529,10 @@ class Session:
     def secrets_openable(self, child: NodeId) -> bool:
         """Is every secret on the edge into ``child`` published, or owned by
         a participant, who would open it on agreement?"""
-        return all(c.label in self.reveal_pool or c.owner in self.parts.everyone
-                   for c in self.parts.nodes[child].reveals)
+        for c in self.parts.nodes[child].reveals:
+            if c.label not in self.reveal_pool and c.owner not in self.parts.everyone:
+                return False
+        return True
 
     @property
     def step_origin(self) -> Optional[NodeId]:

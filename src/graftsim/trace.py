@@ -109,19 +109,29 @@ def _txsets_end(row: Tuple) -> int:
     return min(max(row[4], row[3].body_at), row[5])
 
 
+# The constant parts of the two message lines, which their values go
+# between: the actor, then the data values in sorted key order.  The last
+# part holds the height's ``%d``.
+_TXSET_PARTS, _SIG_PARTS = (_line_format(s)[0].split("%s") for s in (TXSET_SHAPE, SIG_SHAPE))
+
+
 def _burst_text(row: Tuple) -> List[str]:
-    """A burst row's lines: its transaction sets as their rows, then its
-    signatures, one string per recipient, in C alone.  ``SIG_SHAPE``'s
-    format is filled once, with the sender and height encoded and NULs
-    marking the digest, the recipient and the tx: no encoded value holds a
-    NUL, which JSON escapes.  Each recipient is then encoded once.  A value
-    that is not a ``str`` raises ``TypeError``."""
+    """A burst row's lines: its transaction sets, then its signatures, one
+    string per recipient, in C alone.  Each line is its shape's constant
+    parts joined with its values, so the sender, the height and each
+    recipient are encoded once.  A value that is not a ``str`` raises
+    ``TypeError``."""
     esc = encode_basestring_ascii
     _, height, sender, layout, start, stop = row
-    split = _txsets_end(row)
-    texts = list(_row_lines(_messages(row, start, split))) if start < split else []
-    head, to_at, tx_at, tail = (_line_format(SIG_SHAPE)[0]
-                                % (esc(sender), "\0", "\0", "\0", height)).split("\0")
+    split, actor, texts = _txsets_end(row), esc(sender), []
+    if start < split:
+        # A transaction set announces the body and the final item.
+        first, count_at, to_at, tail = _TXSET_PARTS
+        head = first + actor + count_at + int.__repr__(len(layout.body) + 1) + to_at
+        tail %= height
+        texts = [head + esc(to) + tail for to, _ in layout.segments(sender, start, split)]
+    first, digest_at, to_at, tx_at, tail = _SIG_PARTS
+    head, tail = first + actor + digest_at, tail % height
     for to, items in layout.segments(sender, split, stop):
         mid = to_at + esc(to) + tx_at
         if len(items) == 1:

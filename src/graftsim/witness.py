@@ -3,17 +3,20 @@
 Nothing here touches real key material.  A Signature is an identity record
 bound to a canonical transaction digest, which reproduces the one property
 the protocols depend on: an authorization issued for one transaction
-variant verifies against that variant only.  Secrets follow the usual
-hash-lock pattern (commit to ``H(label || nonce)``, later reveal the
-preimage).  All randomness is derived from a caller-supplied seed so runs
-are reproducible bit for bit.
+variant verifies against that variant only.  It verifies by membership:
+the ledger looks the record (signer, digest, role) it needs up in the
+witness, so one issued for another digest or role is never found.
+Secrets follow the usual hash-lock pattern (commit to ``H(label ||
+nonce)``, later reveal the preimage).  Signatures, commitments and
+reveals are tuples, hashed and ordered by their fields.  All randomness
+is derived from a caller-supplied seed so runs are reproducible bit for
+bit.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 # Signature roles.  IMPLICIT signatures are the all-participant signatures
 # exchanged up front for every transaction of a compiled tree; EDGE
@@ -122,8 +125,7 @@ def scenario_salt(seed: int, scope: str = "") -> bytes:
 # ---------------------------------------------------------------------------
 # Signatures
 
-@dataclass(frozen=True, order=True)
-class Signature:
+class Signature(NamedTuple):
     signer: str
     digest: str
     role: str = IMPLICIT
@@ -134,23 +136,16 @@ def sign(signer: str, digest: str, role: str = IMPLICIT) -> Signature:
     return Signature(signer, digest, role)
 
 
-def verify(sig: Signature, digest: str) -> bool:
-    """A signature verifies against exactly the digest it was issued for."""
-    return sig.digest == digest
-
-
 # ---------------------------------------------------------------------------
 # Secret commitments
 
-@dataclass(frozen=True, order=True)
-class SecretCommitment:
+class SecretCommitment(NamedTuple):
     label: str
     hash_hex: str
     owner: str
 
 
-@dataclass(frozen=True)
-class Reveal:
+class Reveal(NamedTuple):
     commitment: SecretCommitment
     preimage: bytes
 

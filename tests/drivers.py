@@ -20,7 +20,9 @@ compares with the reference in whole runs.
 of ``Message``s, which ``next_for`` walks for a sender's next open
 message.  ``DeliveredSignatures`` is the reference for the signatures an
 actor holds: one ``SignatureStore`` per participant fed every message a
-trace logs, read by ``witness_by_store``.
+trace logs, read by ``witness_by_store``.  ``check_by_scan`` is the
+reference for the ledger's append check: every signature a rule needs
+found by a scan of the witness.
 ``subtree_heights_by_preorder``, ``leaf_errors_by_fractions`` and
 ``spend_template`` are the references for the per-node work of loading,
 validating and compiling a contract: the heights, the leaf checks and a
@@ -57,7 +59,18 @@ from graftsim.contract import (
     resolve_payout,
 )
 from graftsim.harness import Scenario, _Engine, run
-from graftsim.ledger import AppendWitness, TxInstance, make_tx
+from graftsim.ledger import (
+    AppendError,
+    AppendWitness,
+    ChainState,
+    MissingInput,
+    MissingReveal,
+    MissingSignature,
+    TimelockNotExpired,
+    TxInstance,
+    ValueMismatch,
+    make_tx,
+)
 from graftsim.offchain import Graft, OffchainSession
 from graftsim.onchain import (
     FAILSAFE,
@@ -79,7 +92,7 @@ from graftsim.trace import (
     Trace,
     summarize_run,
 )
-from graftsim.witness import EDGE, IMPLICIT, CommitmentSet, scenario_salt, sign
+from graftsim.witness import EDGE, IMPLICIT, CommitmentSet, check_reveal, scenario_salt, sign
 
 _DRIVER_GUARD = 100_000
 
@@ -712,6 +725,35 @@ def witness_by_store(session: Session, store: SignatureStore, actor: str,
         elif commitment.owner == actor:
             reveals.add(session.commitments.reveal(commitment.label))
     return AppendWitness(frozenset(sigs), frozenset(reveals))
+
+
+def check_by_scan(chain: ChainState, tx: TxInstance,
+                  witness: AppendWitness) -> Optional[AppendError]:
+    """The reference for ``ChainState.check``: the same rules in the same
+    order, with each required signer's signature found by a scan of every
+    signature the witness holds, comparing signer, role and digest."""
+    if tx.digest in chain.appended:
+        return MissingInput((tx.digest, 0)) if tx.is_deposit else MissingInput(tx.inputs[0])
+    for ref in tx.inputs:
+        if ref not in chain.utxos:
+            return MissingInput(ref)
+    for role, signers in ((IMPLICIT, tx.required_signers), (EDGE, tx.edge_signers)):
+        for signer in sorted(signers):
+            if not any(s.signer == signer and s.role == role and s.digest == tx.digest
+                       for s in witness.signatures):
+                return MissingSignature(signer, role)
+    for commitment in sorted(tx.required_reveals):
+        if not any(r.commitment == commitment and check_reveal(r) for r in witness.reveals):
+            return MissingReveal(commitment.label)
+    if tx.is_deposit:
+        return None
+    needed = chain.enabled_at(tx)
+    if not chain.reached(needed):
+        return TimelockNotExpired(needed)
+    input_total = sum(chain.utxos[ref].value for ref in tx.inputs)
+    if tx.output_total() + chain.fee != input_total:
+        return ValueMismatch(input_total - chain.fee, tx.output_total())
+    return None
 
 
 def stipulated_instances(session: Session) -> List[TxInstance]:

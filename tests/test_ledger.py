@@ -1,6 +1,9 @@
 """Chain rules: append validation order, timelocks, value conservation."""
 
+from dataclasses import is_dataclass
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graftsim.contract import OutputSpec
 from graftsim.ledger import (
@@ -19,11 +22,14 @@ from graftsim.witness import (
     CommitmentSet,
     EDGE,
     IMPLICIT,
+    Reveal,
+    SecretCommitment,
+    Signature,
     scenario_salt,
     sign,
 )
 
-from drivers import Message
+from drivers import Message, check_by_scan
 
 SALT = scenario_salt(11)
 
@@ -39,17 +45,90 @@ def witness_for(tx, signers=("A", "B"), edge=(), reveals=()):
     return AppendWitness(signatures=sigs, reveals=frozenset(reveals))
 
 
+COMMITMENTS = CommitmentSet([("S", "oracle"), ("T", "A")], seed=1)
+
+
 @pytest.mark.parametrize("record", [
     Event(0, "A", DEPOSIT, {"value": 20}),
     Message("A", "B", "sig", "Dep_A", "aa", 1),
     deposit(),
     OutputSpec(20, "A"),
+    sign("A", "aa"),
+    COMMITMENTS["S"],
+    COMMITMENTS.reveal("S"),
+    AppendWitness(frozenset({sign("A", "aa")}), frozenset({COMMITMENTS.reveal("S")})),
 ], ids=lambda record: type(record).__name__)
 def test_records_are_immutable_tuples(record):
     for field in record._fields:
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
-    assert record == tuple(record)
+    assert record == tuple(record) and not is_dataclass(record)
+
+
+def test_witness_records_hash_sort_and_build_as_their_fields():
+    """A signature, commitment, reveal or witness hashes and sorts as the
+    tuple of its fields, builds from keywords, and keeps its defaults."""
+    sigs = [sign("B", "aa"), sign("A", "bb"), sign("A", "aa", EDGE), sign("A", "aa")]
+    reveal = COMMITMENTS.reveal("T")
+    for record in (*sigs, COMMITMENTS["S"], reveal, AppendWitness(frozenset(sigs))):
+        assert hash(record) == hash(tuple(record))
+    assert sorted(sigs) == sorted(sigs, key=tuple) == [
+        sign("A", "aa", EDGE), sign("A", "aa"), sign("A", "bb"), sign("B", "aa")]
+    assert sorted(COMMITMENTS[label] for label in "TS") == [COMMITMENTS["S"], COMMITMENTS["T"]]
+    assert Signature(signer="A", digest="aa", role=EDGE) == ("A", "aa", EDGE)
+    commitment = SecretCommitment(label="T", hash_hex=reveal.commitment.hash_hex, owner="A")
+    assert Reveal(commitment=commitment, preimage=reveal.preimage) == reveal
+    assert AppendWitness(reveals=frozenset({reveal})).signatures == frozenset()
+    assert sign("A", "aa").role == IMPLICIT and Signature("A", "aa").role == IMPLICIT
+    assert AppendWitness() == EMPTY_WITNESS == (frozenset(), frozenset())
+
+
+SIGNERS = ("A", "B", "C")
+WRONG_DIGEST = "ff" * 32
+
+
+def _owed(tx):
+    """Every signature ``tx`` requires, in both roles."""
+    return ([sign(s, tx.digest) for s in tx.required_signers]
+            + [sign(s, tx.digest, EDGE) for s in tx.edge_signers])
+
+
+@settings(max_examples=300, deadline=None)
+@given(required=st.frozensets(st.sampled_from(SIGNERS)),
+       edge=st.frozensets(st.sampled_from(SIGNERS)),
+       owed=st.booleans(),
+       signed=st.frozensets(st.tuples(st.sampled_from(SIGNERS + ("X",)), st.booleans(),
+                                      st.sampled_from((IMPLICIT, EDGE)))),
+       reveals=st.dictionaries(st.sampled_from("ST"), st.sampled_from(("none", "right", "wrong"))),
+       source=st.sampled_from(("unspent", "unspent", "unspent", "missing", "appended")),
+       rel=st.integers(0, 2), ticks=st.integers(0, 2), value=st.sampled_from((19, 20)))
+def test_check_reports_the_first_error_of_a_scan(required, edge, owed, signed, reveals, source,
+                                                 rel, ticks, value):
+    """Over drawn signer sets and witnesses (every owed signature or not,
+    plus signatures of strangers, on another digest or in the other role,
+    and right, wrong or no reveals), ``ChainState.check`` reports the
+    error ``check_by_scan`` does, with the same effect on ``next_flip``."""
+    chains = [ChainState(fee=1) for _ in range(2)]
+    dep = deposit()
+    tx = make_tx("T1", SALT, inputs=(("00" * 32 if source == "missing" else dep.digest, 0),),
+                 rel_timelock=rel, required_signers=required, edge_signers=edge,
+                 required_reveals=frozenset(COMMITMENTS[label] for label in reveals),
+                 outputs=(OutputSpec(value, "A"),))
+    sigs = {sign(s, tx.digest if right else WRONG_DIGEST, role) for s, right, role in signed}
+    witness = AppendWitness(
+        frozenset(sigs.union(_owed(tx)) if owed else sigs),
+        frozenset(COMMITMENTS.reveal(label) if how == "right" else
+                  Reveal(COMMITMENTS[label], COMMITMENTS.reveal(label).preimage + b"x")
+                  for label, how in reveals.items() if how != "none"))
+    for chain in chains:
+        assert chain.try_append(dep) is None
+        chain.tick(ticks)
+        if source == "appended":
+            chain.try_append(tx, AppendWitness(frozenset(_owed(tx)), frozenset(
+                COMMITMENTS.reveal(label) for label in reveals)))
+    assert chains[0].check(tx, witness) == check_by_scan(chains[1], tx, witness)
+    assert chains[0].next_flip == chains[1].next_flip
+    assert chains[0].check(dep) == check_by_scan(chains[1], dep, EMPTY_WITNESS)
 
 
 class TestAppendRules:

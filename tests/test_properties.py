@@ -267,12 +267,13 @@ def _exchange_by_counters(exchange, parties):
 
 
 @NO_DEADLINE
-@given(seed=st.integers(0, 10**6),
-       parties=st.sampled_from((("A", "B"), ("A", "B", "C"))),
-       body_size=st.integers(0, 5))
-def test_exchange_counters_match_a_scan_of_the_plan(seed, parties, body_size):
+@given(seed=st.integers(0, 10**6), parties=st.integers(1, 5).map(lambda k: tuple("ABCDE"[:k])),
+       body_size=st.integers(0, 5), txset=st.booleans())
+def test_exchange_counters_match_a_scan_of_the_plan(seed, parties, body_size, txset):
+    """From 1 to 5 participants, with and without transaction sets, so
+    that some exchange has no message at all and some phase none."""
     body = [(f"T{i}", f"d{i}") for i in range(body_size)]
-    exchange = Exchange(parties, body, ("R", "dr"), True)
+    exchange = Exchange(parties, body, ("R", "dr"), txset)
     rng = random.Random(seed)
     while True:
         expected = _exchange_by_scan(exchange, parties)

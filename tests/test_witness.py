@@ -20,7 +20,6 @@ from graftsim.witness import (
     sign,
     spend_templates,
     tx_digest,
-    verify,
 )
 
 from drivers import SignatureStore, spend_template
@@ -145,10 +144,13 @@ def test_one_past_each_limit_overflows_in_both(field, value):
 
 
 class TestSignatures:
-    def test_verify_binds_to_digest(self):
-        sig = sign("A", "00" * 32)
-        assert verify(sig, "00" * 32)
-        assert not verify(sig, "11" * 32)
+    def test_a_signature_is_found_only_under_its_digest_and_role(self):
+        # The ledger verifies a signature by looking up the record it needs.
+        held = frozenset({sign("A", "00" * 32)})
+        assert sign("A", "00" * 32, IMPLICIT) in held
+        assert sign("A", "11" * 32) not in held
+        assert sign("A", "00" * 32, EDGE) not in held
+        assert sign("B", "00" * 32) not in held
 
     def test_roles_are_distinct_authorizations(self):
         store = SignatureStore()
