@@ -5,25 +5,23 @@ Each event is written as one immutable row, ``(shape, height, actor,
 insertion order.  A burst of one sender's messages is one row too, which
 holds the exchange's immutable layout and the burst's positions in the
 sender's queue, and stands for one ``TxSetSent`` or ``SignatureSent``
-event per position.  The reads, ``Trace.events``, ``count``, ``find`` and
-``serialize``, expand a burst only where they reach it.  Events serialize
-to JSON Lines with sorted keys, so two runs of the same scenario produce
-byte-identical files; a burst's lines are formatted with its sender and
-height encoded once, and each recipient once.  A trace also keeps the
-actual (instance, witness) pairs of every successful append, which lets
-tests re-apply just the appends to a fresh ledger and compare terminal
-states.
+event per position.  ``Trace.events`` builds a fresh list of the events
+on each read; ``count`` and ``find`` expand a burst only for those two
+kinds.  Events serialize to JSON Lines with sorted keys, so two runs of
+the same scenario produce byte-identical files; a burst's lines are
+formatted with its sender and height encoded once, and each recipient
+once.  A trace also keeps the actual (instance, witness) pairs of every
+successful append, which lets tests re-apply just the appends to a fresh
+ledger and compare terminal states.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from bisect import bisect_right
-from collections.abc import Sequence
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import countOf, index as as_index, itemgetter
+from operator import countOf, itemgetter
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
 
@@ -64,11 +62,10 @@ OUTCOME_LEAF = "leaf"
 OUTCOME_ABORTED = "aborted"
 OUTCOME_HEIGHT_CAP = "height_cap"
 
-# One encoder for every value that is not a ``str`` or an exact ``int``:
-# ``json.dumps`` with these options would build an equal one per call.  A
-# ``str`` it encodes with ``encode_basestring_ascii``, and an ``int`` with
-# ``int.__repr__``, which the lines call directly, by the value's exact
-# type (``_TEXT_OF``): a ``bool`` or an ``int`` subclass goes to the encoder.
+# A line encodes each value by its exact type (``_TEXT_OF``): a ``str`` with
+# ``encode_basestring_ascii``, an ``int`` with ``int.__repr__``, and any
+# other, a ``bool`` or an ``int`` subclass included, with one encoder, as
+# ``json.dumps`` with these options would build an equal one per call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _TEXT_OF = {str: encode_basestring_ascii, int: int.__repr__}
 
@@ -146,32 +143,22 @@ def _burst_text(row: Tuple) -> List[str]:
 
 
 def _row_lines(rows: Iterable[Tuple]) -> Iterator[str]:
-    """Each row's line, filled into its shape's cached format: the bytes of
-    ``json.dumps`` with sorted keys and compact separators, for an ``int``
-    height and ``str`` data keys.  A row whose actor and values are all
-    ``str``, as every signature's are, is encoded in C alone; any other value
-    raises ``TypeError`` there and each value of the row is encoded by its
-    type (``_TEXT_OF``), which gives every value the encoder's bytes.  A burst
-    row gives its lines by recipient (``_burst_text``), or, if it holds a
-    value that is not a ``str``, as the rows of its messages."""
-    esc, enc, text_of = encode_basestring_ascii, _ENCODER.encode, _TEXT_OF.get
-    last = None
+    """Each row's line, filled into its shape's cached format with each
+    value encoded by its type (``_TEXT_OF``): the bytes of ``json.dumps``
+    with sorted keys and compact separators, for an ``int`` height and
+    ``str`` data keys.  A burst row gives its lines by recipient
+    (``_burst_text``), or, if it holds a value that is not a ``str``, as
+    the rows of its messages."""
+    enc, text_of = _ENCODER.encode, _TEXT_OF.get
     for row in rows:
-        if row[0] is not last:
-            # ``last`` is never ``_BURST``, so every burst row comes here.
-            if row[0] is _BURST:
-                try:
-                    yield from _burst_text(row)
-                except TypeError:
-                    yield from _row_lines(_plain(row))
-                continue
-            last = row[0]
-            fmt, pick = _line_format(last)
-        try:
-            line = fmt % (*map(esc, pick(row)), row[1])
-        except TypeError:
-            line = fmt % (*[text_of(type(v), enc)(v) for v in pick(row)], row[1])
-        yield line
+        if row[0] is _BURST:
+            try:
+                yield from _burst_text(row)
+            except TypeError:
+                yield from _row_lines(_plain(row))
+        else:
+            fmt, pick = _line_format(row[0])
+            yield fmt % (*[text_of(type(v), enc)(v) for v in pick(row)], row[1])
 
 
 class Event(NamedTuple):
@@ -188,65 +175,20 @@ def _event(row: Tuple) -> Event:
     return Event(row[1], row[2], shape[0], dict(zip(shape[1:], row[3:])))
 
 
-def _messages(row: Tuple, start: int, stop: int) -> Iterator[Tuple]:
-    """The rows of the messages at positions ``start`` to ``stop`` of a
-    burst row's queue, one event each."""
-    _, height, sender, layout, _, _ = row
-    for to, items in layout.segments(sender, start, stop):
-        if items is None:
-            # A transaction set announces the body and the final item.
-            yield (TXSET_SHAPE, height, sender, len(layout.body) + 1, to)
-        for tx, digest in items or ():
-            yield (SIG_SHAPE, height, sender, digest, to, tx)
-
-
 def _plain(row: Tuple) -> Iterable[Tuple]:
     """The rows of one event each that a row stands for: itself, or one
     per message of a burst."""
-    return _messages(row, row[4], row[5]) if row[0] is _BURST else (row,)
-
-
-class EventView(Sequence):
-    """A live, read-only view of a trace's rows as ``Event``s: it grows as
-    the trace does, and each read builds its ``Event``.  ``_ends`` holds,
-    for each row read so far, the number of events up to its end, so an
-    index finds its row by bisection."""
-    __slots__ = ("_rows", "_ends")
-
-    def __init__(self, rows: List[Tuple]) -> None:
-        self._rows = rows
-        self._ends: List[int] = []
-
-    def _indexed(self) -> List[int]:
-        """``_ends``, extended over the rows written since the last read."""
-        ends, rows = self._ends, self._rows
-        total = ends[-1] if ends else 0
-        for row in rows[len(ends):]:
-            total += row[5] - row[4] if row[0] is _BURST else 1
-            ends.append(total)
-        return ends
-
-    def __len__(self) -> int:
-        ends = self._indexed()
-        return ends[-1] if ends else 0
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        index, size = as_index(index), len(self)
-        if index < 0:
-            index += size
-        if not 0 <= index < size:
-            raise IndexError("event index out of range")
-        ends = self._ends
-        at = bisect_right(ends, index)
-        row = self._rows[at]
-        if row[0] is _BURST:
-            row = next(_messages(row, row[4] + index - (ends[at - 1] if at else 0), row[5]))
-        return _event(row)
-
-    def __iter__(self) -> Iterator[Event]:
-        return map(_event, chain.from_iterable(map(_plain, self._rows)))
+    if row[0] is not _BURST:
+        return (row,)
+    _, height, sender, layout, start, stop = row
+    rows: List[Tuple] = []
+    for to, items in layout.segments(sender, start, stop):
+        if items is None:
+            # A transaction set announces the body and the final item.
+            rows.append((TXSET_SHAPE, height, sender, len(layout.body) + 1, to))
+        else:
+            rows += [(SIG_SHAPE, height, sender, digest, to, tx) for tx, digest in items]
+    return rows
 
 
 class Trace:
@@ -260,12 +202,11 @@ class Trace:
         self.rows: List[Tuple] = []
         self.appends: List[Tuple[TxInstance, AppendWitness, int]] = []
         self.summary: Dict = {}
-        # One view for every read, so that its index of the rows is built once.
-        self._view = EventView(self.rows)
 
     @property
-    def events(self) -> EventView:
-        return self._view
+    def events(self) -> List[Event]:
+        """A fresh list of the trace's events, built from the rows."""
+        return list(map(_event, chain.from_iterable(map(_plain, self.rows))))
 
     def add(self, height: int, actor: str, kind: str, data: Dict) -> None:
         """Write the event ``Event(height, actor, kind, data)`` as its row."""

@@ -38,13 +38,12 @@ def _checked(tree: ContractTree) -> ContractTree:
     return tree
 
 
-def chain_tree(n: int, deposit: int = 0) -> ContractTree:
+def chain_tree(n: int) -> ContractTree:
     """A two-party contract of ``n`` nodes in a single line, no edge
-    requirements.  The default deposit comfortably covers all fees."""
+    requirements.  Each deposit, 2n + 4, comfortably covers all fees."""
     if n < 1:
         raise ValueError("a chain needs at least one node")
     participants = ("A", "B")
-    deposit = deposit or 2 * n + 4
     nodes: Dict[NodeId, NodeTemplate] = {}
     for i in range(1, n + 1):
         children = (i + 1,) if i < n else ()
@@ -52,18 +51,17 @@ def chain_tree(n: int, deposit: int = 0) -> ContractTree:
         nodes[i] = NodeTemplate(i, f"N{i}", outputs=outputs, children=children)
     return _checked(ContractTree(
         participants=participants,
-        deposits={p: deposit for p in participants},
+        deposits={p: 2 * n + 4 for p in participants},
         fee=1, root=1, nodes=nodes))
 
 
-def complete_binary_tree(height: int, deposit: int = 0) -> ContractTree:
+def complete_binary_tree(height: int) -> ContractTree:
     """A two-party complete binary tree of the given edge-height
     (2^(height+1) - 1 nodes), level-ordered, no edge requirements."""
     if height < 0:
         raise ValueError("height must be non-negative")
     n = 2 ** (height + 1) - 1
     participants = ("A", "B")
-    deposit = deposit or 4 * (height + 2)
     nodes: Dict[NodeId, NodeTemplate] = {}
     for i in range(1, n + 1):
         children = tuple(c for c in (2 * i, 2 * i + 1) if c <= n)
@@ -71,7 +69,7 @@ def complete_binary_tree(height: int, deposit: int = 0) -> ContractTree:
         nodes[i] = NodeTemplate(i, f"N{i}", outputs=outputs, children=children)
     return _checked(ContractTree(
         participants=participants,
-        deposits={p: deposit for p in participants},
+        deposits={p: 4 * (height + 2) for p in participants},
         fee=1, root=1, nodes=nodes))
 
 

@@ -269,21 +269,20 @@ def test_runs_read_as_their_messages(pieces, data):
     events = reference.events
     size = len(events)
     for t in (trace, expanded):
-        view = t.events
-        assert view is t.events
-        assert len(view) == size
-        assert list(view) == events
-        assert all(view[i] == events[i] for i in range(-size, size))
+        read = t.events
+        assert len(read) == size
+        assert list(read) == events
+        assert all(read[i] == events[i] for i in range(-size, size))
         for index in (size, -size - 1):
             with pytest.raises(IndexError):
-                view[index]
+                read[index]
         for _ in range(3):
             cut = slice(data.draw(st.integers(-size - 2, size + 2) | st.none()),
                         data.draw(st.integers(-size - 2, size + 2) | st.none()),
                         data.draw(st.sampled_from([None, 1, 2, 7, -1, -3])))
-            assert view[cut] == events[cut]
+            assert read[cut] == events[cut]
         for i in range(0, size, max(1, size // 16)):
-            assert view.index(events[i]) == events.index(events[i])
+            assert read.index(events[i]) == events.index(events[i])
         for kind in {e.kind for e in events} | {SIGNATURE_SENT, TXSET_SENT, "Absent"}:
             assert t.count(kind) == reference.count(kind), kind
             assert t.find(kind) == reference.find(kind), kind
@@ -434,7 +433,7 @@ def test_rows_grow_with_bursts_not_recipients(monkeypatch, count):
     assert len(trace.rows) == sum(1 for sent in sends if sent) + len(trace.events) - messages
 
 
-# -- generated trees and the live view ---------------------------------------
+# -- generated trees and the events read -------------------------------------
 
 def _generated_scenario(tree, mode, t):
     path = tuple(tree.node(i).name for i in deepest_leaf_path(tree))
@@ -481,8 +480,12 @@ def test_serialize_builds_its_text_once(tree, mode):
     assert peak < 2.9 * len(text)
 
 
-def test_the_event_view_is_live_and_read_only(monkeypatch):
-    made, views, lengths = [], [], []
+def test_an_events_read_is_a_snapshot(monkeypatch):
+    """``trace.events`` is a list built from the rows on each read: a read
+    that a strategy takes mid-run keeps its length while later reads grow,
+    and changing a read, or the ``data`` of an event in it, changes no
+    row, no later read and no serialized byte."""
+    made, reads, lengths = [], [], []
 
     class Recorded(Trace):
         def __init__(self, header):
@@ -490,9 +493,8 @@ def test_the_event_view_is_live_and_read_only(monkeypatch):
             made.append(self)
 
     def watcher(observation, params):
-        if not views:
-            views.append(made[0].events)
-        lengths.append(len(views[0]))
+        reads.append(made[0].events)
+        lengths.append(len(reads[-1]))
         return honest(observation, params)
 
     monkeypatch.setattr(harness, "Trace", Recorded)
@@ -500,17 +502,16 @@ def test_the_event_view_is_live_and_read_only(monkeypatch):
     with strategies_added({"watcher": watcher}):
         trace = run(replace(scenario, strategies={p: ("watcher", {})
                                                   for p in scenario.strategies}))
-    view = views[0]
+    events = trace.events
     assert made == [trace]
-    assert lengths == sorted(lengths) and lengths[0] < lengths[-1] < len(view)
-    assert len(view) == len(trace.events) == len(list(view))
-    events = list(view)
-    assert view[-1] == events[-1] and view[2:5] == events[2:5]
-    assert all(view.index(e) == events.index(e) for e in events)
-    assert not hasattr(view, "append")
-    with pytest.raises(TypeError):
-        view[0] = events[0]
-    # Each read is a fresh ``Event``: changing its data changes no row.
-    view[0].data["value"] = -1
-    assert view[0] == events[0] != Event(events[0].height, events[0].actor,
-                                         events[0].kind, {**events[0].data, "value": -1})
+    assert [len(read) for read in reads] == lengths
+    assert lengths == sorted(lengths) and lengths[0] < lengths[-1] < len(events)
+    assert all(read == events[:len(read)] for read in reads)
+    rows, text = list(trace.rows), trace.serialize()
+    read = trace.events
+    assert type(read) is list and read == events and read is not trace.events
+    read.append(read[0])
+    read[1] = read[2]
+    read[0].data["value"] = -1
+    assert read[0] != events[0] and len(read) == len(events) + 1
+    assert trace.rows == rows and trace.events == events and trace.serialize() == text

@@ -31,9 +31,6 @@ class TestChain:
             assert tree.deposit_total() == 2 * (2 * n + 4)
             assert tree.deposit_total() > (n + 2) * tree.fee  # anchors included
 
-    def test_explicit_deposit(self):
-        assert chain_tree(3, deposit=40).deposits == {"A": 40, "B": 40}
-
     def test_validates(self):
         for n in (1, 2, 5, 16):
             assert validate_tree(chain_tree(n)) == []
