@@ -60,7 +60,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _invalid_contract(scenario: Scenario) -> bool:
     """Report the first structural error of the scenario's contract, if any."""
-    errors = validate_tree(scenario.tree)
+    errors = scenario.tree.compiled.errors
     if errors:
         print(f"error: invalid contract: {errors[0]}", file=sys.stderr)
     return bool(errors)

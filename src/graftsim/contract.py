@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
@@ -119,7 +120,7 @@ class SecretDecl:
     owner: str  # a participant, or an external party such as "oracle"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeTemplate:
     id: NodeId
     name: str
@@ -130,6 +131,9 @@ class NodeTemplate:
 
 @dataclass(frozen=True)
 class ContractTree:
+    """A contract.  It is never changed once built: ``replace`` and
+    ``with_fee`` make a new tree, so what ``compiled`` holds never goes
+    stale."""
     participants: Tuple[str, ...]
     deposits: Dict[str, int]
     fee: int
@@ -148,6 +152,12 @@ class ContractTree:
 
     def with_fee(self, fee: int) -> "ContractTree":
         return replace(self, fee=fee)
+
+    @cached_property
+    def compiled(self) -> "Compiled":
+        """This tree's compiled record, built on the first read and kept
+        in the tree, so it lives exactly as long as the tree."""
+        return Compiled(self)
 
 
 @dataclass(frozen=True)
@@ -250,11 +260,6 @@ def subtree_heights(tree: ContractTree, start: Optional[NodeId] = None) -> Dict[
                 tallest = height[c]
         height[n] = tallest + 1
     return height
-
-
-def subtree_height(tree: ContractTree, node_id: NodeId) -> int:
-    """Number of edges on the longest path from ``node_id`` to a leaf."""
-    return subtree_heights(tree, node_id)[node_id]
 
 
 def resolve_payout(shares: Tuple[PayoutShare, ...], balance: int) -> Tuple[OutputSpec, ...]:
@@ -417,6 +422,23 @@ def validate_tree(tree: ContractTree) -> List[StructuralError]:
         err("TooLarge", "names", f"a name is longer than {MAX_NAME_BYTES} bytes")
 
     return errors
+
+
+class Compiled:
+    """What compiling a tree computes once for all its runs: the
+    ``validate_tree`` verdict, ``errors``, and each node's
+    ``subtree_height``, ``heights``; and in ``runs``, the compilation of each
+    (seed, mode, t) a run has asked for, which ``harness.run`` fills.  Empty
+    ``heights`` means the tree is no tree to walk."""
+
+    __slots__ = ("errors", "heights", "runs")
+
+    def __init__(self, tree: ContractTree) -> None:
+        self.errors = validate_tree(tree)
+        # A walk needs every child present and no node reached twice.
+        walkable = all(e.kind not in ("UnknownNode", "NotATree") for e in self.errors)
+        self.heights = subtree_heights(tree) if walkable else {}
+        self.runs: Dict[Tuple[int, str, int], object] = {}
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from .contract import (
     is_utf8,
     load_contract_file,
     resolve_path,
-    subtree_height,
 )
 from .ledger import AppendError
 from .onchain import (
@@ -56,9 +55,11 @@ from .onchain import (
     OnchainSession,
     ProtocolError,
     STIPULATING,
+    OnchainCompilation,
     Session,
+    compile_onchain,
 )
-from .offchain import OffchainSession
+from .offchain import OffchainCompilation, OffchainSession, compile_offchain
 from .strategies import (
     AGREE,
     APPEND,
@@ -208,7 +209,7 @@ def scenario_from_dict(data: Dict, base_dir: Union[str, Path, None] = None) -> S
             raise ScenarioError("order must be a permutation of the participants")
         order = tuple(order)
     t = _integer(data, "t", 1, 1, MAX_TIMELOCK)
-    if mode == MODE_OFFCHAIN and t * subtree_height(tree, tree.root) > MAX_TIMELOCK:
+    if mode == MODE_OFFCHAIN and t * tree.compiled.heights[tree.root] > MAX_TIMELOCK:
         raise ScenarioError(f"t = {t} puts the shadow root's timelock over {MAX_TIMELOCK}")
     return Scenario(
         label=label, tree=tree, mode=mode, strategies=strategies,
@@ -452,12 +453,29 @@ class _Engine:
 # Running and reporting
 
 
+def _compile(tree: ContractTree, seed: int, mode: str,
+             t: int) -> Union[OnchainCompilation, OffchainCompilation]:
+    """``tree`` compiled for a run with this seed, mode and t."""
+    commitments = CommitmentSet([(s.label, s.owner) for s in tree.secrets], seed)
+    salt = scenario_salt(seed, mode)
+    if mode == MODE_OFFCHAIN:
+        return compile_offchain(tree, commitments, salt, t)
+    return compile_onchain(tree, commitments, salt)
+
+
 def run(scenario: Scenario) -> Trace:
-    """Execute one scenario to its terminal state and return the trace."""
+    """Execute one scenario to its terminal state and return the trace.
+    The tree is validated and compiled for the scenario's seed, mode and
+    t on the first run that asks, and every later run of the tree reads
+    that compilation from the tree's record (``ContractTree.compiled``)."""
     tree = scenario.tree
-    commitments = CommitmentSet([(s.label, s.owner) for s in tree.secrets],
-                                scenario.seed)
-    salt = scenario_salt(scenario.seed, scenario.mode)
+    compiled = tree.compiled
+    if compiled.errors:
+        raise ProtocolError(f"invalid contract: {compiled.errors[0]}")
+    key = (scenario.seed, scenario.mode, scenario.t)
+    comp = compiled.runs.get(key)
+    if comp is None:
+        comp = compiled.runs[key] = _compile(tree, *key)
     header = {
         "label": scenario.label,
         "mode": scenario.mode,
@@ -472,11 +490,8 @@ def run(scenario: Scenario) -> Trace:
                        for p, (name, params) in sorted(scenario.strategies.items())},
     }
     trace = Trace(header)
-    if scenario.mode == MODE_OFFCHAIN:
-        session: Session = OffchainSession(
-            tree, commitments, salt, trace, scenario.t)
-    else:
-        session = OnchainSession(tree, commitments, salt, trace)
+    session: Session = OffchainSession(comp, trace) if scenario.mode == MODE_OFFCHAIN \
+        else OnchainSession(comp, trace)
     engine = _Engine(scenario, session, trace)
     outcome = engine.run_rounds()
     summarize_run(trace, session.chain, outcome)
@@ -574,7 +589,7 @@ def message_census(tree: ContractTree, path_names: Optional[Sequence[str]] = Non
                      if s.owner not in tree.participants),
         t=t, seed=seed)
     # The default cap leaves no room for the edge waits along the path.
-    scenario.height_cap = default_height_cap(scenario, subtree_height(tree, tree.root)) + sum(
+    scenario.height_cap = default_height_cap(scenario, tree.compiled.heights[tree.root]) + sum(
         tree.node(i).edge.wait for i in path_ids[1:])
     summary = run(scenario).summary
     if summary["outcome"] != OUTCOME_LEAF:

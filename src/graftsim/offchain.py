@@ -28,7 +28,7 @@ first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from .contract import (
     CONTINUATION,
@@ -36,7 +36,6 @@ from .contract import (
     NodeId,
     OutputSpec,
     is_int,
-    validate_tree,
 )
 from .ledger import AppendError, TxInstance, make_tx
 from .trace import (
@@ -55,6 +54,7 @@ from .onchain import (
     ROLE_INIT,
     RUNNING,
     Exchange,
+    ExchangeLayout,
     ProtocolError,
     Session,
     TreeParts,
@@ -95,17 +95,17 @@ class OffchainCompilation:
     init: TxInstance
     shadow_root: TxInstance
     shadow: Dict[NodeId, str]      # every node's digest, in preorder, the root's first
-    body: List[Tuple[str, str]]    # every other node's (name, digest), in preorder
+    # Init, the shadow root, every other node's (name, digest) in preorder, then Head
+    stipulation: ExchangeLayout
     deposits: Dict[str, TxInstance]
     parts: TreeParts
+    t: int
 
 
 def compile_offchain(tree: ContractTree, commitments: CommitmentSet, salt: bytes,
                      t: int) -> OffchainCompilation:
-    """Build Head, Init, and the shadow copy of the whole contract."""
-    errors = validate_tree(tree)
-    if errors:
-        raise ProtocolError(f"invalid contract: {errors[0]}")
+    """Build Head, Init, and the shadow copy of the whole contract.
+    Compiling does not validate."""
     if t < 1:
         raise ProtocolError(f"timelock unit must be at least 1 block, got {t}")
     deposits = make_deposits(tree, salt)
@@ -119,7 +119,10 @@ def compile_offchain(tree: ContractTree, commitments: CommitmentSet, salt: bytes
     parts = tree_parts(tree, commitments, salt)
     shadow_root, shadow, body = compile_subtree(parts, tree.root, ((init.digest, 0),),
                                                 init.output_total(), parts.heights[tree.root] * t)
-    return OffchainCompilation(head, init, shadow_root, shadow, body, deposits, parts)
+    stipulation = ExchangeLayout.of(tree.participants, [
+        (init.name, init.digest), (shadow_root.name, shadow_root.digest), *body],
+        (head.name, head.digest), True)
+    return OffchainCompilation(head, init, shadow_root, shadow, stipulation, deposits, parts, t)
 
 
 class OffchainSession(Session):
@@ -136,15 +139,11 @@ class OffchainSession(Session):
     MODE = MODE_OFFCHAIN
     ANCHOR_ROLE = ROLE_HEAD
 
-    def __init__(self, tree: ContractTree, commitments: CommitmentSet, salt: bytes,
-                 trace: Trace, t: int) -> None:
-        comp = compile_offchain(tree, commitments, salt, t)
-        super().__init__(tree, commitments, trace, comp.parts, comp.deposits, comp.head,
-                         [(comp.init.name, comp.init.digest),
-                          (comp.shadow_root.name, comp.shadow_root.digest), *comp.body])
-        self.t = t
+    def __init__(self, comp: OffchainCompilation, trace: Trace) -> None:
+        super().__init__(comp.parts, comp.deposits, comp.head, comp.stipulation, trace)
+        self.t = comp.t
         self.init = comp.init
-        self.shadow = Graft(0, tree.root, comp.shadow_root, comp.shadow, exchange=None)
+        self.shadow = Graft(0, self.tree.root, comp.shadow_root, comp.shadow, exchange=None)
         # The sealed grafts, oldest first: the shadow joins once stipulation
         # completes, each agreed step's graft once its exchange completes.
         self.ladder: List[Graft] = []
@@ -262,8 +261,8 @@ class OffchainSession(Session):
         timelock = self.parts.heights[child] * self.t
         root, digests, body = compile_subtree(self.parts, child, ((self.init.digest, 0),),
                                               self.init.output_total(), timelock)
-        graft = Graft(len(self.ladder), child, root, digests,
-                      self.open_exchange(body, root, include_txset=False))
+        layout = ExchangeLayout.of(self.tree.participants, body, (root.name, root.digest), False)
+        graft = Graft(len(self.ladder), child, root, digests, self.open_exchange(layout))
         self.pending_graft = graft
         self.trace.add(self.chain.height, "session", GRAFT_PROPOSED, {
             "digest": root.digest, "index": graft.index,

@@ -39,8 +39,6 @@ from .contract import (
     NodeTemplate,
     OutputSpec,
     resolve_payout,
-    subtree_heights,
-    validate_tree,
 )
 from .ledger import (
     EMPTY_WITNESS,
@@ -109,35 +107,38 @@ def make_deposits(tree: ContractTree, salt: bytes) -> Dict[str, TxInstance]:
 NO_REVEALS: FrozenSet[SecretCommitment] = frozenset()
 
 
-class NodeParts(NamedTuple):
-    """What compilation computes once per node, for every instance of it
-    below a subtree root wherever its subtree is grafted; the rest of a
-    node is read off the tree."""
-    before: bytes                          # ``spend_templates``: the encoding before
-    after: bytes                           # and after the parent's raw digest
-    reveals: FrozenSet[SecretCommitment]   # the edge's commitments
-
-
 class TreeParts(NamedTuple):
-    """The parts of every node of one compilation (see ``tree_parts``)."""
+    """What one compilation computes for every subtree compiled from it
+    (see ``tree_parts``); the rest of a node is read off the tree."""
     salt: bytes
     tree: ContractTree
     everyone: FrozenSet[str]
-    nodes: Dict[NodeId, NodeParts]
-    heights: Dict[NodeId, int]     # each node's ``subtree_height``, the run's one walk for it
+    # Each node's encoding before and after its parent's raw digest
+    # (``spend_templates``).
+    nodes: Dict[NodeId, Tuple[bytes, bytes]]
+    heights: Dict[NodeId, int]     # each node's ``subtree_height``, the tree's one walk for it
+    commitments: CommitmentSet
+    # The commitments an edge opens, by its labels, one set per list of labels.
+    opened: Dict[Tuple[str, ...], FrozenSet[SecretCommitment]]
+
+    def reveals(self, node: NodeId) -> FrozenSet[SecretCommitment]:
+        """The commitments the edge into ``node`` opens."""
+        return self.opened[self.tree.nodes[node].edge.reveals]
 
 
 def tree_parts(tree: ContractTree, commitments: CommitmentSet, salt: bytes) -> TreeParts:
-    """Each node's ``NodeParts`` and height, computed once per compilation
-    and shared by every subtree compiled from it."""
-    templates = tree.nodes.items()
-    encoded = spend_templates(salt, [(node.name, node.edge.wait) for _, node in templates])
-    nodes = {}
-    for (node_id, node), (before, after) in zip(templates, encoded):
-        reveals = node.edge.reveals
-        nodes[node_id] = NodeParts(before, after, frozenset(commitments[l] for l in reveals)
-                                   if reveals else NO_REVEALS)
-    return TreeParts(salt, tree, frozenset(tree.participants), nodes, subtree_heights(tree))
+    """Each node's encoding and each edge's commitments, computed once per
+    compilation, and the heights from the tree's record
+    (``ContractTree.compiled``)."""
+    templates = tree.nodes.values()
+    encoded = spend_templates(salt, [(node.name, node.edge.wait) for node in templates])
+    opened: Dict[Tuple[str, ...], FrozenSet[SecretCommitment]] = {(): NO_REVEALS}
+    for node in templates:
+        labels = node.edge.reveals
+        if labels not in opened:
+            opened[labels] = frozenset(commitments[l] for l in labels)
+    return TreeParts(salt, tree, frozenset(tree.participants), dict(zip(tree.nodes, encoded)),
+                     tree.compiled.heights, commitments, opened)
 
 
 # A continuation output's encoding, around its value.
@@ -191,7 +192,7 @@ def compile_subtree(
     while stack:
         node_id, parent, value = stack.pop()
         while True:
-            node, part = templates[node_id], node_parts[node_id]
+            node, (before, after) = templates[node_id], node_parts[node_id]
             balance = value - fee
             children = node.children
             if not children:
@@ -199,11 +200,11 @@ def compile_subtree(
                 outputs = paid.get(key)
                 if outputs is None:
                     outputs = paid[key] = encode_outputs(resolve_payout(node.outputs, balance))
-                digest = digests[node_id] = sha256(b"".join((part.before, parent, part.after,
+                digest = digests[node_id] = sha256(b"".join((before, parent, after,
                                                              outputs))).hexdigest()
                 body.append((node.name, digest))
                 break
-            raw = sha256(b"".join((part.before, parent, part.after, _PAY_BEFORE,
+            raw = sha256(b"".join((before, parent, after, _PAY_BEFORE,
                                    balance.to_bytes(8, "big"), _PAY_AFTER))).digest()
             digest = digests[node_id] = raw.hex()
             body.append((node.name, digest))
@@ -225,7 +226,7 @@ def instances_below(parts: TreeParts, digests: Dict[NodeId, str], tx: TxInstance
         template = templates[child]
         below[child] = TxInstance(digests[child], template.name, spend, template.edge.wait,
                                   parts.everyone, frozenset(template.edge.auth),
-                                  parts.nodes[child].reveals, _outputs(template, balance))
+                                  parts.opened[template.edge.reveals], _outputs(template, balance))
     return below
 
 
@@ -233,7 +234,7 @@ class OnchainCompilation(NamedTuple):
     """A contract compiled for direct on-chain execution."""
     root: TxInstance               # spends every deposit
     digests: Dict[NodeId, str]     # every node's, in preorder, the root's first
-    body: List[Tuple[str, str]]    # every other node's (name, digest), in preorder
+    stipulation: ExchangeLayout    # every other node's (name, digest) in preorder, then the root
     deposits: Dict[str, TxInstance]
     parts: TreeParts
 
@@ -241,12 +242,16 @@ class OnchainCompilation(NamedTuple):
 def compile_onchain(tree: ContractTree, commitments: CommitmentSet,
                     salt: bytes) -> OnchainCompilation:
     """Direct on-chain execution: the root spends every deposit, children
-    spend their parent's continuation output."""
+    spend their parent's continuation output.  Compiling does not
+    validate."""
     deposits = make_deposits(tree, salt)
     parts = tree_parts(tree, commitments, salt)
     root_inputs = tuple((deposits[p].digest, 0) for p in tree.participants)
     root, digests, body = compile_subtree(parts, tree.root, root_inputs, tree.deposit_total(), 0)
-    return OnchainCompilation(root, digests, body, deposits, parts)
+    stipulation = ExchangeLayout.of(tree.participants, body, (root.name, root.digest), True)
+    # The contract is the one subtree an on-chain run compiles, so the
+    # compilation, which the tree's record keeps, keeps no node's encoding.
+    return OnchainCompilation(root, digests, stipulation, deposits, parts._replace(nodes={}))
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +275,16 @@ class ExchangeLayout(NamedTuple):
     final: Tuple[str, str]
     body_at: int
     final_at: int
+
+    @classmethod
+    def of(cls, participants: Sequence[str], body: Sequence[Tuple[str, str]],
+           final: Tuple[str, str], include_txset: bool) -> "ExchangeLayout":
+        """The layout of an exchange of every participant's signatures on
+        ``body`` and then on ``final``, opening with the transaction sets
+        if ``include_txset``."""
+        ordered = tuple(sorted(participants))
+        body_at = len(ordered) - 1 if include_txset else 0
+        return cls(ordered, tuple(body), final, body_at, body_at + (len(ordered) - 1) * len(body))
 
     def segments(self, sender: str, start: int,
                  stop: int) -> Iterator[Tuple[str, Optional[Tuple[Tuple[str, str], ...]]]]:
@@ -307,16 +322,13 @@ class Exchange:
     exchange (``Session.exchange_of``).
     """
 
-    def __init__(self, participants: Sequence[str], body: Sequence[Tuple[str, str]],
-                 final: Tuple[str, str], include_txset: bool) -> None:
-        ordered = tuple(sorted(participants))
+    def __init__(self, layout: ExchangeLayout) -> None:
+        self.layout = layout
+        ordered = layout.participants
         others = len(ordered) - 1
-        body_at = others if include_txset else 0
-        final_at = body_at + others * len(body)
-        self.layout = ExchangeLayout(ordered, tuple(body), final, body_at, final_at)
         # The length of each queue, and where each phase with messages ends in it.
-        self.size = final_at + others
-        self._ends = sorted({body_at, final_at, self.size} - {0})
+        self.size = layout.final_at + others
+        self._ends = sorted({layout.body_at, layout.final_at, self.size} - {0})
         self._rank = {p: i for i, p in enumerate(ordered)}
         self.sent: Dict[str, int] = dict.fromkeys(ordered if others else (), 0)
 
@@ -401,6 +413,11 @@ class Session:
     dry run, so readiness is the ledger's answer.  A move that does not
     apply now raises ``ProtocolError``.
 
+    A session is built from a compilation, which runs of the same tree,
+    seed, mode and t share (``ContractTree.compiled``), so it only reads
+    what the compilation holds and keeps what moves: the chain, the pools,
+    each exchange's counts, the graft ladder and the cursor.
+
     ``cursor`` is ``(digests, node)``: the last appended node and the
     digests of the subtree it was compiled in.  ``ahead`` holds the
     instances of that node's children, built when it landed; no other
@@ -413,15 +430,14 @@ class Session:
     MODE = ""
     ANCHOR_ROLE = ROLE_NODE
 
-    def __init__(self, tree: ContractTree, commitments: CommitmentSet, trace: Trace,
-                 parts: TreeParts, deposits: Dict[str, TxInstance], anchor: TxInstance,
-                 body: Sequence[Tuple[str, str]]) -> None:
-        self.tree = tree
-        self.commitments = commitments
+    def __init__(self, parts: TreeParts, deposits: Dict[str, TxInstance], anchor: TxInstance,
+                 stipulation: ExchangeLayout, trace: Trace) -> None:
+        self.tree = parts.tree
+        self.commitments = parts.commitments
         self.trace = trace
         # The salt and every node's parts, shared by every subtree the session compiles.
         self.parts = parts
-        self.chain = ChainState(tree.fee)
+        self.chain = ChainState(self.tree.fee)
         self.deposits = deposits
         self.anchor = anchor
         # Each signed digest's one record: the exchange that signs it,
@@ -435,7 +451,7 @@ class Session:
         self.cursor: Optional[Tuple[Dict[NodeId, str], NodeId]] = None
         self.ahead: Dict[NodeId, TxInstance] = {}
         self.phase = STIPULATING
-        self.stipulation = self.open_exchange(body, anchor, include_txset=True)
+        self.stipulation = self.open_exchange(stipulation)
         # The open proposal as (proposer, child), who must agree to it and
         # who has; a refusal closes it and stays on record for good.
         self.proposal: Optional[Tuple[str, NodeId]] = None
@@ -529,7 +545,7 @@ class Session:
     def secrets_openable(self, child: NodeId) -> bool:
         """Is every secret on the edge into ``child`` published, or owned by
         a participant, who would open it on agreement?"""
-        for c in self.parts.nodes[child].reveals:
+        for c in self.parts.reveals(child):
             if c.label not in self.reveal_pool and c.owner not in self.parts.everyone:
                 return False
         return True
@@ -616,16 +632,13 @@ class Session:
 
     # -- signature exchanges -------------------------------------------------
 
-    def open_exchange(self, body: Sequence[Tuple[str, str]], final: TxInstance,
-                      include_txset: bool) -> Exchange:
-        """A new exchange of every participant's signatures on the (name,
-        digest) items of ``body`` and then on ``final``, recorded in
-        ``exchange_of`` as the one that signs them: each digest maps to the
-        exchange alone, and the exchange finds the digest's item
+    def open_exchange(self, layout: ExchangeLayout) -> Exchange:
+        """A new exchange laid out as ``layout``, recorded in
+        ``exchange_of`` as the one that signs its items: each digest maps to
+        the exchange alone, and the exchange finds the digest's item
         (``Exchange.item_of``) only when a witness first asks."""
-        exchange = Exchange(self.tree.participants, body, (final.name, final.digest),
-                            include_txset)
-        for _, digest in (*exchange.layout.body, exchange.layout.final):
+        exchange = Exchange(layout)
+        for _, digest in (*layout.body, layout.final):
             self.exchange_of[digest] = exchange
         return exchange
 
@@ -735,14 +748,9 @@ class OnchainSession(Session):
 
     MODE = MODE_ONCHAIN
 
-    def __init__(self, tree: ContractTree, commitments: CommitmentSet, salt: bytes,
-                 trace: Trace) -> None:
-        errors = validate_tree(tree)
-        if errors:
-            raise ProtocolError(f"invalid contract: {errors[0]}")
-        comp = compile_onchain(tree, commitments, salt)
+    def __init__(self, comp: OnchainCompilation, trace: Trace) -> None:
         self.digests = comp.digests
-        super().__init__(tree, commitments, trace, comp.parts, comp.deposits, comp.root, comp.body)
+        super().__init__(comp.parts, comp.deposits, comp.root, comp.stipulation, trace)
         # Steps agreed so far; an agreed step is appended, not agreed again.
         self.agreed_steps: Set[NodeId] = set()
 
@@ -752,7 +760,7 @@ class OnchainSession(Session):
     def step_signers(self, child: NodeId) -> Set[str]:
         """The edge's authorizers and the participants owning its secrets;
         an edge that needs neither is appended without agreement."""
-        owners = {c.owner for c in self.parts.nodes[child].reveals}
+        owners = {c.owner for c in self.parts.reveals(child)}
         return (owners | self.tree.node(child).edge.auth) & self.parts.everyone
 
     def edge_satisfiable(self, child: NodeId) -> bool:

@@ -22,7 +22,6 @@ from .contract import (
     PayoutShare,
     SecretDecl,
     deepest_leaf_path,
-    validate_tree,
 )
 
 
@@ -32,7 +31,7 @@ def _even_split(participants: Tuple[str, ...]) -> Tuple[PayoutShare, ...]:
 
 
 def _checked(tree: ContractTree) -> ContractTree:
-    errors = validate_tree(tree)
+    errors = tree.compiled.errors
     if errors:
         raise ValueError("generated tree is malformed: " + "; ".join(map(str, errors)))
     return tree

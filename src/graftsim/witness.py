@@ -97,13 +97,19 @@ def spend_templates(salt: bytes,
     digest; the output list follows.  So for a source digest ``raw``,
     ``sha256(before + raw + after + encode_outputs(outputs))`` is
     ``tx_digest(name, salt, ((raw.hex(), 0),), rel_timelock, outputs)``,
-    unhexed.  The salt's part is encoded once."""
+    unhexed.  The salt's part is encoded once, and each timelock's part
+    once, shared by the spends under it."""
     # After the name: the rest of ``_head(name, salt, 1)``, then the
     # source digest's length.
     rest = _text(salt) + (1).to_bytes(2, "big") + DIGEST_SIZE.to_bytes(2, "big")
-    return [(b"TX1" + _text(name.encode("utf-8")) + rest,
-             (0).to_bytes(2, "big") + rel_timelock.to_bytes(4, "big"))
-            for name, rel_timelock in spends]
+    after: Dict[int, bytes] = {}
+    encoded = []
+    for name, rel_timelock in spends:
+        tail = after.get(rel_timelock)
+        if tail is None:
+            tail = after[rel_timelock] = (0).to_bytes(2, "big") + rel_timelock.to_bytes(4, "big")
+        encoded.append((b"TX1" + _text(name.encode("utf-8")) + rest, tail))
+    return encoded
 
 
 def one_output_template(beneficiary: str) -> Tuple[bytes, bytes]:

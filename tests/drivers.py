@@ -57,6 +57,7 @@ from graftsim.contract import (
     path_to,
     resolve_path,
     resolve_payout,
+    subtree_heights,
 )
 from graftsim.harness import Scenario, _Engine, run
 from graftsim.ledger import (
@@ -71,7 +72,7 @@ from graftsim.ledger import (
     ValueMismatch,
     make_tx,
 )
-from graftsim.offchain import Graft, OffchainSession
+from graftsim.offchain import Graft, OffchainSession, compile_offchain
 from graftsim.onchain import (
     FAILSAFE,
     FINALIZED,
@@ -80,6 +81,7 @@ from graftsim.onchain import (
     ProtocolError,
     Session,
     TreeParts,
+    compile_onchain,
     instances_below,
 )
 from graftsim.strategies import SEND, STRATEGIES, Action, Observation, Strategy
@@ -100,6 +102,11 @@ _DRIVER_GUARD = 100_000
 def subtree_size(tree: ContractTree, node_id: NodeId) -> int:
     """Number of nodes in the subtree at ``node_id``, itself included."""
     return sum(1 for _ in iter_preorder(tree, node_id))
+
+
+def subtree_height(tree: ContractTree, node_id: NodeId) -> int:
+    """Number of edges on the longest path from ``node_id`` to a leaf."""
+    return subtree_heights(tree, node_id)[node_id]
 
 
 def balance_at(tree: ContractTree, node_id: NodeId) -> int:
@@ -408,7 +415,7 @@ def start_offchain(tree: ContractTree, seed: int = 0, t: int = 2,
     commitments = CommitmentSet([(s.label, s.owner) for s in tree.secrets], seed)
     salt = scenario_salt(seed, "offchain")
     trace = Trace(header={"label": label, "mode": "offchain", "seed": seed, "t": t})
-    return OffchainSession(tree, commitments, salt, trace, t)
+    return OffchainSession(compile_offchain(tree, commitments, salt, t), trace)
 
 
 def offchain_step(session: OffchainSession, child: NodeId,
@@ -489,7 +496,8 @@ def census_by_replay(tree: ContractTree, ids: Sequence[NodeId], mode: str,
     ticking the chain until each edge's wait has passed."""
     if mode == "onchain":
         commitments = CommitmentSet([(s.label, s.owner) for s in tree.secrets], seed)
-        session = OnchainSession(tree, commitments, scenario_salt(seed, mode), Trace({}))
+        session = OnchainSession(compile_onchain(tree, commitments, scenario_salt(seed, mode)),
+                                 Trace({}))
         stipulate(session)
         return session.trace.count(SIGNATURE_SENT)
     session = start_offchain(tree, seed=seed, t=t)

@@ -12,6 +12,7 @@ import statistics
 import time
 from pathlib import Path
 
+from graftsim import harness
 from graftsim.contract import leaves, path_to
 from graftsim.harness import (
     MODE_OFFCHAIN,
@@ -24,7 +25,7 @@ from graftsim.harness import (
     message_census,
     run,
 )
-from graftsim.onchain import ABORTED, OnchainSession
+from graftsim.onchain import ABORTED, OnchainSession, compile_onchain
 from graftsim.trace import (
     GRAFT_PROPOSED,
     GRAFT_SEALED,
@@ -222,6 +223,26 @@ def test_acceptance5_sweep_traces_are_pinned(bo3_tree):
     assert len(lines) == len(expected) == 144
     for got, want in zip(lines, expected):
         assert got == want
+
+
+def test_acceptance5_sweep_compiles_each_contract_once_per_t(monkeypatch):
+    """The sweep's 144 runs compile 27 contracts: bo3 at t = 1 and t = 2
+    and each of the 25 random trees at its own t, since runs of one tree,
+    seed, mode and t share the tree's compilation (``ContractTree.compiled``).
+    Run twice in one process, the second time wholly from those shared
+    compilations, every run gives its pinned bytes both times."""
+    compiled = []
+    compile_for = harness._compile
+    def counted(tree, *key):
+        compiled.append(key)
+        return compile_for(tree, *key)
+    monkeypatch.setattr(harness, "_compile", counted)
+    cases = list(_bo3_attack_matrix(load("bo3_happy").tree)) + list(_random_attack_cases(100))
+    expected = SWEEP_GOLDEN.read_text(encoding="utf-8").splitlines()
+    for _ in range(2):
+        assert [f"{s.label} {hashlib.sha256(run(s).serialize().encode()).hexdigest()}"
+                for s in cases] == expected
+        assert len(compiled) == 27
 
 
 # -- the honest party's enforceable frontier ---------------------------------
@@ -445,13 +466,11 @@ def test_criterion_09_determinism():
 def test_criterion_10_stipulation_atomicity(bo3_tree):
     commitments = CommitmentSet([(s.label, s.owner) for s in bo3_tree.secrets], 0)
 
-    plan_size = len(plan_of(OnchainSession(bo3_tree, commitments,
-                                           scenario_salt(0, "onchain"),
-                                           Trace({})).stipulation))
+    comp = compile_onchain(bo3_tree, commitments, scenario_salt(0, "onchain"))
+    plan_size = len(plan_of(OnchainSession(comp, Trace({})).stipulation))
     assert plan_size == 32
     for index in range(plan_size):
-        session = OnchainSession(bo3_tree, commitments,
-                                 scenario_salt(0, "onchain"), Trace({}))
+        session = OnchainSession(comp, Trace({}))
         assert stipulate(session, withhold_at=index) is False
         assert session.phase == ABORTED
         assert session.chain.non_deposit_count() == 0

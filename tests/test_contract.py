@@ -32,7 +32,6 @@ from graftsim.contract import (
     path_to,
     resolve_path,
     resolve_payout,
-    subtree_height,
     subtree_heights,
     validate_tree,
 )
@@ -45,6 +44,7 @@ from graftsim.witness import CommitmentSet
 from drivers import (
     balance_at,
     leaf_errors_by_fractions,
+    subtree_height,
     subtree_heights_by_preorder,
     subtree_size,
 )

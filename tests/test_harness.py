@@ -1,9 +1,11 @@
 """Scenario loading and the round engine, pinned on the bundled scenarios."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +19,6 @@ from graftsim.contract import (
     Edge,
     NodeTemplate,
     PayoutShare,
-    subtree_height,
     validate_tree,
 )
 from graftsim.harness import (
@@ -64,7 +65,7 @@ from graftsim.trace import (
     STIPULATION_COMPLETE,
 )
 
-from drivers import census_by_replay, events_and_summary
+from drivers import census_by_replay, events_and_summary, subtree_height
 
 BO3_PATH = ["Bet", "L??", "LW?", "LWL"]
 
@@ -104,6 +105,13 @@ def scn_dict(**overrides):
     }
     base.update(overrides)
     return base
+
+
+def scn_for(tree, mode):
+    """An all-honest run of ``tree``, a bo3 contract, down ``BO3_PATH``."""
+    return Scenario(label=mode, tree=tree, mode=mode, path=tuple(BO3_PATH),
+                    oracle=((2, "L1"), (4, "W2"), (6, "L3")),
+                    strategies={p: ("honest", {}) for p in tree.participants})
 
 
 def load(name):
@@ -520,18 +528,57 @@ class TestCensusAndCaps:
 
     @pytest.mark.parametrize("name", ["bo3_happy", "bo3_onchain"])
     def test_a_run_walks_the_tree_for_heights_once(self, monkeypatch, name):
-        # The shadow's and each graft's timelock and the default cap read
-        # one walk; ``subtree_height`` walks through ``subtree_heights``.
-        scn = load_scenario(bundled_data_dir() / f"{name}.scn")
+        # Loading's check of the shadow's timelock, the shadow's and each
+        # graft's timelock and the default cap of every run read the
+        # tree's one walk, kept in its record; ``subtree_height`` walks
+        # through ``subtree_heights``.
         walks = []
         heights = graftsim.contract.subtree_heights
         def counted(tree, start=None):
             walks.append(start)
             return heights(tree, start)
         monkeypatch.setattr(graftsim.contract, "subtree_heights", counted)
-        monkeypatch.setattr(graftsim.onchain, "subtree_heights", counted)
+        scn = load_scenario(bundled_data_dir() / f"{name}.scn")
+        assert run(scn).summary["outcome"] == "leaf"
         assert run(scn).summary["outcome"] == "leaf"
         assert walks == [None]
+
+
+class TestCompiledRecord:
+    """Runs of one tree share its compiled record (``ContractTree.compiled``),
+    which lives exactly as long as the tree."""
+
+    def test_a_new_tree_has_a_record_of_its_own(self):
+        tree = load_scenario(bundled_data_dir() / "bo3_happy.scn").tree
+        record = tree.compiled
+        assert run(scn_for(tree, MODE_OFFCHAIN)).summary["outcome"] == "leaf"
+        assert list(record.runs) == [(0, MODE_OFFCHAIN, 1)]
+        for other in (replace(tree), tree.with_fee(tree.fee)):
+            assert other == tree and other.compiled is not record
+            assert other.compiled.runs == {}
+        assert tree.compiled is record
+
+    @pytest.mark.parametrize("mode", [MODE_OFFCHAIN, MODE_ONCHAIN])
+    def test_an_invalid_tree_raises_on_every_run(self, bo3_tree, mode):
+        # A duplicate secret label is refused as an invalid contract, as
+        # every other fault is, before anything is compiled.
+        tree = replace(bo3_tree, secrets=bo3_tree.secrets * 2)
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match="invalid contract: DuplicateSecret"):
+                run(scn_for(tree, mode))
+        assert tree.compiled.runs == {}
+
+    def test_a_dropped_tree_frees_its_record(self):
+        tree = chain_tree(4)
+        scenario = Scenario(label="dropped", tree=tree, mode=MODE_OFFCHAIN,
+                            path=("N1", "N2", "N3", "N4"),
+                            strategies={p: ("honest", {}) for p in tree.participants})
+        trace = run(scenario)
+        assert trace.summary["outcome"] == "leaf" and tree.compiled.runs
+        dropped = weakref.ref(tree)
+        del tree, scenario, trace
+        gc.collect()
+        assert dropped() is None
 
 
 def test_traces_match_the_goldens_across_hash_seeds(tmp_path):

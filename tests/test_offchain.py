@@ -8,7 +8,6 @@ from graftsim.contract import (
     iter_preorder,
     load_contract_file,
     resolve_path,
-    subtree_height,
 )
 from graftsim.harness import bundled_data_dir
 from graftsim.ledger import MissingInput, MissingSignature, TimelockNotExpired
@@ -27,6 +26,7 @@ from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
 from graftsim.witness import CommitmentSet, scenario_salt
 
 from drivers import (
+    subtree_height,
     finalize,
     instances_by_landing,
     offchain_step,

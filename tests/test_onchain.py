@@ -13,7 +13,6 @@ from graftsim.onchain import (
     OnchainSession,
     ProtocolError,
     RUNNING,
-    NodeParts,
     compile_onchain,
     make_deposits,
     tree_parts,
@@ -58,8 +57,8 @@ def compiled_instances(tree, salt):
 
 def session_for(tree, seed=1):
     salt = scenario_salt(seed, "onchain")
-    return OnchainSession(tree, commitments_for(tree, seed), salt,
-                         Trace({"label": "test"}))
+    return OnchainSession(compile_onchain(tree, commitments_for(tree, seed), salt),
+                          Trace({"label": "test"}))
 
 
 def by_name(tree):
@@ -91,9 +90,10 @@ def test_tree_parts_equal_the_per_node_reference(name, renamed, bo3_tree):
         assert {0, MAX_TIMELOCK} <= {node.edge.wait for node in tree.nodes.values()}
     commitments, salt = commitments_for(tree), scenario_salt(5, "onchain")
     parts = tree_parts(tree, commitments, salt)
-    assert parts.nodes == {
-        node_id: NodeParts(*spend_template(node.name, salt, node.edge.wait),
-                           frozenset(commitments[label] for label in node.edge.reveals))
+    assert parts.nodes == {node_id: spend_template(node.name, salt, node.edge.wait)
+                           for node_id, node in tree.nodes.items()}
+    assert {node_id: parts.reveals(node_id) for node_id in tree.nodes} == {
+        node_id: frozenset(commitments[label] for label in node.edge.reveals)
         for node_id, node in tree.nodes.items()}
     assert parts.heights == subtree_heights_by_preorder(tree)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from graftsim.contract import (
     path_to,
     resolve_path,
     resolve_payout,
-    subtree_height,
     validate_tree,
 )
 from graftsim.harness import (
@@ -34,7 +34,9 @@ from graftsim.harness import (
 )
 from graftsim.ledger import TxInstance
 from graftsim.offchain import compile_offchain
-from graftsim.onchain import Exchange, compile_onchain, compile_subtree, make_deposits
+from graftsim.onchain import (
+    Exchange, ExchangeLayout, compile_onchain, compile_subtree, make_deposits,
+)
 from graftsim.strategies import NEVER, WITHHOLD, Action, Observation
 from graftsim.trace import (
     GRAFT_PROPOSED,
@@ -66,6 +68,7 @@ from drivers import (
     start_offchain,
     stipulate,
     strategies_added,
+    subtree_height,
     subtree_size,
     witnesses_checked,
 )
@@ -134,14 +137,16 @@ def _compilations(tree, seed, t):
     comp = compile_onchain(tree, commitments, salt)
     deposits = comp.deposits
     assert deposits == make_deposits(tree, salt)
-    yield (commitments, salt, "onchain", comp.parts, comp.root, comp.digests, comp.body,
+    yield (commitments, salt, "onchain", comp.parts, comp.root, comp.digests,
+           list(comp.stipulation.body),
            (tree.root, tuple((deposits[p].digest, 0) for p in tree.participants),
             tree.deposit_total(), 0))
     salt = scenario_salt(seed, MODE_OFFCHAIN)
     comp = compile_offchain(tree, commitments, salt, t)
     spend_init = ((comp.init.digest, 0),)
     pot = comp.init.output_total()
-    yield (commitments, salt, "shadow", comp.parts, comp.shadow_root, comp.shadow, comp.body,
+    yield (commitments, salt, "shadow", comp.parts, comp.shadow_root, comp.shadow,
+           list(comp.stipulation.body[2:]),
            (tree.root, spend_init, pot, subtree_height(tree, tree.root) * t))
     for origin in iter_preorder(tree):
         if origin != tree.root:
@@ -161,7 +166,7 @@ def _assert_compiled_by_make_tx(tree, seed, t):
         assert list(digests.items()) == [(n, tx.digest) for n, tx in expected.items()], what
         assert body == body_items(parts, digests), what
         items = [*body, (root.name, root.digest)]
-        item_of = Exchange(tree.participants, body, items[-1], False).item_of
+        item_of = Exchange(ExchangeLayout.of(tree.participants, body, items[-1], False)).item_of
         assert len(item_of) == len(items), what
         assert [item_of[digest] for _, digest in items] == list(range(len(items))), what
         landed = instances_by_landing(parts, root, digests)
@@ -221,7 +226,7 @@ def test_the_make_tx_walk_comparison_covers_edges_and_parties():
        body_size=st.integers(0, 5))
 def test_any_legal_delivery_order_is_phase_monotone(seed, parties, body_size):
     body = [(f"T{i}", f"d{i}") for i in range(body_size)]
-    exchange = Exchange(parties, body, ("R", "dr"), True)
+    exchange = Exchange(ExchangeLayout.of(parties, body, ("R", "dr"), True))
     rng = random.Random(seed)
     phases = []
     while not exchange.complete:
@@ -273,7 +278,7 @@ def test_exchange_counters_match_a_scan_of_the_plan(seed, parties, body_size, tx
     """From 1 to 5 participants, with and without transaction sets, so
     that some exchange has no message at all and some phase none."""
     body = [(f"T{i}", f"d{i}") for i in range(body_size)]
-    exchange = Exchange(parties, body, ("R", "dr"), txset)
+    exchange = Exchange(ExchangeLayout.of(parties, body, ("R", "dr"), txset))
     rng = random.Random(seed)
     while True:
         expected = _exchange_by_scan(exchange, parties)
@@ -299,8 +304,8 @@ def test_a_burst_sends_what_one_message_at_a_time_would(parties, body_size, txse
     has none, and leaves the same counts.  Round-robin turns finish the
     exchange after the schedule."""
     body = [(f"T{i}", f"d{i}") for i in range(body_size)]
-    bursts = Exchange(parties, body, ("R", "dr"), txset)
-    singles = Exchange(parties, body, ("R", "dr"), txset)
+    bursts = Exchange(ExchangeLayout.of(parties, body, ("R", "dr"), txset))
+    singles = Exchange(ExchangeLayout.of(parties, body, ("R", "dr"), txset))
 
     def turn(sender):
         expected = list(iter(lambda: deliver_one(singles, sender), None))
@@ -377,7 +382,7 @@ def test_the_arithmetic_exchange_follows_the_reference_plan(parties, body_size, 
     ``received`` for every recipient, signer and digest of the plan plus a
     foreign one included, agrees with a walk of the plan."""
     body = [(f"T{i}", f"d{i}") for i in range(body_size)]
-    exchange = Exchange(parties, body, ("R", "dr"), txset)
+    exchange = Exchange(ExchangeLayout.of(parties, body, ("R", "dr"), txset))
     plan = exchange_plan(parties, body, ("R", "dr"), txset)
     assert plan_of(exchange) == plan
     reference = _DeliveredPlan(plan)
@@ -591,6 +596,23 @@ def test_skipped_blocks_change_no_event(seed, data):
             assert events_and_summary(run(scenario)) == \
                 events_and_summary(run_blockwise(scenario)), \
                 (scenario.strategies, scenario.mode, scenario.t)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_a_run_leaves_its_trees_record_as_it_found_it(seed, data):
+    # Runs of one tree share its compiled record (``ContractTree.compiled``):
+    # after the first run of a seed, mode and t, each run, whatever its
+    # strategies, leaves the record byte for byte as pickled before it, and
+    # gives the bytes of a run of a copy of the tree, which compiles anew.
+    for scenario in _adversary_scenarios(seed, data, ADVERSARIES + ("honest",)):
+        record = scenario.tree.compiled
+        first = run(scenario).serialize()
+        before = pickle.dumps(record)
+        assert run(scenario).serialize() == first
+        assert pickle.dumps(record) == before
+        copy = dataclasses.replace(scenario.tree)
+        assert run(dataclasses.replace(scenario, tree=copy)).serialize() == first
 
 
 @pytest.mark.parametrize("path", bundled_scenarios(), ids=lambda p: p.stem)

@@ -25,7 +25,7 @@ from graftsim.harness import (
     run,
 )
 from graftsim.strategies import honest
-from graftsim.onchain import Exchange, Session
+from graftsim.onchain import Exchange, ExchangeLayout, Session
 from graftsim.trace import SIG_SHAPE, SIGNATURE_SENT, TXSET_SENT, Event, Trace
 from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
 from test_acceptance import _bo3_attack_matrix, _random_attack_cases
@@ -210,8 +210,8 @@ def bursts(draw):
     distinct from 0 to the queue's end, so each burst sends something and
     some span a phase end."""
     parties = draw(PARTIES)
-    exchange = Exchange(parties, draw(st.lists(ITEM, max_size=9)), draw(ITEM),
-                        draw(st.booleans()))
+    exchange = Exchange(ExchangeLayout.of(parties, draw(st.lists(ITEM, max_size=9)), draw(ITEM),
+                                          draw(st.booleans())))
     inner = draw(st.lists(st.integers(1, max(1, exchange.size - 1)), max_size=6))
     cuts = sorted({0, exchange.size, *(c for c in inner if c < exchange.size)})
     return draw(HEIGHTS), draw(st.sampled_from(parties)), exchange, cuts
@@ -296,7 +296,7 @@ def test_every_index_of_a_view_reads_its_event():
     """Bursts in the first rows, next to each other and next to plain
     rows, across the ends of the transaction sets and of the body: each
     index, from either end, finds its row and its message in it."""
-    exchange = Exchange("ABCDE", [("T1", "d1"), ("T2", "d2")], ("R", "dr"), True)
+    exchange = Exchange(ExchangeLayout.of("ABCDE", [("T1", "d1"), ("T2", "d2")], ("R", "dr"), True))
     trace, events = Trace({}), []
     for start, stop in ((0, 3), (3, 5), (5, 6), (6, 13), (13, exchange.size)):
         trace.add_burst(1, "C", exchange.layout, start, stop)

@@ -9,10 +9,11 @@ from graftsim.contract import (
     iter_preorder,
     leaves,
     resolve_path,
-    subtree_height,
     validate_tree,
 )
 from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
+
+from drivers import subtree_height
 
 
 class TestChain:
