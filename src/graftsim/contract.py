@@ -120,6 +120,8 @@ class SecretDecl:
     owner: str  # a participant, or an external party such as "oracle"
 
 
+# Slots keep each node small: a tree, with its compiled record, may be
+# kept across many runs.
 @dataclass(frozen=True, slots=True)
 class NodeTemplate:
     id: NodeId

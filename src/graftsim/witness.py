@@ -16,7 +16,7 @@ bit.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 # Signature roles.  IMPLICIT signatures are the all-participant signatures
 # exchanged up front for every transaction of a compiled tree; EDGE
@@ -90,26 +90,20 @@ def tx_digest(
 
 
 def spend_templates(salt: bytes,
-                    spends: Iterable[Tuple[str, int]]) -> List[Tuple[bytes, bytes]]:
+                    spends: Sequence[Tuple[str, int]]) -> List[Tuple[bytes, bytes]]:
     """For each (name, rel_timelock) of ``spends``, the encoding of a
     template that spends output 0 of one source transaction under
     ``rel_timelock``, as the parts before and after the source's raw
     digest; the output list follows.  So for a source digest ``raw``,
     ``sha256(before + raw + after + encode_outputs(outputs))`` is
     ``tx_digest(name, salt, ((raw.hex(), 0),), rel_timelock, outputs)``,
-    unhexed.  The salt's part is encoded once, and each timelock's part
-    once, shared by the spends under it."""
+    unhexed.  The salt's part is encoded once, and the spends under one
+    timelock share one part after the digest."""
     # After the name: the rest of ``_head(name, salt, 1)``, then the
     # source digest's length.
     rest = _text(salt) + (1).to_bytes(2, "big") + DIGEST_SIZE.to_bytes(2, "big")
-    after: Dict[int, bytes] = {}
-    encoded = []
-    for name, rel_timelock in spends:
-        tail = after.get(rel_timelock)
-        if tail is None:
-            tail = after[rel_timelock] = (0).to_bytes(2, "big") + rel_timelock.to_bytes(4, "big")
-        encoded.append((b"TX1" + _text(name.encode("utf-8")) + rest, tail))
-    return encoded
+    after = {wait: (0).to_bytes(2, "big") + wait.to_bytes(4, "big") for _, wait in spends}
+    return [(b"TX1" + _text(name.encode("utf-8")) + rest, after[wait]) for name, wait in spends]
 
 
 def one_output_template(beneficiary: str) -> Tuple[bytes, bytes]:
