@@ -56,7 +56,6 @@ from .onchain import (
     ProtocolError,
     STIPULATING,
     OnchainCompilation,
-    Session,
     compile_onchain,
 )
 from .offchain import OffchainCompilation, OffchainSession, compile_offchain
@@ -304,7 +303,7 @@ class _LiveObservation(Observation):
 
 
 class _Engine:
-    def __init__(self, scenario: Scenario, session: Session, trace: Trace) -> None:
+    def __init__(self, scenario: Scenario, session: OnchainSession, trace: Trace) -> None:
         self.scn = scenario
         self.tree = scenario.tree
         self.session = session
@@ -490,7 +489,7 @@ def run(scenario: Scenario) -> Trace:
                        for p, (name, params) in sorted(scenario.strategies.items())},
     }
     trace = Trace(header)
-    session: Session = OffchainSession(comp, trace) if scenario.mode == MODE_OFFCHAIN \
+    session: OnchainSession = OffchainSession(comp, trace) if scenario.mode == MODE_OFFCHAIN \
         else OnchainSession(comp, trace)
     engine = _Engine(scenario, session, trace)
     outcome = engine.run_rounds()

@@ -28,7 +28,7 @@ first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set
 
 from .contract import (
     CONTINUATION,
@@ -55,8 +55,8 @@ from .onchain import (
     RUNNING,
     Exchange,
     ExchangeLayout,
+    OnchainSession,
     ProtocolError,
-    Session,
     TreeParts,
     compile_subtree,
     make_deposits,
@@ -89,16 +89,18 @@ class Graft:
     seal_height: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class OffchainCompilation:
-    head: TxInstance
-    init: TxInstance
-    shadow_root: TxInstance
-    shadow: Dict[NodeId, str]      # every node's digest, in preorder, the root's first
+class OffchainCompilation(NamedTuple):
+    """A contract compiled for off-chain execution: its first five fields
+    are those of ``OnchainCompilation``, with Head as the anchor and the
+    shadow copy's digests as the contract's."""
+    anchor: TxInstance             # Head
+    digests: Dict[NodeId, str]     # the shadow's, in preorder, the root's first
     # Init, the shadow root, every other node's (name, digest) in preorder, then Head
     stipulation: ExchangeLayout
     deposits: Dict[str, TxInstance]
     parts: TreeParts
+    init: TxInstance
+    shadow_root: TxInstance
     t: int
 
 
@@ -117,20 +119,21 @@ def compile_offchain(tree: ContractTree, commitments: CommitmentSet, salt: bytes
     init = make_tx(INIT_NAME, salt, ((head.digest, 0),), 0, everyone,
                    outputs=(OutputSpec(pot - 2 * tree.fee, CONTINUATION),))
     parts = tree_parts(tree, commitments, salt)
-    shadow_root, shadow, body = compile_subtree(parts, tree.root, ((init.digest, 0),),
-                                                init.output_total(), parts.heights[tree.root] * t)
+    shadow_root, digests, body = compile_subtree(parts, tree.root, ((init.digest, 0),),
+                                                 init.output_total(), parts.heights[tree.root] * t)
     stipulation = ExchangeLayout.of(tree.participants, [
         (init.name, init.digest), (shadow_root.name, shadow_root.digest), *body],
         (head.name, head.digest), True)
-    return OffchainCompilation(head, init, shadow_root, shadow, stipulation, deposits, parts, t)
+    return OffchainCompilation(head, digests, stipulation, deposits, parts, init, shadow_root, t)
 
 
-class OffchainSession(Session):
-    """State of one off-chain execution.
+class OffchainSession(OnchainSession):
+    """State of one off-chain execution: on-chain execution of the
+    contract wrapped in Head, Init and the grafts.
 
     The anchor is Head; stipulation also signs Init and the shadow copy.
-    On top of the shared core this holds the ladder of sealed grafts, the
-    pending graft and the Init step.  Message delivery, graft creation,
+    On top of the on-chain session this holds the ladder of sealed grafts,
+    the pending graft and the Init step.  Message delivery, graft creation,
     and appends are individual methods so drivers and strategy engines
     can interleave them freely; the session only enforces protocol
     structure.
@@ -140,10 +143,10 @@ class OffchainSession(Session):
     ANCHOR_ROLE = ROLE_HEAD
 
     def __init__(self, comp: OffchainCompilation, trace: Trace) -> None:
-        super().__init__(comp.parts, comp.deposits, comp.head, comp.stipulation, trace)
+        super().__init__(comp, trace)
         self.t = comp.t
         self.init = comp.init
-        self.shadow = Graft(0, self.tree.root, comp.shadow_root, comp.shadow, exchange=None)
+        self.shadow = Graft(0, self.tree.root, comp.shadow_root, comp.digests, exchange=None)
         # The sealed grafts, oldest first: the shadow joins once stipulation
         # completes, each agreed step's graft once its exchange completes.
         self.ladder: List[Graft] = []
@@ -282,8 +285,10 @@ class OffchainSession(Session):
         error = self.append(actor, self.init, ROLE_INIT)
         if error is None:
             self.phase = FAILSAFE
-            # A half-signed graft can never land: its exchange stops here.
+            # A half-signed graft can never land: its exchange stops here,
+            # and so does a step proposal, which only running can agree.
             self.pending_graft = None
+            self.proposal = None
             self.trace.add(self.chain.height, actor, INIT_APPENDED, {"digest": self.init.digest})
         return error
 

@@ -19,8 +19,8 @@ A message may only be sent once every lower-phase message has been
 delivered, so withholding any single message freezes the exchange before
 any deposit can be spent.
 
-``Session`` is the machinery both execution modes share; the off-chain
-session in ``offchain`` builds on it with Head as its anchor.
+``OnchainSession`` runs the compiled contract; off-chain execution
+(``offchain.OffchainSession``) extends it with Head as its anchor.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ def instances_below(parts: TreeParts, digests: Dict[NodeId, str], tx: TxInstance
 
 class OnchainCompilation(NamedTuple):
     """A contract compiled for direct on-chain execution."""
-    root: TxInstance               # spends every deposit
+    anchor: TxInstance             # the contract root, spending every deposit
     digests: Dict[NodeId, str]     # every node's, in preorder, the root's first
     stipulation: ExchangeLayout    # every other node's (name, digest) in preorder, then the root
     deposits: Dict[str, TxInstance]
@@ -319,7 +319,7 @@ class Exchange:
     (``_ends``).  The counts are also the only record of who
     holds which signature (``received``), read at the item ``item_of``
     gives each signed digest; the session maps each signed digest to its
-    exchange (``Session.exchange_of``).
+    exchange (``OnchainSession.exchange_of``).
     """
 
     def __init__(self, layout: ExchangeLayout) -> None:
@@ -404,14 +404,15 @@ class Exchange:
 # ---------------------------------------------------------------------------
 # Sessions
 
-class Session:
-    """The protocol core both execution modes share: deposits on the chain,
-    a pairwise stipulation exchange whose last messages sign the
-    deposit-spending ``anchor``, public pools of published material, a
-    cursor that walks one compiled subtree on-chain, and the open step
-    proposal.  Every append goes through ``append``, and ``ready`` is its
-    dry run, so readiness is the ledger's answer.  A move that does not
-    apply now raises ``ProtocolError``.
+class OnchainSession:
+    """Direct on-chain execution: deposits on the chain, a pairwise
+    stipulation exchange whose last messages sign the deposit-spending
+    ``anchor``, public pools of published material, a cursor that walks
+    the compiled contract on-chain once the anchor lands, and the open
+    step proposal.  Every append goes through ``append``, and ``ready`` is
+    its dry run, so readiness is the ledger's answer.  A move that does
+    not apply now raises ``ProtocolError``.  Off-chain execution
+    (``offchain.OffchainSession``) extends this class.
 
     A session is built from a compilation, which runs of the same tree,
     seed, mode and t share (``ContractTree.compiled``), so it only reads
@@ -421,25 +422,23 @@ class Session:
     ``cursor`` is ``(digests, node)``: the last appended node and the
     digests of the subtree it was compiled in.  ``ahead`` holds the
     instances of that node's children, built when it landed; no other
-    instance below a subtree root is ever built.  A subclass compiles the
-    anchor and the stipulation body, says what landing the anchor means
-    in ``_anchored``, and says who must agree to a step, when a step is
-    agreeable, and what an agreed step becomes.
+    instance below a subtree root is ever built.
     """
 
-    MODE = ""
+    MODE = MODE_ONCHAIN
     ANCHOR_ROLE = ROLE_NODE
 
-    def __init__(self, parts: TreeParts, deposits: Dict[str, TxInstance], anchor: TxInstance,
-                 stipulation: ExchangeLayout, trace: Trace) -> None:
+    def __init__(self, comp: OnchainCompilation, trace: Trace) -> None:
+        parts = comp.parts
         self.tree = parts.tree
         self.commitments = parts.commitments
         self.trace = trace
         # The salt and every node's parts, shared by every subtree the session compiles.
         self.parts = parts
         self.chain = ChainState(self.tree.fee)
-        self.deposits = deposits
-        self.anchor = anchor
+        self.deposits = comp.deposits
+        self.anchor = comp.anchor
+        self.digests = comp.digests
         # Each signed digest's one record: the exchange that signs it,
         # sealed or not.  ``witness`` reads the signatures an actor holds
         # off its counts, at the digest's item there (``Exchange.item_of``).
@@ -451,13 +450,15 @@ class Session:
         self.cursor: Optional[Tuple[Dict[NodeId, str], NodeId]] = None
         self.ahead: Dict[NodeId, TxInstance] = {}
         self.phase = STIPULATING
-        self.stipulation = self.open_exchange(stipulation)
+        self.stipulation = self.open_exchange(comp.stipulation)
         # The open proposal as (proposer, child), who must agree to it and
         # who has; a refusal closes it and stays on record for good.
         self.proposal: Optional[Tuple[str, NodeId]] = None
         self._signers: Set[str] = set()
         self._agreed: Set[str] = set()
         self.step_refused = False
+        # Steps agreed so far; an agreed step is appended, not agreed again.
+        self.agreed_steps: Set[NodeId] = set()
         self._inject_deposits()
 
     def _inject_deposits(self) -> None:
@@ -529,18 +530,33 @@ class Session:
 
     def copies(self, child: NodeId) -> List[str]:
         """The digest of every copy of ``child`` whose edge an agreement
-        must authorize."""
-        raise NotImplementedError
+        must authorize: on-chain, the contract's one."""
+        return [self.digests[child]]
 
     # -- agreeing on a step --------------------------------------------------
 
     def step_signers(self, child: NodeId) -> Set[str]:
-        """The participants who must agree to a step to ``child``."""
-        raise NotImplementedError
+        """The participants who must agree to a step to ``child``: on-chain,
+        the edge's authorizers and the participants owning its secrets; an
+        edge that needs neither is appended without agreement."""
+        owners = {c.owner for c in self.parts.reveals(child)}
+        return (owners | self.tree.node(child).edge.auth) & self.parts.everyone
 
     def edge_satisfiable(self, child: NodeId) -> bool:
-        """Could a step to ``child`` be agreed right now?"""
-        raise NotImplementedError
+        """Could a step to ``child`` be agreed right now?  On-chain: it is
+        not agreed yet, someone must agree, the instance is enabled on the
+        chain, and every reveal is published or held by a participant who
+        would open it on agreement."""
+        if child in self.agreed_steps or not self.step_signers(child):
+            return False
+        # Only a child of the node on-chain has an instance whose input
+        # exists and is unspent.
+        tx = self.ahead.get(child)
+        if tx is None:
+            return False
+        enabled = self.chain.enabled_at(tx)
+        return enabled is not None and self.chain.reached(enabled) \
+            and self.secrets_openable(child)
 
     def secrets_openable(self, child: NodeId) -> bool:
         """Is every secret on the edge into ``child`` published, or owned by
@@ -617,8 +633,8 @@ class Session:
     def agree_step(self, child: NodeId, signers: Iterable[str]) -> None:
         """Everyone in ``signers`` has agreed to step to ``child``.  Each, in
         name order, publishes its authorization on every copy of the
-        child's instance and opens its own secrets on that edge; a subclass
-        then makes the step enforceable."""
+        child's instance and opens its own secrets on that edge, and the
+        step is recorded as agreed."""
         edge = self.tree.node(child).edge
         for signer in sorted(signers):
             if signer in edge.auth:
@@ -629,6 +645,7 @@ class Session:
                         and label not in self.reveal_pool:
                     self.publish_reveal(self.commitments.reveal(label))
                     self.trace.add(self.chain.height, signer, SECRET_PUBLISHED, {"label": label})
+        self.agreed_steps.add(child)
 
     # -- signature exchanges -------------------------------------------------
 
@@ -679,8 +696,10 @@ class Session:
             and self.ready(actor, self.anchor)
 
     def _anchored(self, actor: str) -> None:
-        """``actor`` has landed the anchor."""
-        raise NotImplementedError
+        """``actor`` has landed the anchor: on-chain, the contract root,
+        below which the walk goes on."""
+        self.phase = RUNNING
+        self._land(self.digests, self.anchor, self.tree.root)
 
     def append_anchor(self, actor: str) -> Optional[AppendError]:
         error = self.append(actor, self.anchor, self.ANCHOR_ROLE)
@@ -739,50 +758,4 @@ class Session:
 
     def append_graft(self, actor: str, index: int) -> Optional[AppendError]:
         return self.append_init(actor)
-
-
-class OnchainSession(Session):
-    """Direct on-chain execution: the anchor is the contract root itself,
-    spending the deposits; once it lands the cursor walks the compiled
-    contract."""
-
-    MODE = MODE_ONCHAIN
-
-    def __init__(self, comp: OnchainCompilation, trace: Trace) -> None:
-        self.digests = comp.digests
-        super().__init__(comp.parts, comp.deposits, comp.root, comp.stipulation, trace)
-        # Steps agreed so far; an agreed step is appended, not agreed again.
-        self.agreed_steps: Set[NodeId] = set()
-
-    def copies(self, child: NodeId) -> List[str]:
-        return [self.digests[child]]
-
-    def step_signers(self, child: NodeId) -> Set[str]:
-        """The edge's authorizers and the participants owning its secrets;
-        an edge that needs neither is appended without agreement."""
-        owners = {c.owner for c in self.parts.reveals(child)}
-        return (owners | self.tree.node(child).edge.auth) & self.parts.everyone
-
-    def edge_satisfiable(self, child: NodeId) -> bool:
-        """Worth agreeing now: not agreed yet, someone must agree, the
-        instance is enabled on the chain, and every reveal is published or
-        held by a participant who would open it on agreement."""
-        if child in self.agreed_steps or not self.step_signers(child):
-            return False
-        # Only a child of the node on-chain has an instance whose input
-        # exists and is unspent.
-        tx = self.ahead.get(child)
-        if tx is None:
-            return False
-        enabled = self.chain.enabled_at(tx)
-        return enabled is not None and self.chain.reached(enabled) \
-            and self.secrets_openable(child)
-
-    def agree_step(self, child: NodeId, signers: Iterable[str]) -> None:
-        super().agree_step(child, signers)
-        self.agreed_steps.add(child)
-
-    def _anchored(self, actor: str) -> None:
-        self.phase = RUNNING
-        self._land(self.digests, self.anchor, self.tree.root)
 

@@ -79,7 +79,6 @@ from graftsim.onchain import (
     Exchange,
     OnchainSession,
     ProtocolError,
-    Session,
     TreeParts,
     compile_onchain,
     instances_below,
@@ -220,7 +219,7 @@ def instances_by_landing(parts: TreeParts, root: TxInstance,
     return {node_id: instances[node_id] for node_id in digests}
 
 
-def compiled_by_make_tx(session: Session,
+def compiled_by_make_tx(session: OnchainSession,
                         graft: Optional[Graft] = None) -> Dict[NodeId, TxInstance]:
     """``instantiate_by_make_tx`` of what ``session`` compiled: the whole
     contract on-chain, or ``graft``'s subtree off-chain.  Its digests are
@@ -260,9 +259,9 @@ def landings_checked() -> Iterator[List[Tuple[str, Optional[int], int]]]:
     landed graft's index or None on-chain, the ladder's length) per
     landing."""
     landings: List[Tuple[str, Optional[int], int]] = []
-    land = Session._land
+    land = OnchainSession._land
 
-    def checked(session: Session, digests: Dict[NodeId, str], tx: TxInstance,
+    def checked(session: OnchainSession, digests: Dict[NodeId, str], tx: TxInstance,
                 node: NodeId) -> None:
         land(session, digests, tx, node)
         ladder = getattr(session, "ladder", [])
@@ -273,11 +272,11 @@ def landings_checked() -> Iterator[List[Tuple[str, Optional[int], int]]]:
             assert field_types(built) == field_types(expected[node_id]), node_id
         landings.append((session.MODE, graft.index if graft else None, len(ladder)))
 
-    Session._land = checked
+    OnchainSession._land = checked
     try:
         yield landings
     finally:
-        Session._land = land
+        OnchainSession._land = land
 
 
 class Message(NamedTuple):
@@ -373,7 +372,7 @@ def deliver_one(exchange: Exchange, sender: str) -> Optional[Message]:
     return msg
 
 
-def deliver_next(session: Session, sender: str) -> Optional[Event]:
+def deliver_next(session: OnchainSession, sender: str) -> Optional[Event]:
     """``session.send(sender)`` for one message: deliver ``sender``'s next
     open message of the active exchange, log it, and complete the
     exchange if it was the last.  Returns its event, or None."""
@@ -393,7 +392,7 @@ def deliver_next(session: Session, sender: str) -> Optional[Event]:
     return event
 
 
-def stipulate(session: Session, withhold_at: Optional[int] = None) -> bool:
+def stipulate(session: OnchainSession, withhold_at: Optional[int] = None) -> bool:
     """Deliver the whole stipulation plan in order and append the anchor.
     ``withhold_at`` stops right before that message index and aborts
     instead, leaving every deposit untouched."""
@@ -698,7 +697,7 @@ class SignatureStore:
 class DeliveredSignatures:
     """One ``SignatureStore`` per participant, fed one message at a time
     with every ``SignatureSent`` a trace logs: the reference for the
-    signatures ``Session.witness`` reads off the exchanges' counts."""
+    signatures ``OnchainSession.witness`` reads off the exchanges' counts."""
 
     def __init__(self, participants: Iterable[str]) -> None:
         self.stores = {p: SignatureStore() for p in participants}
@@ -714,7 +713,7 @@ class DeliveredSignatures:
         return self.stores
 
 
-def witness_by_store(session: Session, store: SignatureStore, actor: str,
+def witness_by_store(session: OnchainSession, store: SignatureStore, actor: str,
                      tx: TxInstance) -> AppendWitness:
     """``session.witness(actor, tx)`` with the implicit signatures ``actor``
     holds read from its ``store``."""
@@ -764,7 +763,7 @@ def check_by_scan(chain: ChainState, tx: TxInstance,
     return None
 
 
-def stipulated_instances(session: Session) -> List[TxInstance]:
+def stipulated_instances(session: OnchainSession) -> List[TxInstance]:
     """Every instance the stipulation of ``session`` signs, each built by
     ``compiled_by_make_tx``."""
     if isinstance(session, OffchainSession):
@@ -810,7 +809,7 @@ def _then(fn: Strategy, check: Callable[[Observation], None]) -> Strategy:
 @contextmanager
 def witnesses_checked() -> Iterator[List[int]]:
     """Within the block, at every poll of every run, once the strategy
-    returns, ``Session.witness`` of every participant on every instance of
+    returns, ``OnchainSession.witness`` of every participant on every instance of
     the stipulation and of each graft so far is compared with
     ``witness_by_store`` over the ``DeliveredSignatures`` of the trace.
     Yields the number of comparisons of each poll."""

@@ -170,6 +170,7 @@ def _participants_past_the_input_count(contract):
     ({"path": ["Bet", "LWL"]}, None, EXIT_BAD_INPUT, "'LWL' is not a child of 'Bet'"),
     ({"path": ["Bet", "L??", "Nope"]}, None, EXIT_BAD_INPUT,
      "the scenario path names unknown node 'Nope'"),
+    ({"path": "Bet"}, None, EXIT_BAD_INPUT, "path must be a list of node names"),
 ], ids=["t-zero", "t-past-u32-timelock", "strategy-not-an-object", "negative-seed", "deposit-over-u64",
         "leaf-shares-11/28", "participant-twice", "payout-twice", "participants-past-u16",
         "patience-not-a-number", "patience-a-list",
@@ -181,7 +182,7 @@ def _participants_past_the_input_count(contract):
         "after-a-bool", "t-a-float", "patience-a-bool", "seed-a-string",
         "oracle-height-a-float", "height-cap-a-float", "label-a-list",
         "oracle-label-a-number", "path-not-from-the-root", "path-skips-a-node",
-        "path-names-an-unknown-node"])
+        "path-names-an-unknown-node", "path-a-string"])
 def test_bad_scenario_values_end_in_one_line(tmp_path, capsys, scenario_patch,
                                              contract_patch, code, message):
     contract = json.loads(Path(bundled("bo3.contract")).read_text())

@@ -28,6 +28,7 @@ from graftsim.contract import (
     deepest_leaf_path,
     iter_preorder,
     leaves,
+    load_contract_file,
     parent_map,
     path_to,
     resolve_path,
@@ -461,6 +462,13 @@ class TestSerialization:
         data = contract_to_dict(bo3_tree)
         again = contract_from_dict(json.loads(json.dumps(data)))
         assert contract_to_dict(again) == data
+
+    @pytest.mark.parametrize("text", ["[]", '"x"', "1"])
+    def test_a_file_holds_one_object(self, tmp_path, text):
+        path = tmp_path / "c.contract"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ContractParseError, match="expected a single JSON object"):
+            load_contract_file(path)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_random_tree_round_trip(self, seed):

@@ -465,6 +465,15 @@ class TestComparison:
         assert result.offchain.onchain_tx_count == 3
         assert result.onchain.onchain_tx_count == 4
 
+    def test_a_capped_side_adds_no_delay(self):
+        # Only the off-chain run completes: the delay between completions
+        # is then undefined and reported as 0.
+        result = compare(load("bo3_happy"), replace(load("bo3_onchain"), height_cap=0))
+        assert result.onchain.outcome == "height_cap"
+        assert result.onchain.completion_height is None
+        assert result.offchain.completion_height is not None
+        assert result.extra_delay_blocks == 0
+
     def test_mode_mismatch_rejected(self):
         with pytest.raises(ValueError, match="offchain and one onchain"):
             compare(load("bo3_onchain"), load("bo3_onchain"))

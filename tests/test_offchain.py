@@ -1,5 +1,7 @@
 """Off-chain execution: anchors, grafts, timelock ladder, failsafe."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,16 +11,20 @@ from graftsim.contract import (
     load_contract_file,
     resolve_path,
 )
-from graftsim.harness import bundled_data_dir
+from graftsim.harness import bundled_data_dir, load_scenario, run
 from graftsim.ledger import MissingInput, MissingSignature, TimelockNotExpired
 from graftsim.offchain import compile_offchain
 from graftsim.onchain import FAILSAFE, FINALIZED, ROLE_GRAFT_ROOT, ProtocolError, RUNNING
+from graftsim import strategies
+from graftsim.strategies import AGREE, TARGET_INIT, Action, _cooperates_until_running, honest
 from graftsim.trace import (
     APPEND,
     FAILSAFE_TRIGGERED,
     GRAFT_SEALED,
     INIT_APPENDED,
+    OUTCOME_LEAF,
     SIGNATURE_SENT,
+    STEP_AGREED,
     STEP_PROPOSED,
     TXSET_SENT,
 )
@@ -33,6 +39,7 @@ from drivers import (
     plan_of,
     start_offchain,
     stipulate,
+    strategies_added,
 )
 
 
@@ -52,9 +59,9 @@ class TestCompilation:
     def test_anchor_chain(self, bo3_tree):
         commitments = CommitmentSet([(s.label, s.owner) for s in bo3_tree.secrets], 0)
         comp = compile_offchain(bo3_tree, commitments, scenario_salt(0, "offchain"), t=2)
-        assert set(comp.head.inputs) == {(d.digest, 0) for d in comp.deposits.values()}
-        assert [(o.value, o.beneficiary) for o in comp.head.outputs] == [(99, CONTINUATION)]
-        assert comp.init.inputs == ((comp.head.digest, 0),)
+        assert set(comp.anchor.inputs) == {(d.digest, 0) for d in comp.deposits.values()}
+        assert [(o.value, o.beneficiary) for o in comp.anchor.outputs] == [(99, CONTINUATION)]
+        assert comp.init.inputs == ((comp.anchor.digest, 0),)
         assert [(o.value, o.beneficiary) for o in comp.init.outputs] == [(98, CONTINUATION)]
         assert comp.init.rel_timelock == 0
 
@@ -62,7 +69,7 @@ class TestCompilation:
         commitments = CommitmentSet([(s.label, s.owner) for s in bo3_tree.secrets], 0)
         comp = compile_offchain(bo3_tree, commitments, scenario_salt(0, "offchain"), t=2)
         shadow_root = comp.shadow_root
-        assert comp.shadow[bo3_tree.root] == shadow_root.digest
+        assert comp.digests[bo3_tree.root] == shadow_root.digest
         assert shadow_root.inputs == ((comp.init.digest, 0),)
         assert shadow_root.rel_timelock == subtree_height(bo3_tree, bo3_tree.root) * 2 == 6
 
@@ -347,6 +354,27 @@ class TestFailsafe:
         assert session.pending_graft is None and graft not in session.ladder
         assert session.ladder == [session.shadow]
         assert not any(session.send(p) for p in bo3_tree.participants)
+
+    def test_init_closes_the_open_proposal(self):
+        """B appends Init while a step proposal waits on its agreement, and
+        would agree to it once the phase is ``failsafe``.  Init closes the
+        proposal, so nothing is left to agree to, no graft is created
+        outside ``running``, and the honest settlement reaches the leaf."""
+        @_cooperates_until_running
+        def init_then_agree(obs, params):
+            if obs.proposal is not None and not obs.i_agreed:
+                return Action(AGREE) if obs.phase == FAILSAFE \
+                    else Action(strategies.APPEND, TARGET_INIT)
+            return honest(obs, params)
+
+        scenario = load_scenario(bundled_data_dir() / "bo3_happy.scn")
+        with strategies_added({"init_then_agree": init_then_agree}):
+            trace = run(replace(scenario, strategies={"A": ("honest", {}),
+                                                      "B": ("init_then_agree", {})}))
+        [proposed], [init] = trace.find(STEP_PROPOSED), trace.find(INIT_APPENDED)
+        assert proposed.actor == "A" and init.actor == "B" and init.height == proposed.height
+        assert trace.count(STEP_AGREED) == 0 and trace.count(GRAFT_SEALED) == 1
+        assert trace.summary["outcome"] == OUTCOME_LEAF and trace.summary["final_height"] == 8
 
     def test_failsafe_after_two_steps_costs_four_transactions(self, bo3_tree):
         session = start_offchain(bo3_tree, seed=0, t=2)

@@ -52,7 +52,7 @@ def compiled_instances(tree, salt):
     landing each node; the compilation's deposits are ``make_deposits``'."""
     comp = compile_onchain(tree, commitments_for(tree), salt)
     assert comp.deposits == make_deposits(tree, salt)
-    return instances_by_landing(comp.parts, comp.root, comp.digests)
+    return instances_by_landing(comp.parts, comp.anchor, comp.digests)
 
 
 def session_for(tree, seed=1):

@@ -137,7 +137,7 @@ def _compilations(tree, seed, t):
     comp = compile_onchain(tree, commitments, salt)
     deposits = comp.deposits
     assert deposits == make_deposits(tree, salt)
-    yield (commitments, salt, "onchain", comp.parts, comp.root, comp.digests,
+    yield (commitments, salt, "onchain", comp.parts, comp.anchor, comp.digests,
            list(comp.stipulation.body),
            (tree.root, tuple((deposits[p].digest, 0) for p in tree.participants),
             tree.deposit_total(), 0))
@@ -145,7 +145,7 @@ def _compilations(tree, seed, t):
     comp = compile_offchain(tree, commitments, salt, t)
     spend_init = ((comp.init.digest, 0),)
     pot = comp.init.output_total()
-    yield (commitments, salt, "shadow", comp.parts, comp.shadow_root, comp.shadow,
+    yield (commitments, salt, "shadow", comp.parts, comp.shadow_root, comp.digests,
            list(comp.stipulation.body[2:]),
            (tree.root, spend_init, pot, subtree_height(tree, tree.root) * t))
     for origin in iter_preorder(tree):

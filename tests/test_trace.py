@@ -25,7 +25,7 @@ from graftsim.harness import (
     run,
 )
 from graftsim.strategies import honest
-from graftsim.onchain import Exchange, ExchangeLayout, Session
+from graftsim.onchain import Exchange, ExchangeLayout, OnchainSession
 from graftsim.trace import SIG_SHAPE, SIGNATURE_SENT, TXSET_SENT, Event, Trace
 from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
 from test_acceptance import _bo3_attack_matrix, _random_attack_cases
@@ -417,16 +417,16 @@ def test_every_burst_row_is_hashable():
 @pytest.mark.parametrize("count", [2, 8, 32])
 def test_rows_grow_with_bursts_not_recipients(monkeypatch, count):
     """Off-chain ``chain_tree(8)`` with ``count`` participants: each
-    ``Session.send`` that sends something writes one row, whatever the
+    ``OnchainSession.send`` that sends something writes one row, whatever the
     number of its recipients, and every other event is a row of its own."""
     sends = []
-    send = Session.send
+    send = OnchainSession.send
 
     def counted(session, sender):
         sends.append(send(session, sender))
         return sends[-1]
 
-    monkeypatch.setattr(Session, "send", counted)
+    monkeypatch.setattr(OnchainSession, "send", counted)
     trace = run(_generated_scenario(_with_many_parties(chain_tree(8), count), MODE_OFFCHAIN, 1))
     messages = trace.count(SIGNATURE_SENT) + trace.count(TXSET_SENT)
     assert messages == sum(sends)
