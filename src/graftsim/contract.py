@@ -429,11 +429,13 @@ def validate_tree(tree: ContractTree) -> List[StructuralError]:
 class Compiled:
     """What compiling a tree computes once for all its runs: the
     ``validate_tree`` verdict, ``errors``, and each node's
-    ``subtree_height``, ``heights``; and in ``runs``, the compilation of each
-    (seed, mode, t) a run has asked for, which ``harness.run`` fills.  Empty
-    ``heights`` means the tree is no tree to walk."""
+    ``subtree_height``, ``heights``; in ``runs``, the compilation of each
+    (seed, mode, t) a run has asked for, which ``harness.run`` fills; and
+    in ``paths``, each path a run has followed, by its node names, as the
+    node after each of its nodes.  Empty ``heights`` means the tree is no
+    tree to walk."""
 
-    __slots__ = ("errors", "heights", "runs")
+    __slots__ = ("errors", "heights", "runs", "paths")
 
     def __init__(self, tree: ContractTree) -> None:
         self.errors = validate_tree(tree)
@@ -441,6 +443,7 @@ class Compiled:
         walkable = all(e.kind not in ("UnknownNode", "NotATree") for e in self.errors)
         self.heights = subtree_heights(tree) if walkable else {}
         self.runs: Dict[Tuple[int, str, int], object] = {}
+        self.paths: Dict[Tuple[str, ...], Dict[NodeId, NodeId]] = {}
 
 
 # ---------------------------------------------------------------------------

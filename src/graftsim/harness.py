@@ -295,8 +295,8 @@ class _LiveObservation(Observation):
     at_leaf = _Lazy(lambda o: o._step_origin is not None
                     and not o._engine.tree.node(o._step_origin).children)
     # The ledger's dry run says no while Init, the input it spends, is off the chain.
-    latest_root_ready = _Lazy(lambda o: o._session.latest_sealed is not None
-                              and o._session.ready(o.actor, o._session.latest_sealed.root_instance))
+    latest_root_ready = _Lazy(lambda o: (g := o._session.latest_sealed) is not None
+                              and o._session.ready(o.actor, g.root_instance, g.exchange))
     continuation_ready = _Lazy(lambda o: o.next_child is not None
                                and o._session.child_ready(o.actor, o.next_child))
     rollback_target = _Lazy(lambda o: o._session.rollback_target())
@@ -312,11 +312,15 @@ class _Engine:
         self.order: List[str] = list(scenario.order or sorted(self.tree.participants))
         self.players = {p: (STRATEGIES[name], dict(params))
                         for p, (name, params) in scenario.strategies.items()}
-        path = resolve_path(self.tree, list(scenario.path))
-        # The node after each path node; a repeated node keeps its first successor.
-        self.next_on_path: Dict[NodeId, NodeId] = {}
-        for at, nxt in zip(path, path[1:]):
-            self.next_on_path.setdefault(at, nxt)
+        # The node after each path node, kept in the tree's record on the
+        # first run along the path; a repeated node keeps its first successor.
+        paths, names = self.tree.compiled.paths, tuple(scenario.path)
+        if names not in paths:
+            path = resolve_path(self.tree, names)
+            after = paths[names] = {}
+            for at, nxt in zip(path, path[1:]):
+                after.setdefault(at, nxt)
+        self.next_on_path: Dict[NodeId, NodeId] = paths[names]
         self.oracle = list(scenario.oracle)
         self.oracle_cursor = 0
         self.last_progress = self.chain.height

@@ -13,22 +13,24 @@ deposit-spending Head signatures last, then appends Head only.
 Each agreed step clones the subtree rooted at the chosen child as a
 *graft*: its root spends Init under a timelock of subtree_height(child) × t,
 strictly smaller than every earlier graft's.  A graft is compiled as its
-root's instance and its nodes' digests, which is all its exchange signs;
-a body instance is built only if the graft lands and the walk reaches
-its parent.  Within a graft, body signatures are exchanged before root
-signatures, so a half-signed graft is never appendable by anyone.  To
-settle — voluntarily or as a failsafe — append Init, then a sealed graft's
-root by its ladder index (``append_graft``) once its timelock expires, then
-continue through that graft's body on-chain.  The ledger judges every
-graft append: each root spends Init, so only one ever lands, and the
-shrinking timelocks guarantee the newest agreed state can always land
-first.
+root's instance, its nodes' digests and its exchange's layout, which is
+all its exchange signs; they depend only on the compilation and the
+child, so the compilation keeps them for every run that agrees that step
+(``OffchainCompilation.graft``).  A body instance is built only if the
+graft lands and the walk reaches its parent.  Within a graft, body
+signatures are exchanged before root signatures, so a half-signed graft
+is never appendable by anyone.  To settle — voluntarily or as a
+failsafe — append Init, then a sealed graft's root by its ladder index
+(``append_graft``) once its timelock expires, then continue through that
+graft's body on-chain.  The ledger judges every graft append: each root
+spends Init, so only one ever lands, and the shrinking timelocks
+guarantee the newest agreed state can always land first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Set
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .contract import (
     CONTINUATION,
@@ -73,26 +75,34 @@ class Graft:
     """One agreed off-chain state: a subtree copy rooted onto Init.
 
     Index 0 is the shadow copy of the whole contract created at
-    compilation; it has no exchange of its own because its signatures
-    travel with stipulation.  ``index`` is the graft's place on the
-    session's ladder.  The copy is its root's instance, the one a
-    settlement appends first, and ``digests``: every node's digest in
-    preorder, keyed by the node ids of the original tree, so walking a
-    graft body is ordinary tree walking.  The instances below the root
-    are built only as the walk lands their parents.
+    compilation; its exchange is the stipulation, which carries its
+    signatures.  ``index`` is the graft's place on the session's ladder.
+    The copy is its root's instance, the one a settlement appends first,
+    and ``digests``: every node's digest in preorder, keyed by the node
+    ids of the original tree, so walking a graft body is ordinary tree
+    walking.  The instances below the root are built only as the walk
+    lands their parents.  Both are the compilation's, shared by every run
+    (``OffchainCompilation.graft``); the run's own are the index, the
+    exchange's counts and the seal height.
     """
     index: int
     origin: NodeId
     root_instance: TxInstance
     digests: Dict[NodeId, str]
-    exchange: Optional[Exchange]
+    exchange: Exchange
     seal_height: Optional[int] = None
+
+
+# What a graft's compilation key and child fix: its root's instance, every
+# node's digest and its exchange's layout.
+CompiledGraft = Tuple[TxInstance, Dict[NodeId, str], ExchangeLayout]
 
 
 class OffchainCompilation(NamedTuple):
     """A contract compiled for off-chain execution: its first five fields
     are those of ``OnchainCompilation``, with Head as the anchor and the
-    shadow copy's digests as the contract's."""
+    shadow copy's digests as the contract's.  ``grafts`` holds each
+    graft compiled so far, by child (``graft``)."""
     anchor: TxInstance             # Head
     digests: Dict[NodeId, str]     # the shadow's, in preorder, the root's first
     # Init, the shadow root, every other node's (name, digest) in preorder, then Head
@@ -102,6 +112,23 @@ class OffchainCompilation(NamedTuple):
     init: TxInstance
     shadow_root: TxInstance
     t: int
+    grafts: Dict[NodeId, CompiledGraft]
+
+    def graft(self, child: NodeId) -> CompiledGraft:
+        """The graft of the subtree at ``child``, compiled on the first ask
+        and kept in ``grafts`` for every later one.  Its root spends Init
+        under a timelock of subtree_height(child) × t — strictly below
+        every earlier graft's because child sits strictly deeper."""
+        copy = self.grafts.get(child)
+        if copy is None:
+            parts, init = self.parts, self.init
+            timelock = parts.heights[child] * self.t
+            root, digests, body = compile_subtree(parts, child, ((init.digest, 0),),
+                                                  init.output_total(), timelock)
+            layout = ExchangeLayout.of(parts.tree.participants, body, (root.name, root.digest),
+                                       False)
+            copy = self.grafts[child] = (root, digests, layout)
+        return copy
 
 
 def compile_offchain(tree: ContractTree, commitments: CommitmentSet, salt: bytes,
@@ -124,7 +151,8 @@ def compile_offchain(tree: ContractTree, commitments: CommitmentSet, salt: bytes
     stipulation = ExchangeLayout.of(tree.participants, [
         (init.name, init.digest), (shadow_root.name, shadow_root.digest), *body],
         (head.name, head.digest), True)
-    return OffchainCompilation(head, digests, stipulation, deposits, parts, init, shadow_root, t)
+    return OffchainCompilation(head, digests, stipulation, deposits, parts, init, shadow_root, t,
+                               {})
 
 
 class OffchainSession(OnchainSession):
@@ -144,9 +172,9 @@ class OffchainSession(OnchainSession):
 
     def __init__(self, comp: OffchainCompilation, trace: Trace) -> None:
         super().__init__(comp, trace)
-        self.t = comp.t
+        self.comp = comp
         self.init = comp.init
-        self.shadow = Graft(0, self.tree.root, comp.shadow_root, comp.digests, exchange=None)
+        self.shadow = Graft(0, self.tree.root, comp.shadow_root, comp.digests, self.stipulation)
         # The sealed grafts, oldest first: the shadow joins once stipulation
         # completes, each agreed step's graft once its exchange completes.
         self.ladder: List[Graft] = []
@@ -171,7 +199,7 @@ class OffchainSession(OnchainSession):
         graft's origin, the node the off-chain execution stands at; once
         a graft has landed, the walk goes on from where it stands."""
         if self.cursor is not None:
-            return self.cursor[1]
+            return self.cursor[2]
         return self.ladder[-1].origin if self.ladder else self.tree.root
 
     def rollback_target(self) -> Optional[int]:
@@ -251,9 +279,9 @@ class OffchainSession(OnchainSession):
     # -- stepping (off-chain) ------------------------------------------------
 
     def create_graft(self, child: NodeId) -> Graft:
-        """Clone the subtree at ``child`` onto Init.  The clone's root
-        timelock is subtree_height(child) × t — strictly below every
-        earlier graft's because child sits strictly deeper."""
+        """Clone the subtree at ``child`` onto Init, as the compilation's
+        graft of ``child`` (``OffchainCompilation.graft``) with an exchange
+        of this run's own."""
         if self.phase != RUNNING:
             raise ProtocolError("grafts can only be created while running")
         if self.pending_graft is not None:
@@ -261,15 +289,12 @@ class OffchainSession(OnchainSession):
         if child not in self.tree.node(self.step_origin).children:
             raise ProtocolError(
                 f"{child} is not a child of the current off-chain head")
-        timelock = self.parts.heights[child] * self.t
-        root, digests, body = compile_subtree(self.parts, child, ((self.init.digest, 0),),
-                                              self.init.output_total(), timelock)
-        layout = ExchangeLayout.of(self.tree.participants, body, (root.name, root.digest), False)
-        graft = Graft(len(self.ladder), child, root, digests, self.open_exchange(layout))
+        root, digests, layout = self.comp.graft(child)
+        graft = Graft(len(self.ladder), child, root, digests, Exchange(layout))
         self.pending_graft = graft
         self.trace.add(self.chain.height, "session", GRAFT_PROPOSED, {
             "digest": root.digest, "index": graft.index,
-            "origin": self.tree.node(child).name, "rel_timelock": timelock,
+            "origin": self.tree.node(child).name, "rel_timelock": root.rel_timelock,
             "size": len(digests)})
         if graft.exchange.complete:
             # Nothing to sign, as in a one-participant contract: no message
@@ -282,7 +307,7 @@ class OffchainSession(OnchainSession):
     def append_init(self, actor: str) -> Optional[AppendError]:
         if self.phase not in (RUNNING, FAILSAFE):
             raise ProtocolError("Init cannot be appended before Head")
-        error = self.append(actor, self.init, ROLE_INIT)
+        error = self.append(actor, self.init, self.stipulation, ROLE_INIT)
         if error is None:
             self.phase = FAILSAFE
             # A half-signed graft can never land: its exchange stops here,
@@ -308,12 +333,12 @@ class OffchainSession(OnchainSession):
         if not is_int(index) or not 0 <= index < len(self.ladder):
             raise ProtocolError(f"no sealed graft has index {index!r}")
         graft = self.ladder[index]
-        error = self.append(actor, graft.root_instance, ROLE_GRAFT_ROOT)
+        error = self.append(actor, graft.root_instance, graft.exchange, ROLE_GRAFT_ROOT)
         if error is None:
             self.trace.add(self.chain.height, actor, GRAFT_APPENDED, {
                 "digest": graft.root_instance.digest, "index": graft.index,
                 "origin": self.tree.node(graft.origin).name})
-            self._land(graft.digests, graft.root_instance, graft.origin)
+            self._land(graft.digests, graft.exchange, graft.root_instance, graft.origin)
         return error
 
     def child_ready(self, actor: str, child: NodeId) -> bool:

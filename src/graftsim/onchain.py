@@ -17,7 +17,10 @@ message, everything needed to make the whole tree spendable:
 
 A message may only be sent once every lower-phase message has been
 delivered, so withholding any single message freezes the exchange before
-any deposit can be spent.
+any deposit can be spent.  An exchange's layout (``ExchangeLayout``),
+with its index from each body digest to its item, is fixed by the
+compilation and shared by its runs; a run's ``Exchange`` keeps only each
+sender's count, and whoever asks for a witness names the exchange.
 
 ``OnchainSession`` runs the compiled contract; off-chain execution
 (``offchain.OffchainSession``) extends it with Head as its anchor.
@@ -257,7 +260,15 @@ def compile_onchain(tree: ContractTree, commitments: CommitmentSet,
 # ---------------------------------------------------------------------------
 # Pairwise message exchange with phase gating
 
-class ExchangeLayout(NamedTuple):
+class _LayoutFields(NamedTuple):
+    participants: Tuple[str, ...]
+    body: Tuple[Tuple[str, str], ...]
+    final: Tuple[str, str]
+    body_at: int
+    final_at: int
+
+
+class ExchangeLayout(_LayoutFields):
     """The immutable part of an exchange: the ``participants`` in name
     order, the ``body`` items and the ``final`` item, each a (subject,
     digest) pair, and where the body and the final part of each queue
@@ -268,13 +279,11 @@ class ExchangeLayout(NamedTuple):
     ``body_at`` is past 0), then every body item to each other participant
     in turn, then ``final`` to each; the three parts are phases 0, 1 and 2,
     or 0 and 1 without transaction sets.  Its fields are tuples and ints,
-    so a trace row that keeps it stays immutable.
+    so a trace row that keeps it stays immutable.  Every run of a
+    compilation shares its layouts, each with its cached ``item_of``, kept
+    in the ``__dict__`` that this subclass of the fields' tuple has and
+    equality, hashing and the trace ignore.
     """
-    participants: Tuple[str, ...]
-    body: Tuple[Tuple[str, str], ...]
-    final: Tuple[str, str]
-    body_at: int
-    final_at: int
 
     @classmethod
     def of(cls, participants: Sequence[str], body: Sequence[Tuple[str, str]],
@@ -305,6 +314,14 @@ class ExchangeLayout(NamedTuple):
             yield self.participants[to + (to >= me)], items
             at += len(items) if items else 1
 
+    @cached_property
+    def item_of(self) -> Dict[str, int]:
+        """Each body digest's item: its index in ``body``.  Built on the
+        first read, which only ``Exchange.received`` makes, and only for a
+        count within a body, and shared by every exchange laid out as this
+        layout."""
+        return {digest: i for i, (_, digest) in enumerate(self.body)}
+
 
 class Exchange:
     """A plan of pairwise messages, kept as its ``layout`` and one count
@@ -317,9 +334,10 @@ class Exchange:
     arithmetic on the counts: one loop over them in name order, which
     stops at its answer where it can, and a bisection of the phase ends
     (``_ends``).  The counts are also the only record of who
-    holds which signature (``received``), read at the item ``item_of``
-    gives each signed digest; the session maps each signed digest to its
-    exchange (``OnchainSession.exchange_of``).
+    holds which signature (``received``), read at the item the layout's
+    ``ExchangeLayout.item_of`` gives a body digest where the count alone
+    cannot tell.  The layout is shared by every run of a compilation; an
+    ``Exchange`` is one run's counts.
     """
 
     def __init__(self, layout: ExchangeLayout) -> None:
@@ -358,25 +376,26 @@ class Exchange:
         self.sent[sender] = end
         return range(start, end)
 
-    def received(self, recipient: str, signer: str, item: int) -> bool:
-        """Has ``signer``'s signature on ``item``, a body index or
-        ``len(body)`` for ``final``, reached ``recipient``?  It has once
-        ``signer``'s count is past that message's position."""
+    def received(self, recipient: str, signer: str, digest: str) -> bool:
+        """Has ``signer``'s signature on ``digest``, one the layout signs,
+        reached ``recipient``?  It has once ``signer``'s count is past that
+        message's position.  A count past the whole body ``signer`` sends
+        ``recipient``, or short of all of it, answers for every body item;
+        only a count within it needs the item (``ExchangeLayout.item_of``),
+        so a layout whose body no witness reads mid-exchange, such as that
+        of every subtree whose root has landed, never builds its index."""
         rank = self._rank
         if recipient == signer or recipient not in rank or signer not in rank:
             return False
         # ``recipient``'s place among those ``signer`` sends to.
         to = rank[recipient] - (rank[recipient] > rank[signer])
-        layout, width = self.layout, len(self.layout.body)
-        at = layout.body_at + to * width + item if item < width else layout.final_at + to
-        return self.sent[signer] > at
-
-    @cached_property
-    def item_of(self) -> Dict[str, int]:
-        """Each signed digest's item: its position in ``(*body, final)``.
-        Built on the first read, so an exchange whose signatures no
-        witness reads never builds it."""
-        return {digest: i for i, (_, digest) in enumerate((*self.layout.body, self.layout.final))}
+        layout, count = self.layout, self.sent[signer]
+        if digest == layout.final[1]:
+            return count > layout.final_at + to
+        start = layout.body_at + to * len(layout.body)
+        if start < count < start + len(layout.body):
+            return count > start + layout.item_of[digest]
+        return count > start
 
     @property
     def complete(self) -> bool:
@@ -417,12 +436,15 @@ class OnchainSession:
     A session is built from a compilation, which runs of the same tree,
     seed, mode and t share (``ContractTree.compiled``), so it only reads
     what the compilation holds and keeps what moves: the chain, the pools,
-    each exchange's counts, the graft ladder and the cursor.
+    each exchange's counts, the graft ladder and the cursor.  A witness, a
+    dry run or an append is asked with the exchange that signs the
+    transaction, whose counts tell which signatures each party holds.
 
-    ``cursor`` is ``(digests, node)``: the last appended node and the
-    digests of the subtree it was compiled in.  ``ahead`` holds the
-    instances of that node's children, built when it landed; no other
-    instance below a subtree root is ever built.
+    ``cursor`` is ``(digests, exchange, node)``: the last appended node,
+    the digests of the subtree it was compiled in and the exchange that
+    signs that subtree.  ``ahead`` holds the instances of that node's
+    children, built when it landed; no other instance below a subtree root
+    is ever built.
     """
 
     MODE = MODE_ONCHAIN
@@ -439,18 +461,14 @@ class OnchainSession:
         self.deposits = comp.deposits
         self.anchor = comp.anchor
         self.digests = comp.digests
-        # Each signed digest's one record: the exchange that signs it,
-        # sealed or not.  ``witness`` reads the signatures an actor holds
-        # off its counts, at the digest's item there (``Exchange.item_of``).
-        self.exchange_of: Dict[str, Exchange] = {}
         # Public bulletin: reveals and execution-time edge authorizations,
         # visible to everyone once published.
         self.reveal_pool: Dict[str, Reveal] = {}
         self.edge_pool: Dict[str, Set[str]] = {}
-        self.cursor: Optional[Tuple[Dict[NodeId, str], NodeId]] = None
+        self.cursor: Optional[Tuple[Dict[NodeId, str], Exchange, NodeId]] = None
         self.ahead: Dict[NodeId, TxInstance] = {}
         self.phase = STIPULATING
-        self.stipulation = self.open_exchange(comp.stipulation)
+        self.stipulation = Exchange(comp.stipulation)
         # The open proposal as (proposer, child), who must agree to it and
         # who has; a refusal closes it and stays on record for good.
         self.proposal: Optional[Tuple[str, NodeId]] = None
@@ -473,16 +491,14 @@ class OnchainSession:
 
     # -- appends -------------------------------------------------------------
 
-    def witness(self, actor: str, tx: TxInstance) -> AppendWitness:
+    def witness(self, actor: str, tx: TxInstance, exchange: Exchange) -> AppendWitness:
         """Everything ``actor`` legitimately holds toward appending ``tx``:
-        its own signatures, the signatures the exchange signing ``tx`` has
-        delivered to it, published authorizations and reveals, and openings
-        of its own secrets.  The witness may be incomplete; the ledger will
-        say so."""
-        exchange = self.exchange_of.get(tx.digest)
-        item = exchange.item_of[tx.digest] if exchange is not None else None
+        its own signatures, the signatures ``exchange``, the one that signs
+        ``tx``, has delivered to it, published authorizations and reveals,
+        and openings of its own secrets.  The witness may be incomplete;
+        the ledger will say so."""
         sigs = {sign(signer, tx.digest, IMPLICIT) for signer in tx.required_signers
-                if signer == actor or item is not None and exchange.received(actor, signer, item)}
+                if signer == actor or exchange.received(actor, signer, tx.digest)}
         granted = self.edge_pool.get(tx.digest, ())
         for signer in tx.edge_signers:
             if signer == actor or signer in granted:
@@ -495,17 +511,20 @@ class OnchainSession:
                 reveals.add(self.commitments.reveal(commitment.label))
         return AppendWitness(frozenset(sigs), frozenset(reveals))
 
-    def ready(self, actor: str, tx: TxInstance) -> bool:
-        """Would the ledger accept ``actor``'s append of ``tx`` right now?
-        A dry run of the append; the timing is asked first because it is
-        the usual reason to wait and needs no witness."""
+    def ready(self, actor: str, tx: TxInstance, exchange: Exchange) -> bool:
+        """Would the ledger accept ``actor``'s append of ``tx``, signed by
+        ``exchange``, right now?  A dry run of the append; the timing is
+        asked first because it is the usual reason to wait and needs no
+        witness."""
         enabled = self.chain.enabled_at(tx)
         return enabled is not None and self.chain.reached(enabled) \
-            and self.chain.check(tx, self.witness(actor, tx)) is None
+            and self.chain.check(tx, self.witness(actor, tx, exchange)) is None
 
-    def append(self, actor: str, tx: TxInstance, role: str) -> Optional[AppendError]:
-        """Attempt ``actor``'s append of ``tx`` and log it, success or failure."""
-        witness = self.witness(actor, tx)
+    def append(self, actor: str, tx: TxInstance, exchange: Exchange,
+               role: str) -> Optional[AppendError]:
+        """Attempt ``actor``'s append of ``tx``, signed by ``exchange``, and
+        log it, success or failure."""
+        witness = self.witness(actor, tx, exchange)
         error = self.chain.try_append(tx, witness)
         outcome = "ok" if error is None else {"error": error.code, **error.detail()}
         self.trace.add(self.chain.height, actor, APPEND, {
@@ -570,7 +589,7 @@ class OnchainSession:
     def step_origin(self) -> Optional[NodeId]:
         """The node the next step is agreed from: on-chain, where the walk
         stands (``None`` before the anchor lands and after the leaf)."""
-        return self.cursor[1] if self.cursor else None
+        return self.cursor[2] if self.cursor else None
 
     def propose(self, actor: str, child: Optional[NodeId]) -> bool:
         """``actor`` proposes the step to ``child`` and agrees to it.  No
@@ -649,16 +668,6 @@ class OnchainSession:
 
     # -- signature exchanges -------------------------------------------------
 
-    def open_exchange(self, layout: ExchangeLayout) -> Exchange:
-        """A new exchange laid out as ``layout``, recorded in
-        ``exchange_of`` as the one that signs its items: each digest maps to
-        the exchange alone, and the exchange finds the digest's item
-        (``Exchange.item_of``) only when a witness first asks."""
-        exchange = Exchange(layout)
-        for _, digest in (*layout.body, layout.final):
-            self.exchange_of[digest] = exchange
-        return exchange
-
     def active_exchange(self) -> Optional[Exchange]:
         """The exchange whose messages are owed now, if any."""
         return self.stipulation if self.phase == STIPULATING else None
@@ -693,29 +702,31 @@ class OnchainSession:
 
     def anchor_appendable(self, actor: str) -> bool:
         return self.phase == STIPULATING and self.stipulation.complete \
-            and self.ready(actor, self.anchor)
+            and self.ready(actor, self.anchor, self.stipulation)
 
     def _anchored(self, actor: str) -> None:
         """``actor`` has landed the anchor: on-chain, the contract root,
         below which the walk goes on."""
         self.phase = RUNNING
-        self._land(self.digests, self.anchor, self.tree.root)
+        self._land(self.digests, self.stipulation, self.anchor, self.tree.root)
 
     def append_anchor(self, actor: str) -> Optional[AppendError]:
-        error = self.append(actor, self.anchor, self.ANCHOR_ROLE)
+        error = self.append(actor, self.anchor, self.stipulation, self.ANCHOR_ROLE)
         if error is None:
             self._anchored(actor)
         return error
 
     # -- the on-chain walk ---------------------------------------------------
 
-    def _land(self, digests: Dict[NodeId, str], tx: TxInstance, node: NodeId) -> None:
+    def _land(self, digests: Dict[NodeId, str], exchange: Exchange, tx: TxInstance,
+              node: NodeId) -> None:
         """``tx``, the instance of ``node`` in the subtree compiled as
-        ``digests``, is on-chain: build its children's instances and
-        continue below it, or finish if it is a leaf."""
+        ``digests`` and signed by ``exchange``, is on-chain: build its
+        children's instances and continue below it, or finish if it is a
+        leaf."""
         self.ahead = instances_below(self.parts, digests, tx, node)
         if self.ahead:
-            self.cursor = (digests, node)
+            self.cursor = (digests, exchange, node)
         else:
             self.cursor = None
             self.phase = FINALIZED
@@ -723,20 +734,21 @@ class OnchainSession:
     def child_ready(self, actor: str, child: NodeId) -> bool:
         """Could ``actor`` append ``child`` below the cursor right now?"""
         tx = self.ahead.get(child)
-        return tx is not None and self.ready(actor, tx)
+        return tx is not None and self.ready(actor, tx, self.cursor[1])
 
     def append_child(self, actor: str, child: NodeId) -> Optional[AppendError]:
         """Spend the cursor node's continuation output into ``child``.
-        Implicit signatures come from the exchange that signed ``child``,
-        edge material from the public pools."""
+        Implicit signatures come from the exchange that signed the cursor's
+        subtree, edge material from the public pools."""
         if self.cursor is None:
             raise ProtocolError("no node on-chain to continue from")
         tx = self.ahead.get(child)
         if tx is None:
             raise ProtocolError(f"{child} is not a child of the current node")
-        error = self.append(actor, tx, ROLE_NODE)
+        digests, exchange, _ = self.cursor
+        error = self.append(actor, tx, exchange, ROLE_NODE)
         if error is None:
-            self._land(self.cursor[0], tx, child)
+            self._land(digests, exchange, tx, child)
         return error
 
     # -- settling an off-chain execution -------------------------------------

@@ -2,17 +2,18 @@
 
 Each event is written as one immutable row, ``(shape, height, actor,
 *values)``, where ``shape`` is ``(kind, *data keys)`` with the keys in
-insertion order.  A burst of one sender's messages is one row too, which
-holds the exchange's immutable layout and the burst's positions in the
-sender's queue, and stands for one ``TxSetSent`` or ``SignatureSent``
-event per position.  ``Trace.events`` builds a fresh list of the events
-on each read; ``count`` and ``find`` expand a burst only for those two
-kinds.  Events serialize to JSON Lines with sorted keys, so two runs of
-the same scenario produce byte-identical files; a burst's lines are
-formatted with its sender and height encoded once, and each recipient
-once.  A trace also keeps the actual (instance, witness) pairs of every
-successful append, which lets tests re-apply just the appends to a fresh
-ledger and compare terminal states.
+insertion order, one tuple shared by the rows of equal shapes.  A burst
+of one sender's messages is one row too, which holds the exchange's
+immutable layout and the burst's positions in the sender's queue, and
+stands for one ``TxSetSent`` or ``SignatureSent`` event per position.
+``Trace.events`` builds a fresh list of the events on each read;
+``count`` and ``find`` expand a burst only for those two kinds.  Events
+serialize to JSON Lines with sorted keys, so two runs of the same
+scenario produce byte-identical files; a burst's lines are formatted
+with its sender and height encoded once, and each recipient once.  A
+trace also keeps the actual (instance, witness) pairs of every
+successful append, which lets tests re-apply just the appends to a
+fresh ledger and compare terminal states.
 """
 
 from __future__ import annotations
@@ -75,6 +76,25 @@ _TEXT_OF = {str: encode_basestring_ascii, int: int.__repr__}
 _MAX_SHAPES = 1024
 
 _SHAPE = itemgetter(0)
+
+# The shape of each ``add`` row so far, so that rows of equal shapes share
+# one tuple.  Only shapes whose parts are all exactly ``str`` are kept:
+# ``1`` and ``True`` are equal, so a kept shape holding one would be handed
+# to a row holding the other, which would then read back the wrong key.  No
+# other value equals a ``str`` (a ``str`` subclass does, and has the same
+# text).  Emptied when full, as ``_line_format``'s cache is bounded.
+_SHAPES: Dict[Tuple, Tuple] = {}
+
+
+def _kept(shape: Tuple) -> Tuple:
+    """``shape``, kept in ``_SHAPES`` if its parts are all exactly ``str``."""
+    for part in shape:
+        if type(part) is not str:
+            return shape
+    if len(_SHAPES) >= _MAX_SHAPES:
+        _SHAPES.clear()
+    _SHAPES[shape] = shape
+    return shape
 
 
 @functools.lru_cache(maxsize=_MAX_SHAPES)
@@ -209,8 +229,10 @@ class Trace:
         return list(map(_event, chain.from_iterable(map(_plain, self.rows))))
 
     def add(self, height: int, actor: str, kind: str, data: Dict) -> None:
-        """Write the event ``Event(height, actor, kind, data)`` as its row."""
-        self.rows.append(((kind, *data), height, actor, *data.values()))
+        """Write the event ``Event(height, actor, kind, data)`` as its row,
+        whose shape is the one kept for equal shapes (``_SHAPES``)."""
+        shape = (kind, *data)
+        self.rows.append((_SHAPES.get(shape) or _kept(shape), height, actor, *data.values()))
 
     def add_burst(self, height: int, sender: str, layout: Tuple, start: int, stop: int) -> None:
         """Write the messages at positions ``start`` to ``stop`` of

@@ -261,9 +261,9 @@ def landings_checked() -> Iterator[List[Tuple[str, Optional[int], int]]]:
     landings: List[Tuple[str, Optional[int], int]] = []
     land = OnchainSession._land
 
-    def checked(session: OnchainSession, digests: Dict[NodeId, str], tx: TxInstance,
-                node: NodeId) -> None:
-        land(session, digests, tx, node)
+    def checked(session: OnchainSession, digests: Dict[NodeId, str], exchange: Exchange,
+                tx: TxInstance, node: NodeId) -> None:
+        land(session, digests, exchange, tx, node)
         ladder = getattr(session, "ladder", [])
         graft = next((g for g in ladder if g.digests is digests), None)
         expected = compiled_by_make_tx(session, graft)
@@ -451,7 +451,7 @@ def finalize(session: OffchainSession,
     if latest is None:
         raise ProtocolError("nothing sealed to finalize with")
     for _ in range(_DRIVER_GUARD):
-        if session.ready(actor, latest.root_instance):
+        if session.ready(actor, latest.root_instance, latest.exchange):
             break
         session.chain.tick()
     else:
@@ -627,7 +627,7 @@ def eager_observation(engine: _Engine, participant: str) -> Observation:
         next_child_proposable=step is not None and session.edge_satisfiable(step),
         at_leaf=origin is not None and not engine.tree.node(origin).children,
         latest_root_ready=latest is not None
-        and session.ready(participant, latest.root_instance),
+        and session.ready(participant, latest.root_instance, latest.exchange),
         continuation_ready=step is not None and session.child_ready(participant, step),
         rollback_target=session.rollback_target(),
     )
@@ -715,8 +715,8 @@ class DeliveredSignatures:
 
 def witness_by_store(session: OnchainSession, store: SignatureStore, actor: str,
                      tx: TxInstance) -> AppendWitness:
-    """``session.witness(actor, tx)`` with the implicit signatures ``actor``
-    holds read from its ``store``."""
+    """``session.witness(actor, tx, exchange)`` with the implicit
+    signatures ``actor`` holds read from its ``store``."""
     sigs = set()
     for signer in tx.required_signers:
         if signer == actor or store.has(signer, tx.digest, IMPLICIT):
@@ -777,8 +777,9 @@ def _witness_check(engine: _Engine, counts: List[int]) -> Callable[[Observation]
     session = engine.session
     delivered = DeliveredSignatures(engine.tree.participants)
     # Every instance the stipulation and each graft opened so far sign, by
-    # digest, each built by ``compiled_by_make_tx`` once.
-    signed = {tx.digest: tx for tx in stipulated_instances(session)}
+    # digest, each built by ``compiled_by_make_tx`` once, with the exchange
+    # that signs it.
+    signed = {tx.digest: (tx, session.stipulation) for tx in stipulated_instances(session)}
     opened: Set[int] = set()
 
     def check(obs: Observation) -> None:
@@ -786,12 +787,12 @@ def _witness_check(engine: _Engine, counts: List[int]) -> Callable[[Observation]
         for graft in [*getattr(session, "ladder", ())[1:], session.pending_graft]:
             if graft is not None and graft.index not in opened:
                 opened.add(graft.index)
-                signed.update((tx.digest, tx)
+                signed.update((tx.digest, (tx, graft.exchange))
                               for tx in compiled_by_make_tx(session, graft).values())
         instances = signed.values()
-        for tx in instances:
+        for tx, exchange in instances:
             for actor in engine.tree.participants:
-                assert session.witness(actor, tx) == \
+                assert session.witness(actor, tx, exchange) == \
                     witness_by_store(session, stores[actor], actor, tx), \
                     (obs.actor, session.chain.height, actor, tx.name)
         counts.append(len(instances) * len(engine.tree.participants))

@@ -4,6 +4,8 @@ Each test prints exactly one ``ACCEPTANCE n <title>: PASS|FAIL`` line so a
 plain ``pytest -s tests/test_acceptance.py`` reads as a checklist.
 """
 
+import copy
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -12,7 +14,7 @@ import statistics
 import time
 from pathlib import Path
 
-from graftsim import harness
+from graftsim import harness, offchain
 from graftsim.contract import leaves, path_to
 from graftsim.harness import (
     MODE_OFFCHAIN,
@@ -225,24 +227,93 @@ def test_acceptance5_sweep_traces_are_pinned(bo3_tree):
         assert got == want
 
 
+def _sweep_line(scenario):
+    """``scenario``'s run as its line of the pinned sweep, and its trace."""
+    trace = run(scenario)
+    return f"{scenario.label} {hashlib.sha256(trace.serialize().encode()).hexdigest()}", trace
+
+
+def _graft_key(scenario, origin):
+    """The compilation key and child a graft of ``scenario`` at the node
+    named ``origin`` is compiled for; the cases keep every tree alive, so
+    its id names it."""
+    tree = scenario.tree
+    child = next(i for i in tree.nodes if tree.node(i).name == origin)
+    return id(tree), scenario.seed, scenario.mode, scenario.t, child
+
+
 def test_acceptance5_sweep_compiles_each_contract_once_per_t(monkeypatch):
     """The sweep's 144 runs compile 27 contracts: bo3 at t = 1 and t = 2
     and each of the 25 random trees at its own t, since runs of one tree,
     seed, mode and t share the tree's compilation (``ContractTree.compiled``).
-    Run twice in one process, the second time wholly from those shared
-    compilations, every run gives its pinned bytes both times."""
-    compiled = []
-    compile_for = harness._compile
+    Their agreed steps compile 50 grafts, one per compilation key and
+    child that any run agrees (``OffchainCompilation.graft``), and the 26
+    trees' paths are resolved once each (``Compiled.paths``).  Run twice
+    in one process, the second time wholly from those shared records,
+    which compiles and resolves nothing, every run gives its pinned bytes
+    both times."""
+    compiled, grafts, resolved = [], [], []
+    compile_for, compile_subtree = harness._compile, offchain.compile_subtree
+    resolve_path = harness.resolve_path
     def counted(tree, *key):
         compiled.append(key)
         return compile_for(tree, *key)
+    def counted_subtree(parts, sub_root, *args):
+        # A subtree below the contract's root is a graft's.
+        if sub_root != parts.tree.root:
+            grafts.append(sub_root)
+        return compile_subtree(parts, sub_root, *args)
     monkeypatch.setattr(harness, "_compile", counted)
+    monkeypatch.setattr(offchain, "compile_subtree", counted_subtree)
+    monkeypatch.setattr(harness, "resolve_path",
+                        lambda tree, names: resolved.append(names) or resolve_path(tree, names))
     cases = list(_bo3_attack_matrix(load("bo3_happy").tree)) + list(_random_attack_cases(100))
     expected = SWEEP_GOLDEN.read_text(encoding="utf-8").splitlines()
-    for _ in range(2):
-        assert [f"{s.label} {hashlib.sha256(run(s).serialize().encode()).hexdigest()}"
-                for s in cases] == expected
-        assert len(compiled) == 27
+    for sweep in range(2):
+        del compiled[:], grafts[:], resolved[:]
+        lines, agreed = [], set()
+        for scenario in cases:
+            line, trace = _sweep_line(scenario)
+            lines.append(line)
+            agreed.update(_graft_key(scenario, e.data["origin"])
+                          for e in trace.find(GRAFT_PROPOSED))
+        assert lines == expected
+        assert len(agreed) == 50
+        assert (len(compiled), len(grafts), len(resolved)) == \
+            ((27, 50, 26) if sweep == 0 else (0, 0, 0))
+
+
+def test_acceptance5_runs_share_no_state_through_the_record():
+    """The records runs share hold nothing a run changes.  After a forward
+    sweep has filled every tree's record, the sweep run in reverse order,
+    and the bo3 matrix run with each run followed by its on-chain twin on
+    the same tree, give every run its pinned bytes: the sweep's from the
+    golden file, each on-chain twin's from a run of a fresh copy of the
+    tree.  Every graft record a run read compares equal, and is the same
+    object, after all the later runs."""
+    cases = list(_bo3_attack_matrix(load("bo3_happy").tree)) + list(_random_attack_cases(100))
+    # Labels repeat across parameters, so the pins go by position.
+    expected = SWEEP_GOLDEN.read_text(encoding="utf-8").splitlines()
+    read = {}
+    for scenario, pinned in zip(cases, expected):
+        line, trace = _sweep_line(scenario)
+        assert line == pinned
+        comp = scenario.tree.compiled.runs[scenario.seed, scenario.mode, scenario.t]
+        for event in trace.find(GRAFT_PROPOSED):
+            key = _graft_key(scenario, event.data["origin"])
+            read[key] = (comp.grafts[key[-1]], copy.deepcopy(comp.grafts[key[-1]]))
+    assert len(read) == 50
+    for scenario, pinned in reversed(list(zip(cases, expected))):
+        assert _sweep_line(scenario)[0] == pinned
+    for scenario, pinned in zip(cases[:44], expected):
+        twin = dataclasses.replace(scenario, mode=MODE_ONCHAIN)
+        fresh = dataclasses.replace(twin, tree=dataclasses.replace(twin.tree))
+        assert _sweep_line(scenario)[0] == pinned
+        assert _sweep_line(twin)[0] == _sweep_line(fresh)[0]
+    for (tree, seed, mode, t, child), (record, before) in read.items():
+        scenario = next(s for s in cases if id(s.tree) == tree)
+        now = scenario.tree.compiled.runs[seed, mode, t].grafts[child]
+        assert now is record and now == before
 
 
 # -- the honest party's enforceable frontier ---------------------------------

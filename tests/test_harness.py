@@ -577,6 +577,19 @@ class TestCompiledRecord:
                 run(scn_for(tree, mode))
         assert tree.compiled.runs == {}
 
+    @pytest.mark.parametrize("mode", [MODE_OFFCHAIN, MODE_ONCHAIN])
+    def test_a_cooperative_run_builds_no_digest_index(self, bo3_tree, mode):
+        # Every witness of a cooperative run is asked once the whole body it
+        # reads has been exchanged, so no layout the record keeps, the
+        # stipulation's or a graft's, builds its index (``item_of``).
+        tree = replace(bo3_tree)
+        assert run(scn_for(tree, mode)).summary["outcome"] == "leaf"
+        comp, = tree.compiled.runs.values()
+        grafts = getattr(comp, "grafts", {})
+        layouts = [comp.stipulation, *(layout for _, _, layout in grafts.values())]
+        assert len(layouts) == (4 if mode == MODE_OFFCHAIN else 1)
+        assert all("item_of" not in vars(layout) for layout in layouts)
+
     def test_a_dropped_tree_frees_its_record(self):
         tree = chain_tree(4)
         scenario = Scenario(label="dropped", tree=tree, mode=MODE_OFFCHAIN,

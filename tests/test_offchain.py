@@ -308,9 +308,9 @@ class TestHalfSignedGrafts:
         assert session.pending_graft is None and graft not in session.ladder
         session.chain.tick(20)  # well past every timelock
         for actor in bo3_tree.participants:
-            assert not session.ready(actor, graft.root_instance)
+            assert not session.ready(actor, graft.root_instance, graft.exchange)
             # root signatures were phase-gated behind the withheld body message
-        error = session.append("A", graft.root_instance, ROLE_GRAFT_ROOT)
+        error = session.append("A", graft.root_instance, graft.exchange, ROLE_GRAFT_ROOT)
         assert isinstance(error, MissingSignature)
         with pytest.raises(ProtocolError, match="no sealed graft has index 1"):
             session.append_graft("A", graft.index)  # never sealed, so off the ladder
@@ -504,12 +504,12 @@ class TestReadiness:
         assert session.append_init("A") is None
         shadow = session.shadow
         session.chain.tick(shadow.root_instance.rel_timelock)
-        assert session.ready("C", shadow.root_instance)
+        assert session.ready("C", shadow.root_instance, shadow.exchange)
         assert session.append_graft("C", shadow.index) is None
         t3 = ids_by_name(three_party)["T3"]
         tx = session.ahead[t3]
         assert tx.edge_signers == {"C"} and tx.digest not in session.edge_pool
-        assert session.ready("C", tx)
+        assert session.ready("C", tx, session.stipulation)
         assert not session.child_ready("C", t3)
         session.publish_edge_auth(tx.digest, "C")
         assert session.child_ready("C", t3)

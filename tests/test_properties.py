@@ -159,16 +159,16 @@ def _assert_compiled_by_make_tx(tree, seed, t):
     """Each compilation's digests are the reference's, in preorder; its
     root instance, and every instance a session would build on landing,
     equal the reference's field for field, with the same types.  The body
-    its walk lists is ``body_items`` of its digests, and an exchange over
-    it gives every digest its position in ``(*body, final)``."""
+    its walk lists is ``body_items`` of its digests, and a layout over it
+    gives every body digest its position in ``body``."""
     for commitments, salt, what, parts, root, digests, body, args in _compilations(tree, seed, t):
         expected = instantiate_by_make_tx(tree, commitments, salt, *args)
         assert list(digests.items()) == [(n, tx.digest) for n, tx in expected.items()], what
         assert body == body_items(parts, digests), what
-        items = [*body, (root.name, root.digest)]
-        item_of = Exchange(ExchangeLayout.of(tree.participants, body, items[-1], False)).item_of
-        assert len(item_of) == len(items), what
-        assert [item_of[digest] for _, digest in items] == list(range(len(items))), what
+        item_of = ExchangeLayout.of(tree.participants, body, (root.name, root.digest),
+                                    False).item_of
+        assert len(item_of) == len(body), what
+        assert [item_of[digest] for _, digest in body] == list(range(len(body))), what
         landed = instances_by_landing(parts, root, digests)
         assert list(landed.items()) == list(expected.items()), what
         for inst, ref in zip(landed.values(), expected.values()):
@@ -352,18 +352,17 @@ class _DeliveredPlan:
 
 def _exchange_queries(exchange, parties, digests):
     """The exchange's answers to the queries of ``_DeliveredPlan.queries``.
-    ``received`` takes an item: each digest maps to its item, body index or
-    ``len(body)`` for the final one, and a foreign digest reads as not
-    received."""
+    ``received`` takes a digest the layout signs, and a foreign digest
+    reads as not received."""
     everyone = parties + ("Z",)
     layout = exchange.layout
-    items = {digest: item for item, (_, digest) in enumerate([*layout.body, layout.final])}
+    signed = {digest for _, digest in (*layout.body, layout.final)}
     return {
         "complete": exchange.complete,
         "pending_from_others": [exchange.pending_from_others(p) for p in everyone],
         "first_blocker": exchange.first_blocker(),
         "owes": [exchange.owes(p) for p in everyone],
-        "received": [d in items and exchange.received(r, s, items[d])
+        "received": [d in signed and exchange.received(r, s, d)
                      for r in everyone for s in everyone for d in digests],
     }
 

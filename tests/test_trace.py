@@ -146,6 +146,30 @@ def test_the_shape_cache_stays_within_its_bound():
     trace = traced({}, events, {})
     assert trace.serialize() == serialize_by_dumps(trace)
     assert 0 < trace_module._line_format.cache_info().currsize <= bound
+    # So is the table of shapes that rows share.
+    assert 0 < len(trace_module._SHAPES) <= bound
+    assert trace_module._SHAPES[events[0].kind, *events[0].data] is trace.rows[-1][0]
+
+
+def test_rows_of_equal_shapes_share_one_tuple():
+    trace = traced({}, [Event(0, "A", "Kind", {"a": 1, "b": "x"}),
+                        Event(1, "B", "Other", {"a": 2}),
+                        Event(2, "C", "Kind", {"a": 3, "b": "y"})], {})
+    first, other, last = (row[0] for row in trace.rows)
+    assert first is last and first == ("Kind", "a", "b")
+    assert other is not first
+
+
+@pytest.mark.parametrize("keys", [(True, 1), (1, True), (1, 1.0, True, "1")])
+def test_equal_keys_of_other_types_read_back_their_own(keys):
+    """``True``, ``1`` and ``1.0`` are equal, so rows whose shapes hold
+    them must not share a shape: each event reads back its own key, and
+    its own kind."""
+    events = [Event(0, "A", "Flag", {key: 0}) for key in keys] + \
+        [Event(0, "A", key, {}) for key in keys]
+    read = traced({}, events, {}).events
+    assert [(type(e.kind), e.kind, [(type(k), k) for k in e.data]) for e in read] == \
+        [(type(e.kind), e.kind, [(type(k), k) for k in e.data]) for e in events]
 
 
 # -- long traces -------------------------------------------------------------
