@@ -183,38 +183,23 @@ def iter_preorder(tree: ContractTree, start: Optional[NodeId] = None) -> Iterato
         stack.extend(reversed(tree.node(node_id).children))
 
 
-def leaves(tree: ContractTree) -> List[NodeId]:
-    return [n for n in iter_preorder(tree) if not tree.node(n).children]
-
-
 def deepest_leaf_path(tree: ContractTree) -> List[NodeId]:
-    """Root-to-leaf path to the deepest leaf (ties broken by smallest id)."""
-    depth = {tree.root: 0}
-    for node_id in iter_preorder(tree):
-        for child in tree.node(node_id).children:
-            depth[child] = depth[node_id] + 1
-    best = min(leaves(tree), key=lambda n: (-depth[n], n))
-    return path_to(tree, best)
-
-
-def parent_map(tree: ContractTree) -> Dict[NodeId, NodeId]:
-    parents: Dict[NodeId, NodeId] = {}
-    for node_id in iter_preorder(tree):
-        for child in tree.node(node_id).children:
-            parents[child] = node_id
-    return parents
-
-
-def path_to(tree: ContractTree, node_id: NodeId) -> List[NodeId]:
-    """Node ids from the root down to ``node_id``, inclusive."""
-    tree.node(node_id)
-    parents = parent_map(tree)
-    path = [node_id]
+    """Root-to-leaf path to the deepest leaf (ties broken by smallest id),
+    from one walk that keeps each node's depth and parent."""
+    parent: Dict[NodeId, NodeId] = {}
+    best, stack = (0, tree.root), [(tree.root, 0)]  # the best leaf as (-depth, id)
+    while stack:
+        node_id, depth = stack.pop()
+        children = tree.node(node_id).children
+        for child in children:
+            parent[child] = node_id
+            stack.append((child, depth + 1))
+        if not children:
+            best = min(best, (-depth, node_id))
+    path = [best[1]]
     while path[-1] != tree.root:
-        if path[-1] not in parents:
-            raise UnknownNodeError(node_id)
-        path.append(parents[path[-1]])
-    return list(reversed(path))
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def resolve_path(tree: ContractTree, names: Sequence[str]) -> List[NodeId]:

@@ -39,6 +39,7 @@ from .contract import (
     OutputSpec,
     is_int,
 )
+from .exchange import Exchange, ExchangeLayout
 from .ledger import AppendError, TxInstance, make_tx
 from .trace import (
     FAILSAFE_TRIGGERED,
@@ -55,8 +56,6 @@ from .onchain import (
     ROLE_HEAD,
     ROLE_INIT,
     RUNNING,
-    Exchange,
-    ExchangeLayout,
     OnchainSession,
     ProtocolError,
     TreeParts,

@@ -96,7 +96,7 @@ class Action:
 
     A ``SEND`` delivers every message the actor can send now, as one burst
     that stops where phase gating would stop a message (see
-    ``onchain.Exchange.deliver``), without asking the strategy again; to
+    ``exchange.Exchange.deliver``), without asking the strategy again; to
     stop partway through an exchange, return ``WITHHOLD``.
 
     ``index`` is the ladder position of the graft a ``TARGET_GRAFT`` append

@@ -26,6 +26,7 @@ from operator import countOf, itemgetter
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
 
+from .exchange import ExchangeLayout
 from .ledger import AppendWitness, ChainState, TxInstance
 
 # Event kinds
@@ -53,7 +54,7 @@ TXSET_SHAPE = (TXSET_SENT, "count", "to")
 
 # A burst row, ``(_BURST, height, sender, layout, start, stop)``: the
 # messages at positions ``start`` to ``stop`` of ``sender``'s queue in the
-# exchange laid out as ``layout`` (``onchain.ExchangeLayout``), sent at
+# exchange laid out as ``layout`` (``exchange.ExchangeLayout``), sent at
 # ``height``.  Its kind is no ``str``, so no ``add`` row has its shape and
 # no read by kind matches it.
 _BURST = (object(),)
@@ -120,12 +121,6 @@ def _line_format(shape: Tuple) -> Tuple[str, Callable[[Tuple], Tuple]]:
     return fmt, pick
 
 
-def _txsets_end(row: Tuple) -> int:
-    """Where a burst row's transaction sets end and its signatures start:
-    transaction sets come first in every queue."""
-    return min(max(row[4], row[3].body_at), row[5])
-
-
 # The constant parts of the two message lines, which their values go
 # between: the actor, then the data values in sorted key order.  The last
 # part holds the height's ``%d``.
@@ -140,11 +135,10 @@ def _burst_text(row: Tuple) -> List[str]:
     ``TypeError``."""
     esc = encode_basestring_ascii
     _, height, sender, layout, start, stop = row
-    split, actor, texts = _txsets_end(row), esc(sender), []
+    split, actor, texts = layout.txsets_end(start, stop), esc(sender), []
     if start < split:
-        # A transaction set announces the body and the final item.
         first, count_at, to_at, tail = _TXSET_PARTS
-        head = first + actor + count_at + int.__repr__(len(layout.body) + 1) + to_at
+        head = first + actor + count_at + int.__repr__(layout.txset_count) + to_at
         tail %= height
         texts = [head + esc(to) + tail for to, _ in layout.segments(sender, start, split)]
     first, digest_at, to_at, tx_at, tail = _SIG_PARTS
@@ -204,8 +198,7 @@ def _plain(row: Tuple) -> Iterable[Tuple]:
     rows: List[Tuple] = []
     for to, items in layout.segments(sender, start, stop):
         if items is None:
-            # A transaction set announces the body and the final item.
-            rows.append((TXSET_SHAPE, height, sender, len(layout.body) + 1, to))
+            rows.append((TXSET_SHAPE, height, sender, layout.txset_count, to))
         else:
             rows += [(SIG_SHAPE, height, sender, digest, to, tx) for tx, digest in items]
     return rows
@@ -234,7 +227,8 @@ class Trace:
         shape = (kind, *data)
         self.rows.append((_SHAPES.get(shape) or _kept(shape), height, actor, *data.values()))
 
-    def add_burst(self, height: int, sender: str, layout: Tuple, start: int, stop: int) -> None:
+    def add_burst(self, height: int, sender: str, layout: ExchangeLayout, start: int,
+                  stop: int) -> None:
         """Write the messages at positions ``start`` to ``stop`` of
         ``sender``'s queue in the exchange laid out as ``layout``, sent at
         ``height``, as one row."""
@@ -244,7 +238,7 @@ class Trace:
         count = countOf(map(itemgetter(0), map(_SHAPE, self.rows)), kind)
         if kind in (SIGNATURE_SENT, TXSET_SENT):
             for row in (row for row in self.rows if row[0] is _BURST):
-                split = _txsets_end(row)
+                split = row[3].txsets_end(row[4], row[5])
                 count += split - row[4] if kind == TXSET_SENT else row[5] - split
         return count
 

@@ -52,9 +52,8 @@ from graftsim.contract import (
     NodeId,
     OutputSpec,
     StructuralError,
+    UnknownNodeError,
     iter_preorder,
-    leaves,
-    path_to,
     resolve_path,
     resolve_payout,
     subtree_heights,
@@ -73,10 +72,10 @@ from graftsim.ledger import (
     make_tx,
 )
 from graftsim.offchain import Graft, OffchainSession, compile_offchain
+from graftsim.exchange import Exchange
 from graftsim.onchain import (
     FAILSAFE,
     FINALIZED,
-    Exchange,
     OnchainSession,
     ProtocolError,
     TreeParts,
@@ -96,6 +95,42 @@ from graftsim.trace import (
 from graftsim.witness import EDGE, IMPLICIT, CommitmentSet, check_reveal, scenario_salt, sign
 
 _DRIVER_GUARD = 100_000
+
+
+def leaves(tree: ContractTree) -> List[NodeId]:
+    return [n for n in iter_preorder(tree) if not tree.node(n).children]
+
+
+def parent_map(tree: ContractTree) -> Dict[NodeId, NodeId]:
+    parents: Dict[NodeId, NodeId] = {}
+    for node_id in iter_preorder(tree):
+        for child in tree.node(node_id).children:
+            parents[child] = node_id
+    return parents
+
+
+def path_to(tree: ContractTree, node_id: NodeId) -> List[NodeId]:
+    """Node ids from the root down to ``node_id``, inclusive."""
+    tree.node(node_id)
+    parents = parent_map(tree)
+    path = [node_id]
+    while path[-1] != tree.root:
+        if path[-1] not in parents:
+            raise UnknownNodeError(node_id)
+        path.append(parents[path[-1]])
+    return list(reversed(path))
+
+
+def deepest_leaf_path_by_walks(tree: ContractTree) -> List[NodeId]:
+    """The reference for ``contract.deepest_leaf_path``: the depths from
+    one preorder walk, the deepest leaf (ties broken by smallest id) from
+    a second, and its path from a third, through ``parent_map``."""
+    depth = {tree.root: 0}
+    for node_id in iter_preorder(tree):
+        for child in tree.node(node_id).children:
+            depth[child] = depth[node_id] + 1
+    best = min(leaves(tree), key=lambda n: (-depth[n], n))
+    return path_to(tree, best)
 
 
 def subtree_size(tree: ContractTree, node_id: NodeId) -> int:

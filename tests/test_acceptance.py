@@ -15,7 +15,6 @@ import time
 from pathlib import Path
 
 from graftsim import harness, offchain
-from graftsim.contract import leaves, path_to
 from graftsim.harness import (
     MODE_OFFCHAIN,
     MODE_ONCHAIN,
@@ -39,7 +38,7 @@ from graftsim.trace import (
 from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
 from graftsim.witness import CommitmentSet, scenario_salt
 
-from drivers import finalize, offchain_step, plan_of, start_offchain, stipulate
+from drivers import finalize, leaves, offchain_step, path_to, plan_of, start_offchain, stipulate
 
 BO3_PATH = ("Bet", "L??", "LW?", "LWL")
 BO3_ORACLE = ((2, "L1"), (4, "W2"), (6, "L3"))

@@ -27,10 +27,7 @@ from graftsim.contract import (
     contract_to_dict,
     deepest_leaf_path,
     iter_preorder,
-    leaves,
     load_contract_file,
-    parent_map,
-    path_to,
     resolve_path,
     resolve_payout,
     subtree_heights,
@@ -44,7 +41,11 @@ from graftsim.witness import CommitmentSet
 
 from drivers import (
     balance_at,
+    deepest_leaf_path_by_walks,
     leaf_errors_by_fractions,
+    leaves,
+    parent_map,
+    path_to,
     subtree_height,
     subtree_heights_by_preorder,
     subtree_size,
@@ -122,6 +123,36 @@ class TestQueries:
         path = deepest_leaf_path(bo3_tree)
         assert len(path) == 4  # a depth-3 leaf, not a depth-2 one
         assert names(bo3_tree, path)[1] == "W??"  # first subtree wins ties
+
+    def test_deepest_leaf_path_ties_go_to_the_smallest_id_not_the_first(self, three_party):
+        # T4 (id 4) and T5 (id 5) are the depth-2 leaves; preorder lists T1,
+        # T4, T5, T3, so the ids of the leaves are not in preorder.
+        path = deepest_leaf_path(three_party)
+        assert names(three_party, path) == ["T0", "T2", "T4"]
+        assert path == deepest_leaf_path_by_walks(three_party)
+
+
+def relabeled(tree, order):
+    """``tree`` with its node ids renumbered in ``order``, the i-th id of
+    the preorder becoming ``order[i]``, so that ids need not follow the
+    preorder, nor ties between leaves of equal depth the walk."""
+    new = dict(zip(iter_preorder(tree), order))
+    nodes = {new[i]: replace(node, id=new[i], children=tuple(new[c] for c in node.children))
+             for i, node in tree.nodes.items()}
+    return replace(tree, root=new[tree.root], nodes=nodes)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 10**6), length=st.integers(1, 40), height=st.integers(0, 5),
+       data=st.data())
+def test_deepest_leaf_path_equals_the_three_walks(seed, length, height, data):
+    """The one-walk path against the reference's three walks, over a
+    drawn ``random_tree``, a chain, a complete binary tree and each of
+    them with its ids shuffled."""
+    for tree in (random_tree(seed)[0], chain_tree(length), complete_binary_tree(height)):
+        order = data.draw(st.permutations(range(len(tree.nodes))), label="order")
+        for case in (tree, relabeled(tree, order)):
+            assert deepest_leaf_path(case) == deepest_leaf_path_by_walks(case)
 
 
 def _edit_node(node_id, **fields):

@@ -1,5 +1,6 @@
 """Invariant checks over randomized inputs."""
 
+import copy as copy_module
 import dataclasses
 import itertools
 import pickle
@@ -15,12 +16,11 @@ from graftsim.contract import (
     contract_to_dict,
     deepest_leaf_path,
     iter_preorder,
-    leaves,
-    path_to,
     resolve_path,
     resolve_payout,
     validate_tree,
 )
+from graftsim.exchange import Exchange, ExchangeLayout
 from graftsim.harness import (
     MODE_OFFCHAIN,
     MODE_ONCHAIN,
@@ -34,10 +34,9 @@ from graftsim.harness import (
 )
 from graftsim.ledger import TxInstance
 from graftsim.offchain import compile_offchain
-from graftsim.onchain import (
-    Exchange, ExchangeLayout, compile_onchain, compile_subtree, make_deposits,
-)
+from graftsim.onchain import compile_onchain, compile_subtree, make_deposits
 from graftsim.strategies import NEVER, WITHHOLD, Action, Observation
+from graftsim import trace as trace_module
 from graftsim.trace import (
     GRAFT_PROPOSED,
     GRAFT_SEALED,
@@ -59,9 +58,11 @@ from drivers import (
     instances_by_landing,
     instantiate_by_make_tx,
     landings_checked,
+    leaves,
     next_for,
     observations_checked,
     offchain_step,
+    path_to,
     plan_of,
     run_blockwise,
     run_per_message,
@@ -155,6 +156,20 @@ def _compilations(tree, seed, t):
                    args)
 
 
+def _assert_filled_layout_keeps_its_contract(filled, fresh, what):
+    """A layout whose derived facts are filled (``item_of``, ``rank``)
+    still equals and hashes as a fresh one of the same inputs, which has
+    neither, and so does its ``pickle`` and ``deepcopy`` round trip; a
+    burst row holding it stays hashable."""
+    assert filled.rank and {"item_of", "rank"} <= set(vars(filled)), what
+    assert not {"item_of", "rank"} & set(vars(fresh)), what
+    for kept in (filled, pickle.loads(pickle.dumps(filled)), copy_module.deepcopy(filled)):
+        assert kept == fresh and hash(kept) == hash(fresh), what
+        assert kept.item_of == filled.item_of and kept.rank == filled.rank, what
+    row = (trace_module._BURST, 1, filled.participants[0], filled, 0, filled.size)
+    assert hash(row) == hash(row[:3] + (fresh,) + row[4:]), what
+
+
 def _assert_compiled_by_make_tx(tree, seed, t):
     """Each compilation's digests are the reference's, in preorder; its
     root instance, and every instance a session would build on landing,
@@ -165,10 +180,12 @@ def _assert_compiled_by_make_tx(tree, seed, t):
         expected = instantiate_by_make_tx(tree, commitments, salt, *args)
         assert list(digests.items()) == [(n, tx.digest) for n, tx in expected.items()], what
         assert body == body_items(parts, digests), what
-        item_of = ExchangeLayout.of(tree.participants, body, (root.name, root.digest),
-                                    False).item_of
+        inputs = (tree.participants, body, (root.name, root.digest), False)
+        layout = ExchangeLayout.of(*inputs)
+        item_of = layout.item_of
         assert len(item_of) == len(body), what
         assert [item_of[digest] for _, digest in body] == list(range(len(body))), what
+        _assert_filled_layout_keeps_its_contract(layout, ExchangeLayout.of(*inputs), what)
         landed = instances_by_landing(parts, root, digests)
         assert list(landed.items()) == list(expected.items()), what
         for inst, ref in zip(landed.values(), expected.values()):

@@ -1,6 +1,7 @@
 """Source checks that need no linter: every import in the package is
-used, and every public name and every module-level constant it defines
-has a reader outside the tests."""
+used, every public name and every module-level constant it defines has a
+reader outside the tests, and its imports of its own modules form no
+cycle, ``exchange`` importing none of them."""
 
 import ast
 from pathlib import Path
@@ -160,3 +161,94 @@ def test_the_check_sees_an_unread_constant():
                      "    FIELD = 6\n")}
     reader = "from m import FROM_READER, K\nimport m\nm.read()\n"
     assert unread_public_names(package, [reader]) == ["m.UNREAD", "m._UNUSED", "m._cache"]
+
+
+def package_imports(package: dict) -> dict:
+    """Each module's imports of the package's own modules, for ``package``
+    (module name -> source): ``from .x import y``, ``from graftsim.x
+    import y`` and ``import graftsim.x`` import ``x``, and so does ``from
+    . import x`` or ``from graftsim import x`` where ``x`` is a module;
+    any other import of ``graftsim`` imports ``__init__``.  Imports inside
+    functions count too."""
+    def target(name: str) -> str:
+        return name if name in package else "__init__"
+    graph = {}
+    for module, source in package.items():
+        found = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    head, _, rest = alias.name.partition(".")
+                    if head == "graftsim":
+                        found.add(target(rest.split(".")[0]))
+            elif isinstance(node, ast.ImportFrom):
+                head, _, rest = (node.module or "").partition(".")
+                if node.level:
+                    sub = head
+                elif head == "graftsim":
+                    sub = rest.split(".")[0]
+                else:
+                    continue
+                found.update([target(sub)] if sub else (target(a.name) for a in node.names))
+        graph[module] = found
+    return graph
+
+
+def import_cycle(graph: dict) -> list:
+    """A cycle of ``graph`` (module -> the modules it imports), as its
+    modules in import order with the first repeated last, or [] if the
+    imports form none."""
+    done, path = set(), []
+
+    def visit(module: str) -> list:
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done:
+            return []
+        path.append(module)
+        for imported in sorted(graph.get(module, ())):
+            cycle = visit(imported)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(module)
+        return []
+
+    for module in sorted(graph):
+        cycle = visit(module)
+        if cycle:
+            return cycle
+    return []
+
+
+def _package_graph() -> dict:
+    return package_imports({p.stem: p.read_text(encoding="utf-8")
+                            for p in sorted(PACKAGE.glob("*.py"))})
+
+
+def test_exchange_imports_nothing_from_the_package():
+    graph = _package_graph()
+    assert graph["exchange"] == set()
+    assert {"exchange", "trace"} <= graph["onchain"] and "exchange" in graph["trace"]
+
+
+def test_the_package_imports_form_no_cycle():
+    graph = _package_graph()
+    assert set(graph["__init__"]) >= {"contract", "harness", "onchain", "offchain"}
+    assert import_cycle(graph) == []
+
+
+def test_the_check_sees_an_import_cycle():
+    package = {"a": "from .b import f\n",
+               "b": "import graftsim.c, json\n",
+               "c": "def g():\n    from graftsim import a\n",
+               "d": "from . import b, name\n",
+               "e": "from graftsim.a import x\nimport graftsim\nfrom os import path\n",
+               "f": "import graftsimx\nfrom json import graftsim\n"}
+    graph = package_imports(package)
+    assert graph == {"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"b", "__init__"},
+                     "e": {"a", "__init__"}, "f": set()}
+    assert import_cycle(graph) == ["a", "b", "c", "a"]
+    del graph["c"]
+    assert import_cycle(graph) == []
+    assert import_cycle({"x": {"x"}}) == ["x", "x"]

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from drivers import EventListTrace, exchange_plan, serialize_by_dumps, strategies_added
 from graftsim import harness, trace as trace_module
 from graftsim.contract import PayoutShare, deepest_leaf_path
+from graftsim.exchange import Exchange, ExchangeLayout
 from graftsim.harness import (
     MODE_OFFCHAIN,
     MODE_ONCHAIN,
@@ -25,7 +26,7 @@ from graftsim.harness import (
     run,
 )
 from graftsim.strategies import honest
-from graftsim.onchain import Exchange, ExchangeLayout, OnchainSession
+from graftsim.onchain import OnchainSession
 from graftsim.trace import SIG_SHAPE, SIGNATURE_SENT, TXSET_SENT, Event, Trace
 from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
 from test_acceptance import _bo3_attack_matrix, _random_attack_cases
@@ -236,8 +237,9 @@ def bursts(draw):
     parties = draw(PARTIES)
     exchange = Exchange(ExchangeLayout.of(parties, draw(st.lists(ITEM, max_size=9)), draw(ITEM),
                                           draw(st.booleans())))
-    inner = draw(st.lists(st.integers(1, max(1, exchange.size - 1)), max_size=6))
-    cuts = sorted({0, exchange.size, *(c for c in inner if c < exchange.size)})
+    size = exchange.layout.size
+    inner = draw(st.lists(st.integers(1, max(1, size - 1)), max_size=6))
+    cuts = sorted({0, size, *(c for c in inner if c < size)})
     return draw(HEIGHTS), draw(st.sampled_from(parties)), exchange, cuts
 
 
@@ -322,7 +324,7 @@ def test_every_index_of_a_view_reads_its_event():
     index, from either end, finds its row and its message in it."""
     exchange = Exchange(ExchangeLayout.of("ABCDE", [("T1", "d1"), ("T2", "d2")], ("R", "dr"), True))
     trace, events = Trace({}), []
-    for start, stop in ((0, 3), (3, 5), (5, 6), (6, 13), (13, exchange.size)):
+    for start, stop in ((0, 3), (3, 5), (5, 6), (6, 13), (13, exchange.layout.size)):
         trace.add_burst(1, "C", exchange.layout, start, stop)
         events += _burst_events(1, "C", exchange, start, stop)
     trace.add(2, "A", "Middle", {})

@@ -7,13 +7,12 @@ from graftsim.contract import (
     contract_to_dict,
     deepest_leaf_path,
     iter_preorder,
-    leaves,
     resolve_path,
     validate_tree,
 )
 from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
 
-from drivers import subtree_height
+from drivers import leaves, subtree_height
 
 
 class TestChain:
