@@ -9,22 +9,24 @@ stands for one ``TxSetSent`` or ``SignatureSent`` event per position.
 ``Trace.events`` builds a fresh list of the events on each read;
 ``count`` and ``find`` expand a burst only for those two kinds.  Events
 serialize to JSON Lines with sorted keys, so two runs of the same
-scenario produce byte-identical files; a burst's lines are formatted
-with its sender and height encoded once, and each recipient once.  A
-trace also keeps the actual (instance, witness) pairs of every
-successful append, which lets tests re-apply just the appends to a
-fresh ledger and compare terminal states.
+scenario produce byte-identical files.  ``serialize`` appends each line
+to one list of pieces, newline included, and joins the list once.  A
+burst's signatures go in by reference: five pieces each, the layout's
+own digest and subject among them, with its sender and height encoded
+once and each recipient once.  A trace also keeps the actual (instance,
+witness) pairs of every successful append, which lets tests re-apply
+just the appends to a fresh ledger and compare terminal states.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import countOf, itemgetter
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple, Union
 
 from .exchange import ExchangeLayout
 from .ledger import AppendWitness, ChainState, TxInstance
@@ -114,7 +116,7 @@ def _line_format(shape: Tuple) -> Tuple[str, Callable[[Tuple], Tuple]]:
         return _ENCODER.encode(text).replace("%", "%%")
     order = sorted(range(len(keys)), key=keys.__getitem__)
     fields = ",".join(quoted(keys[i]) + ":%s" for i in order)
-    fmt = '{"actor":%s,"data":{' + fields + '},"height":%d,"kind":' + quoted(kind) + "}"
+    fmt = '{"actor":%s,"data":{' + fields + '},"height":%d,"kind":' + quoted(kind) + "}\n"
     columns = (2, *(3 + i for i in order))
     # ``itemgetter`` of one index returns the item, not a 1-tuple.
     pick = itemgetter(*columns) if keys else (lambda row: (row[2],))
@@ -123,56 +125,94 @@ def _line_format(shape: Tuple) -> Tuple[str, Callable[[Tuple], Tuple]]:
 
 # The constant parts of the two message lines, which their values go
 # between: the actor, then the data values in sorted key order.  The last
-# part holds the height's ``%d``.
-_TXSET_PARTS, _SIG_PARTS = (_line_format(s)[0].split("%s") for s in (TXSET_SHAPE, SIG_SHAPE))
+# part holds the height's ``%d`` and the line's newline.  A signature's
+# values are all ``str``: ``_SIG_PARTS[True]`` holds their quotes too, for
+# values that go in bare (``_bare``).
+_TXSET_PARTS = _line_format(TXSET_SHAPE)[0].split("%s")
+_SIG_PARTS = {bare: _line_format(SIG_SHAPE)[0].replace("%s", '"%s"' if bare else "%s").split("%s")
+              for bare in (False, True)}
+_SUBJECT, _DIGEST = itemgetter(0), itemgetter(1)
+# The bytes of printable ASCII but ``"`` and ``\\``: the characters a JSON
+# string holds as they are.
+_AS_IS = bytes(range(0x20, 0x7F)).translate(None, b'"\\')
 
 
-def _burst_text(row: Tuple) -> List[str]:
-    """A burst row's lines: its transaction sets, then its signatures, one
-    string per recipient, in C alone.  Each line is its shape's constant
-    parts joined with its values, so the sender, the height and each
-    recipient are encoded once.  A value that is not a ``str`` raises
-    ``TypeError``."""
-    esc = encode_basestring_ascii
+def _bare(layout: ExchangeLayout) -> bool:
+    """Is every string of ``layout`` its own JSON text once quoted?  It
+    is if the strings joined are ASCII and deleting every byte of
+    ``_AS_IS`` from them leaves none, all in C.  A value that is not a
+    ``str`` answers no."""
+    try:
+        text = "".join([*layout.participants, *chain.from_iterable(layout.body), *layout.final])
+    except TypeError:
+        return False
+    return text.isascii() and not text.encode("ascii").translate(None, _AS_IS)
+
+
+def _burst_pieces(pieces: List[str], row: Tuple, bare: bool) -> None:
+    """Append a burst row's lines to ``pieces``: its transaction sets,
+    then its signatures.  A signature is five pieces: the burst's head,
+    the digest, the recipient's middle, the subject and the burst's
+    end, so the sender and the height are encoded once per burst and
+    each recipient once per segment.  If ``bare``, the layout's strings
+    go in as they are, and the quotes are part of the constant pieces;
+    otherwise each goes in as its ``encode_basestring_ascii`` form.  A
+    value that is not a ``str`` raises ``TypeError``, with part of the
+    burst written."""
     _, height, sender, layout, start, stop = row
-    split, actor, texts = layout.txsets_end(start, stop), esc(sender), []
+    # ``str.__str__`` gives a ``str`` itself back, and a subclass's text.
+    text = str.__str__ if bare else encode_basestring_ascii
+    split, actor = layout.txsets_end(start, stop), text(sender)
     if start < split:
+        q = '"' * bare
         first, count_at, to_at, tail = _TXSET_PARTS
-        head = first + actor + count_at + int.__repr__(layout.txset_count) + to_at
-        tail %= height
-        texts = [head + esc(to) + tail for to, _ in layout.segments(sender, start, split)]
-    first, digest_at, to_at, tx_at, tail = _SIG_PARTS
-    head, tail = first + actor + digest_at, tail % height
+        head = first + q + actor + q + count_at + int.__repr__(layout.txset_count) + to_at + q
+        end = q + tail % height
+        for to, _ in layout.segments(sender, start, split):
+            pieces += (head, text(to), end)
+    first, digest_at, to_at, tx_at, tail = _SIG_PARTS[bare]
+    head, end = first + actor + digest_at, tail % height
     for to, items in layout.segments(sender, split, stop):
-        mid = to_at + esc(to) + tx_at
+        mid = to_at + text(to) + tx_at
         if len(items) == 1:
-            # One message, as most are when a burst has many recipients:
-            # no list to build and join.
+            # One message, as most are when a burst has many recipients.
             (tx, digest), = items
-            texts.append(head + esc(digest) + mid + esc(tx) + tail)
+            if not bare:
+                tx, digest = text(tx), text(digest)
+            pieces += (head, digest, mid, tx, end)
         else:
-            texts.append(head + (tail + "\n" + head).join([esc(digest) + mid + esc(tx)
-                                                          for tx, digest in items]) + tail)
-    return texts
+            digests, subjects = map(_DIGEST, items), map(_SUBJECT, items)
+            if not bare:
+                digests, subjects = map(text, digests), map(text, subjects)
+            pieces += chain.from_iterable(zip(repeat(head), digests, repeat(mid), subjects,
+                                              repeat(end)))
 
 
-def _row_lines(rows: Iterable[Tuple]) -> Iterator[str]:
-    """Each row's line, filled into its shape's cached format with each
-    value encoded by its type (``_TEXT_OF``): the bytes of ``json.dumps``
-    with sorted keys and compact separators, for an ``int`` height and
-    ``str`` data keys.  A burst row gives its lines by recipient
-    (``_burst_text``), or, if it holds a value that is not a ``str``, as
-    the rows of its messages."""
+def _row_pieces(pieces: List[str], rows: Iterable[Tuple], bare_of: Dict[int, bool]) -> None:
+    """Append each row's lines to ``pieces``.  A plain row is its line,
+    filled into its shape's cached format with each value encoded by its
+    type (``_TEXT_OF``): the bytes of ``json.dumps`` with sorted keys and
+    compact separators, for an ``int`` height and ``str`` data keys.  A
+    burst row goes in by ``_burst_pieces``, bare if its layout is, which
+    ``bare_of`` keeps by the layout's ``id``: the rows keep every layout
+    alive, so no two share an ``id``.  If the burst holds a value that is
+    not a ``str``, what it wrote is cut, and it goes in as its messages'
+    rows."""
     enc, text_of = _ENCODER.encode, _TEXT_OF.get
     for row in rows:
         if row[0] is _BURST:
+            key, mark = id(row[3]), len(pieces)
+            bare = bare_of.get(key)
+            if bare is None:
+                bare = bare_of[key] = _bare(row[3])
             try:
-                yield from _burst_text(row)
+                _burst_pieces(pieces, row, bare)
             except TypeError:
-                yield from _row_lines(_plain(row))
+                del pieces[mark:]
+                _row_pieces(pieces, _plain(row), bare_of)
         else:
             fmt, pick = _line_format(row[0])
-            yield fmt % (*[text_of(type(v), enc)(v) for v in pick(row)], row[1])
+            pieces.append(fmt % (*[text_of(type(v), enc)(v) for v in pick(row)], row[1]))
 
 
 class Event(NamedTuple):
@@ -248,12 +288,12 @@ class Trace:
                 for plain in _plain(row) if plain[0][0] == kind]
 
     def serialize(self) -> str:
-        lines = [_ENCODER.encode({"type": "header", **self.header})]
-        lines.extend(_row_lines(self.rows))
-        lines.append(_ENCODER.encode({"type": "summary", **self.summary}))
-        # The closing newline, so the text is joined once and not copied.
-        lines.append("")
-        return "\n".join(lines)
+        """The trace as JSON Lines, each line closed by ``"\\n"``: its
+        pieces go into one list, which is joined once."""
+        pieces = [_ENCODER.encode({"type": "header", **self.header}), "\n"]
+        _row_pieces(pieces, self.rows, {})
+        pieces += (_ENCODER.encode({"type": "summary", **self.summary}), "\n")
+        return "".join(pieces)
 
     def write(self, path: Union[str, Path]) -> None:
         # ``newline=""`` writes each "\n" as it is, on every platform.
