@@ -28,15 +28,12 @@ from .harness import (
     Comparison,
     MODE_OFFCHAIN,
     MODE_ONCHAIN,
-    Report,
     Scenario,
     ScenarioError,
     bundled_data_dir,
     bundled_scenarios,
     compare,
     load_scenario,
-    message_census,
-    report_from_trace,
     run,
     scenario_from_dict,
 )
@@ -55,10 +52,9 @@ __all__ = [
     "PayoutShare", "SecretDecl", "StructuralError",
     "contract_from_dict", "contract_to_dict", "load_contract_file",
     "resolve_path", "validate_tree",
-    "Comparison", "MODE_OFFCHAIN", "MODE_ONCHAIN", "Report", "Scenario",
+    "Comparison", "MODE_OFFCHAIN", "MODE_ONCHAIN", "Scenario",
     "ScenarioError", "bundled_data_dir", "bundled_scenarios", "compare",
-    "load_scenario", "message_census", "report_from_trace", "run",
-    "scenario_from_dict",
+    "load_scenario", "run", "scenario_from_dict",
     "AppendError", "AppendWitness", "ChainState", "TxInstance",
     "OffchainSession", "compile_offchain",
     "OnchainSession", "ProtocolError", "compile_onchain",

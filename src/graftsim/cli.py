@@ -25,7 +25,6 @@ from .harness import (
     bundled_data_dir,
     compare,
     load_scenario,
-    report_from_trace,
     run,
 )
 from .trace import OUTCOME_HEIGHT_CAP
@@ -81,26 +80,26 @@ def cmd_run(args: argparse.Namespace) -> int:
         except OSError as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_BAD_INPUT
-    report = report_from_trace(trace)
-    print(f"label: {report.label} ({report.mode})")
-    print(f"outcome: {report.outcome}")
-    print(f"final height: {report.final_height}")
-    print(f"transactions: {report.onchain_tx_count}  fees: {report.fees_paid}")
-    print(f"signature messages: {report.message_count}")
-    print(f"payouts: {_fmt_payouts(report.payouts)}")
-    for name, _, height, _ in trace.summary["appended"]:
+    summary = trace.summary
+    print(f"label: {scenario.label} ({scenario.mode})")
+    print(f"outcome: {summary['outcome']}")
+    print(f"final height: {summary['final_height']}")
+    print(f"transactions: {summary['onchain_tx_count']}  fees: {summary['fees_paid']}")
+    print(f"signature messages: {summary['message_count']}")
+    print(f"payouts: {_fmt_payouts(summary['payouts'])}")
+    for name, _, height, _ in summary["appended"]:
         print(f"  {name} @{height}")
-    return EXIT_HEIGHT_CAP if report.outcome == OUTCOME_HEIGHT_CAP else EXIT_OK
+    return EXIT_HEIGHT_CAP if summary["outcome"] == OUTCOME_HEIGHT_CAP else EXIT_OK
 
 
 def _fmt_comparison(comparison: Comparison) -> str:
     off, on = comparison.offchain, comparison.onchain
     rows = [
-        ("transactions on chain", off.onchain_tx_count, on.onchain_tx_count),
-        ("fees paid", off.fees_paid, on.fees_paid),
-        ("completion height", off.completion_height, on.completion_height),
-        ("signature messages", off.message_count, on.message_count),
-        ("final payout", _fmt_payouts(off.payouts), _fmt_payouts(on.payouts)),
+        ("transactions on chain", off["onchain_tx_count"], on["onchain_tx_count"]),
+        ("fees paid", off["fees_paid"], on["fees_paid"]),
+        ("completion height", off["completion_height"], on["completion_height"]),
+        ("signature messages", off["message_count"], on["message_count"]),
+        ("final payout", _fmt_payouts(off["payouts"]), _fmt_payouts(on["payouts"])),
     ]
     lines = [f"{'':24}{'off-chain':>12}{'on-chain':>12}"]
     for label, left, right in rows:
@@ -122,7 +121,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
     print(_fmt_comparison(comparison))
-    bad = (OUTCOME_HEIGHT_CAP in (comparison.offchain.outcome, comparison.onchain.outcome))
+    bad = OUTCOME_HEIGHT_CAP in (comparison.offchain["outcome"], comparison.onchain["outcome"])
     return EXIT_HEIGHT_CAP if bad else EXIT_OK
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Set, Tuple, Union
 
 # Beneficiary sentinel for the single output of an internal node, spent by
 # whichever child transaction is appended next.
@@ -175,8 +175,8 @@ class StructuralError:
 # ---------------------------------------------------------------------------
 # Structural queries
 
-def iter_preorder(tree: ContractTree, start: Optional[NodeId] = None) -> Iterator[NodeId]:
-    stack = [tree.root if start is None else start]
+def iter_preorder(tree: ContractTree) -> Iterator[NodeId]:
+    stack = [tree.root]
     while stack:
         node_id = stack.pop()
         yield node_id
@@ -227,11 +227,10 @@ def resolve_path(tree: ContractTree, names: Sequence[str]) -> List[NodeId]:
     return ids
 
 
-def subtree_heights(tree: ContractTree, start: Optional[NodeId] = None) -> Dict[NodeId, int]:
-    """``subtree_height`` of each node in the subtree at ``start`` (default: root)."""
+def subtree_heights(tree: ContractTree) -> Dict[NodeId, int]:
+    """Each node's ``subtree_height``: the edges on its longest path to a leaf."""
     nodes = tree.nodes
-    order = [tree.root if start is None else start]
-    tree.node(order[0])  # an unknown start raises UnknownNodeError
+    order = [tree.root]
     # Breadth first, each node's children appended as the loop reaches
     # it; reversed, the order visits every child before its parent.
     below = []

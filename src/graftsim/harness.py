@@ -29,7 +29,7 @@ import importlib.resources
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .contract import (
     MAX_AMOUNT,
@@ -40,7 +40,6 @@ from .contract import (
     UnknownNodeError,
     contract_from_dict,
     contract_to_dict,
-    deepest_leaf_path,
     is_int,
     is_utf8,
     load_contract_file,
@@ -131,11 +130,6 @@ def _integer(data: Dict, key: str, default: int, low: int,
     return value
 
 
-def _require_leaf(tree: ContractTree, path_ids: Sequence[NodeId]) -> None:
-    if not path_ids or tree.node(path_ids[-1]).children:
-        raise ScenarioError("the scenario path must end at a leaf")
-
-
 def scenario_from_dict(data: Dict, base_dir: Union[str, Path, None] = None) -> Scenario:
     """Build a Scenario from parsed JSON; ``contract`` paths are resolved
     relative to ``base_dir`` (the scenario file's directory)."""
@@ -186,7 +180,8 @@ def scenario_from_dict(data: Dict, base_dir: Union[str, Path, None] = None) -> S
         raise ScenarioError(f"the scenario path names unknown node {err}") from None
     except PathError as err:
         raise ScenarioError(f"the scenario path {err}") from None
-    _require_leaf(tree, path_ids)
+    if not path_ids or tree.node(path_ids[-1]).children:
+        raise ScenarioError("the scenario path must end at a leaf")
     try:
         oracle = tuple((h, lbl) for h, lbl in data.get("oracle", []))
     except (TypeError, ValueError):
@@ -502,41 +497,10 @@ def run(scenario: Scenario) -> Trace:
 
 
 @dataclass(frozen=True)
-class Report:
-    label: str
-    mode: str
-    outcome: str
-    onchain_tx_count: int
-    fees_paid: int
-    completion_height: Optional[int]
-    final_height: int
-    message_count: int
-    deposits: int
-    payouts: Dict[str, int]
-
-
-def report_from_trace(trace: Trace) -> Report:
-    summary = trace.summary
-    if not summary:
-        raise ValueError("trace has no terminal summary")
-    return Report(
-        label=trace.header.get("label", ""),
-        mode=trace.header.get("mode", ""),
-        outcome=summary["outcome"],
-        onchain_tx_count=summary["onchain_tx_count"],
-        fees_paid=summary["fees_paid"],
-        completion_height=summary["completion_height"],
-        final_height=summary["final_height"],
-        message_count=summary["message_count"],
-        deposits=summary["deposits"],
-        payouts=dict(summary["payouts"]),
-    )
-
-
-@dataclass(frozen=True)
 class Comparison:
-    offchain: Report
-    onchain: Report
+    """Two runs' results, each run's ``trace.summary``, side by side."""
+    offchain: Dict
+    onchain: Dict
     fees_saved_vs_baseline: int
     extra_delay_blocks: int
 
@@ -559,42 +523,12 @@ def compare(offchain_scenario: Scenario, onchain_scenario: Scenario) -> Comparis
         raise ValueError("scenarios follow different branches")
     if offchain_scenario.oracle != onchain_scenario.oracle:
         raise ValueError("scenarios use different oracle schedules")
-    off_report = report_from_trace(run(offchain_scenario))
-    on_report = report_from_trace(run(onchain_scenario))
-    off_done = off_report.completion_height
-    on_done = on_report.completion_height
+    off = run(offchain_scenario).summary
+    on = run(onchain_scenario).summary
+    off_done, on_done = off["completion_height"], on["completion_height"]
     delay = (off_done - on_done) if off_done is not None and on_done is not None else 0
     return Comparison(
-        offchain=off_report, onchain=on_report,
-        fees_saved_vs_baseline=on_report.fees_paid - off_report.fees_paid,
+        offchain=off, onchain=on,
+        fees_saved_vs_baseline=on["fees_paid"] - off["fees_paid"],
         extra_delay_blocks=delay,
     )
-
-
-def message_census(tree: ContractTree, path_names: Optional[Sequence[str]] = None,
-                   *, mode: str = MODE_OFFCHAIN, t: int = 1, seed: int = 0) -> int:
-    """Count the signature messages of a cooperative ``run`` of ``tree``.
-
-    Every participant plays ``honest`` along ``path_names``, or the path
-    to the deepest leaf, and every secret no participant owns is revealed
-    at height 0.  Raises ``ValueError`` if the run ends anywhere but the
-    leaf.
-    """
-    if path_names is None:
-        path_names = [tree.node(i).name for i in deepest_leaf_path(tree)]
-    path_ids = resolve_path(tree, list(path_names))
-    _require_leaf(tree, path_ids)
-    scenario = Scenario(
-        label="census", tree=tree, mode=mode,
-        strategies={p: ("honest", {}) for p in tree.participants},
-        path=tuple(path_names),
-        oracle=tuple((0, s.label) for s in tree.secrets
-                     if s.owner not in tree.participants),
-        t=t, seed=seed)
-    # The default cap leaves no room for the edge waits along the path.
-    scenario.height_cap = default_height_cap(scenario, tree.compiled.heights[tree.root]) + sum(
-        tree.node(i).edge.wait for i in path_ids[1:])
-    summary = run(scenario).summary
-    if summary["outcome"] != OUTCOME_LEAF:
-        raise ValueError(f"the census run ended at {summary['outcome']}, not at the leaf")
-    return summary["message_count"]

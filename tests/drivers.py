@@ -31,8 +31,11 @@ node's encoding, each computed the direct way.
 every field computed up front.  ``serialize_by_dumps`` is the reference
 for trace serialization: one ``json.dumps`` per line.  ``EventListTrace``
 is the reference for the trace's rows: the events kept as a list of
-``Event``s and every read a scan of that list.  ``subtree_size``
-and ``balance_at`` are small queries only the tests need.
+``Event``s and every read a scan of that list.  ``message_census``
+counts the signature messages of a cooperative ``run``, which the closed
+forms of ``model.py`` are checked against.  ``preorder_from``,
+``subtree_size``, ``subtree_height`` and ``balance_at`` are small
+queries only the tests need.
 """
 
 import json
@@ -53,11 +56,13 @@ from graftsim.contract import (
     OutputSpec,
     StructuralError,
     UnknownNodeError,
+    deepest_leaf_path,
     iter_preorder,
     resolve_path,
     resolve_payout,
     subtree_heights,
 )
+from graftsim import harness
 from graftsim.harness import Scenario, _Engine, run
 from graftsim.ledger import (
     AppendError,
@@ -133,14 +138,23 @@ def deepest_leaf_path_by_walks(tree: ContractTree) -> List[NodeId]:
     return path_to(tree, best)
 
 
+def preorder_from(tree: ContractTree, node_id: NodeId) -> Iterator[NodeId]:
+    """The subtree at ``node_id`` in preorder, ``node_id`` first."""
+    stack = [node_id]
+    while stack:
+        node_id = stack.pop()
+        yield node_id
+        stack.extend(reversed(tree.node(node_id).children))
+
+
 def subtree_size(tree: ContractTree, node_id: NodeId) -> int:
     """Number of nodes in the subtree at ``node_id``, itself included."""
-    return sum(1 for _ in iter_preorder(tree, node_id))
+    return sum(1 for _ in preorder_from(tree, node_id))
 
 
 def subtree_height(tree: ContractTree, node_id: NodeId) -> int:
     """Number of edges on the longest path from ``node_id`` to a leaf."""
-    return subtree_heights(tree, node_id)[node_id]
+    return subtree_heights(tree)[node_id]
 
 
 def balance_at(tree: ContractTree, node_id: NodeId) -> int:
@@ -521,6 +535,38 @@ def finalize(session: OffchainSession,
                     f"continuation to {tx.name} rejected: {error.code}")
     summarize_run(session.trace, session.chain, OUTCOME_LEAF)
     return session.trace
+
+
+def message_census(tree: ContractTree, path_names: Optional[Sequence[str]] = None,
+                   *, mode: str = "offchain", t: int = 1, seed: int = 0) -> int:
+    """Count the signature messages of a cooperative ``run`` of ``tree``.
+
+    Every participant plays ``honest`` along ``path_names``, or the path
+    to the deepest leaf, and every secret no participant owns is revealed
+    at height 0.  Raises ``ValueError`` if the run ends anywhere but the
+    leaf.  The cap is ``harness.default_height_cap``, looked up on the
+    module so a test can patch it, plus the edge waits along the path,
+    for which the default cap leaves no room.
+    """
+    if path_names is None:
+        path_names = [tree.node(i).name for i in deepest_leaf_path(tree)]
+    path_ids = resolve_path(tree, list(path_names))
+    if not path_ids or tree.node(path_ids[-1]).children:
+        raise ValueError("the census path must end at a leaf")
+    scenario = Scenario(
+        label="census", tree=tree, mode=mode,
+        strategies={p: ("honest", {}) for p in tree.participants},
+        path=tuple(path_names),
+        oracle=tuple((0, s.label) for s in tree.secrets
+                     if s.owner not in tree.participants),
+        t=t, seed=seed)
+    scenario.height_cap = harness.default_height_cap(
+        scenario, tree.compiled.heights[tree.root]) + sum(
+        tree.node(i).edge.wait for i in path_ids[1:])
+    summary = run(scenario).summary
+    if summary["outcome"] != OUTCOME_LEAF:
+        raise ValueError(f"the census run ended at {summary['outcome']}, not at the leaf")
+    return summary["message_count"]
 
 
 def census_by_replay(tree: ContractTree, ids: Sequence[NodeId], mode: str,

@@ -15,6 +15,7 @@ import time
 from pathlib import Path
 
 from graftsim import harness, offchain
+from graftsim.exchange import Exchange
 from graftsim.harness import (
     MODE_OFFCHAIN,
     MODE_ONCHAIN,
@@ -23,7 +24,6 @@ from graftsim.harness import (
     bundled_scenarios,
     compare,
     load_scenario,
-    message_census,
     run,
 )
 from graftsim.onchain import ABORTED, OnchainSession, compile_onchain
@@ -38,7 +38,16 @@ from graftsim.trace import (
 from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
 from graftsim.witness import CommitmentSet, scenario_salt
 
-from drivers import finalize, leaves, offchain_step, path_to, plan_of, start_offchain, stipulate
+from drivers import (
+    finalize,
+    leaves,
+    message_census,
+    offchain_step,
+    path_to,
+    plan_of,
+    start_offchain,
+    stipulate,
+)
 
 BO3_PATH = ("Bet", "L??", "LW?", "LWL")
 BO3_ORACLE = ((2, "L1"), (4, "W2"), (6, "L3"))
@@ -106,10 +115,10 @@ def no_rollback_ok(trace: Trace) -> bool:
 @criterion(1, "cooperative off-chain settles in 3 transactions vs 4 on-chain")
 def test_criterion_01_cooperative_cost(bo3_tree):
     result = compare(load("bo3_happy"), load("bo3_onchain"))
-    assert result.offchain.outcome == "leaf"
-    assert result.onchain.outcome == "leaf"
-    assert result.offchain.onchain_tx_count == 3
-    assert result.onchain.onchain_tx_count == 4
+    assert result.offchain["outcome"] == "leaf"
+    assert result.onchain["outcome"] == "leaf"
+    assert result.offchain["onchain_tx_count"] == 3
+    assert result.onchain["onchain_tx_count"] == 4
     assert result.fees_saved_vs_baseline >= 1
 
 
@@ -313,6 +322,28 @@ def test_acceptance5_runs_share_no_state_through_the_record():
         scenario = next(s for s in cases if id(s.tree) == tree)
         now = scenario.tree.compiled.runs[seed, mode, t].grafts[child]
         assert now is record and now == before
+
+
+def test_run_delivers_every_burst_to_a_phase_end(monkeypatch):
+    """Inside ``run`` a send delivers up to where its phase ends
+    (``Exchange._open_until`` answers one of the layout's ``ends``), so
+    after every delivery of the bundled scenarios and the ACCEPTANCE 5
+    sweep every sender's count is 0 or a phase end: no run stops a count
+    within a phase.  Only the drivers that send one message at a time
+    reach a count within the body."""
+    deliver, deliveries = Exchange.deliver, []
+    def checked(exchange, sender):
+        sent = deliver(exchange, sender)
+        deliveries.append(len(sent))
+        ends = exchange.layout.ends
+        assert all(c == 0 or c in ends for c in exchange.sent.values()), exchange.sent
+        return sent
+    monkeypatch.setattr(Exchange, "deliver", checked)
+    cases = [load_scenario(path) for path in bundled_scenarios()]
+    cases += [*_bo3_attack_matrix(load("bo3_happy").tree), *_random_attack_cases(100)]
+    for scenario in cases:
+        run(scenario)
+    assert len(cases) == 154 and sum(map(bool, deliveries)) > 1000
 
 
 # -- the honest party's enforceable frontier ---------------------------------

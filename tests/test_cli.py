@@ -16,7 +16,7 @@ from graftsim.cli import (
     main,
 )
 from graftsim import harness
-from graftsim.harness import bundled_data_dir, load_scenario, run
+from graftsim.harness import bundled_data_dir, bundled_scenarios, load_scenario, run
 
 from drivers import events_and_summary, run_blockwise
 
@@ -68,6 +68,15 @@ class TestRun:
         assert "signature messages: 58" in out
         assert "payouts: B=97" in out
         assert "  Head @1" in out and "  LWL @7" in out
+
+    def test_stdout_matches_golden_byte_for_byte(self, capsys):
+        """Every bundled scenario's printed summary and exit code, pinned."""
+        out = []
+        for path in bundled_scenarios():
+            code = main(["run", str(path)])
+            out.append(f"$ graftsim run {path.name}  # exit {code}\n{capsys.readouterr().out}")
+        assert len(out) == 10
+        assert "".join(out) == (GOLDEN / "run_stdout.txt").read_text(encoding="utf-8")
 
     def test_trace_file_matches_golden(self, tmp_path, capsys):
         out_file = tmp_path / "run.trace"

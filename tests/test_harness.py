@@ -31,8 +31,6 @@ from graftsim.harness import (
     compare,
     default_height_cap,
     load_scenario,
-    message_census,
-    report_from_trace,
     run,
     scenario_from_dict,
 )
@@ -65,7 +63,7 @@ from graftsim.trace import (
     STIPULATION_COMPLETE,
 )
 
-from drivers import census_by_replay, events_and_summary, subtree_height
+from drivers import census_by_replay, events_and_summary, message_census, subtree_height
 
 BO3_PATH = ["Bet", "L??", "LW?", "LWL"]
 
@@ -192,13 +190,13 @@ class TestBundledRuns:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_pinned_outcome(self, name):
         outcome, txs, height, messages, payouts, appends = GOLDEN[name]
-        report = report_from_trace(run(load(name)))
-        assert report.outcome == outcome
-        assert report.onchain_tx_count == txs
-        assert report.final_height == height
-        assert report.message_count == messages
-        assert report.payouts == payouts
-        assert report.fees_paid == txs * 1
+        summary = run(load(name)).summary
+        assert summary["outcome"] == outcome
+        assert summary["onchain_tx_count"] == txs
+        assert summary["final_height"] == height
+        assert summary["message_count"] == messages
+        assert summary["payouts"] == payouts
+        assert summary["fees_paid"] == txs * 1
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_pinned_append_sequence(self, name):
@@ -462,16 +460,16 @@ class TestComparison:
         result = compare(load("bo3_happy"), load("bo3_onchain"))
         assert result.fees_saved_vs_baseline == 1
         assert result.extra_delay_blocks == 1
-        assert result.offchain.onchain_tx_count == 3
-        assert result.onchain.onchain_tx_count == 4
+        assert result.offchain["onchain_tx_count"] == 3
+        assert result.onchain["onchain_tx_count"] == 4
 
     def test_a_capped_side_adds_no_delay(self):
         # Only the off-chain run completes: the delay between completions
         # is then undefined and reported as 0.
         result = compare(load("bo3_happy"), replace(load("bo3_onchain"), height_cap=0))
-        assert result.onchain.outcome == "height_cap"
-        assert result.onchain.completion_height is None
-        assert result.offchain.completion_height is not None
+        assert result.onchain["outcome"] == "height_cap"
+        assert result.onchain["completion_height"] is None
+        assert result.offchain["completion_height"] is not None
         assert result.extra_delay_blocks == 0
 
     def test_mode_mismatch_rejected(self):
@@ -482,11 +480,6 @@ class TestComparison:
         off = load("bo3_earlyout")
         with pytest.raises(ValueError, match="different branches"):
             compare(off, load("bo3_onchain"))
-
-    def test_report_requires_a_summary(self, bo3_tree):
-        from graftsim.trace import Trace
-        with pytest.raises(ValueError, match="no terminal summary"):
-            report_from_trace(Trace({"label": "empty"}))
 
 
 class TestCensusAndCaps:
@@ -528,7 +521,7 @@ class TestCensusAndCaps:
                             strategies={p: ("honest", {}) for p in tree.participants})
                    for mode in (MODE_OFFCHAIN, MODE_ONCHAIN))
         comparison = compare(off, on)
-        assert comparison.offchain.outcome == comparison.onchain.outcome == "leaf"
+        assert comparison.offchain["outcome"] == comparison.onchain["outcome"] == "leaf"
 
     def test_default_height_cap_scales_with_the_contract(self, bo3_tree):
         scn = scenario_from_dict(scn_dict(t=2, oracle=[[6, "L3"]]), bundled_data_dir())
@@ -543,14 +536,14 @@ class TestCensusAndCaps:
         # through ``subtree_heights``.
         walks = []
         heights = graftsim.contract.subtree_heights
-        def counted(tree, start=None):
-            walks.append(start)
-            return heights(tree, start)
+        def counted(tree):
+            walks.append(tree)
+            return heights(tree)
         monkeypatch.setattr(graftsim.contract, "subtree_heights", counted)
         scn = load_scenario(bundled_data_dir() / f"{name}.scn")
         assert run(scn).summary["outcome"] == "leaf"
         assert run(scn).summary["outcome"] == "leaf"
-        assert walks == [None]
+        assert len(walks) == 1
 
 
 class TestCompiledRecord:

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graftsim.contract import deepest_leaf_path, resolve_path
-from graftsim.harness import MODE_OFFCHAIN, MODE_ONCHAIN, message_census
+from graftsim.harness import MODE_OFFCHAIN, MODE_ONCHAIN
 from graftsim.treegen import chain_tree, complete_binary_tree, random_tree
 
+from drivers import message_census
 from model import signature_messages, subtree_size
 
 MODES = (MODE_ONCHAIN, MODE_OFFCHAIN)

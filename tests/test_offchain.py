@@ -37,6 +37,7 @@ from drivers import (
     instances_by_landing,
     offchain_step,
     plan_of,
+    preorder_from,
     start_offchain,
     stipulate,
     strategies_added,
@@ -136,7 +137,7 @@ class TestGrafts:
         ids = ids_by_name(bo3_tree)
         reveal_oracle(session, "L1")
         graft = offchain_step(session, ids["L??"])
-        assert set(graft.digests) == set(iter_preorder(bo3_tree, ids["L??"]))
+        assert set(graft.digests) == set(preorder_from(bo3_tree, ids["L??"]))
         assert len(graft.digests) == 7
         # cleared root edge: the graft root needs no reveal, only the ladder
         root = graft.root_instance
@@ -183,7 +184,7 @@ class TestGrafts:
             sender, recipient = sorted(tree.participants)[:2]
             signed = [(m.phase, m.subject, m.digest) for m in plan_of(graft.exchange)
                       if (m.sender, m.recipient) == (sender, recipient)]
-            body = [n for n in iter_preorder(tree, child) if n != child]
+            body = [n for n in preorder_from(tree, child) if n != child]
             root = graft.root_instance
             assert signed == [(0, tree.node(n).name, graft.digests[n]) for n in body] \
                 + [(1, root.name, root.digest)]

@@ -29,7 +29,6 @@ from graftsim.harness import (
     _LiveObservation,
     bundled_scenarios,
     load_scenario,
-    message_census,
     run,
 )
 from graftsim.ledger import TxInstance
@@ -59,6 +58,7 @@ from drivers import (
     instantiate_by_make_tx,
     landings_checked,
     leaves,
+    message_census,
     next_for,
     observations_checked,
     offchain_step,

@@ -82,8 +82,8 @@ def _constants(tree: ast.Module, module: str) -> list:
 
 
 def _reads(tree: ast.Module) -> set:
-    """The names ``tree`` reads: loaded names and attributes, imported
-    names, and the strings listed in an ``__all__``."""
+    """The names ``tree`` reads: loaded names and attributes, and imported
+    names."""
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -92,10 +92,6 @@ def _reads(tree: ast.Module) -> set:
             read.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             read.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            read.update(e.value for e in ast.walk(node.value)
-                        if isinstance(e, ast.Constant) and isinstance(e.value, str))
     return read
 
 
@@ -103,17 +99,18 @@ def unread_public_names(package: dict, readers: list) -> list:
     """The qualified names of the public functions, classes and methods
     and of the module-level constants, public or private, defined in
     ``package`` (module name -> source) that neither ``package`` nor
-    ``readers`` (sources) read, export in ``__all__`` or register as a
-    strategy.
+    ``readers`` (sources) read or register as a strategy.  Listing a name
+    in ``__all__`` is no read, and neither is ``__init__``'s import of it
+    to re-export it, so a name only the tests use is reported.
 
     A read is matched by name alone, whoever owns the attribute, so the
     check is conservative: a member read under a name some other member
-    shares passes.  ``Trace.outcome``, say, would pass because
-    ``Report.outcome`` is read.
+    shares passes.  A method ``K.read``, say, passes wherever any object's
+    ``read`` is read.
     """
     trees = {module: ast.parse(source) for module, source in package.items()}
     read = set()
-    for tree in [*trees.values(), *map(ast.parse, readers)]:
+    for tree in [*(t for m, t in trees.items() if m != "__init__"), *map(ast.parse, readers)]:
         read |= _reads(tree)
     return sorted(qualified for module, tree in trees.items()
                   for qualified, name in [*_public_definitions(tree, module),
@@ -128,7 +125,8 @@ def test_every_public_name_has_a_reader():
 
 
 def test_the_check_sees_an_unread_name():
-    package = {"m": ("__all__ = ['exported']\n"
+    package = {"__init__": "from .m import exported\n__all__ = ['exported']\n",
+               "m": ("__all__ = ['exported']\n"
                      "def exported(): pass\n"
                      "def used(): pass\n"
                      "def unused(): pass\n"
@@ -145,7 +143,7 @@ def test_the_check_sees_an_unread_name():
                      "    def method(self): pass\n")}
     reader = "from m import K\nK().read()\n"
     assert unread_public_names(package, [reader]) == \
-        ["m.K.stored", "m.K.unread", "m._Hidden.method", "m.unused"]
+        ["m.K.stored", "m.K.unread", "m._Hidden.method", "m.exported", "m.unused"]
 
 
 def test_the_check_sees_an_unread_constant():
@@ -160,7 +158,8 @@ def test_the_check_sees_an_unread_constant():
                      "class K:\n"
                      "    FIELD = 6\n")}
     reader = "from m import FROM_READER, K\nimport m\nm.read()\n"
-    assert unread_public_names(package, [reader]) == ["m.UNREAD", "m._UNUSED", "m._cache"]
+    assert unread_public_names(package, [reader]) == \
+        ["m.EXPORTED", "m.UNREAD", "m._UNUSED", "m._cache"]
 
 
 def package_imports(package: dict) -> dict:
